@@ -23,7 +23,6 @@
 //!    iterating bucket order and an oracle iterating id order agree.
 
 use crate::store::NodeStore;
-use ic2_graph::NodeId;
 use ic2_rng::mix64;
 use mpisim::{MemRegion, Rank, Wire};
 
@@ -130,15 +129,9 @@ where
     if rank.config().faults.memory_corrupt_prob(me) <= 0.0 {
         return;
     }
-    let owned: Vec<NodeId> = store
-        .internal
-        .iter()
-        .chain(&store.peripheral)
-        .map(|n| n.id)
-        .collect();
     let sweeps = [
-        (MemRegion::Owned, "owned", owned),
-        (MemRegion::Shadow, "shadow", store.shadow_ids()),
+        (MemRegion::Owned, "owned", store.owned_ids().to_vec()),
+        (MemRegion::Shadow, "shadow", store.shadow_ids().to_vec()),
     ];
     for (region, label, ids) in sweeps {
         for id in ids {

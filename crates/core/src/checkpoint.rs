@@ -1094,6 +1094,19 @@ where
             // iterations, the rollback instant marks them instead.
             let tracer = IterTracer::begin(rank, &timers);
             let mut comp_this_iter = 0.0;
+            let mut round = exchange::Round {
+                rank,
+                program,
+                ctx: ComputeCtx {
+                    iter,
+                    phase: 0,
+                    rank: me,
+                    num_nodes,
+                },
+                costs: &cfg.costs,
+                timers: &mut timers,
+                comp_time: &mut comp_this_iter,
+            };
 
             // ---- Inner (barrier-elided) rounds -------------------------
             // Interior-only, no communication and no detection point:
@@ -1105,21 +1118,8 @@ where
             // every round — its epoch is monotonic and never rolled back.
             if !crate::driver::is_global_round(iter, cfg, true) {
                 for phase in 0..program.phases() {
-                    let ctx = ComputeCtx {
-                        iter,
-                        phase,
-                        rank: me,
-                        num_nodes,
-                    };
-                    exchange::inner_step(
-                        rank,
-                        program,
-                        &mut store,
-                        &ctx,
-                        &cfg.costs,
-                        &mut timers,
-                        &mut comp_this_iter,
-                    );
+                    round.ctx.phase = phase;
+                    exchange::inner_step(&mut round, &mut store);
                     barriers_elided += 1;
                 }
                 inner_iterations += 1;
@@ -1140,43 +1140,14 @@ where
             // run the full crash-aware exchange; stale retained shadows
             // force a full repack.
             let missed = crate::driver::elided_before(iter, cfg, true);
-            if missed > 0
-                && exchange::catch_up_boundary(
-                    rank,
-                    program,
-                    &mut store,
-                    iter,
-                    missed,
-                    program.phases(),
-                    me,
-                    num_nodes,
-                    &cfg.costs,
-                    &mut timers,
-                    &mut comp_this_iter,
-                )
-            {
+            if missed > 0 && exchange::catch_up_boundary(&mut round, &mut store, missed) {
                 store.needs_resync = true;
             }
             let mut changed_this_iter = 0u64;
             for phase in 0..program.phases() {
-                let ctx = ComputeCtx {
-                    iter,
-                    phase,
-                    rank: me,
-                    num_nodes,
-                };
-                let (_, _, stats) = exchange::step_crash_aware(
-                    rank,
-                    graph,
-                    program,
-                    &mut store,
-                    &ctx,
-                    &cfg.costs,
-                    &mut timers,
-                    &mut comp_this_iter,
-                    cfg.delta_exchange,
-                    &[],
-                );
+                round.ctx.phase = phase;
+                let (_, _, stats) =
+                    exchange::step_crash_aware(&mut round, &mut store, cfg.delta_exchange, &[]);
                 delta_stats.absorb(stats);
                 changed_this_iter += stats.changed_nodes;
             }
@@ -1528,26 +1499,7 @@ where
         let designated = (0..nprocs)
             .find(|&r| !crashed[r])
             .expect("at least one rank survives") as u32;
-        let owned: Vec<(u32, P::Data)> = store
-            .internal
-            .iter()
-            .chain(store.peripheral.iter())
-            .map(|node| {
-                (
-                    node.id,
-                    store
-                        .table
-                        .get(node.id)
-                        .unwrap_or_else(|| {
-                            crate::error::invariant_violated(
-                                me,
-                                format!("no data for owned node {} at gather", node.id),
-                            )
-                        })
-                        .clone(),
-                )
-            })
-            .collect();
+        let owned: Vec<(u32, P::Data)> = store.owned_data();
         let mut gathered: Option<Vec<(u32, P::Data)>> = None;
         if me == designated {
             let mut all = owned;

@@ -919,6 +919,19 @@ where
             for iter in 1..=cfg.iterations {
                 let tracer = IterTracer::begin(rank, &timers);
                 let mut comp_this_iter = 0.0;
+                let mut round = exchange::Round {
+                    rank,
+                    program,
+                    ctx: ComputeCtx {
+                        iter,
+                        phase: 0,
+                        rank: me,
+                        num_nodes,
+                    },
+                    costs: &cfg.costs,
+                    timers: &mut timers,
+                    comp_time: &mut comp_this_iter,
+                };
 
                 // ---- Inner (barrier-elided) rounds -------------------------
                 // Interior nodes only, fully local: no exchange, no barrier,
@@ -927,21 +940,8 @@ where
                 // `iter`, so every rank elides the identical rounds.
                 if !is_global_round(iter, cfg, false) {
                     for phase in 0..program.phases() {
-                        let ctx = ComputeCtx {
-                            iter,
-                            phase,
-                            rank: me,
-                            num_nodes,
-                        };
-                        exchange::inner_step(
-                            rank,
-                            program,
-                            &mut store,
-                            &ctx,
-                            &cfg.costs,
-                            &mut timers,
-                            &mut comp_this_iter,
-                        );
+                        round.ctx.phase = phase;
+                        exchange::inner_step(&mut round, &mut store);
                         barriers_elided += 1;
                     }
                     inner_iterations += 1;
@@ -958,43 +958,14 @@ where
                 // boundary value moved, retained remote shadows are stale and
                 // the exchange below must full-pack.
                 let missed = elided_before(iter, cfg, false);
-                if missed > 0
-                    && exchange::catch_up_boundary(
-                        rank,
-                        program,
-                        &mut store,
-                        iter,
-                        missed,
-                        program.phases(),
-                        me,
-                        num_nodes,
-                        &cfg.costs,
-                        &mut timers,
-                        &mut comp_this_iter,
-                    )
-                {
+                if missed > 0 && exchange::catch_up_boundary(&mut round, &mut store, missed) {
                     store.needs_resync = true;
                 }
                 let mut iter_quiescent = cfg.delta_exchange;
                 for phase in 0..program.phases() {
-                    let ctx = ComputeCtx {
-                        iter,
-                        phase,
-                        rank: me,
-                        num_nodes,
-                    };
-                    let res = exchange::step(
-                        rank,
-                        graph,
-                        program,
-                        &mut store,
-                        &ctx,
-                        cfg.exchange,
-                        &cfg.costs,
-                        &mut timers,
-                        &mut comp_this_iter,
-                        cfg.delta_exchange,
-                    );
+                    round.ctx.phase = phase;
+                    let res =
+                        exchange::step(&mut round, &mut store, cfg.exchange, cfg.delta_exchange);
                     delta_stats.absorb(res.delta);
                     if res.global_changed != Some(0) {
                         iter_quiescent = false;
@@ -1122,26 +1093,7 @@ where
             let total = rank.wtime();
 
             // ---- Gather final data at rank 0 --------------------------------
-            let owned: Vec<(u32, P::Data)> = store
-                .internal
-                .iter()
-                .chain(store.peripheral.iter())
-                .map(|node| {
-                    (
-                        node.id,
-                        store
-                            .table
-                            .get(node.id)
-                            .unwrap_or_else(|| {
-                                crate::error::invariant_violated(
-                                    me,
-                                    format!("no data for owned node {} at gather", node.id),
-                                )
-                            })
-                            .clone(),
-                    )
-                })
-                .collect();
+            let owned: Vec<(u32, P::Data)> = store.owned_data();
             let gathered = rank
                 .gather(0, &owned)
                 .map(|per_rank| per_rank.into_iter().flatten().collect::<Vec<_>>());

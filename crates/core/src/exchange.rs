@@ -1,12 +1,13 @@
 //! The computation & communication phase (thesis §4.2, Figures 8 and 8a).
 
 use crate::costs::CostModel;
+use crate::hashtab::Slot;
 use crate::paging::Pager;
 use crate::program::{ComputeCtx, NeighborData, NodeProgram};
-use crate::store::{LocalNode, NodeStore};
+use crate::store::NodeStore;
 use crate::timers::{Phase, PhaseTimers};
-use ic2_graph::Graph;
 use mpisim::{ArgValue, CtlSlot, Envelope, Rank, RetryPolicy};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Message tag for shadow-buffer exchange.
@@ -66,159 +67,172 @@ pub enum ExchangeMode {
     Overlap,
 }
 
-/// Run one compute + communicate round.
-///
-/// `comp_time_out` accumulates the execution time the thesis's load
-/// balancer samples (the `ComputeOverNodes` duration: node computation plus
-/// its overhead).
-#[allow(clippy::too_many_arguments)]
-pub fn step<P: NodeProgram>(
-    rank: &Rank,
-    _graph: &Graph,
-    program: &P,
-    store: &mut NodeStore<P::Data>,
-    ctx: &ComputeCtx,
-    mode: ExchangeMode,
-    costs: &CostModel,
-    timers: &mut PhaseTimers,
-    comp_time_out: &mut f64,
+/// What every part of one compute + communicate round works with: who is
+/// running what, at which iteration and phase, under which cost model, and
+/// where virtual time is attributed. Each driver builds one per iteration
+/// and hands it to [`step`], [`step_crash_aware`], `inner_step` and
+/// `catch_up_boundary`, setting `ctx.phase` between calls.
+pub struct Round<'a, P: NodeProgram> {
+    /// The executing rank.
+    pub rank: &'a Rank,
+    /// The application.
+    pub program: &'a P,
+    /// Iteration and phase handed to the node function.
+    pub ctx: ComputeCtx,
+    /// Platform-overhead charges.
+    pub costs: &'a CostModel,
+    /// Per-phase virtual-time attribution.
+    pub timers: &'a mut PhaseTimers,
+    /// Accumulates the execution time the thesis's load balancer samples
+    /// (the `ComputeOverNodes` duration: node computation plus its
+    /// overhead).
+    pub comp_time: &'a mut f64,
+}
+
+impl<P: NodeProgram> Round<'_, P> {
+    /// Close a compute stretch begun at `comp_t0`: sample it for the
+    /// balancer and trace it.
+    fn end_compute(&mut self, comp_t0: f64) {
+        *self.comp_time += self.rank.wtime() - comp_t0;
+        self.rank.trace_span("Compute", "phase", comp_t0, &[]);
+    }
+
+    /// End-of-round promote sweep (the thesis's `data = most_recent_data`)
+    /// over the owned nodes at plan positions `range` — the only entries
+    /// that can hold a staged value — charging one `per_node_update` each
+    /// and keeping the audit digest in step with every promoted value (one
+    /// `audit_per_entry` charge each when audits are on, nothing
+    /// otherwise). Paged mode promotes page by page through the pager's
+    /// staged set instead, so each staged page is resident exactly once.
+    /// Then drains the pager's I/O seconds.
+    fn promote(&mut self, store: &mut NodeStore<P::Data>, range: Range<usize>) {
+        let (rank, costs) = (self.rank, self.costs);
+        let t0 = rank.wtime();
+        rank.advance(costs.per_node_update * range.len() as f64);
+        let NodeStore {
+            plan,
+            table,
+            pager,
+            audit,
+            ..
+        } = &mut *store;
+        let mut note = |id, d: &P::Data| {
+            if let Some(audit) = audit.as_mut() {
+                audit.record(id, crate::audit::entry_hash(id, d));
+            }
+        };
+        let promoted = match pager.as_mut() {
+            Some(pager) => pager.promote(table, note),
+            None => range
+                .filter_map(|k| table.promote_at(plan.own[k]).map(|(id, d)| note(id, d)))
+                .count(),
+        };
+        if audit.is_some() {
+            rank.advance(costs.audit_per_entry * promoted as f64);
+        }
+        self.timers
+            .add(Phase::ComputationOverhead, rank.wtime() - t0);
+        drain_storage(rank, store, self.timers);
+    }
+
+    fn trace_delta(&self, stats: &DeltaStats) {
+        self.rank.trace_instant(
+            "delta_skipped",
+            "delta",
+            &[
+                ("iter", ArgValue::U64(self.ctx.iter as u64)),
+                ("sent", ArgValue::U64(stats.entries_sent)),
+                ("skipped", ArgValue::U64(stats.entries_skipped)),
+            ],
+        );
+    }
+}
+
+/// Where peripheral updates are packed, and how: the outgoing buffers plus
+/// this round's delta-exchange state.
+struct Packing<D> {
+    buffers: ShadowBuffers<D>,
+    /// Delta exchange is configured.
     delta: bool,
-) -> StepResult {
-    let comp_t0 = rank.wtime();
-    // Delta packing is suspended for one iteration after any structural
-    // change (migration, evacuation, restore, genesis): every receiver's
-    // retained shadows must be refreshed before dirtiness means anything.
-    let delta_active = delta && !store.needs_resync;
-    let mut stats = DeltaStats::default();
-    let mut buffers: ShadowBuffers<P::Data> = vec![Vec::new(); store.nprocs];
-    for (p, buf) in buffers.iter_mut().enumerate() {
-        if store.send_counts[p] > 0 {
-            buf.reserve(store.send_counts[p]);
+    /// Delta packing is in force. It is suspended for one iteration after
+    /// any structural change (migration, evacuation, restore, genesis):
+    /// every receiver's retained shadows must be refreshed before
+    /// dirtiness means anything.
+    active: bool,
+    stats: DeltaStats,
+}
+
+impl<D> Packing<D> {
+    fn new(store: &NodeStore<D>, delta: bool) -> Self {
+        Packing {
+            buffers: store
+                .send_counts
+                .iter()
+                .map(|&n| Vec::with_capacity(n))
+                .collect(),
+            delta,
+            active: delta && !store.needs_resync,
+            stats: DeltaStats::default(),
         }
     }
+}
+
+/// Run one compute + communicate round.
+pub fn step<P: NodeProgram>(
+    round: &mut Round<'_, P>,
+    store: &mut NodeStore<P::Data>,
+    mode: ExchangeMode,
+    delta: bool,
+) -> StepResult {
+    let rank = round.rank;
+    let comp_t0 = rank.wtime();
+    let mut pack = Packing::new(store, delta);
+    let (internal, peripheral) = (store.internal_range(), store.peripheral_range());
 
     match mode {
         ExchangeMode::PostComm => {
             // Figure 8: internal nodes, then peripheral nodes (packing as
             // each is updated), then send/recv.
-            compute_list(
-                rank,
-                program,
-                &store.internal,
-                &mut store.table,
-                &mut store.node_load,
-                &mut store.pager,
-                ctx,
-                costs,
-                timers,
-                None,
-                delta,
-                delta_active,
-                &mut stats,
-                None,
-            );
-            compute_list(
-                rank,
-                program,
-                &store.peripheral,
-                &mut store.table,
-                &mut store.node_load,
-                &mut store.pager,
-                ctx,
-                costs,
-                timers,
-                Some(&mut buffers),
-                delta,
-                delta_active,
-                &mut stats,
-                None,
-            );
-            *comp_time_out += rank.wtime() - comp_t0;
-            rank.trace_span("Compute", "phase", comp_t0, &[]);
+            compute_list(round, store, internal, None, None);
+            compute_list(round, store, peripheral, Some(&mut pack), None);
+            round.end_compute(comp_t0);
             if bounded(rank) {
-                let (ex, _) = bounded_send(rank, store, &buffers, timers, &[]);
-                bounded_collect(rank, store, ex, timers, costs, false, &[]);
+                let (ex, _) = bounded_send(rank, store, &pack.buffers, round.timers, &[]);
+                bounded_collect(rank, store, ex, round.timers, round.costs, false, &[]);
             } else {
-                send_buffers(rank, store, &buffers, timers, costs, &[]);
-                recv_and_unpack(rank, store, timers, costs);
+                send_buffers(rank, store, &pack.buffers, round.timers, &[]);
+                recv_and_unpack(rank, store, round.timers, round.costs);
             }
         }
         ExchangeMode::Overlap => {
             // Figure 8a: peripherals first so their shadows can travel
             // while internal nodes compute.
-            compute_list(
-                rank,
-                program,
-                &store.peripheral,
-                &mut store.table,
-                &mut store.node_load,
-                &mut store.pager,
-                ctx,
-                costs,
-                timers,
-                Some(&mut buffers),
-                delta,
-                delta_active,
-                &mut stats,
-                None,
-            );
+            compute_list(round, store, peripheral, Some(&mut pack), None);
             if bounded(rank) {
                 // Same virtual-time schedule as the unbounded overlap
                 // (send charges here, receive charges after the internal
                 // compute), but frames are drained opportunistically so a
                 // full mailbox can never wedge the send phase.
-                let (ex, _) = bounded_send(rank, store, &buffers, timers, &[]);
-                compute_list(
-                    rank,
-                    program,
-                    &store.internal,
-                    &mut store.table,
-                    &mut store.node_load,
-                    &mut store.pager,
-                    ctx,
-                    costs,
-                    timers,
-                    None,
-                    delta,
-                    delta_active,
-                    &mut stats,
-                    None,
-                );
-                *comp_time_out += rank.wtime() - comp_t0;
-                rank.trace_span("Compute", "phase", comp_t0, &[]);
-                bounded_collect(rank, store, ex, timers, costs, false, &[]);
+                let (ex, _) = bounded_send(rank, store, &pack.buffers, round.timers, &[]);
+                compute_list(round, store, internal, None, None);
+                round.end_compute(comp_t0);
+                bounded_collect(rank, store, ex, round.timers, round.costs, false, &[]);
             } else {
-                send_buffers(rank, store, &buffers, timers, costs, &[]);
+                send_buffers(rank, store, &pack.buffers, round.timers, &[]);
                 type ShadowRecv<D> = (u32, mpisim::RecvRequest<Vec<(u32, D)>>);
                 let reqs: Vec<ShadowRecv<P::Data>> = store
                     .recv_procs()
-                    .into_iter()
-                    .map(|p| (p, rank.irecv(p as usize, TAG_SHADOW)))
+                    .iter()
+                    .map(|&p| (p, rank.irecv(p as usize, TAG_SHADOW)))
                     .collect();
-                compute_list(
-                    rank,
-                    program,
-                    &store.internal,
-                    &mut store.table,
-                    &mut store.node_load,
-                    &mut store.pager,
-                    ctx,
-                    costs,
-                    timers,
-                    None,
-                    delta,
-                    delta_active,
-                    &mut stats,
-                    None,
-                );
-                *comp_time_out += rank.wtime() - comp_t0;
-                rank.trace_span("Compute", "phase", comp_t0, &[]);
+                compute_list(round, store, internal, None, None);
+                round.end_compute(comp_t0);
                 let recv_t0 = rank.wtime();
                 for (_, req) in reqs {
                     let t0 = rank.wtime();
                     let msg = req.wait(rank);
-                    timers.add(Phase::Communicate, rank.wtime() - t0);
-                    unpack(rank, store, msg, timers, costs);
+                    round.timers.add(Phase::Communicate, rank.wtime() - t0);
+                    unpack(rank, store, msg, round.timers, round.costs);
                 }
                 rank.trace_span("Communicate", "phase", recv_t0, &[]);
             }
@@ -234,21 +248,11 @@ pub fn step<P: NodeProgram>(
     // a control exchange — identical virtual-time cost — carrying this
     // rank's changed-node count, so every rank learns the agreed global
     // total and can observe quiescence.
-    let t0 = rank.wtime();
-    promote_and_note(rank, store, costs);
-    timers.add(Phase::ComputationOverhead, rank.wtime() - t0);
-    drain_storage(rank, store, timers);
+    round.promote(store, 0..store.owned_count());
+    let stats = pack.stats;
     let t0 = rank.wtime();
     let global_changed = if delta {
-        rank.trace_instant(
-            "delta_skipped",
-            "delta",
-            &[
-                ("iter", ArgValue::U64(ctx.iter as u64)),
-                ("sent", ArgValue::U64(stats.entries_sent)),
-                ("skipped", ArgValue::U64(stats.entries_skipped)),
-            ],
-        );
+        round.trace_delta(&stats);
         let verdict = rank.ctl_exchange(CtlSlot {
             word: stats.changed_nodes,
             load: 0.0,
@@ -259,7 +263,7 @@ pub fn step<P: NodeProgram>(
         rank.barrier();
         None
     };
-    timers.add(Phase::Communicate, rank.wtime() - t0);
+    round.timers.add(Phase::Communicate, rank.wtime() - t0);
     StepResult {
         delta: stats,
         global_changed,
@@ -291,126 +295,43 @@ pub fn step<P: NodeProgram>(
 /// plus this rank's delta accounting (the caller owns the
 /// iteration-closing control exchange in crash mode, so the changed-node
 /// count is handed back for it to piggyback there).
-#[allow(clippy::too_many_arguments)]
 pub fn step_crash_aware<P: NodeProgram>(
-    rank: &Rank,
-    _graph: &Graph,
-    program: &P,
+    round: &mut Round<'_, P>,
     store: &mut NodeStore<P::Data>,
-    ctx: &ComputeCtx,
-    costs: &CostModel,
-    timers: &mut PhaseTimers,
-    comp_time_out: &mut f64,
     delta: bool,
     frozen: &[bool],
 ) -> (bool, bool, DeltaStats) {
+    let rank = round.rank;
     let comp_t0 = rank.wtime();
-    let delta_active = delta && !store.needs_resync;
-    let mut stats = DeltaStats::default();
-    let mut buffers: ShadowBuffers<P::Data> = vec![Vec::new(); store.nprocs];
-    for (p, buf) in buffers.iter_mut().enumerate() {
-        if store.send_counts[p] > 0 {
-            buf.reserve(store.send_counts[p]);
-        }
-    }
+    let mut pack = Packing::new(store, delta);
+    compute_list(round, store, store.internal_range(), None, None);
     compute_list(
-        rank,
-        program,
-        &store.internal,
-        &mut store.table,
-        &mut store.node_load,
-        &mut store.pager,
-        ctx,
-        costs,
-        timers,
-        None,
-        delta,
-        delta_active,
-        &mut stats,
+        round,
+        store,
+        store.peripheral_range(),
+        Some(&mut pack),
         None,
     );
-    compute_list(
-        rank,
-        program,
-        &store.peripheral,
-        &mut store.table,
-        &mut store.node_load,
-        &mut store.pager,
-        ctx,
-        costs,
-        timers,
-        Some(&mut buffers),
-        delta,
-        delta_active,
-        &mut stats,
-        None,
-    );
-    *comp_time_out += rank.wtime() - comp_t0;
-    rank.trace_span("Compute", "phase", comp_t0, &[]);
+    round.end_compute(comp_t0);
 
-    let mut saw_death = false;
-    let mut saw_cut = false;
-    let is_frozen = |p: usize| frozen.get(p).copied().unwrap_or(false);
-    if bounded(rank) {
-        let (ex, cut) = bounded_send(rank, store, &buffers, timers, frozen);
-        saw_cut |= cut;
-        let (death, cut) = bounded_collect(rank, store, ex, timers, costs, true, frozen);
-        saw_death = death;
-        saw_cut |= cut;
-    } else {
-        saw_cut |= send_buffers(rank, store, &buffers, timers, costs, frozen);
-        let recv_t0 = rank.wtime();
-        for p in store.recv_procs() {
-            let t0 = rank.wtime();
-            if is_frozen(p as usize) {
-                // A suspected peer sends nothing while the partition is
-                // open; pay the detection cost in canonical order and let
-                // its retained stale shadows stand in.
-                rank.charge_partition_timeout();
-                timers.add(Phase::Communicate, rank.wtime() - t0);
-                continue;
-            }
-            match rank.try_recv::<Vec<(u32, P::Data)>>(p as usize, TAG_SHADOW) {
-                Ok(msg) => {
-                    timers.add(Phase::Communicate, rank.wtime() - t0);
-                    unpack(rank, store, msg, timers, costs);
-                }
-                Err(mpisim::Died(peer)) => {
-                    // Stale shadow values stand in either way; the dead
-                    // flag disambiguates a confirmed death from a
-                    // partition tombstone (peer alive but unreachable).
-                    timers.add(Phase::Communicate, rank.wtime() - t0);
-                    if rank.peer_dead(peer) {
-                        saw_death = true;
-                    } else {
-                        saw_cut = true;
-                    }
-                }
-            }
-        }
-        rank.trace_span("Communicate", "phase", recv_t0, &[]);
-    }
+    let (saw_death, saw_cut) = exchange_crash_aware(
+        rank,
+        store,
+        &pack.buffers,
+        round.timers,
+        round.costs,
+        frozen,
+    );
     store.needs_resync = false;
 
-    let t0 = rank.wtime();
-    promote_and_note(rank, store, costs);
-    timers.add(Phase::ComputationOverhead, rank.wtime() - t0);
-    drain_storage(rank, store, timers);
+    round.promote(store, 0..store.owned_count());
     if delta {
-        rank.trace_instant(
-            "delta_skipped",
-            "delta",
-            &[
-                ("iter", ArgValue::U64(ctx.iter as u64)),
-                ("sent", ArgValue::U64(stats.entries_sent)),
-                ("skipped", ArgValue::U64(stats.entries_skipped)),
-            ],
-        );
+        round.trace_delta(&pack.stats);
     }
     let t0 = rank.wtime();
     rank.barrier();
-    timers.add(Phase::Communicate, rank.wtime() - t0);
-    (saw_death, saw_cut, stats)
+    round.timers.add(Phase::Communicate, rank.wtime() - t0);
+    (saw_death, saw_cut, pack.stats)
 }
 
 /// One *inner* (barrier-elided) hybrid round for a single phase: interior
@@ -420,46 +341,16 @@ pub fn step_crash_aware<P: NodeProgram>(
 /// [`crate::ExecutionPolicy::Hybrid`]. Compute, overhead, promote, and
 /// storage costs are charged exactly as a BSP round charges them for the
 /// same list; only the synchronisation cost is elided.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn inner_step<P: NodeProgram>(
-    rank: &Rank,
-    program: &P,
-    store: &mut NodeStore<P::Data>,
-    ctx: &ComputeCtx,
-    costs: &CostModel,
-    timers: &mut PhaseTimers,
-    comp_time_out: &mut f64,
-) {
-    let comp_t0 = rank.wtime();
-    let mut stats = DeltaStats::default();
-    compute_list(
-        rank,
-        program,
-        &store.internal,
-        &mut store.table,
-        &mut store.node_load,
-        &mut store.pager,
-        ctx,
-        costs,
-        timers,
-        None,
-        false,
-        false,
-        &mut stats,
-        None,
-    );
-    *comp_time_out += rank.wtime() - comp_t0;
-    rank.trace_span("Compute", "phase", comp_t0, &[]);
-    let t0 = rank.wtime();
-    let interior = store.internal.len();
-    promote_counted(rank, store, costs, interior);
-    timers.add(Phase::ComputationOverhead, rank.wtime() - t0);
-    drain_storage(rank, store, timers);
+pub(crate) fn inner_step<P: NodeProgram>(round: &mut Round<'_, P>, store: &mut NodeStore<P::Data>) {
+    let comp_t0 = round.rank.wtime();
+    compute_list(round, store, store.internal_range(), None, None);
+    round.end_compute(comp_t0);
+    round.promote(store, store.internal_range());
 }
 
 /// Replay the boundary (peripheral) compute passes for the `missed`
-/// barrier-elided rounds immediately preceding global iteration
-/// `global_iter`, oldest first, so by the time the global round's full
+/// barrier-elided rounds immediately preceding the global iteration
+/// `round.ctx.iter`, oldest first, so by the time the global round's full
 /// exchange runs every node has been computed exactly as many times as
 /// plain BSP would have computed it. Nothing is packed or sent here — the
 /// global round's own exchange ships the final boundary values.
@@ -468,68 +359,58 @@ pub(crate) fn inner_step<P: NodeProgram>(
 /// retained remote shadows skipped `missed` refreshes and are stale, so
 /// the caller must force a full repack (`needs_resync`) before delta
 /// packing may trust dirtiness again.
-#[allow(clippy::too_many_arguments)]
+///
+/// The hybrid engine splits one BSP iteration's promote sweep across an
+/// inner round (interior nodes) and this pass (peripheral nodes); each
+/// charges exactly its own list's length, so the two halves sum to the
+/// `owned_count` charge a plain BSP iteration pays — compute cost parity
+/// by construction, with only the barrier/control cost elided.
 pub(crate) fn catch_up_boundary<P: NodeProgram>(
-    rank: &Rank,
-    program: &P,
+    round: &mut Round<'_, P>,
     store: &mut NodeStore<P::Data>,
-    global_iter: u32,
     missed: u32,
-    phases: u32,
-    me: u32,
-    num_nodes: usize,
-    costs: &CostModel,
-    timers: &mut PhaseTimers,
-    comp_time_out: &mut f64,
 ) -> bool {
+    let global = round.ctx;
     let mut changed = false;
     for back in (1..=missed).rev() {
-        let j = global_iter - back;
-        for phase in 0..phases {
-            let ctx = ComputeCtx {
-                iter: j,
-                phase,
-                rank: me,
-                num_nodes,
-            };
-            let comp_t0 = rank.wtime();
-            let mut stats = DeltaStats::default();
-            compute_list(
-                rank,
-                program,
-                &store.peripheral,
-                &mut store.table,
-                &mut store.node_load,
-                &mut store.pager,
-                &ctx,
-                costs,
-                timers,
-                None,
-                false,
-                false,
-                &mut stats,
-                Some(&mut changed),
-            );
-            *comp_time_out += rank.wtime() - comp_t0;
-            rank.trace_span("Compute", "phase", comp_t0, &[]);
-            let t0 = rank.wtime();
-            let boundary = store.peripheral.len();
-            promote_counted(rank, store, costs, boundary);
-            timers.add(Phase::ComputationOverhead, rank.wtime() - t0);
-            drain_storage(rank, store, timers);
+        for phase in 0..round.program.phases() {
+            round.ctx.iter = global.iter - back;
+            round.ctx.phase = phase;
+            let comp_t0 = round.rank.wtime();
+            let boundary = store.peripheral_range();
+            compute_list(round, store, boundary.clone(), None, Some(&mut changed));
+            round.end_compute(comp_t0);
+            round.promote(store, boundary);
         }
     }
+    round.ctx = global;
     changed
 }
 
-/// Update every node in `list`: build the node+neighbours list, invoke the
-/// application node function, stage the result, and (for peripherals) pack
-/// the update into the outgoing buffers.
+/// `v`'s allocation, emptied, ready for a fresh borrow of the table: the
+/// in-place collect reuses the buffer (identical element layout), so one
+/// list pass allocates its neighbour scratch once, not once per node.
+fn recycle<'a, D>(mut v: Vec<NeighborData<'_, D>>) -> Vec<NeighborData<'a, D>> {
+    v.clear();
+    v.into_iter()
+        .map(|_| -> NeighborData<'a, D> { unreachable!("vector was cleared") })
+        .collect()
+}
+
+/// Update the nodes at plan positions `range`: build the node+neighbours
+/// list, invoke the application node function, stage the result, and (for
+/// peripherals, given `pack`) pack the update into the outgoing buffers.
+///
+/// Every table access is a slot the plan resolved at the last
+/// `rebuild_lists`; nothing here searches. The plan's epoch stamp is
+/// compared with the table's once per call, and the own entry's id once
+/// per node: a plan that outlived a structural change is the typed
+/// [`crate::PlatformError::InternalInvariant`], never a wrong answer.
 ///
 /// Dirty tracking happens at the pack site: a node is dirty iff the value
 /// it just computed differs from its current value — exactly the value
 /// every receiver's retained shadow holds, by induction from the last full
-/// sync. With `delta_active`, clean nodes are not packed (and their
+/// sync. With delta packing active, clean nodes are not packed (and their
 /// `per_shadow_pack` cost is not charged); receivers keep the retained
 /// shadow, which equals what a full exchange would have delivered.
 ///
@@ -538,68 +419,74 @@ pub(crate) fn catch_up_boundary<P: NodeProgram>(
 /// that sits on a page that lost every copy — it is *skipped*, because the
 /// pager's damage latch already guarantees this iteration is discarded by
 /// rollback. Non-paged mode has no excuse for missing data: that is corrupt
-/// platform state, surfaced as the typed
-/// [`crate::PlatformError::InternalInvariant`] rather than a bare panic.
+/// platform state, surfaced as a typed invariant violation too.
 ///
 /// `track_changes` (used by the hybrid engine's boundary catch-up) flips to
 /// `true` if any staged value differs from the node's current one — the
 /// signal that retained remote shadows have gone stale across an elided
 /// stretch and the next exchange must full-pack.
-#[allow(clippy::too_many_arguments)]
 fn compute_list<P: NodeProgram>(
-    rank: &Rank,
-    program: &P,
-    list: &[LocalNode],
-    table: &mut crate::hashtab::NodeTable<P::Data>,
-    node_load: &mut [f64],
-    pager: &mut Option<Pager>,
-    ctx: &ComputeCtx,
-    costs: &CostModel,
-    timers: &mut PhaseTimers,
-    mut buffers: Option<&mut ShadowBuffers<P::Data>>,
-    delta: bool,
-    delta_active: bool,
-    stats: &mut DeltaStats,
+    round: &mut Round<'_, P>,
+    store: &mut NodeStore<P::Data>,
+    range: Range<usize>,
+    mut pack: Option<&mut Packing<P::Data>>,
     mut track_changes: Option<&mut bool>,
 ) {
+    let (rank, program, ctx, costs) = (round.rank, round.program, &round.ctx, round.costs);
+    let timers = &mut *round.timers;
+    let NodeStore {
+        plan,
+        table,
+        node_load,
+        pager,
+        ..
+    } = store;
+    if plan.epoch != table.epoch() {
+        crate::error::invariant_violated(
+            ctx.rank,
+            format!(
+                "round plan of table epoch {} used at epoch {}: structural change without rebuild_lists",
+                plan.epoch,
+                table.epoch()
+            ),
+        );
+    }
     let paged = pager.is_some();
-    for node in list {
+    let mut spare = Vec::new();
+    for k in range {
+        let node = plan.node(k);
         if let Some(pager) = pager.as_mut() {
-            pager.ensure(
-                table,
-                std::iter::once(node.id).chain(node.neighbors.iter().copied()),
-            );
+            let buckets = std::iter::once(node.slot).chain(node.neighbors.iter().copied());
+            pager.ensure(table, buckets.map(Slot::bucket));
         }
         // Computation overhead: form the list of the node and its
         // neighbours to hand to the node function.
         let t0 = rank.wtime();
         rank.advance(costs.per_list_item * (node.neighbors.len() + 1) as f64);
-        let own = match table.get(node.id) {
-            Some(d) => d,
+        let own = match table.at(node.slot) {
+            Some((id, d)) if id == node.id => d,
             None if paged => continue,
-            None => crate::error::invariant_violated(
+            _ => crate::error::invariant_violated(
                 ctx.rank,
                 format!("no data for owned node {} at compute", node.id),
             ),
         };
-        let mut neighbors: Vec<NeighborData<'_, P::Data>> =
-            Vec::with_capacity(node.neighbors.len());
-        let mut incomplete = false;
-        for &w in &node.neighbors {
-            match table.get(w) {
-                Some(data) => neighbors.push(NeighborData { id: w, data }),
-                None if paged => {
-                    incomplete = true;
-                    break;
-                }
-                None => crate::error::invariant_violated(
-                    ctx.rank,
-                    format!("no data for neighbour {w} of owned node {}", node.id),
-                ),
+        let mut neighbors = recycle(std::mem::take(&mut spare));
+        neighbors.extend(
+            node.neighbors
+                .iter()
+                .map_while(|&slot| table.at(slot))
+                .map(|(id, data)| NeighborData { id, data }),
+        );
+        if neighbors.len() < node.neighbors.len() {
+            if paged {
+                spare = recycle(neighbors);
+                continue;
             }
-        }
-        if incomplete {
-            continue;
+            crate::error::invariant_violated(
+                ctx.rank,
+                format!("no data for a neighbour of owned node {}", node.id),
+            );
         }
         let t1 = rank.wtime();
         timers.add(Phase::ComputationOverhead, t1 - t0);
@@ -610,6 +497,7 @@ fn compute_list<P: NodeProgram>(
         let t2 = rank.wtime();
         timers.add(Phase::Compute, t2 - t1);
         node_load[node.id as usize] += t2 - t1;
+        spare = recycle(neighbors);
         if let Some(flag) = track_changes.as_deref_mut() {
             if next != *own {
                 *flag = true;
@@ -619,31 +507,34 @@ fn compute_list<P: NodeProgram>(
         // Stage the update; pack it for every processor holding this node
         // as a shadow.
         rank.advance(costs.per_node_update);
-        if let Some(buffers) = buffers.as_deref_mut() {
+        if let Some(pack) = pack.as_deref_mut() {
             let t3 = rank.wtime();
             timers.add(Phase::ComputationOverhead, t3 - t2);
-            let changed = !delta || next != *own;
-            drop(neighbors);
-            if delta && changed {
-                stats.changed_nodes += 1;
+            let changed = !pack.delta || next != *own;
+            if pack.delta && changed {
+                pack.stats.changed_nodes += 1;
             }
-            if changed || !delta_active {
+            if changed || !pack.active {
                 rank.advance(costs.per_shadow_pack * node.shadow_for.len() as f64);
-                for &p in &node.shadow_for {
-                    buffers[p as usize].push((node.id, next.clone()));
+                for &p in node.shadow_for {
+                    pack.buffers[p as usize].push((node.id, next.clone()));
                 }
-                stats.entries_sent += node.shadow_for.len() as u64;
+                pack.stats.entries_sent += node.shadow_for.len() as u64;
             } else {
-                stats.entries_skipped += node.shadow_for.len() as u64;
+                pack.stats.entries_skipped += node.shadow_for.len() as u64;
             }
             timers.add(Phase::CommunicationOverhead, rank.wtime() - t3);
         } else {
-            drop(neighbors);
             timers.add(Phase::ComputationOverhead, rank.wtime() - t2);
         }
-        table.set_pending(node.id, next);
+        if !table.stage_at(node.slot, node.id, next) {
+            crate::error::invariant_violated(
+                ctx.rank,
+                format!("slot of owned node {} moved during its update", node.id),
+            );
+        }
         if let Some(pager) = pager.as_mut() {
-            pager.note_staged(table.bucket_index(node.id));
+            pager.note_staged(node.slot.bucket());
         }
     }
 }
@@ -658,69 +549,6 @@ fn pager_mut(rank_id: u32, pager: &mut Option<Pager>) -> &mut Pager {
             rank_id,
             "paged code path reached with no pager installed".into(),
         ),
-    }
-}
-
-/// End-of-iteration promote sweep (the thesis's `data = most_recent_data`),
-/// keeping the audit digest in step with every promoted value — one
-/// `audit_per_entry` charge each when audits are on, nothing otherwise.
-/// Paged mode promotes page by page through the pager's staged set, so
-/// each staged page is resident exactly once.
-fn promote_and_note<D: mpisim::Wire + Clone>(
-    rank: &Rank,
-    store: &mut NodeStore<D>,
-    costs: &CostModel,
-) {
-    let count = store.owned_count();
-    promote_counted(rank, store, costs, count);
-}
-
-/// [`promote_and_note`] with an explicit `per_node_update` charge count.
-///
-/// The hybrid engine splits one BSP iteration's promote sweep across an
-/// inner round (interior nodes) and a boundary catch-up pass (peripheral
-/// nodes); each charges exactly its own list's length, so the two halves
-/// sum to the `owned_count` charge a plain BSP iteration pays — compute
-/// cost parity by construction, with only the barrier/control cost elided.
-pub(crate) fn promote_counted<D: mpisim::Wire + Clone>(
-    rank: &Rank,
-    store: &mut NodeStore<D>,
-    costs: &CostModel,
-    charged_nodes: usize,
-) {
-    rank.advance(costs.per_node_update * charged_nodes as f64);
-    if store.pager.is_some() {
-        let rank_id = store.rank;
-        let NodeStore {
-            pager,
-            table,
-            audit,
-            ..
-        } = store;
-        let pager = pager_mut(rank_id, pager);
-        match audit.as_mut() {
-            Some(audit) => {
-                let promoted = pager.promote(table, |id, d| {
-                    audit.record(id, crate::audit::entry_hash(id, d));
-                });
-                rank.advance(costs.audit_per_entry * promoted as f64);
-            }
-            None => {
-                pager.promote(table, |_, _| {});
-            }
-        }
-        return;
-    }
-    match store.audit.as_mut() {
-        Some(audit) => {
-            let promoted = store.table.promote_all_with(|id, d| {
-                audit.record(id, crate::audit::entry_hash(id, d));
-            });
-            rank.advance(costs.audit_per_entry * promoted as f64);
-        }
-        None => {
-            store.table.promote_all();
-        }
     }
 }
 
@@ -762,7 +590,6 @@ fn send_buffers<D: mpisim::Wire>(
     store: &NodeStore<D>,
     buffers: &[Vec<(u32, D)>],
     timers: &mut PhaseTimers,
-    _costs: &CostModel,
     frozen: &[bool],
 ) -> bool {
     let t0 = rank.wtime();
@@ -873,7 +700,6 @@ fn bounded_send<D: mpisim::Wire>(
 /// whether any frame was a partition tombstone. `frozen` (suspected) peers
 /// are not waited for at all — each is charged one `detect_timeout` in
 /// canonical order, like the unbounded crash-aware path.
-#[allow(clippy::too_many_arguments)]
 fn bounded_collect<D: mpisim::Wire + Clone>(
     rank: &Rank,
     store: &mut NodeStore<D>,
@@ -1002,7 +828,7 @@ fn recv_and_unpack<D: mpisim::Wire + Clone>(
     costs: &CostModel,
 ) {
     let recv_t0 = rank.wtime();
-    for p in store.recv_procs() {
+    for p in store.recv_procs().to_vec() {
         let t0 = rank.wtime();
         let msg: Vec<(u32, D)> = rank.recv(p as usize, TAG_SHADOW);
         timers.add(Phase::Communicate, rank.wtime() - t0);
@@ -1031,7 +857,7 @@ fn unpack<D: mpisim::Wire + Clone>(
         if paged {
             let b = store.table.bucket_index(id);
             let (pager, table) = (pager_mut(store.rank, &mut store.pager), &mut store.table);
-            pager.ensure(table, [id]);
+            pager.ensure(table, [b]);
             if !store.table.contains(id) {
                 continue;
             }
@@ -1044,6 +870,58 @@ fn unpack<D: mpisim::Wire + Clone>(
         }
     }
     timers.add(Phase::CommunicationOverhead, rank.wtime() - t0);
+}
+
+/// Ship `buffers` and collect every expected shadow buffer without ever
+/// blocking on a peer that cannot answer — the communication phase of
+/// [`step_crash_aware`] and [`resync_shadows`], bounded or unbounded.
+/// Returns `(saw_death, saw_cut)`.
+fn exchange_crash_aware<D: mpisim::Wire + Clone>(
+    rank: &Rank,
+    store: &mut NodeStore<D>,
+    buffers: &[Vec<(u32, D)>],
+    timers: &mut PhaseTimers,
+    costs: &CostModel,
+    frozen: &[bool],
+) -> (bool, bool) {
+    if bounded(rank) {
+        let (ex, sent_cut) = bounded_send(rank, store, buffers, timers, frozen);
+        let (death, cut) = bounded_collect(rank, store, ex, timers, costs, true, frozen);
+        return (death, sent_cut | cut);
+    }
+    let mut saw_death = false;
+    let mut saw_cut = send_buffers(rank, store, buffers, timers, frozen);
+    let recv_t0 = rank.wtime();
+    for p in store.recv_procs().to_vec() {
+        let t0 = rank.wtime();
+        if frozen.get(p as usize).copied().unwrap_or(false) {
+            // A suspected peer sends nothing while the partition is
+            // open; pay the detection cost in canonical order and let
+            // its retained stale shadows stand in.
+            rank.charge_partition_timeout();
+            timers.add(Phase::Communicate, rank.wtime() - t0);
+            continue;
+        }
+        match rank.try_recv::<Vec<(u32, D)>>(p as usize, TAG_SHADOW) {
+            Ok(msg) => {
+                timers.add(Phase::Communicate, rank.wtime() - t0);
+                unpack(rank, store, msg, timers, costs);
+            }
+            Err(mpisim::Died(peer)) => {
+                // Stale shadow values stand in either way; the dead
+                // flag disambiguates a confirmed death from a
+                // partition tombstone (peer alive but unreachable).
+                timers.add(Phase::Communicate, rank.wtime() - t0);
+                if rank.peer_dead(peer) {
+                    saw_death = true;
+                } else {
+                    saw_cut = true;
+                }
+            }
+        }
+    }
+    rank.trace_span("Communicate", "phase", recv_t0, &[]);
+    (saw_death, saw_cut)
 }
 
 /// A dedicated shadow-repair exchange: every rank repacks *all* of its
@@ -1073,17 +951,18 @@ where
     let t0 = rank.wtime();
     let paged = store.pager.is_some();
     let mut buffers: ShadowBuffers<D> = vec![Vec::new(); store.nprocs];
-    for node in &store.peripheral {
+    for k in store.peripheral_range() {
+        let node = store.plan.node(k);
         if paged {
             let (pager, table) = (pager_mut(store.rank, &mut store.pager), &mut store.table);
-            pager.ensure(table, [node.id]);
+            pager.ensure(table, [node.slot.bucket()]);
         }
-        let cur = match store.table.get(node.id) {
-            Some(d) => d,
+        let cur = match store.table.at(node.slot) {
+            Some((id, d)) if id == node.id => d,
             // Damaged page: nothing to repack; the damage latch forces a
             // rollback that supersedes this repair anyway.
             None if paged => continue,
-            None => crate::error::invariant_violated(
+            _ => crate::error::invariant_violated(
                 store.rank,
                 format!(
                     "no data for owned peripheral node {} at shadow resync",
@@ -1092,48 +971,13 @@ where
             ),
         };
         rank.advance(costs.per_shadow_pack * node.shadow_for.len() as f64);
-        for &p in &node.shadow_for {
+        for &p in node.shadow_for {
             buffers[p as usize].push((node.id, cur.clone()));
         }
     }
     timers.add(Phase::CommunicationOverhead, rank.wtime() - t0);
 
-    let mut saw_death = false;
-    let mut saw_cut = false;
-    if bounded(rank) {
-        let (ex, cut) = bounded_send(rank, store, &buffers, timers, frozen);
-        saw_cut |= cut;
-        let (death, cut) = bounded_collect(rank, store, ex, timers, costs, true, frozen);
-        saw_death |= death;
-        saw_cut |= cut;
-    } else {
-        saw_cut |= send_buffers(rank, store, &buffers, timers, costs, frozen);
-        let is_frozen = |p: usize| frozen.get(p).copied().unwrap_or(false);
-        let recv_t0 = rank.wtime();
-        for p in store.recv_procs() {
-            let t0 = rank.wtime();
-            if is_frozen(p as usize) {
-                rank.charge_partition_timeout();
-                timers.add(Phase::Communicate, rank.wtime() - t0);
-                continue;
-            }
-            match rank.try_recv::<Vec<(u32, D)>>(p as usize, TAG_SHADOW) {
-                Ok(msg) => {
-                    timers.add(Phase::Communicate, rank.wtime() - t0);
-                    unpack(rank, store, msg, timers, costs);
-                }
-                Err(mpisim::Died(peer)) => {
-                    timers.add(Phase::Communicate, rank.wtime() - t0);
-                    if rank.peer_dead(peer) {
-                        saw_death = true;
-                    } else {
-                        saw_cut = true;
-                    }
-                }
-            }
-        }
-        rank.trace_span("Communicate", "phase", recv_t0, &[]);
-    }
+    let seen = exchange_crash_aware(rank, store, &buffers, timers, costs, frozen);
     // A full pack just went out: every receiver's retained shadows are
     // current again, so delta packing may resume.
     store.needs_resync = false;
@@ -1148,5 +992,64 @@ where
     let t0 = rank.wtime();
     rank.barrier();
     timers.add(Phase::Communicate, rank.wtime() - t0);
-    (saw_death, saw_cut)
+    seen
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::paging::{EvictionPolicy, PageConfig};
+    use crate::program::AvgProgram;
+    use ic2_graph::generators::hex_grid;
+    use ic2_graph::Partition;
+    use mpisim::{Config, FaultPlan, World};
+
+    #[test]
+    fn paged_compute_skips_exactly_the_nodes_a_lost_page_starves() {
+        let graph = hex_grid(4, 4);
+        let partition = Partition::new(vec![0; graph.num_nodes()], 1);
+        let program = AvgProgram::fine();
+        let costs = CostModel::default();
+        let step_once = |rank: &Rank, store: &mut NodeStore<i64>| {
+            let mut round = Round {
+                rank,
+                program: &program,
+                ctx: ComputeCtx {
+                    iter: 1,
+                    phase: 0,
+                    rank: 0,
+                    num_nodes: graph.num_nodes(),
+                },
+                costs: &costs,
+                timers: &mut PhaseTimers::default(),
+                comp_time: &mut 0.0,
+            };
+            step(&mut round, store, ExchangeMode::PostComm, false);
+        };
+        let world = World::new(Config::default().with_watchdog(Duration::from_secs(10)));
+        world.run(1, |rank| {
+            let build = || NodeStore::build(&graph, &partition, 0, &program, 4);
+            let mut healthy = build();
+            step_once(rank, &mut healthy);
+
+            // A page that lost every copy comes back as an empty bucket.
+            let lost = 1;
+            let mut store = build();
+            let cfg = PageConfig::new(4, EvictionPolicy::Fifo);
+            store.enable_paging(&cfg, &FaultPlan::new(1), &costs);
+            store.table.take_bucket(lost);
+            step_once(rank, &mut store);
+
+            let on_lost_page = |v: u32| store.table.bucket_index(v) == lost;
+            for v in graph.nodes() {
+                let starved = graph.neighbors(v).iter().any(|&w| on_lost_page(w));
+                let expected = match (on_lost_page(v), starved) {
+                    (true, _) => None,
+                    (false, true) => Some(program.init(v, &graph)),
+                    (false, false) => healthy.table.get(v).copied(),
+                };
+                assert_eq!(store.table.get(v).copied(), expected, "node {v}");
+            }
+        });
+    }
 }

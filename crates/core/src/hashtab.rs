@@ -4,16 +4,59 @@
 //! through a hash table — an array of sorted bucket lists keyed by a
 //! modulo hash of the global id — giving "amortized constant time access
 //! to the node data during computation" \[PSC95\]. This module is that
-//! structure, idiomatically: buckets of sorted `(id, slot)` vectors. It
+//! structure, idiomatically: buckets of sorted `(id, data)` vectors. It
 //! plays the thesis's dual role: data access during computation, and data
 //! update after communication (and it keeps a migrated-away node's entry,
 //! since the busy processor still needs it as a shadow).
 //!
-//! Each slot holds the *current* value plus an optional *pending* value
+//! Each entry holds the *current* value plus an optional *pending* value
 //! (the thesis's `data` / `most_recent_data` pair): computation writes
 //! pending, and the end of the iteration promotes pending to current.
+//!
+//! An entry's position is its [`Slot`]: `(bucket, index within bucket)`.
+//! Buckets keep ascending-id order through page-out and page-in, so a slot
+//! stays valid until an insert adds a new id or the table is cleared —
+//! both bump the structural [`NodeTable::epoch`]. [`NodeTable::slot_of`] is
+//! the one binary search; the per-iteration hot path resolves its slots
+//! once per `rebuild_lists` and afterwards only indexes.
 
 use ic2_graph::NodeId;
+
+/// Position of one entry: hash bucket (= page) and index within it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    bucket: u32,
+    index: u32,
+}
+
+impl Slot {
+    /// The bucket — the out-of-core layer's page id for the entry.
+    pub fn bucket(self) -> usize {
+        self.bucket as usize
+    }
+}
+
+/// Id → slot for every entry resident when [`NodeTable::slot_index`] built
+/// it: the index within the bucket, dense over the id range the table
+/// spans (a rank's ids are usually a narrow band of the graph's).
+pub(crate) struct SlotIndex {
+    buckets: u32,
+    base: NodeId,
+    /// `u32::MAX` = no entry.
+    index: Vec<u32>,
+}
+
+impl SlotIndex {
+    /// The slot of `id`. An id without an entry gets a slot
+    /// [`NodeTable::at`] answers `None` for.
+    pub(crate) fn slot(&self, id: NodeId) -> Slot {
+        let offset = id.checked_sub(self.base).map(|o| o as usize);
+        Slot {
+            bucket: id % self.buckets,
+            index: *offset.and_then(|o| self.index.get(o)).unwrap_or(&u32::MAX),
+        }
+    }
+}
 
 #[derive(Debug, Clone, PartialEq)]
 struct Entry<D> {
@@ -27,6 +70,7 @@ struct Entry<D> {
 pub struct NodeTable<D> {
     buckets: Vec<Vec<Entry<D>>>,
     len: usize,
+    epoch: u64,
 }
 
 impl<D> NodeTable<D> {
@@ -34,20 +78,46 @@ impl<D> NodeTable<D> {
     /// `HASH_TABLE_LENGTH`).
     pub fn new(buckets: usize) -> Self {
         assert!(buckets > 0, "hash table needs at least one bucket");
+        assert!(u32::try_from(buckets).is_ok(), "bucket count exceeds u32");
         NodeTable {
             buckets: (0..buckets).map(|_| Vec::new()).collect(),
             len: 0,
+            epoch: 0,
         }
-    }
-
-    fn bucket_of(&self, id: NodeId) -> usize {
-        id as usize % self.buckets.len()
     }
 
     /// The bucket index holding `id` — the out-of-core layer's page id for
     /// the node (one page = one bucket).
     pub fn bucket_index(&self, id: NodeId) -> usize {
-        self.bucket_of(id)
+        id as usize % self.buckets.len()
+    }
+
+    /// Bucket of `id` and the position its entry has, or would be inserted
+    /// at — the one binary search every by-id accessor goes through.
+    fn search(&self, id: NodeId) -> (usize, Result<usize, usize>) {
+        let b = self.bucket_index(id);
+        (b, self.buckets[b].binary_search_by_key(&id, |e| e.id))
+    }
+
+    fn entry_mut(&mut self, id: NodeId, op: &str) -> &mut Entry<D> {
+        match self.search(id) {
+            (b, Ok(i)) => &mut self.buckets[b][i],
+            _ => panic!("{op}: node {id} not in table"),
+        }
+    }
+
+    /// Structural epoch: bumped whenever an insert adds a new id or the
+    /// table is cleared, i.e. whenever previously resolved [`Slot`]s may
+    /// no longer name the same entries.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Drop every entry, keeping the bucket count (checkpoint restore).
+    pub fn clear(&mut self) {
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.len = 0;
+        self.epoch += 1;
     }
 
     /// Number of stored nodes.
@@ -62,39 +132,97 @@ impl<D> NodeTable<D> {
 
     /// Whether `id` has an entry.
     pub fn contains(&self, id: NodeId) -> bool {
-        let b = self.bucket_of(id);
-        self.buckets[b].binary_search_by_key(&id, |e| e.id).is_ok()
+        self.search(id).1.is_ok()
     }
 
     /// Insert a node's data. Replaces (and returns) the previous current
     /// value if the node was already present — that is what happens when a
     /// migration delivers data the receiver already held as a shadow.
     pub fn insert(&mut self, id: NodeId, data: D) -> Option<D> {
-        let b = self.bucket_of(id);
-        match self.buckets[b].binary_search_by_key(&id, |e| e.id) {
-            Ok(i) => Some(std::mem::replace(&mut self.buckets[b][i].cur, data)),
-            Err(i) => {
-                self.buckets[b].insert(
-                    i,
-                    Entry {
-                        id,
-                        cur: data,
-                        pending: None,
-                    },
-                );
+        match self.search(id) {
+            (b, Ok(i)) => Some(std::mem::replace(&mut self.buckets[b][i].cur, data)),
+            (b, Err(i)) => {
+                let entry = Entry {
+                    id,
+                    cur: data,
+                    pending: None,
+                };
+                self.buckets[b].insert(i, entry);
                 self.len += 1;
+                self.epoch += 1;
                 None
             }
         }
     }
 
+    /// Where `id`'s entry lives, if it has one (and its bucket is
+    /// resident).
+    pub fn slot_of(&self, id: NodeId) -> Option<Slot> {
+        let (b, found) = self.search(id);
+        found.ok().map(|i| Slot {
+            bucket: b as u32,
+            index: i as u32,
+        })
+    }
+
+    /// Resolve every resident entry's slot in one pass over the table —
+    /// the scratch a plan rebuild looks each neighbour up in, in O(1),
+    /// instead of one search per neighbour.
+    pub(crate) fn slot_index(&self) -> SlotIndex {
+        // Buckets are ascending, so their ends bound the stored ids.
+        let first = self.buckets.iter().filter_map(|b| b.first()).map(|e| e.id);
+        let last = self.buckets.iter().filter_map(|b| b.last()).map(|e| e.id);
+        let base = first.min().unwrap_or(0);
+        let span = last.max().map_or(0, |max| (max - base) as usize + 1);
+        let mut index = vec![u32::MAX; span];
+        for bucket in &self.buckets {
+            for (i, e) in bucket.iter().enumerate() {
+                index[(e.id - base) as usize] = i as u32;
+            }
+        }
+        SlotIndex {
+            buckets: self.buckets.len() as u32,
+            base,
+            index,
+        }
+    }
+
+    /// Id and current data of the entry at `slot` — `None` when the bucket
+    /// is paged out, was lost, or is shorter than the slot expects.
+    pub fn at(&self, slot: Slot) -> Option<(NodeId, &D)> {
+        let e = self.buckets.get(slot.bucket())?.get(slot.index as usize)?;
+        Some((e.id, &e.cur))
+    }
+
+    /// Stage `id`'s next-iteration value by slot. Returns whether the slot
+    /// really holds `id`; nothing is staged otherwise.
+    pub fn stage_at(&mut self, slot: Slot, id: NodeId, data: D) -> bool {
+        match self.entry_at_mut(slot) {
+            Some(e) if e.id == id => {
+                e.pending = Some(data);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Promote the staged value at `slot`, if any, returning the entry's id
+    /// and new current value.
+    pub fn promote_at(&mut self, slot: Slot) -> Option<(NodeId, &D)> {
+        let e = self.entry_at_mut(slot)?;
+        e.cur = e.pending.take()?;
+        Some((e.id, &e.cur))
+    }
+
+    fn entry_at_mut(&mut self, slot: Slot) -> Option<&mut Entry<D>> {
+        self.buckets
+            .get_mut(slot.bucket())?
+            .get_mut(slot.index as usize)
+    }
+
     /// Current data of `id`.
     pub fn get(&self, id: NodeId) -> Option<&D> {
-        let b = self.bucket_of(id);
-        self.buckets[b]
-            .binary_search_by_key(&id, |e| e.id)
-            .ok()
-            .map(|i| &self.buckets[b][i].cur)
+        self.slot_of(id).and_then(|s| self.at(s)).map(|(_, d)| d)
     }
 
     /// Overwrite the current value (shadow update after communication).
@@ -103,11 +231,7 @@ impl<D> NodeTable<D> {
     /// Panics if `id` is not present — receiving a shadow update for an
     /// unknown node is a platform bug.
     pub fn set_current(&mut self, id: NodeId, data: D) {
-        let b = self.bucket_of(id);
-        match self.buckets[b].binary_search_by_key(&id, |e| e.id) {
-            Ok(i) => self.buckets[b][i].cur = data,
-            Err(_) => panic!("set_current: node {id} not in table"),
-        }
+        self.entry_mut(id, "set_current").cur = data;
     }
 
     /// Stage the next-iteration value (the thesis's `most_recent_data`).
@@ -115,52 +239,23 @@ impl<D> NodeTable<D> {
     /// # Panics
     /// Panics if `id` is not present.
     pub fn set_pending(&mut self, id: NodeId, data: D) {
-        let b = self.bucket_of(id);
-        match self.buckets[b].binary_search_by_key(&id, |e| e.id) {
-            Ok(i) => self.buckets[b][i].pending = Some(data),
-            Err(_) => panic!("set_pending: node {id} not in table"),
-        }
+        self.entry_mut(id, "set_pending").pending = Some(data);
     }
 
     /// The staged value of `id`, if any.
     pub fn pending(&self, id: NodeId) -> Option<&D> {
-        let b = self.bucket_of(id);
-        self.buckets[b]
-            .binary_search_by_key(&id, |e| e.id)
-            .ok()
-            .and_then(|i| self.buckets[b][i].pending.as_ref())
+        match self.search(id) {
+            (b, Ok(i)) => self.buckets[b][i].pending.as_ref(),
+            _ => None,
+        }
     }
 
     /// Promote every staged value to current (end of iteration:
     /// `data = most_recent_data`). Returns how many were promoted.
     pub fn promote_all(&mut self) -> usize {
-        let mut promoted = 0;
-        for bucket in &mut self.buckets {
-            for entry in bucket {
-                if let Some(next) = entry.pending.take() {
-                    entry.cur = next;
-                    promoted += 1;
-                }
-            }
-        }
-        promoted
-    }
-
-    /// [`Self::promote_all`], but calling `f(id, &new_current)` for every
-    /// promoted entry — the hook the state-audit digest uses to observe the
-    /// end-of-iteration writes without a second table walk.
-    pub fn promote_all_with(&mut self, mut f: impl FnMut(NodeId, &D)) -> usize {
-        let mut promoted = 0;
-        for bucket in &mut self.buckets {
-            for entry in bucket {
-                if let Some(next) = entry.pending.take() {
-                    entry.cur = next;
-                    f(entry.id, &entry.cur);
-                    promoted += 1;
-                }
-            }
-        }
-        promoted
+        (0..self.buckets.len())
+            .map(|b| self.promote_bucket_with(b, |_, _| {}))
+            .sum()
     }
 
     /// Iterate `(id, current)` in ascending id order per bucket (global
@@ -187,7 +282,9 @@ impl<D> NodeTable<D> {
             .collect()
     }
 
-    /// Install a previously paged-out (or freshly read) bucket. The slot
+    /// Install a previously paged-out (or freshly read) bucket, in the
+    /// order [`Self::take_bucket`] produced it — which is what keeps every
+    /// resolved [`Slot`] valid across eviction and fault-in. The bucket
     /// must be empty — pages are whole buckets, never merged.
     pub(crate) fn install_bucket(&mut self, b: usize, entries: Vec<(NodeId, D, Option<D>)>) {
         debug_assert!(
@@ -201,8 +298,10 @@ impl<D> NodeTable<D> {
             .collect();
     }
 
-    /// [`Self::promote_all_with`] restricted to bucket `b` — the paging
-    /// layer promotes page by page so each is resident exactly once.
+    /// Promote every staged value in bucket `b`, calling
+    /// `f(id, &new_current)` for each — the paging layer promotes page by
+    /// page so each is resident exactly once, and the state-audit digest
+    /// observes the writes through `f`.
     pub(crate) fn promote_bucket_with(&mut self, b: usize, mut f: impl FnMut(NodeId, &D)) -> usize {
         let mut promoted = 0;
         for entry in &mut self.buckets[b] {
@@ -265,19 +364,39 @@ mod tests {
     }
 
     #[test]
-    fn promote_all_with_reports_each_promotion() {
+    fn slots_address_entries_until_the_epoch_moves() {
         let mut t = NodeTable::new(4);
-        t.insert(1, 100);
-        t.insert(2, 200);
-        t.insert(3, 300);
-        t.set_pending(1, 111);
-        t.set_pending(2, 222);
-        let mut seen = Vec::new();
-        assert_eq!(t.promote_all_with(|id, v| seen.push((id, *v))), 2);
-        seen.sort_unstable();
-        assert_eq!(seen, vec![(1, 111), (2, 222)]);
-        assert_eq!(t.get(1), Some(&111));
-        assert_eq!(t.get(3), Some(&300), "unpromoted entries untouched");
+        for id in [1u32, 5, 9, 2] {
+            t.insert(id, id as i64 * 100);
+        }
+        let epoch = t.epoch();
+        let s5 = t.slot_of(5).unwrap();
+        assert_eq!(s5.bucket(), 1);
+        assert_eq!(t.at(s5), Some((5, &500)));
+        assert_eq!(t.slot_of(13), None);
+        let index = t.slot_index();
+        assert_eq!(index.slot(5), s5);
+        for absent in [0, 3, 10] {
+            assert_eq!(t.at(index.slot(absent)), None, "{absent} has no entry");
+        }
+        // Staging checks the id; promotion reports what it wrote.
+        assert!(!t.stage_at(s5, 9, 0));
+        assert!(t.stage_at(s5, 5, 555));
+        assert_eq!(t.at(s5), Some((5, &500)), "pending must not leak early");
+        assert_eq!(t.promote_at(s5), Some((5, &555)));
+        assert_eq!(t.promote_at(s5), None, "nothing staged any more");
+        // Replacing a value and a page round trip keep slots and epoch...
+        t.insert(5, 1);
+        let page = t.take_bucket(1);
+        assert_eq!(t.at(s5), None, "paged out");
+        t.install_bucket(1, page);
+        assert_eq!((t.at(s5), t.epoch()), (Some((5, &1)), epoch));
+        // ...a new id or a clear moves the epoch.
+        t.insert(13, 0);
+        assert!(t.epoch() > epoch);
+        let epoch = t.epoch();
+        t.clear();
+        assert!(t.epoch() > epoch && t.is_empty() && t.bucket_count() == 4);
     }
 
     #[test]

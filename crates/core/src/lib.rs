@@ -65,7 +65,7 @@ pub use driver::{
     catch_flow_deadlock, run, try_run, ExchangeMode, ExecutionPolicy, RunConfig, RunReport,
 };
 pub use error::{PlatformError, StoreViolation};
-pub use hashtab::NodeTable;
+pub use hashtab::{NodeTable, Slot};
 pub use imbalance::{GrainSchedule, ShiftingWindowLoad, StragglerDetector};
 pub use migrate::{BalanceOutcome, MigrantPolicy};
 pub use mpisim::trace::{chrome_trace_json, timeline_json, RankTrace, TraceEvent};

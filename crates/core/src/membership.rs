@@ -309,6 +309,19 @@ where
                 IterTracer::begin(rank, &timers)
             };
             let mut comp_this_iter = 0.0;
+            let mut round = exchange::Round {
+                rank,
+                program,
+                ctx: ComputeCtx {
+                    iter,
+                    phase: 0,
+                    rank: me,
+                    num_nodes,
+                },
+                costs: &cfg.costs,
+                timers: &mut timers,
+                comp_time: &mut comp_this_iter,
+            };
 
             // ---- Inner (barrier-elided) rounds -------------------------
             // Healthy rounds only: `frozen` is replicated (every rank
@@ -321,21 +334,8 @@ where
             // at a global round, exactly like crashes under recovery.
             if !degraded && !crate::driver::is_global_round(iter, cfg, true) {
                 for phase in 0..program.phases() {
-                    let ctx = ComputeCtx {
-                        iter,
-                        phase,
-                        rank: me,
-                        num_nodes,
-                    };
-                    exchange::inner_step(
-                        rank,
-                        program,
-                        &mut store,
-                        &ctx,
-                        &cfg.costs,
-                        &mut timers,
-                        &mut comp_this_iter,
-                    );
+                    round.ctx.phase = phase;
+                    exchange::inner_step(&mut round, &mut store);
                     barriers_elided += 1;
                 }
                 inner_iterations += 1;
@@ -371,40 +371,15 @@ where
                 // stretch is discarded at heal anyway.
                 if !degraded {
                     let missed = crate::driver::elided_before(iter, cfg, true);
-                    if missed > 0
-                        && exchange::catch_up_boundary(
-                            rank,
-                            program,
-                            &mut store,
-                            iter,
-                            missed,
-                            program.phases(),
-                            me,
-                            num_nodes,
-                            &cfg.costs,
-                            &mut timers,
-                            &mut comp_this_iter,
-                        )
-                    {
+                    if missed > 0 && exchange::catch_up_boundary(&mut round, &mut store, missed) {
                         store.needs_resync = true;
                     }
                 }
                 for phase in 0..program.phases() {
-                    let ctx = ComputeCtx {
-                        iter,
-                        phase,
-                        rank: me,
-                        num_nodes,
-                    };
+                    round.ctx.phase = phase;
                     let (_, cut, stats) = exchange::step_crash_aware(
-                        rank,
-                        graph,
-                        program,
+                        &mut round,
                         &mut store,
-                        &ctx,
-                        &cfg.costs,
-                        &mut timers,
-                        &mut comp_this_iter,
                         cfg.delta_exchange,
                         &frozen,
                     );
@@ -759,26 +734,7 @@ where
         let designated = (0..nprocs)
             .find(|&r| !crashed[r])
             .expect("at least one rank survives") as u32;
-        let owned: Vec<(u32, P::Data)> = store
-            .internal
-            .iter()
-            .chain(store.peripheral.iter())
-            .map(|node| {
-                (
-                    node.id,
-                    store
-                        .table
-                        .get(node.id)
-                        .unwrap_or_else(|| {
-                            crate::error::invariant_violated(
-                                me,
-                                format!("no data for owned node {} at gather", node.id),
-                            )
-                        })
-                        .clone(),
-                )
-            })
-            .collect();
+        let owned: Vec<(u32, P::Data)> = store.owned_data();
         let mut gathered: Option<Vec<(u32, P::Data)>> = None;
         let mut gather_cut = false;
         if me == designated {

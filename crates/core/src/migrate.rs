@@ -645,7 +645,7 @@ where
 ///
 /// Returns the chosen node and its measured load.
 pub fn select_migrant<D>(
-    _graph: &Graph,
+    graph: &Graph,
     store: &NodeStore<D>,
     busy: u32,
     idle: u32,
@@ -661,12 +661,12 @@ pub fn select_migrant<D>(
     let bucket = |load: f64| (load * 1e4).round() as i64;
     let mut best: Option<(NodeId, f64)> = None;
     let mut best_key: (i64, i64) = (0, 0);
-    for node in &store.peripheral {
+    for node in store.peripheral() {
         if !node.shadow_for.contains(&idle) {
             continue;
         }
         let mut cut_delta = 0i64;
-        for &w in &node.neighbors {
+        for &w in graph.neighbors(node.id) {
             let p = store.owner[w as usize];
             if p == busy {
                 cut_delta += 1;
@@ -746,8 +746,7 @@ mod tests {
             .expect("candidate exists");
         // The chosen node must actually be a shadow for rank 1.
         let node = store
-            .peripheral
-            .iter()
+            .peripheral()
             .find(|n| n.id == m)
             .expect("migrant is peripheral");
         assert!(node.shadow_for.contains(&1));
@@ -763,7 +762,7 @@ mod tests {
                 })
                 .sum::<i64>()
         };
-        for cand in &store.peripheral {
+        for cand in store.peripheral() {
             if cand.shadow_for.contains(&1) {
                 assert!(delta(m) <= delta(cand.id), "node {} beats {m}", cand.id);
             }

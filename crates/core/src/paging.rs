@@ -426,17 +426,18 @@ impl Pager {
         self.ckpt_dirty.clear();
     }
 
-    /// Make the pages holding `ids` (and nothing less) resident, then
-    /// evict back down to budget sparing exactly those pages. The per-node
-    /// hot path: one call pins a node's bucket and its neighbours'.
+    /// Make `pages` (and nothing less) resident, touching them in
+    /// ascending order, then evict back down to budget sparing exactly
+    /// those pages. The per-node hot path: one call pins a node's bucket
+    /// and its neighbours', named by the buckets of their resolved slots.
     pub(crate) fn ensure<D>(
         &mut self,
         table: &mut NodeTable<D>,
-        ids: impl IntoIterator<Item = NodeId>,
+        pages: impl IntoIterator<Item = usize>,
     ) where
         D: Clone + Wire,
     {
-        let needed: BTreeSet<usize> = ids.into_iter().map(|id| table.bucket_index(id)).collect();
+        let needed: BTreeSet<usize> = pages.into_iter().collect();
         for &b in &needed {
             if self.pool.contains(b) {
                 self.pool.touch(b);

@@ -4,38 +4,82 @@
 use crate::audit::{entry_hash, AuditState};
 use crate::costs::CostModel;
 use crate::error::{PlatformError, StoreViolation};
-use crate::hashtab::NodeTable;
+use crate::hashtab::{NodeTable, Slot};
 use crate::paging::{PageConfig, Pager};
 use crate::program::NodeProgram;
 use ic2_graph::{Graph, NodeId, Partition};
 use mpisim::{DiskTiming, FaultPlan, Wire};
+use std::ops::Range;
 
-/// Node information maintained per owned node (the thesis's `own_node`
+/// One owned node as the round plan describes it (the thesis's `own_node`
 /// struct, Figure 7): identity, neighbourhood, and which processors hold
-/// this node as a shadow.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LocalNode {
+/// this node as a shadow — a borrowed view, the plan owns the arrays.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LocalNode<'a> {
     /// Global node id.
     pub id: NodeId,
-    /// Global ids of the node's neighbours (the `neighboring_nodes[]`
-    /// array).
-    pub neighbors: Vec<NodeId>,
+    /// Where the node's own data lives in the table.
+    pub slot: Slot,
+    /// Table slots of the node's neighbours, in the graph's adjacency
+    /// order (the `neighboring_nodes[]` array, resolved).
+    pub neighbors: &'a [Slot],
     /// Distinct remote processors owning at least one neighbour — the
-    /// processors for which this node is a shadow (`shadow_for_procs[]`).
-    /// Empty iff the node is internal.
-    pub shadow_for: Vec<u32>,
+    /// processors for which this node is a shadow (`shadow_for_procs[]`),
+    /// ascending. Empty iff the node is internal.
+    pub shadow_for: &'a [u32],
 }
 
-impl LocalNode {
-    /// Internal nodes have every neighbour on their own processor.
-    pub fn is_internal(&self) -> bool {
-        self.shadow_for.is_empty()
+/// The flat round plan [`NodeStore::rebuild_lists`] derives from the graph,
+/// the owner map and the table: everything an iteration walks, with every
+/// table lookup already resolved to a [`Slot`]. Valid for the table epoch
+/// it was stamped with.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RoundPlan {
+    /// [`NodeTable::epoch`] at build time.
+    pub(crate) epoch: u64,
+    /// Owned ids: `..internal` internal, the rest peripheral, each range
+    /// ascending.
+    ids: Vec<NodeId>,
+    internal: usize,
+    /// Each owned node's own slot.
+    pub(crate) own: Vec<Slot>,
+    /// CSR over the owned nodes: neighbour slots.
+    nbr_start: Vec<u32>,
+    nbrs: Vec<Slot>,
+    /// CSR over the *peripheral* nodes: `shadow_for` processors.
+    sf_start: Vec<u32>,
+    shadow_for: Vec<u32>,
+    /// Distinct remote neighbours of the owned nodes, ascending.
+    shadows: Vec<NodeId>,
+    /// Owners of the shadows / processors with a non-zero send count.
+    recv_procs: Vec<u32>,
+    send_procs: Vec<u32>,
+}
+
+impl RoundPlan {
+    /// The `k`-th owned node (internal range first).
+    pub(crate) fn node(&self, k: usize) -> LocalNode<'_> {
+        let span = |start: &[u32], j: usize| start[j] as usize..start[j + 1] as usize;
+        LocalNode {
+            id: self.ids[k],
+            slot: self.own[k],
+            neighbors: &self.nbrs[span(&self.nbr_start, k)],
+            shadow_for: match k.checked_sub(self.internal) {
+                Some(j) => &self.shadow_for[span(&self.sf_start, j)],
+                None => &[],
+            },
+        }
     }
 }
 
-/// Everything one rank keeps in local memory: the internal and peripheral
-/// node lists, the data-node table (owned + shadow data) behind its hash
-/// table, the replicated owner map (the thesis's `output_arr`), and the
+/// CSR offsets are `u32`: a rank's plan stays well under 2³² entries.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("round plan exceeds u32 offsets")
+}
+
+/// Everything one rank keeps in local memory: the data-node table (owned +
+/// shadow data) behind its hash table, the round plan over it, the
+/// replicated owner map (the thesis's `output_arr`), and the
 /// communication-buffer plan.
 #[derive(Debug, Clone)]
 pub struct NodeStore<D> {
@@ -43,17 +87,9 @@ pub struct NodeStore<D> {
     pub rank: u32,
     /// World size.
     pub nprocs: usize,
-    /// Owned nodes with every neighbour local. Under
-    /// [`crate::ExecutionPolicy::Hybrid`] this is the *interior* set the
-    /// barrier-elided inner rounds advance on their own: no internal
-    /// node's neighbourhood crosses a rank boundary, so their updates need
-    /// no exchange until the next global round.
-    pub internal: Vec<LocalNode>,
-    /// Owned nodes with at least one remote neighbour — the *boundary*
-    /// set. Hybrid execution defers their compute passes to the next
-    /// global round's catch-up, which replays the elided iterations for
-    /// exactly these nodes before the full exchange.
-    pub peripheral: Vec<LocalNode>,
+    /// Internal and peripheral node lists with resolved slots; see
+    /// [`Self::internal`] and [`Self::peripheral`].
+    pub(crate) plan: RoundPlan,
     /// Data for owned nodes *and* shadow nodes.
     pub table: NodeTable<D>,
     /// Global node → owning processor, replicated on every rank and kept
@@ -115,8 +151,7 @@ impl<D: Clone> NodeStore<D> {
         let mut store = NodeStore {
             rank,
             nprocs,
-            internal: Vec::new(),
-            peripheral: Vec::new(),
+            plan: RoundPlan::default(),
             table: NodeTable::new(hash_buckets),
             owner,
             send_counts: vec![0; nprocs],
@@ -156,7 +191,59 @@ impl<D> NodeStore<D> {
 
     /// Number of owned nodes.
     pub fn owned_count(&self) -> usize {
-        self.internal.len() + self.peripheral.len()
+        self.plan.ids.len()
+    }
+
+    /// Positions of the internal nodes in the round plan.
+    pub(crate) fn internal_range(&self) -> Range<usize> {
+        0..self.plan.internal
+    }
+
+    /// Positions of the peripheral nodes in the round plan.
+    pub(crate) fn peripheral_range(&self) -> Range<usize> {
+        self.plan.internal..self.plan.ids.len()
+    }
+
+    fn nodes(&self, range: Range<usize>) -> impl ExactSizeIterator<Item = LocalNode<'_>> {
+        range.map(|k| self.plan.node(k))
+    }
+
+    /// Owned nodes with every neighbour local, ascending. Under
+    /// [`crate::ExecutionPolicy::Hybrid`] this is the *interior* set the
+    /// barrier-elided inner rounds advance on their own: no internal
+    /// node's neighbourhood crosses a rank boundary, so their updates need
+    /// no exchange until the next global round.
+    pub fn internal(&self) -> impl ExactSizeIterator<Item = LocalNode<'_>> {
+        self.nodes(self.internal_range())
+    }
+
+    /// Owned nodes with at least one remote neighbour, ascending — the
+    /// *boundary* set. Hybrid execution defers their compute passes to the
+    /// next global round's catch-up, which replays the elided iterations
+    /// for exactly these nodes before the full exchange.
+    pub fn peripheral(&self) -> impl ExactSizeIterator<Item = LocalNode<'_>> {
+        self.nodes(self.peripheral_range())
+    }
+
+    /// Ids of the owned nodes: internal, then peripheral.
+    pub fn owned_ids(&self) -> &[NodeId] {
+        &self.plan.ids
+    }
+
+    /// `(id, current value)` of every owned node, in [`Self::owned_ids`]
+    /// order — what a rank contributes to the final gather.
+    pub(crate) fn owned_data(&self) -> Vec<(NodeId, D)>
+    where
+        D: Clone,
+    {
+        let data = |&id| match self.table.get(id) {
+            Some(d) => (id, d.clone()),
+            None => crate::error::invariant_violated(
+                self.rank,
+                format!("no data for owned node {id} at gather"),
+            ),
+        };
+        self.plan.ids.iter().map(data).collect()
     }
 
     /// Locally stored entries (owned + shadows).
@@ -164,46 +251,82 @@ impl<D> NodeStore<D> {
         self.table.len()
     }
 
-    /// Rebuild the internal/peripheral lists, `shadow_for` sets and the
-    /// send plan from the owner map — used at initialization and after
-    /// task migration (the thesis re-derives `shadow_for_procs[]` and
-    /// `buffer_size_for_communication` the same way at the end of
-    /// `task_migrate`).
+    /// Rebuild the round plan — internal/peripheral lists, resolved slots,
+    /// `shadow_for` sets, shadow ids, the send plan and both processor
+    /// lists — from the graph, the owner map and the table. Used at
+    /// initialization and after every structural change (the thesis
+    /// re-derives `shadow_for_procs[]` and `buffer_size_for_communication`
+    /// the same way at the end of `task_migrate`). Every needed bucket must
+    /// be resident; an entry that is absent gets a slot that reads as
+    /// missing data.
     pub fn rebuild_lists(&mut self, graph: &Graph) {
-        self.internal.clear();
-        self.peripheral.clear();
+        // Drop the old plan first: two plans never coexist in memory.
+        self.plan = RoundPlan::default();
         self.send_counts = vec![0; self.nprocs];
         // Boundaries just changed shape: receivers may now hold shadows
         // this rank never refreshed under delta packing, so the next
         // exchange must be a full one.
         self.needs_resync = true;
-        for v in graph.nodes() {
-            if self.owner[v as usize] != self.rank {
-                continue;
-            }
-            let neighbors: Vec<NodeId> = graph.neighbors(v).to_vec();
-            let mut shadow_for: Vec<u32> = Vec::new();
-            for &w in &neighbors {
-                let p = self.owner[w as usize];
-                if p != self.rank && !shadow_for.contains(&p) {
+        let (rank, owner) = (self.rank, &self.owner);
+        let remote = |w: NodeId| owner[w as usize] != rank;
+        let (mut ids, peripheral): (Vec<NodeId>, Vec<NodeId>) = graph
+            .nodes()
+            .filter(|&v| !remote(v))
+            .partition(|&v| !graph.neighbors(v).iter().any(|&w| remote(w)));
+        let internal = ids.len();
+        ids.extend(peripheral);
+        ids.shrink_to_fit();
+
+        // One pass over the table resolves every slot the plan needs.
+        let index = self.table.slot_index();
+        let degrees: usize = ids.iter().map(|&v| graph.degree(v)).sum();
+        let mut nbr_start = Vec::with_capacity(ids.len() + 1);
+        let mut nbrs = Vec::with_capacity(degrees);
+        nbr_start.push(0);
+        for &v in &ids {
+            nbrs.extend(graph.neighbors(v).iter().map(|&w| index.slot(w)));
+            nbr_start.push(offset(nbrs.len()));
+        }
+
+        let mut sf_start = Vec::with_capacity(ids.len() - internal + 1);
+        let mut shadow_for: Vec<u32> = Vec::new();
+        let mut shadows: Vec<NodeId> = Vec::new();
+        sf_start.push(0);
+        for &v in &ids[internal..] {
+            let first = shadow_for.len();
+            for &w in graph.neighbors(v).iter().filter(|&&w| remote(w)) {
+                shadows.push(w);
+                let p = owner[w as usize];
+                if !shadow_for[first..].contains(&p) {
                     shadow_for.push(p);
                 }
             }
-            shadow_for.sort_unstable();
-            for &p in &shadow_for {
+            shadow_for[first..].sort_unstable();
+            for &p in &shadow_for[first..] {
                 self.send_counts[p as usize] += 1;
             }
-            let node = LocalNode {
-                id: v,
-                neighbors,
-                shadow_for,
-            };
-            if node.is_internal() {
-                self.internal.push(node);
-            } else {
-                self.peripheral.push(node);
-            }
+            sf_start.push(offset(shadow_for.len()));
         }
+        shadows.sort_unstable();
+        shadows.dedup();
+        shadows.shrink_to_fit();
+        let mut recv_procs: Vec<u32> = shadows.iter().map(|&w| owner[w as usize]).collect();
+        recv_procs.sort_unstable();
+        recv_procs.dedup();
+        let sends = |p: &u32| self.send_counts[*p as usize] > 0;
+        self.plan = RoundPlan {
+            epoch: self.table.epoch(),
+            own: ids.iter().map(|&v| index.slot(v)).collect(),
+            ids,
+            internal,
+            nbr_start,
+            nbrs,
+            sf_start,
+            shadow_for,
+            shadows,
+            recv_procs,
+            send_procs: (0..self.nprocs as u32).filter(sends).collect(),
+        };
     }
 
     /// Snapshot every locally stored entry — owned nodes *and* shadows —
@@ -242,7 +365,7 @@ impl<D> NodeStore<D> {
                 }
             }
         }
-        self.table = crate::hashtab::NodeTable::new(self.table.bucket_count());
+        self.table.clear();
         for (id, d) in entries {
             if needed[id as usize] {
                 self.table.insert(id, d);
@@ -256,17 +379,8 @@ impl<D> NodeStore<D> {
     /// its owned nodes — ascending. Together with the owned ids this is
     /// the *needed* set: exactly what [`Self::restore`] retains, so audits
     /// over it never trip on stale entries kept after a migration.
-    pub(crate) fn shadow_ids(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = Vec::new();
-        for node in &self.peripheral {
-            for &w in &node.neighbors {
-                if self.owner[w as usize] != self.rank && !ids.contains(&w) {
-                    ids.push(w);
-                }
-            }
-        }
-        ids.sort_unstable();
-        ids
+    pub(crate) fn shadow_ids(&self) -> &[NodeId] {
+        &self.plan.shadows
     }
 
     /// Turn on incremental audit digests, (re)seeding the maintained hash
@@ -309,9 +423,9 @@ impl<D> NodeStore<D> {
         let audit = self.audit.as_ref().expect("audit_verify without audit");
         let paged = self.pager.is_some();
         let mut out = crate::audit::AuditOutcome::default();
-        for node in self.internal.iter().chain(&self.peripheral) {
+        for &id in self.owned_ids() {
             out.checked += 1;
-            let d = match self.table.get(node.id) {
+            let d = match self.table.get(id) {
                 Some(d) => d,
                 // Paged mode runs audits with every page faulted in; a
                 // missing entry means its page lost every copy — report it
@@ -322,13 +436,13 @@ impl<D> NodeStore<D> {
                 }
                 None => panic!("owned data present"),
             };
-            let h = entry_hash(node.id, d);
+            let h = entry_hash(id, d);
             out.owned_root ^= h;
-            if h != audit.hash_of(node.id) {
+            if h != audit.hash_of(id) {
                 out.owned_mismatches += 1;
             }
         }
-        for id in self.shadow_ids() {
+        for &id in self.shadow_ids() {
             out.checked += 1;
             let d = match self.table.get(id) {
                 Some(d) => d,
@@ -440,25 +554,13 @@ impl<D> NodeStore<D> {
 
     /// Processors this rank must *receive* shadow data from: owners of the
     /// remote neighbours of its owned nodes, ascending.
-    pub fn recv_procs(&self) -> Vec<u32> {
-        let mut procs: Vec<u32> = Vec::new();
-        for node in &self.peripheral {
-            for &w in &node.neighbors {
-                let p = self.owner[w as usize];
-                if p != self.rank && !procs.contains(&p) {
-                    procs.push(p);
-                }
-            }
-        }
-        procs.sort_unstable();
-        procs
+    pub fn recv_procs(&self) -> &[u32] {
+        &self.plan.recv_procs
     }
 
     /// Processors this rank sends shadow data to, ascending.
-    pub fn send_procs(&self) -> Vec<u32> {
-        (0..self.nprocs as u32)
-            .filter(|&p| self.send_counts[p as usize] > 0)
-            .collect()
+    pub fn send_procs(&self) -> &[u32] {
+        &self.plan.send_procs
     }
 
     /// Check every structural invariant of the store against the graph;
@@ -477,14 +579,18 @@ impl<D> NodeStore<D> {
                 actual: self.owner.len(),
             });
         }
-        // Every owned node in exactly one list, correctly classified.
+        // Every owned node in exactly one list, correctly classified, its
+        // plan slots naming the entries `slot_of` finds (wherever those are
+        // resident) under the epoch the plan was stamped with.
+        let remote = |w: NodeId| self.owner[w as usize] != self.rank;
+        let stale = |id: NodeId, slot: Slot| self.table.slot_of(id).is_some_and(|s| s != slot);
         let mut owned_seen = std::collections::HashSet::new();
-        for (list_name, list, internal) in [
-            ("internal", &self.internal, true),
-            ("peripheral", &self.peripheral, false),
+        for (list_name, range, internal) in [
+            ("internal", self.internal_range(), true),
+            ("peripheral", self.peripheral_range(), false),
         ] {
-            for node in list {
-                if self.owner[node.id as usize] != self.rank {
+            for node in self.nodes(range) {
+                if remote(node.id) {
                     return Err(StoreViolation::NotOwned {
                         list: list_name,
                         node: node.id,
@@ -493,13 +599,18 @@ impl<D> NodeStore<D> {
                 if !owned_seen.insert(node.id) {
                     return Err(StoreViolation::ListedTwice { node: node.id });
                 }
-                if node.neighbors != graph.neighbors(node.id) {
+                let adjacent = graph.neighbors(node.id);
+                if self.plan.epoch != self.table.epoch()
+                    || node.neighbors.len() != adjacent.len()
+                    || stale(node.id, node.slot)
+                    || adjacent
+                        .iter()
+                        .zip(node.neighbors)
+                        .any(|(&w, &s)| stale(w, s))
+                {
                     return Err(StoreViolation::StaleNeighborList { node: node.id });
                 }
-                let has_remote = node
-                    .neighbors
-                    .iter()
-                    .any(|&w| self.owner[w as usize] != self.rank);
+                let has_remote = adjacent.iter().any(|&w| remote(w));
                 if internal && has_remote {
                     return Err(StoreViolation::InternalHasRemoteNeighbor { node: node.id });
                 }
@@ -507,11 +618,10 @@ impl<D> NodeStore<D> {
                     return Err(StoreViolation::PeripheralFullyLocal { node: node.id });
                 }
                 // shadow_for = sorted distinct remote owners.
-                let mut expect: Vec<u32> = node
-                    .neighbors
+                let mut expect: Vec<u32> = adjacent
                     .iter()
+                    .filter(|&&w| remote(w))
                     .map(|&w| self.owner[w as usize])
-                    .filter(|&p| p != self.rank)
                     .collect();
                 expect.sort_unstable();
                 expect.dedup();
@@ -542,8 +652,8 @@ impl<D> NodeStore<D> {
         }
         // Send plan consistent with shadow_for.
         let mut counts = vec![0usize; self.nprocs];
-        for node in &self.peripheral {
-            for &p in &node.shadow_for {
+        for node in self.peripheral() {
+            for &p in node.shadow_for {
                 counts[p as usize] += 1;
             }
         }
@@ -565,13 +675,44 @@ mod tests {
     use ic2_partition::{metis::Metis, StaticPartitioner};
 
     fn build_stores(k: usize) -> (Graph, Vec<NodeStore<i64>>) {
+        build_stores_with(k, 64)
+    }
+
+    fn build_stores_with(k: usize, buckets: usize) -> (Graph, Vec<NodeStore<i64>>) {
         let graph = hex_grid(4, 8);
         let part = Metis::default().partition(&graph, k);
         let program = AvgProgram::fine();
         let stores = (0..k as u32)
-            .map(|r| NodeStore::build(&graph, &part, r, &program, 64))
+            .map(|r| NodeStore::build(&graph, &part, r, &program, buckets))
             .collect();
         (graph, stores)
+    }
+
+    #[test]
+    fn slots_survive_a_disk_round_trip_of_every_page() {
+        use crate::paging::EvictionPolicy;
+        for buckets in [1, 10, 512] {
+            let (graph, mut stores) = build_stores_with(4, buckets);
+            for s in &mut stores {
+                let view = |s: &NodeStore<i64>| -> Vec<_> {
+                    let at = |slot| s.table.at(slot).map(|(id, d)| (id, *d));
+                    let nodes = s.internal().chain(s.peripheral());
+                    nodes
+                        .map(|n| (at(n.slot), n.neighbors.iter().map(|&w| at(w)).collect()))
+                        .collect::<Vec<(_, Vec<_>)>>()
+                };
+                let before = view(s);
+                assert!(before.iter().all(|(own, _)| own.is_some()));
+                // Budget 1: every other bucket is written out, then read
+                // back by the bulk prelude. The plan is not rebuilt.
+                let cfg = PageConfig::new(1, EvictionPolicy::Fifo);
+                s.enable_paging(&cfg, &FaultPlan::new(1), &CostModel::default());
+                assert!(buckets == 1 || s.table.len() < before.len());
+                s.bulk_begin();
+                assert_eq!(view(s), before, "{buckets} buckets, rank {}", s.rank);
+                s.validate(&graph).unwrap();
+            }
+        }
     }
 
     #[test]
@@ -593,25 +734,25 @@ mod tests {
     fn shadow_data_is_present_for_remote_neighbors() {
         let (graph, stores) = build_stores(4);
         for s in &stores {
-            for node in &s.peripheral {
-                for &w in &node.neighbors {
-                    assert!(s.table.contains(w), "rank {} missing {w}", s.rank);
-                }
+            for node in s.peripheral() {
+                let resolved = node.neighbors.iter().map(|&slot| s.table.at(slot));
+                let ids: Vec<NodeId> = resolved.map(|e| e.expect("data present").0).collect();
+                assert_eq!(ids, graph.neighbors(node.id), "rank {}", s.rank);
             }
             // Shadows make the table strictly larger than the owned set
             // whenever the rank has peripherals.
-            if !s.peripheral.is_empty() {
+            if s.peripheral().len() > 0 {
+                assert_eq!(s.stored_count(), s.owned_count() + s.shadow_ids().len());
                 assert!(s.stored_count() > s.owned_count());
             }
         }
-        let _ = graph;
     }
 
     #[test]
     fn send_and_recv_plans_are_mirror_images() {
         let (_, stores) = build_stores(4);
         for s in &stores {
-            for p in s.send_procs() {
+            for &p in s.send_procs() {
                 let other = &stores[p as usize];
                 assert!(
                     other.recv_procs().contains(&s.rank),
@@ -619,7 +760,7 @@ mod tests {
                     s.rank
                 );
             }
-            for p in s.recv_procs() {
+            for &p in s.recv_procs() {
                 let other = &stores[p as usize];
                 assert!(
                     other.send_procs().contains(&s.rank),
@@ -633,8 +774,8 @@ mod tests {
     #[test]
     fn single_rank_has_no_peripherals() {
         let (graph, stores) = build_stores(1);
-        assert_eq!(stores[0].peripheral.len(), 0);
-        assert_eq!(stores[0].internal.len(), graph.num_nodes());
+        assert_eq!(stores[0].peripheral().len(), 0);
+        assert_eq!(stores[0].internal().len(), graph.num_nodes());
         assert!(stores[0].send_procs().is_empty());
         assert!(stores[0].recv_procs().is_empty());
     }
@@ -665,7 +806,7 @@ mod tests {
             s.rebuild_lists(&graph);
         }
         assert_eq!(stores[0].owned_count(), n);
-        assert!(stores[0].peripheral.is_empty());
+        assert_eq!(stores[0].peripheral().len(), 0);
         assert_eq!(stores[1].owned_count(), 0);
         assert!(stores[1].send_procs().is_empty());
     }

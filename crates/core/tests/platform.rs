@@ -345,13 +345,7 @@ fn directory_fetch_composes_with_a_running_platform() {
         let store = NodeStore::build(&graph, &part, rank.rank() as u32, &program, 32);
         // Every rank fetches the node diagonally opposite its first owned
         // node — almost surely remote and non-adjacent.
-        let mine = store
-            .internal
-            .iter()
-            .chain(store.peripheral.iter())
-            .map(|n| n.id)
-            .min()
-            .unwrap();
+        let mine = *store.owned_ids().iter().min().unwrap();
         let opposite = 63 - mine;
         directory::fetch(rank, &store, &[opposite])
     });

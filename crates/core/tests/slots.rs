@@ -1,0 +1,218 @@
+//! The slot-addressed store: a round plan resolves every table lookup once
+//! per `rebuild_lists`, and must keep naming exactly the entries a by-id
+//! lookup finds — after build, migration and restore — or refuse to run.
+//!
+//! Inputs come from the in-tree [`SplitMix64`] generator with fixed seeds.
+
+use ic2_graph::{generators, Graph, NodeId, Partition};
+use ic2_rng::SplitMix64;
+use ic2mpi::exchange::{self, Round};
+use ic2mpi::prelude::*;
+use ic2mpi::{
+    catch_flow_deadlock, migrate, ComputeCtx, NodeStore, PhaseTimers, PlatformError, StoreViolation,
+};
+use std::time::Duration;
+
+fn world() -> mpisim::World {
+    mpisim::World::new(mpisim::Config::default().with_watchdog(Duration::from_secs(10)))
+}
+
+fn random_case(rng: &mut SplitMix64) -> (Graph, Partition) {
+    let n = rng.gen_range(2..48);
+    let k = rng.gen_range(1..5);
+    let graph = generators::random_connected(n, 3.0, 10, rng.next_u64());
+    let assignment: Vec<u32> = (0..n).map(|_| rng.gen_range(0..k) as u32).collect();
+    (graph, Partition::new(assignment, k))
+}
+
+/// The slot view of every owned node and every neighbour is the by-id view.
+fn assert_slots_match_ids(store: &NodeStore<i64>, graph: &Graph, when: &str) {
+    let by_slot = |slot| store.table.at(slot).map(|(id, d)| (id, *d));
+    let by_id = |id: NodeId| store.table.get(id).map(|d| (id, *d));
+    let owned: Vec<NodeId> = graph.nodes().filter(|&v| store.owns(v)).collect();
+    let mut listed: Vec<NodeId> = store.owned_ids().to_vec();
+    listed.sort_unstable();
+    assert_eq!(listed, owned, "{when}: rank {}", store.rank);
+    for node in store.internal().chain(store.peripheral()) {
+        assert!(
+            by_id(node.id).is_some(),
+            "{when}: node {} has data",
+            node.id
+        );
+        assert_eq!(
+            by_slot(node.slot),
+            by_id(node.id),
+            "{when}: node {}",
+            node.id
+        );
+        let resolved: Vec<_> = node.neighbors.iter().map(|&s| by_slot(s)).collect();
+        let expected: Vec<_> = graph.neighbors(node.id).iter().map(|&w| by_id(w)).collect();
+        assert_eq!(resolved, expected, "{when}: neighbours of {}", node.id);
+    }
+    assert_eq!(store.validate(graph), Ok(()), "{when}");
+}
+
+#[test]
+fn slots_name_the_entries_ids_find_after_build_and_restore() {
+    let mut rng = SplitMix64::new(0x51075);
+    for _ in 0..32 {
+        let (graph, partition) = random_case(&mut rng);
+        for buckets in [1, 10, 512] {
+            for rank in 0..partition.num_parts() as u32 {
+                let mut store =
+                    NodeStore::build(&graph, &partition, rank, &AvgProgram::fine(), buckets);
+                assert_slots_match_ids(&store, &graph, "after build");
+
+                // Restore under a rotated ownership from a snapshot that
+                // covers the whole graph (so every new shadow has data).
+                let k = partition.num_parts() as u32;
+                let owner: Vec<u32> = partition.as_slice().iter().map(|p| (p + 1) % k).collect();
+                let snapshot: Vec<(NodeId, i64)> =
+                    graph.nodes().map(|v| (v, -(v as i64))).collect();
+                let before = store.table.epoch();
+                store.restore(&graph, owner, snapshot);
+                assert!(store.table.epoch() > before, "restore replaces the table");
+                assert_slots_match_ids(&store, &graph, "after restore");
+            }
+        }
+    }
+}
+
+#[test]
+fn slots_name_the_entries_ids_find_after_migration() {
+    for buckets in [1, 10, 512] {
+        let graph = generators::hex_grid(6, 6);
+        // Three quarters of the grid on rank 0: the balancer must migrate.
+        let partition = Partition::new(graph.nodes().map(|v| u32::from(v >= 27)).collect(), 2);
+        let migrated: Vec<usize> = world().run(2, |rank| {
+            let me = rank.rank() as u32;
+            let mut store = NodeStore::build(&graph, &partition, me, &AvgProgram::fine(), buckets);
+            // Make the values distinguishable from the initial ones.
+            for (i, &id) in store.owned_ids().to_vec().iter().enumerate() {
+                store.table.set_current(id, 1000 * i64::from(me) + i as i64);
+            }
+            let comp_time = if me == 0 { 3.0 } else { 1.0 };
+            let out = migrate::balance_round(
+                rank,
+                &graph,
+                &mut store,
+                &mut Diffusion { threshold: 0.1 },
+                comp_time,
+                4,
+                MigrantPolicy::MinCut,
+                &[false, false],
+                &CostModel::default(),
+                &mut PhaseTimers::default(),
+            );
+            assert_slots_match_ids(&store, &graph, "after balance_round");
+            out.migrated
+        });
+        assert!(migrated[0] > 0, "{buckets} buckets: nothing migrated");
+        assert_eq!(migrated[0], migrated[1]);
+    }
+}
+
+/// One BSP round on a single rank whose store `tamper` has touched.
+fn step_after(tamper: impl Fn(&mut NodeStore<i64>, &Graph) + Sync) -> Result<(), PlatformError> {
+    let graph = generators::hex_grid(4, 4);
+    let partition = Partition::new(vec![0; graph.num_nodes()], 1);
+    let program = AvgProgram::fine();
+    catch_flow_deadlock(|| {
+        world().run(1, |rank| {
+            let mut store = NodeStore::build(&graph, &partition, 0, &program, 4);
+            tamper(&mut store, &graph);
+            let mut round = Round {
+                rank,
+                program: &program,
+                ctx: ComputeCtx {
+                    iter: 1,
+                    phase: 0,
+                    rank: 0,
+                    num_nodes: graph.num_nodes(),
+                },
+                costs: &CostModel::default(),
+                timers: &mut PhaseTimers::default(),
+                comp_time: &mut 0.0,
+            };
+            exchange::step(&mut round, &mut store, ExchangeMode::PostComm, false);
+        });
+    })
+}
+
+#[test]
+fn a_plan_that_outlived_an_insert_is_a_typed_error() {
+    assert_eq!(step_after(|_, _| {}), Ok(()));
+    // Id 100 sorts last in its bucket, so no slot actually moved: the
+    // epoch alone must condemn the plan.
+    let stale = step_after(|store, _| {
+        store.table.insert(100, 0);
+    });
+    match stale {
+        Err(PlatformError::InternalInvariant { rank: 0, detail }) => {
+            assert!(detail.contains("rebuild_lists"), "{detail}")
+        }
+        other => panic!("expected InternalInvariant, got {other:?}"),
+    }
+    // Rebuilding makes the same table usable again.
+    let rebuilt = step_after(|store, graph| {
+        store.table.insert(100, 0);
+        store.rebuild_lists(graph);
+    });
+    assert_eq!(rebuilt, Ok(()));
+}
+
+#[test]
+fn missing_data_without_a_pager_is_a_typed_error() {
+    // The plan is current (rebuilt after the clear) but its slots are all
+    // vacant: `at` answers `None`, and only paged mode may skip that.
+    let hollow = step_after(|store, graph| {
+        store.table.clear();
+        store.rebuild_lists(graph);
+    });
+    match hollow {
+        Err(PlatformError::InternalInvariant { detail, .. }) => {
+            assert!(detail.contains("no data for owned node"), "{detail}")
+        }
+        other => panic!("expected InternalInvariant, got {other:?}"),
+    }
+}
+
+#[test]
+fn validate_checks_the_plan_against_graph_and_table() {
+    let graph = generators::hex_grid(4, 4);
+    let partition = Partition::new(graph.nodes().map(|v| u32::from(v >= 8)).collect(), 2);
+    let build = || NodeStore::build(&graph, &partition, 0, &AvgProgram::fine(), 4);
+    let violation = |store: &NodeStore<i64>| match store.validate(&graph) {
+        Err(PlatformError::StoreInvariant(v)) => v,
+        other => panic!("expected a store violation, got {other:?}"),
+    };
+    assert_eq!(build().validate(&graph), Ok(()));
+
+    // Plan ↔ table: an insert the plan never saw. No slot moves (16 sorts
+    // last in its bucket); the stale epoch stamp alone is the violation.
+    let mut store = build();
+    store.table.insert(16, 0);
+    assert!(matches!(
+        violation(&store),
+        StoreViolation::StaleNeighborList { .. }
+    ));
+    store.rebuild_lists(&graph);
+    assert_eq!(store.validate(&graph), Ok(()));
+
+    // Plan ↔ graph: the same store against a graph with other adjacency.
+    let other = generators::hex_grid(2, 8);
+    assert!(matches!(
+        build().validate(&other),
+        Err(PlatformError::StoreInvariant(
+            StoreViolation::StaleNeighborList { .. }
+        ))
+    ));
+
+    // Plan ↔ owner map: the remote half changed hands without a rebuild.
+    let mut store = build();
+    store.owner.iter_mut().for_each(|p| *p *= 2);
+    assert!(matches!(
+        violation(&store),
+        StoreViolation::ShadowForMismatch { .. }
+    ));
+}
