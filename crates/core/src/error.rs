@@ -65,6 +65,12 @@ pub enum StoreViolation {
         /// The owned node that needs it.
         of: NodeId,
     },
+    /// The receive plan lists a shadow under the wrong owner, at the wrong
+    /// slot, out of order, or not exactly once.
+    RecvPlanMismatch {
+        /// The offending shadow.
+        node: NodeId,
+    },
     /// The cached per-processor send counts disagree with the derived plan.
     SendPlanMismatch {
         /// Cached counts.
@@ -102,6 +108,9 @@ impl fmt::Display for StoreViolation {
             StoreViolation::MissingData { node } => write!(f, "no data for owned node {node}"),
             StoreViolation::MissingNeighborData { node, of } => {
                 write!(f, "no data for neighbour {node} of owned {of}")
+            }
+            StoreViolation::RecvPlanMismatch { node } => {
+                write!(f, "receive plan mislists shadow {node}")
             }
             StoreViolation::SendPlanMismatch { planned, derived } => {
                 write!(f, "send_counts {planned:?} != derived {derived:?}")

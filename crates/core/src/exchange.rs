@@ -1,8 +1,8 @@
 //! The computation & communication phase (thesis §4.2, Figures 8 and 8a).
 
 use crate::costs::CostModel;
+use crate::error::invariant_violated;
 use crate::hashtab::Slot;
-use crate::paging::Pager;
 use crate::program::{ComputeCtx, NeighborData, NodeProgram};
 use crate::store::NodeStore;
 use crate::timers::{Phase, PhaseTimers};
@@ -219,20 +219,20 @@ pub fn step<P: NodeProgram>(
                 bounded_collect(rank, store, ex, round.timers, round.costs, false, &[]);
             } else {
                 send_buffers(rank, store, &pack.buffers, round.timers, &[]);
-                type ShadowRecv<D> = (u32, mpisim::RecvRequest<Vec<(u32, D)>>);
+                type ShadowRecv<D> = mpisim::RecvRequest<Vec<(u32, D)>>;
                 let reqs: Vec<ShadowRecv<P::Data>> = store
                     .recv_procs()
                     .iter()
-                    .map(|&p| (p, rank.irecv(p as usize, TAG_SHADOW)))
+                    .map(|&p| rank.irecv(p as usize, TAG_SHADOW))
                     .collect();
                 compute_list(round, store, internal, None, None);
                 round.end_compute(comp_t0);
                 let recv_t0 = rank.wtime();
-                for (_, req) in reqs {
+                for (source, req) in reqs.into_iter().enumerate() {
                     let t0 = rank.wtime();
                     let msg = req.wait(rank);
                     round.timers.add(Phase::Communicate, rank.wtime() - t0);
-                    unpack(rank, store, msg, round.timers, round.costs);
+                    unpack(rank, store, source, msg, round.timers, round.costs);
                 }
                 rank.trace_span("Communicate", "phase", recv_t0, &[]);
             }
@@ -442,7 +442,7 @@ fn compute_list<P: NodeProgram>(
         ..
     } = store;
     if plan.epoch != table.epoch() {
-        crate::error::invariant_violated(
+        invariant_violated(
             ctx.rank,
             format!(
                 "round plan of table epoch {} used at epoch {}: structural change without rebuild_lists",
@@ -466,7 +466,7 @@ fn compute_list<P: NodeProgram>(
         let own = match table.at(node.slot) {
             Some((id, d)) if id == node.id => d,
             None if paged => continue,
-            _ => crate::error::invariant_violated(
+            _ => invariant_violated(
                 ctx.rank,
                 format!("no data for owned node {} at compute", node.id),
             ),
@@ -483,7 +483,7 @@ fn compute_list<P: NodeProgram>(
                 spare = recycle(neighbors);
                 continue;
             }
-            crate::error::invariant_violated(
+            invariant_violated(
                 ctx.rank,
                 format!("no data for a neighbour of owned node {}", node.id),
             );
@@ -528,7 +528,7 @@ fn compute_list<P: NodeProgram>(
             timers.add(Phase::ComputationOverhead, rank.wtime() - t2);
         }
         if !table.stage_at(node.slot, node.id, next) {
-            crate::error::invariant_violated(
+            invariant_violated(
                 ctx.rank,
                 format!("slot of owned node {} moved during its update", node.id),
             );
@@ -536,19 +536,6 @@ fn compute_list<P: NodeProgram>(
         if let Some(pager) = pager.as_mut() {
             pager.note_staged(node.slot.bucket());
         }
-    }
-}
-
-/// Fetch the installed pager on a code path only reachable in paged mode.
-/// The impossible `None` is corrupt platform state, surfaced as the typed
-/// [`crate::PlatformError::InternalInvariant`] instead of a bare panic.
-fn pager_mut(rank_id: u32, pager: &mut Option<Pager>) -> &mut Pager {
-    match pager.as_mut() {
-        Some(p) => p,
-        None => crate::error::invariant_violated(
-            rank_id,
-            "paged code path reached with no pager installed".into(),
-        ),
     }
 }
 
@@ -781,7 +768,7 @@ fn bounded_collect<D: mpisim::Wire + Clone>(
     let mut saw_death = false;
     let mut saw_cut = false;
     let recv_t0 = rank.wtime();
-    for p in expected {
+    for (source, p) in expected.into_iter().enumerate() {
         let t0 = rank.wtime();
         if is_frozen(p) {
             // Suspected peer: nothing was waited for; pay the detection
@@ -805,7 +792,7 @@ fn bounded_collect<D: mpisim::Wire + Clone>(
                 }
                 absorbed += 1;
                 timers.add(Phase::Communicate, rank.wtime() - t0);
-                unpack(rank, store, msg, timers, costs);
+                unpack(rank, store, source, msg, timers, costs);
             }
             None => {
                 // Dead sender: charge the detect timeout the blocking path
@@ -828,21 +815,32 @@ fn recv_and_unpack<D: mpisim::Wire + Clone>(
     costs: &CostModel,
 ) {
     let recv_t0 = rank.wtime();
-    for p in store.recv_procs().to_vec() {
+    for source in 0..store.recv_procs().len() {
         let t0 = rank.wtime();
-        let msg: Vec<(u32, D)> = rank.recv(p as usize, TAG_SHADOW);
+        let msg: Vec<(u32, D)> = rank.recv(store.recv_procs()[source] as usize, TAG_SHADOW);
         timers.add(Phase::Communicate, rank.wtime() - t0);
-        unpack(rank, store, msg, timers, costs);
+        unpack(rank, store, source, msg, timers, costs);
     }
     rank.trace_span("Communicate", "phase", recv_t0, &[]);
 }
 
-/// Apply one received shadow buffer to the data-node table. Paged mode
-/// faults each shadow's bucket in first and skips entries whose page lost
-/// every copy (the damage latch already dooms the iteration to rollback).
+/// Apply the shadow buffer received from `recv_procs()[source]` to the
+/// data-node table, through the receive plan's resolved slots.
+///
+/// Senders pack in ascending id order (delta packing only removes entries),
+/// so a cursor walking forward over the sender's receive list finds each
+/// entry's slot; an id that steps backwards restarts the cursor by a search
+/// of that list, so correctness never rests on the ordering. The write
+/// checks the id, and an id the receiver stores no shadow for — like a slot
+/// that holds another node — is a typed invariant violation.
+///
+/// Paged mode faults each shadow's bucket in first and skips entries whose
+/// page lost every copy (the damage latch already dooms the iteration to
+/// rollback).
 fn unpack<D: mpisim::Wire + Clone>(
     rank: &Rank,
     store: &mut NodeStore<D>,
+    source: usize,
     msg: Vec<(u32, D)>,
     timers: &mut PhaseTimers,
     costs: &CostModel,
@@ -852,21 +850,50 @@ fn unpack<D: mpisim::Wire + Clone>(
     if store.audit.is_some() {
         rank.advance(costs.audit_per_entry * msg.len() as f64);
     }
-    let paged = store.pager.is_some();
+    let (me, from) = (store.rank, store.recv_procs()[source]);
+    let NodeStore {
+        plan,
+        table,
+        pager,
+        audit,
+        ..
+    } = store;
+    let (ids, slots) = plan.recv_list(source);
+    let mut cursor = 0;
     for (id, data) in msg {
-        if paged {
-            let b = store.table.bucket_index(id);
-            let (pager, table) = (pager_mut(store.rank, &mut store.pager), &mut store.table);
-            pager.ensure(table, [b]);
-            if !store.table.contains(id) {
-                continue;
+        while ids.get(cursor).is_some_and(|&listed| listed < id) {
+            cursor += 1;
+        }
+        if ids.get(cursor) != Some(&id) {
+            cursor = ids.binary_search(&id).unwrap_or_else(|_| {
+                invariant_violated(
+                    me,
+                    format!("shadow buffer from rank {from} names node {id}, no shadow of that rank here"),
+                )
+            });
+        }
+        let slot = slots[cursor];
+        if let Some(pager) = pager.as_mut() {
+            pager.ensure(table, [slot.bucket()]);
+        }
+        match table.set_current_at(slot, id, data) {
+            Some(d) => {
+                if let Some(audit) = audit.as_mut() {
+                    audit.record(id, crate::audit::entry_hash(id, d));
+                }
+                if let Some(pager) = pager.as_mut() {
+                    pager.note_write(slot.bucket());
+                }
             }
-            store.audit_note(id, &data);
-            store.table.set_current(id, data);
-            pager_mut(store.rank, &mut store.pager).note_write(b);
-        } else {
-            store.audit_note(id, &data);
-            store.table.set_current(id, data);
+            None => {
+                // A vacant slot in paged mode is a lost page: skip the entry.
+                if pager.is_none() || table.at(slot).is_some() {
+                    invariant_violated(
+                        me,
+                        format!("slot of shadow {id} does not hold it: structural change without rebuild_lists"),
+                    );
+                }
+            }
         }
     }
     timers.add(Phase::CommunicationOverhead, rank.wtime() - t0);
@@ -892,7 +919,8 @@ fn exchange_crash_aware<D: mpisim::Wire + Clone>(
     let mut saw_death = false;
     let mut saw_cut = send_buffers(rank, store, buffers, timers, frozen);
     let recv_t0 = rank.wtime();
-    for p in store.recv_procs().to_vec() {
+    for source in 0..store.recv_procs().len() {
+        let p = store.recv_procs()[source];
         let t0 = rank.wtime();
         if frozen.get(p as usize).copied().unwrap_or(false) {
             // A suspected peer sends nothing while the partition is
@@ -905,7 +933,7 @@ fn exchange_crash_aware<D: mpisim::Wire + Clone>(
         match rank.try_recv::<Vec<(u32, D)>>(p as usize, TAG_SHADOW) {
             Ok(msg) => {
                 timers.add(Phase::Communicate, rank.wtime() - t0);
-                unpack(rank, store, msg, timers, costs);
+                unpack(rank, store, source, msg, timers, costs);
             }
             Err(mpisim::Died(peer)) => {
                 // Stale shadow values stand in either way; the dead
@@ -953,16 +981,15 @@ where
     let mut buffers: ShadowBuffers<D> = vec![Vec::new(); store.nprocs];
     for k in store.peripheral_range() {
         let node = store.plan.node(k);
-        if paged {
-            let (pager, table) = (pager_mut(store.rank, &mut store.pager), &mut store.table);
-            pager.ensure(table, [node.slot.bucket()]);
+        if let Some(pager) = store.pager.as_mut() {
+            pager.ensure(&mut store.table, [node.slot.bucket()]);
         }
         let cur = match store.table.at(node.slot) {
             Some((id, d)) if id == node.id => d,
             // Damaged page: nothing to repack; the damage latch forces a
             // rollback that supersedes this repair anyway.
             None if paged => continue,
-            _ => crate::error::invariant_violated(
+            _ => invariant_violated(
                 store.rank,
                 format!(
                     "no data for owned peripheral node {} at shadow resync",
@@ -998,11 +1025,189 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::catch_flow_deadlock;
+    use crate::error::PlatformError;
     use crate::paging::{EvictionPolicy, PageConfig};
     use crate::program::AvgProgram;
-    use ic2_graph::generators::hex_grid;
-    use ic2_graph::Partition;
+    use ic2_graph::generators::{hex_grid, random_connected};
+    use ic2_graph::{Graph, NodeId, Partition};
+    use ic2_rng::SplitMix64;
     use mpisim::{Config, FaultPlan, World};
+
+    fn world() -> World {
+        World::new(Config::default().with_watchdog(Duration::from_secs(10)))
+    }
+
+    fn unpack_from(rank: &Rank, store: &mut NodeStore<i64>, source: usize, msg: &[(u32, i64)]) {
+        let (timers, costs) = (&mut PhaseTimers::default(), &CostModel::default());
+        unpack(rank, store, source, msg.to_vec(), timers, costs);
+    }
+
+    /// The buffer `recv_procs()[source]` would pack for `store`'s rank:
+    /// every shadow it owns, ascending, with fresh values.
+    fn full_buffer(store: &NodeStore<i64>, source: usize, rng: &mut SplitMix64) -> Vec<(u32, i64)> {
+        let (ids, _) = store.plan.recv_list(source);
+        ids.iter().map(|&w| (w, rng.next_u64() as i64)).collect()
+    }
+
+    /// Unpacking full, delta-thinned, empty and shuffled buffers through the
+    /// receive plan leaves the table as by-id application leaves it.
+    fn assert_unpack_matches_by_id(rank: &Rank, store: &mut NodeStore<i64>, seed: u64, when: &str) {
+        let mut rng = SplitMix64::new(seed);
+        for kind in ["full", "thinned", "empty", "shuffled"] {
+            let mut by_id = store.table.clone();
+            for source in 0..store.recv_procs().len() {
+                let mut msg = full_buffer(store, source, &mut rng);
+                match kind {
+                    "thinned" => msg.retain(|_| rng.chance(0.5)),
+                    "empty" => msg.clear(),
+                    "shuffled" => rng.shuffle(&mut msg),
+                    _ => {}
+                }
+                msg.iter().for_each(|&(w, d)| by_id.set_current(w, d));
+                unpack_from(rank, store, source, &msg);
+            }
+            assert!(
+                store.table == by_id,
+                "{when}, {kind} buffers, rank {}",
+                store.rank
+            );
+        }
+    }
+
+    #[test]
+    fn slot_addressed_unpack_equals_by_id_application() {
+        let mut rng = SplitMix64::new(0x0b5e_55ed);
+        for case in 0..12u64 {
+            let n = rng.gen_range(8..64);
+            let k = rng.gen_range(2..5);
+            let graph = random_connected(n, 3.0, 10, rng.next_u64());
+            let owner: Vec<u32> = (0..n).map(|_| rng.gen_range(0..k) as u32).collect();
+            let partition = Partition::new(owner, k);
+            for buckets in [1, 10, 512] {
+                world().run(k, |rank| {
+                    let me = rank.rank() as u32;
+                    let seed = case << 8 | u64::from(me);
+                    let program = AvgProgram::fine();
+                    let mut store = NodeStore::build(&graph, &partition, me, &program, buckets);
+                    assert_unpack_matches_by_id(rank, &mut store, seed, "after build");
+
+                    crate::migrate::balance_round(
+                        rank,
+                        &graph,
+                        &mut store,
+                        &mut ic2_balance::Diffusion { threshold: 0.1 },
+                        if me == 0 { 3.0 } else { 1.0 },
+                        4,
+                        crate::migrate::MigrantPolicy::MinCut,
+                        &vec![false; k],
+                        &CostModel::default(),
+                        &mut PhaseTimers::default(),
+                    );
+                    assert_unpack_matches_by_id(rank, &mut store, seed, "after balance_round");
+
+                    let rotated = store.owner.iter().map(|p| (p + 1) % k as u32).collect();
+                    let snapshot = graph.nodes().map(|v| (v, -i64::from(v))).collect();
+                    store.restore(&graph, rotated, snapshot);
+                    assert_unpack_matches_by_id(rank, &mut store, seed, "after restore");
+                });
+            }
+        }
+    }
+
+    /// A value for every shadow `store` keeps, ascending.
+    fn all_shadows(store: &NodeStore<i64>) -> Vec<(u32, i64)> {
+        store.shadow_ids().iter().map(|&w| (w, 7)).collect()
+    }
+
+    /// Rank 0 of a two-rank split of a 4×4 hex grid, receiving `msg(store)`
+    /// from rank 1 after `tamper`.
+    fn unpack_after(
+        tamper: impl Fn(&mut NodeStore<i64>, &Graph) + Sync,
+        msg: impl Fn(&NodeStore<i64>) -> Vec<(u32, i64)> + Sync,
+    ) -> Result<NodeStore<i64>, PlatformError> {
+        let graph = hex_grid(4, 4);
+        let partition = Partition::new(graph.nodes().map(|v| u32::from(v >= 8)).collect(), 2);
+        catch_flow_deadlock(|| {
+            let mut stores = world().run(1, |rank| {
+                let mut store = NodeStore::build(&graph, &partition, 0, &AvgProgram::fine(), 4);
+                tamper(&mut store, &graph);
+                let msg = msg(&store);
+                unpack_from(rank, &mut store, 0, &msg);
+                store
+            });
+            stores.remove(0)
+        })
+    }
+
+    #[test]
+    fn a_buffer_the_receive_plan_cannot_place_is_a_typed_error() {
+        let shadows = all_shadows;
+        let detail = |outcome: Result<NodeStore<i64>, PlatformError>| match outcome {
+            Err(PlatformError::InternalInvariant { rank: 0, detail }) => detail,
+            other => panic!(
+                "expected InternalInvariant, got {:?}",
+                other.map(|s| s.rank)
+            ),
+        };
+        assert!(unpack_after(|_, _| {}, shadows).is_ok());
+        // An id rank 1 owns but rank 0 keeps no shadow of, and one rank 0
+        // owns itself: neither is rank 1's to update here.
+        for unknown in [15, 0] {
+            let with_unknown = |store: &NodeStore<i64>| {
+                assert!(!store.shadow_ids().contains(&unknown));
+                [shadows(store), vec![(unknown, 7)]].concat()
+            };
+            let detail = detail(unpack_after(|_, _| {}, with_unknown));
+            assert!(
+                detail.contains(&format!("from rank 1 names node {unknown}")),
+                "{detail}"
+            );
+        }
+        // A structural insert the plan never saw: 4 lands in front of shadow
+        // 8 in bucket 0, so the slot the plan resolved for 8 now holds 4...
+        let front = |store: &mut NodeStore<i64>, _: &Graph| {
+            store.table.take_bucket(0);
+            store.table.insert(8, 0);
+            store.rebuild_lists(&hex_grid(4, 4));
+            store.table.insert(4, 0);
+        };
+        let detail = detail(unpack_after(front, shadows));
+        assert!(detail.contains("rebuild_lists"), "{detail}");
+        // ...and rebuilding makes the same table usable again.
+        let rebuilt = |store: &mut NodeStore<i64>, graph: &Graph| {
+            front(store, graph);
+            store.rebuild_lists(graph);
+        };
+        assert!(unpack_after(rebuilt, shadows).is_ok());
+    }
+
+    #[test]
+    fn paged_unpack_skips_exactly_the_shadows_on_a_lost_page() {
+        let lost = 1;
+        let on_lost_page = |w: NodeId| w as usize % 4 == lost;
+        let shadows = all_shadows;
+        // A page that lost every copy comes back as an empty bucket.
+        let lose_page = |store: &mut NodeStore<i64>, _: &Graph| {
+            let cfg = PageConfig::new(4, EvictionPolicy::Fifo);
+            store.enable_paging(&cfg, &FaultPlan::new(1), &CostModel::default());
+            store.table.take_bucket(lost);
+        };
+        let store = unpack_after(lose_page, shadows).expect("lost pages are skipped");
+        assert!(store.shadow_ids().iter().any(|&w| on_lost_page(w)));
+        for &w in store.shadow_ids() {
+            let expected = (!on_lost_page(w)).then_some(&7);
+            assert_eq!(store.table.get(w), expected, "shadow {w}");
+        }
+        // Without a pager nothing excuses the vacant slot.
+        let vacate = |store: &mut NodeStore<i64>, _: &Graph| {
+            store.table.take_bucket(lost);
+        };
+        assert!(matches!(
+            unpack_after(vacate, shadows),
+            Err(PlatformError::InternalInvariant { .. })
+        ));
+    }
 
     #[test]
     fn paged_compute_skips_exactly_the_nodes_a_lost_page_starves() {
@@ -1026,8 +1231,7 @@ mod tests {
             };
             step(&mut round, store, ExchangeMode::PostComm, false);
         };
-        let world = World::new(Config::default().with_watchdog(Duration::from_secs(10)));
-        world.run(1, |rank| {
+        world().run(1, |rank| {
             let build = || NodeStore::build(&graph, &partition, 0, &program, 4);
             let mut healthy = build();
             step_once(rank, &mut healthy);

@@ -17,10 +17,14 @@
 //! Buckets keep ascending-id order through page-out and page-in, so a slot
 //! stays valid until an insert adds a new id or the table is cleared —
 //! both bump the structural [`NodeTable::epoch`]. [`NodeTable::slot_of`] is
-//! the one binary search; the per-iteration hot path resolves its slots
-//! once per `rebuild_lists` and afterwards only indexes.
+//! the one binary search; a steady-state run never takes it: the table is
+//! filled by [`NodeTable::append_ascending`], every slot a round needs is
+//! resolved once per `rebuild_lists`, and compute, unpack, gather and audit
+//! only index. The by-id accessors remain for migration surgery, audit
+//! fault injection, the directory and the `ablation_hashtab` reproduction.
 
 use ic2_graph::NodeId;
+use mpisim::{Wire, WireError};
 
 /// Position of one entry: hash bucket (= page) and index within it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,11 +62,28 @@ impl SlotIndex {
     }
 }
 
+/// One stored node: what a bucket holds and — encoded as `(id, current,
+/// pending)` — what a page image is made of.
 #[derive(Debug, Clone, PartialEq)]
-struct Entry<D> {
+pub(crate) struct Entry<D> {
     id: NodeId,
     cur: D,
     pending: Option<D>,
+}
+
+impl<D: Wire> Wire for Entry<D> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.id.encode(out);
+        self.cur.encode(out);
+        self.pending.encode(out);
+    }
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(Entry {
+            id: NodeId::decode(buf)?,
+            cur: D::decode(buf)?,
+            pending: Option::decode(buf)?,
+        })
+    }
 }
 
 /// Bucketed node-data table.
@@ -155,6 +176,39 @@ impl<D> NodeTable<D> {
         }
     }
 
+    /// Bulk fill: append one entry per id of `ids`, its data from `data`.
+    /// The ids must ascend strictly and exceed every id their bucket already
+    /// holds, so each lands at its bucket's end — no search, no shifting —
+    /// and every bucket is grown once, to exactly the size a count pass
+    /// found.
+    ///
+    /// # Panics
+    /// Panics on an id that is out of order.
+    pub fn append_ascending(&mut self, ids: &[NodeId], mut data: impl FnMut(NodeId) -> D) {
+        let mut counts = vec![0usize; self.buckets.len()];
+        for &id in ids {
+            counts[self.bucket_index(id)] += 1;
+        }
+        for (bucket, n) in self.buckets.iter_mut().zip(counts) {
+            bucket.reserve_exact(n);
+        }
+        for &id in ids {
+            let b = self.bucket_index(id);
+            let bucket = &mut self.buckets[b];
+            assert!(
+                bucket.last().is_none_or(|e| e.id < id),
+                "append_ascending: node {id} out of order"
+            );
+            bucket.push(Entry {
+                id,
+                cur: data(id),
+                pending: None,
+            });
+        }
+        self.len += ids.len();
+        self.epoch += 1;
+    }
+
     /// Where `id`'s entry lives, if it has one (and its bucket is
     /// resident).
     pub fn slot_of(&self, id: NodeId) -> Option<Slot> {
@@ -204,6 +258,15 @@ impl<D> NodeTable<D> {
             }
             _ => false,
         }
+    }
+
+    /// Overwrite `id`'s current value by slot (shadow update after
+    /// communication), returning the stored value — `None`, and nothing
+    /// written, unless the slot really holds `id`.
+    pub fn set_current_at(&mut self, slot: Slot, id: NodeId, data: D) -> Option<&D> {
+        let e = self.entry_at_mut(slot).filter(|e| e.id == id)?;
+        e.cur = data;
+        Some(&e.cur)
     }
 
     /// Promote the staged value at `slot`, if any, returning the entry's id
@@ -271,31 +334,25 @@ impl<D> NodeTable<D> {
         self.buckets.len()
     }
 
-    /// Remove and return bucket `b`'s entries as `(id, current, pending)`
-    /// triples in ascending id order — page-out for the paging layer.
-    pub(crate) fn take_bucket(&mut self, b: usize) -> Vec<(NodeId, D, Option<D>)> {
+    /// Remove and return bucket `b`'s entries, in ascending id order —
+    /// page-out for the paging layer.
+    pub(crate) fn take_bucket(&mut self, b: usize) -> Vec<Entry<D>> {
         let entries = std::mem::take(&mut self.buckets[b]);
         self.len -= entries.len();
         entries
-            .into_iter()
-            .map(|e| (e.id, e.cur, e.pending))
-            .collect()
     }
 
     /// Install a previously paged-out (or freshly read) bucket, in the
     /// order [`Self::take_bucket`] produced it — which is what keeps every
     /// resolved [`Slot`] valid across eviction and fault-in. The bucket
     /// must be empty — pages are whole buckets, never merged.
-    pub(crate) fn install_bucket(&mut self, b: usize, entries: Vec<(NodeId, D, Option<D>)>) {
+    pub(crate) fn install_bucket(&mut self, b: usize, entries: Vec<Entry<D>>) {
         debug_assert!(
             self.buckets[b].is_empty(),
             "install over non-empty bucket {b}"
         );
         self.len += entries.len();
-        self.buckets[b] = entries
-            .into_iter()
-            .map(|(id, cur, pending)| Entry { id, cur, pending })
-            .collect();
+        self.buckets[b] = entries;
     }
 
     /// Promote every staged value in bucket `b`, calling
@@ -379,7 +436,10 @@ mod tests {
         for absent in [0, 3, 10] {
             assert_eq!(t.at(index.slot(absent)), None, "{absent} has no entry");
         }
-        // Staging checks the id; promotion reports what it wrote.
+        // Writes by slot check the id; promotion reports what it wrote.
+        assert_eq!(t.set_current_at(s5, 9, 0), None);
+        assert_eq!(t.at(s5), Some((5, &500)), "nothing written");
+        assert_eq!(t.set_current_at(s5, 5, 500), Some(&500));
         assert!(!t.stage_at(s5, 9, 0));
         assert!(t.stage_at(s5, 5, 555));
         assert_eq!(t.at(s5), Some((5, &500)), "pending must not leak early");
@@ -397,6 +457,35 @@ mod tests {
         let epoch = t.epoch();
         t.clear();
         assert!(t.epoch() > epoch && t.is_empty() && t.bucket_count() == 4);
+    }
+
+    #[test]
+    fn append_ascending_builds_what_inserts_build() {
+        let ids = [2u32, 3, 5, 8, 13, 21];
+        for buckets in [1, 4, 64] {
+            let mut inserted = NodeTable::new(buckets);
+            for &id in ids.iter().rev() {
+                inserted.insert(id, u64::from(id) * 10);
+            }
+            let mut appended = NodeTable::new(buckets);
+            let epoch = appended.epoch();
+            appended.append_ascending(&ids[..3], |id| u64::from(id) * 10);
+            appended.append_ascending(&ids[3..], |id| u64::from(id) * 10);
+            assert_eq!(appended.epoch(), epoch + 2, "one bump per fill");
+            assert_eq!(appended.len(), ids.len());
+            assert!(appended.iter().eq(inserted.iter()), "{buckets} buckets");
+            for bucket in &appended.buckets {
+                assert_eq!(bucket.capacity(), bucket.len(), "sized by the count pass");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "node 5 out of order")]
+    fn append_ascending_refuses_an_id_that_is_not_past_its_bucket() {
+        let mut t = NodeTable::new(4);
+        t.insert(9, ()); // bucket 1, as is 5
+        t.append_ascending(&[5], |_| ());
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! the virtual clock at fixed points ([`crate::timers::Phase::Storage`]).
 //! Same seed, same schedule, bit-identical `total_time`.
 
-use crate::hashtab::NodeTable;
+use crate::hashtab::{Entry, NodeTable};
 use ic2_graph::NodeId;
 use mpisim::{frame_checksum, DiskCounters, DiskTiming, FaultPlan, VirtualDisk, Wire};
 use std::collections::BTreeSet;
@@ -224,12 +224,18 @@ impl BufferPool {
     /// Choose and remove the next victim, never one in `pinned`. `None`
     /// when every resident page is pinned.
     pub fn evict(&mut self, pinned: &BTreeSet<usize>) -> Option<usize> {
-        if !self.order.iter().any(|p| !pinned.contains(p)) {
+        self.evict_unless(|page| pinned.contains(page))
+    }
+
+    /// [`Self::evict`] over any pin test — the pager's per-visit pin set is
+    /// a sorted vector it reuses, not a tree built per visit.
+    fn evict_unless(&mut self, pinned: impl Fn(&usize) -> bool) -> Option<usize> {
+        if self.order.iter().all(&pinned) {
             return None;
         }
         match self.policy {
             EvictionPolicy::Fifo | EvictionPolicy::Lru => {
-                let pos = self.order.iter().position(|p| !pinned.contains(p))?;
+                let pos = self.order.iter().position(|p| !pinned(p))?;
                 let page = self.order.remove(pos);
                 self.resident[page] = false;
                 Some(page)
@@ -240,7 +246,7 @@ impl BufferPool {
                 }
                 loop {
                     let page = self.order[self.hand];
-                    if !pinned.contains(&page) && !self.marked[page] {
+                    if !pinned(&page) && !self.marked[page] {
                         self.order.remove(self.hand);
                         self.resident[page] = false;
                         if self.hand >= self.order.len() {
@@ -248,7 +254,7 @@ impl BufferPool {
                         }
                         return Some(page);
                     }
-                    if !pinned.contains(&page) {
+                    if !pinned(&page) {
                         self.marked[page] = false;
                     }
                     self.hand = (self.hand + 1) % self.order.len();
@@ -260,7 +266,7 @@ impl BufferPool {
                 }
                 loop {
                     let page = self.order[self.hand];
-                    if !pinned.contains(&page) && !self.marked[page] {
+                    if !pinned(&page) && !self.marked[page] {
                         self.order.remove(self.hand);
                         self.resident[page] = false;
                         self.hand = if self.hand == 0 {
@@ -270,7 +276,7 @@ impl BufferPool {
                         };
                         return Some(page);
                     }
-                    if !pinned.contains(&page) {
+                    if !pinned(&page) {
                         self.marked[page] = false;
                     }
                     self.hand = if self.hand == 0 {
@@ -296,7 +302,7 @@ enum PageRead<D> {
     /// A verified copy (`from_shadow` says the primary failed and the
     /// shadow slot saved it).
     Good {
-        entries: Vec<(NodeId, D, Option<D>)>,
+        entries: Vec<Entry<D>>,
         from_shadow: bool,
     },
     /// Every copy failed verification after retries.
@@ -338,6 +344,10 @@ pub(crate) struct Pager {
     pending: f64,
     backoff: f64,
     counters: PageCounters,
+    /// The pages the current [`Pager::ensure`] call pins, ascending, and
+    /// the page image being committed: scratch kept for its allocation.
+    pins: Vec<usize>,
+    blob: Vec<u8>,
 }
 
 impl Pager {
@@ -371,6 +381,8 @@ impl Pager {
             pending: 0.0,
             backoff,
             counters: PageCounters::default(),
+            pins: Vec::new(),
+            blob: Vec::new(),
         }
     }
 
@@ -437,7 +449,11 @@ impl Pager {
     ) where
         D: Clone + Wire,
     {
-        let needed: BTreeSet<usize> = pages.into_iter().collect();
+        let mut needed = std::mem::take(&mut self.pins);
+        needed.clear();
+        needed.extend(pages);
+        needed.sort_unstable();
+        needed.dedup();
         for &b in &needed {
             if self.pool.contains(b) {
                 self.pool.touch(b);
@@ -446,6 +462,7 @@ impl Pager {
             }
         }
         self.evict_to_budget(table, &needed);
+        self.pins = needed;
     }
 
     /// Promote staged pending values page by page, faulting each staged
@@ -461,7 +478,6 @@ impl Pager {
         let staged = std::mem::take(&mut self.staged);
         let mut promoted = 0;
         for &b in &staged {
-            let pin = BTreeSet::from([b]);
             if self.pool.contains(b) {
                 self.pool.touch(b);
             } else {
@@ -475,7 +491,7 @@ impl Pager {
                 self.disk_dirty[b] = true;
             }
             promoted += n;
-            self.evict_to_budget(table, &pin);
+            self.evict_to_budget(table, &[b]);
         }
         promoted
     }
@@ -499,7 +515,7 @@ impl Pager {
     where
         D: Clone + Wire,
     {
-        self.evict_to_budget(table, &BTreeSet::new());
+        self.evict_to_budget(table, &[]);
     }
 
     /// Conservatively mark every page dirty — after bulk table surgery
@@ -558,7 +574,7 @@ impl Pager {
         self.pool.admit(b);
     }
 
-    fn evict_to_budget<D>(&mut self, table: &mut NodeTable<D>, pinned: &BTreeSet<usize>)
+    fn evict_to_budget<D>(&mut self, table: &mut NodeTable<D>, pinned: &[usize])
     where
         D: Clone + Wire,
     {
@@ -572,11 +588,15 @@ impl Pager {
         }
     }
 
-    fn evict_one<D>(&mut self, table: &mut NodeTable<D>, pinned: &BTreeSet<usize>) -> bool
+    fn evict_one<D>(&mut self, table: &mut NodeTable<D>, pinned: &[usize]) -> bool
     where
         D: Clone + Wire,
     {
-        let Some(b) = self.pool.evict(pinned) else {
+        // `pinned` ascends: a search over page numbers, not a tree per visit.
+        let Some(b) = self
+            .pool
+            .evict_unless(|page| pinned.binary_search(page).is_ok())
+        else {
             return false;
         };
         let entries = table.take_bucket(b);
@@ -598,41 +618,40 @@ impl Pager {
         true
     }
 
-    fn blob<D: Wire + Clone>(
+    /// Encode `entries` as page `b`'s image under `version` into `blob`:
+    /// the checksum, then the length-prefixed wire encoding it covers.
+    fn encode_page<D: Wire>(
         &self,
         b: usize,
         version: u64,
-        entries: &[(NodeId, D, Option<D>)],
-    ) -> Vec<u8> {
-        let payload = entries.to_vec().to_bytes();
-        let sum = frame_checksum(PAGE_SEED, self.rank, b as i64, version, &payload);
-        let mut blob = sum.to_le_bytes().to_vec();
-        blob.extend_from_slice(&payload);
-        blob
-    }
-
-    fn verify(&self, b: usize, version: u64, blob: &[u8]) -> bool {
-        if blob.len() < 8 {
-            return false;
+        entries: &[Entry<D>],
+        blob: &mut Vec<u8>,
+    ) {
+        blob.clear();
+        blob.extend_from_slice(&[0; 8]);
+        (entries.len() as u64).encode(blob);
+        for entry in entries {
+            entry.encode(blob);
         }
-        let (sum, payload) = blob.split_at(8);
-        let expect = frame_checksum(PAGE_SEED, self.rank, b as i64, version, payload);
-        u64::from_le_bytes(sum.try_into().expect("8-byte checksum prefix")) == expect
+        let sum = frame_checksum(PAGE_SEED, self.rank, b as i64, version, &blob[8..]);
+        blob[..8].copy_from_slice(&sum.to_le_bytes());
     }
 
     /// Shadow-paging commit of `entries` as the new content of page `b`.
     /// Returns false when no verified copy could be secured after retries.
-    fn write_page<D>(&mut self, b: usize, entries: &[(NodeId, D, Option<D>)]) -> bool
+    fn write_page<D>(&mut self, b: usize, entries: &[Entry<D>]) -> bool
     where
         D: Clone + Wire,
     {
+        let mut blob = std::mem::take(&mut self.blob);
+        let mut committed = false;
         for round in 0..=MAX_IO_RETRIES {
             // A fresh version every round: read rot is sticky per stored
             // version, so re-trying a failed version could never converge.
             let v = self.next_version;
             self.next_version += 1;
             let target = 1 - self.active[b];
-            let blob = self.blob(b, v, entries);
+            self.encode_page(b, v, entries, &mut blob);
             if self.disk.write(b as u64, target as u64, v, &blob).is_err() {
                 self.retry_backoff(round);
                 continue;
@@ -644,7 +663,8 @@ impl Pager {
                     self.active[b] = target;
                     self.version[b] = v;
                     self.mirror(b, v, &blob);
-                    return true;
+                    committed = true;
+                    break;
                 }
                 Some(false) => {
                     self.counters.torn_writes_detected += 1;
@@ -653,14 +673,15 @@ impl Pager {
                 None => self.retry_backoff(round),
             }
         }
-        false
+        self.blob = blob;
+        committed
     }
 
     /// Re-read a just-written slot, comparing raw bytes. `Some(ok)` when a
     /// read succeeded, `None` when transient errors exhausted the retries.
     fn read_back(&mut self, b: usize, slot: u8, version: u64, blob: &[u8]) -> Option<bool> {
         for attempt in 0..=MAX_IO_RETRIES {
-            match self.disk.read(b as u64, slot as u64) {
+            match self.disk.read_borrowed(b as u64, slot as u64) {
                 Ok(Some((v, bytes))) => return Some(v == version && bytes == blob),
                 Ok(None) => return Some(false),
                 Err(_) => self.retry_backoff(attempt),
@@ -723,24 +744,19 @@ impl Pager {
     /// One slot's verified entries, or `None` (wrong version, checksum
     /// failure, undecodable payload, or transient errors past the retry
     /// budget).
-    fn read_slot<D>(
-        &mut self,
-        b: usize,
-        slot: u8,
-        expect: u64,
-    ) -> Option<Vec<(NodeId, D, Option<D>)>>
+    fn read_slot<D>(&mut self, b: usize, slot: u8, expect: u64) -> Option<Vec<Entry<D>>>
     where
         D: Clone + Wire,
     {
         for attempt in 0..=MAX_IO_RETRIES {
-            match self.disk.read(b as u64, slot as u64) {
+            match self.disk.read_borrowed(b as u64, slot as u64) {
                 Ok(Some((v, bytes))) => {
-                    if v != expect || !self.verify(b, expect, &bytes) {
+                    if v != expect || !verify(self.rank, b, expect, bytes) {
                         // Stale or rotten — and rot is sticky, so another
                         // attempt on this slot cannot help.
                         return None;
                     }
-                    return Vec::<(NodeId, D, Option<D>)>::from_bytes(&bytes[8..]).ok();
+                    return Vec::from_bytes(&bytes[8..]).ok();
                 }
                 Ok(None) => return None,
                 Err(_) => self.retry_backoff(attempt),
@@ -748,6 +764,14 @@ impl Pager {
         }
         None
     }
+}
+
+/// Whether `blob` is an intact image of `rank`'s page `b` at `version`.
+fn verify(rank: usize, b: usize, version: u64, blob: &[u8]) -> bool {
+    let Some((sum, payload)) = blob.split_first_chunk::<8>() else {
+        return false;
+    };
+    u64::from_le_bytes(*sum) == frame_checksum(PAGE_SEED, rank, b as i64, version, payload)
 }
 
 #[cfg(test)]

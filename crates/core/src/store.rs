@@ -3,7 +3,7 @@
 
 use crate::audit::{entry_hash, AuditState};
 use crate::costs::CostModel;
-use crate::error::{PlatformError, StoreViolation};
+use crate::error::{invariant_violated, PlatformError, StoreViolation};
 use crate::hashtab::{NodeTable, Slot};
 use crate::paging::{PageConfig, Pager};
 use crate::program::NodeProgram;
@@ -54,6 +54,11 @@ pub(crate) struct RoundPlan {
     /// Owners of the shadows / processors with a non-zero send count.
     recv_procs: Vec<u32>,
     send_procs: Vec<u32>,
+    /// The receive plan, a CSR over `recv_procs`: the shadows each of them
+    /// owns, ascending, and where each one's entry lives.
+    recv_start: Vec<u32>,
+    recv_ids: Vec<NodeId>,
+    recv_slots: Vec<Slot>,
 }
 
 impl RoundPlan {
@@ -69,6 +74,13 @@ impl RoundPlan {
                 None => &[],
             },
         }
+    }
+
+    /// Ids and slots of the shadows owned by `recv_procs[source]`, in the
+    /// ascending id order that processor packs them in.
+    pub(crate) fn recv_list(&self, source: usize) -> (&[NodeId], &[Slot]) {
+        let span = self.recv_start[source] as usize..self.recv_start[source + 1] as usize;
+        (&self.recv_ids[span.clone()], &self.recv_slots[span])
     }
 }
 
@@ -160,24 +172,14 @@ impl<D: Clone> NodeStore<D> {
             audit: None,
             pager: None,
         };
-        // Owned node data...
-        for v in graph.nodes() {
-            if store.owner[v as usize] == rank {
-                store.table.insert(v, program.init(v, graph));
-            }
-        }
-        // ...then shadow data for remote neighbours of owned nodes
-        // (InsertShadowsIntoHashTable).
-        for v in graph.nodes() {
-            if store.owner[v as usize] != rank {
-                continue;
-            }
-            for &w in graph.neighbors(v) {
-                if store.owner[w as usize] != rank && !store.table.contains(w) {
-                    store.table.insert(w, program.init(w, graph));
-                }
-            }
-        }
+        // Owned node data and shadow data for the remote neighbours of
+        // owned nodes (InsertShadowsIntoHashTable), in one ascending fill.
+        // The id scratch is gone before the plan's scratch is built.
+        let ids: Vec<NodeId> = graph.nodes().filter(store.needed(graph)).collect();
+        store
+            .table
+            .append_ascending(&ids, |v| program.init(v, graph));
+        drop(ids);
         store.rebuild_lists(graph);
         store
     }
@@ -187,6 +189,19 @@ impl<D> NodeStore<D> {
     /// Whether this rank owns `node`.
     pub fn owns(&self, node: NodeId) -> bool {
         self.owner[node as usize] == self.rank
+    }
+
+    /// Membership test for the ids this rank stores data for: its owned
+    /// nodes and their neighbours. One bit per graph node — every rank
+    /// builds one at the same moment.
+    fn needed(&self, graph: &Graph) -> impl Fn(&NodeId) -> bool {
+        let mut bits = vec![0u64; graph.num_nodes().div_ceil(64)];
+        let mut mark = |v: NodeId| bits[v as usize / 64] |= 1 << (v % 64);
+        for v in graph.nodes().filter(|&v| self.owns(v)) {
+            mark(v);
+            graph.neighbors(v).iter().for_each(|&w| mark(w));
+        }
+        move |&v| bits[v as usize / 64] >> (v % 64) & 1 == 1
     }
 
     /// Number of owned nodes.
@@ -236,14 +251,11 @@ impl<D> NodeStore<D> {
     where
         D: Clone,
     {
-        let data = |&id| match self.table.get(id) {
-            Some(d) => (id, d.clone()),
-            None => crate::error::invariant_violated(
-                self.rank,
-                format!("no data for owned node {id} at gather"),
-            ),
+        let data = |(&id, &slot)| match self.table.at(slot) {
+            Some((found, d)) if found == id => (id, d.clone()),
+            _ => invariant_violated(self.rank, format!("no data for owned node {id} at gather")),
         };
-        self.plan.ids.iter().map(data).collect()
+        self.plan.ids.iter().zip(&self.plan.own).map(data).collect()
     }
 
     /// Locally stored entries (owned + shadows).
@@ -310,9 +322,29 @@ impl<D> NodeStore<D> {
         shadows.sort_unstable();
         shadows.dedup();
         shadows.shrink_to_fit();
-        let mut recv_procs: Vec<u32> = shadows.iter().map(|&w| owner[w as usize]).collect();
-        recv_procs.sort_unstable();
-        recv_procs.dedup();
+        // The receive plan: a counting sort of the ascending shadow list by
+        // owner, so each owner's group ascends too. `next[p]` counts `p`'s
+        // shadows, then becomes where its next one goes.
+        let mut next = vec![0u32; self.nprocs];
+        for &w in &shadows {
+            next[owner[w as usize] as usize] += 1;
+        }
+        let holds = |p: &u32| next[*p as usize] > 0;
+        let recv_procs: Vec<u32> = (0..self.nprocs as u32).filter(holds).collect();
+        let mut recv_start = Vec::with_capacity(recv_procs.len() + 1);
+        let mut end = 0;
+        for &p in &recv_procs {
+            recv_start.push(end);
+            let count = std::mem::replace(&mut next[p as usize], end);
+            end += count;
+        }
+        recv_start.push(end);
+        let mut recv_ids = vec![0; shadows.len()];
+        for &w in &shadows {
+            let at = &mut next[owner[w as usize] as usize];
+            recv_ids[*at as usize] = w;
+            *at += 1;
+        }
         let sends = |p: &u32| self.send_counts[*p as usize] > 0;
         self.plan = RoundPlan {
             epoch: self.table.epoch(),
@@ -326,6 +358,9 @@ impl<D> NodeStore<D> {
             shadows,
             recv_procs,
             send_procs: (0..self.nprocs as u32).filter(sends).collect(),
+            recv_start,
+            recv_slots: recv_ids.iter().map(|&w| index.slot(w)).collect(),
+            recv_ids,
         };
     }
 
@@ -350,26 +385,37 @@ impl<D> NodeStore<D> {
     /// restored owner map, repopulate the table from snapshot `entries`
     /// (keeping only what this rank needs under the new ownership — its
     /// owned nodes and their neighbours), and re-derive every list.
-    pub fn restore(&mut self, graph: &Graph, owner: Vec<u32>, entries: Vec<(NodeId, D)>)
+    pub fn restore(&mut self, graph: &Graph, owner: Vec<u32>, mut entries: Vec<(NodeId, D)>)
     where
         D: Clone,
     {
         assert_eq!(owner.len(), graph.num_nodes(), "owner map must cover graph");
         self.owner = owner;
-        let mut needed = vec![false; graph.num_nodes()];
-        for v in graph.nodes() {
-            if self.owner[v as usize] == self.rank {
-                needed[v as usize] = true;
-                for &w in graph.neighbors(v) {
-                    needed[w as usize] = true;
+        let needed = self.needed(graph);
+        entries.retain(|(id, _)| needed(id));
+        drop(needed);
+        // A snapshot ascends. One extended with adoption packages does not,
+        // and may name an id twice: the later copy wins, as it did when
+        // entries were inserted one by one.
+        if !entries.is_sorted_by(|a, b| a.0 < b.0) {
+            entries.sort_by_key(|&(id, _)| id);
+            entries.dedup_by(|later, earlier| {
+                let same = later.0 == earlier.0;
+                if same {
+                    std::mem::swap(later, earlier);
                 }
-            }
+                same
+            });
         }
         self.table.clear();
-        for (id, d) in entries {
-            if needed[id as usize] {
-                self.table.insert(id, d);
-            }
+        {
+            // Gone before the plan's scratch is built.
+            let ids: Vec<NodeId> = entries.iter().map(|&(id, _)| id).collect();
+            let mut data = entries.into_iter();
+            self.table.append_ascending(&ids, |_| match data.next() {
+                Some((_, d)) => d,
+                None => unreachable!("one entry per id"),
+            });
         }
         self.reset_loads();
         self.rebuild_lists(graph);
@@ -422,38 +468,26 @@ impl<D> NodeStore<D> {
     {
         let audit = self.audit.as_ref().expect("audit_verify without audit");
         let paged = self.pager.is_some();
+        // Paged mode runs audits with every page faulted in; a vacant slot
+        // means its page lost every copy — reported as a mismatch so the
+        // repair ladder escalates.
+        let hash_at = |id: NodeId, slot: Slot| match self.table.at(slot) {
+            Some((found, d)) if found == id => Some(entry_hash(id, d)),
+            None if paged => None,
+            _ => invariant_violated(self.rank, format!("no data for node {id} at audit")),
+        };
         let mut out = crate::audit::AuditOutcome::default();
-        for &id in self.owned_ids() {
+        for (&id, &slot) in self.plan.ids.iter().zip(&self.plan.own) {
             out.checked += 1;
-            let d = match self.table.get(id) {
-                Some(d) => d,
-                // Paged mode runs audits with every page faulted in; a
-                // missing entry means its page lost every copy — report it
-                // as a mismatch so the repair ladder escalates.
-                None if paged => {
-                    out.owned_mismatches += 1;
-                    continue;
-                }
-                None => panic!("owned data present"),
-            };
-            let h = entry_hash(id, d);
-            out.owned_root ^= h;
-            if h != audit.hash_of(id) {
+            let h = hash_at(id, slot);
+            out.owned_root ^= h.unwrap_or(0);
+            if h != Some(audit.hash_of(id)) {
                 out.owned_mismatches += 1;
             }
         }
-        for &id in self.shadow_ids() {
+        for (&id, &slot) in self.plan.recv_ids.iter().zip(&self.plan.recv_slots) {
             out.checked += 1;
-            let d = match self.table.get(id) {
-                Some(d) => d,
-                None if paged => {
-                    out.shadow_mismatches += 1;
-                    continue;
-                }
-                None => panic!("shadow data present"),
-            };
-            let h = entry_hash(id, d);
-            if h != audit.hash_of(id) {
+            if hash_at(id, slot) != Some(audit.hash_of(id)) {
                 out.shadow_mismatches += 1;
             }
         }
@@ -650,6 +684,27 @@ impl<D> NodeStore<D> {
                 }
             }
         }
+        // Receive plan: each shadow listed once, under its owner, in
+        // ascending order, at the slot `slot_of` finds.
+        let plan = &self.plan;
+        let mut seen = vec![0usize; plan.recv_procs.len()];
+        for &w in &plan.shadows {
+            let group = plan.recv_procs.binary_search(&self.owner[w as usize]);
+            let listed = group.ok().and_then(|j| {
+                let (ids, slots) = plan.recv_list(j);
+                let k = seen[j];
+                seen[j] += 1;
+                Some((*ids.get(k)?, slots[k]))
+            });
+            if !listed.is_some_and(|(id, slot)| id == w && !stale(w, slot)) {
+                return Err(StoreViolation::RecvPlanMismatch { node: w });
+            }
+        }
+        for (j, &listed) in seen.iter().enumerate() {
+            if let Some(&extra) = plan.recv_list(j).0.get(listed) {
+                return Err(StoreViolation::RecvPlanMismatch { node: extra });
+            }
+        }
         // Send plan consistent with shadow_for.
         let mut counts = vec![0usize; self.nprocs];
         for node in self.peripheral() {
@@ -721,6 +776,35 @@ mod tests {
         for s in &stores {
             s.validate(&graph).unwrap();
         }
+    }
+
+    #[test]
+    fn validate_rejects_a_receive_plan_that_mislists_a_shadow() {
+        let (graph, mut stores) = build_stores(4);
+        let store = stores
+            .iter_mut()
+            .find(|s| s.shadow_ids().len() > 1)
+            .unwrap();
+        let mislisted = |node| {
+            Err(PlatformError::StoreInvariant(
+                StoreViolation::RecvPlanMismatch { node },
+            ))
+        };
+        let (first, last) = (store.plan.recv_ids[0], *store.plan.recv_ids.last().unwrap());
+        // The right ids at each other's slots.
+        store.plan.recv_slots.swap(0, 1);
+        assert_eq!(store.validate(&graph), mislisted(first));
+        store.plan.recv_slots.swap(0, 1);
+        // The last shadow not listed at all, then listed twice.
+        *store.plan.recv_start.last_mut().unwrap() -= 1;
+        assert_eq!(store.validate(&graph), mislisted(last));
+        store.plan.recv_ids.push(last);
+        store
+            .plan
+            .recv_slots
+            .push(*store.plan.recv_slots.last().unwrap());
+        *store.plan.recv_start.last_mut().unwrap() += 2;
+        assert_eq!(store.validate(&graph), mislisted(last));
     }
 
     #[test]

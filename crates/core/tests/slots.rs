@@ -4,12 +4,13 @@
 //!
 //! Inputs come from the in-tree [`SplitMix64`] generator with fixed seeds.
 
-use ic2_graph::{generators, Graph, NodeId, Partition};
+use ic2_graph::{generators, Graph, GraphBuilder, NodeId, Partition};
 use ic2_rng::SplitMix64;
 use ic2mpi::exchange::{self, Round};
 use ic2mpi::prelude::*;
 use ic2mpi::{
-    catch_flow_deadlock, migrate, ComputeCtx, NodeStore, PhaseTimers, PlatformError, StoreViolation,
+    catch_flow_deadlock, migrate, ComputeCtx, NodeStore, NodeTable, PhaseTimers, PlatformError,
+    StoreViolation,
 };
 use std::time::Duration;
 
@@ -52,6 +53,35 @@ fn assert_slots_match_ids(store: &NodeStore<i64>, graph: &Graph, when: &str) {
     assert_eq!(store.validate(graph), Ok(()), "{when}");
 }
 
+/// The bulk-built table is the table that per-id `insert`s of `entries`, in
+/// the order given, build: same buckets, same order within each.
+fn assert_bulk_equals_inserted(
+    store: &NodeStore<i64>,
+    entries: impl IntoIterator<Item = (NodeId, i64)>,
+    when: &str,
+) {
+    let mut inserted = NodeTable::new(store.table.bucket_count());
+    for (id, d) in entries {
+        inserted.insert(id, d);
+    }
+    assert_eq!(store.table.len(), inserted.len(), "{when}");
+    assert!(store.table.iter().eq(inserted.iter()), "{when}");
+    for (id, _) in inserted.iter() {
+        assert_eq!(store.table.slot_of(id), inserted.slot_of(id), "{when}");
+    }
+}
+
+/// The entries a restore keeps: those of owned nodes and their neighbours.
+fn needed_of(
+    entries: &[(NodeId, i64)],
+    store: &NodeStore<i64>,
+    graph: &Graph,
+) -> Vec<(NodeId, i64)> {
+    let needed = |v: NodeId| store.owns(v) || graph.neighbors(v).iter().any(|&w| store.owns(w));
+    let keep = entries.iter().filter(|&&(v, _)| needed(v));
+    keep.copied().collect()
+}
+
 #[test]
 fn slots_name_the_entries_ids_find_after_build_and_restore() {
     let mut rng = SplitMix64::new(0x51075);
@@ -62,6 +92,21 @@ fn slots_name_the_entries_ids_find_after_build_and_restore() {
                 let mut store =
                     NodeStore::build(&graph, &partition, rank, &AvgProgram::fine(), buckets);
                 assert_slots_match_ids(&store, &graph, "after build");
+                // What the one-by-one build stored: owned nodes, then the
+                // remote neighbours in the order the edges name them.
+                let program = AvgProgram::fine();
+                let owned_first = graph.nodes().filter(|&v| store.owns(v));
+                let then_shadows = graph
+                    .nodes()
+                    .filter(|&v| store.owns(v))
+                    .flat_map(|v| graph.neighbors(v).iter().copied())
+                    .filter(|&w| !store.owns(w));
+                let init = |v| (v, program.init(v, &graph));
+                assert_bulk_equals_inserted(
+                    &store,
+                    owned_first.chain(then_shadows).map(init),
+                    "after build",
+                );
 
                 // Restore under a rotated ownership from a snapshot that
                 // covers the whole graph (so every new shadow has data).
@@ -70,9 +115,26 @@ fn slots_name_the_entries_ids_find_after_build_and_restore() {
                 let snapshot: Vec<(NodeId, i64)> =
                     graph.nodes().map(|v| (v, -(v as i64))).collect();
                 let before = store.table.epoch();
-                store.restore(&graph, owner, snapshot);
+                store.restore(&graph, owner.clone(), snapshot.clone());
                 assert!(store.table.epoch() > before, "restore replaces the table");
                 assert_slots_match_ids(&store, &graph, "after restore");
+                let kept = needed_of(&snapshot, &store, &graph);
+                assert_bulk_equals_inserted(&store, kept, "after restore");
+
+                // A snapshot extended with adoption packages: out of order,
+                // ids named twice with different values — the later wins.
+                let mut extended = snapshot.clone();
+                let mut package: Vec<(NodeId, i64)> = graph
+                    .nodes()
+                    .filter(|_| rng.chance(0.5))
+                    .map(|v| (v, 7 * v as i64))
+                    .collect();
+                rng.shuffle(&mut package);
+                extended.extend(package);
+                store.restore(&graph, owner, extended.clone());
+                assert_slots_match_ids(&store, &graph, "after adopting restore");
+                let kept = needed_of(&extended, &store, &graph);
+                assert_bulk_equals_inserted(&store, kept, "after adopting restore");
             }
         }
     }
@@ -215,4 +277,28 @@ fn validate_checks_the_plan_against_graph_and_table() {
         violation(&store),
         StoreViolation::ShadowForMismatch { .. }
     ));
+}
+
+#[test]
+fn validate_checks_the_receive_plan_against_the_owner_map() {
+    // Node 0 (rank 0) between node 1 (rank 1) and node 2 (rank 2). When 1
+    // and 2 trade owners, node 0 still is a shadow for ranks {1, 2} and the
+    // send plan still holds: only the receive plan, which lists shadow 1
+    // under rank 1, is wrong.
+    let mut builder = GraphBuilder::new(3);
+    builder.edge(0, 1);
+    builder.edge(0, 2);
+    let graph = builder.build();
+    let partition = Partition::new(vec![0, 1, 2], 3);
+    let mut store = NodeStore::build(&graph, &partition, 0, &AvgProgram::fine(), 4);
+    assert_eq!(store.validate(&graph), Ok(()));
+    store.owner.swap(1, 2);
+    assert_eq!(
+        store.validate(&graph),
+        Err(PlatformError::StoreInvariant(
+            StoreViolation::RecvPlanMismatch { node: 1 }
+        ))
+    );
+    store.rebuild_lists(&graph);
+    assert_eq!(store.validate(&graph), Ok(()));
 }

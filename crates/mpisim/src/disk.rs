@@ -98,7 +98,7 @@ pub struct DiskCounters {
     pub read_rots: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Slot {
     version: u64,
     bytes: Vec<u8>,
@@ -161,10 +161,16 @@ impl VirtualDisk {
             self.counters.full_rejections += 1;
             return Err(DiskError::Full);
         }
-        let mut stored = bytes.to_vec();
-        if !stored.is_empty()
+        // An overwrite reuses the slot's allocation, grown to fit at most.
+        let s = self.slots.entry((page, slot)).or_default();
+        s.bytes.clear();
+        s.bytes.reserve_exact(bytes.len());
+        s.bytes.extend_from_slice(bytes);
+        (s.version, s.reads, s.rotten) = (version, 0, false);
+        if !bytes.is_empty()
             && plan.disk_fault_hits(self.rank, DiskFault::TornWrite, page, slot, version, n)
         {
+            let bits = bytes.len() as u64 * 8;
             let bit = plan.disk_fault_bit(
                 self.rank,
                 DiskFault::TornWrite,
@@ -172,29 +178,31 @@ impl VirtualDisk {
                 slot,
                 version,
                 n,
-                stored.len() as u64 * 8,
+                bits,
             );
-            stored[(bit / 8) as usize] ^= 1 << (bit % 8);
+            s.bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
             self.counters.torn_writes += 1;
         }
         self.counters.writes += 1;
         self.counters.bytes_written += bytes.len() as u64;
-        self.slots.insert(
-            (page, slot),
-            Slot {
-                version,
-                bytes: stored,
-                reads: 0,
-                rotten: false,
-            },
-        );
         Ok(())
     }
 
     /// Read `(page, slot)`: `Ok(None)` if never written, otherwise the
-    /// stored version and bytes — possibly decayed by sticky read rot.
-    /// Transient failures charge the seek but return nothing.
+    /// stored version and a copy of the bytes — possibly decayed by sticky
+    /// read rot. Transient failures charge the seek but return nothing.
     pub fn read(&mut self, page: u64, slot: u64) -> Result<Option<(u64, Vec<u8>)>, DiskError> {
+        let found = self.read_borrowed(page, slot)?;
+        Ok(found.map(|(version, bytes)| (version, bytes.to_vec())))
+    }
+
+    /// [`Self::read`] without the copy: the same operation, charges, rot
+    /// decision and bytes, lent from the slot.
+    pub fn read_borrowed(
+        &mut self,
+        page: u64,
+        slot: u64,
+    ) -> Result<Option<(u64, &[u8])>, DiskError> {
         let n = self.next_op();
         self.pending += self.timing.seek_seconds;
         let rank = self.rank;
@@ -223,24 +231,16 @@ impl VirtualDisk {
         {
             s.rotten = true;
             self.counters.read_rots += 1;
+            // The damage is keyed to the stored version alone and done to
+            // the stored blob, so every read of this rotten copy decays
+            // identically.
+            let bits = s.bytes.len() as u64 * 8;
+            let plan = &self.plan;
+            let bit = plan.disk_fault_bit(rank, DiskFault::ReadRot, page, slot, s.version, 0, bits);
+            s.bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
         }
         s.reads += 1;
-        let mut out = s.bytes.clone();
-        if s.rotten {
-            // The damage itself is keyed to the stored version alone, so
-            // every read of this rotten copy decays identically.
-            let bit = self.plan.disk_fault_bit(
-                rank,
-                DiskFault::ReadRot,
-                page,
-                slot,
-                s.version,
-                0,
-                out.len() as u64 * 8,
-            );
-            out[(bit / 8) as usize] ^= 1 << (bit % 8);
-        }
-        Ok(Some((s.version, out)))
+        Ok(Some((s.version, &s.bytes)))
     }
 
     /// The stored version of `(page, slot)` without performing (or
@@ -386,6 +386,52 @@ mod tests {
         assert_eq!(v, 5);
         assert_ne!(rewritten, payload.to_vec(), "p=1.0 rot hits every version");
         assert_eq!(d.counters().read_rots, 2);
+    }
+
+    #[test]
+    fn borrowing_read_is_read_without_the_copy() {
+        // Healthy, torn-written, rotten and transiently failing slots, an
+        // overwrite and a miss: the same bytes, seconds and counters from
+        // both reads, operation by operation.
+        let mut rng = ic2_rng::SplitMix64::new(0xd15c);
+        for fault in [
+            None,
+            Some(DiskFault::TornWrite),
+            Some(DiskFault::ReadRot),
+            Some(DiskFault::TransientError),
+        ] {
+            let plan = fault.map_or(FaultPlan::new(5), |f| {
+                FaultPlan::new(5).with_disk_fault(0, f, 0.5)
+            });
+            let mut copying = VirtualDisk::new(0, plan, DiskTiming::default());
+            let mut lending = copying.clone();
+            for version in 1..200u64 {
+                let (page, slot) = (rng.below(4), rng.below(2));
+                let blob: Vec<u8> = (0..rng.below(40)).map(|_| rng.next_u64() as u8).collect();
+                let wrote = copying.write(page, slot, version, &blob);
+                assert_eq!(lending.write(page, slot, version, &blob), wrote);
+                for _ in 0..rng.below(4) {
+                    let (page, slot) = (rng.below(5), rng.below(2));
+                    let copied = copying.read(page, slot);
+                    let lent = lending.read_borrowed(page, slot);
+                    assert_eq!(lent.map(|r| r.map(|(v, b)| (v, b.to_vec()))), copied);
+                }
+                assert_eq!(lending.counters(), copying.counters(), "{fault:?}");
+                assert_eq!(
+                    lending.take_seconds().to_bits(),
+                    copying.take_seconds().to_bits(),
+                    "{fault:?}"
+                );
+            }
+            let c = copying.counters();
+            let hit = match fault {
+                None => c.reads,
+                Some(DiskFault::TornWrite) => c.torn_writes,
+                Some(DiskFault::ReadRot) => c.read_rots,
+                Some(_) => c.transient_errors,
+            };
+            assert!(hit > 0, "{fault:?} never exercised");
+        }
     }
 
     #[test]

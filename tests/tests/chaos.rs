@@ -340,6 +340,29 @@ fn crash_at_every_iteration_sweep_recovers_exactly() {
 }
 
 #[test]
+fn crash_inside_the_checkpoint_staging_window_recovers_exactly() {
+    // The window between the iteration-end ctl_exchange and the mirror
+    // send of the checkpoint it staged.
+    let graph = ic2_graph::generators::hex_grid_n(16);
+    let program = AvgProgram::fine();
+    let iterations = 2u32;
+    let oracle = seq::run_sequential(&graph, &program, iterations);
+
+    // Inflate the per-entry checkpoint cost so the staging advance at the
+    // end of iteration 1 spans several virtual seconds; a crash at t=0.5
+    // lands inside rank 1's staging advance, before its mirror send.
+    let mut cfg = RunConfig::new(4, iterations)
+        .with_checkpointing(1)
+        .with_world(world(FaultPlan::new(1).with_crash(1, 0.5)))
+        .with_validation();
+    cfg.costs.checkpoint_per_entry = 1.0;
+
+    let report = run(&graph, &program, &Metis::default(), || NoBalancer, &cfg);
+    assert_eq!(report.final_data, oracle, "recovery must be exact");
+    assert!(report.rollbacks >= 1);
+}
+
+#[test]
 fn kill_and_crash_together_still_recover() {
     // A cooperative fail-stop and an uncooperative crash in one run, on a
     // lossy network: the kill evacuates normally through the crash-mode
