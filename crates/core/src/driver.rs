@@ -1,20 +1,18 @@
 //! The platform driver: system flow of control (thesis Figure 6).
 
 use crate::costs::CostModel;
+use crate::engine::{self, Plane, RankOutcome};
 use crate::error::PlatformError;
-use crate::exchange;
 pub use crate::exchange::ExchangeMode;
-use crate::imbalance::StragglerDetector;
 use crate::migrate;
 use crate::paging::{EvictionPolicy, PageConfig, PageCounters};
-use crate::program::{ComputeCtx, NodeProgram};
-use crate::store::NodeStore;
+use crate::program::NodeProgram;
 use crate::timers::{Phase, PhaseTimers};
 use ic2_balance::DynamicBalancer;
 use ic2_graph::{Graph, Partition};
 use ic2_partition::StaticPartitioner;
-use mpisim::trace::{RankTrace, TraceCollector, ITERATION_SPAN};
-use mpisim::{ArgValue, CommStats, FaultStats, Rank, World};
+use mpisim::trace::{RankTrace, TraceCollector};
+use mpisim::{CommStats, FaultStats, MemRegion, World};
 use std::sync::Arc;
 
 /// How iterations are synchronised across ranks.
@@ -313,9 +311,7 @@ pub(crate) fn is_global_round(iter: u32, cfg: &RunConfig, checkpoints: bool) -> 
     if iter.is_multiple_of(inner_k + 1) {
         return true;
     }
-    if iter >= cfg.balance_offset.max(1)
-        && migrate::is_balance_iteration(iter - cfg.balance_offset, cfg.balance_every)
-    {
+    if balance_due(iter, cfg) {
         return true;
     }
     if checkpoints {
@@ -329,6 +325,13 @@ pub(crate) fn is_global_round(iter: u32, cfg: &RunConfig, checkpoints: bool) -> 
         }
     }
     false
+}
+
+/// Does the periodic balancing trigger fire at `iter`
+/// (`iter % every == offset % every`, never before `offset`)?
+pub(crate) fn balance_due(iter: u32, cfg: &RunConfig) -> bool {
+    iter >= cfg.balance_offset.max(1)
+        && migrate::is_balance_iteration(iter - cfg.balance_offset, cfg.balance_every)
 }
 
 /// How many consecutive barrier-elided rounds immediately precede global
@@ -504,36 +507,6 @@ pub(crate) struct IntegrityCounters {
     pub(crate) repairs: u32,
 }
 
-/// What one rank hands back from its SPMD body. Crashed ranks produce no
-/// outcome at all (`World::run_fallible` yields `None` for them), so the
-/// report is assembled from whichever ranks survived.
-pub(crate) struct RankOutcome<D> {
-    pub(crate) total: f64,
-    pub(crate) timers: PhaseTimers,
-    pub(crate) comm: CommStats,
-    pub(crate) migrations: usize,
-    pub(crate) skipped: usize,
-    pub(crate) evacuated: usize,
-    pub(crate) emergency_balances: usize,
-    pub(crate) ranks_died: Vec<u32>,
-    pub(crate) gathered: Option<Vec<(u32, D)>>,
-    pub(crate) owner: Vec<u32>,
-    pub(crate) checkpoint_bytes: u64,
-    pub(crate) rollbacks: u32,
-    pub(crate) iterations_replayed: u32,
-    pub(crate) delta: exchange::DeltaStats,
-    pub(crate) quiescent_iterations: u32,
-    pub(crate) inner_iterations: u32,
-    pub(crate) barriers_elided: u64,
-    pub(crate) degraded_iterations: u32,
-    pub(crate) rejoins: u32,
-    pub(crate) rejoin_bytes: u64,
-    pub(crate) suspected_peak: u32,
-    pub(crate) integrity: IntegrityCounters,
-    pub(crate) pages: PageCounters,
-    pub(crate) disk: mpisim::DiskCounters,
-}
-
 /// Assemble the run report from the per-rank outcomes. The recovery
 /// counters are replicated state, so the lowest surviving rank's copy is
 /// canonical; the fault counters are per-rank and sum; timers and comm
@@ -546,8 +519,8 @@ fn assemble<D: Clone>(
     let live: Vec<&RankOutcome<D>> = results.iter().flatten().collect();
     let designated = *live.first().expect("at least one rank survives the run");
     let total_time = live.iter().map(|r| r.total).fold(0.0f64, f64::max);
-    let migrations = designated.migrations;
-    debug_assert!(live.iter().all(|r| r.migrations == migrations));
+    let migrations = designated.counters.migrations;
+    debug_assert!(live.iter().all(|r| r.counters.migrations == migrations));
     debug_assert!(live.iter().all(|r| r.ranks_died == designated.ranks_died));
     let mut faults = FaultStats::default();
     let mut checkpoint_bytes = 0u64;
@@ -571,15 +544,15 @@ fn assemble<D: Clone>(
         faults.disk_read_rots += r.disk.read_rots;
         faults.disk_full_rejections += r.disk.full_rejections;
         pages.merge(&r.pages);
-        checkpoint_bytes += r.checkpoint_bytes;
+        checkpoint_bytes += r.tally.checkpoint_bytes;
         credit_stalls += r.comm.credit_stalls;
         peak_mailbox_depth = peak_mailbox_depth.max(r.comm.peak_mailbox_depth);
         negative_clamps += r.timers.negative_clamps();
-        delta_entries_sent += r.delta.entries_sent;
-        delta_entries_skipped += r.delta.entries_skipped;
-        rejoin_bytes += r.rejoin_bytes;
-        audit_mismatches += r.integrity.audit_mismatches;
-        bad_replicas += r.integrity.bad_replicas;
+        delta_entries_sent += r.tally.delta.entries_sent;
+        delta_entries_skipped += r.tally.delta.entries_skipped;
+        rejoin_bytes += r.tally.rejoin_bytes;
+        audit_mismatches += r.tally.integrity.audit_mismatches;
+        bad_replicas += r.tally.integrity.bad_replicas;
     }
     let final_owner = designated.owner.clone();
     let mut slots: Vec<Option<D>> = (0..num_nodes).map(|_| None).collect();
@@ -606,12 +579,12 @@ fn assemble<D: Clone>(
         final_owner,
         faults,
         ranks_died: designated.ranks_died.clone(),
-        evacuated: designated.evacuated,
-        emergency_balances: designated.emergency_balances,
-        skipped_migrations: designated.skipped,
+        evacuated: designated.counters.evacuated,
+        emergency_balances: designated.counters.emergency_balances,
+        skipped_migrations: designated.counters.skipped,
         checkpoint_bytes,
-        rollbacks: designated.rollbacks,
-        iterations_replayed: designated.iterations_replayed,
+        rollbacks: designated.tally.rollbacks,
+        iterations_replayed: designated.tally.iterations_replayed,
         credit_stalls,
         peak_mailbox_depth,
         negative_clamps,
@@ -619,88 +592,31 @@ fn assemble<D: Clone>(
         delta_entries_skipped,
         // The quiescence verdicts are agreed (every live rank saw the same
         // global counts), so the designated rank's tally is canonical.
-        quiescent_iterations: designated.quiescent_iterations,
+        quiescent_iterations: designated.tally.quiescent_iterations,
         // The elision schedule is a pure function of the iteration number,
         // identical on every rank that ran the loop; the designated rank's
         // tally is canonical.
-        inner_iterations: designated.inner_iterations,
-        barriers_elided: designated.barriers_elided,
+        inner_iterations: designated.tally.inner_iterations,
+        barriers_elided: designated.tally.barriers_elided,
         // Membership verdicts are likewise agreed: the degraded/heal tallies
         // are replicated, only the transfer bytes are per-rank and sum.
-        degraded_iterations: designated.degraded_iterations,
-        rejoins: designated.rejoins,
+        degraded_iterations: designated.tally.degraded_iterations,
+        rejoins: designated.tally.rejoins,
         rejoin_bytes,
-        suspected_peak: designated.suspected_peak,
+        suspected_peak: designated.tally.suspected_peak,
         memory_corruptions: faults.memory_corruptions,
         audit_mismatches,
         // Repair decisions ride the agreed control verdicts, so like the
         // membership tallies the designated rank's copy is canonical.
-        shadow_resyncs: designated.integrity.shadow_resyncs,
+        shadow_resyncs: designated.tally.integrity.shadow_resyncs,
         bad_replicas,
-        repairs: designated.integrity.repairs,
+        repairs: designated.tally.integrity.repairs,
         page_faults: pages.page_faults,
         pages_evicted: pages.pages_evicted,
         disk_retries: pages.disk_retries,
         torn_writes_detected: pages.torn_writes_detected,
         pages_recovered: pages.pages_recovered,
         trace: None,
-    }
-}
-
-/// Per-iteration trace bookkeeping for the metrics timeline. Constructed
-/// only when tracing is on (`None` otherwise), snapshotting the phase
-/// timers and the rank-local send/receive counters at the iteration start;
-/// [`IterTracer::finish`] emits the `iteration` span with the deltas.
-///
-/// Every field is rank-local and clock- or program-order-driven, so the
-/// emitted span is byte-reproducible across same-seed runs. (The
-/// *instantaneous* mailbox depth is deliberately absent: it depends on how
-/// far ahead other host threads ran, so it lives only in the run-level
-/// `peak_mailbox_depth` counter.)
-pub(crate) struct IterTracer {
-    timers_before: PhaseTimers,
-    sent_before: u64,
-    recv_before: u64,
-    start: f64,
-}
-
-impl IterTracer {
-    pub(crate) fn begin(rank: &Rank, timers: &PhaseTimers) -> Option<IterTracer> {
-        if !rank.trace_enabled() {
-            return None;
-        }
-        let s = rank.stats();
-        Some(IterTracer {
-            timers_before: timers.clone(),
-            sent_before: s.msgs_sent,
-            recv_before: s.msgs_recv,
-            start: rank.wtime(),
-        })
-    }
-
-    pub(crate) fn finish(self, rank: &Rank, iter: u32, timers: &PhaseTimers) {
-        let s = rank.stats();
-        let delta = |p: Phase| timers.get(p) - self.timers_before.get(p);
-        rank.trace_span(
-            ITERATION_SPAN,
-            "iter",
-            self.start,
-            &[
-                ("iter", ArgValue::U64(iter as u64)),
-                (
-                    "compute",
-                    ArgValue::F64(delta(Phase::Compute) + delta(Phase::ComputationOverhead)),
-                ),
-                (
-                    "comm",
-                    ArgValue::F64(delta(Phase::Communicate) + delta(Phase::CommunicationOverhead)),
-                ),
-                ("integrity", ArgValue::F64(delta(Phase::Integrity))),
-                ("balance", ArgValue::F64(delta(Phase::LoadBalancing))),
-                ("sent", ArgValue::U64(s.msgs_sent - self.sent_before)),
-                ("recv", ArgValue::U64(s.msgs_recv - self.recv_before)),
-            ],
-        );
     }
 }
 
@@ -762,10 +678,11 @@ where
         .unwrap_or_else(|e| panic!("ic2mpi: {e}"))
 }
 
-/// [`run`], but configuration problems come back as a typed
-/// [`PlatformError`] instead of a panic. (A rank panic or a store-invariant
-/// violation mid-run still panics: those are platform bugs, not caller
-/// mistakes.)
+/// [`run`], but configuration problems — and the typed failures a run can
+/// end in: unrecoverable state, a flow-control deadlock, an internal or
+/// (with `cfg.validate`) store invariant found violated — come back as a
+/// [`PlatformError`] instead of a panic. Any other rank panic still
+/// propagates.
 pub fn try_run<P, S, B, F>(
     graph: &Graph,
     program: &P,
@@ -779,6 +696,35 @@ where
     B: DynamicBalancer,
     F: Fn() -> B + Sync,
 {
+    validate(cfg)?;
+    let partition = partitioner.partition(graph, cfg.nprocs);
+    if partition.len() != graph.num_nodes() {
+        return Err(PlatformError::PartitionLengthMismatch {
+            nodes: graph.num_nodes(),
+            partition: partition.len(),
+        });
+    }
+    // Tracing hooks in below the driver: the substrate owns the collector,
+    // each rank buffers privately and flushes on drop (normal end or crash
+    // unwind alike), and the report harvests after the world joins.
+    let collector = cfg.tracing.then(|| Arc::new(TraceCollector::new()));
+    let mut world_cfg = cfg.world.clone();
+    if let Some(c) = &collector {
+        world_cfg = world_cfg.with_trace(Arc::clone(c));
+    }
+    let world = World::new(world_cfg);
+    let results = catch_flow_deadlock(|| {
+        world.run_fallible(cfg.nprocs, |rank| {
+            engine::run_rank(rank, graph, program, &partition, make_balancer(), cfg)
+        })
+    })?;
+    let mut report = assemble(results, partition, graph.num_nodes());
+    report.trace = collector.map(|c| c.take());
+    Ok(report)
+}
+
+/// Every configuration `try_run` refuses, in one place.
+fn validate(cfg: &RunConfig) -> Result<(), PlatformError> {
     if cfg.nprocs == 0 {
         return Err(PlatformError::NoProcessors);
     }
@@ -792,13 +738,6 @@ where
         if patience == 0 {
             return Err(PlatformError::ZeroStragglerPatience);
         }
-    }
-    let partition = partitioner.partition(graph, cfg.nprocs);
-    if partition.len() != graph.num_nodes() {
-        return Err(PlatformError::PartitionLengthMismatch {
-            nodes: graph.num_nodes(),
-            partition: partition.len(),
-        });
     }
     if cfg.checkpoint_every == 0 {
         return Err(PlatformError::ZeroCheckpointInterval);
@@ -815,330 +754,21 @@ where
     if matches!(cfg.execution, ExecutionPolicy::Hybrid { inner_k: 0 }) {
         return Err(PlatformError::ZeroInnerIterations);
     }
-    let num_nodes = graph.num_nodes();
-    // Tracing hooks in below the driver: the substrate owns the collector,
-    // each rank buffers privately and flushes on drop (normal end or crash
-    // unwind alike), and the report harvests after the world joins.
-    let collector = cfg.tracing.then(|| Arc::new(TraceCollector::new()));
-    let mut world_cfg = cfg.world.clone();
-    if let Some(c) = &collector {
-        world_cfg = world_cfg.with_trace(Arc::clone(c));
+    let faults = &cfg.world.faults;
+    let rots_live = |r| {
+        [MemRegion::Owned, MemRegion::Shadow]
+            .iter()
+            .any(|&region| faults.memory_corrupt_prob_in(r, region) > 0.0)
+    };
+    if cfg.audit_every != Some(1) && (0..cfg.nprocs).any(rots_live) {
+        return Err(PlatformError::LiveRotNeedsAuditEveryIteration {
+            audit_every: cfg.audit_every,
+        });
     }
-    let world = World::new(world_cfg);
-
-    // Partition tolerance layers the membership protocol (degraded mode,
-    // park, heal-and-rejoin) over the crash-tolerant control plane; it
-    // subsumes crash recovery, so it takes precedence when both apply.
-    if cfg.partition_tolerance {
-        let results: Vec<Option<RankOutcome<P::Data>>> = catch_flow_deadlock(|| {
-            world.run_fallible(cfg.nprocs, |rank| {
-                let mut balancer = make_balancer();
-                crate::membership::run_rank_with_membership(
-                    rank,
-                    graph,
-                    program,
-                    &partition,
-                    &mut balancer,
-                    cfg,
-                )
-            })
-        })?;
-        let mut report = assemble(results, partition, num_nodes);
-        report.trace = collector.map(|c| c.take());
-        return Ok(report);
+    if cfg.exchange == ExchangeMode::Overlap && Plane::of(cfg).verdict() {
+        return Err(PlatformError::OverlapNeedsCollectivePlane);
     }
-
-    // Uncooperative crashes need the failure-detecting control plane,
-    // coordinated checkpoints, and a world that tolerates rank death. The
-    // state-integrity machinery (audits, memory-corruption repair) lives on
-    // the same path: its repairs reuse the checkpoint/rollback plumbing —
-    // and so does out-of-core paging, whose page-loss repair ladder ends
-    // in rollback + replay from a verified checkpoint.
-    if cfg.world.faults.has_crashes()
-        || cfg.audit_every.is_some()
-        || cfg.world.faults.has_memory_corruption()
-        || cfg.world.faults.has_disk_faults()
-        || cfg.paging.is_some()
-    {
-        let results: Vec<Option<RankOutcome<P::Data>>> = catch_flow_deadlock(|| {
-            world.run_fallible(cfg.nprocs, |rank| {
-                let mut balancer = make_balancer();
-                crate::checkpoint::run_rank_with_recovery(
-                    rank,
-                    graph,
-                    program,
-                    &partition,
-                    &mut balancer,
-                    cfg,
-                )
-            })
-        })?;
-        let mut report = assemble(results, partition, num_nodes);
-        report.trace = collector.map(|c| c.take());
-        return Ok(report);
-    }
-
-    let results: Vec<RankOutcome<P::Data>> = catch_flow_deadlock(|| {
-        world.run(cfg.nprocs, |rank| {
-            let me = rank.rank() as u32;
-            let mut timers = PhaseTimers::new();
-
-            // ---- Initialization phase -------------------------------------
-            let t0 = rank.wtime();
-            let mut store = NodeStore::build(graph, &partition, me, program, cfg.hash_buckets);
-            rank.advance(cfg.costs.init_per_node * store.stored_count() as f64);
-            timers.add(Phase::Initialization, rank.wtime() - t0);
-            rank.trace_span("Initialization", "phase", t0, &[]);
-            if cfg.validate {
-                store
-                    .validate(graph)
-                    .unwrap_or_else(|e| panic!("rank {me}: init invariant: {e}"));
-            }
-            rank.barrier();
-
-            // ---- Iterate ---------------------------------------------------
-            let mut balancer = make_balancer();
-            let mut comp_since_balance = 0.0;
-            let mut migrations = 0usize;
-            let mut skipped = 0usize;
-            let mut evacuated = 0usize;
-            let mut emergency_balances = 0usize;
-            let mut ranks_died: Vec<u32> = Vec::new();
-            // Replicated failure state: which ranks have died and been
-            // evacuated. A dead rank keeps running this loop as a zombie —
-            // owning zero nodes, every phase degenerates to the collectives —
-            // so barriers and broadcasts stay aligned across the world.
-            let mut dead = vec![false; cfg.nprocs];
-            let plan_kills = cfg.world.faults.has_kills();
-            let my_kill = cfg.world.faults.kill_time(me as usize);
-            let mut detector = cfg.straggler.map(|(t, p)| StragglerDetector::new(t, p));
-            let mut delta_stats = exchange::DeltaStats::default();
-            let mut quiescent_iterations = 0u32;
-            let mut inner_iterations = 0u32;
-            let mut barriers_elided = 0u64;
-            for iter in 1..=cfg.iterations {
-                let tracer = IterTracer::begin(rank, &timers);
-                let mut comp_this_iter = 0.0;
-                let mut round = exchange::Round {
-                    rank,
-                    program,
-                    ctx: ComputeCtx {
-                        iter,
-                        phase: 0,
-                        rank: me,
-                        num_nodes,
-                    },
-                    costs: &cfg.costs,
-                    timers: &mut timers,
-                    comp_time: &mut comp_this_iter,
-                };
-
-                // ---- Inner (barrier-elided) rounds -------------------------
-                // Interior nodes only, fully local: no exchange, no barrier,
-                // no control cost. Kills, balancing, and straggler checks
-                // wait for the next global round — the schedule is pure in
-                // `iter`, so every rank elides the identical rounds.
-                if !is_global_round(iter, cfg, false) {
-                    for phase in 0..program.phases() {
-                        round.ctx.phase = phase;
-                        exchange::inner_step(&mut round, &mut store);
-                        barriers_elided += 1;
-                    }
-                    inner_iterations += 1;
-                    comp_since_balance += comp_this_iter;
-                    if let Some(tracer) = tracer {
-                        tracer.finish(rank, iter, &timers);
-                    }
-                    continue;
-                }
-
-                // ---- Global round ------------------------------------------
-                // First replay the boundary passes the elided rounds skipped,
-                // so every node's compute count matches plain BSP; if any
-                // boundary value moved, retained remote shadows are stale and
-                // the exchange below must full-pack.
-                let missed = elided_before(iter, cfg, false);
-                if missed > 0 && exchange::catch_up_boundary(&mut round, &mut store, missed) {
-                    store.needs_resync = true;
-                }
-                let mut iter_quiescent = cfg.delta_exchange;
-                for phase in 0..program.phases() {
-                    round.ctx.phase = phase;
-                    let res =
-                        exchange::step(&mut round, &mut store, cfg.exchange, cfg.delta_exchange);
-                    delta_stats.absorb(res.delta);
-                    if res.global_changed != Some(0) {
-                        iter_quiescent = false;
-                    }
-                }
-                if iter_quiescent {
-                    quiescent_iterations += 1;
-                }
-                comp_since_balance += comp_this_iter;
-
-                // ---- Failure detection & evacuation (fault plans only) -----
-                if plan_kills {
-                    // Cooperative fail-stop: a rank whose virtual clock passed
-                    // its kill time announces the failure at the iteration
-                    // boundary (shadow copies are in sync here), its tasks are
-                    // evacuated to survivors, and it degenerates to a zombie.
-                    let i_died = !dead[me as usize] && my_kill.is_some_and(|t| rank.wtime() >= t);
-                    let announcements: Vec<bool> = rank.allgather(&i_died);
-                    let newly: Vec<u32> = announcements
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &d)| d)
-                        .map(|(r, _)| r as u32)
-                        .collect();
-                    for &d in &newly {
-                        dead[d as usize] = true;
-                        ranks_died.push(d);
-                    }
-                    for &d in &newly {
-                        evacuated += migrate::evacuate_rank(
-                            rank,
-                            graph,
-                            &mut store,
-                            d,
-                            &dead,
-                            &cfg.costs,
-                            &mut timers,
-                        );
-                    }
-                    if !newly.is_empty() {
-                        comp_since_balance = 0.0;
-                        store.reset_loads();
-                        if cfg.validate {
-                            store.validate(graph).unwrap_or_else(|e| {
-                                panic!("rank {me}: post-evacuation invariant: {e}")
-                            });
-                        }
-                    }
-                }
-
-                // ---- Periodic load balancing -------------------------------
-                let mut balanced_this_iter = false;
-                if iter >= cfg.balance_offset.max(1)
-                    && migrate::is_balance_iteration(iter - cfg.balance_offset, cfg.balance_every)
-                {
-                    let out = migrate::balance_round(
-                        rank,
-                        graph,
-                        &mut store,
-                        &mut balancer,
-                        comp_since_balance,
-                        cfg.migration_batch,
-                        cfg.migrant_policy,
-                        &dead,
-                        &cfg.costs,
-                        &mut timers,
-                    );
-                    migrations += out.migrated;
-                    skipped += out.skipped;
-                    comp_since_balance = 0.0;
-                    store.reset_loads();
-                    balanced_this_iter = true;
-                    if cfg.validate {
-                        store
-                            .validate(graph)
-                            .unwrap_or_else(|e| panic!("rank {me}: post-migration invariant: {e}"));
-                    }
-                }
-
-                // ---- Straggler detection -----------------------------------
-                if let Some(det) = detector.as_mut() {
-                    // Fed the same allgathered times everywhere, the strike
-                    // counter is replicated: every rank reaches the identical
-                    // fire/hold decision with one collective.
-                    let all_times: Vec<f64> = rank.allgather(&comp_this_iter);
-                    let alive: Vec<f64> = all_times
-                        .iter()
-                        .zip(&dead)
-                        .filter(|&(_, &d)| !d)
-                        .map(|(&t, _)| t)
-                        .collect();
-                    let max = alive.iter().cloned().fold(0.0f64, f64::max);
-                    let mean = alive.iter().sum::<f64>() / alive.len().max(1) as f64;
-                    if det.observe(max, mean) && !balanced_this_iter {
-                        let out = migrate::balance_round(
-                            rank,
-                            graph,
-                            &mut store,
-                            &mut balancer,
-                            comp_since_balance,
-                            cfg.migration_batch,
-                            cfg.migrant_policy,
-                            &dead,
-                            &cfg.costs,
-                            &mut timers,
-                        );
-                        migrations += out.migrated;
-                        skipped += out.skipped;
-                        emergency_balances += 1;
-                        comp_since_balance = 0.0;
-                        store.reset_loads();
-                        if cfg.validate {
-                            store.validate(graph).unwrap_or_else(|e| {
-                                panic!("rank {me}: post-emergency-balance invariant: {e}")
-                            });
-                        }
-                    }
-                }
-
-                if let Some(tracer) = tracer {
-                    tracer.finish(rank, iter, &timers);
-                }
-            }
-            rank.barrier();
-            let total = rank.wtime();
-
-            // ---- Gather final data at rank 0 --------------------------------
-            let owned: Vec<(u32, P::Data)> = store.owned_data();
-            let gathered = rank
-                .gather(0, &owned)
-                .map(|per_rank| per_rank.into_iter().flatten().collect::<Vec<_>>());
-
-            // Everyone is past the closing barrier, so every delivery has
-            // landed: reconcile lingering stale/damaged frames into the
-            // fault counters before the final snapshot (else the totals
-            // depend on host scheduling).
-            rank.reconcile_faults();
-            RankOutcome {
-                total,
-                timers,
-                comm: rank.stats(),
-                migrations,
-                skipped,
-                evacuated,
-                emergency_balances,
-                ranks_died,
-                gathered,
-                owner: store.owner.clone(),
-                checkpoint_bytes: 0,
-                rollbacks: 0,
-                iterations_replayed: 0,
-                delta: delta_stats,
-                quiescent_iterations,
-                inner_iterations,
-                barriers_elided,
-                degraded_iterations: 0,
-                rejoins: 0,
-                rejoin_bytes: 0,
-                suspected_peak: 0,
-                integrity: IntegrityCounters::default(),
-                pages: PageCounters::default(),
-                disk: mpisim::DiskCounters::default(),
-            }
-        })
-    })?;
-
-    let mut report = assemble(
-        results.into_iter().map(Some).collect(),
-        partition,
-        num_nodes,
-    );
-    report.trace = collector.map(|c| c.take());
-    Ok(report)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1237,6 +867,40 @@ mod tests {
             check(RunConfig::new(2, 5).with_hybrid(0)),
             PlatformError::ZeroInnerIterations
         ));
+    }
+
+    #[test]
+    fn configurations_no_layer_can_honour_are_refused() {
+        use mpisim::{Config, FaultPlan};
+        let faulty = |plan| RunConfig::new(2, 5).with_world(Config::default().with_faults(plan));
+        // Live-region rot is exact only under an audit every iteration...
+        let rot = |region| FaultPlan::new(1).with_memory_corrupt_in(1, region, 0.01);
+        for audit_every in [None, Some(2)] {
+            let mut cfg = faulty(rot(MemRegion::Shadow));
+            cfg.audit_every = audit_every;
+            let refusal = PlatformError::LiveRotNeedsAuditEveryIteration { audit_every };
+            assert_eq!(validate(&cfg), Err(refusal));
+        }
+        assert_eq!(
+            validate(&faulty(rot(MemRegion::Owned)).with_state_audit(1)),
+            Ok(())
+        );
+        // ...while replica rot is the checkpoint checksums' business.
+        assert_eq!(validate(&faulty(rot(MemRegion::Replica))), Ok(()));
+
+        // Overlap exists on the thesis's plane only.
+        let overlap = || RunConfig::new(2, 5).with_exchange(ExchangeMode::Overlap);
+        assert_eq!(validate(&overlap().with_balancing(2)), Ok(()));
+        for needs_verdicts in [
+            overlap().with_partition_tolerance(),
+            overlap().with_state_audit(1),
+            overlap().with_paging(4, EvictionPolicy::Clock),
+            overlap()
+                .with_world(Config::default().with_faults(FaultPlan::new(1).with_crash(1, 0.1))),
+        ] {
+            let refused = validate(&needs_verdicts);
+            assert_eq!(refused, Err(PlatformError::OverlapNeedsCollectivePlane));
+        }
     }
 
     #[test]

@@ -155,6 +155,23 @@ pub enum PlatformError {
     /// An out-of-core buffer-pool budget of zero pages could hold nothing
     /// resident; paging needs at least one frame.
     ZeroPageBudget,
+    /// The fault plan rots *live* state (owned or shadow entries) but the
+    /// state audit does not run every iteration. Between two audits a
+    /// promote or an un-audited hybrid inner round reads the flipped value
+    /// and writes a self-consistent wrong one that no later audit can see,
+    /// so the configuration is refused rather than allowed to return a
+    /// laundered answer. At-rest replica rot is covered by the checkpoint
+    /// checksums at any audit interval.
+    LiveRotNeedsAuditEveryIteration {
+        /// The configured [`crate::RunConfig::audit_every`].
+        audit_every: Option<u32>,
+    },
+    /// [`crate::ExchangeMode::Overlap`] together with a layer that needs the
+    /// crash-aware exchange (crash plans, audits, memory or disk faults,
+    /// paging, partition tolerance): that exchange has no overlapped
+    /// receive, and silently running the basic schedule instead would
+    /// misreport what was measured.
+    OverlapNeedsCollectivePlane,
     /// A [`crate::store::NodeStore`] failed its structural self-check.
     StoreInvariant(StoreViolation),
     /// Recovery exhausted every checkpoint replica: the rank's own
@@ -234,6 +251,18 @@ impl fmt::Display for PlatformError {
             PlatformError::ZeroPageBudget => {
                 write!(f, "out-of-core page budget must be at least 1 page")
             }
+            PlatformError::LiveRotNeedsAuditEveryIteration { audit_every } => write!(
+                f,
+                "memory rot in live regions needs a state audit every iteration \
+                 (with_state_audit(1)), not {audit_every:?}: a sparser audit lets a \
+                 flipped value reach the answer"
+            ),
+            PlatformError::OverlapNeedsCollectivePlane => write!(
+                f,
+                "overlapped exchange is not available with crash plans, audits, memory or \
+                 disk faults, paging or partition tolerance: the crash-aware exchange has \
+                 no overlapped receive"
+            ),
             PlatformError::StoreInvariant(v) => write!(f, "store invariant violated: {v}"),
             PlatformError::UnrecoverableState { rank } => write!(
                 f,

@@ -1,5 +1,6 @@
 //! The computation & communication phase (thesis §4.2, Figures 8 and 8a).
 
+use crate::checkpoint::any_word_flags;
 use crate::costs::CostModel;
 use crate::error::invariant_violated;
 use crate::hashtab::Slot;
@@ -45,8 +46,12 @@ pub struct StepResult {
     /// This rank's delta accounting for the iteration.
     pub delta: DeltaStats,
     /// Global changed-node total (identical on every rank); `None` when
-    /// delta mode is off and the iteration closed with a plain barrier.
+    /// the round closed with a plain barrier (delta mode off, or a
+    /// crash-aware round, whose caller owns the iteration-closing exchange
+    /// and piggybacks `delta.changed_nodes` there).
     pub global_changed: Option<u64>,
+    /// A send or receive of a crash-aware round crossed an active partition.
+    pub saw_cut: bool,
 }
 
 /// Per-destination shadow-update buffers (the thesis's array of buffer
@@ -69,9 +74,9 @@ pub enum ExchangeMode {
 
 /// What every part of one compute + communicate round works with: who is
 /// running what, at which iteration and phase, under which cost model, and
-/// where virtual time is attributed. Each driver builds one per iteration
-/// and hands it to [`step`], [`step_crash_aware`], `inner_step` and
-/// `catch_up_boundary`, setting `ctx.phase` between calls.
+/// where virtual time is attributed. The engine builds one per iteration
+/// and hands it to [`step`], `inner_step` and `catch_up_boundary`, setting
+/// `ctx.phase` between calls.
 pub struct Round<'a, P: NodeProgram> {
     /// The executing rank.
     pub rank: &'a Rank,
@@ -178,16 +183,41 @@ impl<D> Packing<D> {
 }
 
 /// Run one compute + communicate round.
+///
+/// `tolerant` selects the receive side. `None` is the thesis's exchange:
+/// blocking receives, or the overlapped variant, and in delta mode a
+/// closing control exchange that agrees the global changed-node count.
+/// `Some(frozen)` is the crash-aware round of the verdict plane, on the
+/// [`ExchangeMode::PostComm`] schedule only: every shadow receive goes
+/// through [`Rank::try_recv`], so a crashed neighbour cannot wedge it.
+///
+/// The *never-skip* rule: a receive whose sender has died simply keeps the
+/// stale shadow value from the previous iteration and the rank runs the
+/// rest of its schedule unchanged — every survivor still executes the
+/// identical sequence of barriers and control exchanges, which is what
+/// keeps the failure detector's verdicts aligned. The numerically garbage
+/// iteration this produces is discarded wholesale by rollback recovery, so
+/// it never reaches the final answer.
+///
+/// `frozen` marks ranks currently *suspected* by the membership layer: no
+/// shadow buffer is sent to a frozen rank, and its expected receive is
+/// replaced by one `detect_timeout` charge in canonical order — its
+/// retained stale shadows serve read-only, exactly the degraded-mode
+/// contract. A receive that instead consumes a partition *tombstone* (the
+/// peer is alive but newly unreachable) likewise keeps the stale shadow and
+/// reports the cut.
 pub fn step<P: NodeProgram>(
     round: &mut Round<'_, P>,
     store: &mut NodeStore<P::Data>,
     mode: ExchangeMode,
     delta: bool,
+    tolerant: Option<&[bool]>,
 ) -> StepResult {
     let rank = round.rank;
     let comp_t0 = rank.wtime();
     let mut pack = Packing::new(store, delta);
     let (internal, peripheral) = (store.internal_range(), store.peripheral_range());
+    let mut saw_cut = false;
 
     match mode {
         ExchangeMode::PostComm => {
@@ -196,14 +226,21 @@ pub fn step<P: NodeProgram>(
             compute_list(round, store, internal, None, None);
             compute_list(round, store, peripheral, Some(&mut pack), None);
             round.end_compute(comp_t0);
-            if bounded(rank) {
-                let (ex, _) = bounded_send(rank, store, &pack.buffers, round.timers, &[]);
-                bounded_collect(rank, store, ex, round.timers, round.costs, false, &[]);
+            let (timers, costs) = (&mut *round.timers, round.costs);
+            if let Some(frozen) = tolerant {
+                saw_cut = exchange_crash_aware(rank, store, &pack.buffers, timers, costs, frozen).1;
+            } else if bounded(rank) {
+                let (ex, _) = bounded_send(rank, store, &pack.buffers, timers, &[]);
+                bounded_collect(rank, store, ex, timers, costs, false, &[]);
             } else {
-                send_buffers(rank, store, &pack.buffers, round.timers, &[]);
-                recv_and_unpack(rank, store, round.timers, round.costs);
+                send_buffers(rank, store, &pack.buffers, timers, &[]);
+                recv_and_unpack(rank, store, timers, costs);
             }
         }
+        ExchangeMode::Overlap if tolerant.is_some() => invariant_violated(
+            round.ctx.rank,
+            "the crash-aware exchange has no overlapped receive".into(),
+        ),
         ExchangeMode::Overlap => {
             // Figure 8a: peripherals first so their shadows can travel
             // while internal nodes compute.
@@ -244,15 +281,17 @@ pub fn step<P: NodeProgram>(
 
     // End of iteration: promote every staged value (the thesis's
     // `data = most_recent_data` sweep), then the synchronisation that
-    // closes `CommunicateShadows`. In delta mode the plain barrier becomes
-    // a control exchange — identical virtual-time cost — carrying this
-    // rank's changed-node count, so every rank learns the agreed global
-    // total and can observe quiescence.
+    // closes `CommunicateShadows`. In the thesis's delta mode the plain
+    // barrier becomes a control exchange — identical virtual-time cost —
+    // carrying this rank's changed-node count, so every rank learns the
+    // agreed global total and can observe quiescence.
     round.promote(store, 0..store.owned_count());
     let stats = pack.stats;
-    let t0 = rank.wtime();
-    let global_changed = if delta {
+    if delta {
         round.trace_delta(&stats);
+    }
+    let t0 = rank.wtime();
+    let global_changed = if delta && tolerant.is_none() {
         let verdict = rank.ctl_exchange(CtlSlot {
             word: stats.changed_nodes,
             load: 0.0,
@@ -267,71 +306,8 @@ pub fn step<P: NodeProgram>(
     StepResult {
         delta: stats,
         global_changed,
+        saw_cut,
     }
-}
-
-/// Crash-aware variant of [`step`]: identical schedule to
-/// [`ExchangeMode::PostComm`], but every shadow receive goes through
-/// [`Rank::try_recv`] so a crashed neighbour cannot wedge the round.
-///
-/// The *never-skip* rule: a receive whose sender has died simply keeps the
-/// stale shadow value from the previous iteration and the rank runs the
-/// rest of its schedule unchanged — every survivor still executes the
-/// identical sequence of barriers and control exchanges, which is what
-/// keeps the failure detector's verdicts aligned. The numerically garbage
-/// iteration this produces is discarded wholesale by rollback recovery, so
-/// it never reaches the final answer.
-///
-/// `frozen` marks ranks currently *suspected* by the membership layer
-/// (empty slice ⇒ none): no shadow buffer is sent to a frozen rank, and its
-/// expected receive is replaced by one `detect_timeout` charge in canonical
-/// order — its retained stale shadows serve read-only, exactly the
-/// degraded-mode contract. A receive that instead consumes a partition
-/// *tombstone* (the peer is alive but newly unreachable) likewise keeps the
-/// stale shadow and reports the cut.
-///
-/// Returns `(saw_death, saw_cut, stats)`: whether any awaited sender was
-/// confirmed dead, whether any send or receive crossed an active partition,
-/// plus this rank's delta accounting (the caller owns the
-/// iteration-closing control exchange in crash mode, so the changed-node
-/// count is handed back for it to piggyback there).
-pub fn step_crash_aware<P: NodeProgram>(
-    round: &mut Round<'_, P>,
-    store: &mut NodeStore<P::Data>,
-    delta: bool,
-    frozen: &[bool],
-) -> (bool, bool, DeltaStats) {
-    let rank = round.rank;
-    let comp_t0 = rank.wtime();
-    let mut pack = Packing::new(store, delta);
-    compute_list(round, store, store.internal_range(), None, None);
-    compute_list(
-        round,
-        store,
-        store.peripheral_range(),
-        Some(&mut pack),
-        None,
-    );
-    round.end_compute(comp_t0);
-
-    let (saw_death, saw_cut) = exchange_crash_aware(
-        rank,
-        store,
-        &pack.buffers,
-        round.timers,
-        round.costs,
-        frozen,
-    );
-    store.needs_resync = false;
-
-    round.promote(store, 0..store.owned_count());
-    if delta {
-        round.trace_delta(&pack.stats);
-    }
-    let t0 = rank.wtime();
-    rank.barrier();
-    round.timers.add(Phase::Communicate, rank.wtime() - t0);
-    (saw_death, saw_cut, pack.stats)
 }
 
 /// One *inner* (barrier-elided) hybrid round for a single phase: interior
@@ -900,8 +876,8 @@ fn unpack<D: mpisim::Wire + Clone>(
 }
 
 /// Ship `buffers` and collect every expected shadow buffer without ever
-/// blocking on a peer that cannot answer — the communication phase of
-/// [`step_crash_aware`] and [`resync_shadows`], bounded or unbounded.
+/// blocking on a peer that cannot answer — the communication phase of a
+/// crash-aware [`step`] and of [`resync_shadows`], bounded or unbounded.
 /// Returns `(saw_death, saw_cut)`.
 fn exchange_crash_aware<D: mpisim::Wire + Clone>(
     rank: &Rank,
@@ -964,8 +940,12 @@ fn exchange_crash_aware<D: mpisim::Wire + Clone>(
 /// exchange round charged to the clock like any other. Crash-aware: a
 /// sender dying mid-repair is reported, not wedged on.
 ///
-/// Returns `(saw_death, saw_cut)` exactly like [`step_crash_aware`]'s
-/// communication phase.
+/// Returns `(saw_death, saw_cut)` like a crash-aware [`step`]'s
+/// communication phase, but *agreed*: the closing control exchange carries
+/// each rank's two observations and every rank gets their OR. Whether to
+/// roll back after a repair that met a death or a cut is then one decision,
+/// not one per rank — ranks that disagreed used to part ways here, some
+/// into the rollback's exchanges and some into the next round's receives.
 pub(crate) fn resync_shadows<D>(
     rank: &Rank,
     store: &mut NodeStore<D>,
@@ -1004,22 +984,25 @@ where
     }
     timers.add(Phase::CommunicationOverhead, rank.wtime() - t0);
 
-    let seen = exchange_crash_aware(rank, store, &buffers, timers, costs, frozen);
+    let (saw_death, saw_cut) = exchange_crash_aware(rank, store, &buffers, timers, costs, frozen);
     // A full pack just went out: every receiver's retained shadows are
     // current again, so delta packing may resume.
     store.needs_resync = false;
 
-    // Close the repair round with the same barrier a regular step ends
-    // with. Without it a fast rank may run ahead into the next iteration's
+    // Close the repair round like a regular step closes, at a barrier's
+    // cost. Without it a fast rank may run ahead into the next iteration's
     // exchange while a slow peer is still collecting repair frames — and
     // the bounded drain schedule keys in-flight frames by source rank, so
     // the run-ahead frame would overwrite the unconsumed repair frame and
     // deadlock the round (the exact hazard tests/runahead_repro.rs pins).
     drain_storage(rank, store, timers);
     let t0 = rank.wtime();
-    rank.barrier();
+    let verdict = rank.ctl_exchange(CtlSlot {
+        word: u64::from(saw_death) | u64::from(saw_cut) << 1,
+        ..CtlSlot::default()
+    });
     timers.add(Phase::Communicate, rank.wtime() - t0);
-    seen
+    (any_word_flags(&verdict, 1), any_word_flags(&verdict, 2))
 }
 
 #[cfg(test)]
@@ -1092,18 +1075,19 @@ mod tests {
                     let mut store = NodeStore::build(&graph, &partition, me, &program, buckets);
                     assert_unpack_matches_by_id(rank, &mut store, seed, "after build");
 
+                    let skewed = if me == 0 { 3.0 } else { 1.0 };
                     crate::migrate::balance_round(
                         rank,
                         &graph,
                         &mut store,
                         &mut ic2_balance::Diffusion { threshold: 0.1 },
-                        if me == 0 { 3.0 } else { 1.0 },
-                        4,
-                        crate::migrate::MigrantPolicy::MinCut,
+                        skewed,
+                        &crate::RunConfig::new(k, 0).with_migration_batch(4),
                         &vec![false; k],
-                        &CostModel::default(),
+                        None,
                         &mut PhaseTimers::default(),
-                    );
+                    )
+                    .expect("the thesis's protocol always completes");
                     assert_unpack_matches_by_id(rank, &mut store, seed, "after balance_round");
 
                     let rotated = store.owner.iter().map(|p| (p + 1) % k as u32).collect();
@@ -1229,7 +1213,7 @@ mod tests {
                 timers: &mut PhaseTimers::default(),
                 comp_time: &mut 0.0,
             };
-            step(&mut round, store, ExchangeMode::PostComm, false);
+            step(&mut round, store, ExchangeMode::PostComm, false, None);
         };
         world().run(1, |rank| {
             let build = || NodeStore::build(&graph, &partition, 0, &program, 4);

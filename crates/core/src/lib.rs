@@ -48,6 +48,7 @@ pub mod checkpoint;
 pub mod costs;
 pub mod directory;
 pub mod driver;
+mod engine;
 pub mod error;
 pub mod exchange;
 pub mod hashtab;

@@ -23,11 +23,13 @@
 
 use crate::checkpoint::has_new_crash;
 use crate::costs::CostModel;
+use crate::driver::RunConfig;
+use crate::error::invariant_violated;
 use crate::store::NodeStore;
 use crate::timers::{Phase, PhaseTimers};
 use ic2_balance::{DynamicBalancer, LoadReport};
 use ic2_graph::{Graph, NodeId};
-use mpisim::{ArgValue, CtlSlot, Rank, RetryPolicy};
+use mpisim::{ArgValue, CtlSlot, CtlVerdict, Rank, RetryPolicy};
 
 /// Message tag for migrated task data.
 pub const TAG_MIGRATE: u32 = 2;
@@ -61,22 +63,49 @@ pub enum MigrantPolicy {
     LoadAware,
 }
 
+/// One control exchange of the crash-tolerant protocol: `None` on a crash
+/// not in `known`.
+fn agreed(rank: &Rank, known: &[bool], slot: CtlSlot) -> Option<CtlVerdict> {
+    let verdict = rank.ctl_exchange(slot);
+    (!has_new_crash(&verdict, known)).then_some(verdict)
+}
+
 /// Execute one balancing round; returns what moved (and what was skipped).
 ///
-/// A round runs up to `batch` planning sub-rounds. The first sub-round is
-/// exactly the thesis's protocol: gather the runtime processor graph at the
-/// designated processor, plan busy → idle pairs, migrate one task per pair.
-/// Further sub-rounds implement the §7 extension ("a more rigorous
-/// algorithm ... would specify the number of tasks that should be
+/// A round runs up to `cfg.migration_batch` planning sub-rounds. The first
+/// sub-round is exactly the thesis's protocol: gather the runtime processor
+/// graph at the designated processor, plan busy → idle pairs, migrate one
+/// task per pair. Further sub-rounds implement the §7 extension ("a more
+/// rigorous algorithm ... would specify the number of tasks that should be
 /// migrated"): the measured times are re-estimated after each migration
 /// (per-node load = processor time / owned nodes) and the balancer re-plans
 /// against the updated processor graph, so a large imbalance drains over
-/// several tasks instead of one. `batch = 1` reproduces the thesis.
+/// several tasks instead of one. `migration_batch = 1` reproduces the
+/// thesis.
 ///
 /// `dead` marks ranks that have failed and been evacuated: they are never
 /// planned as busy or idle, and their (zero) measured times are masked with
 /// the surviving mean so a dead rank does not read as an attractive
 /// migration target.
+///
+/// `known_crashes` selects how the round agrees. `None` is the thesis's
+/// protocol: gathers and broadcasts rooted at the designated processor.
+/// `Some(crashed)` is the crash-tolerant protocol of the verdict plane —
+/// every collective becomes a failure-detecting control exchange and every
+/// planning input is replicated:
+///
+/// * execution times travel in the entry exchange's load slots;
+/// * communication edges come from [`comm_edges`] (no gather);
+/// * the plan is computed *locally on every rank* from those replicated
+///   inputs (the balancer itself is replicated state);
+/// * the busy processor announces its chosen migrant through a control
+///   word and commits delivery through a control flag.
+///
+/// If any exchange's verdict reports a crash not already in `crashed`, the
+/// round aborts with `None` and the caller rolls back to the last
+/// checkpoint — a half-executed round is exactly the kind of torn state
+/// rollback recovery exists to discard. The thesis's protocol always
+/// returns an outcome.
 #[allow(clippy::too_many_arguments)]
 pub fn balance_round<D, B>(
     rank: &Rank,
@@ -84,179 +113,241 @@ pub fn balance_round<D, B>(
     store: &mut NodeStore<D>,
     balancer: &mut B,
     comp_time: f64,
-    batch: u32,
-    policy: MigrantPolicy,
+    cfg: &RunConfig,
     dead: &[bool],
-    costs: &CostModel,
+    known_crashes: Option<&[bool]>,
     timers: &mut PhaseTimers,
-) -> BalanceOutcome
+) -> Option<BalanceOutcome>
 where
     D: Clone + mpisim::Wire + Send + 'static,
     B: DynamicBalancer,
 {
     let t0 = rank.wtime();
-    let nprocs = store.nprocs;
-    rank.advance(costs.lb_per_proc * nprocs as f64);
+    let result = (|| {
+        let nprocs = store.nprocs;
+        let me = rank.rank() as u32;
+        let costs = &cfg.costs;
+        rank.advance(costs.lb_per_proc * nprocs as f64);
 
-    // Measured execution times, replicated so every rank can update the
-    // estimates identically across sub-rounds. Dead ranks are masked with
-    // the surviving mean: the balancer sees them as perfectly average, so
-    // it neither drains them nor feeds them.
-    let mut times: Vec<f64> = rank.gather(0, &comp_time).unwrap_or_default();
-    rank.bcast(0, &mut times);
-    if dead.iter().any(|&d| d) {
-        let alive: Vec<f64> = times
-            .iter()
-            .zip(dead)
-            .filter(|&(_, &d)| !d)
-            .map(|(&t, _)| t)
-            .collect();
-        let mean = alive.iter().sum::<f64>() / alive.len().max(1) as f64;
-        for (t, &d) in times.iter_mut().zip(dead) {
-            if d {
-                *t = mean;
+        // Measured execution times, replicated so every rank can update the
+        // estimates identically across sub-rounds. Dead ranks are masked with
+        // the surviving mean: the balancer sees them as perfectly average, so
+        // it neither drains them nor feeds them.
+        let mut times: Vec<f64> = match known_crashes {
+            None => {
+                let mut times = rank.gather(0, &comp_time).unwrap_or_default();
+                rank.bcast(0, &mut times);
+                times
             }
-        }
-    }
-
-    let mut outcome = BalanceOutcome::default();
-    for _sub in 0..batch.max(1) {
-        // 1. Refresh the communication-volume edges (they change as tasks
-        //    move) and plan at the designated processor.
-        let my_counts: Vec<u64> = store.send_counts.iter().map(|&c| c as u64).collect();
-        let all_counts = rank.gather(0, &my_counts);
-        let mut plan: Vec<(u32, u32)> = Vec::new();
-        if let Some(counts) = all_counts {
-            let mut edges = vec![vec![0u64; nprocs]; nprocs];
-            for i in 0..nprocs {
-                for j in 0..nprocs {
-                    if i != j {
-                        edges[i][j] = counts[i][j] + counts[j][i];
-                    }
+            Some(known) => {
+                let slot = CtlSlot {
+                    load: comp_time,
+                    ..CtlSlot::default()
+                };
+                let verdict = agreed(rank, known, slot)?;
+                (0..nprocs)
+                    .map(|r| verdict.load(r).unwrap_or(0.0))
+                    .collect()
+            }
+        };
+        if dead.iter().any(|&d| d) {
+            let alive: Vec<f64> = times
+                .iter()
+                .zip(dead)
+                .filter(|&(_, &d)| !d)
+                .map(|(&t, _)| t)
+                .collect();
+            let mean = alive.iter().sum::<f64>() / alive.len().max(1) as f64;
+            for (t, &d) in times.iter_mut().zip(dead) {
+                if d {
+                    *t = mean;
                 }
             }
+        }
+        let mut plan_pairs = |times: &[f64], edges: Vec<Vec<u64>>| -> Vec<(u32, u32)> {
             let report = LoadReport {
-                times: times.clone(),
+                times: times.to_vec(),
                 edges,
             };
-            plan = balancer
-                .plan(&report)
-                .into_iter()
+            let pairs = balancer.plan(&report).into_iter();
+            pairs
                 .map(|p| (p.busy, p.idle))
                 .filter(|&(b, i)| !dead[b as usize] && !dead[i as usize])
-                .collect();
-        }
+                .collect()
+        };
 
-        // 2. Broadcast the plan; an empty plan ends the round.
-        rank.bcast(0, &mut plan);
-        if plan.is_empty() {
-            break;
-        }
-
-        // 3. Execute each pair. All ranks walk the plan in the same order,
-        //    so point-to-point traffic matches up; buffered sends make
-        //    multiple receives at one idle processor (Figure 10) safely
-        //    sequential.
-        let mut moved_this_sub = 0;
-        for &(busy, idle) in &plan {
-            let mut chosen: (u32, f64) = (NO_CANDIDATE, 0.0);
-            if rank.rank() as u32 == busy {
-                chosen = select_migrant(graph, store, busy, idle, policy, &times)
-                    .unwrap_or((NO_CANDIDATE, 0.0));
-            }
-            rank.bcast(busy as usize, &mut chosen);
-            let (migrating, moved_load) = chosen;
-            if migrating == NO_CANDIDATE {
-                continue;
-            }
-
-            let mut delivered = true;
-            if rank.rank() as u32 == busy {
-                // Ship the migrating node's neighbours' data: they become
-                // shadows on the idle processor, needed before its next
-                // iteration. (The idle processor already holds the
-                // migrating node's own data — it was a shadow there.)
-                let payload: Vec<(u32, D)> = graph
-                    .neighbors(migrating)
-                    .iter()
-                    .map(|&w| {
-                        let data = store
-                            .table
-                            .get(w)
-                            .unwrap_or_else(|| panic!("busy rank lacks data for neighbour {w}"))
-                            .clone();
-                        (w, data)
-                    })
-                    .collect();
-                rank.advance(costs.migrate_per_entry * payload.len() as f64);
-                // A lost payload degrades to skipping this pair rather
-                // than committing an ownership change the idle processor
-                // can never honour.
-                delivered =
-                    rank.send_reliable(idle as usize, TAG_MIGRATE, &payload, RetryPolicy::GiveUp);
-            }
-            // Commit protocol: every rank learns whether the payload made
-            // it before anyone touches the owner map, so the replicated
-            // state never diverges.
-            rank.bcast(busy as usize, &mut delivered);
-            if !delivered {
-                outcome.skipped += 1;
-                continue;
-            }
-            if rank.rank() as u32 == idle {
-                let payload: Vec<(u32, D)> = rank.recv(busy as usize, TAG_MIGRATE);
-                rank.advance(costs.migrate_per_entry * payload.len() as f64);
-                if store.audit.is_some() {
-                    rank.advance(costs.audit_per_entry * payload.len() as f64);
+        let mut outcome = BalanceOutcome::default();
+        for _sub in 0..cfg.migration_batch.max(1) {
+            // 1. Refresh the communication-volume edges (they change as tasks
+            //    move) and plan: at the designated processor, which broadcasts
+            //    the plan, or on every rank from replicated inputs.
+            let plan = match known_crashes {
+                None => {
+                    let my_counts: Vec<u64> = store.send_counts.iter().map(|&c| c as u64).collect();
+                    let mut plan = Vec::new();
+                    if let Some(counts) = rank.gather(0, &my_counts) {
+                        let mut edges = vec![vec![0u64; nprocs]; nprocs];
+                        for i in 0..nprocs {
+                            for j in 0..nprocs {
+                                if i != j {
+                                    edges[i][j] = counts[i][j] + counts[j][i];
+                                }
+                            }
+                        }
+                        plan = plan_pairs(&times, edges);
+                    }
+                    rank.bcast(0, &mut plan);
+                    plan
                 }
-                for (id, data) in payload {
-                    // Insert new shadows; refresh ones already held.
-                    store.audit_note(id, &data);
-                    store.table.insert(id, data);
-                }
-                debug_assert!(
-                    store.table.contains(migrating),
-                    "idle rank must already hold the migrating node's data as a shadow"
-                );
-            }
-
-            // Re-estimate the load shift on every rank identically: the
-            // migrated task carries its measured compute time (falling
-            // back to the busy processor's per-node average when nothing
-            // was measured yet).
-            let shift = if moved_load > 0.0 {
-                moved_load
-            } else {
-                let busy_count = store.owner.iter().filter(|&&p| p == busy).count().max(1);
-                times[busy as usize] / busy_count as f64
+                Some(_) => plan_pairs(&times, comm_edges(graph, &store.owner, nprocs)),
             };
-            times[busy as usize] -= shift;
-            times[idle as usize] += shift;
+            // 2. An empty plan ends the round.
+            if plan.is_empty() {
+                break;
+            }
 
-            // Every rank: change of ownership, then re-derive node lists,
-            // shadow_for sets and the buffer plan.
-            store.owner[migrating as usize] = idle;
-            store.rebuild_lists(graph);
-            rank.trace_instant(
-                "migration",
-                "balance",
-                &[
-                    ("node", ArgValue::U64(migrating as u64)),
-                    ("from", ArgValue::U64(busy as u64)),
-                    ("to", ArgValue::U64(idle as u64)),
-                ],
-            );
-            outcome.migrated += 1;
-            moved_this_sub += 1;
-        }
-        if moved_this_sub == 0 {
-            break;
-        }
-    }
+            // 3. Execute each pair. All ranks walk the plan in the same order,
+            //    so point-to-point traffic matches up; buffered sends make
+            //    multiple receives at one idle processor (Figure 10) safely
+            //    sequential.
+            let mut moved_this_sub = 0;
+            for &(busy, idle) in &plan {
+                let mut chosen: (u32, f64) = (NO_CANDIDATE, 0.0);
+                if me == busy {
+                    chosen = select_migrant(graph, store, busy, idle, cfg.migrant_policy, &times)
+                        .unwrap_or(chosen);
+                }
+                let (migrating, moved_load) = match known_crashes {
+                    None => {
+                        rank.bcast(busy as usize, &mut chosen);
+                        chosen
+                    }
+                    Some(known) => {
+                        let slot = CtlSlot {
+                            word: chosen.0 as u64,
+                            load: chosen.1,
+                            flag: false,
+                        };
+                        let verdict = agreed(rank, known, slot)?;
+                        let word = verdict.word(busy as usize)?;
+                        (word as u32, verdict.load(busy as usize).unwrap_or(0.0))
+                    }
+                };
+                if migrating == NO_CANDIDATE {
+                    continue;
+                }
 
+                let mut delivered = true;
+                if me == busy {
+                    // Ship the migrating node's neighbours' data: they become
+                    // shadows on the idle processor, needed before its next
+                    // iteration. (The idle processor already holds the
+                    // migrating node's own data — it was a shadow there.)
+                    let neighbours = graph.neighbors(migrating).iter();
+                    let payload: Vec<(u32, D)> = neighbours
+                        .map(|&w| match store.table.get(w) {
+                            Some(data) => (w, data.clone()),
+                            None => invariant_violated(
+                                me,
+                                format!(
+                                    "busy rank lacks data for neighbour {w} of migrant {migrating}"
+                                ),
+                            ),
+                        })
+                        .collect();
+                    rank.advance(costs.migrate_per_entry * payload.len() as f64);
+                    // A lost payload degrades to skipping this pair rather
+                    // than committing an ownership change the idle processor
+                    // can never honour.
+                    delivered = rank.send_reliable(
+                        idle as usize,
+                        TAG_MIGRATE,
+                        &payload,
+                        RetryPolicy::GiveUp,
+                    );
+                }
+                // Commit protocol: every rank learns whether the payload made
+                // it before anyone touches the owner map, so the replicated
+                // state never diverges.
+                let delivered = match known_crashes {
+                    None => {
+                        rank.bcast(busy as usize, &mut delivered);
+                        delivered
+                    }
+                    Some(known) => {
+                        let slot = CtlSlot {
+                            flag: delivered,
+                            ..CtlSlot::default()
+                        };
+                        let verdict = agreed(rank, known, slot)?;
+                        verdict.flag(busy as usize).unwrap_or(false)
+                    }
+                };
+                if !delivered {
+                    outcome.skipped += 1;
+                    continue;
+                }
+                if me == idle {
+                    // The payload was deposited before the commit resolved, so
+                    // neither receive can block; `Died` from the crash-aware one
+                    // means a crash slipped in and the round must abort.
+                    let payload: Vec<(u32, D)> = match known_crashes {
+                        None => rank.recv(busy as usize, TAG_MIGRATE),
+                        Some(_) => rank.try_recv(busy as usize, TAG_MIGRATE).ok()?,
+                    };
+                    rank.advance(costs.migrate_per_entry * payload.len() as f64);
+                    if store.audit.is_some() {
+                        rank.advance(costs.audit_per_entry * payload.len() as f64);
+                    }
+                    for (id, data) in payload {
+                        // Insert new shadows; refresh ones already held.
+                        store.audit_note(id, &data);
+                        store.table.insert(id, data);
+                    }
+                    debug_assert!(
+                        store.table.contains(migrating),
+                        "idle rank must already hold the migrating node's data as a shadow"
+                    );
+                }
+
+                // Re-estimate the load shift on every rank identically: the
+                // migrated task carries its measured compute time (falling
+                // back to the busy processor's per-node average when nothing
+                // was measured yet).
+                let shift = if moved_load > 0.0 {
+                    moved_load
+                } else {
+                    let busy_count = store.owner.iter().filter(|&&p| p == busy).count().max(1);
+                    times[busy as usize] / busy_count as f64
+                };
+                times[busy as usize] -= shift;
+                times[idle as usize] += shift;
+
+                // Every rank: change of ownership, then re-derive node lists,
+                // shadow_for sets and the buffer plan.
+                store.owner[migrating as usize] = idle;
+                store.rebuild_lists(graph);
+                rank.trace_instant(
+                    "migration",
+                    "balance",
+                    &[
+                        ("node", ArgValue::U64(migrating as u64)),
+                        ("from", ArgValue::U64(busy as u64)),
+                        ("to", ArgValue::U64(idle as u64)),
+                    ],
+                );
+                outcome.migrated += 1;
+                moved_this_sub += 1;
+            }
+            if moved_this_sub == 0 {
+                break;
+            }
+        }
+        Some(outcome)
+    })();
     timers.add(Phase::LoadBalancing, rank.wtime() - t0);
     rank.trace_span("LoadBalancing", "phase", t0, &[]);
-    outcome
+    result
 }
 
 /// Replicated evacuation plan for a failed rank: every node it owns is
@@ -328,9 +419,10 @@ pub fn plan_adoption(
 /// Symmetric communication-volume matrix derived *locally* from the
 /// replicated owner map: `edges[i][j]` counts the shadow entries exchanged
 /// between processors `i` and `j` each iteration (both directions).
-/// Equals the matrix [`balance_round`] gathers from per-rank
-/// `send_counts`, but needs no communication — crash-mode balancing uses
-/// it so the planning inputs stay replicated even while ranks are dying.
+/// Equals the matrix the thesis's [`balance_round`] protocol gathers from
+/// per-rank `send_counts`, but needs no communication — the crash-tolerant
+/// protocol uses it so the planning inputs stay replicated even while ranks
+/// are dying.
 pub fn comm_edges(graph: &Graph, owner: &[u32], nprocs: usize) -> Vec<Vec<u64>> {
     let mut counts = vec![vec![0u64; nprocs]; nprocs];
     for v in graph.nodes() {
@@ -353,203 +445,6 @@ pub fn comm_edges(graph: &Graph, owner: &[u32], nprocs: usize) -> Vec<Vec<u64>> 
         }
     }
     edges
-}
-
-/// Crash-tolerant balancing round. Protocol-equivalent to
-/// [`balance_round`], but every collective is replaced by a
-/// failure-detecting control-plane exchange and every planning input is
-/// replicated:
-///
-/// * execution times travel in the entry exchange's load slots;
-/// * communication edges come from [`comm_edges`] (no gather);
-/// * the plan is computed *locally on every rank* from those replicated
-///   inputs (the balancer itself is replicated state);
-/// * the busy processor announces its chosen migrant through a control
-///   word and commits delivery through a control flag.
-///
-/// If any exchange's verdict reports a crash not already in
-/// `known_crashes`, the round aborts with `Err(())` and the caller rolls
-/// back to the last checkpoint — a half-executed round is exactly the kind
-/// of torn state rollback recovery exists to discard.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn balance_round_crash<D, B>(
-    rank: &Rank,
-    graph: &Graph,
-    store: &mut NodeStore<D>,
-    balancer: &mut B,
-    comp_time: f64,
-    batch: u32,
-    policy: MigrantPolicy,
-    dead: &[bool],
-    known_crashes: &[bool],
-    costs: &CostModel,
-    timers: &mut PhaseTimers,
-) -> Result<BalanceOutcome, ()>
-where
-    D: Clone + mpisim::Wire + Send + 'static,
-    B: DynamicBalancer,
-{
-    let t0 = rank.wtime();
-    let nprocs = store.nprocs;
-    let me = rank.rank() as u32;
-    let result = (|| {
-        rank.advance(costs.lb_per_proc * nprocs as f64);
-
-        // Entry exchange doubles as the times allgather.
-        let verdict = rank.ctl_exchange(CtlSlot {
-            word: 0,
-            load: comp_time,
-            flag: false,
-        });
-        if has_new_crash(&verdict, known_crashes) {
-            return Err(());
-        }
-        let mut times: Vec<f64> = (0..nprocs)
-            .map(|r| verdict.load(r).unwrap_or(0.0))
-            .collect();
-        if dead.iter().any(|&d| d) {
-            let alive: Vec<f64> = times
-                .iter()
-                .zip(dead)
-                .filter(|&(_, &d)| !d)
-                .map(|(&t, _)| t)
-                .collect();
-            let mean = alive.iter().sum::<f64>() / alive.len().max(1) as f64;
-            for (t, &d) in times.iter_mut().zip(dead) {
-                if d {
-                    *t = mean;
-                }
-            }
-        }
-
-        let mut outcome = BalanceOutcome::default();
-        for _sub in 0..batch.max(1) {
-            let report = LoadReport {
-                times: times.clone(),
-                edges: comm_edges(graph, &store.owner, nprocs),
-            };
-            let plan: Vec<(u32, u32)> = balancer
-                .plan(&report)
-                .into_iter()
-                .map(|p| (p.busy, p.idle))
-                .filter(|&(b, i)| !dead[b as usize] && !dead[i as usize])
-                .collect();
-            if plan.is_empty() {
-                break;
-            }
-
-            let mut moved_this_sub = 0;
-            for &(busy, idle) in &plan {
-                let mut chosen: (u32, f64) = (NO_CANDIDATE, 0.0);
-                if me == busy {
-                    chosen = select_migrant(graph, store, busy, idle, policy, &times)
-                        .unwrap_or((NO_CANDIDATE, 0.0));
-                }
-                let verdict = rank.ctl_exchange(CtlSlot {
-                    word: chosen.0 as u64,
-                    load: chosen.1,
-                    flag: false,
-                });
-                if has_new_crash(&verdict, known_crashes) {
-                    return Err(());
-                }
-                let migrating = match verdict.word(busy as usize) {
-                    Some(w) => w as u32,
-                    None => return Err(()),
-                };
-                let moved_load = verdict.load(busy as usize).unwrap_or(0.0);
-                if migrating == NO_CANDIDATE {
-                    continue;
-                }
-
-                let mut delivered = true;
-                if me == busy {
-                    let payload: Vec<(u32, D)> = graph
-                        .neighbors(migrating)
-                        .iter()
-                        .map(|&w| {
-                            let data = store
-                                .table
-                                .get(w)
-                                .unwrap_or_else(|| panic!("busy rank lacks data for neighbour {w}"))
-                                .clone();
-                            (w, data)
-                        })
-                        .collect();
-                    rank.advance(costs.migrate_per_entry * payload.len() as f64);
-                    delivered = rank.send_reliable(
-                        idle as usize,
-                        TAG_MIGRATE,
-                        &payload,
-                        RetryPolicy::GiveUp,
-                    );
-                }
-                // Commit: the busy processor's flag says whether the
-                // payload made it, agreed by everyone before the owner map
-                // changes.
-                let verdict = rank.ctl_exchange(CtlSlot {
-                    word: 0,
-                    load: 0.0,
-                    flag: delivered,
-                });
-                if has_new_crash(&verdict, known_crashes) {
-                    return Err(());
-                }
-                if !verdict.flag(busy as usize).unwrap_or(false) {
-                    outcome.skipped += 1;
-                    continue;
-                }
-                if me == idle {
-                    // The payload was deposited before the commit exchange
-                    // resolved, so this receive cannot block; `Died` here
-                    // means a crash slipped in and the round must abort.
-                    match rank.try_recv::<Vec<(u32, D)>>(busy as usize, TAG_MIGRATE) {
-                        Ok(payload) => {
-                            rank.advance(costs.migrate_per_entry * payload.len() as f64);
-                            if store.audit.is_some() {
-                                rank.advance(costs.audit_per_entry * payload.len() as f64);
-                            }
-                            for (id, data) in payload {
-                                store.audit_note(id, &data);
-                                store.table.insert(id, data);
-                            }
-                        }
-                        Err(_) => return Err(()),
-                    }
-                }
-
-                let shift = if moved_load > 0.0 {
-                    moved_load
-                } else {
-                    let busy_count = store.owner.iter().filter(|&&p| p == busy).count().max(1);
-                    times[busy as usize] / busy_count as f64
-                };
-                times[busy as usize] -= shift;
-                times[idle as usize] += shift;
-
-                store.owner[migrating as usize] = idle;
-                store.rebuild_lists(graph);
-                rank.trace_instant(
-                    "migration",
-                    "balance",
-                    &[
-                        ("node", ArgValue::U64(migrating as u64)),
-                        ("from", ArgValue::U64(busy as u64)),
-                        ("to", ArgValue::U64(idle as u64)),
-                    ],
-                );
-                outcome.migrated += 1;
-                moved_this_sub += 1;
-            }
-            if moved_this_sub == 0 {
-                break;
-            }
-        }
-        Ok(outcome)
-    })();
-    timers.add(Phase::LoadBalancing, rank.wtime() - t0);
-    rank.trace_span("LoadBalancing", "phase", t0, &[]);
-    result
 }
 
 /// Evacuate every task off `dead_rank` onto survivors. Called

@@ -160,14 +160,14 @@ fn slots_name_the_entries_ids_find_after_migration() {
                 &mut store,
                 &mut Diffusion { threshold: 0.1 },
                 comp_time,
-                4,
-                MigrantPolicy::MinCut,
+                &RunConfig::new(2, 0).with_migration_batch(4),
                 &[false, false],
-                &CostModel::default(),
+                None,
                 &mut PhaseTimers::default(),
             );
             assert_slots_match_ids(&store, &graph, "after balance_round");
-            out.migrated
+            out.expect("the thesis's protocol always completes")
+                .migrated
         });
         assert!(migrated[0] > 0, "{buckets} buckets: nothing migrated");
         assert_eq!(migrated[0], migrated[1]);
@@ -196,7 +196,7 @@ fn step_after(tamper: impl Fn(&mut NodeStore<i64>, &Graph) + Sync) -> Result<(),
                 timers: &mut PhaseTimers::default(),
                 comp_time: &mut 0.0,
             };
-            exchange::step(&mut round, &mut store, ExchangeMode::PostComm, false);
+            exchange::step(&mut round, &mut store, ExchangeMode::PostComm, false, None);
         });
     })
 }

@@ -15,7 +15,7 @@
 
 use ic2mpi::prelude::*;
 use ic2mpi::seq;
-use mpisim::{FaultPlan, NetModel};
+use mpisim::{FaultPlan, MemRegion, NetModel};
 use std::time::Duration;
 
 fn world(plan: FaultPlan) -> mpisim::Config {
@@ -369,22 +369,19 @@ fn hybrid_composes_with_out_of_core_paging() {
 
 #[test]
 fn hybrid_composes_with_memory_rot_and_audits() {
-    // At-rest corruption sweeps run on every round (inner included, with a
-    // monotonic epoch), while audits and their repairs only fire at global
-    // rounds. An audit cadence of 2 forces every even round global, so
-    // elision still engages on the odd rounds.
+    // Live-region rot under a sparse audit is refused, hybrid or not: an
+    // un-audited inner round reads the flipped value and writes a
+    // self-consistent wrong one (this configuration used to return node 63
+    // = 80 against the oracle's 64). What hybrid does compose with at any
+    // audit cadence is rot *at rest*: checkpoint replicas are verified by
+    // their own checksums when a rollback consults them. An audit cadence
+    // of 2 forces every even round global, so elision still engages on the
+    // odd rounds.
     let graph = ic2_graph::generators::hex_grid_n(64);
     let program = ChurnProgram { churn_pct: 10 };
     let nprocs = 8;
     let iterations = 12u32;
     let oracle = seq::run_sequential(&graph, &program, iterations);
-    let plan = || {
-        let mut pl = FaultPlan::new(chaos_seed(71));
-        for r in 0..nprocs {
-            pl = pl.with_memory_corrupt(r, 0.01);
-        }
-        pl
-    };
     let cfg = |pl| {
         RunConfig::new(nprocs, iterations)
             .with_hybrid(3)
@@ -394,6 +391,37 @@ fn hybrid_composes_with_memory_rot_and_audits() {
             .with_world(world(pl))
             .with_validation()
     };
+    let everywhere = |region| {
+        (0..nprocs).fold(FaultPlan::new(chaos_seed(71)), |pl, r| match region {
+            Some(region) => pl.with_memory_corrupt_in(r, region, 0.01),
+            None => pl.with_memory_corrupt(r, 0.01),
+        })
+    };
+    for live in [None, Some(MemRegion::Owned), Some(MemRegion::Shadow)] {
+        let refused = try_run(
+            &graph,
+            &program,
+            &Metis::default(),
+            || NoBalancer,
+            &cfg(everywhere(live)),
+        );
+        assert_eq!(
+            refused.map(|r| r.final_data),
+            Err(PlatformError::LiveRotNeedsAuditEveryIteration {
+                audit_every: Some(2)
+            }),
+            "rot in {live:?}"
+        );
+    }
+
+    let clean = run(
+        &graph,
+        &program,
+        &Metis::default(),
+        || NoBalancer,
+        &cfg(FaultPlan::new(1)),
+    );
+    let plan = || everywhere(Some(MemRegion::Replica)).with_crash(5, clean.total_time * 0.6);
     let a = run(
         &graph,
         &program,
@@ -403,7 +431,8 @@ fn hybrid_composes_with_memory_rot_and_audits() {
     );
     assert_eq!(a.final_data, oracle, "audited hybrid run must stay exact");
     assert!(a.memory_corruptions > 0, "bits must actually flip: {a:?}");
-    assert!(a.repairs > 0, "detection must trigger repair: {a:?}");
+    assert!(a.bad_replicas > 0, "the census must catch them: {a:?}");
+    assert!(a.rollbacks >= 1, "the crash must consult the replicas");
     assert!(
         a.inner_iterations > 0,
         "odd rounds stay elidable under audit_every = 2: {a:?}"
@@ -416,6 +445,7 @@ fn hybrid_composes_with_memory_rot_and_audits() {
         &cfg(plan()),
     );
     assert_eq!(a.final_data, b.final_data);
+    assert_eq!(a.bad_replicas, b.bad_replicas);
     assert_eq!(a.total_time.to_bits(), b.total_time.to_bits());
 }
 

@@ -423,3 +423,145 @@ fn partition_blip_rolls_back_without_rejoin() {
     assert_eq!(a.rejoins, b.rejoins);
     assert_eq!(a.total_time.to_bits(), b.total_time.to_bits());
 }
+
+/// 64-node hex grid, 8 ranks, 14 iterations of `AvgProgram::fine`, Metis,
+/// no balancer, under `cfg`.
+fn hex64(cfg: &RunConfig) -> RunReport<i64> {
+    let graph = ic2_graph::generators::hex_grid_n(64);
+    run(
+        &graph,
+        &AvgProgram::fine(),
+        &Metis::default(),
+        || NoBalancer,
+        cfg,
+    )
+}
+
+/// [`hex64`] twice under `cfg(plan())`: oracle-exact, and the rerun equal to
+/// the bit in data, fault counters and `total_time`.
+fn exact_and_repeatable(
+    cfg: impl Fn(FaultPlan) -> RunConfig,
+    plan: impl Fn() -> FaultPlan,
+) -> RunReport<i64> {
+    let graph = ic2_graph::generators::hex_grid_n(64);
+    let (a, b) = (hex64(&cfg(plan())), hex64(&cfg(plan())));
+    let oracle = seq::run_sequential(&graph, &AvgProgram::fine(), cfg(plan()).iterations);
+    assert_eq!(a.final_data, oracle, "must equal the sequential oracle");
+    assert_eq!(a.final_data, b.final_data);
+    assert_eq!(a.faults, b.faults);
+    assert_eq!(a.page_faults, b.page_faults);
+    assert_eq!(a.total_time.to_bits(), b.total_time.to_bits());
+    a
+}
+
+/// Partition-tolerant, checkpoint every 3, validated.
+fn tolerant(plan: FaultPlan) -> RunConfig {
+    RunConfig::new(8, 14)
+        .with_checkpointing(3)
+        .with_partition_tolerance()
+        .with_world(world(plan))
+        .with_validation()
+}
+
+fn minority_cut(plan: FaultPlan, from: f64, until: f64) -> FaultPlan {
+    plan.with_partition(vec![vec![0, 1, 2, 3, 4, 5], vec![6, 7]], from, until)
+        .with_detect_timeout(5e-4)
+}
+
+/// When rank 0's first `phase` span of a traced run begins.
+fn first_span(report: &RunReport<i64>, phase: &str) -> f64 {
+    let events = &report.trace.as_deref().expect("tracing is on")[0].1;
+    let start = events.iter().find_map(|e| match e {
+        ic2mpi::TraceEvent::Span { name, start, .. } if *name == phase => Some(*start),
+        _ => None,
+    });
+    start.unwrap_or_else(|| panic!("no {phase} span on rank 0"))
+}
+
+#[test]
+fn partition_composes_with_out_of_core_paging() {
+    // Partition tolerance used to pick a driver that never installed a
+    // pager, so `with_paging` was silently ignored next to it. In the one
+    // engine the layers compose: the minority parks with most of its table
+    // on disk, the majority iterates degraded through the buffer pool, the
+    // heal restores and re-points every pager, and checkpoints taken while
+    // healthy are page-diff images.
+    let paged = |plan| {
+        tolerant(plan)
+            .with_hash_buckets(16)
+            .with_paging(4, EvictionPolicy::Sieve)
+    };
+    let clean = hex64(&paged(FaultPlan::new(1))).total_time;
+    let plan = || minority_cut(FaultPlan::new(chaos_seed(97)), clean * 0.4, clean * 0.7);
+    let a = exact_and_repeatable(paged, plan);
+    assert!(a.page_faults > 0 && a.pages_evicted > 0, "budget must bind");
+    assert!(a.rejoins >= 1, "the minority must rejoin");
+    assert!(a.degraded_iterations > 0);
+}
+
+#[test]
+fn partition_opening_inside_a_checkpoint_aborts_it_on_every_rank() {
+    // The cut opens at the instant the first checkpoint's staging begins
+    // (every clock was just synchronised by the boundary verdict, which
+    // resolved a moment earlier and so suspects nobody). Mirrors crossing
+    // the cut are lost, so with replication 3 ranks 0, 1, 2, 6 and 7 miss a
+    // ward while 3, 4 and 5 stage completely. The commit must still be one
+    // decision: if the second group committed alone, the two groups would
+    // hold different checkpoints and the heal would roll them back to
+    // different iterations.
+    let cfg = |plan| tolerant(plan).with_replication(3);
+    let seed = || FaultPlan::new(chaos_seed(101));
+    let healthy = hex64(&cfg(seed()).with_tracing());
+    let staging_begins = first_span(&healthy, "Checkpoint");
+    let window = healthy.total_time * 0.3;
+    let plan = || minority_cut(seed(), staging_begins, staging_begins + window);
+    let a = exact_and_repeatable(cfg, plan);
+    assert!(a.faults.partition_cuts > 0, "mirrors must hit the cut");
+    assert!(a.rejoins >= 1, "the minority must rejoin");
+}
+
+#[test]
+fn partition_opening_inside_a_rollback_is_handed_to_the_membership_layer() {
+    // Rank 2 crashes; the cut opens at the instant the survivors begin to
+    // roll back. Restoring and re-mirroring across the open cut cannot
+    // complete, and retrying until the window closes would absorb the whole
+    // partition inside the rollback — no degraded stretch, no rejoin, the
+    // membership layer never told. The rollback hands the suspecting
+    // verdict back instead: the run goes degraded on the checkpoint it
+    // still has, and the heal's rollback adopts the crashed rank's nodes.
+    let cfg = |plan| tolerant(plan).with_replication(3);
+    let crash_at = hex64(&cfg(FaultPlan::new(1))).total_time * 0.45;
+    let crash = || FaultPlan::new(chaos_seed(103)).with_crash(2, crash_at);
+    let crashed = hex64(&cfg(crash()).with_tracing());
+    assert_eq!(crashed.rejoins, 0);
+    let rollback_begins = first_span(&crashed, "Recovery");
+    let window = crashed.total_time * 0.3;
+    let plan = || minority_cut(crash(), rollback_begins, rollback_begins + window);
+    let a = exact_and_repeatable(cfg, plan);
+    assert_eq!(a.ranks_died, vec![2]);
+    assert!(a.degraded_iterations > 0, "the partition must be seen");
+    assert!(a.rejoins >= 1, "the minority must rejoin");
+}
+
+#[test]
+fn partition_blip_inside_a_restore_restarts_the_attempt_on_every_rank() {
+    // Rank 6 crashes; its buddy 7 must ship the adopted nodes to survivors
+    // across a cut that opens as the rollback begins and closes again before
+    // the attempt's closing verdict resolves (one detection timeout later),
+    // so nobody is suspected. Only the adopters behind the cut saw their
+    // restore fail. They must not be the only ones to go around again: the
+    // others would re-mirror against ranks that are back at the census.
+    let crash_at = hex64(&tolerant(FaultPlan::new(1))).total_time * 0.45;
+    let crash = || {
+        FaultPlan::new(chaos_seed(107))
+            .with_crash(6, crash_at)
+            .with_detect_timeout(5e-4)
+    };
+    let crashed = hex64(&tolerant(crash()).with_tracing());
+    let rollback_begins = first_span(&crashed, "Recovery");
+    let plan = || minority_cut(crash(), rollback_begins, rollback_begins + 2e-4);
+    let a = exact_and_repeatable(tolerant, plan);
+    assert_eq!(a.ranks_died, vec![6]);
+    assert!(a.faults.partition_cuts > 0, "the shipment must hit the cut");
+    assert_eq!(a.rejoins, 0, "a blip suspects nobody");
+}
