@@ -7,7 +7,9 @@ use crate::request::{RecvRequest, SendRequest};
 use crate::stats::{CommStats, InvalidRank};
 use crate::trace::{ArgValue, Args, TraceEvent};
 use crate::wire::{frame_checksum, Wire};
-use crate::world::{BlockedOp, Config, CtlSlot, CtlVerdict, FlowDeadlock, RankCrashed, Shared};
+use crate::world::{
+    BlockedOp, Config, CtlSlot, CtlVerdict, FlowDeadlock, RankCrashed, Resolved, Shared,
+};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -81,8 +83,9 @@ enum CreditMode {
 /// false positives.
 const FLOW_DEADLOCK_CONFIRM: u32 = 5;
 
-/// How long a credit-stalled sender parks between retries.
-const FLOW_SLICE: Duration = Duration::from_millis(50);
+/// How long a blocked rank sleeps between looks at the world's poison flag
+/// (and, credit-stalled, at the flow-control deadlock detector).
+const SLICE: Duration = Duration::from_millis(50);
 
 /// One rank's endpoint into the simulated world — the analogue of an
 /// `MPI_Comm` plus the rank's identity.
@@ -251,11 +254,11 @@ impl Rank {
     /// barrier — once every in-flight delivery has landed — so
     /// `stale_discarded`/`corruptions_detected` reach the same totals
     /// regardless of how host threads interleaved (see
-    /// [`Mailbox::reconcile`]). Deliberately not folded into
+    /// [`crate::mailbox::Mailbox::scavenge`]). Deliberately not folded into
     /// [`Rank::stats`], which is also sampled mid-run and must never
     /// mutate the mailbox.
     pub fn reconcile_faults(&self) {
-        self.shared.mailboxes[self.id].reconcile();
+        self.shared.mailboxes[self.id].scavenge();
     }
 
     /// Snapshot of this rank's communication counters, including
@@ -545,15 +548,9 @@ impl Rank {
             }
             if Instant::now() >= deadline {
                 self.shared.clear_credit_wait(self.id);
-                panic!(
-                    "rank {}: send to rank {dest} starved waiting for a mailbox credit \
-                     for {:?}; world state:\n{}",
-                    self.id,
-                    self.shared.cfg.watchdog,
-                    self.shared.deadlock_report()
-                );
+                self.deadlock_panic(&format!("send to rank {dest}, awaiting a mailbox credit,"));
             }
-            self.shared.mailboxes[dest].wait_change(FLOW_SLICE);
+            self.shared.mailboxes[dest].wait_change(SLICE);
         }
         self.shared.set_blocked(self.id, None);
         true
@@ -616,86 +613,26 @@ impl Rank {
             tag: tag as i64,
         };
         let ordered = self.msg_faults && pattern.tag >= 0;
-        self.shared.set_blocked(
-            self.id,
-            Some(BlockedOp {
-                what: "try_recv",
-                src: pattern.src,
-                tag: Some(pattern.tag),
-                vtime: self.clock.get(),
-            }),
-        );
-        let deadline = Instant::now() + self.shared.cfg.watchdog;
-        let env = loop {
-            self.check_poison();
-            // Read the dead flag *before* the mailbox check: deliveries
-            // happen-before the flag is set, so flag-then-empty is a
-            // definitive "never coming".
-            let dead = self.shared.is_dead(src);
-            let slice =
-                Duration::from_millis(5).min(deadline.saturating_duration_since(Instant::now()));
-            if let Some(env) = self.shared.mailboxes[self.id].recv(pattern, slice, ordered) {
-                break env;
-            }
-            if dead {
-                self.shared.set_blocked(self.id, None);
-                if let TimingMode::Virtual(_) = self.shared.cfg.timing {
-                    self.clock
-                        .set(self.clock.get() + self.shared.cfg.faults.detect_timeout);
-                }
-                self.stats.borrow_mut().faults.crash_timeouts += 1;
-                self.trace_instant(
-                    "crash_timeout",
-                    "fault",
-                    &[("peer", ArgValue::U64(src as u64))],
-                );
-                return Err(Died(src));
-            }
-            if Instant::now() >= deadline {
-                panic!(
-                    "rank {}: crash-aware receive matching {:?} timed out after {:?} \
-                     (likely deadlock); world state:\n{}",
-                    self.id,
-                    pattern,
-                    self.shared.cfg.watchdog,
-                    self.shared.deadlock_report()
-                );
-            }
-        };
-        self.shared.set_blocked(self.id, None);
+        // The dead flag is read *before* each look at the mailbox (see
+        // [`Mailbox::recv_or`]): deliveries happen-before the flag is set,
+        // so flag-then-empty is a definitive "never coming" — and the
+        // dying rank pokes every mailbox, so a parked receiver looks again.
+        let died = || self.shared.is_dead(src).then_some(Died(src));
+        let mailbox = &self.shared.mailboxes[self.id];
+        let got = self.block_on(self.blocked_in("try_recv", Some(pattern)), true, |park| {
+            mailbox.recv_or(pattern, park, ordered, true, died)
+        });
+        let env = got.inspect_err(|_| self.detect_timeout(false, Some(src)))?;
         if env.cut {
             // A partition tombstone: the peer is alive but unreachable.
             // Pay the same detection cost as a crash timeout — the caller
             // waited a full `detect_timeout` before concluding the message
             // is not coming — and report the peer exactly as a death; the
             // membership layer disambiguates via the ctl verdict.
-            if let TimingMode::Virtual(_) = self.shared.cfg.timing {
-                self.clock
-                    .set(self.clock.get() + self.shared.cfg.faults.detect_timeout);
-            }
-            self.stats.borrow_mut().faults.partition_timeouts += 1;
-            self.trace_instant(
-                "partition_timeout",
-                "fault",
-                &[("peer", ArgValue::U64(env.src as u64))],
-            );
+            self.detect_timeout(true, Some(env.src));
             return Err(Died(env.src));
         }
-        if let TimingMode::Virtual(net) = self.shared.cfg.timing {
-            let clock = self.clock.get().max(env.arrival) + net.recv_overhead;
-            self.clock.set(clock);
-        }
-        self.stats.borrow_mut().on_recv(env.bytes.len());
-        let value = T::from_bytes(&env.bytes).unwrap_or_else(|e| {
-            panic!(
-                "rank {}: message from rank {} tag {} failed to decode as {}: {e}",
-                self.id,
-                env.src,
-                env.tag,
-                std::any::type_name::<T>()
-            )
-        });
-        Ok(value)
+        Ok(self.absorb(env))
     }
 
     /// Discard every message currently queued in this rank's own mailbox.
@@ -722,7 +659,7 @@ impl Rank {
             tag: tag as i64,
         };
         let ordered = self.msg_faults && pat.tag >= 0;
-        self.shared.mailboxes[self.id].recv(pat, Duration::ZERO, ordered)
+        self.shared.mailboxes[self.id].take(pat, ordered, true)
     }
 
     /// Account for and decode an envelope previously taken with
@@ -760,12 +697,7 @@ impl Rank {
     /// died. Interleaved schedules call this once per dead peer, in
     /// canonical order, to stay bit-compatible with the blocking path.
     pub fn charge_crash_timeout(&self) {
-        if let TimingMode::Virtual(_) = self.shared.cfg.timing {
-            self.clock
-                .set(self.clock.get() + self.shared.cfg.faults.detect_timeout);
-        }
-        self.stats.borrow_mut().faults.crash_timeouts += 1;
-        self.trace_instant("crash_timeout", "fault", &[]);
+        self.detect_timeout(false, None);
     }
 
     /// Charge the fault plan's `detect_timeout` and count one partition
@@ -774,12 +706,29 @@ impl Rank {
     /// peer (and once per parked round), in canonical order, so degraded
     /// iterations advance the virtual clock identically on every rank.
     pub fn charge_partition_timeout(&self) {
+        self.detect_timeout(true, None);
+    }
+
+    /// Pay `detect_timeout` for concluding that a message is not coming,
+    /// count it as a partition or a crash timeout, and trace it (naming
+    /// the peer where the caller gave up on one receive).
+    fn detect_timeout(&self, partition: bool, peer: Option<usize>) {
         if let TimingMode::Virtual(_) = self.shared.cfg.timing {
             self.clock
                 .set(self.clock.get() + self.shared.cfg.faults.detect_timeout);
         }
-        self.stats.borrow_mut().faults.partition_timeouts += 1;
-        self.trace_instant("partition_timeout", "fault", &[]);
+        let name = {
+            let faults = &mut self.stats.borrow_mut().faults;
+            if partition {
+                faults.partition_timeouts += 1;
+                "partition_timeout"
+            } else {
+                faults.crash_timeouts += 1;
+                "crash_timeout"
+            }
+        };
+        let peer = peer.map(|p| ("peer", ArgValue::U64(p as u64)));
+        self.trace_instant(name, "fault", peer.as_slice());
     }
 
     /// Mark this rank as parked (a partition minority waiting for the heal)
@@ -821,28 +770,7 @@ impl Rank {
     /// mode every clock is synchronised to the maximum plus the model's
     /// barrier cost.
     pub fn barrier(&self) {
-        self.maybe_crash();
-        let entered = self.wtime();
-        self.stats.borrow_mut().barriers += 1;
-        self.shared.set_blocked(
-            self.id,
-            Some(BlockedOp {
-                what: "barrier",
-                src: None,
-                tag: None,
-                vtime: self.clock.get(),
-            }),
-        );
-        let synced = self.shared.barrier.wait(self.n, self.clock.get(), || {
-            self.check_poison();
-        });
-        self.shared.set_blocked(self.id, None);
-        if let TimingMode::Virtual(net) = self.shared.cfg.timing {
-            self.clock.set(synced + net.barrier_cost);
-        }
-        // The span's width is this rank's wait for the slowest peer — the
-        // per-iteration imbalance signal, directly visible in Perfetto.
-        self.trace_span("barrier", "sync", entered, &[]);
+        self.sync("barrier", None);
     }
 
     /// Control-plane exchange with failure detection: a barrier that also
@@ -857,30 +785,29 @@ impl Rank {
     /// this is the agreement property crash recovery builds on. Costs one
     /// barrier in virtual time.
     pub fn ctl_exchange(&self, slot: CtlSlot) -> CtlVerdict {
+        self.sync("ctl_exchange", Some(slot)).verdict.clone()
+    }
+
+    /// Both of the above: enter the shared barrier's current generation
+    /// and wait for it to resolve. No watchdog: a slow peer is not a
+    /// deadlock, and a stuck one trips the watchdog of whatever it is
+    /// stuck in, which poisons the world and releases this wait.
+    fn sync(&self, what: &'static str, slot: Option<CtlSlot>) -> Arc<Resolved> {
         self.maybe_crash();
         let entered = self.wtime();
         self.stats.borrow_mut().barriers += 1;
-        self.shared.set_blocked(
-            self.id,
-            Some(BlockedOp {
-                what: "ctl_exchange",
-                src: None,
-                tag: None,
-                vtime: self.clock.get(),
-            }),
-        );
-        let (synced, verdict) =
-            self.shared
-                .barrier
-                .wait_ctl(self.n, self.id, self.clock.get(), slot, || {
-                    self.check_poison();
-                });
-        self.shared.set_blocked(self.id, None);
+        let barrier = &self.shared.barrier;
+        let gen = barrier.arrive(self.n, slot.map(|s| (self.id, s)), self.clock.get());
+        let resolved = self.block_on(self.blocked_in(what, None), false, |park| {
+            barrier.resolved(gen, park)
+        });
         if let TimingMode::Virtual(net) = self.shared.cfg.timing {
-            self.clock.set(synced + net.barrier_cost);
+            self.clock.set(resolved.clock + net.barrier_cost);
         }
-        self.trace_span("ctl_exchange", "sync", entered, &[]);
-        verdict
+        // The span's width is this rank's wait for the slowest peer — the
+        // per-iteration imbalance signal, directly visible in Perfetto.
+        self.trace_span(what, "sync", entered, &[]);
+        resolved
     }
 
     /// Broadcast `value` from `root` to every rank (`MPI_Bcast`),
@@ -1310,43 +1237,16 @@ impl Rank {
         // Under message faults, user-tag receives go through the ordered
         // path: lowest sequence number first, duplicates discarded.
         let ordered = self.msg_faults && pattern.tag >= 0;
-        self.shared.set_blocked(
-            self.id,
-            Some(BlockedOp {
-                what: "recv",
-                src: pattern.src,
-                tag: Some(pattern.tag),
-                vtime: self.clock.get(),
-            }),
-        );
-        let deadline = Instant::now() + self.shared.cfg.watchdog;
-        let env = loop {
-            self.check_poison();
-            let slice =
-                Duration::from_millis(50).min(deadline.saturating_duration_since(Instant::now()));
-            // Plain blocking receives never consume partition tombstones:
-            // a program that does not understand partitions should wedge
-            // (and get a watchdog report naming the suspected peer) rather
-            // than decode a payload-less frame. Partition-aware code uses
-            // `try_recv`, which accepts tombstones and converts them into
-            // a detection timeout.
-            if let Some(env) =
-                self.shared.mailboxes[self.id].recv_where(pattern, slice, ordered, false)
-            {
-                break env;
-            }
-            if Instant::now() >= deadline {
-                panic!(
-                    "rank {}: receive matching {:?} timed out after {:?} (likely deadlock); \
-                     world state:\n{}",
-                    self.id,
-                    pattern,
-                    self.shared.cfg.watchdog,
-                    self.shared.deadlock_report()
-                );
-            }
-        };
-        self.shared.set_blocked(self.id, None);
+        // Plain blocking receives never consume partition tombstones: a
+        // program that does not understand partitions should wedge (and
+        // get a watchdog report naming the suspected peer) rather than
+        // decode a payload-less frame. Partition-aware code uses
+        // `try_recv`, which accepts tombstones and converts them into a
+        // detection timeout.
+        let mailbox = &self.shared.mailboxes[self.id];
+        let env = self.block_on(self.blocked_in("recv", Some(pattern)), true, |park| {
+            mailbox.recv_where(pattern, park, ordered, false)
+        });
         if let TimingMode::Virtual(net) = self.shared.cfg.timing {
             let clock = self.clock.get().max(env.arrival) + net.recv_overhead;
             self.clock.set(clock);
@@ -1370,7 +1270,52 @@ impl Rank {
     }
 
     pub(crate) fn probe_pattern(&self, pattern: Pattern) -> bool {
-        self.shared.mailboxes[self.id].probe(pattern)
+        let ordered = self.msg_faults && pattern.tag >= 0;
+        self.shared.mailboxes[self.id].probe(pattern, ordered, false)
+    }
+
+    /// The [`BlockedOp`] of an operation starting now.
+    fn blocked_in(&self, what: &'static str, pattern: Option<Pattern>) -> BlockedOp {
+        BlockedOp {
+            what,
+            src: pattern.and_then(|p| p.src),
+            tag: pattern.map(|p| p.tag),
+            vtime: self.clock.get(),
+        }
+    }
+
+    /// The blocking engine under every receive and barrier: call
+    /// `attempt(park)` — a [`crate::gate::Gate::wait`] allowed to sleep for
+    /// `park` — until it returns a value. The first call may yield but not
+    /// sleep, and usually succeeds; only a rank that is about to sleep
+    /// publishes `op` for the deadlock report, starts the watchdog clock
+    /// (if `watchdog`) and settles into 50 ms poison-polling slices.
+    fn block_on<R>(
+        &self,
+        op: BlockedOp,
+        watchdog: bool,
+        mut attempt: impl FnMut(Duration) -> Option<R>,
+    ) -> R {
+        if let Some(r) = attempt(Duration::ZERO) {
+            return r;
+        }
+        self.shared.set_blocked(self.id, Some(op));
+        let deadline = watchdog.then(|| Instant::now() + self.shared.cfg.watchdog);
+        let r = loop {
+            self.check_poison();
+            let left = deadline.map_or(SLICE, |d| d.saturating_duration_since(Instant::now()));
+            if left.is_zero() {
+                self.deadlock_panic(&format!(
+                    "{} from {:?} with tag {:?}",
+                    op.what, op.src, op.tag
+                ));
+            }
+            if let Some(r) = attempt(left.min(SLICE)) {
+                break r;
+            }
+        };
+        self.shared.set_blocked(self.id, None);
+        r
     }
 
     fn check_poison(&self) {

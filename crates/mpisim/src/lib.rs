@@ -42,6 +42,7 @@
 pub mod comm;
 pub mod disk;
 pub mod faults;
+mod gate;
 pub mod mailbox;
 pub mod net;
 pub mod payload;

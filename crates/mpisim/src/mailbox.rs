@@ -1,8 +1,9 @@
 //! Per-rank mailboxes with MPI-style (source, tag) matching.
 
+use crate::gate::{Gate, Held};
 use crate::payload::Payload;
 use crate::wire::frame_checksum;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// A message in flight or waiting in a mailbox.
@@ -48,8 +49,10 @@ pub struct Pattern {
 }
 
 impl Pattern {
-    fn matches(&self, env: &Envelope) -> bool {
-        self.tag == env.tag && self.src.is_none_or(|s| s == env.src)
+    /// The admission rule of every receive: source and tag match, and a
+    /// partition tombstone only for a receiver that accepts them.
+    fn admits(&self, env: &Envelope, accept_cut: bool) -> bool {
+        self.tag == env.tag && self.src.is_none_or(|s| s == env.src) && (accept_cut || !env.cut)
     }
 }
 
@@ -59,7 +62,7 @@ struct Inner {
     /// Per-(source, tag) count of consumed in-order messages — the next
     /// expected sequence number. Only populated by ordered receives (fault
     /// injection); bounded by the set of live user tags.
-    consumed: std::collections::HashMap<(usize, i64), u64>,
+    consumed: HashMap<(usize, i64), u64>,
     /// Stale duplicates discarded by ordered receives.
     stale_discarded: u64,
     /// Damaged frames (checksum mismatch) discarded by ordered receives.
@@ -94,14 +97,16 @@ impl Inner {
 /// Messages from a given source with a given tag are delivered in send
 /// order (the queue is scanned front to back), matching MPI's
 /// non-overtaking guarantee. Under fault injection the queue order can be
-/// perturbed (reordered or duplicated deliveries); [`Mailbox::recv`] with
+/// perturbed (reordered or duplicated deliveries); a receive with
 /// `ordered = true` then matches by lowest sequence number and silently
 /// discards duplicates of already-consumed messages, restoring exactly-once
 /// in-order semantics at the receiver.
-#[derive(Default)]
+///
+/// Everything that waits on a mailbox — its owner for a frame, a sender for
+/// a credit — waits on its one `Gate` (yield, then park); every method that
+/// changes what a waiter could be looking at ends in a `wake`.
 pub struct Mailbox {
-    inner: Mutex<Inner>,
-    cond: Condvar,
+    gate: Gate<Inner>,
     /// When set, ordered receives verify each matching frame's checksum
     /// against [`frame_checksum`] under this seed and discard damaged
     /// frames (the receiver half of the NACK/retransmit protocol).
@@ -110,6 +115,12 @@ pub struct Mailbox {
     /// `Some(c)` makes senders acquire one of `c` credits before
     /// delivering, giving credit-based backpressure.
     capacity: Option<usize>,
+}
+
+impl Default for Mailbox {
+    fn default() -> Self {
+        Self::configured(None, None)
+    }
 }
 
 impl Mailbox {
@@ -122,22 +133,15 @@ impl Mailbox {
     pub fn configured(verify_seed: Option<u64>, capacity: Option<usize>) -> Self {
         assert!(capacity != Some(0), "mailbox capacity must be at least 1");
         Mailbox {
+            gate: Gate::new(Inner::default()),
             verify_seed,
             capacity,
-            ..Self::default()
         }
     }
 
     /// Whether this mailbox bounds its data-plane queue.
     pub fn is_bounded(&self) -> bool {
         self.capacity.is_some()
-    }
-
-    /// Lock, tolerating poison: a rank that panics while delivering must
-    /// not cascade into secondary lock panics — the world has its own
-    /// poisoning protocol with better diagnostics.
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Deposit a message and wake any waiting receiver. `front` injects
@@ -149,18 +153,18 @@ impl Mailbox {
     /// a bounded mailbox go through [`Mailbox::try_reserve`] +
     /// [`Mailbox::deliver_reserved`].
     pub fn deliver(&self, env: Envelope, front: bool) {
-        let mut inner = self.lock();
+        let mut inner = self.gate.lock();
         inner.push(env, front);
-        self.cond.notify_all();
+        inner.wake();
     }
 
     /// Deposit a message using a credit previously obtained from
     /// [`Mailbox::try_reserve`].
     pub fn deliver_reserved(&self, env: Envelope, front: bool) {
-        let mut inner = self.lock();
+        let mut inner = self.gate.lock();
         inner.reserved = inner.reserved.saturating_sub(1);
         inner.push(env, front);
-        self.cond.notify_all();
+        inner.wake();
     }
 
     /// Try to acquire one delivery credit without blocking. Unbounded and
@@ -169,59 +173,59 @@ impl Mailbox {
     /// A granted credit must be spent with [`Mailbox::deliver_reserved`] or
     /// returned with [`Mailbox::release_credit`].
     pub fn try_reserve(&self) -> bool {
-        let mut inner = self.lock();
-        self.grant(&mut inner)
-    }
-
-    /// Park until something changes in this mailbox (a delivery, removal,
-    /// credit release, or poke), or `slice` elapses. Used by credit-stalled
-    /// senders between [`Mailbox::try_reserve`] retries.
-    pub fn wait_change(&self, slice: Duration) {
-        let inner = self.lock();
-        let _ = self
-            .cond
-            .wait_timeout(inner, slice)
-            .unwrap_or_else(|e| e.into_inner());
-    }
-
-    fn grant(&self, inner: &mut Inner) -> bool {
+        let mut inner = self.gate.lock();
         match self.capacity {
-            None => true,
-            Some(_) if inner.sealed => true,
-            Some(cap) => {
-                if inner.data_occupancy() < cap {
-                    inner.reserved += 1;
-                    true
-                } else {
-                    false
-                }
+            Some(cap) if !inner.sealed => {
+                let free = inner.data_occupancy() < cap;
+                inner.reserved += free as usize;
+                free
             }
+            _ => true,
         }
+    }
+
+    /// Wait until something changes in this mailbox (a delivery, removal,
+    /// credit release, or poke), or `slice` has been spent asleep. Used by
+    /// credit-stalled senders between [`Mailbox::try_reserve`] retries.
+    pub fn wait_change(&self, slice: Duration) {
+        self.gate.wait_change(slice);
     }
 
     /// Return an unspent credit (the send was dropped by the fault plan).
     pub fn release_credit(&self) {
-        let mut inner = self.lock();
+        let mut inner = self.gate.lock();
         inner.reserved = inner.reserved.saturating_sub(1);
-        self.cond.notify_all();
+        inner.wake();
     }
 
-    /// Discard damaged and stale frames from the whole queue, exactly as an
-    /// ordered receive would. Credit-stalled *senders* call this on the
-    /// destination mailbox: garbage frames hold capacity slots until the
-    /// owner's next receive, and the owner may itself be blocked sending —
-    /// remote scavenging breaks that dependency. Counters stay attributed
-    /// to this mailbox (the receiver), so totals are identical whoever
-    /// performs the cleanup.
+    /// Discard (and count) damaged and stale frames from the whole queue,
+    /// exactly as an ordered receive would.
+    ///
+    /// Credit-stalled *senders* call this on the destination mailbox:
+    /// garbage frames hold capacity slots until the owner's next receive,
+    /// and the owner may itself be blocked sending — remote scavenging
+    /// breaks that dependency. Counters stay attributed to this mailbox
+    /// (the receiver), so totals are identical whoever performs the cleanup.
+    ///
+    /// The owner calls it once more at the final statistics snapshot (after
+    /// the closing barrier, when every in-flight delivery has landed): a
+    /// fault-injected duplicate delivered *after* the last ordered receive
+    /// would otherwise sit in the queue uncounted — and whether it lands
+    /// before or after that receive depends on host thread scheduling, so
+    /// `stale_discarded` would flicker by ±1 between same-seed runs.
     pub fn scavenge(&self) {
-        let mut inner = self.lock();
+        self.cleanup(&mut self.gate.lock());
+    }
+
+    /// The cleanup pass of ordered receives; discards free credits too.
+    fn cleanup(&self, inner: &mut Held<'_, Inner>) {
         let before = inner.queue.len();
         if let Some(seed) = self.verify_seed {
             inner.drop_corrupt(seed);
         }
         inner.drop_stale();
         if inner.queue.len() < before {
-            self.cond.notify_all();
+            inner.wake();
         }
     }
 
@@ -229,21 +233,18 @@ impl Mailbox {
     /// Used by the flow-control deadlock detector; always false for
     /// unbounded or sealed mailboxes.
     pub fn at_capacity(&self) -> bool {
-        let inner = self.lock();
-        match self.capacity {
-            None => false,
-            Some(_) if inner.sealed => false,
-            Some(cap) => inner.data_occupancy() >= cap,
-        }
+        let inner = self.gate.lock();
+        self.capacity
+            .is_some_and(|cap| !inner.sealed && inner.data_occupancy() >= cap)
     }
 
     /// Seal the mailbox (the owning rank crashed): drop everything queued
     /// and refuse all future deliveries.
     pub fn seal(&self) {
-        let mut inner = self.lock();
+        let mut inner = self.gate.lock();
         inner.sealed = true;
         inner.queue.clear();
-        self.cond.notify_all();
+        inner.wake();
     }
 
     /// Discard all queued messages (rollback recovery: traffic from before
@@ -251,101 +252,124 @@ impl Mailbox {
     /// consumed-sequence map is kept — send sequence numbers are monotonic,
     /// so replayed messages always look fresh to ordered receives.
     pub fn purge(&self) {
-        let mut inner = self.lock();
+        let mut inner = self.gate.lock();
         inner.queue.clear();
         // Purging frees credits: wake any sender blocked on one.
-        self.cond.notify_all();
+        inner.wake();
     }
 
     /// Wake any receiver blocked on this mailbox so it can re-check
     /// world state (a peer just died).
     pub fn poke(&self) {
-        let _inner = self.lock();
-        self.cond.notify_all();
+        self.gate.lock().wake();
     }
 
-    /// Blocking receive of the first message matching `pat`.
+    /// Non-blocking receive: remove and return the message [`Mailbox::recv`]
+    /// would, if it is queued now. One lock; never yields, never sleeps.
     ///
     /// With `ordered` set, the *lowest-sequence* matching message is taken
-    /// instead of the first queued one, and stale duplicates (sequence
-    /// numbers already consumed for their `(source, tag)` stream) are
-    /// dropped on the floor — the receiver-side half of the reliable
-    /// channel under fault injection.
+    /// instead of the first queued one, and damaged frames and stale
+    /// duplicates (sequence numbers already consumed for their
+    /// `(source, tag)` stream) are dropped on the floor first — the
+    /// receiver-side half of the reliable channel under fault injection.
     ///
-    /// `watchdog` bounds the real-time wait; on expiry this returns `None`
-    /// so the caller can panic with a useful deadlock diagnosis.
-    pub fn recv(&self, pat: Pattern, watchdog: Duration, ordered: bool) -> Option<Envelope> {
-        self.recv_where(pat, watchdog, ordered, true)
+    /// With `accept_cut` false, partition tombstones never match — a
+    /// receiver that does not understand partitions waits (and eventually
+    /// trips the watchdog) instead of consuming a payload-less frame.
+    pub fn take(&self, pat: Pattern, ordered: bool, accept_cut: bool) -> Option<Envelope> {
+        self.take_held(&mut self.gate.lock(), pat, ordered, accept_cut)
     }
 
-    /// [`Mailbox::recv`] with explicit tombstone policy: with `accept_cut`
-    /// false, partition tombstones never match — a blocking receiver that
-    /// does not understand partitions waits (and eventually trips the
-    /// watchdog) instead of consuming a payload-less frame.
-    pub fn recv_where(
+    fn take_held(
         &self,
+        inner: &mut Held<'_, Inner>,
         pat: Pattern,
-        watchdog: Duration,
         ordered: bool,
         accept_cut: bool,
     ) -> Option<Envelope> {
-        let mut inner = self.lock();
-        loop {
-            if ordered {
-                let before = inner.queue.len();
-                if let Some(seed) = self.verify_seed {
-                    inner.drop_corrupt(seed);
-                }
-                inner.drop_stale();
-                if inner.queue.len() < before {
-                    // Discards free credits too.
-                    self.cond.notify_all();
-                }
-            }
-            let admit = |e: &Envelope| pat.matches(e) && (accept_cut || !e.cut);
-            let found = if ordered {
-                // Lowest (seq, src) among matches: deterministic given the
-                // set of queued messages, regardless of delivery order.
-                inner
-                    .queue
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| admit(e))
-                    .min_by_key(|(_, e)| (e.seq, e.src))
-                    .map(|(i, _)| i)
-            } else {
-                inner.queue.iter().position(admit)
-            };
-            if let Some(idx) = found {
-                let env = inner.queue.remove(idx);
-                if ordered {
-                    let next = inner.consumed.entry((env.src, env.tag)).or_insert(0);
-                    *next = (*next).max(env.seq + 1);
-                }
-                // Removing an envelope frees a credit on bounded mailboxes:
-                // wake any sender waiting for one.
-                self.cond.notify_all();
-                return Some(env);
-            }
-            let (guard, timeout) = self
-                .cond
-                .wait_timeout(inner, watchdog)
-                .unwrap_or_else(|e| e.into_inner());
-            inner = guard;
-            if timeout.timed_out() {
-                return None;
-            }
+        if ordered {
+            self.cleanup(inner);
         }
+        let admit = |e: &Envelope| pat.admits(e, accept_cut);
+        let idx = if ordered {
+            // Lowest (seq, src) among matches: deterministic given the
+            // set of queued messages, regardless of delivery order.
+            let matches = inner.queue.iter().enumerate().filter(|(_, e)| admit(e));
+            matches.min_by_key(|(_, e)| (e.seq, e.src)).map(|(i, _)| i)
+        } else {
+            inner.queue.iter().position(admit)
+        }?;
+        let env = inner.queue.remove(idx);
+        if ordered {
+            let next = inner.consumed.entry((env.src, env.tag)).or_insert(0);
+            *next = (*next).max(env.seq + 1);
+        }
+        // Removing an envelope frees a credit on bounded mailboxes: wake
+        // any sender waiting for one.
+        inner.wake();
+        Some(env)
     }
 
-    /// Nonblocking probe: would `recv` with this pattern complete now?
-    pub fn probe(&self, pat: Pattern) -> bool {
-        self.lock().queue.iter().any(|e| pat.matches(e))
+    /// Blocking receive of the first message matching `pat`, tombstones
+    /// included: [`Mailbox::take`], waiting for a delivery if it misses.
+    ///
+    /// `park` bounds the time spent asleep, after the yield phase (zero:
+    /// yield but never sleep); on expiry this returns `None` so the caller
+    /// can poll for poison and panic with a useful deadlock diagnosis.
+    pub fn recv(&self, pat: Pattern, park: Duration, ordered: bool) -> Option<Envelope> {
+        self.recv_where(pat, park, ordered, true)
+    }
+
+    /// [`Mailbox::recv`] with explicit tombstone policy.
+    pub fn recv_where(
+        &self,
+        pat: Pattern,
+        park: Duration,
+        ordered: bool,
+        accept_cut: bool,
+    ) -> Option<Envelope> {
+        self.gate.wait(park, |inner| {
+            self.take_held(inner, pat, ordered, accept_cut)
+        })
+    }
+
+    /// [`Mailbox::recv_where`] that also ends, with `Err(e)`, once `gone`
+    /// returns `Some(e)` and nothing matching is queued. `gone` is read
+    /// *before* each look at the queue, under the lock, and again after
+    /// every [`Mailbox::poke`]: whoever makes it true after its last
+    /// delivery makes the `Err` a definitive "never coming".
+    pub fn recv_or<E>(
+        &self,
+        pat: Pattern,
+        park: Duration,
+        ordered: bool,
+        accept_cut: bool,
+        gone: impl Fn() -> Option<E>,
+    ) -> Option<Result<Envelope, E>> {
+        self.gate.wait(park, |inner| {
+            let gone = gone();
+            let got = self.take_held(inner, pat, ordered, accept_cut);
+            got.map(Ok).or(gone.map(Err))
+        })
+    }
+
+    /// Nonblocking probe: would a blocking receive with this pattern and
+    /// policy complete now? Applies [`Mailbox::take`]'s admission rule —
+    /// an ordered receive would first discard a damaged or stale frame, so
+    /// neither counts — without removing or counting anything.
+    pub fn probe(&self, pat: Pattern, ordered: bool, accept_cut: bool) -> bool {
+        let inner = self.gate.lock();
+        let seed = self.verify_seed.filter(|_| ordered);
+        inner.queue.iter().any(|e| {
+            pat.admits(e, accept_cut)
+                && seed.is_none_or(|seed| intact(seed, e))
+                && !(ordered && stale(&inner.consumed, e))
+        })
     }
 
     /// Number of queued messages (for diagnostics).
     pub fn len(&self) -> usize {
-        self.lock().queue.len()
+        self.gate.lock().queue.len()
     }
 
     /// Whether no messages are queued.
@@ -353,55 +377,43 @@ impl Mailbox {
         self.len() == 0
     }
 
-    /// Final receiver-side cleanup: discard (and count) any still-queued
-    /// damaged or stale-duplicate frames.
-    ///
-    /// [`Mailbox::recv`] only runs its cleanup passes while someone is
-    /// receiving, so a fault-injected duplicate delivered *after* the
-    /// receiver's last ordered receive sits in the queue uncounted — and
-    /// whether a given duplicate lands before or after that last pass
-    /// depends on host thread scheduling, making `stale_discarded`
-    /// flicker by ±1 between same-seed runs. Calling this once at the
-    /// final statistics snapshot (after the closing barrier, when every
-    /// in-flight delivery has landed) converges the counters to the same
-    /// schedule-independent totals every run.
-    pub fn reconcile(&self) {
-        let mut inner = self.lock();
-        let before = inner.queue.len();
-        if let Some(seed) = self.verify_seed {
-            inner.drop_corrupt(seed);
-        }
-        inner.drop_stale();
-        if inner.queue.len() < before {
-            // Discards free credits too.
-            self.cond.notify_all();
-        }
-    }
-
     /// Stale duplicates discarded so far by ordered receives.
     pub fn stale_discarded(&self) -> u64 {
-        self.lock().stale_discarded
+        self.gate.lock().stale_discarded
     }
 
     /// Damaged frames caught and discarded so far by checksum verification.
     pub fn corruptions_detected(&self) -> u64 {
-        self.lock().corruptions_detected
+        self.gate.lock().corruptions_detected
     }
 
     /// Largest queue depth ever observed.
     pub fn peak_depth(&self) -> u64 {
-        self.lock().peak_depth
+        self.gate.lock().peak_depth
     }
 
     /// Cumulative count of envelopes ever accepted into the queue.
     pub fn delivered(&self) -> u64 {
-        self.lock().delivered
+        self.gate.lock().delivered
     }
 
     /// Snapshot of queued (src, tag) pairs, for deadlock diagnostics.
     pub fn pending(&self) -> Vec<(usize, i64)> {
-        self.lock().queue.iter().map(|e| (e.src, e.tag)).collect()
+        let inner = self.gate.lock();
+        inner.queue.iter().map(|e| (e.src, e.tag)).collect()
     }
+}
+
+/// Does the frame's checksum verify? Control-plane frames (negative tags)
+/// carry no checksum; tombstones carry no payload and none either: they are
+/// the *detection* of a cut, not a damaged frame.
+fn intact(seed: u64, e: &Envelope) -> bool {
+    e.tag < 0 || e.cut || frame_checksum(seed, e.src, e.tag, e.seq, &e.bytes) == e.checksum
+}
+
+/// Was `e`'s sequence number already consumed for its stream?
+fn stale(consumed: &HashMap<(usize, i64), u64>, e: &Envelope) -> bool {
+    (consumed.get(&(e.src, e.tag))).is_some_and(|&next| e.seq < next)
 }
 
 impl Inner {
@@ -424,8 +436,7 @@ impl Inner {
     /// frames damaged in flight by the fault plan. Cleanup is queue-wide
     /// (not limited to the receive pattern): on bounded mailboxes a damaged
     /// frame from *any* stream holds a capacity slot hostage, so every
-    /// cleanup pass must free all of them. Control-plane frames (negative
-    /// tags) carry no checksum and are never touched. Consumed-sequence
+    /// cleanup pass must free all of them. Consumed-sequence
     /// state is *not* advanced, so the sender's clean retransmission of the
     /// same sequence number is accepted, not mistaken for a stale
     /// duplicate. Runs before [`Inner::drop_stale`] so a damaged frame is
@@ -433,11 +444,7 @@ impl Inner {
     /// (keeping both counters schedule-independent).
     fn drop_corrupt(&mut self, seed: u64) {
         let before = self.queue.len();
-        self.queue.retain(|e| {
-            // Tombstones carry no payload and no checksum: they are the
-            // *detection* of a cut, not a damaged frame.
-            e.tag < 0 || e.cut || frame_checksum(seed, e.src, e.tag, e.seq, &e.bytes) == e.checksum
-        });
+        self.queue.retain(|e| intact(seed, e));
         self.corruptions_detected += (before - self.queue.len()) as u64;
     }
 
@@ -448,11 +455,7 @@ impl Inner {
     fn drop_stale(&mut self) {
         let consumed = &self.consumed;
         let before = self.queue.len();
-        self.queue.retain(|e| {
-            consumed
-                .get(&(e.src, e.tag))
-                .is_none_or(|&next| e.seq >= next)
-        });
+        self.queue.retain(|e| !stale(consumed, e));
         self.stale_discarded += (before - self.queue.len()) as u64;
     }
 }
@@ -460,6 +463,7 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering::Relaxed;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -590,8 +594,8 @@ mod tests {
             src: Some(0),
             tag: 1,
         };
-        assert!(mb.probe(pat));
-        assert!(mb.probe(pat));
+        assert!(mb.probe(pat, false, false));
+        assert!(mb.probe(pat, false, false));
         assert_eq!(mb.len(), 1);
     }
 
@@ -640,11 +644,11 @@ mod tests {
         // ordered receive: no recv-side cleanup pass will ever see it.
         mb.deliver(env_seq(0, 1, 0, 0xa), false);
         assert_eq!(mb.stale_discarded(), 0);
-        mb.reconcile();
+        mb.scavenge();
         assert!(mb.is_empty(), "reconcile discards the late duplicate");
         assert_eq!(mb.stale_discarded(), 1);
         // Idempotent: a second pass finds nothing new.
-        mb.reconcile();
+        mb.scavenge();
         assert_eq!(mb.stale_discarded(), 1);
     }
 
@@ -800,5 +804,88 @@ mod tests {
         assert!(got.cut);
         assert_eq!(mb.corruptions_detected(), 0);
         assert!(mb.is_empty());
+    }
+
+    #[test]
+    fn take_on_an_empty_mailbox_neither_yields_nor_parks() {
+        let mb = Mailbox::configured(Some(1), Some(2));
+        let pat = Pattern { src: None, tag: 1 };
+        for ordered in [false, true] {
+            assert!(mb.take(pat, ordered, true).is_none());
+            assert!(!mb.probe(pat, ordered, true));
+        }
+        assert_eq!(mb.gate.tally.yields.load(Relaxed), 0);
+        assert_eq!(mb.gate.tally.parks.load(Relaxed), 0);
+    }
+
+    #[test]
+    fn a_parked_receive_is_ended_by_the_delivery_not_by_its_slice() {
+        let mb = Mailbox::new();
+        let pat = Pattern {
+            src: Some(0),
+            tag: 1,
+        };
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| mb.recv(pat, WD, false));
+            mb.gate.until_parked(1);
+            // A frame for somebody else's pattern wakes the receiver, which
+            // goes back to sleep; the one it wants ends the wait.
+            mb.deliver(env(0, 2, 0xb), false);
+            mb.deliver(env(0, 1, 0xa), false);
+            assert_eq!(receiver.join().unwrap().unwrap().bytes, vec![0xa]);
+        });
+        assert_eq!(mb.gate.tally.overslept.load(Relaxed), 0);
+    }
+
+    #[test]
+    fn every_change_a_waiter_could_care_about_wakes_a_parked_one() {
+        type Change = fn(&Mailbox);
+        let changes: [(&str, Change); 6] = [
+            ("deliver", |mb| mb.deliver(env(0, 1, 0), false)),
+            ("take", |mb| {
+                drop(mb.take(Pattern { src: None, tag: 9 }, false, true))
+            }),
+            ("release_credit", Mailbox::release_credit),
+            ("purge", Mailbox::purge),
+            ("poke", Mailbox::poke),
+            ("seal", Mailbox::seal),
+        ];
+        let mb = Mailbox::configured(None, Some(1));
+        mb.deliver(env(0, 9, 0), false);
+        for (what, change) in changes {
+            std::thread::scope(|s| {
+                let waiter = s.spawn(|| mb.wait_change(WD));
+                mb.gate.until_parked(1);
+                let changed = std::time::Instant::now();
+                change(&mb);
+                waiter.join().unwrap();
+                assert!(changed.elapsed() < WD / 2, "{what} left the waiter asleep");
+            });
+        }
+        assert_eq!(mb.gate.tally.parks.load(Relaxed), 6);
+        assert_eq!(mb.gate.tally.overslept.load(Relaxed), 0);
+    }
+
+    #[test]
+    fn recv_or_gives_up_once_poked_with_the_sender_gone() {
+        let mb = Mailbox::new();
+        let gone = std::sync::atomic::AtomicBool::new(false);
+        let pat = Pattern {
+            src: Some(0),
+            tag: 1,
+        };
+        std::thread::scope(|s| {
+            let receiver =
+                s.spawn(|| mb.recv_or(pat, WD, false, true, || gone.load(Relaxed).then_some(0)));
+            mb.gate.until_parked(1);
+            gone.store(true, Relaxed);
+            mb.poke();
+            assert!(matches!(receiver.join().unwrap(), Some(Err(0))));
+        });
+        assert_eq!(mb.gate.tally.overslept.load(Relaxed), 0);
+        // A frame that did arrive still wins over the flag.
+        mb.deliver(env(0, 1, 0xa), false);
+        let got = mb.recv_or(pat, WD, false, true, || Some(0));
+        assert_eq!(got.unwrap().unwrap().bytes, vec![0xa]);
     }
 }

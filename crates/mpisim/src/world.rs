@@ -2,11 +2,12 @@
 
 use crate::comm::Rank;
 use crate::faults::FaultPlan;
+use crate::gate::Gate;
 use crate::mailbox::Mailbox;
 use crate::net::{NetModel, TimingMode};
 use crate::trace::TraceCollector;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// World configuration.
@@ -225,8 +226,15 @@ impl std::fmt::Display for FlowDeadlock {
 /// dead. Hence the snapshot at resolution always reflects exactly the
 /// deaths that causally precede the barrier, independent of OS scheduling.
 pub(crate) struct ClockBarrier {
-    inner: Mutex<BarrierInner>,
-    cond: Condvar,
+    gate: Gate<BarrierInner>,
+}
+
+/// What one resolved generation decided: built once, under the lock, and
+/// shared by reference count with every rank that waited for it.
+pub(crate) struct Resolved {
+    /// The synchronised (maximum) clock.
+    pub(crate) clock: f64,
+    pub(crate) verdict: CtlVerdict,
 }
 
 struct BarrierInner {
@@ -241,37 +249,40 @@ struct BarrierInner {
     /// Partition windows from the fault plan, cloned at world start so the
     /// failure detector can evaluate the quorum rule under its own lock.
     partitions: Vec<crate::faults::PartitionSpec>,
-    resolved_clock: f64,
-    resolved_dead: Vec<bool>,
-    resolved_suspected: Vec<bool>,
-    resolved_slots: Vec<Option<CtlSlot>>,
+    /// Outcome of generation `gen - 1`. It cannot be replaced while one of
+    /// its waiters has yet to read it: the next generation needs that
+    /// waiter's arrival (or death) to resolve.
+    resolved: Option<Arc<Resolved>>,
 }
 
 impl BarrierInner {
     fn ensure(&mut self, n: usize) {
         if self.dead.len() < n {
             self.dead.resize(n, false);
-        }
-        if self.slots.len() < n {
             self.slots.resize(n, None);
         }
     }
 
     fn resolve(&mut self) {
-        self.resolved_clock = self.max_clock;
-        self.resolved_dead = self.dead.clone();
         // The two-level verdict: suspicion is a pure function of the
         // partition schedule, the resolved (maximum) clock, and the live
         // set — all of which are fixed at this instant, under this lock, so
         // every waiter of the generation reads the identical answer.
-        self.resolved_suspected = if self.partitions.is_empty() {
+        let suspected = if self.partitions.is_empty() {
             vec![false; self.dead.len()]
         } else {
             let live: Vec<bool> = self.dead.iter().map(|&d| !d).collect();
-            crate::faults::suspects(&self.partitions, self.resolved_clock, &live)
+            crate::faults::suspects(&self.partitions, self.max_clock, &live)
         };
-        self.resolved_slots = std::mem::take(&mut self.slots);
-        self.slots = vec![None; self.resolved_slots.len()];
+        let fresh = vec![None; self.slots.len()];
+        self.resolved = Some(Arc::new(Resolved {
+            clock: self.max_clock,
+            verdict: CtlVerdict {
+                dead: self.dead.clone(),
+                suspected,
+                slots: std::mem::replace(&mut self.slots, fresh),
+            },
+        }));
         self.max_clock = 0.0;
         self.count = 0;
         self.gen += 1;
@@ -281,7 +292,7 @@ impl BarrierInner {
 impl ClockBarrier {
     fn new(partitions: Vec<crate::faults::PartitionSpec>) -> Self {
         ClockBarrier {
-            inner: Mutex::new(BarrierInner {
+            gate: Gate::new(BarrierInner {
                 gen: 0,
                 count: 0,
                 max_clock: 0.0,
@@ -289,99 +300,52 @@ impl ClockBarrier {
                 deaths: 0,
                 slots: Vec::new(),
                 partitions,
-                resolved_clock: 0.0,
-                resolved_dead: Vec::new(),
-                resolved_suspected: Vec::new(),
-                resolved_slots: Vec::new(),
+                resolved: None,
             }),
-            cond: Condvar::new(),
         }
     }
 
-    /// Enter the barrier with this rank's clock; returns the synchronised
-    /// (maximum) clock once every rank has arrived or died. `check` is
-    /// polled while waiting so a poisoned world aborts promptly.
-    pub(crate) fn wait(&self, n: usize, clock: f64, check: impl Fn()) -> f64 {
-        self.arrive(n, None, clock, &check).0
-    }
-
-    /// Enter a control-plane exchange: like [`wait`](Self::wait), but also
-    /// deposits this rank's [`CtlSlot`] and returns the resolved verdict
-    /// (dead set + everyone's slots) alongside the synchronised clock.
-    pub(crate) fn wait_ctl(
-        &self,
-        n: usize,
-        rank: usize,
-        clock: f64,
-        slot: CtlSlot,
-        check: impl Fn(),
-    ) -> (f64, CtlVerdict) {
-        let (clock, dead, suspected, slots) = self.arrive(n, Some((rank, slot)), clock, &check);
-        (
-            clock,
-            CtlVerdict {
-                dead,
-                suspected,
-                slots,
-            },
-        )
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn arrive(
-        &self,
-        n: usize,
-        entry: Option<(usize, CtlSlot)>,
-        clock: f64,
-        check: &dyn Fn(),
-    ) -> (f64, Vec<bool>, Vec<bool>, Vec<Option<CtlSlot>>) {
-        let mut g = lock_unpoisoned(&self.inner);
+    /// Enter the current generation with this rank's clock and, for a
+    /// control-plane exchange, its [`CtlSlot`]; resolves it if every rank
+    /// has now arrived or died. Returns the generation, for
+    /// [`resolved`](Self::resolved).
+    pub(crate) fn arrive(&self, n: usize, entry: Option<(usize, CtlSlot)>, clock: f64) -> u64 {
+        let mut g = self.gate.lock();
         g.ensure(n);
         g.max_clock = g.max_clock.max(clock);
         if let Some((rank, slot)) = entry {
             g.slots[rank] = Some(slot);
         }
         g.count += 1;
+        let gen = g.gen;
         if g.count + g.deaths >= n {
             g.resolve();
-            self.cond.notify_all();
-        } else {
-            let my_gen = g.gen;
-            while g.gen == my_gen {
-                let (guard, _timeout) = self
-                    .cond
-                    .wait_timeout(g, Duration::from_millis(50))
-                    .unwrap_or_else(|e| e.into_inner());
-                g = guard;
-                if g.gen != my_gen {
-                    break;
-                }
-                drop(g);
-                check();
-                g = lock_unpoisoned(&self.inner);
-            }
+            g.wake();
         }
-        (
-            g.resolved_clock,
-            g.resolved_dead.clone(),
-            g.resolved_suspected.clone(),
-            g.resolved_slots.clone(),
-        )
+        gen
+    }
+
+    /// Wait for generation `gen` to resolve; `None` after `park` asleep
+    /// (see [`Gate::wait`]), so the caller can poll for poison.
+    pub(crate) fn resolved(&self, gen: u64, park: Duration) -> Option<Arc<Resolved>> {
+        self.gate.wait(park, |g| {
+            (g.gen != gen).then(|| g.resolved.clone()).flatten()
+        })
     }
 
     /// Register `rank` as crashed. If the in-progress generation is now
     /// complete (every other rank already arrived), it resolves here, with
     /// this death included in the snapshot.
     pub(crate) fn declare_dead(&self, rank: usize, n: usize) {
-        let mut g = lock_unpoisoned(&self.inner);
+        let mut g = self.gate.lock();
         g.ensure(n);
         if !g.dead[rank] {
             g.dead[rank] = true;
             g.deaths += 1;
             if g.count > 0 && g.count + g.deaths >= n {
                 g.resolve();
+                g.wake();
             }
-            self.cond.notify_all();
         }
     }
 }
@@ -1006,5 +970,104 @@ mod tests {
         assert!(msg.contains("PARKED"), "got: {msg}");
         assert!(msg.contains("SUSPECTED"), "got: {msg}");
         assert!(msg.contains("cut off by an active partition"), "got: {msg}");
+    }
+
+    #[test]
+    fn parked_barrier_waiters_are_released_by_the_last_arrival_and_share_one_verdict() {
+        const LONG: Duration = Duration::from_secs(20);
+        let barrier = ClockBarrier::new(Vec::new());
+        let slot = |rank: usize| CtlSlot {
+            word: rank as u64,
+            ..CtlSlot::default()
+        };
+        let verdicts: Vec<Arc<Resolved>> = std::thread::scope(|s| {
+            let waiters: Vec<_> = (0..7)
+                .map(|rank| {
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        let gen = barrier.arrive(8, Some((rank, slot(rank))), rank as f64);
+                        barrier
+                            .resolved(gen, LONG)
+                            .expect("released long before LONG")
+                    })
+                })
+                .collect();
+            barrier.gate.until_parked(7);
+            let gen = barrier.arrive(8, Some((7, slot(7))), 0.5);
+            let own = barrier
+                .resolved(gen, Duration::ZERO)
+                .expect("resolved by us");
+            let mut all: Vec<_> = waiters.into_iter().map(|w| w.join().unwrap()).collect();
+            all.push(own);
+            all
+        });
+        for v in &verdicts {
+            assert!(
+                Arc::ptr_eq(v, &verdicts[0]),
+                "one allocation per generation"
+            );
+        }
+        assert_eq!(verdicts[0].clock, 6.0);
+        assert_eq!(verdicts[0].verdict.word(3), Some(3));
+        assert_eq!(barrier.gate.tally.parks.load(Ordering::Relaxed), 7);
+        assert_eq!(barrier.gate.tally.overslept.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_death_that_completes_the_generation_wakes_its_parked_waiters() {
+        let barrier = ClockBarrier::new(Vec::new());
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let gen = barrier.arrive(2, None, 1.0);
+                barrier.resolved(gen, Duration::from_secs(20))
+            });
+            barrier.gate.until_parked(1);
+            barrier.declare_dead(1, 2);
+            let resolved = waiter.join().unwrap().expect("the death resolves it");
+            assert_eq!(resolved.verdict.dead, vec![false, true]);
+        });
+        assert_eq!(barrier.gate.tally.overslept.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_crash_reaches_ranks_parked_in_try_recv_and_in_ctl_exchange() {
+        let cfg = Config::default()
+            .with_watchdog(Duration::from_secs(10))
+            .with_faults(FaultPlan::new(0).with_crash(1, 0.5));
+        let out = World::new(cfg).run_fallible(4, |rank| {
+            if rank.rank() == 1 {
+                // Long enough for the others to spend their yields and park.
+                std::thread::sleep(Duration::from_millis(20));
+                rank.advance(1.0);
+                unreachable!("rank 1 dies in advance()");
+            }
+            let early = (rank.rank() == 0).then(|| rank.try_recv::<u32>(1, 7));
+            (early, rank.ctl_exchange(CtlSlot::default()).dead_ranks())
+        });
+        assert!(out[1].is_none());
+        assert_eq!(out[0], Some((Some(Err(crate::Died(1))), vec![1])));
+        assert_eq!(out[2], Some((None, vec![1])));
+        assert_eq!(out[2], out[3]);
+    }
+
+    #[test]
+    fn poison_releases_parked_ranks_within_a_slice_not_a_watchdog() {
+        let started = Instant::now();
+        let err = std::panic::catch_unwind(|| {
+            World::new(Config::default()).run(3, |rank| match rank.rank() {
+                0 => drop(rank.recv::<u32>(1, 0)),
+                1 => {
+                    std::thread::sleep(Duration::from_millis(20));
+                    panic!("deliberate");
+                }
+                _ => rank.barrier(),
+            })
+        })
+        .expect_err("the panic propagates");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"deliberate"));
+        assert!(
+            started.elapsed() < Config::default().watchdog / 2,
+            "parked ranks poll the poison flag every 50 ms"
+        );
     }
 }

@@ -217,6 +217,55 @@ fn probe_and_test_report_availability() {
     assert!(out[1]);
 }
 
+/// `test`/`probe` answer for the receive `wait` would perform, so a frame
+/// that receive never returns must not count: it would say "will not
+/// block" and `wait` would then sit until the watchdog.
+#[test]
+fn probe_and_test_ignore_frames_a_blocking_receive_never_returns() {
+    use mpisim::FaultPlan;
+    // (what stays queued, the plan that queues it, frames delivered,
+    //  whether the receiver first consumes the original)
+    let cases = [
+        (
+            "a partition tombstone",
+            FaultPlan::new(1).with_partition(vec![vec![0], vec![1]], 0.0, 10.0),
+            1,
+            false,
+        ),
+        (
+            "damaged frames only",
+            FaultPlan::new(1).with_corrupt(1.0).with_retry(1e-3, 1),
+            2,
+            false,
+        ),
+        (
+            "a stale duplicate",
+            FaultPlan::new(1).with_dup(1.0),
+            2,
+            true,
+        ),
+    ];
+    for (what, plan, frames, consume_first) in cases {
+        let out = World::new(cfg(NetModel::zero()).with_faults(plan)).run(2, |rank| {
+            if rank.rank() == 0 {
+                rank.send(1, 4, &1u8);
+                rank.barrier();
+                return None;
+            }
+            rank.barrier(); // everything rank 0 sent is queued
+            if consume_first {
+                assert_eq!(rank.recv::<u8>(0, 4), 1);
+            }
+            let req = rank.irecv::<u8>(0, 4);
+            Some((
+                req.test(rank) || rank.probe(Some(0), 4),
+                rank.mailbox_delivered(),
+            ))
+        });
+        assert_eq!(out[1], Some((false, frames)), "{what} is queued");
+    }
+}
+
 #[test]
 fn wire_struct_roundtrips_through_network() {
     #[derive(Debug, Clone, PartialEq)]
