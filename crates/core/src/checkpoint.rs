@@ -79,8 +79,7 @@ use crate::store::NodeStore;
 use crate::timers::Phase;
 use ic2_balance::DynamicBalancer;
 use ic2_graph::{Graph, Partition};
-use mpisim::{ArgValue, CtlSlot, CtlVerdict, Died, Envelope, Rank, RetryPolicy, Wire};
-use std::time::{Duration, Instant};
+use mpisim::{ArgValue, CtlSlot, CtlVerdict, Died, Rank, RetryPolicy, Wire};
 
 /// Message tag for checkpoint snapshots mirrored to buddy ranks.
 pub const TAG_MIRROR: u32 = 4;
@@ -91,82 +90,29 @@ pub const TAG_ADOPT: u32 = 5;
 /// Message tag for the crash-tolerant final gather.
 pub const TAG_GATHER: u32 = 6;
 
-/// Receive half of the crash-tolerant final gather, safe at any mailbox
-/// capacity. A blocking `try_recv`-in-ascending-source-order loop
-/// deadlocks under bounded mailboxes: the designated root refuses to
-/// consume frames from later sources while the canonical next source is
-/// credit-stalled behind them, so the mailbox stays full and no credit is
-/// ever granted. Instead, drain [`TAG_GATHER`] frames in whatever order
-/// they arrive into source-keyed slots (freeing capacity so stalled
-/// senders win credits), then charge and decode in canonical ascending
-/// order — the virtual clock advances exactly as the blocking loop's
-/// would. A source with no frame whose dead flag was observed before an
-/// empty drain pass is definitively never coming (deliveries
-/// happen-before the flag); it is charged the same detection timeout
-/// [`Rank::try_recv`] pays and reported as [`Died`]. A partition
-/// tombstone frame likewise, so the membership caller's `peer_dead`
-/// check still disambiguates cut from crash.
+/// Receive half of the crash-tolerant final gather. A root blocking in
+/// ascending source order deadlocks small mailbox capacities — it refuses
+/// later sources' frames while the next one is credit-stalled behind them —
+/// so the [`TAG_GATHER`] frames are held in whatever order they arrive
+/// ([`Rank::collect`]) and paid for in ascending order, the virtual clock
+/// advancing exactly as the blocking loop's would. The first source that
+/// died before sending, or whose frame is a partition tombstone, costs the
+/// detection timeout and ends the gather with [`Died`]; the caller's
+/// `peer_dead` check tells the two apart.
 pub(crate) fn gather_chunks<D: Wire>(
     rank: &Rank,
     crashed: &[bool],
     all: &mut Vec<(u32, D)>,
 ) -> Result<(), Died> {
     let me = rank.rank();
-    let nprocs = rank.size();
-    let sources: Vec<usize> = (0..nprocs).filter(|&r| !crashed[r] && r != me).collect();
-    let mut frames: Vec<Option<Envelope>> = Vec::new();
-    frames.resize_with(nprocs, || None);
-    let mut dead = vec![false; nprocs];
-    let deadline = Instant::now() + rank.config().watchdog;
-    loop {
-        let missing: Vec<usize> = sources
-            .iter()
-            .copied()
-            .filter(|&p| frames[p].is_none() && !dead[p])
-            .collect();
-        if missing.is_empty() {
-            break;
-        }
-        // Snapshot dead flags *before* draining: a flag set now plus an
-        // empty drain below proves the peer's frame was never sent.
-        let flagged: Vec<usize> = missing
-            .iter()
-            .copied()
-            .filter(|&p| rank.peer_dead(p))
-            .collect();
-        let mut progress = false;
-        while let Some(env) = rank.drain_one(None, TAG_GATHER) {
-            let src = env.src;
-            frames[src] = Some(env);
-            progress = true;
-        }
-        for p in flagged {
-            if frames[p].is_none() && !dead[p] {
-                dead[p] = true;
-                progress = true;
-            }
-        }
-        if progress {
-            continue;
-        }
-        if Instant::now() >= deadline {
-            rank.deadlock_panic("final result gather (receive phase)");
-        }
-        rank.wait_incoming(Duration::from_millis(2));
-    }
+    let sources = (0..rank.size()).filter(|&r| !crashed[r] && r != me);
+    rank.collect(TAG_GATHER, sources.clone(), true);
     for p in sources {
-        match frames[p].take() {
-            Some(env) if env.cut => {
-                rank.charge_partition_timeout();
-                return Err(Died(p));
-            }
-            Some(env) => {
-                let chunk: Vec<(u32, D)> = rank.absorb(env);
-                all.extend(chunk);
-            }
-            None => {
-                rank.charge_crash_timeout();
-                return Err(Died(p));
+        match rank.settle::<Vec<(u32, D)>>(p) {
+            Ok(chunk) => all.extend(chunk),
+            Err(died) => {
+                rank.release_held();
+                return Err(died);
             }
         }
     }

@@ -510,12 +510,14 @@ pub(crate) struct IntegrityCounters {
 /// Assemble the run report from the per-rank outcomes. The recovery
 /// counters are replicated state, so the lowest surviving rank's copy is
 /// canonical; the fault counters are per-rank and sum; timers and comm
-/// stats cover the surviving ranks.
+/// stats cover the surviving ranks. A gather that does not name every node
+/// exactly once is a typed [`PlatformError::InternalInvariant`] of the rank
+/// that gathered it.
 fn assemble<D: Clone>(
     results: Vec<Option<RankOutcome<D>>>,
     partition: Partition,
     num_nodes: usize,
-) -> RunReport<D> {
+) -> Result<RunReport<D>, PlatformError> {
     let live: Vec<&RankOutcome<D>> = results.iter().flatten().collect();
     let designated = *live.first().expect("at least one rank survives the run");
     let total_time = live.iter().map(|r| r.total).fold(0.0f64, f64::max);
@@ -555,21 +557,23 @@ fn assemble<D: Clone>(
         bad_replicas += r.tally.integrity.bad_replicas;
     }
     let final_owner = designated.owner.clone();
+    let torn = |detail| PlatformError::InternalInvariant {
+        rank: results.iter().position(Option::is_some).unwrap_or(0) as u32,
+        detail,
+    };
     let mut slots: Vec<Option<D>> = (0..num_nodes).map(|_| None).collect();
-    if let Some(gathered) = &designated.gathered {
-        for (id, data) in gathered {
-            let slot = &mut slots[*id as usize];
-            assert!(slot.is_none(), "node {id} gathered twice");
-            *slot = Some(data.clone());
+    for (id, data) in designated.gathered.iter().flatten() {
+        match slots.get_mut(*id as usize) {
+            Some(slot @ None) => *slot = Some(data.clone()),
+            Some(_) => return Err(torn(format!("node {id} gathered twice"))),
+            None => return Err(torn(format!("gathered node {id} is not in the graph"))),
         }
     }
-    let final_data: Vec<D> = slots
-        .into_iter()
-        .enumerate()
-        .map(|(id, s)| s.unwrap_or_else(|| panic!("node {id} missing from gather")))
-        .collect();
+    let final_data = (slots.into_iter().enumerate())
+        .map(|(id, s)| s.ok_or_else(|| torn(format!("node {id} missing from gather"))))
+        .collect::<Result<Vec<D>, _>>()?;
 
-    RunReport {
+    Ok(RunReport {
         total_time,
         timers: live.iter().map(|r| r.timers.clone()).collect(),
         comm: live.iter().map(|r| r.comm.clone()).collect(),
@@ -617,7 +621,7 @@ fn assemble<D: Clone>(
         torn_writes_detected: pages.torn_writes_detected,
         pages_recovered: pages.pages_recovered,
         trace: None,
-    }
+    })
 }
 
 /// Run `f`, converting the platform's typed panic payloads — a
@@ -718,7 +722,7 @@ where
             engine::run_rank(rank, graph, program, &partition, make_balancer(), cfg)
         })
     })?;
-    let mut report = assemble(results, partition, graph.num_nodes());
+    let mut report = assemble(results, partition, graph.num_nodes())?;
     report.trace = collector.map(|c| c.take());
     Ok(report)
 }
@@ -775,6 +779,39 @@ fn validate(cfg: &RunConfig) -> Result<(), PlatformError> {
 mod tests {
     use super::*;
     use crate::timers::Phase;
+
+    #[test]
+    fn a_gather_that_is_not_every_node_once_is_a_typed_error() {
+        let assembled = |gathered: &[u32]| {
+            let outcome = RankOutcome {
+                total: 0.0,
+                timers: Default::default(),
+                comm: Default::default(),
+                counters: Default::default(),
+                tally: Default::default(),
+                ranks_died: vec![0],
+                gathered: Some(gathered.iter().map(|&id| (id, 7i64)).collect()),
+                owner: vec![1; 3],
+                pages: Default::default(),
+                disk: Default::default(),
+            };
+            // Rank 0 crashed; rank 1 gathered.
+            assemble(vec![None, Some(outcome)], Partition::new(vec![1; 3], 2), 3)
+        };
+        assert_eq!(assembled(&[2, 0, 1]).unwrap().final_data, vec![7; 3]);
+        for (gathered, complaint) in [
+            (&[0, 2][..], "node 1 missing"),
+            (&[0, 1, 1, 2], "node 1 gathered twice"),
+            (&[0, 1, 2, 3], "node 3 is not in the graph"),
+        ] {
+            match assembled(gathered) {
+                Err(PlatformError::InternalInvariant { rank: 1, detail }) => {
+                    assert!(detail.contains(complaint), "{detail}")
+                }
+                other => panic!("{gathered:?}: {:?}", other.map(|r| r.final_data)),
+            }
+        }
+    }
 
     #[test]
     fn config_builders_compose() {

@@ -168,8 +168,8 @@ pub enum PlatformError {
     },
     /// [`crate::ExchangeMode::Overlap`] together with a layer that needs the
     /// crash-aware exchange (crash plans, audits, memory or disk faults,
-    /// paging, partition tolerance): that exchange has no overlapped
-    /// receive, and silently running the basic schedule instead would
+    /// paging, partition tolerance): recovery on that plane is specified
+    /// for the basic schedule only, and silently running it instead would
     /// misreport what was measured.
     OverlapNeedsCollectivePlane,
     /// A [`crate::store::NodeStore`] failed its structural self-check.
@@ -260,8 +260,8 @@ impl fmt::Display for PlatformError {
             PlatformError::OverlapNeedsCollectivePlane => write!(
                 f,
                 "overlapped exchange is not available with crash plans, audits, memory or \
-                 disk faults, paging or partition tolerance: the crash-aware exchange has \
-                 no overlapped receive"
+                 disk faults, paging or partition tolerance: recovery on that plane is \
+                 specified for the basic schedule only"
             ),
             PlatformError::StoreInvariant(v) => write!(f, "store invariant violated: {v}"),
             PlatformError::UnrecoverableState { rank } => write!(

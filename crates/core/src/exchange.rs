@@ -7,9 +7,8 @@ use crate::hashtab::Slot;
 use crate::program::{ComputeCtx, NeighborData, NodeProgram};
 use crate::store::NodeStore;
 use crate::timers::{Phase, PhaseTimers};
-use mpisim::{ArgValue, CtlSlot, Envelope, Rank, RetryPolicy};
+use mpisim::{ArgValue, CtlSlot, Rank, RetryPolicy};
 use std::ops::Range;
-use std::time::{Duration, Instant};
 
 /// Message tag for shadow-buffer exchange.
 pub const TAG_SHADOW: u32 = 1;
@@ -182,14 +181,16 @@ impl<D> Packing<D> {
     }
 }
 
-/// Run one compute + communicate round.
+/// Run one compute + communicate round: the node updates of Figure 8
+/// ([`ExchangeMode::PostComm`]) or 8a ([`ExchangeMode::Overlap`]) around the
+/// one shadow exchange ([`send_shadows`], then [`recv_shadows`]) — the modes
+/// differ only in whether the internal nodes are computed before the sends
+/// or between the sends and the receives.
 ///
-/// `tolerant` selects the receive side. `None` is the thesis's exchange:
-/// blocking receives, or the overlapped variant, and in delta mode a
-/// closing control exchange that agrees the global changed-node count.
-/// `Some(frozen)` is the crash-aware round of the verdict plane, on the
-/// [`ExchangeMode::PostComm`] schedule only: every shadow receive goes
-/// through [`Rank::try_recv`], so a crashed neighbour cannot wedge it.
+/// `tolerant` is `None` on the thesis's plane, whose round closes itself
+/// with a barrier (in delta mode a control exchange that agrees the global
+/// changed-node count). `Some(frozen)` is the crash-aware round of the
+/// verdict plane, which no crashed or unreachable neighbour can wedge.
 ///
 /// The *never-skip* rule: a receive whose sender has died simply keeps the
 /// stale shadow value from the previous iteration and the rank runs the
@@ -203,7 +204,7 @@ impl<D> Packing<D> {
 /// shadow buffer is sent to a frozen rank, and its expected receive is
 /// replaced by one `detect_timeout` charge in canonical order — its
 /// retained stale shadows serve read-only, exactly the degraded-mode
-/// contract. A receive that instead consumes a partition *tombstone* (the
+/// contract. A receive that instead finds a partition *tombstone* (the
 /// peer is alive but newly unreachable) likewise keeps the stale shadow and
 /// reports the cut.
 pub fn step<P: NodeProgram>(
@@ -217,64 +218,22 @@ pub fn step<P: NodeProgram>(
     let comp_t0 = rank.wtime();
     let mut pack = Packing::new(store, delta);
     let (internal, peripheral) = (store.internal_range(), store.peripheral_range());
-    let mut saw_cut = false;
-
-    match mode {
-        ExchangeMode::PostComm => {
-            // Figure 8: internal nodes, then peripheral nodes (packing as
-            // each is updated), then send/recv.
-            compute_list(round, store, internal, None, None);
-            compute_list(round, store, peripheral, Some(&mut pack), None);
-            round.end_compute(comp_t0);
-            let (timers, costs) = (&mut *round.timers, round.costs);
-            if let Some(frozen) = tolerant {
-                saw_cut = exchange_crash_aware(rank, store, &pack.buffers, timers, costs, frozen).1;
-            } else if bounded(rank) {
-                let (ex, _) = bounded_send(rank, store, &pack.buffers, timers, &[]);
-                bounded_collect(rank, store, ex, timers, costs, false, &[]);
-            } else {
-                send_buffers(rank, store, &pack.buffers, timers, &[]);
-                recv_and_unpack(rank, store, timers, costs);
-            }
-        }
-        ExchangeMode::Overlap if tolerant.is_some() => invariant_violated(
-            round.ctx.rank,
-            "the crash-aware exchange has no overlapped receive".into(),
-        ),
-        ExchangeMode::Overlap => {
-            // Figure 8a: peripherals first so their shadows can travel
-            // while internal nodes compute.
-            compute_list(round, store, peripheral, Some(&mut pack), None);
-            if bounded(rank) {
-                // Same virtual-time schedule as the unbounded overlap
-                // (send charges here, receive charges after the internal
-                // compute), but frames are drained opportunistically so a
-                // full mailbox can never wedge the send phase.
-                let (ex, _) = bounded_send(rank, store, &pack.buffers, round.timers, &[]);
-                compute_list(round, store, internal, None, None);
-                round.end_compute(comp_t0);
-                bounded_collect(rank, store, ex, round.timers, round.costs, false, &[]);
-            } else {
-                send_buffers(rank, store, &pack.buffers, round.timers, &[]);
-                type ShadowRecv<D> = mpisim::RecvRequest<Vec<(u32, D)>>;
-                let reqs: Vec<ShadowRecv<P::Data>> = store
-                    .recv_procs()
-                    .iter()
-                    .map(|&p| rank.irecv(p as usize, TAG_SHADOW))
-                    .collect();
-                compute_list(round, store, internal, None, None);
-                round.end_compute(comp_t0);
-                let recv_t0 = rank.wtime();
-                for (source, req) in reqs.into_iter().enumerate() {
-                    let t0 = rank.wtime();
-                    let msg = req.wait(rank);
-                    round.timers.add(Phase::Communicate, rank.wtime() - t0);
-                    unpack(rank, store, source, msg, round.timers, round.costs);
-                }
-                rank.trace_span("Communicate", "phase", recv_t0, &[]);
-            }
-        }
+    // Figure 8a computes the peripherals first, so their shadows travel
+    // while the internal nodes compute.
+    let overlap = mode == ExchangeMode::Overlap;
+    if !overlap {
+        compute_list(round, store, internal.clone(), None, None);
     }
+    compute_list(round, store, peripheral, Some(&mut pack), None);
+    if !overlap {
+        round.end_compute(comp_t0);
+    }
+    let mut saw_cut = send_shadows(rank, store, &pack.buffers, round.timers, tolerant);
+    if overlap {
+        compute_list(round, store, internal, None, None);
+        round.end_compute(comp_t0);
+    }
+    saw_cut |= recv_shadows(rank, store, round.timers, round.costs, tolerant).1;
     // This iteration shipped a full pack if delta packing was suspended;
     // either way receivers are now current, so the latch can drop.
     store.needs_resync = false;
@@ -532,43 +491,65 @@ pub(crate) fn drain_storage<D>(
     s
 }
 
-/// Does this world bound its mailboxes (credit-based flow control)?
-fn bounded(rank: &Rank) -> bool {
-    rank.config().mailbox_capacity.is_some()
+fn is_frozen(frozen: &[bool], p: usize) -> bool {
+    frozen.get(p).copied().unwrap_or(false)
 }
 
-/// Send every non-empty buffer to its neighbouring processor. Shadow
-/// buffers travel reliably: a receiver that never gets its buffer would
-/// deadlock the whole BSP round, so under fault injection each lost send is
-/// retransmitted (charging the ack timeout to virtual time) and the final
-/// attempt is escalated through. Without faults this is the thesis's plain
-/// buffered `MPI_Isend`. Retry and NACK-backoff time is attributed to the
-/// integrity phase, the rest to communicate.
+/// The ranks a shadow buffer is awaited from this round, ascending: every
+/// neighbouring processor that is not frozen.
+fn awaited<'a, D>(
+    store: &'a NodeStore<D>,
+    frozen: &'a [bool],
+) -> impl Iterator<Item = usize> + Clone + 'a {
+    let procs = store.recv_procs().iter().map(|&p| p as usize);
+    procs.filter(move |&p| !is_frozen(frozen, p))
+}
+
+/// The send half of the shadow exchange: every buffer to its neighbouring
+/// processor, ascending, retries back-to-back, so the sequence of
+/// virtual-time charges is the same at every mailbox capacity. Only a head
+/// send may wait for a credit, and while it waits the rank holds the shadow
+/// frames already addressed to it — charge-free; [`recv_shadows`] pays for
+/// them canonically.
 ///
-/// Sends to `frozen` (suspected) ranks are skipped outright. Returns
-/// whether any send hit an active partition cut — the only way an
-/// escalated reliable send can fail.
-fn send_buffers<D: mpisim::Wire>(
+/// Shadow buffers travel reliably: a receiver that never gets its buffer
+/// would deadlock the whole BSP round, so under fault injection each lost
+/// send is retransmitted (charging the ack timeout to virtual time) and the
+/// final attempt is escalated through. Without faults this is the thesis's
+/// plain buffered `MPI_Isend`. Retry and NACK-backoff time is attributed to
+/// the integrity phase, the rest to communicate.
+///
+/// Sends to frozen (suspected) ranks are skipped outright. Returns whether
+/// any send hit an active partition cut — the only way an escalated
+/// reliable send can fail.
+fn send_shadows<D: mpisim::Wire>(
     rank: &Rank,
     store: &NodeStore<D>,
     buffers: &[Vec<(u32, D)>],
     timers: &mut PhaseTimers,
-    frozen: &[bool],
+    tolerant: Option<&[bool]>,
 ) -> bool {
+    let frozen = tolerant.unwrap_or(&[]);
     let t0 = rank.wtime();
     let r0 = rank.retry_seconds();
     let mut saw_cut = false;
     for (p, buf) in buffers.iter().enumerate() {
-        if store.send_counts[p] > 0 && !frozen.get(p).copied().unwrap_or(false) {
-            // Delta packing may suppress entries, but never adds any; the
-            // (possibly empty) buffer is still sent so the message
-            // schedule — and thus every receive pattern — is identical
-            // with delta on or off.
-            debug_assert!(buf.len() <= store.send_counts[p]);
-            if !rank.send_reliable(p, TAG_SHADOW, buf, RetryPolicy::Escalate) {
-                saw_cut = true;
-            }
+        if store.send_counts[p] == 0 || is_frozen(frozen, p) {
+            continue;
         }
+        // Delta packing may suppress entries, but never adds any; the
+        // (possibly empty) buffer is still sent so the message schedule —
+        // and thus every receive pattern — is identical with delta on or
+        // off.
+        debug_assert!(buf.len() <= store.send_counts[p]);
+        saw_cut |= !rank.send_reliable_collecting(
+            p,
+            TAG_SHADOW,
+            buf,
+            RetryPolicy::Escalate,
+            awaited(store, frozen),
+            tolerant.is_some(),
+        );
     }
     let spent = rank.retry_seconds() - r0;
     // No call-site clamp: PhaseTimers::add clamps *and counts* genuinely
@@ -583,221 +564,90 @@ fn send_buffers<D: mpisim::Wire>(
     saw_cut
 }
 
-/// In-flight state of a bounded shadow exchange: frames physically drained
-/// but not yet charged/unpacked, in a dense slot per sender rank.
-struct BoundedExchange {
-    frames: Vec<Option<Envelope>>,
-    deadline: Instant,
-}
-
-/// The send half of the bounded-mailbox exchange schedule.
-///
-/// Sends run in the same canonical order (ascending destination, retries
-/// back-to-back) as the unbounded schedule, so the sequence of virtual-time
-/// charges is bit-identical; only the *head* send may wait for a credit,
-/// and while it waits the rank drains shadow frames already addressed to it
-/// — charge-free, the receive cost is applied canonically in
-/// [`bounded_collect`]. That mutual draining is what makes the BSP
-/// send-all-then-receive-all round deadlock-free at any capacity ≥ 1.
-fn bounded_send<D: mpisim::Wire>(
-    rank: &Rank,
-    store: &NodeStore<D>,
-    buffers: &[Vec<(u32, D)>],
-    timers: &mut PhaseTimers,
-    frozen: &[bool],
-) -> (BoundedExchange, bool) {
-    let t0 = rank.wtime();
-    let r0 = rank.retry_seconds();
-    let mut frames: Vec<Option<Envelope>> = Vec::new();
-    frames.resize_with(rank.size(), || None);
-    let deadline = Instant::now() + rank.config().watchdog;
-    let mut saw_cut = false;
-    for (p, buf) in buffers.iter().enumerate() {
-        if store.send_counts[p] == 0 || frozen.get(p).copied().unwrap_or(false) {
-            continue;
-        }
-        debug_assert!(buf.len() <= store.send_counts[p]);
-        // No stall accounting here: whether this head send physically waits
-        // depends on host scheduling. Credit stalls are tallied at their
-        // canonical resolution point by the receiver, in [`bounded_collect`].
-        loop {
-            if rank.offer_credit(p) {
-                if !rank.send_reliable_granted(p, TAG_SHADOW, buf, RetryPolicy::Escalate) {
-                    saw_cut = true;
-                }
-                break;
-            }
-            if let Some(env) = rank.drain_one(None, TAG_SHADOW) {
-                let src = env.src;
-                frames[src] = Some(env);
-            } else if Instant::now() >= deadline {
-                rank.deadlock_panic("bounded shadow exchange (send phase)");
-            } else {
-                rank.wait_incoming(Duration::from_millis(2));
-            }
+/// The next rank at or after `recv_procs()[*cursor]` whose data frame this
+/// round holds (a tombstone bypassed capacity and does not count).
+fn next_present<D>(rank: &Rank, store: &NodeStore<D>, cursor: &mut usize) -> Option<usize> {
+    while let Some(&p) = store.recv_procs().get(*cursor) {
+        *cursor += 1;
+        if rank.held(p as usize) == Some(true) {
+            return Some(p as usize);
         }
     }
-    let spent = rank.retry_seconds() - r0;
-    // No call-site clamp (see `send_buffers`): genuinely negative windows
-    // are counted by `PhaseTimers::add` instead of silently erased.
-    timers.add(Phase::Integrity, spent);
-    timers.add(Phase::Communicate, rank.wtime() - t0 - spent);
-    if spent > 0.0 {
-        rank.trace_span("Integrity", "phase", rank.wtime() - spent, &[]);
-    }
-    rank.trace_span("Communicate", "phase", t0, &[]);
-    (BoundedExchange { frames, deadline }, saw_cut)
+    None
 }
 
-/// The receive half of the bounded-mailbox exchange schedule: collect the
-/// remaining expected frames (in whatever order they arrive), then charge
-/// and unpack them in the canonical `recv_procs` order — reproducing the
-/// unbounded schedule's virtual clocks exactly.
+/// The receive half of the shadow exchange: hold every awaited frame, in
+/// whatever order they arrive ([`Rank::collect`]), then pay for and unpack
+/// them in the canonical `recv_procs` order — so every clock is independent
+/// of the arrival order and of the mailbox capacity.
 ///
-/// With `crash_aware`, a missing sender whose dead flag was observed
-/// *before* an empty drain pass is definitively never coming (deliveries
-/// happen-before the flag; same reasoning as [`Rank::try_recv`]); it is
-/// charged the detect timeout in canonical order and its stale shadow
-/// values stand in, mirroring the unbounded crash-aware path. Returns
-/// `(saw_death, saw_cut)`: whether any awaited sender was dead, and
-/// whether any frame was a partition tombstone. `frozen` (suspected) peers
-/// are not waited for at all — each is charged one `detect_timeout` in
-/// canonical order, like the unbounded crash-aware path.
-fn bounded_collect<D: mpisim::Wire + Clone>(
+/// On the crash-aware plane a sender that died before sending is charged
+/// the detect timeout at its place in that order and its stale shadow
+/// values stand in; a partition tombstone and a frozen (suspected) peer —
+/// which is not waited for at all — likewise. Returns `(saw_death,
+/// saw_cut)`: whether any awaited sender was dead, and whether any frame
+/// was a tombstone.
+fn recv_shadows<D: mpisim::Wire + Clone>(
     rank: &Rank,
     store: &mut NodeStore<D>,
-    ex: BoundedExchange,
     timers: &mut PhaseTimers,
     costs: &CostModel,
-    crash_aware: bool,
-    frozen: &[bool],
+    tolerant: Option<&[bool]>,
 ) -> (bool, bool) {
-    let BoundedExchange {
-        mut frames,
-        deadline,
-    } = ex;
-    let is_frozen = |p: usize| frozen.get(p).copied().unwrap_or(false);
-    let expected: Vec<usize> = store.recv_procs().iter().map(|&p| p as usize).collect();
-    let mut dead_peers: Vec<usize> = Vec::new();
-    loop {
-        let missing: Vec<usize> = expected
-            .iter()
-            .copied()
-            .filter(|&p| frames[p].is_none() && !dead_peers.contains(&p) && !is_frozen(p))
-            .collect();
-        if missing.is_empty() {
-            break;
-        }
-        // Snapshot dead flags *before* draining: a flag set now plus an
-        // empty drain below proves the peer's frame was never sent.
-        let flagged: Vec<usize> = if crash_aware {
-            missing
-                .iter()
-                .copied()
-                .filter(|&p| rank.peer_dead(p))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut got = false;
-        while let Some(env) = rank.drain_one(None, TAG_SHADOW) {
-            let src = env.src;
-            frames[src] = Some(env);
-            got = true;
-        }
-        let mut newly_dead = false;
-        for p in flagged {
-            if frames[p].is_none() && !dead_peers.contains(&p) {
-                dead_peers.push(p);
-                newly_dead = true;
-            }
-        }
-        if got || newly_dead {
-            continue;
-        }
-        if Instant::now() >= deadline {
-            rank.deadlock_panic("bounded shadow exchange (receive phase)");
-        }
-        rank.wait_incoming(Duration::from_millis(2));
-    }
+    let frozen = tolerant.unwrap_or(&[]);
+    rank.collect(TAG_SHADOW, awaited(store, frozen), tolerant.is_some());
     // Canonical credit-stall accounting (receiver side). With capacity C
     // and F data frames actually present this round, the last
     // `max(0, F - C)` senders in canonical order must have waited for a
-    // mailbox slot, whatever the host interleaving looked like; sender
-    // `present[C + j]`'s credit resolves exactly when the j-th present
-    // frame is absorbed and frees its slot. Counting there makes the stall
+    // mailbox slot, whatever the host interleaving looked like; the sender
+    // of the `C + j`-th present frame gets its credit exactly when the
+    // j-th is absorbed and frees its slot. Counting there makes the stall
     // tally — and its trace instants — a pure function of the
     // deterministic message schedule, byte-identical at every capacity.
-    // (Partition tombstones bypass capacity, so cut frames don't count.)
-    let (capacity, present): (usize, Vec<usize>) = match rank.config().mailbox_capacity {
-        Some(cap) => (
-            cap,
-            expected
-                .iter()
-                .copied()
-                .filter(|&p| !is_frozen(p) && matches!(&frames[p], Some(env) if !env.cut))
-                .collect(),
-        ),
-        None => (0, Vec::new()),
-    };
-    let mut absorbed = 0usize;
-    let mut saw_death = false;
-    let mut saw_cut = false;
+    let mut overflow = rank.config().mailbox_capacity.map(|capacity| {
+        let mut cursor = 0;
+        for _ in 0..capacity {
+            if next_present(rank, store, &mut cursor).is_none() {
+                break;
+            }
+        }
+        cursor
+    });
+    let (mut saw_death, mut saw_cut) = (false, false);
     let recv_t0 = rank.wtime();
-    for (source, p) in expected.into_iter().enumerate() {
+    for source in 0..store.recv_procs().len() {
+        let p = store.recv_procs()[source] as usize;
         let t0 = rank.wtime();
-        if is_frozen(p) {
-            // Suspected peer: nothing was waited for; pay the detection
-            // cost in canonical order, stale shadows stand in.
+        if is_frozen(frozen, p) {
+            // A suspected peer sends nothing while the partition is open;
+            // pay the detection cost in canonical order and let its
+            // retained stale shadows stand in.
             rank.charge_partition_timeout();
             timers.add(Phase::Communicate, rank.wtime() - t0);
             continue;
         }
-        match frames[p].take() {
-            Some(env) if env.cut => {
-                // Partition tombstone: the peer is alive but unreachable;
-                // same stale-shadow stand-in, same detection cost.
-                rank.charge_partition_timeout();
-                timers.add(Phase::Communicate, rank.wtime() - t0);
-                saw_cut = true;
-            }
-            Some(env) => {
-                let msg: Vec<(u32, D)> = rank.absorb(env);
-                if let Some(&stalled_sender) = present.get(capacity + absorbed) {
-                    rank.count_credit_stall(stalled_sender);
+        let held = rank.held(p);
+        match rank.settle::<Vec<(u32, D)>>(p) {
+            Ok(msg) => {
+                let stalled = overflow.as_mut().and_then(|c| next_present(rank, store, c));
+                if let Some(sender) = stalled {
+                    rank.count_credit_stall(sender);
                 }
-                absorbed += 1;
                 timers.add(Phase::Communicate, rank.wtime() - t0);
                 unpack(rank, store, source, msg, timers, costs);
             }
-            None => {
-                // Dead sender: charge the detect timeout the blocking path
-                // would have paid; stale shadow values stand in.
-                rank.charge_crash_timeout();
+            // Stale shadow values stand in either way: nothing held, the
+            // peer died before sending; a tombstone, it is alive but
+            // unreachable.
+            Err(mpisim::Died(_)) => {
                 timers.add(Phase::Communicate, rank.wtime() - t0);
-                saw_death = true;
+                saw_death |= held.is_none();
+                saw_cut |= held.is_some();
             }
         }
     }
     rank.trace_span("Communicate", "phase", recv_t0, &[]);
     (saw_death, saw_cut)
-}
-
-/// Blocking receive from every neighbouring processor, then unpack.
-fn recv_and_unpack<D: mpisim::Wire + Clone>(
-    rank: &Rank,
-    store: &mut NodeStore<D>,
-    timers: &mut PhaseTimers,
-    costs: &CostModel,
-) {
-    let recv_t0 = rank.wtime();
-    for source in 0..store.recv_procs().len() {
-        let t0 = rank.wtime();
-        let msg: Vec<(u32, D)> = rank.recv(store.recv_procs()[source] as usize, TAG_SHADOW);
-        timers.add(Phase::Communicate, rank.wtime() - t0);
-        unpack(rank, store, source, msg, timers, costs);
-    }
-    rank.trace_span("Communicate", "phase", recv_t0, &[]);
 }
 
 /// Apply the shadow buffer received from `recv_procs()[source]` to the
@@ -875,63 +725,9 @@ fn unpack<D: mpisim::Wire + Clone>(
     timers.add(Phase::CommunicationOverhead, rank.wtime() - t0);
 }
 
-/// Ship `buffers` and collect every expected shadow buffer without ever
-/// blocking on a peer that cannot answer — the communication phase of a
-/// crash-aware [`step`] and of [`resync_shadows`], bounded or unbounded.
-/// Returns `(saw_death, saw_cut)`.
-fn exchange_crash_aware<D: mpisim::Wire + Clone>(
-    rank: &Rank,
-    store: &mut NodeStore<D>,
-    buffers: &[Vec<(u32, D)>],
-    timers: &mut PhaseTimers,
-    costs: &CostModel,
-    frozen: &[bool],
-) -> (bool, bool) {
-    if bounded(rank) {
-        let (ex, sent_cut) = bounded_send(rank, store, buffers, timers, frozen);
-        let (death, cut) = bounded_collect(rank, store, ex, timers, costs, true, frozen);
-        return (death, sent_cut | cut);
-    }
-    let mut saw_death = false;
-    let mut saw_cut = send_buffers(rank, store, buffers, timers, frozen);
-    let recv_t0 = rank.wtime();
-    for source in 0..store.recv_procs().len() {
-        let p = store.recv_procs()[source];
-        let t0 = rank.wtime();
-        if frozen.get(p as usize).copied().unwrap_or(false) {
-            // A suspected peer sends nothing while the partition is
-            // open; pay the detection cost in canonical order and let
-            // its retained stale shadows stand in.
-            rank.charge_partition_timeout();
-            timers.add(Phase::Communicate, rank.wtime() - t0);
-            continue;
-        }
-        match rank.try_recv::<Vec<(u32, D)>>(p as usize, TAG_SHADOW) {
-            Ok(msg) => {
-                timers.add(Phase::Communicate, rank.wtime() - t0);
-                unpack(rank, store, source, msg, timers, costs);
-            }
-            Err(mpisim::Died(peer)) => {
-                // Stale shadow values stand in either way; the dead
-                // flag disambiguates a confirmed death from a
-                // partition tombstone (peer alive but unreachable).
-                timers.add(Phase::Communicate, rank.wtime() - t0);
-                if rank.peer_dead(peer) {
-                    saw_death = true;
-                } else {
-                    saw_cut = true;
-                }
-            }
-        }
-    }
-    rank.trace_span("Communicate", "phase", recv_t0, &[]);
-    (saw_death, saw_cut)
-}
-
 /// A dedicated shadow-repair exchange: every rank repacks *all* of its
 /// peripheral nodes' current values and ships them to their shadow holders
-/// through the regular exchange machinery (bounded or unbounded, so it is
-/// safe at any mailbox capacity), and receivers overwrite their retained
+/// through the one shadow exchange, and receivers overwrite their retained
 /// shadows — through [`NodeStore::audit_note`], restoring the digest.
 ///
 /// This is the targeted repair an audit boundary triggers when only
@@ -984,17 +780,16 @@ where
     }
     timers.add(Phase::CommunicationOverhead, rank.wtime() - t0);
 
-    let (saw_death, saw_cut) = exchange_crash_aware(rank, store, &buffers, timers, costs, frozen);
+    let sent_cut = send_shadows(rank, store, &buffers, timers, Some(frozen));
+    let (saw_death, recv_cut) = recv_shadows(rank, store, timers, costs, Some(frozen));
+    let saw_cut = sent_cut | recv_cut;
     // A full pack just went out: every receiver's retained shadows are
     // current again, so delta packing may resume.
     store.needs_resync = false;
 
     // Close the repair round like a regular step closes, at a barrier's
-    // cost. Without it a fast rank may run ahead into the next iteration's
-    // exchange while a slow peer is still collecting repair frames — and
-    // the bounded drain schedule keys in-flight frames by source rank, so
-    // the run-ahead frame would overwrite the unconsumed repair frame and
-    // deadlock the round (the exact hazard tests/runahead_repro.rs pins).
+    // cost, so what follows a repair that met a death or a cut is one
+    // agreed decision.
     drain_storage(rank, store, timers);
     let t0 = rank.wtime();
     let verdict = rank.ctl_exchange(CtlSlot {
@@ -1016,6 +811,7 @@ mod tests {
     use ic2_graph::{Graph, NodeId, Partition};
     use ic2_rng::SplitMix64;
     use mpisim::{Config, FaultPlan, World};
+    use std::time::Duration;
 
     fn world() -> World {
         World::new(Config::default().with_watchdog(Duration::from_secs(10)))

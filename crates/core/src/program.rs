@@ -37,9 +37,8 @@ pub struct NeighborData<'a, D> {
 ///
 /// The platform owns the data between iterations; the program only sees a
 /// node with its neighbourhood and returns the node's next value (Jacobi
-/// update). `cost` reports the node's *grain size*: in virtual-time mode
-/// it is charged to the rank's clock, in real-time mode it is busy-spun —
-/// both reproduce the thesis's "dummy for loop" load injection.
+/// update). `cost` reports the node's *grain size*, charged to the rank's
+/// virtual clock — the thesis's "dummy for loop" load injection.
 pub trait NodeProgram: Sync {
     /// Per-node application data (the thesis's `struct node_data`).
     /// `PartialEq` is what delta shadow exchange tests dirtiness with: a

@@ -1,7 +1,6 @@
 //! The per-rank communication endpoint.
 
 use crate::mailbox::{Envelope, Pattern};
-use crate::net::TimingMode;
 use crate::payload::{encode_payload, Payload};
 use crate::request::{RecvRequest, SendRequest};
 use crate::stats::{CommStats, InvalidRank};
@@ -68,7 +67,7 @@ enum CreditMode {
     /// retransmit that repairs it. The overflow is bounded by the retry
     /// budget.
     Bypass,
-    /// The caller already holds a credit from [`Rank::offer_credit`].
+    /// The caller already holds a credit (`Rank::credit_collecting`).
     Held,
     /// Block (wall-clock only — zero virtual time) until a credit frees up,
     /// scavenging garbage frames from the destination and watching for
@@ -87,6 +86,11 @@ const FLOW_DEADLOCK_CONFIRM: u32 = 5;
 /// (and, credit-stalled, at the flow-control deadlock detector).
 const SLICE: Duration = Duration::from_millis(50);
 
+/// How often a sender that is collecting its own frames while a credit is
+/// refused looks at the destination again — the one wait here that polls,
+/// because it spans two gates; reachable only at a bounded capacity.
+const CREDIT_POLL: Duration = Duration::from_millis(2);
+
 /// One rank's endpoint into the simulated world — the analogue of an
 /// `MPI_Comm` plus the rank's identity.
 ///
@@ -100,7 +104,9 @@ pub struct Rank {
     clock: Cell<f64>,
     coll_seq: Cell<i64>,
     stats: RefCell<CommStats>,
-    epoch: Instant,
+    /// What [`Rank::collect`] has taken off the queue and [`Rank::settle`]
+    /// has not yet paid for: at most one frame per source rank.
+    held: RefCell<Vec<Option<Envelope>>>,
     /// Per-(dest, tag) sequence counters for fault-aware sends. Only
     /// touched when message faults are active, so the map stays bounded
     /// by the set of live user tags.
@@ -125,7 +131,7 @@ pub struct Rank {
 }
 
 impl Rank {
-    pub(crate) fn new(id: usize, n: usize, shared: Arc<Shared>, epoch: Instant) -> Self {
+    pub(crate) fn new(id: usize, n: usize, shared: Arc<Shared>) -> Self {
         let msg_faults = shared.cfg.faults.message_faults();
         let partitioned = shared.cfg.faults.has_partitions();
         let compute_factor = shared.cfg.faults.compute_factor(id);
@@ -138,7 +144,7 @@ impl Rank {
             clock: Cell::new(0.0),
             coll_seq: Cell::new(0),
             stats: RefCell::new(CommStats::new(n)),
-            epoch,
+            held: RefCell::new((0..n).map(|_| None).collect()),
             send_seq: RefCell::new(HashMap::new()),
             msg_faults,
             partitioned,
@@ -219,32 +225,18 @@ impl Rank {
         &self.shared.cfg
     }
 
-    /// Current time in seconds (`MPI_Wtime`): the virtual clock in
-    /// [`TimingMode::Virtual`], wall-clock since world start otherwise.
+    /// Current time in seconds (`MPI_Wtime`): this rank's virtual clock.
     pub fn wtime(&self) -> f64 {
-        match self.shared.cfg.timing {
-            TimingMode::Virtual(_) => self.clock.get(),
-            TimingMode::Real => self.epoch.elapsed().as_secs_f64(),
-        }
+        self.clock.get()
     }
 
-    /// Charge `seconds` of compute to this rank.
-    ///
-    /// In virtual mode this advances the clock; in real mode it busy-spins
-    /// (the thesis injects grain sizes with a dummy `for` loop — this is
-    /// that loop). A straggler fault multiplies the charge.
+    /// Charge `seconds` of compute to this rank's virtual clock (where the
+    /// thesis injects grain sizes with a dummy `for` loop). A straggler
+    /// fault multiplies the charge.
     pub fn advance(&self, seconds: f64) {
         debug_assert!(seconds >= 0.0, "cannot advance time backwards");
-        let seconds = seconds * self.compute_factor;
-        match self.shared.cfg.timing {
-            TimingMode::Virtual(_) => self.clock.set(self.clock.get() + seconds),
-            TimingMode::Real => {
-                let until = Instant::now() + Duration::from_secs_f64(seconds);
-                while Instant::now() < until {
-                    std::hint::spin_loop();
-                }
-            }
-        }
+        self.clock
+            .set(self.clock.get() + seconds * self.compute_factor);
         self.maybe_crash();
     }
 
@@ -322,18 +314,24 @@ impl Rank {
         self.send_reliable_inner(dest, tag, value, policy, CreditMode::Acquire)
     }
 
-    /// [`Rank::send_reliable`] whose first attempt spends a credit already
-    /// obtained from [`Rank::offer_credit`]. Never blocks on flow control —
-    /// the building block for schedules that interleave receiving with
-    /// sending instead of stalling (see the exchange layer).
-    pub fn send_reliable_granted<T: Wire>(
+    /// [`Rank::send_reliable`] for the send phase of an exchange that will
+    /// [`Rank::collect`] `tag` frames from `awaited` next: while `dest`'s
+    /// bounded mailbox refuses the first attempt a credit, this rank holds
+    /// the awaited frames already queued for it instead of just stalling.
+    /// That mutual draining is what makes a send-all-then-receive-all round
+    /// deadlock-free at any capacity ≥ 1. Charges what `send_reliable`
+    /// charges, whatever was collected meanwhile.
+    pub fn send_reliable_collecting<T: Wire>(
         &self,
         dest: usize,
         tag: Tag,
         value: &T,
         policy: RetryPolicy,
+        awaited: impl Iterator<Item = usize> + Clone,
+        crash_aware: bool,
     ) -> bool {
-        self.send_reliable_inner(dest, tag, value, policy, CreditMode::Held)
+        let credit = self.credit_collecting(dest, tag, awaited, crash_aware);
+        self.send_reliable_inner(dest, tag, value, policy, credit)
     }
 
     fn send_reliable_inner<T: Wire>(
@@ -401,15 +399,9 @@ impl Rank {
 
     // ---- flow control ----------------------------------------------------
 
-    /// Try to obtain one delivery credit for `dest` without blocking,
-    /// scavenging the destination's garbage frames on a first failure.
-    /// Always succeeds for unbounded mailboxes. A granted credit must be
-    /// spent with [`Rank::send_reliable_granted`] (or returned with
-    /// [`Rank::refund_credit`]).
-    pub fn offer_credit(&self, dest: usize) -> bool {
-        if !self.shared.mailboxes[dest].is_bounded() {
-            return true;
-        }
+    /// Try to obtain one delivery credit for the bounded mailbox of `dest`
+    /// without blocking, scavenging its garbage frames on a first failure.
+    fn offer_credit(&self, dest: usize) -> bool {
         if self.shared.try_acquire_credit(self.id, dest) {
             return true;
         }
@@ -417,12 +409,45 @@ impl Rank {
         self.shared.try_acquire_credit(self.id, dest)
     }
 
-    /// Return a credit obtained from [`Rank::offer_credit`] that will not
-    /// be spent after all.
-    pub fn refund_credit(&self, dest: usize) {
-        if self.shared.mailboxes[dest].is_bounded() {
-            self.shared.mailboxes[dest].release_credit();
+    /// Obtain a credit for `dest` (none, if its mailbox is unbounded),
+    /// collecting `awaited` frames while it is refused. The
+    /// wait spans two gates: a frame landing in this rank's mailbox wakes
+    /// it at once; a credit freed at `dest`'s is noticed at the next
+    /// [`CREDIT_POLL`] — or at once when nothing is left to collect and
+    /// the wait can move to `dest`'s gate. Wall-clock only, like every
+    /// credit wait: zero virtual time, no stall counted (see
+    /// [`Rank::count_credit_stall`]).
+    fn credit_collecting(
+        &self,
+        dest: usize,
+        tag: Tag,
+        awaited: impl Iterator<Item = usize> + Clone,
+        crash_aware: bool,
+    ) -> CreditMode {
+        if !self.shared.mailboxes[dest].is_bounded() {
+            return CreditMode::Bypass;
         }
+        self.maybe_crash();
+        let op = BlockedOp {
+            what: "send (awaiting credit, collecting)",
+            src: Some(dest),
+            tag: Some(tag as i64),
+            vtime: self.clock.get(),
+        };
+        self.block_on(op, true, |park| {
+            if self.offer_credit(dest) {
+                return Some(());
+            }
+            let park = park.min(CREDIT_POLL);
+            if self
+                .collect_for(park, tag, awaited.clone(), crash_aware)
+                .is_some()
+            {
+                self.shared.mailboxes[dest].wait_change(park);
+            }
+            None
+        });
+        CreditMode::Held
     }
 
     /// Count one credit stall: a sender (`src`) whose frame could not have
@@ -460,17 +485,8 @@ impl Rank {
         );
     }
 
-    /// Park briefly until something lands in (or drains from) this rank's
-    /// own mailbox. Used by interleaved send/receive schedules between
-    /// failed credit offers. Checks for world poisoning first.
-    pub fn wait_incoming(&self, slice: Duration) {
-        self.check_poison();
-        self.shared.mailboxes[self.id].wait_change(slice);
-    }
-
-    /// Panic with the world-state deadlock report — for callers running
-    /// their own watchdogged wait loops.
-    pub fn deadlock_panic(&self, what: &str) -> ! {
+    /// Panic with the world-state deadlock report.
+    fn deadlock_panic(&self, what: &str) -> ! {
         panic!(
             "rank {}: {what} timed out after {:?} (likely deadlock); world state:\n{}",
             self.id,
@@ -491,76 +507,46 @@ impl Rank {
         if tag < 0 || !self.shared.mailboxes[dest].is_bounded() {
             return false;
         }
-        if self.shared.try_acquire_credit(self.id, dest) {
-            return true;
-        }
         // No stall counting here: whether this blocking send physically
         // parks depends on host scheduling. Credit stalls are tallied at
         // their canonical resolution point by the receiver (see
         // [`Rank::count_credit_stall`]), which keeps the counter and its
         // trace instants byte-deterministic at every capacity.
-        self.shared.set_blocked(
-            self.id,
-            Some(BlockedOp {
-                what: "send (awaiting credit)",
-                src: Some(dest),
-                tag: Some(tag),
-                vtime: self.clock.get(),
-            }),
-        );
-        let deadline = Instant::now() + self.shared.cfg.watchdog;
+        let op = BlockedOp {
+            what: "send (awaiting credit)",
+            src: Some(dest),
+            tag: Some(tag),
+            vtime: self.clock.get(),
+        };
         let mut last: Option<Vec<(usize, u64)>> = None;
         let mut streak = 0u32;
-        loop {
-            if self.shared.poisoned.load(Ordering::Relaxed) {
+        self.block_on(op, true, |park| {
+            if self.offer_credit(dest) {
+                return Some(());
+            }
+            let cycle = self.shared.flow_cycle(self.id);
+            streak = match &cycle {
+                Some(_) if cycle == last => streak + 1,
+                Some(_) => 1,
+                None => 0,
+            };
+            if let Some(cycle) = cycle.as_ref().filter(|_| streak >= FLOW_DEADLOCK_CONFIRM) {
+                let mut members: Vec<usize> = cycle.iter().map(|&(m, _)| m).collect();
+                let lo = (0..members.len()).min_by_key(|&i| members[i]).unwrap_or(0);
+                members.rotate_left(lo);
                 self.shared.clear_credit_wait(self.id);
-                panic!("rank {}: aborting because another rank panicked", self.id);
+                std::panic::panic_any(FlowDeadlock { cycle: members });
             }
-            self.shared.mailboxes[dest].scavenge();
-            if self.shared.try_acquire_credit(self.id, dest) {
-                break;
-            }
-            match self.shared.flow_cycle(self.id) {
-                Some(cycle) => {
-                    if last.as_ref() == Some(&cycle) {
-                        streak += 1;
-                    } else {
-                        streak = 1;
-                        last = Some(cycle.clone());
-                    }
-                    if streak >= FLOW_DEADLOCK_CONFIRM {
-                        let mut members: Vec<usize> = cycle.iter().map(|&(m, _)| m).collect();
-                        let lo = members
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|&(_, &m)| m)
-                            .map(|(i, _)| i)
-                            .unwrap_or(0);
-                        members.rotate_left(lo);
-                        self.shared.clear_credit_wait(self.id);
-                        std::panic::panic_any(FlowDeadlock { cycle: members });
-                    }
-                }
-                None => {
-                    streak = 0;
-                    last = None;
-                }
-            }
-            if Instant::now() >= deadline {
-                self.shared.clear_credit_wait(self.id);
-                self.deadlock_panic(&format!("send to rank {dest}, awaiting a mailbox credit,"));
-            }
-            self.shared.mailboxes[dest].wait_change(SLICE);
-        }
-        self.shared.set_blocked(self.id, None);
+            last = cycle;
+            self.shared.mailboxes[dest].wait_change(park);
+            None
+        });
         true
     }
 
     /// Charge an integrity timeout (virtual clock + bookkeeping).
     fn charge_timeout(&self, seconds: f64) {
-        if let TimingMode::Virtual(_) = self.shared.cfg.timing {
-            self.clock.set(self.clock.get() + seconds);
-        }
+        self.clock.set(self.clock.get() + seconds);
         self.stats.borrow_mut().retry_seconds += seconds;
     }
 
@@ -599,7 +585,7 @@ impl Rank {
     /// Crash-aware blocking receive: wait for a message from `src`, but if
     /// `src` has crashed and its message will never come, give up after the
     /// fault plan's `detect_timeout` (charged to the virtual clock) and
-    /// return [`Died`].
+    /// return [`Died`]. A [`Rank::collect`] of one source, settled at once.
     ///
     /// The outcome is deterministic: every message a rank sends
     /// happens-before its death is published, so once the dead flag is
@@ -607,32 +593,8 @@ impl Rank {
     /// message provably was never sent. Whether `src` sent before crashing
     /// is a pure function of its own (deterministic) instruction stream.
     pub fn try_recv<T: Wire>(&self, src: usize, tag: Tag) -> Result<T, Died> {
-        self.maybe_crash();
-        let pattern = Pattern {
-            src: Some(src),
-            tag: tag as i64,
-        };
-        let ordered = self.msg_faults && pattern.tag >= 0;
-        // The dead flag is read *before* each look at the mailbox (see
-        // [`Mailbox::recv_or`]): deliveries happen-before the flag is set,
-        // so flag-then-empty is a definitive "never coming" — and the
-        // dying rank pokes every mailbox, so a parked receiver looks again.
-        let died = || self.shared.is_dead(src).then_some(Died(src));
-        let mailbox = &self.shared.mailboxes[self.id];
-        let got = self.block_on(self.blocked_in("try_recv", Some(pattern)), true, |park| {
-            mailbox.recv_or(pattern, park, ordered, true, died)
-        });
-        let env = got.inspect_err(|_| self.detect_timeout(false, Some(src)))?;
-        if env.cut {
-            // A partition tombstone: the peer is alive but unreachable.
-            // Pay the same detection cost as a crash timeout — the caller
-            // waited a full `detect_timeout` before concluding the message
-            // is not coming — and report the peer exactly as a death; the
-            // membership layer disambiguates via the ctl verdict.
-            self.detect_timeout(true, Some(env.src));
-            return Err(Died(env.src));
-        }
-        Ok(self.absorb(env))
+        self.collect(tag, std::iter::once(src), true);
+        self.settle(src)
     }
 
     /// Discard every message currently queued in this rank's own mailbox.
@@ -641,70 +603,112 @@ impl Rank {
     /// bookkeeping survives the purge, so reliable streams that straddle a
     /// rollback still deduplicate correctly.
     pub fn purge_mailbox(&self) {
+        self.release_held();
         self.shared.mailboxes[self.id].purge();
     }
 
-    /// Nonblocking physical receipt for interleaved (bounded-mailbox)
-    /// schedules: remove and return one matching envelope if present,
-    /// without charging any receive cost. Ordered semantics apply exactly
-    /// as in a blocking receive (damaged and stale frames are discarded,
-    /// lowest sequence number wins). Pair with [`Rank::absorb`], which
-    /// applies the virtual-time charge — keeping charges in a canonical
-    /// order even when frames are drained in whatever order they arrive.
-    pub fn drain_one(&self, src: Option<usize>, tag: Tag) -> Option<Envelope> {
+    /// Forget, unpaid, whatever [`Rank::collect`] still holds: for a caller
+    /// that gives up part-way through its canonical order, so the frames
+    /// of the abandoned exchange cannot pass for those of the next.
+    pub fn release_held(&self) {
+        self.held.borrow_mut().fill_with(|| None);
+    }
+
+    /// The any-order receive under every exchange: block until this rank
+    /// *holds* one `tag` frame (or partition tombstone) from every source
+    /// in `awaited`, taking them off the queue in whatever order they
+    /// arrive — so at a bounded capacity a sender stalled behind another's
+    /// frame always gets its slot. Nothing is charged, counted or traced
+    /// here; the caller pays for each frame with [`Rank::settle`], in its
+    /// own canonical order, which keeps every virtual clock independent of
+    /// the arrival order.
+    ///
+    /// At most one frame per source is held: a source already held is not
+    /// looked for, so a peer that ran ahead into its next round finds its
+    /// frame queued behind, per-source FIFO, for the next `collect`.
+    ///
+    /// With `crash_aware`, a source whose dead flag was read *before* a
+    /// look that found nothing from it is never coming (deliveries
+    /// happen-before the flag, and a dying rank pokes every mailbox) and
+    /// stops being waited for; its slot stays empty.
+    pub fn collect(
+        &self,
+        tag: Tag,
+        awaited: impl Iterator<Item = usize> + Clone,
+        crash_aware: bool,
+    ) {
         self.maybe_crash();
-        self.check_poison();
-        let pat = Pattern {
-            src,
+        // The deadlock report names the source when there is just one.
+        let mut sources = awaited.clone();
+        let pattern = Pattern {
+            src: sources.next().filter(|_| sources.next().is_none()),
             tag: tag as i64,
         };
-        let ordered = self.msg_faults && pat.tag >= 0;
-        self.shared.mailboxes[self.id].take(pat, ordered, true)
+        self.block_on(self.blocked_in("collect", Some(pattern)), true, |park| {
+            self.collect_for(park, tag, awaited.clone(), crash_aware)
+        });
     }
 
-    /// Account for and decode an envelope previously taken with
-    /// [`Rank::drain_one`]: charges the standard receive cost
-    /// (`max(clock, arrival) + recv_overhead`) exactly as the blocking
-    /// receive path would.
-    pub fn absorb<T: Wire>(&self, env: Envelope) -> T {
-        if let TimingMode::Virtual(net) = self.shared.cfg.timing {
-            let clock = self.clock.get().max(env.arrival) + net.recv_overhead;
-            self.clock.set(clock);
+    /// One bounded wait of [`Rank::collect`]: `Some` once nothing awaited
+    /// is still to come, `None` when `park` ran out first (what arrived
+    /// meanwhile is held).
+    fn collect_for(
+        &self,
+        park: Duration,
+        tag: Tag,
+        awaited: impl Iterator<Item = usize> + Clone,
+        crash_aware: bool,
+    ) -> Option<()> {
+        let gone = |src| crash_aware && self.shared.is_dead(src);
+        self.shared.mailboxes[self.id].recv_or(
+            tag as i64,
+            park,
+            self.msg_faults,
+            awaited,
+            &mut self.held.borrow_mut(),
+            gone,
+        )
+    }
+
+    /// What [`Rank::collect`] holds from `src`: `None` if nothing (it was
+    /// not awaited, or is dead), else whether the frame carries data —
+    /// `Some(false)` is a partition tombstone.
+    pub fn held(&self, src: usize) -> Option<bool> {
+        self.held.borrow()[src].as_ref().map(|env| !env.cut)
+    }
+
+    /// Pay for and decode what [`Rank::collect`] holds from `src`, exactly
+    /// as a blocking receive from it would at this point of the caller's
+    /// schedule: a frame costs `max(clock, arrival) + recv_overhead`;
+    /// nothing held (the peer died before sending) or a partition
+    /// tombstone (alive but unreachable) costs the fault plan's
+    /// `detect_timeout` — the caller waited that long before concluding
+    /// the message is not coming — and is reported as [`Died`], told apart
+    /// beforehand by [`Rank::held`].
+    pub fn settle<T: Wire>(&self, src: usize) -> Result<T, Died> {
+        let held = self.held.borrow_mut()[src].take();
+        match held {
+            Some(env) if !env.cut => {
+                self.charge_recv(&env);
+                Ok(self.decode(&env))
+            }
+            frame => {
+                self.detect_timeout(frame.is_some(), Some(src));
+                Err(Died(src))
+            }
         }
-        self.stats.borrow_mut().on_recv(env.bytes.len());
-        T::from_bytes(&env.bytes).unwrap_or_else(|e| {
-            panic!(
-                "rank {}: message from rank {} tag {} failed to decode as {}: {e}",
-                self.id,
-                env.src,
-                env.tag,
-                std::any::type_name::<T>()
-            )
-        })
     }
 
-    /// Has `rank` been declared dead? For interleaved schedules that need
-    /// [`Rank::try_recv`]'s flag-then-empty reasoning without its blocking
-    /// loop. Read the flag *before* a final mailbox drain: deliveries
-    /// happen-before the flag is set, so flag-then-empty is a definitive
-    /// "never coming".
+    /// Has `rank` been declared dead?
     pub fn peer_dead(&self, rank: usize) -> bool {
         self.shared.is_dead(rank)
     }
 
-    /// Charge the fault plan's `detect_timeout` and count one crash
-    /// timeout — the cost [`Rank::try_recv`] pays when it concludes a peer
-    /// died. Interleaved schedules call this once per dead peer, in
-    /// canonical order, to stay bit-compatible with the blocking path.
-    pub fn charge_crash_timeout(&self) {
-        self.detect_timeout(false, None);
-    }
-
     /// Charge the fault plan's `detect_timeout` and count one partition
-    /// timeout — the cost [`Rank::try_recv`] pays when it consumes a
-    /// partition tombstone. Membership layers call this once per frozen
-    /// peer (and once per parked round), in canonical order, so degraded
-    /// iterations advance the virtual clock identically on every rank.
+    /// timeout for a wait that had no single peer: membership layers call
+    /// this once per frozen peer (and once per parked round), in canonical
+    /// order, so degraded iterations advance the virtual clock identically
+    /// on every rank.
     pub fn charge_partition_timeout(&self) {
         self.detect_timeout(true, None);
     }
@@ -713,10 +717,8 @@ impl Rank {
     /// count it as a partition or a crash timeout, and trace it (naming
     /// the peer where the caller gave up on one receive).
     fn detect_timeout(&self, partition: bool, peer: Option<usize>) {
-        if let TimingMode::Virtual(_) = self.shared.cfg.timing {
-            self.clock
-                .set(self.clock.get() + self.shared.cfg.faults.detect_timeout);
-        }
+        self.clock
+            .set(self.clock.get() + self.shared.cfg.faults.detect_timeout);
         let name = {
             let faults = &mut self.stats.borrow_mut().faults;
             if partition {
@@ -801,9 +803,8 @@ impl Rank {
         let resolved = self.block_on(self.blocked_in(what, None), false, |park| {
             barrier.resolved(gen, park)
         });
-        if let TimingMode::Virtual(net) = self.shared.cfg.timing {
-            self.clock.set(resolved.clock + net.barrier_cost);
-        }
+        self.clock
+            .set(resolved.clock + self.shared.cfg.net.barrier_cost);
         // The span's width is this rank's wait for the slowest peer — the
         // per-iteration imbalance signal, directly visible in Perfetto.
         self.trace_span(what, "sync", entered, &[]);
@@ -828,15 +829,7 @@ impl Rank {
                 src: Some(parent),
                 tag,
             });
-            *value = T::from_bytes(&env.bytes).unwrap_or_else(|e| {
-                panic!(
-                    "rank {}: message from rank {} tag {} failed to decode as {}: {e}",
-                    self.id,
-                    env.src,
-                    env.tag,
-                    std::any::type_name::<T>()
-                )
-            });
+            *value = self.decode(&env);
             env.bytes
         } else {
             encode_payload(value)
@@ -1077,14 +1070,10 @@ impl Rank {
             CreditMode::Acquire => self.acquire_credit(dest, tag),
         };
         let len = payload.len();
-        let mut arrival = match self.shared.cfg.timing {
-            TimingMode::Virtual(net) => {
-                let clock = self.clock.get() + net.send_overhead;
-                self.clock.set(clock);
-                net.arrival(clock, len)
-            }
-            TimingMode::Real => 0.0,
-        };
+        let net = &self.shared.cfg.net;
+        let clock = self.clock.get() + net.send_overhead;
+        self.clock.set(clock);
+        let mut arrival = net.arrival(clock, len);
         if let Err(e) = self.stats.borrow_mut().on_send(dest, len) {
             std::panic::panic_any(InvalidRank { src: self.id, ..e });
         }
@@ -1247,17 +1236,19 @@ impl Rank {
         let env = self.block_on(self.blocked_in("recv", Some(pattern)), true, |park| {
             mailbox.recv_where(pattern, park, ordered, false)
         });
-        if let TimingMode::Virtual(net) = self.shared.cfg.timing {
-            let clock = self.clock.get().max(env.arrival) + net.recv_overhead;
-            self.clock.set(clock);
-        }
-        self.stats.borrow_mut().on_recv(env.bytes.len());
+        self.charge_recv(&env);
         env
     }
 
-    pub(crate) fn complete_recv_with_source<T: Wire>(&self, pattern: Pattern) -> (usize, T) {
-        let env = self.complete_recv_env(pattern);
-        let value = T::from_bytes(&env.bytes).unwrap_or_else(|e| {
+    /// The cost of receiving `env`: wait out its arrival, pay the overhead.
+    fn charge_recv(&self, env: &Envelope) {
+        let ready = self.clock.get().max(env.arrival);
+        self.clock.set(ready + self.shared.cfg.net.recv_overhead);
+        self.stats.borrow_mut().on_recv(env.bytes.len());
+    }
+
+    fn decode<T: Wire>(&self, env: &Envelope) -> T {
+        T::from_bytes(&env.bytes).unwrap_or_else(|e| {
             panic!(
                 "rank {}: message from rank {} tag {} failed to decode as {}: {e}",
                 self.id,
@@ -1265,8 +1256,12 @@ impl Rank {
                 env.tag,
                 std::any::type_name::<T>()
             )
-        });
-        (env.src, value)
+        })
+    }
+
+    pub(crate) fn complete_recv_with_source<T: Wire>(&self, pattern: Pattern) -> (usize, T) {
+        let env = self.complete_recv_env(pattern);
+        (env.src, self.decode(&env))
     }
 
     pub(crate) fn probe_pattern(&self, pattern: Pattern) -> bool {

@@ -18,8 +18,7 @@
 //! advances the receiver's clock to `max(own, send_time + α + bytes/β)`.
 //! Barriers synchronise every clock to the maximum. This yields
 //! deterministic, host-independent execution times whose *shape* over the
-//! processor count matches a real machine. A [`TimingMode::Real`] mode is
-//! also available for wall-clock benchmarking.
+//! processor count matches a real machine.
 //!
 //! ## Quick example
 //!
@@ -56,7 +55,7 @@ pub use comm::{Died, Rank, RetryPolicy, Tag, ANY_SOURCE};
 pub use disk::{DiskCounters, DiskError, DiskTiming, VirtualDisk};
 pub use faults::{DiskFault, FaultDecision, FaultPlan, FaultPlanError, MemRegion, PartitionSpec};
 pub use mailbox::Envelope;
-pub use net::{NetModel, TimingMode};
+pub use net::NetModel;
 pub use payload::{
     encode_payload, payload_metrics, reset_payload_metrics, Payload, PayloadMetrics,
 };

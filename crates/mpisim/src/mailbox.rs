@@ -13,7 +13,7 @@ pub struct Envelope {
     pub src: usize,
     /// Message tag (user tags are non-negative; collectives use negative).
     pub tag: i64,
-    /// Virtual arrival time at the receiver (ignored in real-time mode).
+    /// Virtual arrival time at the receiver.
     pub arrival: f64,
     /// Per-(source, tag) sequence number assigned at send time. Always 0
     /// when fault injection is off; under fault injection it lets the
@@ -333,23 +333,39 @@ impl Mailbox {
         })
     }
 
-    /// [`Mailbox::recv_where`] that also ends, with `Err(e)`, once `gone`
-    /// returns `Some(e)` and nothing matching is queued. `gone` is read
-    /// *before* each look at the queue, under the lock, and again after
-    /// every [`Mailbox::poke`]: whoever makes it true after its last
-    /// delivery makes the `Err` a definitive "never coming".
-    pub fn recv_or<E>(
+    /// The any-order receive that can give up on a source: fill every empty
+    /// `held[src]`, `src` in `awaited`, with that source's next `tag` frame
+    /// (tombstones included; `ordered` as in [`Mailbox::take`]) as the
+    /// frames arrive, and end with `Some` once none is still to come — each
+    /// slot is filled, or `gone(src)` held before a look that found nothing
+    /// from `src`. `gone` is read *before* each look, under the lock, and
+    /// again after every [`Mailbox::poke`]: whoever makes it true after its
+    /// last delivery makes the empty slot a definitive "never coming". A
+    /// source whose slot is full is not looked for, so its later frames
+    /// stay queued. `None` when `park` ran out first; what arrived is kept.
+    pub fn recv_or(
         &self,
-        pat: Pattern,
+        tag: i64,
         park: Duration,
         ordered: bool,
-        accept_cut: bool,
-        gone: impl Fn() -> Option<E>,
-    ) -> Option<Result<Envelope, E>> {
+        awaited: impl Iterator<Item = usize> + Clone,
+        held: &mut [Option<Envelope>],
+        gone: impl Fn(usize) -> bool,
+    ) -> Option<()> {
         self.gate.wait(park, |inner| {
-            let gone = gone();
-            let got = self.take_held(inner, pat, ordered, accept_cut);
-            got.map(Ok).or(gone.map(Err))
+            let mut pending = false;
+            for src in awaited.clone() {
+                if held[src].is_none() {
+                    let gone = gone(src);
+                    let pat = Pattern {
+                        src: Some(src),
+                        tag,
+                    };
+                    held[src] = self.take_held(inner, pat, ordered, true);
+                    pending |= held[src].is_none() && !gone;
+                }
+            }
+            (!pending).then_some(())
         })
     }
 
@@ -866,26 +882,62 @@ mod tests {
         assert_eq!(mb.gate.tally.overslept.load(Relaxed), 0);
     }
 
+    /// Senders race an owner that collects one frame from each, round after
+    /// round: every delivery is a wake-up that must not be lost, whichever
+    /// phase of its wait the owner is in, and a sender running ahead never
+    /// displaces the frame held from it.
+    #[test]
+    fn deliveries_racing_a_collecting_owner_never_oversleep() {
+        const SENDERS: usize = 4;
+        const ROUNDS: u64 = 2_000;
+        let mb = Mailbox::new();
+        std::thread::scope(|s| {
+            for src in 0..SENDERS {
+                let mb = &mb;
+                s.spawn(move || (0..ROUNDS).for_each(|r| mb.deliver(env_seq(src, 1, r, 0), false)));
+            }
+            let mut held: [Option<Envelope>; SENDERS] = std::array::from_fn(|_| None);
+            for round in 0..ROUNDS {
+                let done = mb.recv_or(1, WD, false, 0..SENDERS, &mut held, |_| false);
+                assert!(done.is_some(), "a delivery was lost for {WD:?}");
+                for slot in &mut held {
+                    assert_eq!(slot.take().unwrap().seq, round);
+                }
+            }
+        });
+        assert!(mb.is_empty());
+        assert_eq!(mb.gate.tally.overslept.load(Relaxed), 0);
+    }
+
     #[test]
     fn recv_or_gives_up_once_poked_with_the_sender_gone() {
         let mb = Mailbox::new();
         let gone = std::sync::atomic::AtomicBool::new(false);
-        let pat = Pattern {
-            src: Some(0),
-            tag: 1,
-        };
+        let is_gone = |src| src == 0 && gone.load(Relaxed);
         std::thread::scope(|s| {
-            let receiver =
-                s.spawn(|| mb.recv_or(pat, WD, false, true, || gone.load(Relaxed).then_some(0)));
+            let receiver = s.spawn(|| {
+                let mut held = [None, None];
+                let done = mb.recv_or(1, WD, false, 0..2, &mut held, is_gone);
+                (done, held)
+            });
+            mb.gate.until_parked(1);
+            // Rank 1's frame alone does not end the wait for rank 0's...
+            mb.deliver(env(1, 1, 0xb), false);
             mb.gate.until_parked(1);
             gone.store(true, Relaxed);
             mb.poke();
-            assert!(matches!(receiver.join().unwrap(), Some(Err(0))));
+            let (done, held) = receiver.join().unwrap();
+            assert_eq!(done, Some(()));
+            assert!(held[0].is_none(), "nothing ever came from the one gone");
+            assert_eq!(held[1].as_ref().unwrap().bytes, vec![0xb]);
         });
         assert_eq!(mb.gate.tally.overslept.load(Relaxed), 0);
         // A frame that did arrive still wins over the flag.
         mb.deliver(env(0, 1, 0xa), false);
-        let got = mb.recv_or(pat, WD, false, true, || Some(0));
-        assert_eq!(got.unwrap().unwrap().bytes, vec![0xa]);
+        let mut held = [None];
+        assert!(mb
+            .recv_or(1, WD, false, 0..1, &mut held, |_| true)
+            .is_some());
+        assert_eq!(held[0].take().unwrap().bytes, vec![0xa]);
     }
 }

@@ -66,28 +66,6 @@ impl NetModel {
     }
 }
 
-/// How the substrate accounts for time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TimingMode {
-    /// Deterministic virtual clocks driven by a [`NetModel`] and explicit
-    /// [`crate::Rank::advance`] calls. `Rank::wtime` reads the virtual clock.
-    Virtual(NetModel),
-    /// Wall-clock timing: `advance` busy-spins for the requested duration
-    /// (the thesis's "dummy for loop" grain injection) and `wtime` reads a
-    /// monotonic clock.
-    Real,
-}
-
-impl TimingMode {
-    /// The network model, if virtual.
-    pub fn net(&self) -> Option<&NetModel> {
-        match self {
-            TimingMode::Virtual(m) => Some(m),
-            TimingMode::Real => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,17 +4,17 @@ use crate::comm::Rank;
 use crate::faults::FaultPlan;
 use crate::gate::Gate;
 use crate::mailbox::Mailbox;
-use crate::net::{NetModel, TimingMode};
+use crate::net::NetModel;
 use crate::trace::TraceCollector;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// World configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Timing discipline (virtual LogP model or wall clock).
-    pub timing: TimingMode,
+    /// The LogP-style model that drives every rank's virtual clock.
+    pub net: NetModel,
     /// How long a blocked receive or barrier may wait (real time) before
     /// the world is declared deadlocked and panics with diagnostics.
     pub watchdog: Duration,
@@ -35,7 +35,7 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            timing: TimingMode::Virtual(NetModel::origin2000()),
+            net: NetModel::origin2000(),
             watchdog: Duration::from_secs(30),
             faults: FaultPlan::default(),
             mailbox_capacity: None,
@@ -48,15 +48,7 @@ impl Config {
     /// Virtual-time configuration with the given network model.
     pub fn virtual_time(net: NetModel) -> Self {
         Config {
-            timing: TimingMode::Virtual(net),
-            ..Default::default()
-        }
-    }
-
-    /// Wall-clock configuration (grain sizes busy-spin).
-    pub fn real_time() -> Self {
-        Config {
-            timing: TimingMode::Real,
+            net,
             ..Default::default()
         }
     }
@@ -658,14 +650,13 @@ impl World {
             parked: (0..n).map(|_| AtomicBool::new(false)).collect(),
             credit_waits: Mutex::new(CreditWaits::default()),
         });
-        let epoch = Instant::now();
         let results: Vec<Option<R>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..n)
                 .map(|id| {
                     let shared = Arc::clone(&shared);
                     let f = &f;
                     scope.spawn(move || {
-                        let rank = Rank::new(id, n, Arc::clone(&shared), epoch);
+                        let rank = Rank::new(id, n, Arc::clone(&shared));
                         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&rank))) {
                             Ok(v) => Some(v),
                             Err(payload) => {
@@ -1052,7 +1043,7 @@ mod tests {
 
     #[test]
     fn poison_releases_parked_ranks_within_a_slice_not_a_watchdog() {
-        let started = Instant::now();
+        let started = std::time::Instant::now();
         let err = std::panic::catch_unwind(|| {
             World::new(Config::default()).run(3, |rank| match rank.rank() {
                 0 => drop(rank.recv::<u32>(1, 0)),

@@ -301,14 +301,81 @@ fn wire_struct_roundtrips_through_network() {
     assert_eq!(out[1].as_ref().unwrap(), &msg);
 }
 
+/// A peer that runs ahead into its next round (no barrier in between)
+/// finds its frame queued behind the held one, per-source FIFO, instead of
+/// overwriting it.
 #[test]
-fn real_time_mode_advances_wall_clock() {
-    let out = World::new(Config::real_time()).run(1, |rank| {
+fn collect_holds_one_frame_a_source_and_leaves_the_next_one_queued() {
+    let world = World::new(cfg(NetModel::origin2000()).with_mailbox_capacity(4));
+    let out = world.run(2, |rank| {
+        if rank.rank() == 1 {
+            for round in 0..2u32 {
+                rank.send(0, 1, &round);
+            }
+            rank.send(0, 2, &());
+            return Vec::new();
+        }
+        // Deliveries of one sender land in send order: both rounds are in.
+        rank.recv::<()>(1, 2);
         let t0 = rank.wtime();
-        rank.advance(0.01);
-        rank.wtime() - t0
+        rank.collect(1, 1..2, false);
+        assert_eq!(rank.held(1), Some(true));
+        rank.collect(1, 1..2, false);
+        assert!(rank.probe(Some(1), 1), "the second frame was taken");
+        assert_eq!(rank.wtime(), t0, "collecting charges nothing");
+        let first = rank.settle::<u32>(1);
+        assert!(rank.wtime() > t0 && rank.held(1).is_none());
+        rank.collect(1, 1..2, false);
+        assert!(!rank.probe(Some(1), 1));
+        vec![first, rank.settle::<u32>(1)]
     });
-    assert!(out[0] >= 0.009, "spun for {}s", out[0]);
+    assert_eq!(out[0], vec![Ok(0), Ok(1)]);
+}
+
+/// Dead is concluded only from a flag read before an empty look: what a
+/// peer sent before it died is still returned, what it never sent costs a
+/// detection timeout, and the live peer's frame is waited for throughout.
+#[test]
+fn crash_aware_collect_gives_up_on_a_dead_peer_only_after_its_last_frame() {
+    let plan = mpisim::FaultPlan::new(0).with_crash(1, 0.5);
+    let detect = plan.detect_timeout;
+    let world = World::new(cfg(NetModel::zero()).with_faults(plan));
+    let out = world.run_fallible(3, |rank| {
+        match rank.rank() {
+            0 => {}
+            1 => {
+                rank.send(0, 7, &11u32);
+                rank.advance(1.0); // dies here, having sent nothing on tag 8
+                unreachable!();
+            }
+            _ => {
+                // Well after the death, in host time as in virtual time.
+                while !rank.peer_dead(1) {
+                    std::thread::yield_now();
+                }
+                rank.send(0, 7, &21u32);
+                rank.send(0, 8, &22u32);
+                return Vec::new();
+            }
+        }
+        let mut got = Vec::new();
+        for tag in [7, 8] {
+            rank.collect(tag, 1..3, true);
+            let held = (rank.held(1), rank.held(2));
+            let t0 = rank.wtime();
+            let from_dead = rank.settle::<u32>(1);
+            got.push((held, from_dead, rank.wtime() - t0, rank.settle::<u32>(2)));
+        }
+        got
+    });
+    let died = Err(mpisim::Died(1));
+    assert_eq!(
+        out[0].as_ref().expect("rank 0 survives"),
+        &vec![
+            ((Some(true), Some(true)), Ok(11), 0.0, Ok(21)),
+            ((None, Some(true)), died, detect, Ok(22)),
+        ]
+    );
 }
 
 #[test]

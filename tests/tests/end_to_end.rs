@@ -188,17 +188,3 @@ fn processor_network_plugs_into_pagrid() {
     );
     assert_eq!(report.final_data, oracle);
 }
-
-#[test]
-fn real_time_mode_runs_the_full_stack() {
-    // Wall-clock mode with tiny grains: still correct, just not virtual.
-    let graph = ic2_graph::generators::hex_grid(4, 4);
-    let program = AvgProgram {
-        grain: GrainSchedule::Uniform(1e-6),
-    };
-    let oracle = seq::run_sequential(&graph, &program, 5);
-    let cfg = RunConfig::new(4, 5).with_world(mpisim::Config::real_time());
-    let report = run(&graph, &program, &Metis::default(), || NoBalancer, &cfg);
-    assert_eq!(report.final_data, oracle);
-    assert!(report.total_time > 0.0);
-}
