@@ -1331,7 +1331,7 @@ pub fn zero_copy_host_time() -> Table {
 }
 
 /// Out-of-core paging at the acceptance scale: a 1M-node hex grid on 16
-/// ranks, 512 hash buckets per rank, with the resident-page budget swept
+/// ranks, 512 buckets (pages) per rank, with the resident-page budget swept
 /// from the full partition down to 1/8 of it, plus one row running the
 /// tightest practical budget under every disk-fault class at once. The
 /// answer is pinned byte-identical to the in-memory run in every row.
@@ -1367,7 +1367,8 @@ pub fn out_of_core() -> Table {
         "Out-of-core paged NodeStore (1M-node hex grid, 16 procs, 3 iters, 512 \
          hash buckets/rank, SIEVE eviction, checkpoints every 2 iterations)",
         "virtual time grows as the resident budget shrinks (every fault-in, \
-         write-back and retry is charged to the clock); the answer is \
+         write-back and retry is charged to the clock) but stays within +50% at \
+         1/8 residency, a page being a range of neighbouring ids; the answer is \
          byte-identical to the in-memory run at every budget and under faults",
         vec![
             "config".into(),

@@ -72,7 +72,9 @@
 
 use crate::audit;
 use crate::engine::Engine;
+use crate::error::invariant_violated;
 use crate::exchange;
+use crate::hashtab::NodeTable;
 use crate::migrate;
 use crate::program::NodeProgram;
 use crate::store::NodeStore;
@@ -144,11 +146,62 @@ pub fn has_new_crash(verdict: &CtlVerdict, known: &[bool]) -> bool {
 /// both sit far above any realistic changed-node count sharing the word.
 pub(crate) const DAMAGE_FLAG: u64 = 1 << 62;
 
-/// Wire shape of a paged mirror payload: `(full_image, pages)` where each
-/// page carries its bucket index and every surviving entry in that bucket.
-/// A dirty page with zero entries still ships so the receiver drops stale
-/// base-image entries for that bucket.
-type PageDiffImage<D> = (bool, Vec<(u32, Vec<(u32, D)>)>);
+/// One page of a paged mirror payload: the inclusive id range it covers on
+/// the *sender* and every surviving entry in it, ascending.
+type DiffPage<D> = (u32, u32, Vec<(u32, D)>);
+
+/// Wire shape of a paged mirror payload: `(full_image, pages)`. Ranks cut
+/// their tables differently, so the ranges are what tells the receiver which
+/// of its prior entries a page replaces; a dirty page with zero entries
+/// still ships so they are dropped.
+type PageDiffImage<D> = (bool, Vec<DiffPage<D>>);
+
+/// The image of `pages` (ascending) of `table`, cut out of its ascending
+/// snapshot `mine`.
+fn page_diff<D: Clone>(
+    table: &NodeTable<D>,
+    pages: impl IntoIterator<Item = usize>,
+    mine: &[(u32, D)],
+) -> Vec<DiffPage<D>> {
+    let ranges = pages.into_iter().filter_map(|b| table.bucket_range(b));
+    let cut = |(lo, hi)| {
+        let from = mine.partition_point(|e| e.0 < lo);
+        let upto = mine.partition_point(|e| e.0 <= hi);
+        (lo, hi, mine[from..upto].to_vec())
+    };
+    ranges.map(cut).collect()
+}
+
+/// The ward a page diff leaves: `base`'s entries outside every shipped
+/// range (none of them under a full image) merged with the shipped ones,
+/// ascending. `Err` names what is wrong with a diff that cannot be applied:
+/// no base to patch, ranges that descend or overlap, entries outside their
+/// page's range.
+fn patch_ward<D: Clone>(
+    base: Option<&Ward<D>>,
+    (full, pages): PageDiffImage<D>,
+) -> Result<Vec<(u32, D)>, String> {
+    let mut kept: &[(u32, D)] = match base {
+        _ if full => &[],
+        Some(ward) => &ward.entries,
+        None => return Err("incremental page diff without a base ward".into()),
+    };
+    let mut entries = Vec::new();
+    let mut floor = 0u64;
+    for (lo, hi, page) in pages {
+        let outside = |e: &(u32, D)| e.0 < lo || e.0 > hi;
+        if u64::from(lo) < floor || hi < lo || page.iter().any(outside) {
+            return Err(format!("page diff range {lo}..={hi} out of order"));
+        }
+        floor = u64::from(hi) + 1;
+        let (below, rest) = kept.split_at(kept.partition_point(|e| e.0 < lo));
+        entries.extend_from_slice(below);
+        kept = &rest[rest.partition_point(|e| e.0 <= hi)..];
+        entries.extend(page);
+    }
+    entries.extend_from_slice(kept);
+    Ok(entries)
+}
 
 /// Consecutive damage-poisoned agreement rounds tolerated before the
 /// repair ladder concedes. Each strike is a full rollback + replay whose
@@ -338,33 +391,18 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
             .collect();
         // Mirror payload. Non-paged stores ship the full snapshot — the exact
         // pre-paging wire format, byte for byte. Paged stores ship an
-        // incremental page-diff image instead: `(full, [(page, entries…)])`
+        // incremental page-diff image instead: `(full, [(lo, hi, entries…)])`
         // covering only the pages written since the previous committed
         // checkpoint; the receiver patches its prior ward. A full image is
         // forced whenever there is no usable base — first checkpoint, genesis
         // predecessor, or a ring change that re-mapped the buddies.
         let full_image = prev.is_none_or(|p| p.genesis || p.ring != ring);
-        let diff: Option<PageDiffImage<P::Data>> = paged.then(|| {
-            let pages: Vec<usize> = if full_image {
-                (0..store.table.bucket_count()).collect()
-            } else {
-                store
-                    .pager
-                    .as_ref()
-                    .expect("paged store has a pager")
-                    .ckpt_dirty_pages()
+        let diff: Option<PageDiffImage<P::Data>> = store.pager.as_ref().map(|pager| {
+            let pages = match full_image {
+                true => (0..store.table.bucket_count()).collect(),
+                false => pager.ckpt_dirty_pages(),
             };
-            // A dirty page with no surviving entries still ships (empty): the
-            // receiver must drop the entries it previously held for it.
-            let mut groups: std::collections::BTreeMap<u32, Vec<(u32, P::Data)>> =
-                pages.into_iter().map(|b| (b as u32, Vec::new())).collect();
-            for (id, d) in &mine {
-                let b = store.table.bucket_index(*id) as u32;
-                if let Some(g) = groups.get_mut(&b) {
-                    g.push((*id, d.clone()));
-                }
-            }
-            (full_image, groups.into_iter().collect())
+            (full_image, page_diff(&store.table, pages, &mine))
         });
         let bytes = match &diff {
             Some(payload) => payload.to_bytes().len() as u64,
@@ -397,30 +435,16 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
                 // charge basis — a page diff is cheaper than a full image
                 // exactly because the clean base is not re-sent).
                 let (mut entries, shipped) = if paged {
-                    let (was_full, pages): PageDiffImage<P::Data> =
-                        rank.try_recv(pred as usize, TAG_MIRROR)?;
-                    let shipped = pages.iter().map(|(_, es)| es.len()).sum::<usize>();
-                    let mut entries: Vec<(u32, P::Data)> = Vec::new();
-                    if !was_full {
-                        // Patch the prior ward: drop every entry on a page
-                        // the diff rewrites (the page map is a pure
-                        // replicated function of the id) and keep the rest
-                        // as the unchanged base. Both sides derive `full`
-                        // from replicated state, so an incremental always
-                        // finds its base.
-                        let base = prev
-                            .and_then(|p| p.wards.iter().find(|w| w.rank == pred))
-                            .expect("incremental mirror implies a prior ward");
-                        let rewritten: std::collections::BTreeSet<u32> =
-                            pages.iter().map(|(b, _)| *b).collect();
-                        let kept =
-                            |id: u32| !rewritten.contains(&(store.table.bucket_index(id) as u32));
-                        entries.extend(base.entries.iter().filter(|e| kept(e.0)).cloned());
-                    }
-                    for (_, es) in pages {
-                        entries.extend(es);
-                    }
-                    entries.sort_unstable_by_key(|&(id, _)| id);
+                    let image: PageDiffImage<P::Data> = rank.try_recv(pred as usize, TAG_MIRROR)?;
+                    let shipped = image.1.iter().map(|page| page.2.len()).sum::<usize>();
+                    // Patch the prior ward. Both sides derive `full` from
+                    // replicated state, so an incremental that finds no base
+                    // — like ranges no table could have cut — is corrupt
+                    // platform state, never a silently mis-patched ward.
+                    let base = prev.and_then(|p| p.wards.iter().find(|w| w.rank == pred));
+                    let entries = patch_ward(base, image).unwrap_or_else(|detail| {
+                        invariant_violated(me, format!("mirror from rank {pred}: {detail}"))
+                    });
                     (entries, shipped)
                 } else {
                     let entries: Vec<(u32, P::Data)> = rank.try_recv(pred as usize, TAG_MIRROR)?;
@@ -912,6 +936,79 @@ mod tests {
             ckpt.holders_of(1, 2).is_empty(),
             "rank 1 is not in the ring"
         );
+    }
+
+    #[test]
+    fn a_page_diff_patches_a_ward_cut_by_another_table() {
+        use crate::costs::CostModel;
+        use crate::paging::{EvictionPolicy, PageConfig};
+        use crate::program::AvgProgram;
+        use ic2_partition::{metis::Metis, StaticPartitioner};
+
+        let graph = ic2_graph::generators::hex_grid(8, 8);
+        let part = Metis::default().partition(&graph, 2);
+        let build = |r| NodeStore::build(&graph, &part, r, &AvgProgram::fine(), 8);
+        let (mut sender, receiver) = (build(0), build(1));
+        // Each rank cut its own ids: the receiver's page map says nothing
+        // about the sender's pages.
+        assert_ne!(sender.table.bucket_range(1), receiver.table.bucket_range(1));
+        let cfg = PageConfig::new(8, EvictionPolicy::Fifo);
+        sender.enable_paging(&cfg, &mpisim::FaultPlan::new(1), &CostModel::default());
+        let ward = |entries| Ward {
+            rank: 0,
+            entries,
+            sums: Vec::new(),
+        };
+        let image = |store: &NodeStore<i64>, full: bool| {
+            let pages = store.pager.as_ref().unwrap().ckpt_dirty_pages();
+            (
+                full,
+                page_diff(&store.table, pages, &store.snapshot_table()),
+            )
+        };
+
+        // A full image needs no base.
+        sender.pager.as_mut().unwrap().mark_all_dirty();
+        let held = patch_ward(None, image(&sender, true)).unwrap();
+        assert_eq!(held, sender.snapshot_table());
+        sender.pager.as_mut().unwrap().clear_ckpt_dirty();
+
+        // An incremental of two dirty pages patches exactly their ranges.
+        for id in [held[0].0, held[held.len() - 1].0] {
+            sender.table.set_current(id, -1);
+            let page = sender.table.bucket_index(id);
+            sender.pager.as_mut().unwrap().note_write(page);
+        }
+        let incremental = image(&sender, false);
+        assert_eq!(incremental.1.len(), 2);
+        assert!(patch_ward(None, incremental.clone()).is_err(), "no base");
+        let held = patch_ward(Some(&ward(held)), incremental).unwrap();
+        assert_eq!(held, sender.snapshot_table());
+
+        // A restore under another ownership re-cuts the sender's ranges and
+        // marks every page dirty: the ranges tile, so the diff replaces the
+        // whole ward although none of them is a range the ward was built of.
+        let cuts = |s: &NodeStore<i64>| (0..8).map(|b| s.table.bucket_range(b)).collect::<Vec<_>>();
+        let before = cuts(&sender);
+        let swapped = part.as_slice().iter().map(|p| 1 - p).collect();
+        let everything = graph.nodes().map(|v| (v, i64::from(v))).collect();
+        sender.restore(&graph, swapped, everything);
+        sender.pager.as_mut().unwrap().reset_after_restore();
+        assert_ne!(cuts(&sender), before);
+        let held = patch_ward(Some(&ward(held)), image(&sender, false)).unwrap();
+        assert_eq!(held, sender.snapshot_table());
+
+        // Ranges that descend or overlap, and entries outside their page's
+        // range, are refused rather than patched in.
+        let page = |lo, hi, ids: &[u32]| (lo, hi, ids.iter().map(|&id| (id, 0i64)).collect());
+        for pages in [
+            vec![page(8, 9, &[]), page(0, 3, &[])],
+            vec![page(0, 8, &[]), page(8, 9, &[])],
+            vec![page(4, 3, &[])],
+            vec![page(0, 3, &[4])],
+        ] {
+            assert!(patch_ward(Some(&ward(held.clone())), (false, pages)).is_err());
+        }
     }
 
     #[test]

@@ -944,28 +944,35 @@ mod tests {
                 "{detail}"
             );
         }
-        // A structural insert the plan never saw: 4 lands in front of shadow
-        // 8 in bucket 0, so the slot the plan resolved for 8 now holds 4...
-        let front = |store: &mut NodeStore<i64>, _: &Graph| {
-            store.table.take_bucket(0);
+        // A structural insert the plan never saw: with shadow 8's bucket
+        // cut down to 8 itself, the first id of the bucket's range lands in
+        // front of it, so the slot the plan resolved for 8 now holds that...
+        let front = |store: &mut NodeStore<i64>, graph: &Graph| {
+            let b = store.table.bucket_index(8);
+            let (first, _) = store.table.bucket_range(b).unwrap();
+            assert!(first < 8, "8 must not open its bucket");
+            store.table.take_bucket(b);
             store.table.insert(8, 0);
-            store.rebuild_lists(&hex_grid(4, 4));
-            store.table.insert(4, 0);
+            store.rebuild_lists(graph);
+            store.table.insert(first, 0);
         };
-        let detail = detail(unpack_after(front, shadows));
+        let only_8 = |_: &NodeStore<i64>| vec![(8, 7)];
+        let detail = detail(unpack_after(front, only_8));
         assert!(detail.contains("rebuild_lists"), "{detail}");
         // ...and rebuilding makes the same table usable again.
         let rebuilt = |store: &mut NodeStore<i64>, graph: &Graph| {
             front(store, graph);
             store.rebuild_lists(graph);
         };
-        assert!(unpack_after(rebuilt, shadows).is_ok());
+        let store = unpack_after(rebuilt, only_8).expect("the plan is current");
+        assert_eq!(store.table.get(8), Some(&7));
     }
 
     #[test]
     fn paged_unpack_skips_exactly_the_shadows_on_a_lost_page() {
-        let lost = 1;
-        let on_lost_page = |w: NodeId| w as usize % 4 == lost;
+        // Twelve ids in four ranges: the last page holds shadows 9, 10, 11.
+        let lost = 3;
+        let on_lost_page = |w: NodeId| w >= 9;
         let shadows = all_shadows;
         // A page that lost every copy comes back as an empty bucket.
         let lose_page = |store: &mut NodeStore<i64>, _: &Graph| {
@@ -974,7 +981,8 @@ mod tests {
             store.table.take_bucket(lost);
         };
         let store = unpack_after(lose_page, shadows).expect("lost pages are skipped");
-        assert!(store.shadow_ids().iter().any(|&w| on_lost_page(w)));
+        assert_eq!(store.table.bucket_range(lost), Some((9, NodeId::MAX)));
+        assert!(store.shadow_ids().iter().any(|&w| !on_lost_page(w)));
         for &w in store.shadow_ids() {
             let expected = (!on_lost_page(w)).then_some(&7);
             assert_eq!(store.table.get(w), expected, "shadow {w}");

@@ -1,13 +1,20 @@
-//! The data-node table: node data behind a bucketed hash table.
+//! The data-node table: node data behind a range-partitioned bucket table.
 //!
 //! The thesis stores node data in a linked "data node list" and reaches it
 //! through a hash table — an array of sorted bucket lists keyed by a
 //! modulo hash of the global id — giving "amortized constant time access
-//! to the node data during computation" \[PSC95\]. This module is that
-//! structure, idiomatically: buckets of sorted `(id, data)` vectors. It
-//! plays the thesis's dual role: data access during computation, and data
-//! update after communication (and it keeps a migrated-away node's entry,
-//! since the busy processor still needs it as a shadow).
+//! to the node data during computation" \[PSC95\]. This module keeps the
+//! buckets of sorted `(id, data)` vectors but not the modulo: a bucket is a
+//! contiguous id range (`firsts[b]` is the first id of bucket `b`; the
+//! ranges tile the id space), cut by the bulk fill of an empty table so
+//! every bucket gets an equal share of the ids. A steady-state round never
+//! searches, so the hash bought nothing, and a bucket is the out-of-core
+//! layer's *page*: an id range keeps a node and its neighbours on a few
+//! pages where a modulo scatters them over as many as it has neighbours.
+//! A table that was never bulk-filled is one range — everything in bucket
+//! 0. It plays the thesis's dual role: data access during computation, and
+//! data update after communication (and it keeps a migrated-away node's
+//! entry, since the busy processor still needs it as a shadow).
 //!
 //! Each entry holds the *current* value plus an optional *pending* value
 //! (the thesis's `data` / `most_recent_data` pair): computation writes
@@ -26,7 +33,7 @@
 use ic2_graph::NodeId;
 use mpisim::{Wire, WireError};
 
-/// Position of one entry: hash bucket (= page) and index within it.
+/// Position of one entry: bucket (= page) and index within it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slot {
     bucket: u32,
@@ -40,25 +47,26 @@ impl Slot {
     }
 }
 
+/// What [`SlotIndex`] answers for an id without an entry: a slot
+/// [`NodeTable::at`] answers `None` for, in a bucket that exists.
+const VACANT: Slot = Slot {
+    bucket: 0,
+    index: u32::MAX,
+};
+
 /// Id → slot for every entry resident when [`NodeTable::slot_index`] built
-/// it: the index within the bucket, dense over the id range the table
-/// spans (a rank's ids are usually a narrow band of the graph's).
+/// it, dense over the id range the table spans (a rank's ids are usually a
+/// narrow band of the graph's).
 pub(crate) struct SlotIndex {
-    buckets: u32,
     base: NodeId,
-    /// `u32::MAX` = no entry.
-    index: Vec<u32>,
+    slots: Vec<Slot>,
 }
 
 impl SlotIndex {
-    /// The slot of `id`. An id without an entry gets a slot
-    /// [`NodeTable::at`] answers `None` for.
+    /// The slot of `id`; [`VACANT`] for an id without an entry.
     pub(crate) fn slot(&self, id: NodeId) -> Slot {
         let offset = id.checked_sub(self.base).map(|o| o as usize);
-        Slot {
-            bucket: id % self.buckets,
-            index: *offset.and_then(|o| self.index.get(o)).unwrap_or(&u32::MAX),
-        }
+        *offset.and_then(|o| self.slots.get(o)).unwrap_or(&VACANT)
     }
 }
 
@@ -90,27 +98,40 @@ impl<D: Wire> Wire for Entry<D> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeTable<D> {
     buckets: Vec<Vec<Entry<D>>>,
+    /// First id of each bucket in use, strictly ascending from 0: bucket
+    /// `b` covers `firsts[b]..firsts[b + 1]`, the last one the rest of the
+    /// id space. Buckets past `firsts.len()` cover nothing and stay empty.
+    firsts: Vec<NodeId>,
     len: usize,
     epoch: u64,
 }
 
 impl<D> NodeTable<D> {
-    /// A table with `buckets` hash buckets (the thesis's
-    /// `HASH_TABLE_LENGTH`).
+    /// A table with `buckets` buckets (the thesis's `HASH_TABLE_LENGTH`),
+    /// all ids in the first until a bulk fill cuts the ranges.
     pub fn new(buckets: usize) -> Self {
         assert!(buckets > 0, "hash table needs at least one bucket");
         assert!(u32::try_from(buckets).is_ok(), "bucket count exceeds u32");
         NodeTable {
             buckets: (0..buckets).map(|_| Vec::new()).collect(),
+            firsts: vec![0],
             len: 0,
             epoch: 0,
         }
     }
 
-    /// The bucket index holding `id` — the out-of-core layer's page id for
-    /// the node (one page = one bucket).
+    /// The bucket whose range covers `id` — the out-of-core layer's page id
+    /// for the node (one page = one bucket).
     pub fn bucket_index(&self, id: NodeId) -> usize {
-        id as usize % self.buckets.len()
+        self.firsts.partition_point(|&first| first <= id) - 1
+    }
+
+    /// The inclusive id range bucket `b` covers, `None` for a bucket past
+    /// the last cut. The ranges of `0..bucket_count()` ascend and tile the
+    /// id space.
+    pub fn bucket_range(&self, b: usize) -> Option<(NodeId, NodeId)> {
+        let end = self.firsts.get(b + 1).map_or(NodeId::MAX, |next| next - 1);
+        Some((*self.firsts.get(b)?, end))
     }
 
     /// Bucket of `id` and the position its entry has, or would be inserted
@@ -134,9 +155,11 @@ impl<D> NodeTable<D> {
         self.epoch
     }
 
-    /// Drop every entry, keeping the bucket count (checkpoint restore).
+    /// Drop every entry and every cut, keeping the bucket count
+    /// (checkpoint restore).
     pub fn clear(&mut self) {
         self.buckets.iter_mut().for_each(Vec::clear);
+        self.firsts.truncate(1);
         self.len = 0;
         self.epoch += 1;
     }
@@ -177,33 +200,40 @@ impl<D> NodeTable<D> {
     }
 
     /// Bulk fill: append one entry per id of `ids`, its data from `data`.
-    /// The ids must ascend strictly and exceed every id their bucket already
-    /// holds, so each lands at its bucket's end — no search, no shifting —
-    /// and every bucket is grown once, to exactly the size a count pass
-    /// found.
+    /// Filling an empty (wholly resident) table first cuts the ranges so
+    /// the buckets' shares of `ids` differ by at most one. The ids must
+    /// ascend strictly and exceed every id their bucket already holds, so
+    /// each bucket's run lands at its end — no search, no shifting — and
+    /// every bucket is grown once, to exactly its share.
     ///
     /// # Panics
     /// Panics on an id that is out of order.
     pub fn append_ascending(&mut self, ids: &[NodeId], mut data: impl FnMut(NodeId) -> D) {
-        let mut counts = vec![0usize; self.buckets.len()];
-        for &id in ids {
-            counts[self.bucket_index(id)] += 1;
+        if let Some(pair) = ids.windows(2).find(|pair| pair[0] >= pair[1]) {
+            panic!("append_ascending: node {} out of order", pair[1]);
         }
-        for (bucket, n) in self.buckets.iter_mut().zip(counts) {
-            bucket.reserve_exact(n);
+        if self.len == 0 {
+            let ranges = self.buckets.len().min(ids.len());
+            self.firsts.truncate(1);
+            let cuts = (1..ranges).map(|b| ids[(b * ids.len()).div_ceil(ranges)]);
+            self.firsts.extend(cuts);
         }
-        for &id in ids {
-            let b = self.bucket_index(id);
-            let bucket = &mut self.buckets[b];
-            assert!(
-                bucket.last().is_none_or(|e| e.id < id),
-                "append_ascending: node {id} out of order"
-            );
-            bucket.push(Entry {
+        let mut rest = ids;
+        for (b, bucket) in self.buckets.iter_mut().enumerate() {
+            let run;
+            (run, rest) = rest.split_at(match self.firsts.get(b + 1) {
+                Some(&next) => rest.partition_point(|&id| id < next),
+                None => rest.len(),
+            });
+            if let (Some(last), Some(&id)) = (bucket.last(), run.first()) {
+                assert!(last.id < id, "append_ascending: node {id} out of order");
+            }
+            bucket.reserve_exact(run.len());
+            bucket.extend(run.iter().map(|&id| Entry {
                 id,
                 cur: data(id),
                 pending: None,
-            });
+            }));
         }
         self.len += ids.len();
         self.epoch += 1;
@@ -228,17 +258,16 @@ impl<D> NodeTable<D> {
         let last = self.buckets.iter().filter_map(|b| b.last()).map(|e| e.id);
         let base = first.min().unwrap_or(0);
         let span = last.max().map_or(0, |max| (max - base) as usize + 1);
-        let mut index = vec![u32::MAX; span];
-        for bucket in &self.buckets {
+        let mut slots = vec![VACANT; span];
+        for (b, bucket) in self.buckets.iter().enumerate() {
             for (i, e) in bucket.iter().enumerate() {
-                index[(e.id - base) as usize] = i as u32;
+                slots[(e.id - base) as usize] = Slot {
+                    bucket: b as u32,
+                    index: i as u32,
+                };
             }
         }
-        SlotIndex {
-            buckets: self.buckets.len() as u32,
-            base,
-            index,
-        }
+        SlotIndex { base, slots }
     }
 
     /// Id and current data of the entry at `slot` — `None` when the bucket
@@ -321,8 +350,8 @@ impl<D> NodeTable<D> {
             .sum()
     }
 
-    /// Iterate `(id, current)` in ascending id order per bucket (global
-    /// order is by `(id mod buckets, id)`).
+    /// Iterate `(id, current)` bucket by bucket — in ascending id order
+    /// while every bucket is resident.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &D)> {
         self.buckets
             .iter()
@@ -423,12 +452,10 @@ mod tests {
     #[test]
     fn slots_address_entries_until_the_epoch_moves() {
         let mut t = NodeTable::new(4);
-        for id in [1u32, 5, 9, 2] {
-            t.insert(id, id as i64 * 100);
-        }
+        t.append_ascending(&[1, 2, 5, 9], |id| i64::from(id) * 100);
         let epoch = t.epoch();
         let s5 = t.slot_of(5).unwrap();
-        assert_eq!(s5.bucket(), 1);
+        assert_eq!((s5.bucket(), t.bucket_range(2)), (2, Some((5, 8))));
         assert_eq!(t.at(s5), Some((5, &500)));
         assert_eq!(t.slot_of(13), None);
         let index = t.slot_index();
@@ -447,9 +474,9 @@ mod tests {
         assert_eq!(t.promote_at(s5), None, "nothing staged any more");
         // Replacing a value and a page round trip keep slots and epoch...
         t.insert(5, 1);
-        let page = t.take_bucket(1);
+        let page = t.take_bucket(2);
         assert_eq!(t.at(s5), None, "paged out");
-        t.install_bucket(1, page);
+        t.install_bucket(2, page);
         assert_eq!((t.at(s5), t.epoch()), (Some((5, &1)), epoch));
         // ...a new id or a clear moves the epoch.
         t.insert(13, 0);
@@ -457,6 +484,37 @@ mod tests {
         let epoch = t.epoch();
         t.clear();
         assert!(t.epoch() > epoch && t.is_empty() && t.bucket_count() == 4);
+    }
+
+    #[test]
+    fn a_fill_cuts_equal_shares_and_an_insert_lands_in_the_covering_range() {
+        // Never filled: one range, everything in bucket 0.
+        let mut t = NodeTable::new(4);
+        t.insert(70, ());
+        assert_eq!((t.bucket_index(70), t.bucket_index(0)), (0, 0));
+        assert_eq!(t.bucket_range(0), Some((0, NodeId::MAX)));
+        assert_eq!(t.bucket_range(1), None);
+        // Ten ids over four buckets: shares 3, 2, 3, 2, the ranges tiling.
+        t.clear();
+        let ids: Vec<NodeId> = (0..10).map(|i| 10 + 7 * i).collect();
+        t.append_ascending(&ids, |_| ());
+        let shares: Vec<usize> = t.buckets.iter().map(Vec::len).collect();
+        assert_eq!(shares, [3, 2, 3, 2]);
+        let ranges: Vec<_> = (0..4).filter_map(|b| t.bucket_range(b)).collect();
+        assert_eq!(ranges, [(0, 30), (31, 44), (45, 65), (66, NodeId::MAX)]);
+        for (id, expected) in [(0, 0), (30, 0), (32, 1), (40, 1), (67, 3), (9999, 3)] {
+            assert_eq!(t.bucket_index(id), expected, "id {id}");
+            t.insert(id, ());
+            assert_eq!(t.slot_of(id).unwrap().bucket(), expected, "id {id}");
+        }
+        // Fewer ids than buckets: one each, the rest cover nothing.
+        t.clear();
+        t.append_ascending(&[4, 8], |_| ());
+        assert_eq!((t.bucket_index(7), t.bucket_index(8)), (0, 1));
+        assert_eq!(
+            (t.bucket_range(1), t.bucket_range(2)),
+            (Some((8, NodeId::MAX)), None)
+        );
     }
 
     #[test]
@@ -484,7 +542,7 @@ mod tests {
     #[should_panic(expected = "node 5 out of order")]
     fn append_ascending_refuses_an_id_that_is_not_past_its_bucket() {
         let mut t = NodeTable::new(4);
-        t.insert(9, ()); // bucket 1, as is 5
+        t.insert(9, ()); // bucket 0, as is 5
         t.append_ascending(&[5], |_| ());
     }
 
@@ -527,7 +585,7 @@ mod tests {
         for id in [9u32, 1, 7, 3, 5] {
             t.insert(id, id);
         }
-        assert_eq!(t.max_chain(), 5); // all odd ids share bucket 1
+        assert_eq!(t.max_chain(), 5); // never filled: one bucket holds all
         let ids: Vec<NodeId> = t.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![1, 3, 5, 7, 9]);
     }

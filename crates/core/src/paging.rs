@@ -1,12 +1,12 @@
 //! Out-of-core paging: a fixed-budget buffer pool over the virtual disk.
 //!
 //! ROADMAP item 2: partitions that outgrow RAM. The paged [`NodeStore`]
-//! keeps at most `budget` hash buckets of its [`NodeTable`] resident; the
-//! rest live on the rank's private [`mpisim::VirtualDisk`] as checksummed
-//! *pages* (one page = one hash bucket, entries in ascending id order,
-//! staged pending values included so an eviction mid-iteration loses
-//! nothing). Every piece of cleverness a real storage engine owes its
-//! block device lives here:
+//! keeps at most `budget` buckets of its [`NodeTable`] resident; the rest
+//! live on the rank's private [`mpisim::VirtualDisk`] as checksummed
+//! *pages* (one page = one bucket = one contiguous id range, entries in
+//! ascending id order, staged pending values included so an eviction
+//! mid-iteration loses nothing). Every piece of cleverness a real storage
+//! engine owes its block device lives here:
 //!
 //! * **Checksummed page format.** A page blob is an 8-byte
 //!   [`mpisim::frame_checksum`] keyed by `(rank, page, version)` followed
@@ -331,11 +331,11 @@ pub(crate) struct Pager {
     on_disk: Vec<bool>,
     /// Resident page differs from its disk image: eviction must write.
     disk_dirty: Vec<bool>,
-    /// Pages mutated since the last committed checkpoint (drives the
+    /// Page mutated since the last committed checkpoint (drives the
     /// incremental page-diff mirror).
-    ckpt_dirty: BTreeSet<usize>,
-    /// Pages holding staged pending values this phase.
-    staged: BTreeSet<usize>,
+    ckpt_dirty: Vec<bool>,
+    /// Page holds staged pending values this phase.
+    staged: Vec<bool>,
     /// Latched when any page lost every verified copy (or a commit could
     /// not secure one): the agreed signal that forces a rollback.
     damaged: bool,
@@ -375,8 +375,8 @@ impl Pager {
             next_version: 1,
             on_disk: vec![false; nbuckets],
             disk_dirty: vec![false; nbuckets],
-            ckpt_dirty: BTreeSet::new(),
-            staged: BTreeSet::new(),
+            ckpt_dirty: vec![false; nbuckets],
+            staged: vec![false; nbuckets],
             damaged: false,
             pending: 0.0,
             backoff,
@@ -417,25 +417,24 @@ impl Pager {
     /// surgery): both write-back and the next checkpoint must see it.
     pub(crate) fn note_write(&mut self, page: usize) {
         self.disk_dirty[page] = true;
-        self.ckpt_dirty.insert(page);
+        self.ckpt_dirty[page] = true;
     }
 
     /// Record a staged pending value in `page` (compute wrote it); the
     /// promote pass visits exactly these pages.
     pub(crate) fn note_staged(&mut self, page: usize) {
-        self.staged.insert(page);
-        self.disk_dirty[page] = true;
-        self.ckpt_dirty.insert(page);
+        self.staged[page] = true;
+        self.note_write(page);
     }
 
     /// Pages mutated since the last committed checkpoint, ascending.
     pub(crate) fn ckpt_dirty_pages(&self) -> Vec<usize> {
-        self.ckpt_dirty.iter().copied().collect()
+        (0..self.nbuckets).filter(|&b| self.ckpt_dirty[b]).collect()
     }
 
     /// A checkpoint carrying the current dirty set committed.
     pub(crate) fn clear_ckpt_dirty(&mut self) {
-        self.ckpt_dirty.clear();
+        self.ckpt_dirty.fill(false);
     }
 
     /// Make `pages` (and nothing less) resident, touching them in
@@ -475,9 +474,11 @@ impl Pager {
     where
         D: Clone + Wire,
     {
-        let staged = std::mem::take(&mut self.staged);
         let mut promoted = 0;
-        for &b in &staged {
+        for b in 0..self.nbuckets {
+            if !std::mem::take(&mut self.staged[b]) {
+                continue;
+            }
             if self.pool.contains(b) {
                 self.pool.touch(b);
             } else {
@@ -521,10 +522,8 @@ impl Pager {
     /// Conservatively mark every page dirty — after bulk table surgery
     /// (migration, evacuation) whose writes bypassed the pager.
     pub(crate) fn mark_all_dirty(&mut self) {
-        for b in 0..self.nbuckets {
-            self.disk_dirty[b] = true;
-            self.ckpt_dirty.insert(b);
-        }
+        self.disk_dirty.fill(true);
+        self.ckpt_dirty.fill(true);
     }
 
     /// Reset after a checkpoint restore rebuilt the table wholesale: purge
@@ -539,10 +538,9 @@ impl Pager {
             pool.admit(b);
         }
         self.pool = pool;
-        self.on_disk = vec![false; self.nbuckets];
-        self.disk_dirty = vec![true; self.nbuckets];
-        self.ckpt_dirty = (0..self.nbuckets).collect();
-        self.staged.clear();
+        self.on_disk.fill(false);
+        self.staged.fill(false);
+        self.mark_all_dirty();
         self.damaged = false;
     }
 

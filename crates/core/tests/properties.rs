@@ -42,6 +42,13 @@ fn node_table_matches_hashmap_model() {
         let mut table: NodeTable<i64> = NodeTable::new(buckets);
         let mut cur = std::collections::HashMap::new();
         let mut pending = std::collections::HashMap::new();
+        // Half the cases start from a bulk fill, so the ops run over cut
+        // ranges; the others over the one range of a table never filled.
+        if rng.chance(0.5) {
+            let filled: Vec<u32> = (0..40).filter(|_| rng.chance(0.4)).collect();
+            table.append_ascending(&filled, i64::from);
+            cur.extend(filled.iter().map(|&k| (k, i64::from(k))));
+        }
         for op in ops {
             match op {
                 Op::Insert(k, v) => {

@@ -9,9 +9,9 @@ use ic2_rng::SplitMix64;
 use ic2mpi::exchange::{self, Round};
 use ic2mpi::prelude::*;
 use ic2mpi::{
-    catch_flow_deadlock, migrate, ComputeCtx, NodeStore, NodeTable, PhaseTimers, PlatformError,
-    StoreViolation,
+    catch_flow_deadlock, migrate, ComputeCtx, NodeStore, PhaseTimers, PlatformError, StoreViolation,
 };
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 fn world() -> mpisim::World {
@@ -26,48 +26,62 @@ fn random_case(rng: &mut SplitMix64) -> (Graph, Partition) {
     (graph, Partition::new(assignment, k))
 }
 
-/// The slot view of every owned node and every neighbour is the by-id view.
+/// The plan's slot of every owned node and of every neighbour, in adjacency
+/// order, is the slot a by-id search finds, and it holds data.
 fn assert_slots_match_ids(store: &NodeStore<i64>, graph: &Graph, when: &str) {
-    let by_slot = |slot| store.table.at(slot).map(|(id, d)| (id, *d));
-    let by_id = |id: NodeId| store.table.get(id).map(|d| (id, *d));
     let owned: Vec<NodeId> = graph.nodes().filter(|&v| store.owns(v)).collect();
     let mut listed: Vec<NodeId> = store.owned_ids().to_vec();
     listed.sort_unstable();
     assert_eq!(listed, owned, "{when}: rank {}", store.rank);
     for node in store.internal().chain(store.peripheral()) {
-        assert!(
-            by_id(node.id).is_some(),
-            "{when}: node {} has data",
-            node.id
-        );
-        assert_eq!(
-            by_slot(node.slot),
-            by_id(node.id),
-            "{when}: node {}",
-            node.id
-        );
-        let resolved: Vec<_> = node.neighbors.iter().map(|&s| by_slot(s)).collect();
-        let expected: Vec<_> = graph.neighbors(node.id).iter().map(|&w| by_id(w)).collect();
-        assert_eq!(resolved, expected, "{when}: neighbours of {}", node.id);
+        let found = store.table.slot_of(node.id);
+        assert_eq!(Some(node.slot), found, "{when}: node {}", node.id);
+        let held = store.table.at(node.slot).map(|(id, _)| id);
+        assert_eq!(held, Some(node.id), "{when}: node {} has data", node.id);
+        let adjacent = graph.neighbors(node.id);
+        let found: Vec<_> = adjacent.iter().map(|&w| store.table.slot_of(w)).collect();
+        let planned: Vec<_> = node.neighbors.iter().map(|&s| Some(s)).collect();
+        assert_eq!(planned, found, "{when}: neighbours of {}", node.id);
     }
     assert_eq!(store.validate(graph), Ok(()), "{when}");
 }
 
-/// The bulk-built table is the table that per-id `insert`s of `entries`, in
-/// the order given, build: same buckets, same order within each.
-fn assert_bulk_equals_inserted(
+/// The table holds exactly `entries` (a later copy of an id wins), its
+/// buckets are ascending id ranges that tile the id space — every id in
+/// bucket `b` below every id in bucket `b + 1` — and each id sits in the
+/// bucket whose range covers it. Straight after a bulk fill the buckets'
+/// shares differ by at most one.
+fn assert_table_is(
     store: &NodeStore<i64>,
     entries: impl IntoIterator<Item = (NodeId, i64)>,
+    bulk_filled: bool,
     when: &str,
 ) {
-    let mut inserted = NodeTable::new(store.table.bucket_count());
-    for (id, d) in entries {
-        inserted.insert(id, d);
+    let table = &store.table;
+    let expected: BTreeMap<NodeId, i64> = entries.into_iter().collect();
+    let stored = table.iter().map(|(id, d)| (id, *d));
+    assert!(
+        stored.eq(expected.iter().map(|(&id, &d)| (id, d))),
+        "{when}: buckets ascend and hold what was stored"
+    );
+    let mut sizes = vec![0usize; table.bucket_count()];
+    for &id in expected.keys() {
+        let b = table.bucket_index(id);
+        assert_eq!(table.slot_of(id).map(|s| s.bucket()), Some(b), "{when}");
+        let (first, last) = table
+            .bucket_range(b)
+            .expect("a covering bucket has a range");
+        assert!((first..=last).contains(&id), "{when}: {id} in bucket {b}");
+        sizes[b] += 1;
     }
-    assert_eq!(store.table.len(), inserted.len(), "{when}");
-    assert!(store.table.iter().eq(inserted.iter()), "{when}");
-    for (id, _) in inserted.iter() {
-        assert_eq!(store.table.slot_of(id), inserted.slot_of(id), "{when}");
+    let ranges: Vec<_> = (0..sizes.len())
+        .filter_map(|b| table.bucket_range(b))
+        .collect();
+    assert_eq!((ranges[0].0, ranges[ranges.len() - 1].1), (0, NodeId::MAX));
+    assert!(ranges.windows(2).all(|w| w[0].1 + 1 == w[1].0), "{when}");
+    if bulk_filled {
+        let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+        assert!(max - min <= 1, "{when}: shares {sizes:?}");
     }
 }
 
@@ -92,21 +106,14 @@ fn slots_name_the_entries_ids_find_after_build_and_restore() {
                 let mut store =
                     NodeStore::build(&graph, &partition, rank, &AvgProgram::fine(), buckets);
                 assert_slots_match_ids(&store, &graph, "after build");
-                // What the one-by-one build stored: owned nodes, then the
-                // remote neighbours in the order the edges name them.
+                // What a build stores: owned nodes and their neighbours.
                 let program = AvgProgram::fine();
-                let owned_first = graph.nodes().filter(|&v| store.owns(v));
-                let then_shadows = graph
+                let init: Vec<(NodeId, i64)> = graph
                     .nodes()
-                    .filter(|&v| store.owns(v))
-                    .flat_map(|v| graph.neighbors(v).iter().copied())
-                    .filter(|&w| !store.owns(w));
-                let init = |v| (v, program.init(v, &graph));
-                assert_bulk_equals_inserted(
-                    &store,
-                    owned_first.chain(then_shadows).map(init),
-                    "after build",
-                );
+                    .map(|v| (v, program.init(v, &graph)))
+                    .collect();
+                let built = needed_of(&init, &store, &graph);
+                assert_table_is(&store, built, true, "after build");
 
                 // Restore under a rotated ownership from a snapshot that
                 // covers the whole graph (so every new shadow has data).
@@ -119,7 +126,7 @@ fn slots_name_the_entries_ids_find_after_build_and_restore() {
                 assert!(store.table.epoch() > before, "restore replaces the table");
                 assert_slots_match_ids(&store, &graph, "after restore");
                 let kept = needed_of(&snapshot, &store, &graph);
-                assert_bulk_equals_inserted(&store, kept, "after restore");
+                assert_table_is(&store, kept, true, "after restore");
 
                 // A snapshot extended with adoption packages: out of order,
                 // ids named twice with different values — the later wins.
@@ -133,8 +140,23 @@ fn slots_name_the_entries_ids_find_after_build_and_restore() {
                 extended.extend(package);
                 store.restore(&graph, owner, extended.clone());
                 assert_slots_match_ids(&store, &graph, "after adopting restore");
-                let kept = needed_of(&extended, &store, &graph);
-                assert_bulk_equals_inserted(&store, kept, "after adopting restore");
+                let mut kept = needed_of(&extended, &store, &graph);
+                assert_table_is(&store, kept.clone(), true, "after adopting restore");
+
+                // By-id inserts of new ids (migration, adoption) land in the
+                // covering range: no cut moves, the order holds.
+                let absent = |v: &NodeId| store.table.get(*v).is_none();
+                let mut new: Vec<NodeId> = (0..graph.num_nodes() as NodeId + 3)
+                    .filter(absent)
+                    .collect();
+                rng.shuffle(&mut new);
+                for v in new {
+                    store.table.insert(v, 9);
+                    kept.push((v, 9));
+                }
+                store.rebuild_lists(&graph);
+                assert_slots_match_ids(&store, &graph, "after inserts");
+                assert_table_is(&store, kept, false, "after inserts");
             }
         }
     }

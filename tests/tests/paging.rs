@@ -6,9 +6,11 @@
 //! "same seed" here means "same access stream": identical admit/touch
 //! sequences must produce identical victim sequences and resident sets.
 
+use ic2_partition::bands::RowBand;
 use ic2mpi::paging::BufferPool;
 use ic2mpi::prelude::*;
 use ic2mpi::seq;
+use ic2mpi::NodeStore;
 use mpisim::NetModel;
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -196,6 +198,49 @@ fn paged_run_is_oracle_exact_and_deterministic_for_every_policy() {
             a.total_time.to_bits(),
             b.total_time.to_bits(),
             "{policy:?}: total time must be bit-identical"
+        );
+    }
+}
+
+#[test]
+fn a_page_is_an_id_range_so_neighbourhoods_share_pages() {
+    // Counted, not timed. A page is a contiguous range of the ids a rank
+    // stores, so under any spatially coherent partition a hex node and its
+    // six neighbours sit on about three pages (one per grid row); a modulo
+    // bucket put them on seven, and faulted a page in per update.
+    let graph = ic2_graph::generators::hex_grid(128, 128);
+    let program = AvgProgram::fine();
+    let (nprocs, iterations, buckets) = (2, 3u32, 512);
+    let partitioners: [(&str, &dyn StaticPartitioner); 2] =
+        [("RowBand", &RowBand), ("Metis", &Metis::default())];
+    for (name, partitioner) in partitioners {
+        let part = partitioner.partition(&graph, nprocs);
+        let (mut pages, mut nodes) = (0usize, 0usize);
+        for rank in 0..nprocs as u32 {
+            let store = NodeStore::build(&graph, &part, rank, &program, buckets);
+            for node in store.internal().chain(store.peripheral()) {
+                let closed = std::iter::once(node.slot).chain(node.neighbors.iter().copied());
+                pages += closed.map(|s| s.bucket()).collect::<BTreeSet<_>>().len();
+                nodes += 1;
+            }
+        }
+        let mean = pages as f64 / nodes as f64;
+        assert!(mean <= 3.5, "{name}: {mean:.2} pages a neighbourhood");
+
+        let cfg = RunConfig::new(nprocs, iterations)
+            .with_hash_buckets(buckets)
+            .with_paging(buckets / 8, EvictionPolicy::Sieve)
+            .with_world(clean_world());
+        let report = run(&graph, &program, partitioner, || NoBalancer, &cfg);
+        let updates = graph.num_nodes() as u64 * u64::from(iterations);
+        assert_eq!(
+            report.final_data,
+            seq::run_sequential(&graph, &program, iterations)
+        );
+        assert!(
+            report.page_faults * 4 <= updates,
+            "{name}: {} faults for {updates} updates",
+            report.page_faults
         );
     }
 }
