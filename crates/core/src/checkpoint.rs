@@ -82,6 +82,7 @@ use crate::timers::Phase;
 use ic2_balance::DynamicBalancer;
 use ic2_graph::{Graph, Partition};
 use mpisim::{ArgValue, CtlSlot, CtlVerdict, Died, Rank, RetryPolicy, Wire};
+use std::sync::Arc;
 
 /// Message tag for checkpoint snapshots mirrored to buddy ranks.
 pub const TAG_MIRROR: u32 = 4;
@@ -104,14 +105,14 @@ pub const TAG_GATHER: u32 = 6;
 pub(crate) fn gather_chunks<D: Wire>(
     rank: &Rank,
     crashed: &[bool],
-    all: &mut Vec<(u32, D)>,
+    chunks: &mut Vec<Vec<(u32, D)>>,
 ) -> Result<(), Died> {
     let me = rank.rank();
     let sources = (0..rank.size()).filter(|&r| !crashed[r] && r != me);
     rank.collect(TAG_GATHER, sources.clone(), true);
     for p in sources {
         match rank.settle::<Vec<(u32, D)>>(p) {
-            Ok(chunk) => all.extend(chunk),
+            Ok(chunk) => chunks.push(chunk),
             Err(died) => {
                 rank.release_held();
                 return Err(died);
@@ -255,8 +256,9 @@ pub struct Checkpoint<D> {
     pub genesis: bool,
     /// Completed iterations at the snapshot (0 = before the first).
     pub iter: u32,
-    /// The replicated owner map at the snapshot.
-    pub owner: Vec<u32>,
+    /// The replicated owner map at the snapshot, shared with every store
+    /// and checkpoint that has not written it since.
+    pub owner: Arc<Vec<u32>>,
     /// This rank's full table snapshot (owned + shadows), ascending by id.
     pub mine: Vec<(u32, D)>,
     /// Staging-time per-entry checksums of `mine`: the baseline a restore
@@ -284,7 +286,7 @@ impl<D> Checkpoint<D> {
     /// The communication-free checkpoint every rank starts from: iteration
     /// 0 state is reconstructible from the program's init function and the
     /// initial partition alone.
-    pub(crate) fn genesis(owner: Vec<u32>, nprocs: usize, balancer_state: Vec<u8>) -> Self {
+    pub(crate) fn genesis(owner: Arc<Vec<u32>>, nprocs: usize, balancer_state: Vec<u8>) -> Self {
         Checkpoint {
             genesis: true,
             iter: 0,
@@ -518,7 +520,7 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
         Ok(Checkpoint {
             genesis: false,
             iter,
-            owner: store.owner.clone(),
+            owner: Arc::clone(&store.owner),
             mine,
             mine_sums,
             wards,
@@ -628,9 +630,9 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
             //    owner map and the agreed dead set, so every survivor derives
             //    it identically with no communication.
             let plan = migrate::plan_adoption(graph, &ckpt.owner, crashed, &ckpt.dead);
-            let mut owner = ckpt.owner.clone();
+            let mut owner = Arc::clone(&ckpt.owner);
             for &(v, t) in &plan {
-                owner[v as usize] = t;
+                Arc::make_mut(&mut owner)[v as usize] = t;
             }
 
             // 3. Restore node data under the post-adoption ownership.
@@ -642,7 +644,7 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
                     // every fault decision — survives the rebuild: replay must
                     // make *fresh* disk-fault decisions, or a rot-prone run
                     // would re-damage itself identically forever.
-                    let part = Partition::new(owner.clone(), nprocs);
+                    let part = Partition::from_shared(Arc::clone(&owner), nprocs);
                     let pager = store.pager.take();
                     *store = NodeStore::build(graph, &part, me, program, cfg.hash_buckets);
                     store.pager = pager;
@@ -716,7 +718,7 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
                 }
                 // Installing the owner map rebuilds the replicated directory;
                 // restore() keeps only what this rank needs under it.
-                store.restore(graph, owner.clone(), entries);
+                store.restore(graph, Arc::clone(&owner), entries);
                 // The rebuilt table is wholly in RAM: re-point the pager at it
                 // (fresh pool, purged disk, damage latch cleared) so paging
                 // resumes from a verified state.
@@ -903,7 +905,7 @@ mod tests {
     fn holder_is_the_ring_successor() {
         let ckpt: Checkpoint<i64> = Checkpoint {
             ring: vec![0, 2, 3],
-            ..Checkpoint::genesis(vec![0, 2, 3], 4, Vec::new())
+            ..Checkpoint::genesis(vec![0, 2, 3].into(), 4, Vec::new())
         };
         assert_eq!(ckpt.holder_of(0), Some(2));
         assert_eq!(ckpt.holder_of(2), Some(3));
@@ -913,7 +915,7 @@ mod tests {
 
     #[test]
     fn singleton_ring_has_no_holder() {
-        let ckpt: Checkpoint<i64> = Checkpoint::genesis(vec![0, 0], 1, Vec::new());
+        let ckpt: Checkpoint<i64> = Checkpoint::genesis(vec![0, 0].into(), 1, Vec::new());
         assert_eq!(ckpt.holder_of(0), None);
         assert!(ckpt.holders_of(0, 3).is_empty());
     }
@@ -922,7 +924,7 @@ mod tests {
     fn holders_escalate_along_ring_successors() {
         let ckpt: Checkpoint<i64> = Checkpoint {
             ring: vec![0, 2, 3, 5],
-            ..Checkpoint::genesis(vec![0; 6], 6, Vec::new())
+            ..Checkpoint::genesis(vec![0; 6].into(), 6, Vec::new())
         };
         assert_eq!(ckpt.holders_of(2, 1), vec![3]);
         assert_eq!(ckpt.holders_of(2, 2), vec![3, 5]);
@@ -992,7 +994,7 @@ mod tests {
         let before = cuts(&sender);
         let swapped = part.as_slice().iter().map(|p| 1 - p).collect();
         let everything = graph.nodes().map(|v| (v, i64::from(v))).collect();
-        sender.restore(&graph, swapped, everything);
+        sender.restore(&graph, Arc::new(swapped), everything);
         sender.pager.as_mut().unwrap().reset_after_restore();
         assert_ne!(cuts(&sender), before);
         let held = patch_ward(Some(&ward(held)), image(&sender, false)).unwrap();

@@ -513,13 +513,23 @@ pub(crate) struct IntegrityCounters {
 /// stats cover the surviving ranks. A gather that does not name every node
 /// exactly once is a typed [`PlatformError::InternalInvariant`] of the rank
 /// that gathered it.
-fn assemble<D: Clone>(
-    results: Vec<Option<RankOutcome<D>>>,
+fn assemble<D>(
+    mut results: Vec<Option<RankOutcome<D>>>,
     partition: Partition,
     num_nodes: usize,
 ) -> Result<RunReport<D>, PlatformError> {
+    let first = results.iter().position(Option::is_some).unwrap_or(0);
+    let torn = |detail| PlatformError::InternalInvariant {
+        rank: first as u32,
+        detail,
+    };
+    let Some(gathered) = (results.get_mut(first).and_then(Option::as_mut))
+        .map(|designated| designated.gathered.take())
+    else {
+        return Err(torn("no rank survives the run".into()));
+    };
     let live: Vec<&RankOutcome<D>> = results.iter().flatten().collect();
-    let designated = *live.first().expect("at least one rank survives the run");
+    let designated = live[0];
     let total_time = live.iter().map(|r| r.total).fold(0.0f64, f64::max);
     let migrations = designated.counters.migrations;
     debug_assert!(live.iter().all(|r| r.counters.migrations == migrations));
@@ -556,15 +566,12 @@ fn assemble<D: Clone>(
         audit_mismatches += r.tally.integrity.audit_mismatches;
         bad_replicas += r.tally.integrity.bad_replicas;
     }
-    let final_owner = designated.owner.clone();
-    let torn = |detail| PlatformError::InternalInvariant {
-        rank: results.iter().position(Option::is_some).unwrap_or(0) as u32,
-        detail,
-    };
+    let final_owner = Vec::clone(&designated.owner);
+    // Every record moves once, chunk by chunk, to the place its id names.
     let mut slots: Vec<Option<D>> = (0..num_nodes).map(|_| None).collect();
-    for (id, data) in designated.gathered.iter().flatten() {
-        match slots.get_mut(*id as usize) {
-            Some(slot @ None) => *slot = Some(data.clone()),
+    for (id, data) in gathered.into_iter().flatten().flatten() {
+        match slots.get_mut(id as usize) {
+            Some(slot @ None) => *slot = Some(data),
             Some(_) => return Err(torn(format!("node {id} gathered twice"))),
             None => return Err(torn(format!("gathered node {id} is not in the graph"))),
         }
@@ -782,34 +789,45 @@ mod tests {
 
     #[test]
     fn a_gather_that_is_not_every_node_once_is_a_typed_error() {
-        let assembled = |gathered: &[u32]| {
-            let outcome = RankOutcome {
-                total: 0.0,
-                timers: Default::default(),
-                comm: Default::default(),
-                counters: Default::default(),
-                tally: Default::default(),
-                ranks_died: vec![0],
-                gathered: Some(gathered.iter().map(|&id| (id, 7i64)).collect()),
-                owner: vec![1; 3],
-                pages: Default::default(),
-                disk: Default::default(),
-            };
-            // Rank 0 crashed; rank 1 gathered.
-            assemble(vec![None, Some(outcome)], Partition::new(vec![1; 3], 2), 3)
+        let outcome = |gathered: engine::Gathered<i64>| RankOutcome {
+            total: 0.0,
+            timers: Default::default(),
+            comm: Default::default(),
+            counters: Default::default(),
+            tally: Default::default(),
+            ranks_died: vec![0],
+            gathered,
+            owner: vec![1; 4].into(),
+            pages: Default::default(),
+            disk: Default::default(),
         };
-        assert_eq!(assembled(&[2, 0, 1]).unwrap().final_data, vec![7; 3]);
-        for (gathered, complaint) in [
-            (&[0, 2][..], "node 1 missing"),
-            (&[0, 1, 1, 2], "node 1 gathered twice"),
-            (&[0, 1, 2, 3], "node 3 is not in the graph"),
+        // Rank 0 crashed; rank 1 gathered its own chunk and rank 2's.
+        let assembled = |chunks: [&[u32]; 2]| {
+            let chunk = |ids: &[u32]| ids.iter().map(|&id| (id, i64::from(id))).collect();
+            let gathered = Some(chunks.map(chunk).to_vec());
+            let results = vec![None, Some(outcome(gathered)), Some(outcome(None))];
+            assemble(results, Partition::new(vec![1; 4], 3), 4)
+        };
+        let whole = assembled([&[2, 0], &[3, 1]]).unwrap();
+        assert_eq!(whole.final_data, vec![0, 1, 2, 3]);
+        for (chunks, complaint) in [
+            ([&[0, 2][..], &[3]], "node 1 missing"),
+            ([&[0, 1], &[2, 1, 3]], "node 1 gathered twice"),
+            ([&[0, 1, 2], &[3, 4]], "node 4 is not in the graph"),
         ] {
-            match assembled(gathered) {
+            match assembled(chunks) {
                 Err(PlatformError::InternalInvariant { rank: 1, detail }) => {
                     assert!(detail.contains(complaint), "{detail}")
                 }
-                other => panic!("{gathered:?}: {:?}", other.map(|r| r.final_data)),
+                other => panic!("{chunks:?}: {:?}", other.map(|r| r.final_data)),
             }
+        }
+        // Nobody left to report: typed, not a panic.
+        match assemble::<i64>(vec![None, None], Partition::new(vec![1; 4], 2), 4) {
+            Err(PlatformError::InternalInvariant { detail, .. }) => {
+                assert!(detail.contains("no rank survives"), "{detail}")
+            }
+            other => panic!("{:?}", other.map(|r| r.final_data)),
         }
     }
 

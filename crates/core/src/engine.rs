@@ -37,6 +37,7 @@ use ic2_graph::{Graph, Partition};
 use mpisim::trace::ITERATION_SPAN;
 use mpisim::{ArgValue, CommStats, CtlSlot, CtlVerdict, Died, Rank, RetryPolicy};
 use std::ops::ControlFlow::{self, Break, Continue};
+use std::sync::Arc;
 
 /// Which collectives close the engine's agreed decisions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,8 +109,9 @@ pub(crate) struct Tally {
     pub(crate) integrity: IntegrityCounters,
 }
 
-/// Every node's final value, at the rank the gather designated only.
-pub(crate) type Gathered<D> = Option<Vec<(u32, D)>>;
+/// Every node's final value — one chunk per contributing rank — at the
+/// rank the gather designated only.
+pub(crate) type Gathered<D> = Option<Vec<Vec<(u32, D)>>>;
 
 /// What one rank hands back from its SPMD body. Crashed ranks produce no
 /// outcome at all (`World::run_fallible` yields `None` for them), so the
@@ -122,7 +124,7 @@ pub(crate) struct RankOutcome<D> {
     pub(crate) tally: Tally,
     pub(crate) ranks_died: Vec<u32>,
     pub(crate) gathered: Gathered<D>,
-    pub(crate) owner: Vec<u32>,
+    pub(crate) owner: Arc<Vec<u32>>,
     pub(crate) pages: PageCounters,
     pub(crate) disk: mpisim::DiskCounters,
 }
@@ -254,12 +256,10 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
         // Iteration 0 is the first committed checkpoint. The thesis's plane
         // never rolls back, so it keeps no copy of the owner map.
         let ckpt = match plane {
-            Plane::Collective => Checkpoint::genesis(Vec::new(), 0, Vec::new()),
-            Plane::Verdict { .. } => Checkpoint::genesis(
-                partition.as_slice().to_vec(),
-                cfg.nprocs,
-                balancer.checkpoint_state(),
-            ),
+            Plane::Collective => Checkpoint::genesis(Arc::default(), 0, Vec::new()),
+            Plane::Verdict { .. } => {
+                Checkpoint::genesis(partition.shared(), cfg.nprocs, balancer.checkpoint_state())
+            }
         };
         let engine = Engine {
             rank,
@@ -753,8 +753,7 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
         let Plane::Verdict { membership } = self.plane else {
             rank.barrier();
             let total = rank.wtime();
-            let per_rank = rank.gather(0, &self.store.owned_data());
-            return Some((total, per_rank.map(|r| r.into_iter().flatten().collect())));
+            return Some((total, rank.gather(0, &self.store.owned_data())));
         };
         if self.frozen.iter().any(|&f| f) {
             self.park_until_heal();
@@ -786,17 +785,18 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
             self.recover(completed);
             return None;
         }
-        let designated = (0..nprocs).find(|&r| !self.crashed[r]);
-        let designated = designated.expect("at least one rank survives");
+        let Some(designated) = (0..nprocs).find(|&r| !self.crashed[r]) else {
+            invariant_violated(me as u32, "no rank survives to gather".into());
+        };
         let owned = self.store.owned_data();
         let mut gathered = None;
         // A gather severed by a cut (a tombstone, or a send that could not
         // cross) is told apart from a death by the peer's dead flag.
         let mut cut = false;
         if me == designated {
-            let mut all = owned;
-            match gather_chunks(rank, &self.crashed, &mut all) {
-                Ok(()) => gathered = Some(all),
+            let mut chunks = vec![owned];
+            match gather_chunks(rank, &self.crashed, &mut chunks) {
+                Ok(()) => gathered = Some(chunks),
                 Err(Died(p)) => cut = !rank.peer_dead(p),
             }
         } else {

@@ -888,7 +888,7 @@ mod tests {
 
                     let rotated = store.owner.iter().map(|p| (p + 1) % k as u32).collect();
                     let snapshot = graph.nodes().map(|v| (v, -i64::from(v))).collect();
-                    store.restore(&graph, rotated, snapshot);
+                    store.restore(&graph, std::sync::Arc::new(rotated), snapshot);
                     assert_unpack_matches_by_id(rank, &mut store, seed, "after restore");
                 });
             }

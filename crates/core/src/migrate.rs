@@ -30,6 +30,7 @@ use crate::timers::{Phase, PhaseTimers};
 use ic2_balance::{DynamicBalancer, LoadReport};
 use ic2_graph::{Graph, NodeId};
 use mpisim::{ArgValue, CtlSlot, CtlVerdict, Rank, RetryPolicy};
+use std::sync::Arc;
 
 /// Message tag for migrated task data.
 pub const TAG_MIGRATE: u32 = 2;
@@ -325,7 +326,7 @@ where
 
                 // Every rank: change of ownership, then re-derive node lists,
                 // shadow_for sets and the buffer plan.
-                store.owner[migrating as usize] = idle;
+                Arc::make_mut(&mut store.owner)[migrating as usize] = idle;
                 store.rebuild_lists(graph);
                 rank.trace_instant(
                     "migration",
@@ -513,7 +514,7 @@ where
     // lists; the dead rank ends up owning nothing and degenerates to a
     // zombie that only participates in collectives.
     for &(v, target) in &plan {
-        store.owner[v as usize] = target;
+        Arc::make_mut(&mut store.owner)[v as usize] = target;
     }
     store.rebuild_lists(graph);
     timers.add(Phase::LoadBalancing, rank.wtime() - t0);

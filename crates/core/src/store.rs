@@ -10,6 +10,7 @@ use crate::program::NodeProgram;
 use ic2_graph::{Graph, NodeId, Partition};
 use mpisim::{DiskTiming, FaultPlan, Wire};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// One owned node as the round plan describes it (the thesis's `own_node`
 /// struct, Figure 7): identity, neighbourhood, and which processors hold
@@ -89,6 +90,40 @@ fn offset(len: usize) -> u32 {
     u32::try_from(len).expect("round plan exceeds u32 offsets")
 }
 
+/// The ids a rank owning `owned` stores data for — `owned` and their
+/// neighbours — one bit per graph node: every rank builds one at the same
+/// moment, and marks only what it owns.
+struct Needed(Vec<u64>);
+
+impl Needed {
+    fn of(graph: &Graph, owned: &[NodeId]) -> Needed {
+        let mut bits = vec![0u64; graph.num_nodes().div_ceil(64)];
+        let mut mark = |v: NodeId| bits[v as usize / 64] |= 1 << (v % 64);
+        for &v in owned {
+            mark(v);
+            graph.neighbors(v).iter().for_each(|&w| mark(w));
+        }
+        Needed(bits)
+    }
+
+    fn contains(&self, v: NodeId) -> bool {
+        self.0[v as usize / 64] >> (v % 64) & 1 == 1
+    }
+
+    /// The marked ids, ascending, read off word by word.
+    fn ids(&self) -> Vec<NodeId> {
+        let mut ids = Vec::with_capacity(self.0.iter().map(|w| w.count_ones() as usize).sum());
+        for (i, &word) in self.0.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                ids.push(i as NodeId * 64 + rest.trailing_zeros());
+                rest &= rest - 1;
+            }
+        }
+        ids
+    }
+}
+
 /// Everything one rank keeps in local memory: the data-node table (owned +
 /// shadow data) behind its hash table, the round plan over it, the
 /// replicated owner map (the thesis's `output_arr`), and the
@@ -105,8 +140,9 @@ pub struct NodeStore<D> {
     /// Data for owned nodes *and* shadow nodes.
     pub table: NodeTable<D>,
     /// Global node → owning processor, replicated on every rank and kept
-    /// in sync through migration broadcasts.
-    pub owner: Vec<u32>,
+    /// in sync through migration broadcasts. The ranks of a run share the
+    /// partition's array until one of them writes (`Arc::make_mut`).
+    pub owner: Arc<Vec<u32>>,
     /// `send_counts[p]`: number of shadow entries this rank sends
     /// processor `p` each iteration (the thesis's
     /// `buffer_size_for_communication`).
@@ -159,13 +195,12 @@ impl<D: Clone> NodeStore<D> {
             "partition must cover the graph"
         );
         let nprocs = partition.num_parts();
-        let owner: Vec<u32> = partition.as_slice().to_vec();
         let mut store = NodeStore {
             rank,
             nprocs,
             plan: RoundPlan::default(),
             table: NodeTable::new(hash_buckets),
-            owner,
+            owner: partition.shared(),
             send_counts: vec![0; nprocs],
             node_load: vec![0.0; graph.num_nodes()],
             needs_resync: true,
@@ -175,12 +210,13 @@ impl<D: Clone> NodeStore<D> {
         // Owned node data and shadow data for the remote neighbours of
         // owned nodes (InsertShadowsIntoHashTable), in one ascending fill.
         // The id scratch is gone before the plan's scratch is built.
-        let ids: Vec<NodeId> = graph.nodes().filter(store.needed(graph)).collect();
+        let owned = partition.members(rank);
+        let ids = Needed::of(graph, owned).ids();
         store
             .table
             .append_ascending(&ids, |v| program.init(v, graph));
         drop(ids);
-        store.rebuild_lists(graph);
+        store.plan_rounds(graph, owned);
         store
     }
 }
@@ -191,17 +227,12 @@ impl<D> NodeStore<D> {
         self.owner[node as usize] == self.rank
     }
 
-    /// Membership test for the ids this rank stores data for: its owned
-    /// nodes and their neighbours. One bit per graph node — every rank
-    /// builds one at the same moment.
-    fn needed(&self, graph: &Graph) -> impl Fn(&NodeId) -> bool {
-        let mut bits = vec![0u64; graph.num_nodes().div_ceil(64)];
-        let mut mark = |v: NodeId| bits[v as usize / 64] |= 1 << (v % 64);
-        for v in graph.nodes().filter(|&v| self.owns(v)) {
-            mark(v);
-            graph.neighbors(v).iter().for_each(|&w| mark(w));
-        }
-        move |&v| bits[v as usize / 64] >> (v % 64) & 1 == 1
+    /// The nodes the owner map gives this rank, ascending: the one scan of
+    /// the map a restore or a migration pays ([`Self::build`] reads them off
+    /// the partition's membership index instead).
+    fn owned_by_map(&self) -> Vec<NodeId> {
+        let mine = |(v, &p): (usize, &u32)| (p == self.rank).then_some(v as NodeId);
+        self.owner.iter().enumerate().filter_map(mine).collect()
     }
 
     /// Number of owned nodes.
@@ -263,15 +294,22 @@ impl<D> NodeStore<D> {
         self.table.len()
     }
 
-    /// Rebuild the round plan — internal/peripheral lists, resolved slots,
-    /// `shadow_for` sets, shadow ids, the send plan and both processor
-    /// lists — from the graph, the owner map and the table. Used at
-    /// initialization and after every structural change (the thesis
+    /// Rebuild the round plan after the owner map changed (the thesis
     /// re-derives `shadow_for_procs[]` and `buffer_size_for_communication`
-    /// the same way at the end of `task_migrate`). Every needed bucket must
-    /// be resident; an entry that is absent gets a slot that reads as
-    /// missing data.
+    /// the same way at the end of `task_migrate`).
     pub fn rebuild_lists(&mut self, graph: &Graph) {
+        let owned = self.owned_by_map();
+        self.plan_rounds(graph, &owned);
+    }
+
+    /// Derive the round plan — internal/peripheral lists, resolved slots,
+    /// `shadow_for` sets, shadow ids, the send plan and both processor
+    /// lists — from this rank's `owned` nodes (ascending), their
+    /// neighbourhoods, the owner map and the table: work in proportion to
+    /// what the rank owns, at initialization and after every structural
+    /// change. Every needed bucket must be resident; an entry that is absent
+    /// gets a slot that reads as missing data.
+    fn plan_rounds(&mut self, graph: &Graph, owned: &[NodeId]) {
         // Drop the old plan first: two plans never coexist in memory.
         self.plan = RoundPlan::default();
         self.send_counts = vec![0; self.nprocs];
@@ -281,10 +319,9 @@ impl<D> NodeStore<D> {
         self.needs_resync = true;
         let (rank, owner) = (self.rank, &self.owner);
         let remote = |w: NodeId| owner[w as usize] != rank;
-        let (mut ids, peripheral): (Vec<NodeId>, Vec<NodeId>) = graph
-            .nodes()
-            .filter(|&v| !remote(v))
-            .partition(|&v| !graph.neighbors(v).iter().any(|&w| remote(w)));
+        let (mut ids, peripheral): (Vec<NodeId>, Vec<NodeId>) = owned
+            .iter()
+            .partition(|&&v| !graph.neighbors(v).iter().any(|&w| remote(w)));
         let internal = ids.len();
         ids.extend(peripheral);
         ids.shrink_to_fit();
@@ -385,14 +422,15 @@ impl<D> NodeStore<D> {
     /// restored owner map, repopulate the table from snapshot `entries`
     /// (keeping only what this rank needs under the new ownership — its
     /// owned nodes and their neighbours), and re-derive every list.
-    pub fn restore(&mut self, graph: &Graph, owner: Vec<u32>, mut entries: Vec<(NodeId, D)>)
+    pub fn restore(&mut self, graph: &Graph, owner: Arc<Vec<u32>>, mut entries: Vec<(NodeId, D)>)
     where
         D: Clone,
     {
         assert_eq!(owner.len(), graph.num_nodes(), "owner map must cover graph");
         self.owner = owner;
-        let needed = self.needed(graph);
-        entries.retain(|(id, _)| needed(id));
+        let owned = self.owned_by_map();
+        let needed = Needed::of(graph, &owned);
+        entries.retain(|&(id, _)| needed.contains(id));
         drop(needed);
         // A snapshot ascends. One extended with adoption packages does not,
         // and may name an id twice: the later copy wins, as it did when
@@ -418,7 +456,7 @@ impl<D> NodeStore<D> {
             });
         }
         self.reset_loads();
-        self.rebuild_lists(graph);
+        self.plan_rounds(graph, &owned);
     }
 
     /// Distinct shadow node ids this rank stores — remote neighbours of
@@ -886,7 +924,7 @@ mod tests {
         // Move every node to rank 0 and rebuild: rank 0 all internal.
         let n = graph.num_nodes();
         for s in &mut stores {
-            s.owner = vec![0; n];
+            s.owner = Arc::new(vec![0; n]);
             s.rebuild_lists(&graph);
         }
         assert_eq!(stores[0].owned_count(), n);

@@ -84,11 +84,14 @@ fn matches_sequential_under_dynamic_migration() {
         report.migrations > 0,
         "shifting load must trigger at least one migration"
     );
-    // Owner map must have moved away from the initial partition.
-    assert_ne!(
-        report.final_owner,
-        report.initial_partition.as_slice().to_vec()
-    );
+    // The owner map moved away from the initial partition — at most one
+    // node a migration — and no rank wrote through to the shared array the
+    // run started from.
+    let initial = &report.initial_partition;
+    let moved = |(a, b): &(&u32, &u32)| a != b;
+    let moves = (report.final_owner.iter().zip(initial.as_slice())).filter(moved);
+    assert!((1..=report.migrations).contains(&moves.count()));
+    assert_eq!(*initial, Metis::default().partition(&graph, 8));
 }
 
 #[test]

@@ -5,13 +5,16 @@
 //! Inputs come from the in-tree [`SplitMix64`] generator with fixed seeds.
 
 use ic2_graph::{generators, Graph, GraphBuilder, NodeId, Partition};
+use ic2_partition::simple::RoundRobin;
 use ic2_rng::SplitMix64;
 use ic2mpi::exchange::{self, Round};
 use ic2mpi::prelude::*;
 use ic2mpi::{
-    catch_flow_deadlock, migrate, ComputeCtx, NodeStore, PhaseTimers, PlatformError, StoreViolation,
+    catch_flow_deadlock, migrate, ComputeCtx, LocalNode, NodeStore, PhaseTimers, PlatformError,
+    StoreViolation,
 };
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn world() -> mpisim::World {
@@ -24,6 +27,35 @@ fn random_case(rng: &mut SplitMix64) -> (Graph, Partition) {
     let graph = generators::random_connected(n, 3.0, 10, rng.next_u64());
     let assignment: Vec<u32> = (0..n).map(|_| rng.gen_range(0..k) as u32).collect();
     (graph, Partition::new(assignment, k))
+}
+
+/// [`random_case`]'s graph under four partitions: the random one, round
+/// robin, one whose odd parts are empty, and one with more parts than nodes.
+fn partition_cases(rng: &mut SplitMix64) -> (Graph, Vec<Partition>) {
+    let (graph, random) = random_case(rng);
+    let (n, k) = (graph.num_nodes(), random.num_parts());
+    let doubled = random.as_slice().iter().map(|p| 2 * p).collect();
+    let cases = vec![
+        RoundRobin.partition(&graph, k),
+        Partition::new(doubled, 2 * k),
+        RoundRobin.partition(&graph, n + 5),
+        random,
+    ];
+    (graph, cases)
+}
+
+/// Everything a round walks, as the public accessors show it: each listed
+/// node with its slots and `shadow_for` set, the internal count, the send
+/// counts and both processor lists.
+fn plan_view(store: &NodeStore<i64>) -> impl PartialEq + std::fmt::Debug {
+    let nodes = store.internal().chain(store.peripheral());
+    let node = |n: LocalNode<'_>| (n.id, n.slot, n.neighbors.to_vec(), n.shadow_for.to_vec());
+    (
+        nodes.map(node).collect::<Vec<_>>(),
+        store.internal().len(),
+        store.send_counts.clone(),
+        (store.recv_procs().to_vec(), store.send_procs().to_vec()),
+    )
 }
 
 /// The plan's slot of every owned node and of every neighbour, in adjacency
@@ -100,11 +132,12 @@ fn needed_of(
 fn slots_name_the_entries_ids_find_after_build_and_restore() {
     let mut rng = SplitMix64::new(0x51075);
     for _ in 0..32 {
-        let (graph, partition) = random_case(&mut rng);
-        for buckets in [1, 10, 512] {
+        let (graph, partitions) = partition_cases(&mut rng);
+        let buckets = [1, 10, 512];
+        for (partition, buckets) in partitions.iter().flat_map(|p| buckets.map(|b| (p, b))) {
             for rank in 0..partition.num_parts() as u32 {
                 let mut store =
-                    NodeStore::build(&graph, &partition, rank, &AvgProgram::fine(), buckets);
+                    NodeStore::build(&graph, partition, rank, &AvgProgram::fine(), buckets);
                 assert_slots_match_ids(&store, &graph, "after build");
                 // What a build stores: owned nodes and their neighbours.
                 let program = AvgProgram::fine();
@@ -122,7 +155,7 @@ fn slots_name_the_entries_ids_find_after_build_and_restore() {
                 let snapshot: Vec<(NodeId, i64)> =
                     graph.nodes().map(|v| (v, -(v as i64))).collect();
                 let before = store.table.epoch();
-                store.restore(&graph, owner.clone(), snapshot.clone());
+                store.restore(&graph, Arc::new(owner.clone()), snapshot.clone());
                 assert!(store.table.epoch() > before, "restore replaces the table");
                 assert_slots_match_ids(&store, &graph, "after restore");
                 let kept = needed_of(&snapshot, &store, &graph);
@@ -138,7 +171,7 @@ fn slots_name_the_entries_ids_find_after_build_and_restore() {
                     .collect();
                 rng.shuffle(&mut package);
                 extended.extend(package);
-                store.restore(&graph, owner, extended.clone());
+                store.restore(&graph, Arc::new(owner), extended.clone());
                 assert_slots_match_ids(&store, &graph, "after adopting restore");
                 let mut kept = needed_of(&extended, &store, &graph);
                 assert_table_is(&store, kept.clone(), true, "after adopting restore");
@@ -163,14 +196,57 @@ fn slots_name_the_entries_ids_find_after_build_and_restore() {
 }
 
 #[test]
+fn a_build_reads_the_membership_index_and_shares_the_owner_map() {
+    let mut rng = SplitMix64::new(0xB011D);
+    for _ in 0..16 {
+        let (graph, partitions) = partition_cases(&mut rng);
+        for partition in partitions {
+            // The index: ascending lists that tile the nodes, each node
+            // under the part `part_of` names.
+            let k = partition.num_parts() as u32;
+            let mut seen = vec![false; graph.num_nodes()];
+            for p in 0..k {
+                let members = partition.members(p);
+                assert!(members.windows(2).all(|w| w[0] < w[1]), "part {p} ascends");
+                for &v in members {
+                    assert_eq!(partition.part_of(v), p);
+                    assert!(!std::mem::replace(&mut seen[v as usize], true), "{v} twice");
+                }
+            }
+            assert!(seen.iter().all(|&s| s), "members tile the graph");
+
+            let program = AvgProgram::fine();
+            let mut stores: Vec<NodeStore<i64>> = (0..k)
+                .map(|r| NodeStore::build(&graph, &partition, r, &program, 10))
+                .collect();
+            // One owner map for the partition and all its stores.
+            let shared = partition.shared();
+            assert!(stores.iter().all(|s| Arc::ptr_eq(&s.owner, &shared)));
+            assert_eq!(Arc::strong_count(&shared), stores.len() + 2);
+            for store in &mut stores {
+                assert_slots_match_ids(store, &graph, "after build");
+                // The owner-scan entry derives what the index entry did.
+                let epoch = store.table.epoch();
+                let built = plan_view(store);
+                store.rebuild_lists(&graph);
+                assert!(plan_view(store) == built, "rank {}", store.rank);
+                assert_eq!(store.table.epoch(), epoch);
+                assert_slots_match_ids(store, &graph, "after rebuild_lists");
+            }
+        }
+    }
+}
+
+#[test]
 fn slots_name_the_entries_ids_find_after_migration() {
     for buckets in [1, 10, 512] {
         let graph = generators::hex_grid(6, 6);
         // Three quarters of the grid on rank 0: the balancer must migrate.
         let partition = Partition::new(graph.nodes().map(|v| u32::from(v >= 27)).collect(), 2);
-        let migrated: Vec<usize> = world().run(2, |rank| {
+        let migrated: Vec<(usize, Vec<u32>)> = world().run(2, |rank| {
             let me = rank.rank() as u32;
             let mut store = NodeStore::build(&graph, &partition, me, &AvgProgram::fine(), buckets);
+            assert!(Arc::ptr_eq(&store.owner, &partition.shared()));
             // Make the values distinguishable from the initial ones.
             for (i, &id) in store.owned_ids().to_vec().iter().enumerate() {
                 store.table.set_current(id, 1000 * i64::from(me) + i as i64);
@@ -188,11 +264,20 @@ fn slots_name_the_entries_ids_find_after_migration() {
                 &mut PhaseTimers::default(),
             );
             assert_slots_match_ids(&store, &graph, "after balance_round");
-            out.expect("the thesis's protocol always completes")
-                .migrated
+            // The first migration write took this rank's own copy.
+            assert_eq!(Arc::strong_count(&store.owner), 1);
+            let out = out.expect("the thesis's protocol always completes");
+            (out.migrated, Vec::clone(&store.owner))
         });
-        assert!(migrated[0] > 0, "{buckets} buckets: nothing migrated");
+        let (count, owner) = &migrated[0];
+        assert!(*count > 0, "{buckets} buckets: nothing migrated");
         assert_eq!(migrated[0], migrated[1]);
+        // Nobody wrote through to the partition the run started from.
+        assert!(graph
+            .nodes()
+            .all(|v| partition.part_of(v) == u32::from(v >= 27)));
+        let moved = |v: &NodeId| owner[*v as usize] != partition.part_of(*v);
+        assert_eq!(graph.nodes().filter(moved).count(), *count);
     }
 }
 
@@ -294,7 +379,9 @@ fn validate_checks_the_plan_against_graph_and_table() {
 
     // Plan ↔ owner map: the remote half changed hands without a rebuild.
     let mut store = build();
-    store.owner.iter_mut().for_each(|p| *p *= 2);
+    Arc::make_mut(&mut store.owner)
+        .iter_mut()
+        .for_each(|p| *p *= 2);
     assert!(matches!(
         violation(&store),
         StoreViolation::ShadowForMismatch { .. }
@@ -314,7 +401,7 @@ fn validate_checks_the_receive_plan_against_the_owner_map() {
     let partition = Partition::new(vec![0, 1, 2], 3);
     let mut store = NodeStore::build(&graph, &partition, 0, &AvgProgram::fine(), 4);
     assert_eq!(store.validate(&graph), Ok(()));
-    store.owner.swap(1, 2);
+    Arc::make_mut(&mut store.owner).swap(1, 2);
     assert_eq!(
         store.validate(&graph),
         Err(PlatformError::StoreInvariant(

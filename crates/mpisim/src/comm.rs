@@ -865,18 +865,39 @@ impl Rank {
         } else {
             vrank & vrank.wrapping_neg()
         };
-        // Build the wire image of a `Vec<(u64, T)>` in place: a u64 entry
-        // count followed by the entry bodies. Our own entry is encoded from
-        // the borrowed `value` (no clone), and each child's subtree arrives
-        // already framed this way, so its body is appended verbatim — each
-        // hop serialises its aggregate exactly once and never decodes or
-        // re-encodes what its children collected.
+        // A frame is the wire image of a `Vec<(u64, T)>`: a u64 entry count,
+        // then the entries, rank first. Ours holds our own entry, encoded
+        // from the borrowed `value` (no clone).
         let mut count: u64 = 1;
-        let mut body: Vec<u8> = Vec::new();
-        (self.id as u64).encode(&mut body);
-        value.encode(&mut body);
-        // Aggregate each child's subtree (children = vrank | bit, for the
-        // power-of-two bits below this node's lowest set bit).
+        let mut msg: Vec<u8> = Vec::new();
+        count.encode(&mut msg);
+        (self.id as u64).encode(&mut msg);
+        value.encode(&mut msg);
+        // The root decodes each frame's entries where they lie and
+        // aggregates nothing.
+        let mut collected: Vec<(u64, T)> = Vec::new();
+        let mut unpack = |mut entries: &[u8], n: u64, src: usize| {
+            for _ in 0..n {
+                collected.push(Wire::decode(&mut entries).unwrap_or_else(|e| {
+                    panic!(
+                        "rank {}: gather frame from rank {src} tag {tag}: {e}",
+                        self.id
+                    )
+                }));
+            }
+        };
+        if vrank == 0 {
+            unpack(&msg[8..], 1, self.id);
+        } else {
+            // Every other hop builds its subtree's frame in this one buffer:
+            // children's entries appended verbatim — never decoded or
+            // re-encoded — and the count patched once they are all in. Room
+            // for them now, exact when every rank's entry is as long as ours.
+            let subtree = lowest.min(self.n - vrank);
+            msg.reserve((msg.len() - 8) * (subtree - 1));
+        }
+        // Children = vrank | bit, for the power-of-two bits below this
+        // node's lowest set bit.
         let mut bit = 1usize;
         while bit < lowest {
             let vchild = vrank | bit;
@@ -886,36 +907,30 @@ impl Rank {
                     src: Some(child),
                     tag,
                 });
-                let mut buf: &[u8] = &env.bytes;
-                let sub = u64::decode(&mut buf).unwrap_or_else(|e| {
+                let mut entries: &[u8] = &env.bytes;
+                let sub = u64::decode(&mut entries).unwrap_or_else(|e| {
                     panic!(
                         "rank {}: gather frame from rank {} tag {} has no count prefix: {e}",
                         self.id, env.src, env.tag
                     )
                 });
                 count += sub;
-                body.extend_from_slice(buf);
+                if vrank == 0 {
+                    unpack(entries, sub, env.src);
+                } else {
+                    msg.extend_from_slice(entries);
+                }
             }
             bit <<= 1;
         }
         if vrank != 0 {
             let vparent = vrank & (vrank - 1);
             let parent = (vparent + root) % self.n;
-            let mut msg = Vec::with_capacity(8 + body.len());
-            count.encode(&mut msg);
-            msg.extend_from_slice(&body);
+            msg[..8].copy_from_slice(&count.to_le_bytes());
             self.send_payload(parent, tag, &Payload::from(msg));
             None
         } else {
             debug_assert_eq!(count as usize, self.n, "gather must cover every rank");
-            let mut collected: Vec<(u64, T)> = Vec::with_capacity(count as usize);
-            let mut buf: &[u8] = &body;
-            for _ in 0..count {
-                let entry = <(u64, T)>::decode(&mut buf).unwrap_or_else(|e| {
-                    panic!("rank {}: gather aggregate failed to decode: {e}", self.id)
-                });
-                collected.push(entry);
-            }
             collected.sort_unstable_by_key(|(r, _)| *r);
             Some(collected.into_iter().map(|(_, v)| v).collect())
         }

@@ -158,6 +158,35 @@ fn gather_serializes_once_per_hop() {
     );
 }
 
+/// Sixteen ranks, every contribution a different length: rank order at the
+/// root, one payload per hop, and on the wire exactly the messages, bytes
+/// and virtual seconds the two-buffer aggregate of commit 0261228 put there
+/// (numbers printed by this test at that commit).
+#[test]
+fn a_gather_of_unequal_vectors_moves_the_same_bytes_in_one_buffer_per_hop() {
+    let _guard = METRICS_LOCK.lock().unwrap();
+    const N: usize = 16;
+    reset_payload_metrics();
+    let rows = World::new(cfg()).run(N, |rank| {
+        let me = rank.rank() as u64;
+        let value: Vec<u64> = (0..3 * me + 1).map(|j| me * 1000 + j).collect();
+        let gathered = rank.gather(5, &value);
+        (gathered, rank.stats(), rank.wtime())
+    });
+    for (r, (gathered, _, _)) in rows.iter().enumerate() {
+        assert_eq!(gathered.is_some(), r == 5, "only the root receives");
+    }
+    let gathered = rows[5].0.as_ref().unwrap();
+    for (r, row) in gathered.iter().enumerate() {
+        let expected: Vec<u64> = (0..3 * r as u64 + 1).map(|j| r as u64 * 1000 + j).collect();
+        assert_eq!(row, &expected, "rank order, whole vectors");
+    }
+    assert_eq!(payload_metrics().allocs, N as u64 - 1, "one payload a hop");
+    let sum = |f: fn(&mpisim::CommStats) -> u64| rows.iter().map(|(_, s, _)| f(s)).sum::<u64>();
+    assert_eq!((sum(|s| s.msgs_sent), sum(|s| s.bytes_sent)), (15, 6168));
+    assert_eq!(rows[5].2.to_bits(), 4561433764850826809, "the root's clock");
+}
+
 /// The value type flowing through gather is never cloned: forwarding works
 /// on wire bytes, so a `Clone` bound that counts its invocations must
 /// observe zero.

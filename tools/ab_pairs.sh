@@ -11,6 +11,9 @@
 # every pair of every end-to-end metric, both medians and quartiles, the
 # change's wins, and whether the medians differ by more than the distance
 # between the parent's quartiles — the rule of benchmark/README.md, "Noise".
+# Ends with one `--trace 1` pass a side (seed 301) and prints where the time
+# sits, parent -> change: host.fixed_s, host.iter_ms and
+# core.driver.fixed_ns_per_node.
 #
 # It only calls benchmark/; it judges nothing and exits non-zero only when a
 # build or a run fails.
@@ -37,11 +40,12 @@ build "$root" "$work/tree"
 parent=$work/$sha/target/release/ic2-benchmark
 change=$work/tree/release/ic2-benchmark
 
-run() { # <binary> <seed>  → the result line
-    (cd "$work" && "$1" --workload "$workload" --seed "$2" --seconds 10 --trace 0) | tail -n 1
+run() { # <binary> <seed> [trace=0]  → the result line
+    (cd "$work" && "$1" --workload "$workload" --seed "$2" --seconds 10 --trace "${3:-0}") | tail -n 1
 }
 results=$work/pairs.$$
-trap 'rm -f "$results"' EXIT
+traced=$work/traced.$$
+trap 'rm -f "$results" "$traced"' EXIT
 for ((i = 0; i < pairs; i++)); do
     seed=$((301 + i))
     if ((i % 2 == 0)); then
@@ -52,6 +56,7 @@ for ((i = 0; i < pairs; i++)); do
     printf '%s\n%s\n' "$p" "$c" >>"$results"
     echo "pair $((i + 1))/$pairs (seed $seed) done" >&2
 done
+printf '%s\n%s\n' "$(run "$parent" 301 1)" "$(run "$change" 301 1)" >"$traced"
 
 echo "$workload: $ref ($(git -C "$root" rev-parse --short "$sha")) against the working tree, $pairs pairs"
 awk '
@@ -76,9 +81,11 @@ function sorted(src, dst, n,    i, j, t) {
     for (i = 1; i <= n; i++) dst[i] = src[i]
     for (i = 2; i <= n; i++) { t = dst[i]; for (j = i - 1; j >= 1 && dst[j] > t; j--) dst[j + 1] = dst[j]; dst[j + 1] = t }
 }
-{ line[NR] = $0; failed += count($0, "failed"); attempted += count($0, "attempted") }
+{ failed += count($0, "failed"); attempted += count($0, "attempted") }
+FILENAME == traced { side[++sides] = $0; next }
+{ line[++lines] = $0 }
 END {
-    n = NR / 2
+    n = lines / 2
     split("ns_per_update run_s setup_s peak_rss_mb", metrics, " ")
     for (m = 1; m <= 4; m++) {
         name = metrics[m]; wins = 0; ties = 0; pairs = ""
@@ -97,5 +104,9 @@ END {
         printf "  change/parent %+.1f %%, change lower in %d of %d pairs (%d ties), |median difference| %.4g %s parent inter-quartile distance %.4g\n", \
             100 * (cm - pm) / pm, wins, n, ties, diff, (diff > iqr ? ">" : "<="), iqr
     }
-    printf "\nfailed runs: %d of %d attempted\n", failed, attempted
-}' "$results"
+    printf "\ntraced pass (parent -> change):"
+    split("host.fixed_s host.iter_ms core.driver.fixed_ns_per_node", layers, " ")
+    for (m = 1; m <= 3; m++)
+        printf "  %s %.4g -> %.4g", layers[m], value(side[1], layers[m]), value(side[2], layers[m])
+    printf "\n\nfailed runs: %d of %d attempted\n", failed, attempted
+}' traced="$traced" "$results" "$traced"
