@@ -5,8 +5,6 @@
 
 use ic2_bench::harness::{bench, header};
 use ic2mpi::prelude::*;
-use ic2mpi::NodeTable;
-use std::hint::black_box;
 
 /// Figure 8 vs Figure 8a: post-communication vs overlapped exchange.
 fn ablation_overlap() {
@@ -73,38 +71,8 @@ fn ablation_batch() {
     }
 }
 
-/// The [PSC95] claim behind the thesis's hash table: bucketed access vs a
-/// linear scan of the data-node list. The table is filled the way the
-/// platform fills it — one bulk fill, which cuts the bucket ranges.
-fn ablation_hashtab() {
-    let n = 1024u32;
-    header("ablation_hashtab");
-    let ids: Vec<u32> = (0..n).collect();
-    for buckets in [1usize, 10, 64, 512] {
-        let mut table = NodeTable::new(buckets);
-        table.append_ascending(&ids, |id| id as i64);
-        bench(&format!("lookup_1024_buckets{buckets}"), 100, || {
-            let mut acc = 0i64;
-            for id in 0..n {
-                acc += *table.get(black_box(id)).unwrap();
-            }
-            acc
-        });
-    }
-    // The true linear-scan baseline: an unindexed data-node list.
-    let list: Vec<(u32, i64)> = (0..n).map(|id| (id, id as i64)).collect();
-    bench("lookup_1024_linear_scan", 100, || {
-        let mut acc = 0i64;
-        for id in 0..n {
-            acc += list.iter().find(|(k, _)| *k == black_box(id)).unwrap().1;
-        }
-        acc
-    });
-}
-
 fn main() {
     ablation_overlap();
     ablation_threshold();
     ablation_batch();
-    ablation_hashtab();
 }

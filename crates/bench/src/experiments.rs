@@ -451,8 +451,7 @@ pub fn fig23() -> Table {
 
 /// Virtual-time effect of the design choices DESIGN.md calls out:
 /// exchange overlap (Fig 8 vs 8a), balancer threshold, and migration
-/// batch size. (The hash-table ablation is real-time only; see
-/// `cargo bench ablation_hashtab`.)
+/// batch size.
 pub fn ablations() -> Table {
     let graph = w::hex(64);
     let mut t = Table::new(

@@ -20,7 +20,7 @@
 //!    [`entry_hash`] of its current value.
 //! 2. **Order invariance.** Region digests are XOR folds of per-entry
 //!    hashes, so they do not depend on the order nodes are visited — ranks
-//!    iterating bucket order and an oracle iterating id order agree.
+//!    iterating slot order and an oracle iterating id order agree.
 
 use crate::store::NodeStore;
 use ic2_rng::mix64;
@@ -150,8 +150,8 @@ where
                 continue;
             }
             let start = faults.memory_corrupt_bit(me, epoch, region, u64::from(id), len_bits);
-            if let Some(damaged) = corrupt_value(&cur, start) {
-                store.table.set_current(id, damaged);
+            let damaged = corrupt_value(&cur, start);
+            if damaged.is_some_and(|d| store.table.set_current(id, d)) {
                 rank.count_memory_corruption(label, u64::from(id));
             }
         }

@@ -164,7 +164,7 @@ fn page_diff<D: Clone>(
     pages: impl IntoIterator<Item = usize>,
     mine: &[(u32, D)],
 ) -> Vec<DiffPage<D>> {
-    let ranges = pages.into_iter().filter_map(|b| table.bucket_range(b));
+    let ranges = pages.into_iter().filter_map(|b| table.page_range(b));
     let cut = |(lo, hi)| {
         let from = mine.partition_point(|e| e.0 < lo);
         let upto = mine.partition_point(|e| e.0 <= hi);
@@ -401,7 +401,7 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
         let full_image = prev.is_none_or(|p| p.genesis || p.ring != ring);
         let diff: Option<PageDiffImage<P::Data>> = store.pager.as_ref().map(|pager| {
             let pages = match full_image {
-                true => (0..store.table.bucket_count()).collect(),
+                true => (0..store.table.page_count()).collect(),
                 false => pager.ckpt_dirty_pages(),
             };
             (full_image, page_diff(&store.table, pages, &mine))
@@ -953,7 +953,7 @@ mod tests {
         let (mut sender, receiver) = (build(0), build(1));
         // Each rank cut its own ids: the receiver's page map says nothing
         // about the sender's pages.
-        assert_ne!(sender.table.bucket_range(1), receiver.table.bucket_range(1));
+        assert_ne!(sender.table.page_range(1), receiver.table.page_range(1));
         let cfg = PageConfig::new(8, EvictionPolicy::Fifo);
         sender.enable_paging(&cfg, &mpisim::FaultPlan::new(1), &CostModel::default());
         let ward = |entries| Ward {
@@ -977,8 +977,8 @@ mod tests {
 
         // An incremental of two dirty pages patches exactly their ranges.
         for id in [held[0].0, held[held.len() - 1].0] {
-            sender.table.set_current(id, -1);
-            let page = sender.table.bucket_index(id);
+            assert!(sender.table.set_current(id, -1));
+            let page = sender.table.page_of_id(id);
             sender.pager.as_mut().unwrap().note_write(page);
         }
         let incremental = image(&sender, false);
@@ -990,7 +990,7 @@ mod tests {
         // A restore under another ownership re-cuts the sender's ranges and
         // marks every page dirty: the ranges tile, so the diff replaces the
         // whole ward although none of them is a range the ward was built of.
-        let cuts = |s: &NodeStore<i64>| (0..8).map(|b| s.table.bucket_range(b)).collect::<Vec<_>>();
+        let cuts = |s: &NodeStore<i64>| (0..8).map(|b| s.table.page_range(b)).collect::<Vec<_>>();
         let before = cuts(&sender);
         let swapped = part.as_slice().iter().map(|p| 1 - p).collect();
         let everything = graph.nodes().map(|v| (v, i64::from(v))).collect();

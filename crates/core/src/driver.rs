@@ -77,7 +77,7 @@ pub struct RunConfig {
     /// Migrant-selection policy (thesis min-cut rule or the load-aware
     /// extension).
     pub migrant_policy: migrate::MigrantPolicy,
-    /// Hash-table buckets per rank (the thesis's `HASH_TABLE_LENGTH`).
+    /// Data-node table pages per rank (the thesis's `HASH_TABLE_LENGTH`).
     pub hash_buckets: usize,
     /// Run full store-invariant validation after every balancing round
     /// (slow; for tests).
@@ -275,8 +275,8 @@ impl RunConfig {
         self
     }
 
-    /// Size each rank's data-node hash table (and so, under paging, its
-    /// page count) to `buckets` buckets.
+    /// Cut each rank's data-node table into `buckets` pages (the thesis's
+    /// `HASH_TABLE_LENGTH`; the pager's pages under paging).
     pub fn with_hash_buckets(mut self, buckets: usize) -> Self {
         self.hash_buckets = buckets;
         self

@@ -376,6 +376,7 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
         let mut round = Round {
             rank,
             program,
+            graph: self.graph,
             ctx: ComputeCtx {
                 iter: self.iter,
                 phase: 0,

@@ -126,7 +126,7 @@ impl fmt::Display for StoreViolation {
 pub enum PlatformError {
     /// `nprocs == 0`: the world needs at least one processor.
     NoProcessors,
-    /// `hash_buckets == 0`: the data-node table needs at least one bucket.
+    /// `hash_buckets == 0`: the data-node table needs at least one page.
     NoHashBuckets,
     /// The partitioner returned an assignment for the wrong number of
     /// nodes.

@@ -3,10 +3,10 @@
 use crate::checkpoint::any_word_flags;
 use crate::costs::CostModel;
 use crate::error::invariant_violated;
-use crate::hashtab::Slot;
 use crate::program::{ComputeCtx, NeighborData, NodeProgram};
 use crate::store::NodeStore;
 use crate::timers::{Phase, PhaseTimers};
+use ic2_graph::Graph;
 use mpisim::{ArgValue, CtlSlot, Rank, RetryPolicy};
 use std::ops::Range;
 
@@ -81,6 +81,8 @@ pub struct Round<'a, P: NodeProgram> {
     pub rank: &'a Rank,
     /// The application.
     pub program: &'a P,
+    /// The application graph: a node's neighbour ids, in adjacency order.
+    pub graph: &'a Graph,
     /// Iteration and phase handed to the node function.
     pub ctx: ComputeCtx,
     /// Platform-overhead charges.
@@ -102,34 +104,30 @@ impl<P: NodeProgram> Round<'_, P> {
     }
 
     /// End-of-round promote sweep (the thesis's `data = most_recent_data`)
-    /// over the owned nodes at plan positions `range` — the only entries
-    /// that can hold a staged value — charging one `per_node_update` each
-    /// and keeping the audit digest in step with every promoted value (one
-    /// `audit_per_entry` charge each when audits are on, nothing
-    /// otherwise). Paged mode promotes page by page through the pager's
-    /// staged set instead, so each staged page is resident exactly once.
-    /// Then drains the pager's I/O seconds.
+    /// over the table's staged bits, set by exactly the nodes at plan
+    /// positions `range` computed since the last sweep: one `per_node_update`
+    /// charge each, the audit digest kept in step with every promoted value
+    /// (one `audit_per_entry` charge each when audits are on). Paged mode
+    /// sweeps page by page, so each page holding staged values is resident
+    /// exactly once. Then drains the pager's I/O seconds.
     fn promote(&mut self, store: &mut NodeStore<P::Data>, range: Range<usize>) {
         let (rank, costs) = (self.rank, self.costs);
         let t0 = rank.wtime();
         rank.advance(costs.per_node_update * range.len() as f64);
         let NodeStore {
-            plan,
             table,
             pager,
             audit,
             ..
         } = &mut *store;
-        let mut note = |id, d: &P::Data| {
+        let note = |id, d: &P::Data| {
             if let Some(audit) = audit.as_mut() {
                 audit.record(id, crate::audit::entry_hash(id, d));
             }
         };
         let promoted = match pager.as_mut() {
             Some(pager) => pager.promote(table, note),
-            None => range
-                .filter_map(|k| table.promote_at(plan.own[k]).map(|(id, d)| note(id, d)))
-                .count(),
+            None => table.promote(0..table.len(), note),
         };
         if audit.is_some() {
             rank.advance(costs.audit_per_entry * promoted as f64);
@@ -349,7 +347,7 @@ fn recycle<'a, D>(mut v: Vec<NeighborData<'_, D>>) -> Vec<NeighborData<'a, D>> {
 /// `per_shadow_pack` cost is not charged); receivers keep the retained
 /// shadow, which equals what a full exchange would have delivered.
 ///
-/// In paged mode each node's bucket and its neighbours' buckets are faulted
+/// In paged mode each node's page and its neighbours' pages are faulted
 /// in first; a node whose entry (or any neighbour entry) is missing after
 /// that sits on a page that lost every copy — it is *skipped*, because the
 /// pager's damage latch already guarantees this iteration is discarded by
@@ -367,7 +365,8 @@ fn compute_list<P: NodeProgram>(
     mut pack: Option<&mut Packing<P::Data>>,
     mut track_changes: Option<&mut bool>,
 ) {
-    let (rank, program, ctx, costs) = (round.rank, round.program, &round.ctx, round.costs);
+    let (rank, program, graph) = (round.rank, round.program, round.graph);
+    let (ctx, costs) = (&round.ctx, round.costs);
     let timers = &mut *round.timers;
     let NodeStore {
         plan,
@@ -391,8 +390,8 @@ fn compute_list<P: NodeProgram>(
     for k in range {
         let node = plan.node(k);
         if let Some(pager) = pager.as_mut() {
-            let buckets = std::iter::once(node.slot).chain(node.neighbors.iter().copied());
-            pager.ensure(table, buckets.map(Slot::bucket));
+            let slots = std::iter::once(node.slot).chain(node.neighbors.iter().copied());
+            pager.ensure(table, slots);
         }
         // Computation overhead: form the list of the node and its
         // neighbours to hand to the node function.
@@ -407,12 +406,12 @@ fn compute_list<P: NodeProgram>(
             ),
         };
         let mut neighbors = recycle(std::mem::take(&mut spare));
-        neighbors.extend(
-            node.neighbors
-                .iter()
-                .map_while(|&slot| table.at(slot))
-                .map(|(id, data)| NeighborData { id, data }),
-        );
+        // Neighbour ids from the graph: the table is read for values alone.
+        let adjacent = graph.neighbors(node.id).iter().zip(node.neighbors);
+        neighbors.extend(adjacent.map_while(|(&id, &slot)| {
+            let data = table.at(slot)?.1;
+            Some(NeighborData { id, data })
+        }));
         if neighbors.len() < node.neighbors.len() {
             if paged {
                 spare = recycle(neighbors);
@@ -469,7 +468,7 @@ fn compute_list<P: NodeProgram>(
             );
         }
         if let Some(pager) = pager.as_mut() {
-            pager.note_staged(node.slot.bucket());
+            pager.note_write(table.page_of(node.slot));
         }
     }
 }
@@ -660,7 +659,7 @@ fn recv_shadows<D: mpisim::Wire + Clone>(
 /// checks the id, and an id the receiver stores no shadow for — like a slot
 /// that holds another node — is a typed invariant violation.
 ///
-/// Paged mode faults each shadow's bucket in first and skips entries whose
+/// Paged mode faults each shadow's page in first and skips entries whose
 /// page lost every copy (the damage latch already dooms the iteration to
 /// rollback).
 fn unpack<D: mpisim::Wire + Clone>(
@@ -698,9 +697,9 @@ fn unpack<D: mpisim::Wire + Clone>(
                 )
             });
         }
-        let slot = slots[cursor];
+        let (slot, page) = (slots[cursor], table.page_of(slots[cursor]));
         if let Some(pager) = pager.as_mut() {
-            pager.ensure(table, [slot.bucket()]);
+            pager.ensure(table, [slot]);
         }
         match table.set_current_at(slot, id, data) {
             Some(d) => {
@@ -708,7 +707,7 @@ fn unpack<D: mpisim::Wire + Clone>(
                     audit.record(id, crate::audit::entry_hash(id, d));
                 }
                 if let Some(pager) = pager.as_mut() {
-                    pager.note_write(slot.bucket());
+                    pager.note_write(page);
                 }
             }
             None => {
@@ -758,7 +757,7 @@ where
     for k in store.peripheral_range() {
         let node = store.plan.node(k);
         if let Some(pager) = store.pager.as_mut() {
-            pager.ensure(&mut store.table, [node.slot.bucket()]);
+            pager.ensure(&mut store.table, [node.slot]);
         }
         let cur = match store.table.at(node.slot) {
             Some((id, d)) if id == node.id => d,
@@ -843,7 +842,9 @@ mod tests {
                     "shuffled" => rng.shuffle(&mut msg),
                     _ => {}
                 }
-                msg.iter().for_each(|&(w, d)| by_id.set_current(w, d));
+                for &(w, d) in &msg {
+                    assert!(by_id.set_current(w, d), "shadow {w} is stored");
+                }
                 unpack_from(rank, store, source, &msg);
             }
             assert!(
@@ -863,12 +864,12 @@ mod tests {
             let graph = random_connected(n, 3.0, 10, rng.next_u64());
             let owner: Vec<u32> = (0..n).map(|_| rng.gen_range(0..k) as u32).collect();
             let partition = Partition::new(owner, k);
-            for buckets in [1, 10, 512] {
+            for pages in [1, 10, 512] {
                 world().run(k, |rank| {
                     let me = rank.rank() as u32;
                     let seed = case << 8 | u64::from(me);
                     let program = AvgProgram::fine();
-                    let mut store = NodeStore::build(&graph, &partition, me, &program, buckets);
+                    let mut store = NodeStore::build(&graph, &partition, me, &program, pages);
                     assert_unpack_matches_by_id(rank, &mut store, seed, "after build");
 
                     let skewed = if me == 0 { 3.0 } else { 1.0 };
@@ -944,17 +945,20 @@ mod tests {
                 "{detail}"
             );
         }
-        // A structural insert the plan never saw: with shadow 8's bucket
-        // cut down to 8 itself, the first id of the bucket's range lands in
-        // front of it, so the slot the plan resolved for 8 now holds that...
+        // A structural merge the plan never saw: with node 0 left out of
+        // the table when the plan was built, its return shifts every slot
+        // by one, so the slot the plan resolved for 8 now holds 7...
         let front = |store: &mut NodeStore<i64>, graph: &Graph| {
-            let b = store.table.bucket_index(8);
-            let (first, _) = store.table.bucket_range(b).unwrap();
-            assert!(first < 8, "8 must not open its bucket");
-            store.table.take_bucket(b);
-            store.table.insert(8, 0);
+            let rest = store
+                .table
+                .iter()
+                .filter(|e| e.0 != 0)
+                .map(|(id, &d)| (id, d));
+            let rest: Vec<_> = rest.collect();
+            store.table.clear();
+            store.table.merge(rest).unwrap();
             store.rebuild_lists(graph);
-            store.table.insert(first, 0);
+            store.table.merge(vec![(0, 0)]).unwrap();
         };
         let only_8 = |_: &NodeStore<i64>| vec![(8, 7)];
         let detail = detail(unpack_after(front, only_8));
@@ -974,14 +978,14 @@ mod tests {
         let lost = 3;
         let on_lost_page = |w: NodeId| w >= 9;
         let shadows = all_shadows;
-        // A page that lost every copy comes back as an empty bucket.
+        // A page that lost every copy stays unreadable.
         let lose_page = |store: &mut NodeStore<i64>, _: &Graph| {
             let cfg = PageConfig::new(4, EvictionPolicy::Fifo);
             store.enable_paging(&cfg, &FaultPlan::new(1), &CostModel::default());
-            store.table.take_bucket(lost);
+            store.table.page_out(lost);
         };
         let store = unpack_after(lose_page, shadows).expect("lost pages are skipped");
-        assert_eq!(store.table.bucket_range(lost), Some((9, NodeId::MAX)));
+        assert_eq!(store.table.page_range(lost), Some((9, NodeId::MAX)));
         assert!(store.shadow_ids().iter().any(|&w| !on_lost_page(w)));
         for &w in store.shadow_ids() {
             let expected = (!on_lost_page(w)).then_some(&7);
@@ -989,7 +993,7 @@ mod tests {
         }
         // Without a pager nothing excuses the vacant slot.
         let vacate = |store: &mut NodeStore<i64>, _: &Graph| {
-            store.table.take_bucket(lost);
+            store.table.page_out(lost);
         };
         assert!(matches!(
             unpack_after(vacate, shadows),
@@ -1007,6 +1011,7 @@ mod tests {
             let mut round = Round {
                 rank,
                 program: &program,
+                graph: &graph,
                 ctx: ComputeCtx {
                     iter: 1,
                     phase: 0,
@@ -1024,15 +1029,15 @@ mod tests {
             let mut healthy = build();
             step_once(rank, &mut healthy);
 
-            // A page that lost every copy comes back as an empty bucket.
+            // A page that lost every copy stays unreadable.
             let lost = 1;
             let mut store = build();
             let cfg = PageConfig::new(4, EvictionPolicy::Fifo);
             store.enable_paging(&cfg, &FaultPlan::new(1), &costs);
-            store.table.take_bucket(lost);
+            store.table.page_out(lost);
             step_once(rank, &mut store);
 
-            let on_lost_page = |v: u32| store.table.bucket_index(v) == lost;
+            let on_lost_page = |v: u32| store.table.page_of_id(v) == lost;
             for v in graph.nodes() {
                 let starved = graph.neighbors(v).iter().any(|&w| on_lost_page(w));
                 let expected = match (on_lost_page(v), starved) {

@@ -1,409 +1,450 @@
-//! The data-node table: node data behind a range-partitioned bucket table.
+//! The data-node table: a rank's node data in id-ordered arrays.
 //!
-//! The thesis stores node data in a linked "data node list" and reaches it
-//! through a hash table — an array of sorted bucket lists keyed by a
-//! modulo hash of the global id — giving "amortized constant time access
-//! to the node data during computation" \[PSC95\]. This module keeps the
-//! buckets of sorted `(id, data)` vectors but not the modulo: a bucket is a
-//! contiguous id range (`firsts[b]` is the first id of bucket `b`; the
-//! ranges tile the id space), cut by the bulk fill of an empty table so
-//! every bucket gets an equal share of the ids. A steady-state round never
-//! searches, so the hash bought nothing, and a bucket is the out-of-core
-//! layer's *page*: an id range keeps a node and its neighbours on a few
-//! pages where a modulo scatters them over as many as it has neighbours.
-//! A table that was never bulk-filled is one range — everything in bucket
-//! 0. It plays the thesis's dual role: data access during computation, and
-//! data update after communication (and it keeps a migrated-away node's
-//! entry, since the busy processor still needs it as a shadow).
+//! The thesis keeps node data in a "data node list" behind a modulo hash
+//! table for "amortized constant time access" \[PSC95\]; a steady-state
+//! round never searches, so only that table's cost model is kept. Every id
+//! the rank stores (owned nodes and shadows interleaved) sits in `ids`,
+//! strictly ascending; its current and next values (the thesis's `data` /
+//! `most_recent_data`) sit at the same index of `cur` and `next`, with a
+//! staged bit per index. That index is the entry's [`Slot`]: the round plan
+//! resolves every slot once per `rebuild_lists`, and compute, unpack,
+//! promote, gather and audit only index.
 //!
-//! Each entry holds the *current* value plus an optional *pending* value
-//! (the thesis's `data` / `most_recent_data` pair): computation writes
-//! pending, and the end of the iteration promotes pending to current.
-//!
-//! An entry's position is its [`Slot`]: `(bucket, index within bucket)`.
-//! Buckets keep ascending-id order through page-out and page-in, so a slot
-//! stays valid until an insert adds a new id or the table is cleared —
-//! both bump the structural [`NodeTable::epoch`]. [`NodeTable::slot_of`] is
-//! the one binary search; a steady-state run never takes it: the table is
-//! filled by [`NodeTable::append_ascending`], every slot a round needs is
-//! resolved once per `rebuild_lists`, and compute, unpack, gather and audit
-//! only index. The by-id accessors remain for migration surgery, audit
-//! fault injection, the directory and the `ablation_hashtab` reproduction.
+//! A page of the out-of-core layer is a slot range: the first fill cuts the
+//! id space into ranges holding equal shares of the ids, later arrivals
+//! land in the range covering them. A page out is unreadable (`at` answers
+//! `None`) until a verified image decodes back in; its values stay. Only
+//! [`NodeTable::merge`] adds ids; only it and `clear` move the structural epoch.
 
 use ic2_graph::NodeId;
-use mpisim::{Wire, WireError};
+use mpisim::Wire;
+use std::ops::Range;
 
-/// Position of one entry: bucket (= page) and index within it.
+/// Position of one entry: an index into the table's arrays (ids are `u32`s).
+pub type Slot = u32;
+
+/// The slot of an id without a readable entry: `at` answers `None`; page 0.
+pub const VACANT: Slot = Slot::MAX;
+
+/// [`NodeTable::merge`] refused, unchanged, a run whose ids descend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Slot {
-    bucket: u32,
-    index: u32,
+pub struct Unsorted {
+    /// The first id smaller than its predecessor.
+    pub id: NodeId,
 }
 
-impl Slot {
-    /// The bucket — the out-of-core layer's page id for the entry.
-    pub fn bucket(self) -> usize {
-        self.bucket as usize
+/// One bit per slot, clear past the last word: a set whose bits were
+/// never set holds no words at all.
+#[derive(Debug, Clone, Default)]
+struct Bits(Vec<u64>);
+
+impl Bits {
+    #[inline]
+    fn get(&self, i: usize) -> bool {
+        self.0.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// Set or clear bit `i`; a bit past the last word stays clear.
+    #[inline]
+    fn set(&mut self, i: usize, on: bool) {
+        if let Some(w) = self.0.get_mut(i / 64) {
+            let bit = 1 << (i % 64);
+            *w = if on { *w | bit } else { *w & !bit };
+        }
     }
 }
 
-/// What [`SlotIndex`] answers for an id without an entry: a slot
-/// [`NodeTable::at`] answers `None` for, in a bucket that exists.
-const VACANT: Slot = Slot {
-    bucket: 0,
-    index: u32::MAX,
-};
-
-/// Id → slot for every entry resident when [`NodeTable::slot_index`] built
-/// it, dense over the id range the table spans (a rank's ids are usually a
-/// narrow band of the graph's).
-pub(crate) struct SlotIndex {
-    base: NodeId,
-    slots: Vec<Slot>,
-}
-
-impl SlotIndex {
-    /// The slot of `id`; [`VACANT`] for an id without an entry.
-    pub(crate) fn slot(&self, id: NodeId) -> Slot {
-        let offset = id.checked_sub(self.base).map(|o| o as usize);
-        *offset.and_then(|o| self.slots.get(o)).unwrap_or(&VACANT)
+impl PartialEq for Bits {
+    fn eq(&self, other: &Self) -> bool {
+        let word = |bits: &Bits, i: usize| bits.0.get(i).copied().unwrap_or(0);
+        (0..self.0.len().max(other.0.len())).all(|i| word(self, i) == word(other, i))
     }
 }
 
-/// One stored node: what a bucket holds and — encoded as `(id, current,
-/// pending)` — what a page image is made of.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Entry<D> {
-    id: NodeId,
-    cur: D,
-    pending: Option<D>,
-}
-
-impl<D: Wire> Wire for Entry<D> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.cur.encode(out);
-        self.pending.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Entry {
-            id: NodeId::decode(buf)?,
-            cur: D::decode(buf)?,
-            pending: Option::decode(buf)?,
-        })
-    }
-}
-
-/// Bucketed node-data table.
+/// Dense id-ordered node-data table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeTable<D> {
-    buckets: Vec<Vec<Entry<D>>>,
-    /// First id of each bucket in use, strictly ascending from 0: bucket
-    /// `b` covers `firsts[b]..firsts[b + 1]`, the last one the rest of the
-    /// id space. Buckets past `firsts.len()` cover nothing and stay empty.
+    /// Every stored id, strictly ascending: slot `s` holds `ids[s]`.
+    ids: Vec<NodeId>,
+    cur: Vec<D>,
+    /// Next-iteration values where `staged` is set, placeholder clones elsewhere.
+    next: Vec<D>,
+    staged: Bits,
+    /// Set while the slot's page is out or lost; no words until a page
+    /// first goes out, so an in-memory table reads without a bit test.
+    holes: Bits,
+    /// The page of every slot, ascending; page `b` is the slot range
+    /// `starts[b]..starts[b + 1]`.
+    page: Vec<u32>,
+    starts: Vec<u32>,
+    /// First id of each cut range, strictly ascending from 0: page `b`
+    /// covers `firsts[b]..firsts[b + 1]`, the last one the rest of the id
+    /// space. Pages past `firsts.len()` cover nothing.
     firsts: Vec<NodeId>,
-    len: usize,
     epoch: u64,
 }
 
 impl<D> NodeTable<D> {
-    /// A table with `buckets` buckets (the thesis's `HASH_TABLE_LENGTH`),
-    /// all ids in the first until a bulk fill cuts the ranges.
-    pub fn new(buckets: usize) -> Self {
-        assert!(buckets > 0, "hash table needs at least one bucket");
-        assert!(u32::try_from(buckets).is_ok(), "bucket count exceeds u32");
+    /// An empty table of `pages` pages (the thesis's `HASH_TABLE_LENGTH`,
+    /// at least one; `try_run` refuses zero).
+    pub fn new(pages: usize) -> Self {
         NodeTable {
-            buckets: (0..buckets).map(|_| Vec::new()).collect(),
+            ids: Vec::new(),
+            cur: Vec::new(),
+            next: Vec::new(),
+            staged: Bits::default(),
+            holes: Bits::default(),
+            page: Vec::new(),
+            starts: vec![0; pages.clamp(1, Slot::MAX as usize) + 1],
             firsts: vec![0],
-            len: 0,
             epoch: 0,
         }
     }
 
-    /// The bucket whose range covers `id` — the out-of-core layer's page id
-    /// for the node (one page = one bucket).
-    pub fn bucket_index(&self, id: NodeId) -> usize {
-        self.firsts.partition_point(|&first| first <= id) - 1
-    }
-
-    /// The inclusive id range bucket `b` covers, `None` for a bucket past
-    /// the last cut. The ranges of `0..bucket_count()` ascend and tile the
-    /// id space.
-    pub fn bucket_range(&self, b: usize) -> Option<(NodeId, NodeId)> {
-        let end = self.firsts.get(b + 1).map_or(NodeId::MAX, |next| next - 1);
-        Some((*self.firsts.get(b)?, end))
-    }
-
-    /// Bucket of `id` and the position its entry has, or would be inserted
-    /// at — the one binary search every by-id accessor goes through.
-    fn search(&self, id: NodeId) -> (usize, Result<usize, usize>) {
-        let b = self.bucket_index(id);
-        (b, self.buckets[b].binary_search_by_key(&id, |e| e.id))
-    }
-
-    fn entry_mut(&mut self, id: NodeId, op: &str) -> &mut Entry<D> {
-        match self.search(id) {
-            (b, Ok(i)) => &mut self.buckets[b][i],
-            _ => panic!("{op}: node {id} not in table"),
-        }
-    }
-
-    /// Structural epoch: bumped whenever an insert adds a new id or the
-    /// table is cleared, i.e. whenever previously resolved [`Slot`]s may
-    /// no longer name the same entries.
+    /// Structural epoch: bumped whenever a new id arrives or the table is
+    /// cleared, i.e. whenever previously resolved [`Slot`]s may no longer
+    /// name the same entries.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// Drop every entry and every cut, keeping the bucket count
-    /// (checkpoint restore).
+    /// Drop every entry and every cut, keeping the page count (checkpoint
+    /// restore).
     pub fn clear(&mut self) {
-        self.buckets.iter_mut().for_each(Vec::clear);
-        self.firsts.truncate(1);
-        self.len = 0;
-        self.epoch += 1;
+        let epoch = self.epoch + 1;
+        *self = NodeTable {
+            epoch,
+            ..NodeTable::new(self.page_count())
+        };
     }
 
-    /// Number of stored nodes.
+    /// Number of stored nodes, readable or not.
     pub fn len(&self) -> usize {
-        self.len
+        self.ids.len()
     }
 
-    /// Whether the table is empty.
+    /// Whether the table stores nothing.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ids.is_empty()
     }
 
-    /// Whether `id` has an entry.
-    pub fn contains(&self, id: NodeId) -> bool {
-        self.search(id).1.is_ok()
-    }
-
-    /// Insert a node's data. Replaces (and returns) the previous current
-    /// value if the node was already present — that is what happens when a
-    /// migration delivers data the receiver already held as a shadow.
-    pub fn insert(&mut self, id: NodeId, data: D) -> Option<D> {
-        match self.search(id) {
-            (b, Ok(i)) => Some(std::mem::replace(&mut self.buckets[b][i].cur, data)),
-            (b, Err(i)) => {
-                let entry = Entry {
-                    id,
-                    cur: data,
-                    pending: None,
-                };
-                self.buckets[b].insert(i, entry);
-                self.len += 1;
-                self.epoch += 1;
-                None
-            }
-        }
-    }
-
-    /// Bulk fill: append one entry per id of `ids`, its data from `data`.
-    /// Filling an empty (wholly resident) table first cuts the ranges so
-    /// the buckets' shares of `ids` differ by at most one. The ids must
-    /// ascend strictly and exceed every id their bucket already holds, so
-    /// each bucket's run lands at its end — no search, no shifting — and
-    /// every bucket is grown once, to exactly its share.
-    ///
-    /// # Panics
-    /// Panics on an id that is out of order.
-    pub fn append_ascending(&mut self, ids: &[NodeId], mut data: impl FnMut(NodeId) -> D) {
-        if let Some(pair) = ids.windows(2).find(|pair| pair[0] >= pair[1]) {
-            panic!("append_ascending: node {} out of order", pair[1]);
-        }
-        if self.len == 0 {
-            let ranges = self.buckets.len().min(ids.len());
-            self.firsts.truncate(1);
-            let cuts = (1..ranges).map(|b| ids[(b * ids.len()).div_ceil(ranges)]);
-            self.firsts.extend(cuts);
-        }
-        let mut rest = ids;
-        for (b, bucket) in self.buckets.iter_mut().enumerate() {
-            let run;
-            (run, rest) = rest.split_at(match self.firsts.get(b + 1) {
-                Some(&next) => rest.partition_point(|&id| id < next),
-                None => rest.len(),
-            });
-            if let (Some(last), Some(&id)) = (bucket.last(), run.first()) {
-                assert!(last.id < id, "append_ascending: node {id} out of order");
-            }
-            bucket.reserve_exact(run.len());
-            bucket.extend(run.iter().map(|&id| Entry {
-                id,
-                cur: data(id),
-                pending: None,
-            }));
-        }
-        self.len += ids.len();
-        self.epoch += 1;
-    }
-
-    /// Where `id`'s entry lives, if it has one (and its bucket is
-    /// resident).
+    /// The slot of `id`'s entry, if it has a readable one.
     pub fn slot_of(&self, id: NodeId) -> Option<Slot> {
-        let (b, found) = self.search(id);
-        found.ok().map(|i| Slot {
-            bucket: b as u32,
-            index: i as u32,
-        })
+        let s = self.ids.binary_search(&id).ok()?;
+        (!self.holes.get(s)).then_some(s as Slot)
     }
 
-    /// Resolve every resident entry's slot in one pass over the table —
-    /// the scratch a plan rebuild looks each neighbour up in, in O(1),
-    /// instead of one search per neighbour.
-    pub(crate) fn slot_index(&self) -> SlotIndex {
-        // Buckets are ascending, so their ends bound the stored ids.
-        let first = self.buckets.iter().filter_map(|b| b.first()).map(|e| e.id);
-        let last = self.buckets.iter().filter_map(|b| b.last()).map(|e| e.id);
-        let base = first.min().unwrap_or(0);
-        let span = last.max().map_or(0, |max| (max - base) as usize + 1);
-        let mut slots = vec![VACANT; span];
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (i, e) in bucket.iter().enumerate() {
-                slots[(e.id - base) as usize] = Slot {
-                    bucket: b as u32,
-                    index: i as u32,
-                };
-            }
-        }
-        SlotIndex { base, slots }
+    /// Whether `id` has a readable entry.
+    pub fn contains(&self, id: NodeId) -> bool {
+        self.slot_of(id).is_some()
     }
 
-    /// Id and current data of the entry at `slot` — `None` when the bucket
-    /// is paged out, was lost, or is shorter than the slot expects.
+    /// Current data of `id`.
+    pub fn get(&self, id: NodeId) -> Option<&D> {
+        self.at(self.slot_of(id)?).map(|(_, d)| d)
+    }
+
+    /// Overwrite `id`'s current value; `false`, and nothing written, when
+    /// `id` has no readable entry.
+    pub fn set_current(&mut self, id: NodeId, data: D) -> bool {
+        self.slot_of(id)
+            .and_then(|s| self.set_current_at(s, id, data))
+            .is_some()
+    }
+
+    /// Id and current data at `slot` — `None` when the slot is unreadable
+    /// (its page is out or lost) or past the table.
+    #[inline]
     pub fn at(&self, slot: Slot) -> Option<(NodeId, &D)> {
-        let e = self.buckets.get(slot.bucket())?.get(slot.index as usize)?;
-        Some((e.id, &e.cur))
+        let s = slot as usize;
+        if self.holes.get(s) {
+            return None;
+        }
+        Some((*self.ids.get(s)?, self.cur.get(s)?))
     }
 
     /// Stage `id`'s next-iteration value by slot. Returns whether the slot
     /// really holds `id`; nothing is staged otherwise.
+    #[inline]
     pub fn stage_at(&mut self, slot: Slot, id: NodeId, data: D) -> bool {
-        match self.entry_at_mut(slot) {
-            Some(e) if e.id == id => {
-                e.pending = Some(data);
-                true
-            }
-            _ => false,
+        let s = slot as usize;
+        if self.at(slot).is_none_or(|(found, _)| found != id) {
+            return false;
         }
+        self.next[s] = data;
+        self.staged.set(s, true);
+        true
     }
 
     /// Overwrite `id`'s current value by slot (shadow update after
     /// communication), returning the stored value — `None`, and nothing
     /// written, unless the slot really holds `id`.
+    #[inline]
     pub fn set_current_at(&mut self, slot: Slot, id: NodeId, data: D) -> Option<&D> {
-        let e = self.entry_at_mut(slot).filter(|e| e.id == id)?;
-        e.cur = data;
-        Some(&e.cur)
-    }
-
-    /// Promote the staged value at `slot`, if any, returning the entry's id
-    /// and new current value.
-    pub fn promote_at(&mut self, slot: Slot) -> Option<(NodeId, &D)> {
-        let e = self.entry_at_mut(slot)?;
-        e.cur = e.pending.take()?;
-        Some((e.id, &e.cur))
-    }
-
-    fn entry_at_mut(&mut self, slot: Slot) -> Option<&mut Entry<D>> {
-        self.buckets
-            .get_mut(slot.bucket())?
-            .get_mut(slot.index as usize)
-    }
-
-    /// Current data of `id`.
-    pub fn get(&self, id: NodeId) -> Option<&D> {
-        self.slot_of(id).and_then(|s| self.at(s)).map(|(_, d)| d)
-    }
-
-    /// Overwrite the current value (shadow update after communication).
-    ///
-    /// # Panics
-    /// Panics if `id` is not present — receiving a shadow update for an
-    /// unknown node is a platform bug.
-    pub fn set_current(&mut self, id: NodeId, data: D) {
-        self.entry_mut(id, "set_current").cur = data;
-    }
-
-    /// Stage the next-iteration value (the thesis's `most_recent_data`).
-    ///
-    /// # Panics
-    /// Panics if `id` is not present.
-    pub fn set_pending(&mut self, id: NodeId, data: D) {
-        self.entry_mut(id, "set_pending").pending = Some(data);
-    }
-
-    /// The staged value of `id`, if any.
-    pub fn pending(&self, id: NodeId) -> Option<&D> {
-        match self.search(id) {
-            (b, Ok(i)) => self.buckets[b][i].pending.as_ref(),
-            _ => None,
+        if self.at(slot)?.0 != id {
+            return None;
         }
+        let cur = &mut self.cur[slot as usize];
+        *cur = data;
+        Some(cur)
     }
 
-    /// Promote every staged value to current (end of iteration:
-    /// `data = most_recent_data`). Returns how many were promoted.
-    pub fn promote_all(&mut self) -> usize {
-        (0..self.buckets.len())
-            .map(|b| self.promote_bucket_with(b, |_, _| {}))
-            .sum()
-    }
-
-    /// Iterate `(id, current)` bucket by bucket — in ascending id order
-    /// while every bucket is resident.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &D)> {
-        self.buckets
-            .iter()
-            .flat_map(|b| b.iter().map(|e| (e.id, &e.cur)))
-    }
-
-    /// Number of buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Remove and return bucket `b`'s entries, in ascending id order —
-    /// page-out for the paging layer.
-    pub(crate) fn take_bucket(&mut self, b: usize) -> Vec<Entry<D>> {
-        let entries = std::mem::take(&mut self.buckets[b]);
-        self.len -= entries.len();
-        entries
-    }
-
-    /// Install a previously paged-out (or freshly read) bucket, in the
-    /// order [`Self::take_bucket`] produced it — which is what keeps every
-    /// resolved [`Slot`] valid across eviction and fault-in. The bucket
-    /// must be empty — pages are whole buckets, never merged.
-    pub(crate) fn install_bucket(&mut self, b: usize, entries: Vec<Entry<D>>) {
-        debug_assert!(
-            self.buckets[b].is_empty(),
-            "install over non-empty bucket {b}"
-        );
-        self.len += entries.len();
-        self.buckets[b] = entries;
-    }
-
-    /// Promote every staged value in bucket `b`, calling
-    /// `f(id, &new_current)` for each — the paging layer promotes page by
-    /// page so each is resident exactly once, and the state-audit digest
-    /// observes the writes through `f`.
-    pub(crate) fn promote_bucket_with(&mut self, b: usize, mut f: impl FnMut(NodeId, &D)) -> usize {
+    /// Promote every value staged in `slots` (`data = most_recent_data`:
+    /// a swap, no clone) in one sweep of the staged bits, calling
+    /// `f(id, &new_current)` for each; returns how many. An unreadable
+    /// slot (its page lost every copy) drops its staged value.
+    pub fn promote(&mut self, slots: Range<usize>, mut f: impl FnMut(NodeId, &D)) -> usize {
         let mut promoted = 0;
-        for entry in &mut self.buckets[b] {
-            if let Some(next) = entry.pending.take() {
-                entry.cur = next;
-                f(entry.id, &entry.cur);
+        for s in slots {
+            if !self.staged.get(s) {
+                continue;
+            }
+            self.staged.set(s, false);
+            if !self.holes.get(s) {
+                std::mem::swap(&mut self.cur[s], &mut self.next[s]);
+                f(self.ids[s], &self.cur[s]);
                 promoted += 1;
             }
         }
         promoted
     }
 
-    /// Longest bucket chain (diagnostic: the thesis's 10-bucket table
-    /// degrades to long chains on 1024-node domains).
-    pub fn max_chain(&self) -> usize {
-        self.buckets.iter().map(Vec::len).max().unwrap_or(0)
+    /// Whether any of `slots` holds a staged value.
+    pub fn any_staged(&self, mut slots: Range<usize>) -> bool {
+        slots.any(|s| self.staged.get(s))
+    }
+
+    /// `(id, current)` of every readable entry, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &D)> {
+        (0..self.ids.len()).filter_map(|s| self.at(s as Slot))
+    }
+
+    /// Insert or refresh the entries of `run`, whose ids must ascend (an id
+    /// named twice: the later copy wins, as it wins over a stored one; a
+    /// refreshed entry keeps its staged value). The first fill of an empty
+    /// table streams the run and cuts the pages so their shares differ by
+    /// at most one; later arrivals land in the page whose range covers
+    /// them. The epoch moves only when a new id arrives.
+    pub fn merge(&mut self, run: impl IntoIterator<Item = (NodeId, D)>) -> Result<(), Unsorted>
+    where
+        D: Clone,
+    {
+        let (run, stored) = (run.into_iter(), self.ids.len());
+        if stored == 0 {
+            let (n, mut filler) = (run.size_hint().0, None);
+            self.ids.reserve_exact(n);
+            self.cur.reserve_exact(n);
+            self.next.reserve_exact(n);
+            for (id, data) in run {
+                match self.ids.last() {
+                    Some(&last) if last > id => {
+                        self.clear();
+                        self.epoch -= 1; // refused, so unchanged: the epoch too
+                        return Err(Unsorted { id });
+                    }
+                    Some(&last) if last == id => {
+                        let s = self.cur.len() - 1;
+                        self.cur[s] = data;
+                    }
+                    _ => {
+                        let placeholder = filler.get_or_insert_with(|| data.clone());
+                        self.next.push(placeholder.clone());
+                        self.ids.push(id);
+                        self.cur.push(data);
+                    }
+                }
+            }
+            let (n, ids) = (self.ids.len(), &self.ids);
+            let ranges = self.page_count().min(n);
+            self.firsts
+                .extend((1..ranges).map(|b| ids[(b * n).div_ceil(ranges)]));
+            self.staged = Bits(vec![0; n.div_ceil(64)]);
+        } else {
+            let run: Vec<(NodeId, D)> = run.collect();
+            if let Some(pair) = run.windows(2).find(|pair| pair[0].0 > pair[1].0) {
+                return Err(Unsorted { id: pair[1].0 });
+            }
+            // Latest copy first: refresh stored ids in place, gather the
+            // arrivals, descending.
+            let (mut arrivals, mut seen) = (Vec::new(), None);
+            for (id, data) in run.into_iter().rev() {
+                if seen.replace(id) == Some(id) {
+                    continue;
+                }
+                match self.ids.binary_search(&id) {
+                    Ok(s) => {
+                        if self.holes.get(s) {
+                            self.holes.set(s, false);
+                            self.staged.set(s, false);
+                        }
+                        self.cur[s] = data;
+                    }
+                    Err(_) => arrivals.push((id, data)),
+                }
+            }
+            self.insert(arrivals);
+        }
+        if self.ids.len() == stored {
+            return Ok(());
+        }
+        let (firsts, mut b) = (&self.firsts, 0);
+        let page_of = |&id: &NodeId| {
+            while firsts.get(b + 1).is_some_and(|&first| first <= id) {
+                b += 1;
+            }
+            b as u32
+        };
+        self.page = self.ids.iter().map(page_of).collect();
+        for (b, start) in self.starts.iter_mut().enumerate() {
+            *start = self.page.partition_point(|&p| (p as usize) < b) as u32;
+        }
+        self.epoch += 1;
+        Ok(())
+    }
+
+    /// Insert new ids, given descending, in place: the arrays grow by their
+    /// count and one backward pass moves each stored entry to its slot.
+    fn insert(&mut self, arrivals: Vec<(NodeId, D)>)
+    where
+        D: Clone,
+    {
+        let Some(filler) = arrivals.first().map(|a| a.1.clone()) else {
+            return;
+        };
+        let (n, len) = (self.ids.len(), self.ids.len() + arrivals.len());
+        self.ids.resize(len, 0);
+        self.cur.resize(len, filler.clone());
+        self.next.resize(len, filler);
+        self.staged.0.resize(len.div_ceil(64), 0);
+        if !self.holes.0.is_empty() {
+            self.holes.0.resize(len.div_ceil(64), 0);
+        }
+        // Slots `i..k` are the gap, holding placeholders: an arrival's `next` is one.
+        let (mut i, mut k) = (n, len);
+        for (id, data) in arrivals {
+            while i > 0 && self.ids[i - 1] > id {
+                (i, k) = (i - 1, k - 1);
+                self.ids[k] = self.ids[i];
+                self.cur.swap(i, k);
+                self.next.swap(i, k);
+                self.staged.set(k, self.staged.get(i));
+                self.holes.set(k, self.holes.get(i));
+            }
+            k -= 1;
+            self.ids[k] = id;
+            self.cur[k] = data;
+            self.staged.set(k, false);
+            self.holes.set(k, false);
+        }
+    }
+
+    /// Id → slot for every readable entry, one index a lookup, dense over
+    /// the id span the table covers: a plan rebuild's scratch.
+    pub(crate) fn resolver(&self) -> impl Fn(NodeId) -> Slot {
+        let base = self.ids.first().copied().unwrap_or(0);
+        let span = self.ids.last().map_or(0, |&l| (l - base) as usize + 1);
+        let mut slots = vec![VACANT; span];
+        for (s, &id) in self.ids.iter().enumerate() {
+            if !self.holes.get(s) {
+                slots[(id - base) as usize] = s as Slot;
+            }
+        }
+        move |id| match id.checked_sub(base) {
+            Some(offset) => slots.get(offset as usize).copied().unwrap_or(VACANT),
+            None => VACANT,
+        }
+    }
+
+    /// Number of pages (the out-of-core layer's page ids are
+    /// `0..page_count()`).
+    pub fn page_count(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The page of `slot`; page 0 for [`VACANT`].
+    #[inline]
+    pub fn page_of(&self, slot: Slot) -> usize {
+        self.page.get(slot as usize).map_or(0, |&p| p as usize)
+    }
+
+    /// The page whose id range covers `id`.
+    pub fn page_of_id(&self, id: NodeId) -> usize {
+        self.firsts.partition_point(|&first| first <= id) - 1
+    }
+
+    /// The inclusive id range page `b` covers, `None` past the last cut:
+    /// the ranges of `0..page_count()` ascend and tile the id space.
+    pub fn page_range(&self, b: usize) -> Option<(NodeId, NodeId)> {
+        let end = self.firsts.get(b + 1).map_or(NodeId::MAX, |next| next - 1);
+        Some((*self.firsts.get(b)?, end))
+    }
+
+    /// The slots of page `b`.
+    pub fn page_slots(&self, b: usize) -> Range<usize> {
+        let slot = |b: usize| self.starts.get(b).map_or(self.ids.len(), |&s| s as usize);
+        slot(b)..slot(b + 1)
+    }
+
+    /// Page `b` went to disk (or was lost): its slots read as missing until
+    /// [`Self::decode_page`] brings an image back.
+    pub fn page_out(&mut self, b: usize) {
+        self.holes.0.resize(self.ids.len().div_ceil(64), 0);
+        self.page_slots(b).for_each(|s| self.holes.set(s, true));
+    }
+
+    /// Append page `b`'s image to `out`: the count, then `(id, current,
+    /// staged next)` per readable entry, ascending — the wire encoding of a
+    /// `Vec<(NodeId, D, Option<D>)>`.
+    pub fn encode_page(&self, b: usize, out: &mut Vec<u8>)
+    where
+        D: Wire,
+    {
+        let slots = self.page_slots(b).filter(|&s| !self.holes.get(s));
+        (slots.clone().count() as u64).encode(out);
+        for s in slots {
+            self.ids[s].encode(out);
+            self.cur[s].encode(out);
+            out.push(u8::from(self.staged.get(s)));
+            if self.staged.get(s) {
+                self.next[s].encode(out);
+            }
+        }
+    }
+
+    /// Read page `b`'s [`Self::encode_page`] image back into its slots.
+    /// Returns `false`, leaving the page unreadable, for an image that does
+    /// not decode or names an id the page does not hold.
+    pub fn decode_page(&mut self, b: usize, mut image: &[u8]) -> bool
+    where
+        D: Wire,
+    {
+        let slots = self.page_slots(b);
+        let mut s = slots.start;
+        let mut decode = || -> Option<()> {
+            for _ in 0..u64::decode(&mut image).ok()? {
+                let id = NodeId::decode(&mut image).ok()?;
+                let cur = D::decode(&mut image).ok()?;
+                let next = Option::<D>::decode(&mut image).ok()?;
+                while s < slots.end && self.ids[s] < id {
+                    s += 1;
+                }
+                if s == slots.end || self.ids[s] != id {
+                    return None;
+                }
+                self.cur[s] = cur;
+                self.holes.set(s, false);
+                self.staged.set(s, next.is_some());
+                if let Some(next) = next {
+                    self.next[s] = next;
+                }
+                s += 1;
+            }
+            image.is_empty().then_some(())
+        };
+        decode().is_some() || {
+            self.page_out(b);
+            false
+        }
     }
 }
 
@@ -411,15 +452,21 @@ impl<D> NodeTable<D> {
 mod tests {
     use super::*;
 
+    /// A table of `pages` pages merged from `ids`, each id's value `10·id`.
+    fn filled(pages: usize, ids: &[NodeId]) -> NodeTable<i64> {
+        let mut t = NodeTable::new(pages);
+        t.merge(ids.iter().map(|&id| (id, i64::from(id) * 10)))
+            .unwrap();
+        t
+    }
+
     #[test]
     fn insert_get_roundtrip() {
-        let mut t = NodeTable::new(10);
-        assert!(t.insert(5, "five").is_none());
-        assert!(t.insert(15, "fifteen").is_none()); // same bucket as 5
-        assert!(t.insert(3, "three").is_none());
-        assert_eq!(t.get(5), Some(&"five"));
-        assert_eq!(t.get(15), Some(&"fifteen"));
-        assert_eq!(t.get(3), Some(&"three"));
+        let mut t = filled(10, &[3, 5]);
+        t.merge(vec![(15, 150)]).unwrap();
+        assert_eq!(t.get(5), Some(&50));
+        assert_eq!(t.get(15), Some(&150));
+        assert_eq!(t.get(3), Some(&30));
         assert_eq!(t.get(25), None);
         assert_eq!(t.len(), 3);
         assert!(t.contains(15));
@@ -428,176 +475,174 @@ mod tests {
 
     #[test]
     fn insert_existing_replaces_and_returns_old() {
-        let mut t = NodeTable::new(4);
-        t.insert(1, 10);
-        assert_eq!(t.insert(1, 20), Some(10));
-        assert_eq!(t.get(1), Some(&20));
-        assert_eq!(t.len(), 1);
+        // A merge refreshing stored ids replaces their values in place:
+        // no id arrives, so the epoch stays.
+        let mut t = filled(4, &[1, 2]);
+        let epoch = t.epoch();
+        t.merge(vec![(1, 20), (1, 21)]).unwrap();
+        assert_eq!((t.get(1), t.len(), t.epoch()), (Some(&21), 2, epoch));
     }
 
     #[test]
     fn pending_promote_cycle() {
-        let mut t = NodeTable::new(4);
-        t.insert(1, 100);
-        t.insert(2, 200);
-        t.set_pending(1, 111);
-        assert_eq!(t.get(1), Some(&100), "pending must not leak early");
-        assert_eq!(t.pending(1), Some(&111));
-        assert_eq!(t.promote_all(), 1);
-        assert_eq!(t.get(1), Some(&111));
-        assert_eq!(t.pending(1), None);
-        assert_eq!(t.get(2), Some(&200));
+        let mut t = filled(4, &[1, 2]);
+        let s1 = t.slot_of(1).unwrap();
+        assert!(t.stage_at(s1, 1, 111));
+        assert_eq!(t.get(1), Some(&10), "staged must not leak early");
+        let mut seen = Vec::new();
+        assert_eq!(t.promote(0..2, |id, &d| seen.push((id, d))), 1);
+        assert_eq!(seen, [(1, 111)]);
+        assert_eq!(t.promote(0..2, |_, _| {}), 0, "nothing staged any more");
+        assert_eq!((t.get(1), t.get(2)), (Some(&111), Some(&20)));
     }
 
     #[test]
     fn slots_address_entries_until_the_epoch_moves() {
-        let mut t = NodeTable::new(4);
-        t.append_ascending(&[1, 2, 5, 9], |id| i64::from(id) * 100);
+        let mut t = filled(4, &[1, 2, 5, 9]);
         let epoch = t.epoch();
         let s5 = t.slot_of(5).unwrap();
-        assert_eq!((s5.bucket(), t.bucket_range(2)), (2, Some((5, 8))));
-        assert_eq!(t.at(s5), Some((5, &500)));
+        assert_eq!((s5, t.page_of(s5), t.page_range(2)), (2, 2, Some((5, 8))));
+        assert_eq!(t.at(s5), Some((5, &50)));
         assert_eq!(t.slot_of(13), None);
-        let index = t.slot_index();
-        assert_eq!(index.slot(5), s5);
-        for absent in [0, 3, 10] {
-            assert_eq!(t.at(index.slot(absent)), None, "{absent} has no entry");
+        let resolve = t.resolver();
+        assert_eq!(resolve(5), s5);
+        for absent in [0, 3, 10, 999] {
+            assert_eq!(resolve(absent), VACANT, "{absent} has no entry");
         }
-        // Writes by slot check the id; promotion reports what it wrote.
+        drop(resolve);
+        assert_eq!((t.at(VACANT), t.page_of(VACANT)), (None, 0));
+        // Writes by slot check the id.
         assert_eq!(t.set_current_at(s5, 9, 0), None);
-        assert_eq!(t.at(s5), Some((5, &500)), "nothing written");
+        assert_eq!(t.at(s5), Some((5, &50)), "nothing written");
         assert_eq!(t.set_current_at(s5, 5, 500), Some(&500));
         assert!(!t.stage_at(s5, 9, 0));
-        assert!(t.stage_at(s5, 5, 555));
-        assert_eq!(t.at(s5), Some((5, &500)), "pending must not leak early");
-        assert_eq!(t.promote_at(s5), Some((5, &555)));
-        assert_eq!(t.promote_at(s5), None, "nothing staged any more");
-        // Replacing a value and a page round trip keep slots and epoch...
-        t.insert(5, 1);
-        let page = t.take_bucket(2);
-        assert_eq!(t.at(s5), None, "paged out");
-        t.install_bucket(2, page);
+        // Refreshing a value and a page round trip keep slots and epoch...
+        t.merge(vec![(5, 1)]).unwrap();
+        let mut image = Vec::new();
+        t.encode_page(2, &mut image);
+        t.page_out(2);
+        assert_eq!((t.at(s5), t.get(5), t.resolver()(5)), (None, None, VACANT));
+        assert!(t.decode_page(2, &image));
         assert_eq!((t.at(s5), t.epoch()), (Some((5, &1)), epoch));
         // ...a new id or a clear moves the epoch.
-        t.insert(13, 0);
+        t.merge(vec![(13, 0)]).unwrap();
         assert!(t.epoch() > epoch);
         let epoch = t.epoch();
         t.clear();
-        assert!(t.epoch() > epoch && t.is_empty() && t.bucket_count() == 4);
+        assert!(t.epoch() > epoch && t.is_empty() && t.page_count() == 4);
     }
 
     #[test]
     fn a_fill_cuts_equal_shares_and_an_insert_lands_in_the_covering_range() {
-        // Never filled: one range, everything in bucket 0.
-        let mut t = NodeTable::new(4);
-        t.insert(70, ());
-        assert_eq!((t.bucket_index(70), t.bucket_index(0)), (0, 0));
-        assert_eq!(t.bucket_range(0), Some((0, NodeId::MAX)));
-        assert_eq!(t.bucket_range(1), None);
-        // Ten ids over four buckets: shares 3, 2, 3, 2, the ranges tiling.
-        t.clear();
+        // Empty: one range.
+        let mut t: NodeTable<()> = NodeTable::new(4);
+        assert_eq!((t.page_of_id(70), t.page_of_id(0)), (0, 0));
+        assert_eq!(
+            (t.page_range(0), t.page_range(1)),
+            (Some((0, NodeId::MAX)), None)
+        );
+        // Ten ids over four pages: shares 3, 2, 3, 2, the ranges tiling.
         let ids: Vec<NodeId> = (0..10).map(|i| 10 + 7 * i).collect();
-        t.append_ascending(&ids, |_| ());
-        let shares: Vec<usize> = t.buckets.iter().map(Vec::len).collect();
+        t.merge(ids.iter().map(|&id| (id, ()))).unwrap();
+        let shares: Vec<usize> = (0..4).map(|b| t.page_slots(b).len()).collect();
         assert_eq!(shares, [3, 2, 3, 2]);
-        let ranges: Vec<_> = (0..4).filter_map(|b| t.bucket_range(b)).collect();
+        let ranges: Vec<_> = (0..4).filter_map(|b| t.page_range(b)).collect();
         assert_eq!(ranges, [(0, 30), (31, 44), (45, 65), (66, NodeId::MAX)]);
         for (id, expected) in [(0, 0), (30, 0), (32, 1), (40, 1), (67, 3), (9999, 3)] {
-            assert_eq!(t.bucket_index(id), expected, "id {id}");
-            t.insert(id, ());
-            assert_eq!(t.slot_of(id).unwrap().bucket(), expected, "id {id}");
+            assert_eq!(t.page_of_id(id), expected, "id {id}");
+            t.merge(vec![(id, ())]).unwrap();
+            assert_eq!(t.page_of(t.slot_of(id).unwrap()), expected, "id {id}");
         }
-        // Fewer ids than buckets: one each, the rest cover nothing.
+        // Fewer ids than pages: one each, the rest cover nothing.
         t.clear();
-        t.append_ascending(&[4, 8], |_| ());
-        assert_eq!((t.bucket_index(7), t.bucket_index(8)), (0, 1));
+        t.merge(vec![(4, ()), (8, ())]).unwrap();
+        assert_eq!((t.page_of_id(7), t.page_of_id(8)), (0, 1));
         assert_eq!(
-            (t.bucket_range(1), t.bucket_range(2)),
+            (t.page_range(1), t.page_range(2)),
             (Some((8, NodeId::MAX)), None)
         );
+        assert_eq!((t.page_slots(1), t.page_slots(2)), (1..2, 2..2));
     }
 
     #[test]
     fn append_ascending_builds_what_inserts_build() {
+        // One merge of a run builds what merging it id by id builds, in
+        // any order, and it moves the epoch once.
         let ids = [2u32, 3, 5, 8, 13, 21];
-        for buckets in [1, 4, 64] {
-            let mut inserted = NodeTable::new(buckets);
-            for &id in ids.iter().rev() {
-                inserted.insert(id, u64::from(id) * 10);
+        for pages in [1, 4, 64] {
+            let whole = filled(pages, &ids);
+            let mut piecewise = filled(pages, &ids[..1]);
+            for &id in ids[1..].iter().rev() {
+                piecewise.merge(vec![(id, i64::from(id) * 10)]).unwrap();
             }
-            let mut appended = NodeTable::new(buckets);
-            let epoch = appended.epoch();
-            appended.append_ascending(&ids[..3], |id| u64::from(id) * 10);
-            appended.append_ascending(&ids[3..], |id| u64::from(id) * 10);
-            assert_eq!(appended.epoch(), epoch + 2, "one bump per fill");
-            assert_eq!(appended.len(), ids.len());
-            assert!(appended.iter().eq(inserted.iter()), "{buckets} buckets");
-            for bucket in &appended.buckets {
-                assert_eq!(bucket.capacity(), bucket.len(), "sized by the count pass");
-            }
+            assert!(whole.iter().eq(piecewise.iter()), "{pages} pages");
+            assert_eq!(whole.epoch(), 1);
+            assert_eq!(whole.len(), ids.len());
         }
     }
 
     #[test]
-    #[should_panic(expected = "node 5 out of order")]
-    fn append_ascending_refuses_an_id_that_is_not_past_its_bucket() {
-        let mut t = NodeTable::new(4);
-        t.insert(9, ()); // bucket 0, as is 5
-        t.append_ascending(&[5], |_| ());
+    fn merge_refuses_a_run_out_of_order() {
+        let mut t = filled(4, &[9]);
+        let before = t.clone();
+        assert_eq!(t.merge(vec![(7, 0), (5, 0)]), Err(Unsorted { id: 5 }));
+        assert_eq!(t, before, "a refused run changes nothing");
     }
 
     #[test]
     fn set_current_is_immediate() {
-        let mut t = NodeTable::new(4);
-        t.insert(7, 1);
-        t.set_current(7, 2);
+        let mut t = filled(4, &[7]);
+        assert!(t.set_current(7, 2));
         assert_eq!(t.get(7), Some(&2));
     }
 
     #[test]
-    #[should_panic(expected = "not in table")]
-    fn set_current_unknown_panics() {
-        let mut t: NodeTable<i32> = NodeTable::new(4);
-        t.set_current(9, 0);
+    fn set_current_of_an_absent_id_is_refused() {
+        let mut t = filled(4, &[7]);
+        assert!(!t.set_current(9, 0), "9 has no entry");
+        t.page_out(t.page_of_id(7));
+        assert!(!t.set_current(7, 3), "7 is paged out");
+        assert_eq!(t.len(), 1, "nothing inserted");
     }
 
     #[test]
-    #[should_panic(expected = "not in table")]
-    fn set_pending_unknown_panics() {
-        let mut t: NodeTable<i32> = NodeTable::new(4);
-        t.set_pending(9, 0);
+    fn stage_at_of_an_absent_id_is_refused() {
+        let mut t = filled(4, &[7]);
+        assert!(!t.stage_at(0, 9, 0), "the slot holds 7, not 9");
+        assert!(!t.stage_at(VACANT, 9, 0), "nor is 9 past the table");
+        assert_eq!(t.promote(0..1, |_, _| {}), 0, "nothing staged");
+        t.page_out(t.page_of_id(7));
+        assert!(!t.stage_at(0, 7, 0), "7's slot is paged out");
     }
 
     #[test]
     fn iter_visits_everything_once() {
-        let mut t = NodeTable::new(3);
-        for id in 0..20u32 {
-            t.insert(id, id as i64 * 2);
-        }
-        let mut seen: Vec<NodeId> = t.iter().map(|(id, _)| id).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..20).collect::<Vec<_>>());
+        let ids: Vec<NodeId> = (0..20).collect();
+        let t = filled(3, &ids);
+        let seen: Vec<NodeId> = t.iter().map(|(id, _)| id).collect();
+        assert_eq!(seen, ids);
     }
 
     #[test]
     fn chains_stay_sorted_within_buckets() {
+        // Merged in any order, ids ascend — within every page, and across.
         let mut t = NodeTable::new(2);
         for id in [9u32, 1, 7, 3, 5] {
-            t.insert(id, id);
+            t.merge(vec![(id, id)]).unwrap();
         }
-        assert_eq!(t.max_chain(), 5); // never filled: one bucket holds all
         let ids: Vec<NodeId> = t.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![1, 3, 5, 7, 9]);
+        // First fill of one id: one range; everything after lands in it.
+        assert_eq!((t.page_slots(0), t.page_slots(1)), (0..5, 5..5));
     }
 
     #[test]
     fn single_bucket_degenerates_to_sorted_list() {
         let mut t = NodeTable::new(1);
         for id in (0..50u32).rev() {
-            t.insert(id, ());
+            t.merge(vec![(id, ())]).unwrap();
         }
-        assert_eq!(t.len(), 50);
-        assert_eq!(t.max_chain(), 50);
+        assert_eq!((t.len(), t.page_slots(0)), (50, 0..50));
         assert!(t.contains(49));
     }
 }

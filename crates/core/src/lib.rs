@@ -16,8 +16,8 @@
 //! (see `mpisim`) in three phases (thesis §4):
 //!
 //! * **Initialization** ([`store`]) — every rank builds internal and
-//!   peripheral node lists, the data-node table with a bucketed
-//!   [hash table](hashtab), shadow-node bookkeeping
+//!   peripheral node lists, the id-ordered [data-node table](hashtab),
+//!   shadow-node bookkeeping
 //!   (`shadow_for_procs`) and the communication-buffer plan.
 //! * **Computation & communication** ([`exchange`]) — each iteration,
 //!   nodes are updated by the user's node function fed a list of
@@ -46,7 +46,6 @@
 pub mod audit;
 pub mod checkpoint;
 pub mod costs;
-pub mod directory;
 pub mod driver;
 mod engine;
 pub mod error;
@@ -66,7 +65,7 @@ pub use driver::{
     catch_flow_deadlock, run, try_run, ExchangeMode, ExecutionPolicy, RunConfig, RunReport,
 };
 pub use error::{PlatformError, StoreViolation};
-pub use hashtab::{NodeTable, Slot};
+pub use hashtab::{NodeTable, Slot, Unsorted};
 pub use imbalance::{GrainSchedule, ShiftingWindowLoad, StragglerDetector};
 pub use migrate::{BalanceOutcome, MigrantPolicy};
 pub use mpisim::trace::{chrome_trace_json, timeline_json, RankTrace, TraceEvent};

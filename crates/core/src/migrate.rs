@@ -296,15 +296,7 @@ where
                         None => rank.recv(busy as usize, TAG_MIGRATE),
                         Some(_) => rank.try_recv(busy as usize, TAG_MIGRATE).ok()?,
                     };
-                    rank.advance(costs.migrate_per_entry * payload.len() as f64);
-                    if store.audit.is_some() {
-                        rank.advance(costs.audit_per_entry * payload.len() as f64);
-                    }
-                    for (id, data) in payload {
-                        // Insert new shadows; refresh ones already held.
-                        store.audit_note(id, &data);
-                        store.table.insert(id, data);
-                    }
+                    receive(rank, store, payload, costs);
                     debug_assert!(
                         store.table.contains(migrating),
                         "idle rank must already hold the migrating node's data as a shadow"
@@ -489,7 +481,7 @@ where
                 for id in std::iter::once(v).chain(graph.neighbors(v).iter().copied()) {
                     if packed.insert(id) {
                         let data = store.table.get(id).unwrap_or_else(|| {
-                            panic!("dying rank {dead_rank} lacks data for {id}")
+                            invariant_violated(me, format!("dying rank lacks data for {id}"))
                         });
                         payload.push((id, data.clone()));
                     }
@@ -499,14 +491,7 @@ where
             rank.send_reliable(s as usize, TAG_EVACUATE, &payload, RetryPolicy::Escalate);
         } else if me == s {
             let payload: Vec<(u32, D)> = rank.recv(dead_rank as usize, TAG_EVACUATE);
-            rank.advance(costs.migrate_per_entry * payload.len() as f64);
-            if store.audit.is_some() {
-                rank.advance(costs.audit_per_entry * payload.len() as f64);
-            }
-            for (id, data) in payload {
-                store.audit_note(id, &data);
-                store.table.insert(id, data);
-            }
+            receive(rank, store, payload, costs);
         }
     }
 
@@ -528,6 +513,23 @@ where
     );
     rank.trace_span("LoadBalancing", "phase", t0, &[]);
     plan.len()
+}
+
+/// Take in migrated or evacuated node data — new shadows and owned nodes
+/// arrive, held ones are refreshed — as one sorted merge, audit-noted.
+fn receive<D>(rank: &Rank, store: &mut NodeStore<D>, mut payload: Vec<(u32, D)>, costs: &CostModel)
+where
+    D: Clone + mpisim::Wire,
+{
+    rank.advance(costs.migrate_per_entry * payload.len() as f64);
+    if store.audit.is_some() {
+        rank.advance(costs.audit_per_entry * payload.len() as f64);
+    }
+    for (id, data) in &payload {
+        store.audit_note(*id, data);
+    }
+    payload.sort_by_key(|&(id, _)| id);
+    store.merge(payload);
 }
 
 /// The thesis's `GetMigratingNode`: among the busy processor's peripheral

@@ -1,12 +1,14 @@
 //! Out-of-core paging: a fixed-budget buffer pool over the virtual disk.
 //!
 //! ROADMAP item 2: partitions that outgrow RAM. The paged [`NodeStore`]
-//! keeps at most `budget` buckets of its [`NodeTable`] resident; the rest
+//! keeps at most `budget` pages of its [`NodeTable`] readable; the rest
 //! live on the rank's private [`mpisim::VirtualDisk`] as checksummed
-//! *pages* (one page = one bucket = one contiguous id range, entries in
-//! ascending id order, staged pending values included so an eviction
-//! mid-iteration loses nothing). Every piece of cleverness a real storage
-//! engine owes its block device lives here:
+//! *pages* (one page = the slot range of one contiguous id range, entries
+//! ascending, staged values included so an eviction mid-iteration loses
+//! nothing). Paging models an out-of-core run's I/O and failures, not host
+//! memory: the disk and a paged-out range's values both stay in RAM. Every
+//! piece of cleverness a real storage engine owes its block device lives
+//! here:
 //!
 //! * **Checksummed page format.** A page blob is an 8-byte
 //!   [`mpisim::frame_checksum`] keyed by `(rank, page, version)` followed
@@ -25,8 +27,8 @@
 //!   is sticky per stored version — retrying the same version could never
 //!   converge.
 //! * **Escalation, never a wrong answer.** A page whose every copy fails
-//!   verification latches the pager's *damage* flag and serves an empty
-//!   bucket; compute skips the missing entries (the iteration is garbage),
+//!   verification latches the pager's *damage* flag and leaves the page
+//!   unreadable; compute skips the missing entries (the iteration is garbage),
 //!   the flag rides the next agreed control word, and every rank rolls
 //!   back to the last verified checkpoint together. Versions are never
 //!   rolled back and the disk's op counter survives the purge, so replay
@@ -41,7 +43,7 @@
 //! the virtual clock at fixed points ([`crate::timers::Phase::Storage`]).
 //! Same seed, same schedule, bit-identical `total_time`.
 
-use crate::hashtab::{Entry, NodeTable};
+use crate::hashtab::{NodeTable, Slot};
 use ic2_graph::NodeId;
 use mpisim::{frame_checksum, DiskCounters, DiskTiming, FaultPlan, VirtualDisk, Wire};
 use std::collections::BTreeSet;
@@ -72,7 +74,7 @@ pub enum EvictionPolicy {
 /// Out-of-core paging configuration for [`crate::RunConfig::with_paging`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageConfig {
-    /// Maximum resident pages (hash buckets) per rank. Whole-table phases
+    /// Maximum resident pages per rank. Whole-table phases
     /// (checkpoint snapshots, migration, restore, final gather) may exceed
     /// the budget transiently and spill back down afterwards.
     pub budget: usize,
@@ -119,7 +121,7 @@ impl PageCounters {
 
 /// A fixed-budget frame pool tracking which pages are resident and, per
 /// the configured [`EvictionPolicy`], which to evict next. Pages are dense
-/// small integers (hash-bucket indices), so membership is an array test.
+/// small integers, so membership is an array test.
 /// Entirely deterministic: same admit/touch/evict sequence, same victims.
 #[derive(Debug, Clone)]
 pub struct BufferPool {
@@ -297,18 +299,6 @@ impl BufferPool {
     }
 }
 
-/// What a page read found.
-enum PageRead<D> {
-    /// A verified copy (`from_shadow` says the primary failed and the
-    /// shadow slot saved it).
-    Good {
-        entries: Vec<Entry<D>>,
-        from_shadow: bool,
-    },
-    /// Every copy failed verification after retries.
-    Lost,
-}
-
 /// The paging engine one rank's [`crate::store::NodeStore`] owns: buffer
 /// pool, virtual disk, per-page version/slot directory, and the dirty sets
 /// that drive write-back and incremental checkpoints. Deliberately not
@@ -318,7 +308,7 @@ enum PageRead<D> {
 pub(crate) struct Pager {
     disk: VirtualDisk,
     rank: usize,
-    nbuckets: usize,
+    npages: usize,
     pool: BufferPool,
     /// Active slot (0/1) per page: which copy a read trusts first.
     active: Vec<u8>,
@@ -334,8 +324,6 @@ pub(crate) struct Pager {
     /// Page mutated since the last committed checkpoint (drives the
     /// incremental page-diff mirror).
     ckpt_dirty: Vec<bool>,
-    /// Page holds staged pending values this phase.
-    staged: Vec<bool>,
     /// Latched when any page lost every verified copy (or a commit could
     /// not secure one): the agreed signal that forces a rollback.
     damaged: bool,
@@ -351,32 +339,31 @@ pub(crate) struct Pager {
 }
 
 impl Pager {
-    /// A pager for `rank` over a table of `nbuckets` buckets, all of which
+    /// A pager for `rank` over a table of `npages` pages, all of which
     /// start resident (the caller spills down to budget afterwards).
     pub(crate) fn new(
         rank: usize,
-        nbuckets: usize,
+        npages: usize,
         cfg: &PageConfig,
         plan: FaultPlan,
         timing: DiskTiming,
         backoff: f64,
     ) -> Self {
         let mut pool = BufferPool::new(cfg.policy, cfg.budget);
-        for b in 0..nbuckets {
+        for b in 0..npages {
             pool.admit(b);
         }
         Pager {
             disk: VirtualDisk::new(rank, plan, timing),
             rank,
-            nbuckets,
+            npages,
             pool,
-            active: vec![0; nbuckets],
-            version: vec![0; nbuckets],
+            active: vec![0; npages],
+            version: vec![0; npages],
             next_version: 1,
-            on_disk: vec![false; nbuckets],
-            disk_dirty: vec![false; nbuckets],
-            ckpt_dirty: vec![false; nbuckets],
-            staged: vec![false; nbuckets],
+            on_disk: vec![false; npages],
+            disk_dirty: vec![false; npages],
+            ckpt_dirty: vec![false; npages],
             damaged: false,
             pending: 0.0,
             backoff,
@@ -420,16 +407,9 @@ impl Pager {
         self.ckpt_dirty[page] = true;
     }
 
-    /// Record a staged pending value in `page` (compute wrote it); the
-    /// promote pass visits exactly these pages.
-    pub(crate) fn note_staged(&mut self, page: usize) {
-        self.staged[page] = true;
-        self.note_write(page);
-    }
-
     /// Pages mutated since the last committed checkpoint, ascending.
     pub(crate) fn ckpt_dirty_pages(&self) -> Vec<usize> {
-        (0..self.nbuckets).filter(|&b| self.ckpt_dirty[b]).collect()
+        (0..self.npages).filter(|&b| self.ckpt_dirty[b]).collect()
     }
 
     /// A checkpoint carrying the current dirty set committed.
@@ -437,20 +417,18 @@ impl Pager {
         self.ckpt_dirty.fill(false);
     }
 
-    /// Make `pages` (and nothing less) resident, touching them in
-    /// ascending order, then evict back down to budget sparing exactly
-    /// those pages. The per-node hot path: one call pins a node's bucket
-    /// and its neighbours', named by the buckets of their resolved slots.
-    pub(crate) fn ensure<D>(
+    /// Make the pages of `slots` (and nothing less) resident, touching
+    /// them in ascending order, then evict back down to budget sparing
+    /// exactly those pages. The per-node hot path: one call pins the pages
+    /// of a node's slot and its neighbours', one index each.
+    pub(crate) fn ensure<D: Wire>(
         &mut self,
         table: &mut NodeTable<D>,
-        pages: impl IntoIterator<Item = usize>,
-    ) where
-        D: Clone + Wire,
-    {
+        slots: impl IntoIterator<Item = Slot>,
+    ) {
         let mut needed = std::mem::take(&mut self.pins);
         needed.clear();
-        needed.extend(pages);
+        needed.extend(slots.into_iter().map(|s| table.page_of(s)));
         needed.sort_unstable();
         needed.dedup();
         for &b in &needed {
@@ -464,19 +442,17 @@ impl Pager {
         self.pins = needed;
     }
 
-    /// Promote staged pending values page by page, faulting each staged
-    /// page in as needed, calling `f(id, &new_current)` per promotion.
-    pub(crate) fn promote<D>(
+    /// Promote staged values page by page, faulting in each page the
+    /// table holds staged values for, calling `f(id, &new_current)` per
+    /// promotion.
+    pub(crate) fn promote<D: Wire>(
         &mut self,
         table: &mut NodeTable<D>,
         mut f: impl FnMut(NodeId, &D),
-    ) -> usize
-    where
-        D: Clone + Wire,
-    {
+    ) -> usize {
         let mut promoted = 0;
-        for b in 0..self.nbuckets {
-            if !std::mem::take(&mut self.staged[b]) {
+        for b in 0..self.npages {
+            if !table.any_staged(table.page_slots(b)) {
                 continue;
             }
             if self.pool.contains(b) {
@@ -484,9 +460,9 @@ impl Pager {
             } else {
                 self.fault_in(table, b);
             }
-            let n = table.promote_bucket_with(b, &mut f);
+            let n = table.promote(table.page_slots(b), &mut f);
             if n > 0 {
-                // The promote mutated the bucket in RAM; a mid-iteration
+                // The promote mutated the page in RAM; a mid-iteration
                 // eviction may have written (and un-dirtied) the staged
                 // image, so re-mark or the stale disk copy wins.
                 self.disk_dirty[b] = true;
@@ -500,11 +476,8 @@ impl Pager {
     /// Fault in every non-resident page — the bulk-phase prelude
     /// (checkpoint snapshot, migration, audit, gather). The pool runs over
     /// budget until [`Pager::spill_to_budget`].
-    pub(crate) fn page_in_all<D>(&mut self, table: &mut NodeTable<D>)
-    where
-        D: Clone + Wire,
-    {
-        for b in 0..self.nbuckets {
+    pub(crate) fn page_in_all<D: Wire>(&mut self, table: &mut NodeTable<D>) {
+        for b in 0..self.npages {
             if !self.pool.contains(b) {
                 self.fault_in(table, b);
             }
@@ -512,10 +485,7 @@ impl Pager {
     }
 
     /// Evict back down to the budget with nothing pinned.
-    pub(crate) fn spill_to_budget<D>(&mut self, table: &mut NodeTable<D>)
-    where
-        D: Clone + Wire,
-    {
+    pub(crate) fn spill_to_budget<D: Wire>(&mut self, table: &mut NodeTable<D>) {
         self.evict_to_budget(table, &[]);
     }
 
@@ -534,48 +504,34 @@ impl Pager {
         self.disk.purge();
         let (policy, budget) = (self.pool.policy, self.pool.budget);
         let mut pool = BufferPool::new(policy, budget);
-        for b in 0..self.nbuckets {
+        for b in 0..self.npages {
             pool.admit(b);
         }
         self.pool = pool;
         self.on_disk.fill(false);
-        self.staged.fill(false);
         self.mark_all_dirty();
         self.damaged = false;
     }
 
-    fn fault_in<D>(&mut self, table: &mut NodeTable<D>, b: usize)
-    where
-        D: Clone + Wire,
-    {
+    fn fault_in<D: Wire>(&mut self, table: &mut NodeTable<D>, b: usize) {
         self.counters.page_faults += 1;
-        match self.read_page::<D>(b) {
-            PageRead::Good {
-                entries,
-                from_shadow,
-            } => {
-                table.install_bucket(b, entries);
-                if from_shadow {
-                    // The primary copy is gone: re-mark dirty so the next
-                    // eviction recommits a fresh pair of verified copies.
-                    self.counters.pages_recovered += 1;
-                    self.disk_dirty[b] = true;
-                }
+        match self.read_page(table, b) {
+            // The primary copy is gone: re-mark dirty so the next eviction
+            // recommits a fresh pair of verified copies.
+            Some(true) => {
+                self.counters.pages_recovered += 1;
+                self.disk_dirty[b] = true;
             }
-            PageRead::Lost => {
-                // Serve the empty bucket; compute skips the missing
-                // entries and the damage latch forces a rollback at the
-                // next agreed boundary.
-                self.damaged = true;
-            }
+            Some(false) => {}
+            // The page stays unreadable; compute skips the missing entries
+            // and the damage latch forces a rollback at the next agreed
+            // boundary.
+            None => self.damaged = true,
         }
         self.pool.admit(b);
     }
 
-    fn evict_to_budget<D>(&mut self, table: &mut NodeTable<D>, pinned: &[usize])
-    where
-        D: Clone + Wire,
-    {
+    fn evict_to_budget<D: Wire>(&mut self, table: &mut NodeTable<D>, pinned: &[usize]) {
         // Bounded: a commit failure re-admits its page, so without the
         // attempt cap a wholly-failing disk would spin here forever.
         let mut attempts = self.pool.len() + 1;
@@ -586,10 +542,7 @@ impl Pager {
         }
     }
 
-    fn evict_one<D>(&mut self, table: &mut NodeTable<D>, pinned: &[usize]) -> bool
-    where
-        D: Clone + Wire,
-    {
+    fn evict_one<D: Wire>(&mut self, table: &mut NodeTable<D>, pinned: &[usize]) -> bool {
         // `pinned` ascends: a search over page numbers, not a tree per visit.
         let Some(b) = self
             .pool
@@ -597,50 +550,42 @@ impl Pager {
         else {
             return false;
         };
-        let entries = table.take_bucket(b);
         if self.disk_dirty[b] || !self.on_disk[b] {
-            if self.write_page(b, &entries) {
-                self.disk_dirty[b] = false;
-                self.on_disk[b] = true;
-            } else {
+            if !self.write_page(table, b) {
                 // No verified copy could be secured: keep the page in RAM
                 // (over budget beats data loss) and latch damage so the
                 // platform escalates to rollback.
-                table.install_bucket(b, entries);
                 self.pool.admit(b);
                 self.damaged = true;
                 return false;
             }
+            self.disk_dirty[b] = false;
+            self.on_disk[b] = true;
         }
+        table.page_out(b);
         self.counters.pages_evicted += 1;
         true
     }
 
-    /// Encode `entries` as page `b`'s image under `version` into `blob`:
-    /// the checksum, then the length-prefixed wire encoding it covers.
+    /// Encode page `b` of `table` as its image under `version` into
+    /// `blob`: the checksum, then the wire encoding it covers.
     fn encode_page<D: Wire>(
         &self,
+        table: &NodeTable<D>,
         b: usize,
         version: u64,
-        entries: &[Entry<D>],
         blob: &mut Vec<u8>,
     ) {
         blob.clear();
         blob.extend_from_slice(&[0; 8]);
-        (entries.len() as u64).encode(blob);
-        for entry in entries {
-            entry.encode(blob);
-        }
+        table.encode_page(b, blob);
         let sum = frame_checksum(PAGE_SEED, self.rank, b as i64, version, &blob[8..]);
         blob[..8].copy_from_slice(&sum.to_le_bytes());
     }
 
-    /// Shadow-paging commit of `entries` as the new content of page `b`.
+    /// Shadow-paging commit of page `b` of `table` as its new content.
     /// Returns false when no verified copy could be secured after retries.
-    fn write_page<D>(&mut self, b: usize, entries: &[Entry<D>]) -> bool
-    where
-        D: Clone + Wire,
-    {
+    fn write_page<D: Wire>(&mut self, table: &NodeTable<D>, b: usize) -> bool {
         let mut blob = std::mem::take(&mut self.blob);
         let mut committed = false;
         for round in 0..=MAX_IO_RETRIES {
@@ -649,7 +594,7 @@ impl Pager {
             let v = self.next_version;
             self.next_version += 1;
             let target = 1 - self.active[b];
-            self.encode_page(b, v, entries, &mut blob);
+            self.encode_page(table, b, v, &mut blob);
             if self.disk.write(b as u64, target as u64, v, &blob).is_err() {
                 self.retry_backoff(round);
                 continue;
@@ -715,49 +660,32 @@ impl Pager {
         self.pending += self.backoff * (1u64 << attempt.min(10)) as f64;
     }
 
-    /// Read and verify page `b`, escalating primary → shadow slot.
-    fn read_page<D>(&mut self, b: usize) -> PageRead<D>
-    where
-        D: Clone + Wire,
-    {
+    /// Read and verify page `b` into `table`, escalating primary → shadow
+    /// slot: `Some(from_shadow)` once a copy decoded (`true` when the
+    /// primary failed and the shadow saved it), `None` when every copy
+    /// failed — wrong version, checksum, undecodable image, or transient
+    /// errors past the retry budget.
+    fn read_page<D: Wire>(&mut self, table: &mut NodeTable<D>, b: usize) -> Option<bool> {
         let expect = self.version[b];
         if expect == 0 || !self.on_disk[b] {
-            // Never committed: the page is genuinely empty.
-            return PageRead::Good {
-                entries: Vec::new(),
-                from_shadow: false,
-            };
+            // Never committed: there is nothing to read.
+            return Some(false);
         }
         for (nth, slot) in [self.active[b], 1 - self.active[b]].into_iter().enumerate() {
-            if let Some(entries) = self.read_slot::<D>(b, slot, expect) {
-                return PageRead::Good {
-                    entries,
-                    from_shadow: nth == 1,
-                };
-            }
-        }
-        PageRead::Lost
-    }
-
-    /// One slot's verified entries, or `None` (wrong version, checksum
-    /// failure, undecodable payload, or transient errors past the retry
-    /// budget).
-    fn read_slot<D>(&mut self, b: usize, slot: u8, expect: u64) -> Option<Vec<Entry<D>>>
-    where
-        D: Clone + Wire,
-    {
-        for attempt in 0..=MAX_IO_RETRIES {
-            match self.disk.read_borrowed(b as u64, slot as u64) {
-                Ok(Some((v, bytes))) => {
-                    if v != expect || !verify(self.rank, b, expect, bytes) {
-                        // Stale or rotten — and rot is sticky, so another
-                        // attempt on this slot cannot help.
-                        return None;
+            for attempt in 0..=MAX_IO_RETRIES {
+                match self.disk.read_borrowed(b as u64, slot as u64) {
+                    Ok(Some((v, bytes))) => {
+                        let good = v == expect && verify(self.rank, b, expect, bytes);
+                        if good && table.decode_page(b, &bytes[8..]) {
+                            return Some(nth == 1);
+                        }
+                        // Stale or rotten, and rot is sticky: another attempt
+                        // on this slot cannot help.
+                        break;
                     }
-                    return Vec::from_bytes(&bytes[8..]).ok();
+                    Ok(None) => break,
+                    Err(_) => self.retry_backoff(attempt),
                 }
-                Ok(None) => return None,
-                Err(_) => self.retry_backoff(attempt),
             }
         }
         None
@@ -793,6 +721,47 @@ mod tests {
             assert!(pool.len() <= pool.budget(), "budget invariant violated");
         }
         (hits, misses)
+    }
+
+    #[test]
+    fn a_page_image_is_byte_identical_to_the_entry_encoding() {
+        // Rank 3's pages 1 and 3 at version 9: the checksum, then the wire
+        // encoding of `Vec<(NodeId, i64, Option<i64>)>` — a format the
+        // virtual disk's charges, and so every paged clock, depend on.
+        let mut table = NodeTable::new(4);
+        let ids: [NodeId; 7] = [2, 3, 5, 8, 13, 21, 34];
+        table.merge(ids.map(|id| (id, i64::from(id) * 10))).unwrap();
+        assert!(table.stage_at(2, 5, -7));
+        let cfg = PageConfig::new(2, EvictionPolicy::Fifo);
+        let pager = Pager::new(3, 4, &cfg, FaultPlan::new(1), DiskTiming::default(), 0.0);
+        let image = |table: &NodeTable<i64>, b| {
+            let mut blob = Vec::new();
+            pager.encode_page(table, b, 9, &mut blob);
+            blob
+        };
+        #[rustfmt::skip]
+        let (page1, page3): (&[u8], &[u8]) = (
+            &[182, 155, 219, 81, 221, 10, 53, 92, 2, 0, 0, 0, 0, 0, 0, 0,
+              5, 0, 0, 0, 50, 0, 0, 0, 0, 0, 0, 0, 1, 249, 255, 255, 255, 255, 255, 255, 255,
+              8, 0, 0, 0, 80, 0, 0, 0, 0, 0, 0, 0, 0],
+            &[166, 94, 101, 123, 59, 131, 233, 186, 1, 0, 0, 0, 0, 0, 0, 0,
+              34, 0, 0, 0, 84, 1, 0, 0, 0, 0, 0, 0, 0],
+        );
+        assert_eq!(
+            (&image(&table, 1)[..], &image(&table, 3)[..]),
+            (page1, page3)
+        );
+        // A verified image decodes back into its range, staged value too.
+        let before = table.clone();
+        for b in 0..4 {
+            let blob = image(&table, b);
+            table.page_out(b);
+            assert_eq!(table.at(2).is_some(), b != 1, "page {b} out");
+            assert!(table.decode_page(b, &blob[8..]));
+        }
+        assert_eq!(table, before);
+        assert!(!table.decode_page(1, &page3[8..]), "34 is not on page 1");
+        assert_eq!((table.at(2), table.get(34)), (None, Some(&340)));
     }
 
     #[test]

@@ -85,9 +85,10 @@ impl RoundPlan {
     }
 }
 
-/// CSR offsets are `u32`: a rank's plan stays well under 2³² entries.
-fn offset(len: usize) -> u32 {
-    u32::try_from(len).expect("round plan exceeds u32 offsets")
+/// CSR offsets are `u32`, as slots are: a plan stays well under 2³² entries.
+fn offset(rank: u32, len: usize) -> u32 {
+    u32::try_from(len)
+        .unwrap_or_else(|_| invariant_violated(rank, "round plan exceeds u32 offsets".into()))
 }
 
 /// The ids a rank owning `owned` stores data for — `owned` and their
@@ -125,7 +126,7 @@ impl Needed {
 }
 
 /// Everything one rank keeps in local memory: the data-node table (owned +
-/// shadow data) behind its hash table, the round plan over it, the
+/// shadow data), the round plan over it, the
 /// replicated owner map (the thesis's `output_arr`), and the
 /// communication-buffer plan.
 #[derive(Debug, Clone)]
@@ -167,9 +168,9 @@ pub struct NodeStore<D> {
     /// boundary detects it.
     pub(crate) audit: Option<AuditState>,
     /// Out-of-core paging engine (`RunConfig::with_paging`), `None` when
-    /// the whole table lives in RAM. When present, at most its budget of
-    /// hash buckets is resident; the rest are checksummed pages on the
-    /// rank's virtual disk.
+    /// the whole table is readable. When present, at most its budget of
+    /// pages is resident; the rest are checksummed images on the rank's
+    /// virtual disk.
     pub(crate) pager: Option<Pager>,
 }
 
@@ -178,28 +179,28 @@ impl<D: Clone> NodeStore<D> {
     /// application graph, the static partition, and the program's initial
     /// node data. Returns the store plus the number of locally stored
     /// entries (owned + shadows), which the driver charges init cost for.
+    /// `pages` is the table's page count (the thesis's hash-table length).
     pub fn build<P>(
         graph: &Graph,
         partition: &Partition,
         rank: u32,
         program: &P,
-        hash_buckets: usize,
+        pages: usize,
     ) -> Self
     where
         P: NodeProgram<Data = D>,
         D: Clone,
     {
-        assert_eq!(
-            graph.num_nodes(),
-            partition.len(),
-            "partition must cover the graph"
-        );
+        if graph.num_nodes() != partition.len() {
+            // `try_run` refuses this up front (`PartitionLengthMismatch`).
+            invariant_violated(rank, "partition does not cover the graph".into());
+        }
         let nprocs = partition.num_parts();
         let mut store = NodeStore {
             rank,
             nprocs,
             plan: RoundPlan::default(),
-            table: NodeTable::new(hash_buckets),
+            table: NodeTable::new(pages),
             owner: partition.shared(),
             send_counts: vec![0; nprocs],
             node_load: vec![0.0; graph.num_nodes()],
@@ -209,15 +210,20 @@ impl<D: Clone> NodeStore<D> {
         };
         // Owned node data and shadow data for the remote neighbours of
         // owned nodes (InsertShadowsIntoHashTable), in one ascending fill.
-        // The id scratch is gone before the plan's scratch is built.
+        // The bitmap is gone before the table grows.
         let owned = partition.members(rank);
         let ids = Needed::of(graph, owned).ids();
-        store
-            .table
-            .append_ascending(&ids, |v| program.init(v, graph));
-        drop(ids);
+        store.merge(ids.into_iter().map(|v| (v, program.init(v, graph))));
         store.plan_rounds(graph, owned);
         store
+    }
+
+    /// Merge an ascending `(id, data)` run into the table (build, restore,
+    /// migration receipt, evacuation adoption): every caller sorts its run.
+    pub(crate) fn merge(&mut self, run: impl IntoIterator<Item = (NodeId, D)>) {
+        if let Err(e) = self.table.merge(run) {
+            invariant_violated(self.rank, format!("table merge refused: {e:?}"));
+        }
     }
 }
 
@@ -307,7 +313,7 @@ impl<D> NodeStore<D> {
     /// lists — from this rank's `owned` nodes (ascending), their
     /// neighbourhoods, the owner map and the table: work in proportion to
     /// what the rank owns, at initialization and after every structural
-    /// change. Every needed bucket must be resident; an entry that is absent
+    /// change. Every needed page must be resident; an entry that is absent
     /// gets a slot that reads as missing data.
     fn plan_rounds(&mut self, graph: &Graph, owned: &[NodeId]) {
         // Drop the old plan first: two plans never coexist in memory.
@@ -327,14 +333,14 @@ impl<D> NodeStore<D> {
         ids.shrink_to_fit();
 
         // One pass over the table resolves every slot the plan needs.
-        let index = self.table.slot_index();
+        let slot = self.table.resolver();
         let degrees: usize = ids.iter().map(|&v| graph.degree(v)).sum();
         let mut nbr_start = Vec::with_capacity(ids.len() + 1);
         let mut nbrs = Vec::with_capacity(degrees);
         nbr_start.push(0);
         for &v in &ids {
-            nbrs.extend(graph.neighbors(v).iter().map(|&w| index.slot(w)));
-            nbr_start.push(offset(nbrs.len()));
+            nbrs.extend(graph.neighbors(v).iter().map(|&w| slot(w)));
+            nbr_start.push(offset(rank, nbrs.len()));
         }
 
         let mut sf_start = Vec::with_capacity(ids.len() - internal + 1);
@@ -354,7 +360,7 @@ impl<D> NodeStore<D> {
             for &p in &shadow_for[first..] {
                 self.send_counts[p as usize] += 1;
             }
-            sf_start.push(offset(shadow_for.len()));
+            sf_start.push(offset(rank, shadow_for.len()));
         }
         shadows.sort_unstable();
         shadows.dedup();
@@ -385,7 +391,7 @@ impl<D> NodeStore<D> {
         let sends = |p: &u32| self.send_counts[*p as usize] > 0;
         self.plan = RoundPlan {
             epoch: self.table.epoch(),
-            own: ids.iter().map(|&v| index.slot(v)).collect(),
+            own: ids.iter().map(|&v| slot(v)).collect(),
             ids,
             internal,
             nbr_start,
@@ -396,7 +402,7 @@ impl<D> NodeStore<D> {
             recv_procs,
             send_procs: (0..self.nprocs as u32).filter(sends).collect(),
             recv_start,
-            recv_slots: recv_ids.iter().map(|&w| index.slot(w)).collect(),
+            recv_slots: recv_ids.iter().map(|&w| slot(w)).collect(),
             recv_ids,
         };
     }
@@ -412,10 +418,7 @@ impl<D> NodeStore<D> {
     where
         D: Clone,
     {
-        let mut entries: Vec<(NodeId, D)> =
-            self.table.iter().map(|(id, d)| (id, d.clone())).collect();
-        entries.sort_unstable_by_key(|&(id, _)| id);
-        entries
+        self.table.iter().map(|(id, d)| (id, d.clone())).collect()
     }
 
     /// Reset this rank's entire state from a checkpoint: install the
@@ -426,35 +429,20 @@ impl<D> NodeStore<D> {
     where
         D: Clone,
     {
-        assert_eq!(owner.len(), graph.num_nodes(), "owner map must cover graph");
+        if owner.len() != graph.num_nodes() {
+            // A checkpoint's owner map copies a partition `try_run` checked.
+            invariant_violated(self.rank, "owner map does not cover the graph".into());
+        }
         self.owner = owner;
         let owned = self.owned_by_map();
         let needed = Needed::of(graph, &owned);
         entries.retain(|&(id, _)| needed.contains(id));
         drop(needed);
-        // A snapshot ascends. One extended with adoption packages does not,
-        // and may name an id twice: the later copy wins, as it did when
-        // entries were inserted one by one.
-        if !entries.is_sorted_by(|a, b| a.0 < b.0) {
-            entries.sort_by_key(|&(id, _)| id);
-            entries.dedup_by(|later, earlier| {
-                let same = later.0 == earlier.0;
-                if same {
-                    std::mem::swap(later, earlier);
-                }
-                same
-            });
-        }
+        // A snapshot extended with adoption packages may name an id twice:
+        // the stable sort keeps the later copy later, and the merge lets it win.
+        entries.sort_by_key(|&(id, _)| id);
         self.table.clear();
-        {
-            // Gone before the plan's scratch is built.
-            let ids: Vec<NodeId> = entries.iter().map(|&(id, _)| id).collect();
-            let mut data = entries.into_iter();
-            self.table.append_ascending(&ids, |_| match data.next() {
-                Some((_, d)) => d,
-                None => unreachable!("one entry per id"),
-            });
-        }
+        self.merge(entries);
         self.reset_loads();
         self.plan_rounds(graph, &owned);
     }
@@ -496,15 +484,15 @@ impl<D> NodeStore<D> {
     }
 
     /// Recompute every needed entry's hash and compare against the
-    /// maintained digest state: the audit-boundary integrity check.
-    ///
-    /// # Panics
-    /// Panics if audits were never enabled.
+    /// maintained digest state: the audit-boundary integrity check. Called
+    /// with audits enabled only.
     pub(crate) fn audit_verify(&self) -> crate::audit::AuditOutcome
     where
         D: Wire,
     {
-        let audit = self.audit.as_ref().expect("audit_verify without audit");
+        let Some(audit) = self.audit.as_ref() else {
+            invariant_violated(self.rank, "audit boundary without audit state".into())
+        };
         let paged = self.pager.is_some();
         // Paged mode runs audits with every page faulted in; a vacant slot
         // means its page lost every copy — reported as a mismatch so the
@@ -533,7 +521,7 @@ impl<D> NodeStore<D> {
     }
 
     /// Switch the table to out-of-core paged mode: install a pager over
-    /// the hash buckets, then spill down to the configured budget (the
+    /// the table's pages, then spill down to the configured budget (the
     /// spilled pages get their first verified disk commit here).
     pub(crate) fn enable_paging(&mut self, cfg: &PageConfig, plan: &FaultPlan, costs: &CostModel)
     where
@@ -545,7 +533,7 @@ impl<D> NodeStore<D> {
         };
         let mut pager = Pager::new(
             self.rank as usize,
-            self.table.bucket_count(),
+            self.table.page_count(),
             cfg,
             plan.clone(),
             timing,
@@ -582,7 +570,7 @@ impl<D> NodeStore<D> {
     }
 
     /// End a whole-table phase: conservatively mark every page dirty (bulk
-    /// phases mutate buckets behind the pager's back) and spill back down
+    /// phases mutate pages behind the pager's back) and spill back down
     /// to budget.
     pub(crate) fn bulk_end(&mut self)
     where
@@ -615,7 +603,7 @@ impl<D> NodeStore<D> {
             || self
                 .pager
                 .as_ref()
-                .is_some_and(|p| !p.is_resident(self.table.bucket_index(id)))
+                .is_some_and(|p| !p.is_resident(self.table.page_of_id(id)))
     }
 
     /// Zero the per-node load samples (a balancing round consumed them, or
@@ -771,12 +759,12 @@ mod tests {
         build_stores_with(k, 64)
     }
 
-    fn build_stores_with(k: usize, buckets: usize) -> (Graph, Vec<NodeStore<i64>>) {
+    fn build_stores_with(k: usize, pages: usize) -> (Graph, Vec<NodeStore<i64>>) {
         let graph = hex_grid(4, 8);
         let part = Metis::default().partition(&graph, k);
         let program = AvgProgram::fine();
         let stores = (0..k as u32)
-            .map(|r| NodeStore::build(&graph, &part, r, &program, buckets))
+            .map(|r| NodeStore::build(&graph, &part, r, &program, pages))
             .collect();
         (graph, stores)
     }
@@ -784,8 +772,8 @@ mod tests {
     #[test]
     fn slots_survive_a_disk_round_trip_of_every_page() {
         use crate::paging::EvictionPolicy;
-        for buckets in [1, 10, 512] {
-            let (graph, mut stores) = build_stores_with(4, buckets);
+        for pages in [1, 10, 512] {
+            let (graph, mut stores) = build_stores_with(4, pages);
             for s in &mut stores {
                 let view = |s: &NodeStore<i64>| -> Vec<_> {
                     let at = |slot| s.table.at(slot).map(|(id, d)| (id, *d));
@@ -796,13 +784,13 @@ mod tests {
                 };
                 let before = view(s);
                 assert!(before.iter().all(|(own, _)| own.is_some()));
-                // Budget 1: every other bucket is written out, then read
+                // Budget 1: every other page is written out, then read
                 // back by the bulk prelude. The plan is not rebuilt.
                 let cfg = PageConfig::new(1, EvictionPolicy::Fifo);
                 s.enable_paging(&cfg, &FaultPlan::new(1), &CostModel::default());
-                assert!(buckets == 1 || s.table.len() < before.len());
+                assert!(pages == 1 || s.table.iter().count() < before.len());
                 s.bulk_begin();
-                assert_eq!(view(s), before, "{buckets} buckets, rank {}", s.rank);
+                assert_eq!(view(s), before, "{pages} pages, rank {}", s.rank);
                 s.validate(&graph).unwrap();
             }
         }

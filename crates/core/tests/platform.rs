@@ -334,27 +334,3 @@ fn overlap_mode_beats_postcomm_on_slow_networks() {
         post.total_time
     );
 }
-
-#[test]
-fn directory_fetch_composes_with_a_running_platform() {
-    // §7.1 extension: non-neighbour data access between iterations.
-    use ic2mpi::{directory, NodeStore};
-    let graph = ic2_graph::generators::hex_grid(8, 8);
-    let part = Metis::default().partition(&graph, 4);
-    let program = AvgProgram::fine();
-    let world =
-        mpisim::World::new(mpisim::Config::default().with_watchdog(Duration::from_secs(10)));
-    let results = world.run(4, |rank| {
-        let store = NodeStore::build(&graph, &part, rank.rank() as u32, &program, 32);
-        // Every rank fetches the node diagonally opposite its first owned
-        // node — almost surely remote and non-adjacent.
-        let mine = *store.owned_ids().iter().min().unwrap();
-        let opposite = 63 - mine;
-        directory::fetch(rank, &store, &[opposite])
-    });
-    for (rank, got) in results.iter().enumerate() {
-        assert_eq!(got.len(), 1, "rank {rank}");
-        let (id, data) = got[0];
-        assert_eq!(data, id as i64 + 1, "initial data convention");
-    }
-}

@@ -79,9 +79,9 @@ fn assert_slots_match_ids(store: &NodeStore<i64>, graph: &Graph, when: &str) {
 }
 
 /// The table holds exactly `entries` (a later copy of an id wins), its
-/// buckets are ascending id ranges that tile the id space — every id in
-/// bucket `b` below every id in bucket `b + 1` — and each id sits in the
-/// bucket whose range covers it. Straight after a bulk fill the buckets'
+/// pages are ascending id ranges that tile the id space — every id in
+/// page `b` below every id in page `b + 1` — and each id sits in the
+/// page whose range covers it. Straight after a first fill the pages'
 /// shares differ by at most one.
 fn assert_table_is(
     store: &NodeStore<i64>,
@@ -94,20 +94,22 @@ fn assert_table_is(
     let stored = table.iter().map(|(id, d)| (id, *d));
     assert!(
         stored.eq(expected.iter().map(|(&id, &d)| (id, d))),
-        "{when}: buckets ascend and hold what was stored"
+        "{when}: pages ascend and hold what was stored"
     );
-    let mut sizes = vec![0usize; table.bucket_count()];
+    let mut sizes = vec![0usize; table.page_count()];
     for &id in expected.keys() {
-        let b = table.bucket_index(id);
-        assert_eq!(table.slot_of(id).map(|s| s.bucket()), Some(b), "{when}");
-        let (first, last) = table
-            .bucket_range(b)
-            .expect("a covering bucket has a range");
-        assert!((first..=last).contains(&id), "{when}: {id} in bucket {b}");
+        let b = table.page_of_id(id);
+        assert_eq!(
+            table.slot_of(id).map(|s| table.page_of(s)),
+            Some(b),
+            "{when}"
+        );
+        let (first, last) = table.page_range(b).expect("a covering page has a range");
+        assert!((first..=last).contains(&id), "{when}: {id} in page {b}");
         sizes[b] += 1;
     }
     let ranges: Vec<_> = (0..sizes.len())
-        .filter_map(|b| table.bucket_range(b))
+        .filter_map(|b| table.page_range(b))
         .collect();
     assert_eq!((ranges[0].0, ranges[ranges.len() - 1].1), (0, NodeId::MAX));
     assert!(ranges.windows(2).all(|w| w[0].1 + 1 == w[1].0), "{when}");
@@ -133,11 +135,11 @@ fn slots_name_the_entries_ids_find_after_build_and_restore() {
     let mut rng = SplitMix64::new(0x51075);
     for _ in 0..32 {
         let (graph, partitions) = partition_cases(&mut rng);
-        let buckets = [1, 10, 512];
-        for (partition, buckets) in partitions.iter().flat_map(|p| buckets.map(|b| (p, b))) {
+        let pages = [1, 10, 512];
+        for (partition, pages) in partitions.iter().flat_map(|p| pages.map(|b| (p, b))) {
             for rank in 0..partition.num_parts() as u32 {
                 let mut store =
-                    NodeStore::build(&graph, partition, rank, &AvgProgram::fine(), buckets);
+                    NodeStore::build(&graph, partition, rank, &AvgProgram::fine(), pages);
                 assert_slots_match_ids(&store, &graph, "after build");
                 // What a build stores: owned nodes and their neighbours.
                 let program = AvgProgram::fine();
@@ -176,7 +178,7 @@ fn slots_name_the_entries_ids_find_after_build_and_restore() {
                 let mut kept = needed_of(&extended, &store, &graph);
                 assert_table_is(&store, kept.clone(), true, "after adopting restore");
 
-                // By-id inserts of new ids (migration, adoption) land in the
+                // Merges of new ids (migration, adoption) land in the
                 // covering range: no cut moves, the order holds.
                 let absent = |v: &NodeId| store.table.get(*v).is_none();
                 let mut new: Vec<NodeId> = (0..graph.num_nodes() as NodeId + 3)
@@ -184,7 +186,7 @@ fn slots_name_the_entries_ids_find_after_build_and_restore() {
                     .collect();
                 rng.shuffle(&mut new);
                 for v in new {
-                    store.table.insert(v, 9);
+                    store.table.merge(vec![(v, 9)]).unwrap();
                     kept.push((v, 9));
                 }
                 store.rebuild_lists(&graph);
@@ -239,17 +241,17 @@ fn a_build_reads_the_membership_index_and_shares_the_owner_map() {
 
 #[test]
 fn slots_name_the_entries_ids_find_after_migration() {
-    for buckets in [1, 10, 512] {
+    for pages in [1, 10, 512] {
         let graph = generators::hex_grid(6, 6);
         // Three quarters of the grid on rank 0: the balancer must migrate.
         let partition = Partition::new(graph.nodes().map(|v| u32::from(v >= 27)).collect(), 2);
         let migrated: Vec<(usize, Vec<u32>)> = world().run(2, |rank| {
             let me = rank.rank() as u32;
-            let mut store = NodeStore::build(&graph, &partition, me, &AvgProgram::fine(), buckets);
+            let mut store = NodeStore::build(&graph, &partition, me, &AvgProgram::fine(), pages);
             assert!(Arc::ptr_eq(&store.owner, &partition.shared()));
             // Make the values distinguishable from the initial ones.
             for (i, &id) in store.owned_ids().to_vec().iter().enumerate() {
-                store.table.set_current(id, 1000 * i64::from(me) + i as i64);
+                assert!(store.table.set_current(id, 1000 * i64::from(me) + i as i64));
             }
             let comp_time = if me == 0 { 3.0 } else { 1.0 };
             let out = migrate::balance_round(
@@ -270,7 +272,7 @@ fn slots_name_the_entries_ids_find_after_migration() {
             (out.migrated, Vec::clone(&store.owner))
         });
         let (count, owner) = &migrated[0];
-        assert!(*count > 0, "{buckets} buckets: nothing migrated");
+        assert!(*count > 0, "{pages} pages: nothing migrated");
         assert_eq!(migrated[0], migrated[1]);
         // Nobody wrote through to the partition the run started from.
         assert!(graph
@@ -293,6 +295,7 @@ fn step_after(tamper: impl Fn(&mut NodeStore<i64>, &Graph) + Sync) -> Result<(),
             let mut round = Round {
                 rank,
                 program: &program,
+                graph: &graph,
                 ctx: ComputeCtx {
                     iter: 1,
                     phase: 0,
@@ -311,10 +314,10 @@ fn step_after(tamper: impl Fn(&mut NodeStore<i64>, &Graph) + Sync) -> Result<(),
 #[test]
 fn a_plan_that_outlived_an_insert_is_a_typed_error() {
     assert_eq!(step_after(|_, _| {}), Ok(()));
-    // Id 100 sorts last in its bucket, so no slot actually moved: the
-    // epoch alone must condemn the plan.
+    // Id 100 sorts last, so no slot actually moved: the epoch alone must
+    // condemn the plan.
     let stale = step_after(|store, _| {
-        store.table.insert(100, 0);
+        store.table.merge(vec![(100, 0)]).unwrap();
     });
     match stale {
         Err(PlatformError::InternalInvariant { rank: 0, detail }) => {
@@ -324,7 +327,7 @@ fn a_plan_that_outlived_an_insert_is_a_typed_error() {
     }
     // Rebuilding makes the same table usable again.
     let rebuilt = step_after(|store, graph| {
-        store.table.insert(100, 0);
+        store.table.merge(vec![(100, 0)]).unwrap();
         store.rebuild_lists(graph);
     });
     assert_eq!(rebuilt, Ok(()));
@@ -347,6 +350,41 @@ fn missing_data_without_a_pager_is_a_typed_error() {
 }
 
 #[test]
+fn an_absent_id_in_migration_surgery_is_a_typed_error() {
+    // Rank 0 must migrate, but no entry of its table is readable: the busy
+    // rank's by-id lookup of the migrant's neighbours finds nothing, and
+    // the round ends in a typed error, not a panic.
+    let graph = generators::hex_grid(6, 6);
+    let partition = Partition::new(graph.nodes().map(|v| u32::from(v >= 27)).collect(), 2);
+    let outcome = catch_flow_deadlock(|| {
+        world().run(2, |rank| {
+            let me = rank.rank() as u32;
+            let mut store = NodeStore::build(&graph, &partition, me, &AvgProgram::fine(), 10);
+            if me == 0 {
+                (0..store.table.page_count()).for_each(|b| store.table.page_out(b));
+            }
+            migrate::balance_round(
+                rank,
+                &graph,
+                &mut store,
+                &mut Diffusion { threshold: 0.1 },
+                if me == 0 { 3.0 } else { 1.0 },
+                &RunConfig::new(2, 0),
+                &[false, false],
+                None,
+                &mut PhaseTimers::default(),
+            )
+        })
+    });
+    match outcome {
+        Err(PlatformError::InternalInvariant { rank: 0, detail }) => {
+            assert!(detail.contains("lacks data"), "{detail}")
+        }
+        other => panic!("expected InternalInvariant, got {other:?}"),
+    }
+}
+
+#[test]
 fn validate_checks_the_plan_against_graph_and_table() {
     let graph = generators::hex_grid(4, 4);
     let partition = Partition::new(graph.nodes().map(|v| u32::from(v >= 8)).collect(), 2);
@@ -357,10 +395,10 @@ fn validate_checks_the_plan_against_graph_and_table() {
     };
     assert_eq!(build().validate(&graph), Ok(()));
 
-    // Plan ↔ table: an insert the plan never saw. No slot moves (16 sorts
-    // last in its bucket); the stale epoch stamp alone is the violation.
+    // Plan ↔ table: a merge the plan never saw. No slot moves (16 sorts
+    // last); the stale epoch stamp alone is the violation.
     let mut store = build();
-    store.table.insert(16, 0);
+    store.table.merge(vec![(16, 0)]).unwrap();
     assert!(matches!(
         violation(&store),
         StoreViolation::StaleNeighborList { .. }

@@ -220,7 +220,10 @@ fn a_page_is_an_id_range_so_neighbourhoods_share_pages() {
             let store = NodeStore::build(&graph, &part, rank, &program, buckets);
             for node in store.internal().chain(store.peripheral()) {
                 let closed = std::iter::once(node.slot).chain(node.neighbors.iter().copied());
-                pages += closed.map(|s| s.bucket()).collect::<BTreeSet<_>>().len();
+                pages += closed
+                    .map(|s| store.table.page_of(s))
+                    .collect::<BTreeSet<_>>()
+                    .len();
                 nodes += 1;
             }
         }
