@@ -2,12 +2,10 @@
 //!
 //! One function per table and figure of the thesis's evaluation
 //! (Section 5), each regenerating the artifact's rows/series on the
-//! simulated substrate. The `repro` binary dispatches on experiment id;
-//! microbenches live under `benches/` and use the in-tree [`harness`]
-//! (the workspace builds offline, with no registry dependencies).
+//! simulated substrate. The `repro` binary dispatches on experiment id.
+//! Host-clock timing lives in the separate `benchmark/` package.
 
 pub mod experiments;
-pub mod harness;
 pub mod report;
 pub mod trace_tools;
 pub mod workloads;

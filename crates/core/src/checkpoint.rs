@@ -1,10 +1,9 @@
 //! Crash-consistent checkpointing and rollback recovery.
 //!
-//! The cooperative fail-stop protocol (see `migrate::evacuate_rank`)
-//! assumes a dying rank announces its death and helps evacuate its tasks.
-//! This module handles the *uncooperative* case — a rank that simply stops
-//! (`FaultPlan::with_crash`): mailbox sealed, in-flight messages dropped,
-//! nothing drained.
+//! The platform loses a rank one way: it simply stops
+//! (`FaultPlan::with_crash`) — mailbox sealed, in-flight messages dropped,
+//! nothing drained, nothing handed off. This module is how the survivors
+//! carry on without its help.
 //!
 //! ## Protocol
 //!
@@ -92,6 +91,10 @@ pub const TAG_ADOPT: u32 = 5;
 
 /// Message tag for the crash-tolerant final gather.
 pub const TAG_GATHER: u32 = 6;
+
+/// Most ranks the replica census can name: it packs one bit per owner rank
+/// into the `u64` control-slot word.
+pub(crate) const CENSUS_RANKS: usize = 64;
 
 /// Receive half of the crash-tolerant final gather. A root blocking in
 /// ascending source order deadlocks small mailbox capacities — it refuses
@@ -241,7 +244,6 @@ pub(crate) fn raise_unrecoverable(verdict: &CtlVerdict) -> ! {
 pub(crate) struct Counters {
     pub(crate) migrations: usize,
     pub(crate) skipped: usize,
-    pub(crate) evacuated: usize,
     pub(crate) emergency_balances: usize,
     pub(crate) comp_since_balance: f64,
 }
@@ -270,10 +272,6 @@ pub struct Checkpoint<D> {
     /// Live (non-crashed) ranks at commit time, ascending. The buddy of
     /// ring member `r` is its successor in this ring.
     pub ring: Vec<u32>,
-    /// Cooperative (fail-stop) deaths at the snapshot.
-    pub dead: Vec<bool>,
-    /// Death log at the snapshot.
-    pub ranks_died: Vec<u32>,
     /// Replicated recovery counters at the snapshot.
     pub(crate) counters: Counters,
     /// The balancer's serialized state at the snapshot.
@@ -295,8 +293,6 @@ impl<D> Checkpoint<D> {
             mine_sums: Vec::new(),
             wards: Vec::new(),
             ring: (0..nprocs as u32).collect(),
-            dead: vec![false; nprocs],
-            ranks_died: Vec::new(),
             counters: Counters::default(),
             balancer_state,
             clock: 0.0,
@@ -525,8 +521,6 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
             mine_sums,
             wards,
             ring,
-            dead: self.dead.clone(),
-            ranks_died: self.ranks_died.clone(),
             counters: self.counters.clone(),
             balancer_state: self.balancer.checkpoint_state(),
             clock: rank.wtime(),
@@ -536,8 +530,8 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
     /// Roll every survivor back to the last committed checkpoint after the
     /// failure detector reports a new crash. Loops until an attempt completes
     /// with no further deaths; on `Ok` the world state (store, counters,
-    /// dead sets, balancer) is the checkpoint state with the crashed ranks'
-    /// nodes adopted by survivors, and `ckpt` has been re-mirrored over the
+    /// balancer) is the checkpoint state with the crashed ranks' nodes
+    /// adopted by survivors, and `ckpt` has been re-mirrored over the
     /// shrunken ring.
     ///
     /// `Err(verdict)`, with membership on only: the verdict closing an
@@ -557,10 +551,6 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
         let (rank, graph, program, cfg) = (self.rank, self.graph, self.program, self.cfg);
         let me = rank.rank() as u32;
         let nprocs = cfg.nprocs;
-        debug_assert!(
-            nprocs <= 64,
-            "the replica census packs owner ranks into a u64 slot word"
-        );
         // Strike counter for page damage discovered while re-mirroring: the
         // verdict words are replicated, so every survivor counts identically
         // and escalates together.
@@ -629,7 +619,7 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
             // 2. Replicated adoption plan: a pure function of the checkpointed
             //    owner map and the agreed dead set, so every survivor derives
             //    it identically with no communication.
-            let plan = migrate::plan_adoption(graph, &ckpt.owner, crashed, &ckpt.dead);
+            let plan = migrate::plan_adoption(graph, &ckpt.owner, crashed);
             let mut owner = Arc::clone(&ckpt.owner);
             for &(v, t) in &plan {
                 Arc::make_mut(&mut owner)[v as usize] = t;
@@ -728,15 +718,12 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
                 Ok(())
             })();
             if restore.is_ok() {
-                // 4. Rewind the replicated bookkeeping. Crashes are permanent:
-                //    they are re-overlaid on the checkpointed cooperative state.
+                // 4. Rewind the replicated bookkeeping. Crashes are permanent,
+                //    so the death log only grows.
                 self.counters = ckpt.counters.clone();
-                self.dead.clone_from(&ckpt.dead);
-                self.ranks_died.clone_from(&ckpt.ranks_died);
-                for r in (0..nprocs).filter(|&r| crashed[r]) {
-                    self.dead[r] = true;
-                    if !self.ranks_died.contains(&(r as u32)) {
-                        self.ranks_died.push(r as u32);
+                for r in (0..nprocs as u32).filter(|&r| crashed[r as usize]) {
+                    if !self.ranks_died.contains(&r) {
+                        self.ranks_died.push(r);
                     }
                 }
                 self.balancer.restore_state(&ckpt.balancer_state);
@@ -819,7 +806,9 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
 
     /// Verify every ward against its staging-time checksums and return the
     /// census word — bit `c` says this rank holds an intact replica of owner
-    /// `c`'s state — counting and tracing the ones that rotted at rest.
+    /// `c`'s state, which is why the verdict plane is refused above
+    /// [`CENSUS_RANKS`] ranks — counting and tracing the ones that rotted at
+    /// rest.
     pub(crate) fn ward_census(&mut self) -> u64 {
         let mut word = 0u64;
         for w in &self.ckpt.wards {

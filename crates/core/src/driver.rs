@@ -1,5 +1,6 @@
 //! The platform driver: system flow of control (thesis Figure 6).
 
+use crate::checkpoint::CENSUS_RANKS;
 use crate::costs::CostModel;
 use crate::engine::{self, Plane, RankOutcome};
 use crate::error::PlatformError;
@@ -20,7 +21,7 @@ use std::sync::Arc;
 /// The split the policy leans on already exists in every
 /// [`NodeStore`]: *interior* nodes (`internal`) have no remote
 /// neighbours, *boundary* nodes (`peripheral`) do, and `rebuild_lists`
-/// recomputes the split after every migration, evacuation, and restore.
+/// recomputes the split after every migration and restore.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionPolicy {
     /// Bulk-synchronous (the thesis's loop): every iteration updates every
@@ -373,11 +374,9 @@ pub struct RunReport<D> {
     /// Injected-fault and recovery counters summed over all ranks (all
     /// zero in a fault-free run).
     pub faults: FaultStats,
-    /// Ranks that died (per the fault plan) during the run, in death
-    /// order.
+    /// Ranks that crashed (per the fault plan) during the run, in the
+    /// order the survivors detected them.
     pub ranks_died: Vec<u32>,
-    /// Tasks evacuated off dying ranks.
-    pub evacuated: usize,
     /// Emergency balancing rounds fired by the straggler detector.
     pub emergency_balances: usize,
     /// Planned pair migrations abandoned because their payload was lost
@@ -590,7 +589,6 @@ fn assemble<D>(
         final_owner,
         faults,
         ranks_died: designated.ranks_died.clone(),
-        evacuated: designated.counters.evacuated,
         emergency_balances: designated.counters.emergency_balances,
         skipped_migrations: designated.counters.skipped,
         checkpoint_bytes,
@@ -766,6 +764,9 @@ fn validate(cfg: &RunConfig) -> Result<(), PlatformError> {
         return Err(PlatformError::ZeroInnerIterations);
     }
     let faults = &cfg.world.faults;
+    faults
+        .validate(cfg.nprocs)
+        .map_err(PlatformError::BadFaultPlan)?;
     let rots_live = |r| {
         [MemRegion::Owned, MemRegion::Shadow]
             .iter()
@@ -776,8 +777,12 @@ fn validate(cfg: &RunConfig) -> Result<(), PlatformError> {
             audit_every: cfg.audit_every,
         });
     }
-    if cfg.exchange == ExchangeMode::Overlap && Plane::of(cfg).verdict() {
+    let verdict_plane = Plane::of(cfg).verdict();
+    if cfg.exchange == ExchangeMode::Overlap && verdict_plane {
         return Err(PlatformError::OverlapNeedsCollectivePlane);
+    }
+    if cfg.nprocs > CENSUS_RANKS && verdict_plane {
+        return Err(PlatformError::TooManyRanksForVerdictPlane(cfg.nprocs));
     }
     Ok(())
 }
@@ -956,6 +961,27 @@ mod tests {
             let refused = validate(&needs_verdicts);
             assert_eq!(refused, Err(PlatformError::OverlapNeedsCollectivePlane));
         }
+
+        // A plan entry naming a rank the world lacks never fires, yet a
+        // crash would still move the run onto the verdict plane.
+        let no_such_rank = mpisim::FaultPlanError::NoSuchRank {
+            what: "crash",
+            rank: 2,
+            nprocs: 2,
+        };
+        assert_eq!(
+            validate(&faulty(FaultPlan::new(1).with_crash(2, 0.1))),
+            Err(PlatformError::BadFaultPlan(no_such_rank))
+        );
+
+        // The replica census names at most 64 ranks in one word.
+        let wide = |nprocs| RunConfig::new(nprocs, 5).with_state_audit(1);
+        assert_eq!(validate(&wide(64)), Ok(()));
+        assert_eq!(
+            validate(&wide(65)),
+            Err(PlatformError::TooManyRanksForVerdictPlane(65))
+        );
+        assert_eq!(validate(&RunConfig::new(65, 5)), Ok(()));
     }
 
     #[test]
@@ -1015,7 +1041,6 @@ mod tests {
             final_owner: Vec::new(),
             faults: FaultStats::default(),
             ranks_died: Vec::new(),
-            evacuated: 0,
             emergency_balances: 0,
             skipped_migrations: 0,
             checkpoint_bytes: 0,

@@ -3,8 +3,8 @@
 //! with every later feature as a *layer* of the one round loop.
 //!
 //! A round is *begin → elidable? inner round : catch-up → compute +
-//! exchange → boundary verdict → kills/evacuation → balance → straggler →
-//! rot sweep + audit → checkpoint → next*. Each layer is a method that
+//! exchange → boundary verdict → balance → straggler → rot sweep + audit →
+//! checkpoint → next*. Each layer is a method that
 //! issues no collective, no `rank.advance` and no trace event when its
 //! configuration is off, so a run pays only for what it enabled and every
 //! configuration's virtual time, counts and trace bytes are those of the
@@ -12,10 +12,10 @@
 //!
 //! The control [`Plane`] — which collective closes each agreed decision —
 //! is chosen once per run and matched only where the collective differs:
-//! the iteration close, the kill announcement, the balancing protocol, the
-//! straggler sample and the final gather. The checkpoint protocol
-//! ([`crate::checkpoint`]) and the membership protocol
-//! ([`crate::membership`]) are further `impl` blocks of the same [`Engine`].
+//! the iteration close, the balancing protocol, the straggler sample and
+//! the final gather. The checkpoint protocol ([`crate::checkpoint`]) and
+//! the membership protocol ([`crate::membership`]) are further `impl`
+//! blocks of the same [`Engine`].
 
 use crate::audit;
 use crate::checkpoint::{
@@ -144,13 +144,10 @@ pub(crate) struct Engine<'a, P: NodeProgram, B> {
     // Replicated state: every live rank holds the identical copy, because
     // every update is derived from an agreed collective result.
     pub(crate) counters: Counters,
-    /// Ranks that died, cooperatively (evacuated) or by crashing (adopted).
-    /// A cooperatively dead rank keeps running the loop as a zombie —
-    /// owning zero nodes, every phase degenerates to the collectives — so
-    /// barriers and broadcasts stay aligned across the world.
-    pub(crate) dead: Vec<bool>,
     /// Ranks the failure detector declared crashed. Never rewound.
     pub(crate) crashed: Vec<bool>,
+    /// The crashed ranks, in the order rollbacks first saw them. Never
+    /// rewound either.
     pub(crate) ranks_died: Vec<u32>,
     /// The agreed suspected set governing the *next* round (membership).
     pub(crate) frozen: Vec<bool>,
@@ -272,7 +269,6 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
             timers,
             iter: 1,
             counters: Counters::default(),
-            dead: vec![false; cfg.nprocs],
             crashed: vec![false; cfg.nprocs],
             ranks_died: Vec::new(),
             frozen: vec![false; cfg.nprocs],
@@ -293,7 +289,6 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
     /// iterations instead.
     fn round(&mut self) -> ControlFlow<()> {
         let (rank, cfg, iter) = (self.rank, self.cfg, self.iter);
-        let me = rank.rank();
         // Degraded iterations are keep-the-lights-on work that the heal
         // rollback discards wholesale. While degraded every round is a
         // global round — suspicion can only be refreshed at a control
@@ -301,7 +296,7 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
         // majority's collective footprint.
         let degraded = self.frozen.iter().any(|&f| f);
         if self.plane.membership() {
-            rank.set_parked(degraded && self.frozen[me]);
+            rank.set_parked(degraded && self.frozen[rank.rank()]);
             self.tally.degraded_iterations += u32::from(degraded);
         }
         let tracer = if degraded {
@@ -314,20 +309,13 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
         let elided = !degraded && !is_global_round(iter, cfg, self.plane.verdict());
         let work = self.compute_and_exchange(elided, degraded);
         if elided {
-            // Kills, balancing, detection, audits and checkpoints wait for
-            // the next global round. The at-rest corruption sweep still
-            // runs every round.
+            // Balancing, detection, audits and checkpoints wait for the next
+            // global round. The at-rest corruption sweep still runs every
+            // round.
             self.tally.inner_iterations += 1;
             self.rot_sweep();
         } else {
-            // Kill announcements are suspended while degraded (processing
-            // them would mutate state the heal rollback must rewind); a
-            // kill whose time passed mid-partition is announced at the
-            // first post-heal boundary instead.
-            let my_kill = cfg.world.faults.kill_time(me);
-            let i_died = !degraded && !self.dead[me] && my_kill.is_some_and(|t| rank.wtime() >= t);
-            let verdict = self.close_iteration(&work, degraded, i_died)?;
-            self.kills(verdict.as_ref(), i_died);
+            let verdict = self.close_iteration(&work, degraded)?;
             let due = balance_due(iter, cfg);
             if due {
                 self.balance(false)?;
@@ -429,15 +417,14 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
     /// itself with a barrier (or, under delta exchange, agreed its changed
     /// count). On the verdict plane one control exchange carries everything
     /// the boundary needs: the failure detector's verdict, each rank's
-    /// compute time (straggler sample), cooperative kill announcements and
-    /// the changed-node count, with the pager's damage latch and the cut
-    /// observation in its top bits (both 0 unless their layer is on, so the
-    /// exchange is byte-identical without them).
+    /// compute time (straggler sample) and the changed-node count, with the
+    /// pager's damage latch and the cut observation in its top bits (both 0
+    /// unless their layer is on, so the exchange is byte-identical without
+    /// them).
     fn close_iteration(
         &mut self,
         work: &Work,
         degraded: bool,
-        i_died: bool,
     ) -> ControlFlow<(), Option<CtlVerdict>> {
         let Plane::Verdict { membership } = self.plane else {
             self.tally.quiescent_iterations += u32::from(work.quiescent);
@@ -449,7 +436,7 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
                 | (u64::from(self.store.disk_damaged()) * DAMAGE_FLAG)
                 | (u64::from(membership && work.saw_cut) * CUT_FLAG),
             load: work.comp,
-            flag: i_died,
+            ..CtlSlot::default()
         });
         if self.suspects(&verdict) {
             self.iter += 1;
@@ -506,45 +493,6 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
         self.disk_failures
     }
 
-    /// Cooperative fail-stop (fault plans with kills only): a rank whose
-    /// virtual clock passed its kill time announces the failure at the
-    /// iteration boundary (shadow copies are in sync here) — through an
-    /// allgather, or the flag bits of the boundary verdict — its tasks are
-    /// evacuated to survivors, and it degenerates to a zombie.
-    fn kills(&mut self, verdict: Option<&CtlVerdict>, i_died: bool) {
-        if !self.cfg.world.faults.has_kills() {
-            return;
-        }
-        let announced: Vec<Option<bool>> = match verdict {
-            None => self.rank.allgather(&i_died).into_iter().map(Some).collect(),
-            Some(v) => (0..self.cfg.nprocs).map(|r| v.flag(r)).collect(),
-        };
-        let newly: Vec<u32> = (0..self.cfg.nprocs as u32)
-            .filter(|&r| announced[r as usize] == Some(true) && !self.dead[r as usize])
-            .collect();
-        if newly.is_empty() {
-            return;
-        }
-        for &d in &newly {
-            self.dead[d as usize] = true;
-            self.ranks_died.push(d);
-        }
-        // Evacuation is whole-table surgery: page everything in for it.
-        self.store.bulk_begin();
-        for &d in &newly {
-            self.counters.evacuated += migrate::evacuate_rank(
-                self.rank,
-                self.graph,
-                &mut self.store,
-                d,
-                &self.dead,
-                &self.cfg.costs,
-                &mut self.timers,
-            );
-        }
-        self.settle("post-evacuation");
-    }
-
     /// One balancing round, periodic or `emergency`; a crash inside it
     /// rolls back. Migration mutates buckets behind the pager's back, so it
     /// is a whole-table phase (the failing path skips the spill — the
@@ -558,7 +506,6 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
             &mut self.balancer,
             self.counters.comp_since_balance,
             self.cfg,
-            &self.dead,
             self.plane.verdict().then_some(&self.crashed[..]),
             &mut self.timers,
         ) else {
@@ -606,7 +553,7 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
                 .map(|r| v.load(r).unwrap_or(0.0))
                 .collect(),
         };
-        let alive = || times.iter().zip(&self.dead).filter(|&(_, &d)| !d);
+        let alive = || times.iter().zip(&self.crashed).filter(|&(_, &d)| !d);
         let max = alive().map(|(&t, _)| t).fold(0.0f64, f64::max);
         let mean = alive().map(|(&t, _)| t).sum::<f64>() / alive().count().max(1) as f64;
         if detector.observe(max, mean) && !balanced {

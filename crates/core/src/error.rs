@@ -1,6 +1,7 @@
 //! Typed configuration errors for the platform driver.
 
 use ic2_graph::NodeId;
+use mpisim::FaultPlanError;
 use std::fmt;
 
 /// A structural invariant of [`crate::store::NodeStore`] found violated by
@@ -172,6 +173,13 @@ pub enum PlatformError {
     /// for the basic schedule only, and silently running it instead would
     /// misreport what was measured.
     OverlapNeedsCollectivePlane,
+    /// [`mpisim::FaultPlan::validate`] refused the world's fault plan.
+    BadFaultPlan(FaultPlanError),
+    /// A run on the failure-detecting control plane (crash plans, audits,
+    /// memory or disk faults, paging, partition tolerance) with more than
+    /// 64 ranks: the replica census packs one bit per rank into a `u64`
+    /// control word, so rank 64 would alias rank 0.
+    TooManyRanksForVerdictPlane(usize),
     /// A [`crate::store::NodeStore`] failed its structural self-check.
     StoreInvariant(StoreViolation),
     /// Recovery exhausted every checkpoint replica: the rank's own
@@ -262,6 +270,12 @@ impl fmt::Display for PlatformError {
                 "overlapped exchange is not available with crash plans, audits, memory or \
                  disk faults, paging or partition tolerance: recovery on that plane is \
                  specified for the basic schedule only"
+            ),
+            PlatformError::BadFaultPlan(e) => write!(f, "invalid fault plan: {e}"),
+            PlatformError::TooManyRanksForVerdictPlane(n) => write!(
+                f,
+                "{n} ranks on the failure-detecting control plane: its replica census \
+                 names at most 64"
             ),
             PlatformError::StoreInvariant(v) => write!(f, "store invariant violated: {v}"),
             PlatformError::UnrecoverableState { rank } => write!(

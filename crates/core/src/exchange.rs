@@ -157,7 +157,7 @@ struct Packing<D> {
     /// Delta exchange is configured.
     delta: bool,
     /// Delta packing is in force. It is suspended for one iteration after
-    /// any structural change (migration, evacuation, restore, genesis):
+    /// any structural change (migration, restore, genesis):
     /// every receiver's retained shadows must be refreshed before
     /// dirtiness means anything.
     active: bool,
@@ -880,7 +880,6 @@ mod tests {
                         &mut ic2_balance::Diffusion { threshold: 0.1 },
                         skewed,
                         &crate::RunConfig::new(k, 0).with_migration_batch(4),
-                        &vec![false; k],
                         None,
                         &mut PhaseTimers::default(),
                     )

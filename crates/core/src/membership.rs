@@ -20,10 +20,10 @@
 //!   to and receives from suspected peers are skipped (each skipped receive
 //!   is charged the detection timeout), their shadow values go stale, and
 //!   the side work that would cross the cut — balancing, checkpoints,
-//!   straggler reactions, kill processing — is suspended. The minority
-//!   *parks*: it stops mutating its state entirely and merely mirrors the
-//!   majority's collective footprint (barriers + control exchanges) so the
-//!   world-wide collectives keep resolving.
+//!   straggler reactions — is suspended. The minority *parks*: it stops
+//!   mutating its state entirely and merely mirrors the majority's
+//!   collective footprint (barriers + control exchanges) so the world-wide
+//!   collectives keep resolving.
 //!
 //! * **Heal and rejoin.** The first verdict with an empty suspected set
 //!   after a degraded stretch triggers the rejoin: mailboxes are purged,

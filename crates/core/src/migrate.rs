@@ -35,9 +35,6 @@ use std::sync::Arc;
 /// Message tag for migrated task data.
 pub const TAG_MIGRATE: u32 = 2;
 
-/// Message tag for evacuation payloads shipped off a dying rank.
-pub const TAG_EVACUATE: u32 = 3;
-
 /// Sentinel broadcast when a busy processor has no migratable candidate.
 const NO_CANDIDATE: u32 = u32::MAX;
 
@@ -84,16 +81,11 @@ fn agreed(rank: &Rank, known: &[bool], slot: CtlSlot) -> Option<CtlVerdict> {
 /// several tasks instead of one. `migration_batch = 1` reproduces the
 /// thesis.
 ///
-/// `dead` marks ranks that have failed and been evacuated: they are never
-/// planned as busy or idle, and their (zero) measured times are masked with
-/// the surviving mean so a dead rank does not read as an attractive
-/// migration target.
-///
 /// `known_crashes` selects how the round agrees. `None` is the thesis's
-/// protocol: gathers and broadcasts rooted at the designated processor.
-/// `Some(crashed)` is the crash-tolerant protocol of the verdict plane —
-/// every collective becomes a failure-detecting control exchange and every
-/// planning input is replicated:
+/// protocol: gathers and broadcasts rooted at the designated processor,
+/// where nobody dies. `Some(crashed)` is the crash-tolerant protocol of the
+/// verdict plane — every collective becomes a failure-detecting control
+/// exchange and every planning input is replicated:
 ///
 /// * execution times travel in the entry exchange's load slots;
 /// * communication edges come from [`comm_edges`] (no gather);
@@ -101,6 +93,10 @@ fn agreed(rank: &Rank, known: &[bool], slot: CtlSlot) -> Option<CtlVerdict> {
 ///   inputs (the balancer itself is replicated state);
 /// * the busy processor announces its chosen migrant through a control
 ///   word and commits delivery through a control flag.
+///
+/// Ranks in `crashed` are never planned as busy or idle, and their (zero)
+/// measured times are masked with the surviving mean so a dead rank does
+/// not read as an attractive migration target.
 ///
 /// If any exchange's verdict reports a crash not already in `crashed`, the
 /// round aborts with `None` and the caller rolls back to the last
@@ -115,7 +111,6 @@ pub fn balance_round<D, B>(
     balancer: &mut B,
     comp_time: f64,
     cfg: &RunConfig,
-    dead: &[bool],
     known_crashes: Option<&[bool]>,
     timers: &mut PhaseTimers,
 ) -> Option<BalanceOutcome>
@@ -129,6 +124,7 @@ where
         let me = rank.rank() as u32;
         let costs = &cfg.costs;
         rank.advance(costs.lb_per_proc * nprocs as f64);
+        let dead = |r: u32| known_crashes.is_some_and(|known| known[r as usize]);
 
         // Measured execution times, replicated so every rank can update the
         // estimates identically across sub-rounds. Dead ranks are masked with
@@ -151,15 +147,15 @@ where
                     .collect()
             }
         };
-        if dead.iter().any(|&d| d) {
+        if let Some(known) = known_crashes.filter(|known| known.contains(&true)) {
             let alive: Vec<f64> = times
                 .iter()
-                .zip(dead)
+                .zip(known)
                 .filter(|&(_, &d)| !d)
                 .map(|(&t, _)| t)
                 .collect();
             let mean = alive.iter().sum::<f64>() / alive.len().max(1) as f64;
-            for (t, &d) in times.iter_mut().zip(dead) {
+            for (t, &d) in times.iter_mut().zip(known) {
                 if d {
                     *t = mean;
                 }
@@ -173,7 +169,7 @@ where
             let pairs = balancer.plan(&report).into_iter();
             pairs
                 .map(|p| (p.busy, p.idle))
-                .filter(|&(b, i)| !dead[b as usize] && !dead[i as usize])
+                .filter(|&(b, i)| !dead(b) && !dead(i))
                 .collect()
         };
 
@@ -343,36 +339,13 @@ where
     result
 }
 
-/// Replicated evacuation plan for a failed rank: every node it owns is
-/// assigned to the surviving rank owning the most of its neighbours
-/// (locality first — ties go to the lowest rank), falling back to the
-/// least-loaded survivor for nodes with no surviving neighbour owner.
-/// Deterministic and computed from replicated state only, so every rank
-/// derives the identical plan without communication.
-pub fn plan_evacuation(
-    graph: &Graph,
-    owner: &[u32],
-    dead_rank: u32,
-    dead: &[bool],
-) -> Vec<(NodeId, u32)> {
-    let mut lost = vec![false; dead.len()];
-    lost[dead_rank as usize] = true;
-    plan_adoption(graph, owner, &lost, dead)
-}
-
-/// The multi-failure generalization of [`plan_evacuation`]: assign every
-/// node owned by a `lost` rank to a survivor (neither lost nor `excluded`),
-/// preferring the survivor owning the most of the node's neighbours —
-/// the pure-replication adoption rule that minimizes new edge-cut — with
-/// the least-loaded survivor as the fallback for isolated orphans.
-/// A pure function of replicated inputs, so every rank derives the
-/// identical plan with no communication; rollback recovery relies on that.
-pub fn plan_adoption(
-    graph: &Graph,
-    owner: &[u32],
-    lost: &[bool],
-    excluded: &[bool],
-) -> Vec<(NodeId, u32)> {
+/// Assign every node owned by a `lost` rank to a survivor, preferring the
+/// survivor owning the most of the node's neighbours (ties go to the lowest
+/// rank) — the adoption rule that minimizes new edge-cut — with the
+/// least-loaded survivor as the fallback for isolated orphans. A pure
+/// function of replicated inputs, so every rank derives the identical plan
+/// with no communication; rollback recovery relies on that.
+pub fn plan_adoption(graph: &Graph, owner: &[u32], lost: &[bool]) -> Vec<(NodeId, u32)> {
     let nprocs = lost.len();
     // Running owned-node counts, updated as nodes are assigned so the
     // least-loaded fallback spreads orphans instead of piling them up.
@@ -380,7 +353,7 @@ pub fn plan_adoption(
     for &p in owner {
         load[p as usize] += 1;
     }
-    let survivor = |p: u32| !lost[p as usize] && !excluded[p as usize];
+    let survivor = |p: u32| !lost[p as usize];
     let mut plan = Vec::new();
     for v in graph.nodes() {
         if !lost[owner[v as usize] as usize] {
@@ -440,82 +413,7 @@ pub fn comm_edges(graph: &Graph, owner: &[u32], nprocs: usize) -> Vec<Vec<u64>> 
     edges
 }
 
-/// Evacuate every task off `dead_rank` onto survivors. Called
-/// synchronously on **all** ranks (including the dying one, which is still
-/// cooperative — see DESIGN.md's fault model) once the failure is agreed.
-/// The dying rank ships each receiving survivor the assigned nodes' data
-/// plus their neighbours' data (it holds all of it: owned data plus shadow
-/// copies, in sync at the iteration boundary); shipping uses escalated
-/// reliable sends, because evacuation must not itself be lost to the fault
-/// plan. Returns the number of nodes evacuated.
-pub fn evacuate_rank<D>(
-    rank: &Rank,
-    graph: &Graph,
-    store: &mut NodeStore<D>,
-    dead_rank: u32,
-    dead: &[bool],
-    costs: &CostModel,
-    timers: &mut PhaseTimers,
-) -> usize
-where
-    D: Clone + mpisim::Wire + Send + 'static,
-{
-    let t0 = rank.wtime();
-    let plan = plan_evacuation(graph, &store.owner, dead_rank, dead);
-    let me = rank.rank() as u32;
-
-    // Receivers in ascending order, so the point-to-point traffic pairs up
-    // deterministically on both sides.
-    let mut receivers: Vec<u32> = plan.iter().map(|&(_, p)| p).collect();
-    receivers.sort_unstable();
-    receivers.dedup();
-
-    for &s in &receivers {
-        if me == dead_rank {
-            let mut payload: Vec<(u32, D)> = Vec::new();
-            let mut packed = std::collections::HashSet::new();
-            for &(v, target) in &plan {
-                if target != s {
-                    continue;
-                }
-                for id in std::iter::once(v).chain(graph.neighbors(v).iter().copied()) {
-                    if packed.insert(id) {
-                        let data = store.table.get(id).unwrap_or_else(|| {
-                            invariant_violated(me, format!("dying rank lacks data for {id}"))
-                        });
-                        payload.push((id, data.clone()));
-                    }
-                }
-            }
-            rank.advance(costs.migrate_per_entry * payload.len() as f64);
-            rank.send_reliable(s as usize, TAG_EVACUATE, &payload, RetryPolicy::Escalate);
-        } else if me == s {
-            let payload: Vec<(u32, D)> = rank.recv(dead_rank as usize, TAG_EVACUATE);
-            receive(rank, store, payload, costs);
-        }
-    }
-
-    // Every rank commits the identical ownership change and re-derives its
-    // lists; the dead rank ends up owning nothing and degenerates to a
-    // zombie that only participates in collectives.
-    for &(v, target) in &plan {
-        Arc::make_mut(&mut store.owner)[v as usize] = target;
-    }
-    store.rebuild_lists(graph);
-    timers.add(Phase::LoadBalancing, rank.wtime() - t0);
-    rank.trace_instant(
-        "evacuation",
-        "fault",
-        &[
-            ("dead_rank", ArgValue::U64(dead_rank as u64)),
-            ("nodes", ArgValue::U64(plan.len() as u64)),
-        ],
-    );
-    rank.trace_span("LoadBalancing", "phase", t0, &[]);
-    plan.len()
-}
-
-/// Take in migrated or evacuated node data — new shadows and owned nodes
+/// Take in migrated node data — new shadows and owned nodes
 /// arrive, held ones are refreshed — as one sorted merge, audit-noted.
 fn receive<D>(rank: &Rank, store: &mut NodeStore<D>, mut payload: Vec<(u32, D)>, costs: &CostModel)
 where

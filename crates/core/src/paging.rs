@@ -490,7 +490,7 @@ impl Pager {
     }
 
     /// Conservatively mark every page dirty — after bulk table surgery
-    /// (migration, evacuation) whose writes bypassed the pager.
+    /// (migration, restore) whose writes bypassed the pager.
     pub(crate) fn mark_all_dirty(&mut self) {
         self.disk_dirty.fill(true);
         self.ckpt_dirty.fill(true);

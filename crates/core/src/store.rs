@@ -158,8 +158,8 @@ pub struct NodeStore<D> {
     /// must pack *every* peripheral node regardless of dirtiness, because
     /// some receiver's retained shadow values can no longer be assumed
     /// current. Set whenever ownership or table contents change outside
-    /// the normal iteration flow (initial build, migration, evacuation,
-    /// checkpoint restore) and cleared once a full pack has gone out.
+    /// the normal iteration flow (initial build, migration, checkpoint
+    /// restore) and cleared once a full pack has gone out.
     pub needs_resync: bool,
     /// Incremental state-audit digests (`RunConfig::with_state_audit`),
     /// `None` unless audits are enabled. Maintained through
@@ -219,7 +219,7 @@ impl<D: Clone> NodeStore<D> {
     }
 
     /// Merge an ascending `(id, data)` run into the table (build, restore,
-    /// migration receipt, evacuation adoption): every caller sorts its run.
+    /// migration receipt): every caller sorts its run.
     pub(crate) fn merge(&mut self, run: impl IntoIterator<Item = (NodeId, D)>) {
         if let Err(e) = self.table.merge(run) {
             invariant_violated(self.rank, format!("table merge refused: {e:?}"));

@@ -261,7 +261,6 @@ fn slots_name_the_entries_ids_find_after_migration() {
                 &mut Diffusion { threshold: 0.1 },
                 comp_time,
                 &RunConfig::new(2, 0).with_migration_batch(4),
-                &[false, false],
                 None,
                 &mut PhaseTimers::default(),
             );
@@ -370,7 +369,6 @@ fn an_absent_id_in_migration_surgery_is_a_typed_error() {
                 &mut Diffusion { threshold: 0.1 },
                 if me == 0 { 3.0 } else { 1.0 },
                 &RunConfig::new(2, 0),
-                &[false, false],
                 None,
                 &mut PhaseTimers::default(),
             )

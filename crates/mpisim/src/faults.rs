@@ -18,10 +18,7 @@
 
 use ic2_rng::mix64;
 
-/// A [`FaultPlan`] builder was handed a nonsensical input. Returned by the
-/// `try_with_*` builders; the panicking `with_*` builders panic with this
-/// error's `Display` text, so legacy `should_panic` expectations keep
-/// matching.
+/// What [`FaultPlan::validate`] refuses in a plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultPlanError {
     /// A probability outside `[0, 1]` (NaN included).
@@ -33,7 +30,7 @@ pub enum FaultPlanError {
     },
     /// A negative (or NaN) time or duration.
     NegativeTime {
-        /// Which knob was being set ("delay", "kill time", …).
+        /// Which knob was being set ("delay", "crash time", …).
         what: &'static str,
         /// The rejected value.
         value: f64,
@@ -54,6 +51,17 @@ pub enum FaultPlanError {
     OverlappingGroups(usize),
     /// A link drop with `src == dst` (a rank cannot blackhole itself).
     SelfLink(usize),
+    /// The plan names a rank outside the world. Such an entry would never
+    /// fire, yet a crash, rot or disk fault still moves the run onto the
+    /// failure-detecting control plane and so changes its time.
+    NoSuchRank {
+        /// Which entry names it ("crash", "straggler", …).
+        what: &'static str,
+        /// The named rank.
+        rank: usize,
+        /// The world size; valid ranks are `0..nprocs`.
+        nprocs: usize,
+    },
 }
 
 impl std::fmt::Display for FaultPlanError {
@@ -79,6 +87,9 @@ impl std::fmt::Display for FaultPlanError {
             }
             FaultPlanError::SelfLink(r) => {
                 write!(f, "link drop {r} -> {r} is a self-loop")
+            }
+            FaultPlanError::NoSuchRank { what, rank, nprocs } => {
+                write!(f, "{what} names rank {rank}, world size {nprocs}")
             }
         }
     }
@@ -266,7 +277,8 @@ impl FaultDecision {
 
 /// A seeded, deterministic schedule of network and process faults.
 ///
-/// The default plan is a no-op. Build one with the `with_*` methods:
+/// The default plan is a no-op. Build one with the `with_*` methods; a
+/// world checks it with [`FaultPlan::validate`] before it spawns a rank:
 ///
 /// ```
 /// use mpisim::FaultPlan;
@@ -274,6 +286,7 @@ impl FaultDecision {
 ///     .with_drop(0.05)
 ///     .with_delay(0.10, 2e-3)
 ///     .with_straggler(1, 3.0);
+/// assert_eq!(plan.validate(4), Ok(()));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
@@ -295,15 +308,11 @@ pub struct FaultPlan {
     pub truncate_prob: f64,
     /// `(rank, factor)`: rank's compute time is multiplied by `factor`.
     pub stragglers: Vec<(usize, f64)>,
-    /// `(rank, virtual_time)`: rank fail-stops once its clock passes the
-    /// given virtual time (cooperative fail-stop — the platform detects it
-    /// at the next iteration boundary and evacuates).
-    pub kills: Vec<(usize, f64)>,
     /// `(rank, virtual_time)`: rank *crashes* once its clock passes the
-    /// given virtual time — uncooperative death. The rank dies instantly at
-    /// its next substrate operation: its mailbox is sealed, anything still
-    /// queued for it is dropped, nothing it would have sent after the crash
-    /// point is ever sent, and it does not drain or evacuate. Survivors
+    /// given virtual time — the one way a rank is lost. The rank dies
+    /// instantly at its next substrate operation: its mailbox is sealed,
+    /// anything still queued for it is dropped, nothing it would have sent
+    /// after the crash point is ever sent, and it hands nothing off. Survivors
     /// learn of the death through the control plane's failure detector
     /// ([`crate::Rank::ctl_exchange`]) and must recover on their own.
     pub crashes: Vec<(usize, f64)>,
@@ -355,7 +364,6 @@ impl Default for FaultPlan {
             corrupt_prob: 0.0,
             truncate_prob: 0.0,
             stragglers: Vec::new(),
-            kills: Vec::new(),
             crashes: Vec::new(),
             retry_timeout: 1e-3,
             max_retries: 8,
@@ -379,238 +387,106 @@ impl FaultPlan {
     }
 
     /// Drop each data message with probability `p`.
-    pub fn with_drop(self, p: f64) -> Self {
-        self.try_with_drop(p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::with_drop`].
-    pub fn try_with_drop(mut self, p: f64) -> Result<Self, FaultPlanError> {
-        check_prob("drop", p)?;
+    pub fn with_drop(mut self, p: f64) -> Self {
         self.drop_prob = p;
-        Ok(self)
+        self
     }
 
     /// Delay each data message with probability `p` by `seconds` of
     /// virtual latency.
-    pub fn with_delay(self, p: f64, seconds: f64) -> Self {
-        self.try_with_delay(p, seconds)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::with_delay`].
-    pub fn try_with_delay(mut self, p: f64, seconds: f64) -> Result<Self, FaultPlanError> {
-        check_prob("delay", p)?;
-        check_time("delay", seconds)?;
+    pub fn with_delay(mut self, p: f64, seconds: f64) -> Self {
         self.delay_prob = p;
         self.delay_seconds = seconds;
-        Ok(self)
+        self
     }
 
     /// Duplicate each data message with probability `p`.
-    pub fn with_dup(self, p: f64) -> Self {
-        self.try_with_dup(p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::with_dup`].
-    pub fn try_with_dup(mut self, p: f64) -> Result<Self, FaultPlanError> {
-        check_prob("dup", p)?;
+    pub fn with_dup(mut self, p: f64) -> Self {
         self.dup_prob = p;
-        Ok(self)
+        self
     }
 
     /// Let each data message overtake queued traffic with probability `p`.
-    pub fn with_reorder(self, p: f64) -> Self {
-        self.try_with_reorder(p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::with_reorder`].
-    pub fn try_with_reorder(mut self, p: f64) -> Result<Self, FaultPlanError> {
-        check_prob("reorder", p)?;
+    pub fn with_reorder(mut self, p: f64) -> Self {
         self.reorder_prob = p;
-        Ok(self)
+        self
     }
 
     /// Flip one payload bit of each data message with probability `p`.
     /// The damage is caught by the frame checksum at the receiver, which
     /// NACKs the frame; the sender retransmits with exponential backoff.
-    pub fn with_corrupt(self, p: f64) -> Self {
-        self.try_with_corrupt(p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::with_corrupt`].
-    pub fn try_with_corrupt(mut self, p: f64) -> Result<Self, FaultPlanError> {
-        check_prob("corrupt", p)?;
+    pub fn with_corrupt(mut self, p: f64) -> Self {
         self.corrupt_prob = p;
-        Ok(self)
+        self
     }
 
     /// Shorten each data message's payload with probability `p`. Like
     /// corruption, truncation is caught by the frame checksum and repaired
     /// by retransmission.
-    pub fn with_truncate(self, p: f64) -> Self {
-        self.try_with_truncate(p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::with_truncate`].
-    pub fn try_with_truncate(mut self, p: f64) -> Result<Self, FaultPlanError> {
-        check_prob("truncate", p)?;
+    pub fn with_truncate(mut self, p: f64) -> Self {
         self.truncate_prob = p;
-        Ok(self)
+        self
     }
 
     /// Multiply `rank`'s compute time by `factor` (a straggler; `factor`
     /// below 1.0 makes it a speed demon, which is also legal).
-    pub fn with_straggler(self, rank: usize, factor: f64) -> Self {
-        self.try_with_straggler(rank, factor)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::with_straggler`].
-    pub fn try_with_straggler(mut self, rank: usize, factor: f64) -> Result<Self, FaultPlanError> {
-        if factor <= 0.0 || factor.is_nan() {
-            return Err(FaultPlanError::NonPositiveFactor(factor));
-        }
+    pub fn with_straggler(mut self, rank: usize, factor: f64) -> Self {
         self.stragglers.retain(|&(r, _)| r != rank);
         self.stragglers.push((rank, factor));
-        Ok(self)
-    }
-
-    /// Fail-stop `rank` once its virtual clock reaches `at`.
-    pub fn with_kill(self, rank: usize, at: f64) -> Self {
-        self.try_with_kill(rank, at)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::with_kill`].
-    pub fn try_with_kill(mut self, rank: usize, at: f64) -> Result<Self, FaultPlanError> {
-        check_time("kill time", at)?;
-        self.kills.retain(|&(r, _)| r != rank);
-        self.kills.push((rank, at));
-        Ok(self)
+        self
     }
 
     /// Crash `rank` (uncooperatively) once its virtual clock reaches `at`:
     /// the rank dies at its next substrate operation without draining or
     /// handing anything off. Survivors must detect the death and recover.
-    pub fn with_crash(self, rank: usize, at: f64) -> Self {
-        self.try_with_crash(rank, at)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::with_crash`].
-    pub fn try_with_crash(mut self, rank: usize, at: f64) -> Result<Self, FaultPlanError> {
-        check_time("crash time", at)?;
+    pub fn with_crash(mut self, rank: usize, at: f64) -> Self {
         self.crashes.retain(|&(r, _)| r != rank);
         self.crashes.push((rank, at));
-        Ok(self)
+        self
     }
 
     /// Tune the reliable-send retransmission policy.
-    pub fn with_retry(self, timeout: f64, max_retries: u32) -> Self {
-        self.try_with_retry(timeout, max_retries)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::with_retry`].
-    pub fn try_with_retry(
-        mut self,
-        timeout: f64,
-        max_retries: u32,
-    ) -> Result<Self, FaultPlanError> {
-        check_time("timeout", timeout)?;
+    pub fn with_retry(mut self, timeout: f64, max_retries: u32) -> Self {
         self.retry_timeout = timeout;
         self.max_retries = max_retries;
-        Ok(self)
+        self
     }
 
     /// Tune the failure detector's per-receive abandonment timeout.
-    pub fn with_detect_timeout(self, timeout: f64) -> Self {
-        self.try_with_detect_timeout(timeout)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::with_detect_timeout`].
-    pub fn try_with_detect_timeout(mut self, timeout: f64) -> Result<Self, FaultPlanError> {
-        check_time("timeout", timeout)?;
+    pub fn with_detect_timeout(mut self, timeout: f64) -> Self {
         self.detect_timeout = timeout;
-        Ok(self)
+        self
     }
 
     /// Partition the world into `groups` for the virtual-time window
     /// `[from, until)`: every data message between ranks in different
     /// groups is cut while the window is active. Ranks not listed in any
     /// group stay reachable from everyone.
-    pub fn with_partition(self, groups: Vec<Vec<usize>>, from: f64, until: f64) -> Self {
-        self.try_with_partition(groups, from, until)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::with_partition`].
-    pub fn try_with_partition(
-        mut self,
-        groups: Vec<Vec<usize>>,
-        from: f64,
-        until: f64,
-    ) -> Result<Self, FaultPlanError> {
-        check_time("partition start", from)?;
-        if until <= from || until.is_nan() {
-            return Err(FaultPlanError::EmptyInterval { from, until });
-        }
-        if groups.len() < 2 || groups.iter().any(|g| g.is_empty()) {
-            return Err(FaultPlanError::DegeneratePartition);
-        }
-        let mut seen = std::collections::BTreeSet::new();
-        for &r in groups.iter().flatten() {
-            if !seen.insert(r) {
-                return Err(FaultPlanError::OverlappingGroups(r));
-            }
-        }
+    pub fn with_partition(mut self, groups: Vec<Vec<usize>>, from: f64, until: f64) -> Self {
         self.partitions.push(PartitionSpec {
             groups,
             from,
             until,
         });
-        Ok(self)
+        self
     }
 
     /// Independently lose each data message on the directed link
     /// `src → dst` with probability `p`.
-    pub fn with_link_drop(self, src: usize, dst: usize, p: f64) -> Self {
-        self.try_with_link_drop(src, dst, p)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::with_link_drop`].
-    pub fn try_with_link_drop(
-        mut self,
-        src: usize,
-        dst: usize,
-        p: f64,
-    ) -> Result<Self, FaultPlanError> {
-        check_prob("link drop", p)?;
-        if src == dst {
-            return Err(FaultPlanError::SelfLink(src));
-        }
+    pub fn with_link_drop(mut self, src: usize, dst: usize, p: f64) -> Self {
         self.link_drops.retain(|&(s, d, _)| (s, d) != (src, dst));
         self.link_drops.push((src, dst, p));
-        Ok(self)
+        self
     }
 
     /// Silently flip bits in `rank`'s at-rest state with per-entry
     /// probability `p` on each injection sweep. Unlike wire corruption,
     /// nothing in the transport detects this — only a state audit
     /// (`RunConfig::with_state_audit`) or a checkpoint checksum can.
-    pub fn with_memory_corrupt(self, rank: usize, p: f64) -> Self {
-        self.try_with_memory_corrupt(rank, p)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::with_memory_corrupt`].
-    pub fn try_with_memory_corrupt(mut self, rank: usize, p: f64) -> Result<Self, FaultPlanError> {
-        check_prob("memory corrupt", p)?;
+    pub fn with_memory_corrupt(mut self, rank: usize, p: f64) -> Self {
         self.memory_corrupt.retain(|&(r, _)| r != rank);
         self.memory_corrupt.push((rank, p));
-        Ok(self)
+        self
     }
 
     /// Region-scoped at-rest corruption: flip bits only in `region` on
@@ -619,23 +495,11 @@ impl FaultPlan {
     /// deterministically rots every checkpoint copy rank `h` holds while
     /// its live state stays pristine — the lever the escalating-restore
     /// tests use to knock out exactly `r - 1` (or all `r`) replicas.
-    pub fn with_memory_corrupt_in(self, rank: usize, region: MemRegion, p: f64) -> Self {
-        self.try_with_memory_corrupt_in(rank, region, p)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::with_memory_corrupt_in`].
-    pub fn try_with_memory_corrupt_in(
-        mut self,
-        rank: usize,
-        region: MemRegion,
-        p: f64,
-    ) -> Result<Self, FaultPlanError> {
-        check_prob("memory corrupt", p)?;
+    pub fn with_memory_corrupt_in(mut self, rank: usize, region: MemRegion, p: f64) -> Self {
         self.memory_corrupt_regions
             .retain(|&(r, reg, _)| r != rank || reg != region);
         self.memory_corrupt_regions.push((rank, region, p));
-        Ok(self)
+        self
     }
 
     /// Subject each disk operation on `rank`'s virtual disk to fault
@@ -643,22 +507,83 @@ impl FaultPlan {
     /// stored bytes (caught by the page checksum); transient errors and
     /// disk-full rejections fail the operation cleanly (healed by retry
     /// with backoff charged to the virtual clock).
-    pub fn with_disk_fault(self, rank: usize, kind: DiskFault, p: f64) -> Self {
-        self.try_with_disk_fault(rank, kind, p)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::with_disk_fault`].
-    pub fn try_with_disk_fault(
-        mut self,
-        rank: usize,
-        kind: DiskFault,
-        p: f64,
-    ) -> Result<Self, FaultPlanError> {
-        check_prob("disk fault", p)?;
+    pub fn with_disk_fault(mut self, rank: usize, kind: DiskFault, p: f64) -> Self {
         self.disk_faults.retain(|&(r, k, _)| (r, k) != (rank, kind));
         self.disk_faults.push((rank, kind, p));
-        Ok(self)
+        self
+    }
+
+    /// Check the whole plan against a world of `nprocs` ranks: every
+    /// probability in `[0, 1]`, every time non-negative, every straggler
+    /// factor positive, every partition a proper split over a non-empty
+    /// window, no self-link, and every rank it names inside the world. The
+    /// builders only record; this is the one place a plan is refused,
+    /// public fields included.
+    pub fn validate(&self, nprocs: usize) -> Result<(), FaultPlanError> {
+        let rank = |what, rank: usize| match rank < nprocs {
+            true => Ok(()),
+            false => Err(FaultPlanError::NoSuchRank { what, rank, nprocs }),
+        };
+        for (what, p) in [
+            ("drop", self.drop_prob),
+            ("delay", self.delay_prob),
+            ("dup", self.dup_prob),
+            ("reorder", self.reorder_prob),
+            ("corrupt", self.corrupt_prob),
+            ("truncate", self.truncate_prob),
+        ] {
+            check_prob(what, p)?;
+        }
+        check_time("delay", self.delay_seconds)?;
+        check_time("timeout", self.retry_timeout)?;
+        check_time("timeout", self.detect_timeout)?;
+        for &(r, factor) in &self.stragglers {
+            if factor <= 0.0 || factor.is_nan() {
+                return Err(FaultPlanError::NonPositiveFactor(factor));
+            }
+            rank("straggler", r)?;
+        }
+        for &(r, at) in &self.crashes {
+            check_time("crash time", at)?;
+            rank("crash", r)?;
+        }
+        for p in &self.partitions {
+            check_time("partition start", p.from)?;
+            if p.until <= p.from || p.until.is_nan() {
+                return Err(FaultPlanError::EmptyInterval {
+                    from: p.from,
+                    until: p.until,
+                });
+            }
+            if p.groups.len() < 2 || p.groups.iter().any(|g| g.is_empty()) {
+                return Err(FaultPlanError::DegeneratePartition);
+            }
+            let mut seen = std::collections::BTreeSet::new();
+            for &r in p.groups.iter().flatten() {
+                if !seen.insert(r) {
+                    return Err(FaultPlanError::OverlappingGroups(r));
+                }
+                rank("partition member", r)?;
+            }
+        }
+        for &(src, dst, p) in &self.link_drops {
+            check_prob("link drop", p)?;
+            if src == dst {
+                return Err(FaultPlanError::SelfLink(src));
+            }
+            rank("link drop", src)?;
+            rank("link drop", dst)?;
+        }
+        let scoped = self.memory_corrupt_regions.iter().map(|&(r, _, p)| (r, p));
+        for (r, p) in self.memory_corrupt.iter().copied().chain(scoped) {
+            check_prob("memory corrupt", p)?;
+            rank("memory corrupt", r)?;
+        }
+        for &(r, _, p) in &self.disk_faults {
+            check_prob("disk fault", p)?;
+            rank("disk fault", r)?;
+        }
+        Ok(())
     }
 
     /// Whether any rank's virtual disk is scheduled to misbehave.
@@ -824,7 +749,6 @@ impl FaultPlan {
             && !self.has_memory_corruption()
             && !self.has_disk_faults()
             && self.stragglers.is_empty()
-            && self.kills.is_empty()
             && self.crashes.is_empty()
             && self.partitions.is_empty()
     }
@@ -862,19 +786,6 @@ impl FaultPlan {
             .iter()
             .find(|&&(r, _)| r == rank)
             .map_or(1.0, |&(_, f)| f)
-    }
-
-    /// Virtual time at which `rank` fail-stops, if scheduled to.
-    pub fn kill_time(&self, rank: usize) -> Option<f64> {
-        self.kills
-            .iter()
-            .find(|&&(r, _)| r == rank)
-            .map(|&(_, t)| t)
-    }
-
-    /// Whether any rank is scheduled to die.
-    pub fn has_kills(&self) -> bool {
-        !self.kills.is_empty()
     }
 
     /// Virtual time at which `rank` crashes uncooperatively, if scheduled.
@@ -981,7 +892,7 @@ mod tests {
         assert!(!plan.message_faults());
         assert_eq!(plan.decide(0, 1, 5, 0, 0), FaultDecision::default());
         assert_eq!(plan.compute_factor(3), 1.0);
-        assert_eq!(plan.kill_time(3), None);
+        assert_eq!(plan.crash_time(3), None);
     }
 
     #[test]
@@ -1033,13 +944,10 @@ mod tests {
     }
 
     #[test]
-    fn straggler_and_kill_lookup() {
-        let plan = FaultPlan::new(0).with_straggler(2, 3.0).with_kill(1, 0.5);
+    fn straggler_lookup() {
+        let plan = FaultPlan::new(0).with_straggler(2, 3.0);
         assert_eq!(plan.compute_factor(2), 3.0);
         assert_eq!(plan.compute_factor(0), 1.0);
-        assert_eq!(plan.kill_time(1), Some(0.5));
-        assert_eq!(plan.kill_time(2), None);
-        assert!(plan.has_kills());
         assert!(!plan.is_noop());
         assert!(!plan.message_faults());
     }
@@ -1056,7 +964,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "probability out of range")]
     fn rejects_bad_probability() {
-        let _ = FaultPlan::new(0).with_drop(1.5);
+        let refusal = FaultPlanError::ProbabilityOutOfRange {
+            what: "drop",
+            value: 1.5,
+        };
+        let built = FaultPlan::new(0).with_drop(1.5);
+        assert_eq!(built.validate(1), Err(refusal.clone()));
+        // A public field is checked like a builder, and a world refuses to
+        // spawn on the plan.
+        let mut set = FaultPlan::new(0);
+        set.drop_prob = 1.5;
+        assert_eq!(set.validate(1), Err(refusal));
+        spawn(set, 1);
+    }
+
+    /// Run an empty SPMD body on `n` ranks under `plan`.
+    fn spawn(plan: FaultPlan, n: usize) {
+        crate::World::new(crate::Config::default().with_faults(plan)).run(n, |_| ());
     }
 
     #[test]
@@ -1122,26 +1046,30 @@ mod tests {
 
     #[test]
     fn probability_validation_is_exhaustive_over_sampled_inputs() {
-        type ProbBuilder = fn(FaultPlan, f64) -> Result<FaultPlan, FaultPlanError>;
-        let builders: [(&str, ProbBuilder); 9] = [
-            ("drop", |pl, p| pl.try_with_drop(p)),
-            ("delay", |pl, p| pl.try_with_delay(p, 1e-3)),
-            ("dup", |pl, p| pl.try_with_dup(p)),
-            ("reorder", |pl, p| pl.try_with_reorder(p)),
-            ("corrupt", |pl, p| pl.try_with_corrupt(p)),
-            ("truncate", |pl, p| pl.try_with_truncate(p)),
-            ("link drop", |pl, p| pl.try_with_link_drop(0, 1, p)),
-            ("memory corrupt", |pl, p| pl.try_with_memory_corrupt(0, p)),
+        type ProbBuilder = fn(FaultPlan, f64) -> FaultPlan;
+        let builders: [(&str, ProbBuilder); 10] = [
+            ("drop", |pl, p| pl.with_drop(p)),
+            ("delay", |pl, p| pl.with_delay(p, 1e-3)),
+            ("dup", |pl, p| pl.with_dup(p)),
+            ("reorder", |pl, p| pl.with_reorder(p)),
+            ("corrupt", |pl, p| pl.with_corrupt(p)),
+            ("truncate", |pl, p| pl.with_truncate(p)),
+            ("link drop", |pl, p| pl.with_link_drop(0, 1, p)),
+            ("memory corrupt", |pl, p| pl.with_memory_corrupt(0, p)),
+            ("memory corrupt", |pl, p| {
+                pl.with_memory_corrupt_in(0, MemRegion::Replica, p)
+            }),
             ("disk fault", |pl, p| {
-                pl.try_with_disk_fault(0, DiskFault::ReadRot, p)
+                pl.with_disk_fault(0, DiskFault::ReadRot, p)
             }),
         ];
         for i in 0..2000u64 {
             let p = sample_f64(i);
             let valid = (0.0..=1.0).contains(&p);
             for (what, build) in builders {
-                match build(FaultPlan::new(1), p) {
-                    Ok(plan) => assert!(valid, "{what} accepted {p}: {plan:?}"),
+                let plan = build(FaultPlan::new(1), p);
+                match plan.validate(2) {
+                    Ok(()) => assert!(valid, "{what} accepted {p}: {plan:?}"),
                     Err(e) => {
                         assert!(!valid, "{what} rejected in-range {p}: {e}");
                         // NaN != NaN, so compare the payload bitwise.
@@ -1152,10 +1080,7 @@ mod tests {
                             }
                             other => panic!("{what}: unexpected error {other:?}"),
                         }
-                        assert!(
-                            e.to_string().contains("probability out of range"),
-                            "typed error must keep the legacy panic phrase: {e}"
-                        );
+                        assert!(e.to_string().contains("probability out of range"));
                     }
                 }
             }
@@ -1164,20 +1089,19 @@ mod tests {
 
     #[test]
     fn time_validation_is_exhaustive_over_sampled_inputs() {
-        type TimeBuilder = fn(FaultPlan, f64) -> Result<FaultPlan, FaultPlanError>;
-        let builders: [(&str, TimeBuilder); 5] = [
-            ("delay", |pl, t| pl.try_with_delay(0.1, t)),
-            ("kill time", |pl, t| pl.try_with_kill(0, t)),
-            ("crash time", |pl, t| pl.try_with_crash(0, t)),
-            ("timeout", |pl, t| pl.try_with_retry(t, 3)),
-            ("timeout", |pl, t| pl.try_with_detect_timeout(t)),
+        type TimeBuilder = fn(FaultPlan, f64) -> FaultPlan;
+        let builders: [(&str, TimeBuilder); 4] = [
+            ("delay", |pl, t| pl.with_delay(0.1, t)),
+            ("crash time", |pl, t| pl.with_crash(0, t)),
+            ("timeout", |pl, t| pl.with_retry(t, 3)),
+            ("timeout", |pl, t| pl.with_detect_timeout(t)),
         ];
         for i in 0..2000u64 {
             let t = sample_f64(i.wrapping_mul(31));
             let valid = t >= 0.0; // +inf is a legal (if silly) time
             for (what, build) in builders {
-                match build(FaultPlan::new(1), t) {
-                    Ok(_) => assert!(valid, "{what} accepted {t}"),
+                match build(FaultPlan::new(1), t).validate(1) {
+                    Ok(()) => assert!(valid, "{what} accepted {t}"),
                     Err(e) => {
                         assert!(!valid, "{what} rejected non-negative {t}: {e}");
                         match &e {
@@ -1196,59 +1120,96 @@ mod tests {
     #[test]
     fn partition_builder_validates_structure() {
         let two = || vec![vec![0, 1], vec![2, 3]];
-        assert!(FaultPlan::new(0)
-            .try_with_partition(two(), 0.1, 0.5)
-            .is_ok());
+        let cut = |groups, from, until| {
+            FaultPlan::new(0)
+                .with_partition(groups, from, until)
+                .validate(4)
+        };
+        assert_eq!(cut(two(), 0.1, 0.5), Ok(()));
         // Degenerate intervals and groups are typed errors.
         assert_eq!(
-            FaultPlan::new(0)
-                .try_with_partition(two(), 0.5, 0.5)
-                .unwrap_err(),
-            FaultPlanError::EmptyInterval {
+            cut(two(), 0.5, 0.5),
+            Err(FaultPlanError::EmptyInterval {
                 from: 0.5,
                 until: 0.5
-            }
+            })
         );
         assert!(matches!(
-            FaultPlan::new(0).try_with_partition(two(), -0.1, 0.5),
+            cut(two(), -0.1, 0.5),
             Err(FaultPlanError::NegativeTime { .. })
         ));
         assert!(matches!(
-            FaultPlan::new(0).try_with_partition(two(), f64::NAN, 0.5),
+            cut(two(), f64::NAN, 0.5),
             Err(FaultPlanError::NegativeTime { .. })
         ));
         assert!(matches!(
-            FaultPlan::new(0).try_with_partition(two(), 0.1, f64::NAN),
+            cut(two(), 0.1, f64::NAN),
             Err(FaultPlanError::EmptyInterval { .. })
         ));
         assert_eq!(
-            FaultPlan::new(0)
-                .try_with_partition(vec![vec![0, 1]], 0.1, 0.5)
-                .unwrap_err(),
-            FaultPlanError::DegeneratePartition
+            cut(vec![vec![0, 1]], 0.1, 0.5),
+            Err(FaultPlanError::DegeneratePartition)
         );
         assert_eq!(
-            FaultPlan::new(0)
-                .try_with_partition(vec![vec![0], vec![]], 0.1, 0.5)
-                .unwrap_err(),
-            FaultPlanError::DegeneratePartition
+            cut(vec![vec![0], vec![]], 0.1, 0.5),
+            Err(FaultPlanError::DegeneratePartition)
         );
         assert_eq!(
-            FaultPlan::new(0)
-                .try_with_partition(vec![vec![0, 1], vec![1, 2]], 0.1, 0.5)
-                .unwrap_err(),
-            FaultPlanError::OverlappingGroups(1)
+            cut(vec![vec![0, 1], vec![1, 2]], 0.1, 0.5),
+            Err(FaultPlanError::OverlappingGroups(1))
         );
         assert_eq!(
-            FaultPlan::new(0).try_with_link_drop(3, 3, 0.5).unwrap_err(),
-            FaultPlanError::SelfLink(3)
+            FaultPlan::new(0).with_link_drop(3, 3, 0.5).validate(4),
+            Err(FaultPlanError::SelfLink(3))
         );
     }
 
     #[test]
     #[should_panic(expected = "partition interval")]
     fn panicking_partition_builder_reports_the_typed_error() {
-        let _ = FaultPlan::new(0).with_partition(vec![vec![0], vec![1]], 1.0, 0.5);
+        let plan = FaultPlan::new(0).with_partition(vec![vec![0], vec![1]], 1.0, 0.5);
+        let refusal = FaultPlanError::EmptyInterval {
+            from: 1.0,
+            until: 0.5,
+        };
+        assert_eq!(plan.validate(2), Err(refusal));
+        spawn(plan, 2);
+    }
+
+    #[test]
+    fn every_named_rank_must_exist() {
+        let missing = |what, rank| {
+            Err(FaultPlanError::NoSuchRank {
+                what,
+                rank,
+                nprocs: 4,
+            })
+        };
+        let plan = || FaultPlan::new(0);
+        for (built, refusal) in [
+            (plan().with_crash(4, 0.1), missing("crash", 4)),
+            (plan().with_straggler(9, 2.0), missing("straggler", 9)),
+            (
+                plan().with_memory_corrupt(4, 0.1),
+                missing("memory corrupt", 4),
+            ),
+            (
+                plan().with_memory_corrupt_in(5, MemRegion::Replica, 0.1),
+                missing("memory corrupt", 5),
+            ),
+            (
+                plan().with_disk_fault(4, DiskFault::Full, 0.1),
+                missing("disk fault", 4),
+            ),
+            (plan().with_link_drop(0, 4, 0.1), missing("link drop", 4)),
+            (
+                plan().with_partition(vec![vec![0], vec![7]], 0.0, 1.0),
+                missing("partition member", 7),
+            ),
+        ] {
+            assert_eq!(built.validate(4), refusal);
+            assert_eq!(built.validate(10), Ok(()));
+        }
     }
 
     #[test]
@@ -1394,7 +1355,7 @@ mod tests {
         assert!(!zero.has_memory_corruption());
         assert!(zero.is_noop());
         assert!(matches!(
-            FaultPlan::new(0).try_with_memory_corrupt(0, 1.5),
+            FaultPlan::new(0).with_memory_corrupt(0, 1.5).validate(1),
             Err(FaultPlanError::ProbabilityOutOfRange { .. })
         ));
     }
@@ -1429,7 +1390,9 @@ mod tests {
         assert_eq!(re.memory_corrupt_regions.len(), 1);
         assert_eq!(re.memory_corrupt_prob_in(1, MemRegion::Owned), 0.7);
         assert!(matches!(
-            FaultPlan::new(0).try_with_memory_corrupt_in(0, MemRegion::Owned, -0.1),
+            FaultPlan::new(0)
+                .with_memory_corrupt_in(0, MemRegion::Owned, -0.1)
+                .validate(1),
             Err(FaultPlanError::ProbabilityOutOfRange { .. })
         ));
     }
@@ -1501,7 +1464,9 @@ mod tests {
         assert!(!zero.has_disk_faults());
         assert!(zero.is_noop());
         assert!(matches!(
-            FaultPlan::new(0).try_with_disk_fault(0, DiskFault::Full, -0.5),
+            FaultPlan::new(0)
+                .with_disk_fault(0, DiskFault::Full, -0.5)
+                .validate(1),
             Err(FaultPlanError::ProbabilityOutOfRange { .. })
         ));
     }
@@ -1513,7 +1478,6 @@ mod tests {
         assert_eq!(plan.crash_time(0), None);
         assert_eq!(plan.crashes.len(), 1);
         assert!(plan.has_crashes());
-        assert!(!plan.has_kills());
         assert!(!plan.is_noop());
         assert!(!plan.message_faults());
     }

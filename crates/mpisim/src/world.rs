@@ -111,8 +111,7 @@ pub struct CtlSlot {
 /// lock, at the instant the exchange resolves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CtlVerdict {
-    /// Which ranks the failure detector has declared dead (crashed ranks
-    /// only; cooperative kills are not in here).
+    /// Which ranks the failure detector has declared dead (crashed).
     pub dead: Vec<bool>,
     /// Which live ranks are *suspected*: unreachable across an active
     /// network partition per the quorum rule ([`crate::faults::suspects`]),
@@ -597,7 +596,8 @@ impl World {
     /// the first panic is propagated to the caller.
     ///
     /// # Panics
-    /// Panics if `n == 0`, if a rank panics, or on watchdog-detected
+    /// Panics if `n == 0`, if [`FaultPlan::validate`] refuses the fault
+    /// plan for `n` ranks, if a rank panics, or on watchdog-detected
     /// deadlock.
     pub fn run<F, R>(&self, n: usize, f: F) -> Vec<R>
     where
@@ -629,6 +629,9 @@ impl World {
         R: Send,
     {
         assert!(n > 0, "world must have at least one rank");
+        if let Err(e) = self.cfg.faults.validate(n) {
+            panic!("invalid fault plan: {e}");
+        }
         if tolerate_crashes && self.cfg.faults.has_crashes() {
             install_crash_quiet_hook();
         }

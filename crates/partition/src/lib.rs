@@ -23,19 +23,13 @@
 //!   gray-code mesh-to-hypercube *fine-grained* embedding (a hex and its
 //!   neighbours land on different processors).
 //! * [`simple`] — round-robin, random and contiguous-block baselines.
-//! * [`sfc::HilbertCurve`] and [`spectral::Spectral`] — the geometric and
-//!   spectral families, added as the kind of third-party algorithms the
-//!   test-bed exists to host (thesis §8: "comprehensive evaluation of
-//!   static and dynamic partitioners").
 
 pub mod bands;
 pub mod graycode;
 pub mod metis;
 pub mod pagrid;
 pub mod procgraph;
-pub mod sfc;
 pub mod simple;
-pub mod spectral;
 
 use ic2_graph::{Graph, Partition};
 

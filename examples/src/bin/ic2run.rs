@@ -100,8 +100,6 @@ fn make_partitioner(name: &str) -> Result<Box<dyn StaticPartitioner + Sync>, Str
         "column" => Box::new(ic2_partition::bands::ColumnBand),
         "rect" => Box::new(ic2_partition::bands::RectangularBand),
         "graycode" => Box::new(ic2_partition::graycode::GrayCodeBf),
-        "hilbert" => Box::new(ic2_partition::sfc::HilbertCurve::default()),
-        "spectral" => Box::new(ic2_partition::spectral::Spectral::default()),
         "roundrobin" => Box::new(ic2_partition::simple::RoundRobin),
         "block" => Box::new(ic2_partition::simple::BlockPartition),
         other => return Err(format!("unknown partitioner {other}")),

@@ -1,6 +1,6 @@
 //! Chaos-mode tests: deterministic fault injection in the substrate and
 //! the platform's self-healing responses — retries, skipped migrations,
-//! emergency rebalancing, and rank-death evacuation.
+//! emergency rebalancing, and crash rollback recovery.
 
 use ic2_battlefield::{BattlefieldProgram, Scenario};
 use ic2mpi::prelude::*;
@@ -175,48 +175,10 @@ fn straggler_detector_fires_emergency_rebalancing() {
 }
 
 #[test]
-fn killed_rank_is_evacuated_and_the_run_completes() {
-    let graph = ic2_graph::generators::hex_grid_n(64);
-    let program = AvgProgram::fine();
-    let oracle = seq::run_sequential(&graph, &program, 20);
-    let clean_total = run(
-        &graph,
-        &program,
-        &Metis::default(),
-        || NoBalancer,
-        &RunConfig::new(8, 20).with_world(clean_world()),
-    )
-    .total_time;
-
-    // Kill rank 2 at ~40% of the fault-free run: it evacuates its tasks
-    // at the next iteration boundary and zombies through the rest. The
-    // periodic balancer keeps running and must never plan the dead rank.
-    let plan = FaultPlan::new(chaos_seed(1)).with_kill(2, clean_total * 0.4);
-    let cfg = RunConfig::new(8, 20)
-        .with_balancing(10)
-        .with_world(world(plan))
-        .with_validation();
-    let report = run(
-        &graph,
-        &program,
-        &Metis::default(),
-        CentralizedHeuristic::default,
-        &cfg,
-    );
-    assert_eq!(report.final_data, oracle);
-    assert_eq!(report.ranks_died, vec![2]);
-    assert!(report.evacuated > 0, "rank 2 owned tasks to evacuate");
-    assert!(
-        !report.final_owner.contains(&2),
-        "a dead rank must own nothing"
-    );
-}
-
-#[test]
 fn crashed_rank_rolls_back_and_recovers_exactly() {
     // An uncooperative crash on the thesis battlefield: rank 3 simply
     // stops mid-run — mailbox sealed, in-flight messages dropped, nothing
-    // evacuated. Survivors must detect it, roll back to the last
+    // handed off. Survivors must detect it, roll back to the last
     // coordinated checkpoint, adopt the dead rank's partition out of the
     // buddy copy, replay the lost iterations, and still produce the exact
     // fault-free answer.
@@ -363,11 +325,11 @@ fn crash_inside_the_checkpoint_staging_window_recovers_exactly() {
 }
 
 #[test]
-fn kill_and_crash_together_still_recover() {
-    // A cooperative fail-stop and an uncooperative crash in one run, on a
-    // lossy network: the kill evacuates normally through the crash-mode
-    // control plane, the later crash rolls back and adopts, and the
-    // answer stays exact.
+fn two_crashes_at_distinct_boundaries_still_recover() {
+    // Two crashes in one run, on a lossy network: the first rolls back and
+    // re-mirrors over the shrunken ring, the second dies after that and
+    // rolls back onto the re-mirrored checkpoint, and the answer stays
+    // exact.
     let graph = ic2_graph::generators::hex_grid_n(64);
     let program = AvgProgram::fine();
     let iterations = 12u32;
@@ -383,7 +345,7 @@ fn kill_and_crash_together_still_recover() {
 
     let plan = FaultPlan::new(chaos_seed(17))
         .with_drop(0.03)
-        .with_kill(1, clean_total * 0.3)
+        .with_crash(1, clean_total * 0.3)
         .with_crash(5, clean_total * 0.65);
     let cfg = RunConfig::new(8, iterations)
         .with_checkpointing(3)
@@ -391,10 +353,8 @@ fn kill_and_crash_together_still_recover() {
         .with_validation();
     let report = run(&graph, &program, &Metis::default(), || NoBalancer, &cfg);
     assert_eq!(report.final_data, oracle);
-    assert!(report.ranks_died.contains(&1), "{:?}", report.ranks_died);
-    assert!(report.ranks_died.contains(&5), "{:?}", report.ranks_died);
-    assert!(report.evacuated > 0, "the kill must evacuate cooperatively");
-    assert!(report.rollbacks >= 1, "the crash must roll back");
+    assert_eq!(report.ranks_died, vec![1, 5]);
+    assert_eq!(report.rollbacks, 2, "one rollback per crash");
     assert!(!report.final_owner.contains(&1));
     assert!(!report.final_owner.contains(&5));
 }
@@ -593,24 +553,4 @@ fn corruption_composes_with_drops_and_stragglers() {
     assert!(report.faults.dropped > 0, "{:?}", report.faults);
     assert!(report.faults.corrupted > 0, "{:?}", report.faults);
     assert!(report.faults.retransmits > 0, "{:?}", report.faults);
-}
-
-#[test]
-fn kill_determinism_and_virtual_times_match() {
-    // The evacuation path itself must be deterministic.
-    let graph = ic2_graph::generators::hex_grid_n(64);
-    let program = AvgProgram::fine();
-    let plan = FaultPlan::new(chaos_seed(5))
-        .with_drop(0.03)
-        .with_kill(4, 0.02);
-    let cfg = RunConfig::new(8, 15)
-        .with_world(world(plan))
-        .with_validation();
-    let a = run(&graph, &program, &Metis::default(), || NoBalancer, &cfg);
-    let b = run(&graph, &program, &Metis::default(), || NoBalancer, &cfg);
-    assert_eq!(a.final_data, b.final_data);
-    assert_eq!(a.ranks_died, b.ranks_died);
-    assert_eq!(a.evacuated, b.evacuated);
-    assert_eq!(a.faults, b.faults);
-    assert_eq!(a.total_time.to_bits(), b.total_time.to_bits());
 }

@@ -8,9 +8,9 @@
 //!
 //! 1. **Oracle exactness.** Delta on and delta off compute byte-identical
 //!    answers (equal to the sequential oracle) on clean runs and under
-//!    corruption, drops, kill + evacuation, crash + rollback, and
-//!    capacity-2 backpressure. Migration, evacuation, and rollback all
-//!    force a full resync, so retained shadows can never go stale.
+//!    corruption, drops, crash + rollback, and capacity-2 backpressure.
+//!    Migration and rollback both force a full resync, so retained shadows
+//!    can never go stale.
 //! 2. **Traffic accounting.** `sent + skipped` equals the full-exchange
 //!    traffic (nothing vanishes), clean nodes are provably never packed,
 //!    and global quiescence is detected and reported.
@@ -191,8 +191,8 @@ fn clean_nodes_are_never_packed() {
 fn delta_equivalence_across_the_chaos_matrix() {
     // Delta on vs delta off under every recovery path that forces a
     // resync: corruption/truncation (retransmits), drops + duplicates +
-    // reorders with active migration, cooperative kill + evacuation,
-    // uncooperative crash + rollback, and capacity-2 backpressure.
+    // reorders with active migration, crash + rollback, and capacity-2
+    // backpressure.
     let graph = ic2_graph::generators::hex_grid_n(64);
     let program = AvgProgram::fine();
     const ITERS: u32 = 20;
@@ -226,14 +226,6 @@ fn delta_equivalence_across_the_chaos_matrix() {
                         .with_delay(0.05, 2e-4)
                         .with_dup(0.05)
                         .with_reorder(0.05),
-                )),
-        ),
-        (
-            "kill+evacuation",
-            RunConfig::new(8, ITERS)
-                .with_balancing(10)
-                .with_world(world(
-                    FaultPlan::new(chaos_seed(5)).with_kill(2, clean_total * 0.4),
                 )),
         ),
         (

@@ -120,13 +120,6 @@ fn every_layer_on_both_planes_matches_the_golden_file() {
                 .with_world(world(plan(4))),
         ),
         line(
-            "kills",
-            &fine,
-            base()
-                .with_balancing(5)
-                .with_world(world(plan(5).with_kill(2, at(0.4)))),
-        ),
-        line(
             "straggler",
             &fine,
             base()
@@ -160,7 +153,7 @@ fn every_layer_on_both_planes_matches_the_golden_file() {
                 .with_migration_batch(4)
                 .with_straggler_detection(1.5, 2)
                 .with_world(world(
-                    plan(10).with_kill(1, at(0.3)).with_crash(5, at(0.65)),
+                    plan(10).with_crash(1, at(0.3)).with_crash(5, at(0.65)),
                 )),
         ),
         line(

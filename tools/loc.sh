@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# The ROADMAP's size metrics, per file and in total, for one crate's sources.
+# The ROADMAP's size metrics, per file and in total, for one or more crates.
 #
-#   tools/loc.sh [crate-dir=crates/core]
+#   tools/loc.sh [crate-dir ...]    (default: crates/core)
 #
-# For every `src/*.rs` of the crate, counting only the lines before the
+# For every `src/*.rs` of each crate, counting only the lines before the
 # first `#[cfg(test)]`:
 #   raw     every line (what ROADMAP.md calls "non-test LOC");
 #   code    lines that are neither blank nor `//` comments (doc comments
@@ -11,18 +11,21 @@
 #   panics  code lines that can panic by hand: `assert!`, `assert_eq!`,
 #           `assert_ne!`, `.expect(`, `.unwrap()`, `panic!`, `unreachable!`
 #           (`debug_assert*` excluded).
+# Each crate's files end with one `<crate-dir> total` line.
 set -euo pipefail
 
-crate=${1:-crates/core}
+[ $# -gt 0 ] || set -- crates/core
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 printf '%-40s %7s %7s %7s\n' file raw code panics
-for f in "$root/$crate"/src/*.rs; do
-    awk -v name="${f#"$root"/}" '
-        /^#\[cfg\(test\)\]/ { exit }
-        { raw++ }
-        /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
-        { code++ }
-        !/debug_assert/ && /assert!|assert_eq!|assert_ne!|\.expect\(|\.unwrap\(\)|panic!|unreachable!/ { panics++ }
-        END { printf "%-40s %7d %7d %7d\n", name, raw, code, panics }' "$f"
-done | awk '{ print; raw += $2; code += $3; panics += $4 }
-    END { printf "%-40s %7d %7d %7d\n", "total", raw, code, panics }'
+for crate in "$@"; do
+    for f in "$root/$crate"/src/*.rs; do
+        awk -v name="${f#"$root"/}" '
+            /^#\[cfg\(test\)\]/ { exit }
+            { raw++ }
+            /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+            { code++ }
+            !/debug_assert/ && /assert!|assert_eq!|assert_ne!|\.expect\(|\.unwrap\(\)|panic!|unreachable!/ { panics++ }
+            END { printf "%-40s %7d %7d %7d\n", name, raw, code, panics }' "$f"
+    done | awk -v crate="$crate" '{ print; raw += $2; code += $3; panics += $4 }
+        END { printf "%-40s %7d %7d %7d\n", crate " total", raw, code, panics }'
+done
