@@ -244,7 +244,6 @@ pub(crate) fn raise_unrecoverable(verdict: &CtlVerdict) -> ! {
 pub(crate) struct Counters {
     pub(crate) migrations: usize,
     pub(crate) skipped: usize,
-    pub(crate) emergency_balances: usize,
     pub(crate) comp_since_balance: f64,
 }
 
@@ -932,7 +931,7 @@ mod tests {
     #[test]
     fn a_page_diff_patches_a_ward_cut_by_another_table() {
         use crate::costs::CostModel;
-        use crate::paging::{EvictionPolicy, PageConfig};
+        use crate::paging::PageConfig;
         use crate::program::AvgProgram;
         use ic2_partition::{metis::Metis, StaticPartitioner};
 
@@ -943,7 +942,7 @@ mod tests {
         // Each rank cut its own ids: the receiver's page map says nothing
         // about the sender's pages.
         assert_ne!(sender.table.page_range(1), receiver.table.page_range(1));
-        let cfg = PageConfig::new(8, EvictionPolicy::Fifo);
+        let cfg = PageConfig { budget: 8 };
         sender.enable_paging(&cfg, &mpisim::FaultPlan::new(1), &CostModel::default());
         let ward = |entries| Ward {
             rank: 0,

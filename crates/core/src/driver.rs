@@ -19,7 +19,7 @@ use std::sync::Arc;
 /// How iterations are synchronised across ranks.
 ///
 /// The split the policy leans on already exists in every
-/// [`NodeStore`]: *interior* nodes (`internal`) have no remote
+/// [`crate::store::NodeStore`]: *interior* nodes (`internal`) have no remote
 /// neighbours, *boundary* nodes (`peripheral`) do, and `rebuild_lists`
 /// recomputes the split after every migration and restore.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,8 +35,8 @@ pub enum ExecutionPolicy {
     /// round first replays the boundary passes the elided rounds skipped
     /// (oldest first), so every node is computed exactly as many times as
     /// under [`ExecutionPolicy::Bsp`], then runs a full BSP round.
-    /// Checkpoints, audits, membership verdicts, balancing, and straggler
-    /// checks all land on global rounds only; the schedule is a pure
+    /// Checkpoints, audits, membership verdicts and balancing all land on
+    /// global rounds only; the schedule is a pure
     /// function of the iteration number, so crash replay re-elides the
     /// identical rounds. Exact for convergent programs (identical
     /// fixed points; byte-identical answers for programs whose update
@@ -57,7 +57,7 @@ pub struct RunConfig {
     /// Iterations (time steps) to execute.
     pub iterations: u32,
     /// Invoke the dynamic load balancer every this many iterations
-    /// (`None` = static partition only).
+    /// (`None` = static partition only; must be ≥ 1).
     pub balance_every: Option<u32>,
     /// Phase offset of the balancing trigger: fires when
     /// `iter % every == offset % every`. The thesis's trigger is offset 0
@@ -73,7 +73,7 @@ pub struct RunConfig {
     pub costs: CostModel,
     /// Maximum balancer planning sub-rounds per balancing invocation
     /// (1 = the thesis's one-task-per-pair protocol; larger values enable
-    /// the §7 multi-task extension).
+    /// the §7 multi-task extension; must be ≥ 1).
     pub migration_batch: u32,
     /// Migrant-selection policy (thesis min-cut rule or the load-aware
     /// extension).
@@ -83,12 +83,6 @@ pub struct RunConfig {
     /// Run full store-invariant validation after every balancing round
     /// (slow; for tests).
     pub validate: bool,
-    /// Straggler detection `(threshold, patience)`: when one rank's
-    /// per-iteration compute time exceeds `threshold ×` the mean for
-    /// `patience` consecutive iterations, an emergency balancing round
-    /// runs immediately instead of waiting for the periodic trigger.
-    /// `None` (the default) keeps the thesis's purely periodic protocol.
-    pub straggler: Option<(f64, u32)>,
     /// Coordinated-checkpoint interval in iterations (the rollback
     /// distance bound when an uncooperative crash is injected). Only
     /// consulted when the fault plan contains crashes; must be ≥ 1.
@@ -166,7 +160,6 @@ impl RunConfig {
             migrant_policy: migrate::MigrantPolicy::MinCut,
             hash_buckets: 64,
             validate: false,
-            straggler: None,
             checkpoint_every: 5,
             tracing: false,
             delta_exchange: false,
@@ -221,12 +214,6 @@ impl RunConfig {
         self
     }
 
-    /// Enable straggler detection (see [`RunConfig::straggler`]).
-    pub fn with_straggler_detection(mut self, threshold: f64, patience: u32) -> Self {
-        self.straggler = Some((threshold, patience));
-        self
-    }
-
     /// Set the coordinated-checkpoint interval (iterations between
     /// snapshots when crashes may be injected).
     pub fn with_checkpointing(mut self, every: u32) -> Self {
@@ -269,10 +256,11 @@ impl RunConfig {
         self
     }
 
-    /// Bound the resident data-node table to `budget` pages under the
-    /// given eviction policy (see [`RunConfig::paging`]).
-    pub fn with_paging(mut self, budget: usize, policy: EvictionPolicy) -> Self {
-        self.paging = Some(PageConfig::new(budget, policy));
+    /// Bound the resident data-node table to `budget` pages (see
+    /// [`RunConfig::paging`]). SIEVE is the one replacement policy; the
+    /// argument stays because the benchmark's frozen API passes it.
+    pub fn with_paging(mut self, budget: usize, _policy: EvictionPolicy) -> Self {
+        self.paging = Some(PageConfig { budget });
         self
     }
 
@@ -316,11 +304,11 @@ pub(crate) fn is_global_round(iter: u32, cfg: &RunConfig, checkpoints: bool) -> 
         return true;
     }
     if checkpoints {
-        if iter.is_multiple_of(cfg.checkpoint_every.max(1)) {
+        if iter.is_multiple_of(cfg.checkpoint_every) {
             return true;
         }
         if let Some(ka) = cfg.audit_every {
-            if iter.is_multiple_of(ka.max(1)) {
+            if iter.is_multiple_of(ka) {
                 return true;
             }
         }
@@ -377,8 +365,6 @@ pub struct RunReport<D> {
     /// Ranks that crashed (per the fault plan) during the run, in the
     /// order the survivors detected them.
     pub ranks_died: Vec<u32>,
-    /// Emergency balancing rounds fired by the straggler detector.
-    pub emergency_balances: usize,
     /// Planned pair migrations abandoned because their payload was lost
     /// despite retries.
     pub skipped_migrations: usize,
@@ -456,8 +442,8 @@ pub struct RunReport<D> {
     pub page_faults: u64,
     /// Pages evicted to enforce the buffer-pool budget, summed over ranks.
     pub pages_evicted: u64,
-    /// Disk operations retried after a transient error, a disk-full
-    /// rejection, or a failed read-back verification, summed over ranks.
+    /// Disk operations retried after a transient error or a failed
+    /// read-back verification, summed over ranks.
     pub disk_retries: u64,
     /// Torn writes the shadow-paging commit's read-back verification
     /// caught before the flip, summed over ranks.
@@ -553,7 +539,6 @@ fn assemble<D>(
         faults.disk_transient_errors += r.disk.transient_errors;
         faults.disk_torn_writes += r.disk.torn_writes;
         faults.disk_read_rots += r.disk.read_rots;
-        faults.disk_full_rejections += r.disk.full_rejections;
         pages.merge(&r.pages);
         checkpoint_bytes += r.tally.checkpoint_bytes;
         credit_stalls += r.comm.credit_stalls;
@@ -589,7 +574,6 @@ fn assemble<D>(
         final_owner,
         faults,
         ranks_died: designated.ranks_died.clone(),
-        emergency_balances: designated.counters.emergency_balances,
         skipped_migrations: designated.counters.skipped,
         checkpoint_bytes,
         rollbacks: designated.tally.rollbacks,
@@ -734,34 +718,24 @@ where
 
 /// Every configuration `try_run` refuses, in one place.
 fn validate(cfg: &RunConfig) -> Result<(), PlatformError> {
-    if cfg.nprocs == 0 {
-        return Err(PlatformError::NoProcessors);
-    }
-    if cfg.hash_buckets == 0 {
-        return Err(PlatformError::NoHashBuckets);
-    }
-    if let Some((threshold, patience)) = cfg.straggler {
-        if threshold < 1.0 || threshold.is_nan() {
-            return Err(PlatformError::BadStragglerThreshold(threshold));
-        }
-        if patience == 0 {
-            return Err(PlatformError::ZeroStragglerPatience);
-        }
-    }
-    if cfg.checkpoint_every == 0 {
-        return Err(PlatformError::ZeroCheckpointInterval);
-    }
-    if cfg.audit_every == Some(0) {
-        return Err(PlatformError::ZeroAuditInterval);
-    }
-    if cfg.replication == 0 {
-        return Err(PlatformError::ZeroReplicationFactor);
-    }
-    if cfg.paging.as_ref().is_some_and(|p| p.budget == 0) {
-        return Err(PlatformError::ZeroPageBudget);
-    }
-    if matches!(cfg.execution, ExecutionPolicy::Hybrid { inner_k: 0 }) {
-        return Err(PlatformError::ZeroInnerIterations);
+    let inner_k = match cfg.execution {
+        ExecutionPolicy::Bsp => None,
+        ExecutionPolicy::Hybrid { inner_k } => Some(inner_k),
+    };
+    let counts = [
+        ("nprocs", Some(cfg.nprocs)),
+        ("hash_buckets", Some(cfg.hash_buckets)),
+        ("checkpoint_every", Some(cfg.checkpoint_every as usize)),
+        ("audit_every", cfg.audit_every.map(|k| k as usize)),
+        ("balance_every", cfg.balance_every.map(|k| k as usize)),
+        ("migration_batch", Some(cfg.migration_batch as usize)),
+        ("replication", Some(cfg.replication as usize)),
+        ("paging.budget", cfg.paging.map(|p| p.budget)),
+        ("inner_k", inner_k.map(|k| k as usize)),
+        ("world.mailbox_capacity", cfg.world.mailbox_capacity),
+    ];
+    if let Some(&(knob, _)) = counts.iter().find(|(_, n)| *n == Some(0)) {
+        return Err(PlatformError::ZeroKnob(knob));
     }
     let faults = &cfg.world.faults;
     faults
@@ -844,7 +818,6 @@ mod tests {
             .with_migration_batch(4)
             .with_migrant_policy(migrate::MigrantPolicy::LoadAware)
             .with_exchange(ExchangeMode::Overlap)
-            .with_straggler_detection(2.0, 3)
             .with_state_audit(4)
             .with_replication(3)
             .with_paging(16, EvictionPolicy::Sieve)
@@ -857,10 +830,9 @@ mod tests {
         assert_eq!(cfg.migration_batch, 4);
         assert_eq!(cfg.migrant_policy, migrate::MigrantPolicy::LoadAware);
         assert_eq!(cfg.exchange, ExchangeMode::Overlap);
-        assert_eq!(cfg.straggler, Some((2.0, 3)));
         assert_eq!(cfg.audit_every, Some(4));
         assert_eq!(cfg.replication, 3);
-        assert_eq!(cfg.paging, Some(PageConfig::new(16, EvictionPolicy::Sieve)));
+        assert_eq!(cfg.paging, Some(PageConfig { budget: 16 }));
         assert_eq!(cfg.execution, ExecutionPolicy::Hybrid { inner_k: 3 });
         assert!(cfg.validate);
     }
@@ -873,7 +845,6 @@ mod tests {
         assert_eq!(cfg.migration_batch, 1);
         assert_eq!(cfg.migrant_policy, migrate::MigrantPolicy::MinCut);
         assert_eq!(cfg.exchange, ExchangeMode::PostComm);
-        assert_eq!(cfg.straggler, None);
         assert_eq!(cfg.checkpoint_every, 5);
         assert_eq!(cfg.audit_every, None);
         assert_eq!(cfg.replication, 1);
@@ -895,7 +866,7 @@ mod tests {
             &bad,
         )
         .unwrap_err();
-        assert!(matches!(err, PlatformError::ZeroCheckpointInterval));
+        assert_eq!(err, PlatformError::ZeroKnob("checkpoint_every"));
     }
 
     #[test]
@@ -911,27 +882,49 @@ mod tests {
             )
             .unwrap_err()
         };
-        assert!(matches!(
-            check(RunConfig::new(2, 5).with_state_audit(0)),
-            PlatformError::ZeroAuditInterval
-        ));
-        assert!(matches!(
-            check(RunConfig::new(2, 5).with_replication(0)),
-            PlatformError::ZeroReplicationFactor
-        ));
-        assert!(matches!(
-            check(RunConfig::new(2, 5).with_paging(0, EvictionPolicy::Clock)),
-            PlatformError::ZeroPageBudget
-        ));
-        assert!(matches!(
-            check(RunConfig::new(2, 5).with_hybrid(0)),
-            PlatformError::ZeroInnerIterations
-        ));
+        for (cfg, knob) in [
+            (RunConfig::new(0, 5), "nprocs"),
+            (RunConfig::new(2, 5).with_hash_buckets(0), "hash_buckets"),
+            (RunConfig::new(2, 5).with_state_audit(0), "audit_every"),
+            (RunConfig::new(2, 5).with_replication(0), "replication"),
+            (
+                RunConfig::new(2, 5).with_paging(0, EvictionPolicy::Sieve),
+                "paging.budget",
+            ),
+            (RunConfig::new(2, 5).with_hybrid(0), "inner_k"),
+        ] {
+            assert_eq!(check(cfg), PlatformError::ZeroKnob(knob));
+        }
     }
 
     #[test]
     fn configurations_no_layer_can_honour_are_refused() {
         use mpisim::{Config, FaultPlan};
+        // Zeros no layer can honour either: a balancing period that never
+        // fires, a batch that plans nothing, a mailbox that holds nothing
+        // (refused here, before the world's own check panics).
+        let graph = ic2_graph::generators::hex_grid_n(16);
+        for (cfg, knob) in [
+            (RunConfig::new(2, 5).with_balancing(0), "balance_every"),
+            (
+                RunConfig::new(2, 5).with_migration_batch(0),
+                "migration_batch",
+            ),
+            (
+                RunConfig::new(2, 5).with_world(Config::default().with_mailbox_capacity(0)),
+                "world.mailbox_capacity",
+            ),
+        ] {
+            let refused = try_run(
+                &graph,
+                &crate::program::AvgProgram::fine(),
+                &ic2_partition::metis::Metis::default(),
+                || ic2_balance::NoBalancer,
+                &cfg,
+            );
+            assert_eq!(refused.err(), Some(PlatformError::ZeroKnob(knob)));
+        }
+
         let faulty = |plan| RunConfig::new(2, 5).with_world(Config::default().with_faults(plan));
         // Live-region rot is exact only under an audit every iteration...
         let rot = |region| FaultPlan::new(1).with_memory_corrupt_in(1, region, 0.01);
@@ -954,7 +947,7 @@ mod tests {
         for needs_verdicts in [
             overlap().with_partition_tolerance(),
             overlap().with_state_audit(1),
-            overlap().with_paging(4, EvictionPolicy::Clock),
+            overlap().with_paging(4, EvictionPolicy::Sieve),
             overlap()
                 .with_world(Config::default().with_faults(FaultPlan::new(1).with_crash(1, 0.1))),
         ] {
@@ -1041,7 +1034,6 @@ mod tests {
             final_owner: Vec::new(),
             faults: FaultStats::default(),
             ranks_died: Vec::new(),
-            emergency_balances: 0,
             skipped_migrations: 0,
             checkpoint_bytes: 0,
             rollbacks: 0,

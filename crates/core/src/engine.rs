@@ -3,8 +3,8 @@
 //! with every later feature as a *layer* of the one round loop.
 //!
 //! A round is *begin → elidable? inner round : catch-up → compute +
-//! exchange → boundary verdict → balance → straggler → rot sweep + audit →
-//! checkpoint → next*. Each layer is a method that
+//! exchange → boundary verdict → balance → rot sweep + audit → checkpoint →
+//! next*. Each layer is a method that
 //! issues no collective, no `rank.advance` and no trace event when its
 //! configuration is off, so a run pays only for what it enabled and every
 //! configuration's virtual time, counts and trace bytes are those of the
@@ -12,10 +12,10 @@
 //!
 //! The control [`Plane`] — which collective closes each agreed decision —
 //! is chosen once per run and matched only where the collective differs:
-//! the iteration close, the balancing protocol, the straggler sample and
-//! the final gather. The checkpoint protocol ([`crate::checkpoint`]) and
-//! the membership protocol ([`crate::membership`]) are further `impl`
-//! blocks of the same [`Engine`].
+//! the iteration close, the balancing protocol and the final gather. The
+//! checkpoint protocol ([`crate::checkpoint`]) and the membership protocol
+//! ([`crate::membership`]) are further `impl` blocks of the same
+//! [`Engine`].
 
 use crate::audit;
 use crate::checkpoint::{
@@ -25,7 +25,6 @@ use crate::checkpoint::{
 use crate::driver::{balance_due, elided_before, is_global_round, IntegrityCounters, RunConfig};
 use crate::error::invariant_violated;
 use crate::exchange::{self, drain_storage, DeltaStats, Round};
-use crate::imbalance::StragglerDetector;
 use crate::membership::CUT_FLAG;
 use crate::migrate;
 use crate::paging::PageCounters;
@@ -151,9 +150,6 @@ pub(crate) struct Engine<'a, P: NodeProgram, B> {
     pub(crate) ranks_died: Vec<u32>,
     /// The agreed suspected set governing the *next* round (membership).
     pub(crate) frozen: Vec<bool>,
-    /// Replicated but not snapshotted: a rollback resets it identically
-    /// everywhere and lets replay re-feed it.
-    detector: Option<StragglerDetector>,
     /// The committed checkpoint a rollback returns to.
     pub(crate) ckpt: Checkpoint<P::Data>,
     /// Consecutive boundaries poisoned by page damage (counted from agreed
@@ -170,7 +166,7 @@ pub(crate) struct Engine<'a, P: NodeProgram, B> {
 
 /// What one round's compute + exchange stage hands the boundary.
 struct Work {
-    /// Compute seconds of this iteration: the straggler sample.
+    /// Compute seconds of this iteration (the balancer's load sample).
     comp: f64,
     /// Boundary nodes whose value changed (delta exchange), all phases.
     changed: u64,
@@ -272,7 +268,6 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
             crashed: vec![false; cfg.nprocs],
             ranks_died: Vec::new(),
             frozen: vec![false; cfg.nprocs],
-            detector: cfg.straggler.map(|(t, p)| StragglerDetector::new(t, p)),
             ckpt,
             disk_failures: 0,
             mem_epoch: 0,
@@ -309,18 +304,16 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
         let elided = !degraded && !is_global_round(iter, cfg, self.plane.verdict());
         let work = self.compute_and_exchange(elided, degraded);
         if elided {
-            // Balancing, detection, audits and checkpoints wait for the next
-            // global round. The at-rest corruption sweep still runs every
+            // Balancing, audits and checkpoints wait for the next global
+            // round. The at-rest corruption sweep still runs every
             // round.
             self.tally.inner_iterations += 1;
             self.rot_sweep();
         } else {
-            let verdict = self.close_iteration(&work, degraded)?;
-            let due = balance_due(iter, cfg);
-            if due {
-                self.balance(false)?;
+            self.close_iteration(&work, degraded)?;
+            if balance_due(iter, cfg) {
+                self.balance()?;
             }
-            self.straggler(verdict.as_ref(), work.comp, due)?;
             if self.plane.verdict() {
                 self.rot_sweep();
                 self.audit()?;
@@ -416,26 +409,20 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
     /// Close the iteration. On the thesis's plane every step already closed
     /// itself with a barrier (or, under delta exchange, agreed its changed
     /// count). On the verdict plane one control exchange carries everything
-    /// the boundary needs: the failure detector's verdict, each rank's
-    /// compute time (straggler sample) and the changed-node count, with the
-    /// pager's damage latch and the cut observation in its top bits (both 0
-    /// unless their layer is on, so the exchange is byte-identical without
-    /// them).
-    fn close_iteration(
-        &mut self,
-        work: &Work,
-        degraded: bool,
-    ) -> ControlFlow<(), Option<CtlVerdict>> {
+    /// the boundary needs: the failure detector's verdict and the
+    /// changed-node count, with the pager's damage latch and the cut
+    /// observation in its top bits (both 0 unless their layer is on, so the
+    /// exchange is byte-identical without them).
+    fn close_iteration(&mut self, work: &Work, degraded: bool) -> ControlFlow<()> {
         let Plane::Verdict { membership } = self.plane else {
             self.tally.quiescent_iterations += u32::from(work.quiescent);
-            return Continue(None);
+            return Continue(());
         };
         let (rank, iter) = (self.rank, self.iter);
         let verdict = rank.ctl_exchange(CtlSlot {
             word: work.changed
                 | (u64::from(self.store.disk_damaged()) * DAMAGE_FLAG)
                 | (u64::from(membership && work.saw_cut) * CUT_FLAG),
-            load: work.comp,
             ..CtlSlot::default()
         });
         if self.suspects(&verdict) {
@@ -479,7 +466,7 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
             let global: u64 = words.map(|w| w & !(DAMAGE_FLAG | CUT_FLAG)).sum();
             self.tally.quiescent_iterations += u32::from(global == 0);
         }
-        Continue(Some(verdict))
+        Continue(())
     }
 
     /// Count one damage-poisoned agreement; concede after
@@ -493,11 +480,11 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
         self.disk_failures
     }
 
-    /// One balancing round, periodic or `emergency`; a crash inside it
-    /// rolls back. Migration mutates buckets behind the pager's back, so it
-    /// is a whole-table phase (the failing path skips the spill — the
-    /// rollback it triggers resets the pager wholesale).
-    fn balance(&mut self, emergency: bool) -> ControlFlow<()> {
+    /// One periodic balancing round; a crash inside it rolls back.
+    /// Migration mutates buckets behind the pager's back, so it is a
+    /// whole-table phase (the failing path skips the spill — the rollback
+    /// it triggers resets the pager wholesale).
+    fn balance(&mut self) -> ControlFlow<()> {
         self.store.bulk_begin();
         let Some(out) = migrate::balance_round(
             self.rank,
@@ -514,12 +501,7 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
         };
         self.counters.migrations += out.migrated;
         self.counters.skipped += out.skipped;
-        self.counters.emergency_balances += usize::from(emergency);
-        self.settle(if emergency {
-            "post-emergency-balance"
-        } else {
-            "post-migration"
-        });
+        self.settle("post-migration");
         Continue(())
     }
 
@@ -531,35 +513,6 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
         self.counters.comp_since_balance = 0.0;
         self.store.reset_loads();
         self.validate(what);
-    }
-
-    /// Straggler detection: fed the same per-rank compute times everywhere
-    /// (allgathered, or read off the boundary verdict's load slots), the
-    /// strike counter is replicated — every rank reaches the identical
-    /// fire/hold decision, and a fire runs an emergency balancing round
-    /// unless the periodic one just ran.
-    fn straggler(
-        &mut self,
-        verdict: Option<&CtlVerdict>,
-        comp: f64,
-        balanced: bool,
-    ) -> ControlFlow<()> {
-        let Some(detector) = self.detector.as_mut() else {
-            return Continue(());
-        };
-        let times: Vec<f64> = match verdict {
-            None => self.rank.allgather(&comp),
-            Some(v) => (0..self.cfg.nprocs)
-                .map(|r| v.load(r).unwrap_or(0.0))
-                .collect(),
-        };
-        let alive = || times.iter().zip(&self.crashed).filter(|&(_, &d)| !d);
-        let max = alive().map(|(&t, _)| t).fold(0.0f64, f64::max);
-        let mean = alive().map(|(&t, _)| t).sum::<f64>() / alive().count().max(1) as f64;
-        if detector.observe(max, mean) && !balanced {
-            self.balance(true)?;
-        }
-        Continue(())
     }
 
     /// The fault plan's sweep over live at-rest state (plans with memory
@@ -782,7 +735,6 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
         }
         self.tally.iterations_replayed += completed - self.ckpt.iter;
         self.tally.rollbacks += 1;
-        self.detector = (self.cfg.straggler).map(|(t, p)| StragglerDetector::new(t, p));
         self.iter = self.ckpt.iter + 1;
     }
 

@@ -125,10 +125,13 @@ impl fmt::Display for StoreViolation {
 /// the graph, or nonsensical recovery knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlatformError {
-    /// `nprocs == 0`: the world needs at least one processor.
-    NoProcessors,
-    /// `hash_buckets == 0`: the data-node table needs at least one page.
-    NoHashBuckets,
+    /// A count or interval knob set to zero, which no layer can honour:
+    /// no processors, no table pages, a checkpoint, audit or balancing
+    /// interval of zero iterations, no checkpoint replica, a hybrid window
+    /// of zero inner rounds (plain BSP spelled confusingly), a paging
+    /// budget or migration batch of zero, or a mailbox that holds nothing.
+    /// Names the [`crate::RunConfig`] field (or `world.mailbox_capacity`).
+    ZeroKnob(&'static str),
     /// The partitioner returned an assignment for the wrong number of
     /// nodes.
     PartitionLengthMismatch {
@@ -137,25 +140,6 @@ pub enum PlatformError {
         /// Entries in the returned partition.
         partition: usize,
     },
-    /// A straggler threshold below 1.0 would flag every iteration.
-    BadStragglerThreshold(f64),
-    /// A straggler patience of zero could never accumulate a strike.
-    ZeroStragglerPatience,
-    /// A checkpoint interval of zero iterations is meaningless: crash
-    /// recovery needs at least one iteration between snapshots.
-    ZeroCheckpointInterval,
-    /// A state-audit interval of zero iterations is meaningless: audits
-    /// fire at iteration boundaries, at least one iteration apart.
-    ZeroAuditInterval,
-    /// A checkpoint replication factor of zero would leave no copy
-    /// anywhere; recovery needs at least the owner's own baseline.
-    ZeroReplicationFactor,
-    /// A hybrid execution policy with `inner_k == 0` elides nothing: it is
-    /// exactly BSP spelled confusingly, so it is rejected up front.
-    ZeroInnerIterations,
-    /// An out-of-core buffer-pool budget of zero pages could hold nothing
-    /// resident; paging needs at least one frame.
-    ZeroPageBudget,
     /// The fault plan rots *live* state (owned or shadow entries) but the
     /// state audit does not run every iteration. Between two audits a
     /// promote or an un-audited hybrid inner round reads the flipped value
@@ -228,37 +212,11 @@ pub enum PlatformError {
 impl fmt::Display for PlatformError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlatformError::NoProcessors => write!(f, "need at least one processor"),
-            PlatformError::NoHashBuckets => write!(f, "need at least one hash bucket"),
+            PlatformError::ZeroKnob(knob) => write!(f, "{knob} must be at least 1"),
             PlatformError::PartitionLengthMismatch { nodes, partition } => write!(
                 f,
                 "partition covers {partition} nodes but the graph has {nodes}"
             ),
-            PlatformError::BadStragglerThreshold(t) => write!(
-                f,
-                "straggler threshold {t} is below 1.0 and would always fire"
-            ),
-            PlatformError::ZeroStragglerPatience => {
-                write!(f, "straggler patience must be at least 1 iteration")
-            }
-            PlatformError::ZeroCheckpointInterval => {
-                write!(f, "checkpoint interval must be at least 1 iteration")
-            }
-            PlatformError::ZeroAuditInterval => {
-                write!(f, "state-audit interval must be at least 1 iteration")
-            }
-            PlatformError::ZeroReplicationFactor => {
-                write!(f, "checkpoint replication factor must be at least 1")
-            }
-            PlatformError::ZeroInnerIterations => {
-                write!(
-                    f,
-                    "hybrid execution needs inner_k of at least 1 (0 is plain BSP)"
-                )
-            }
-            PlatformError::ZeroPageBudget => {
-                write!(f, "out-of-core page budget must be at least 1 page")
-            }
             PlatformError::LiveRotNeedsAuditEveryIteration { audit_every } => write!(
                 f,
                 "memory rot in live regions needs a state audit every iteration \
@@ -312,7 +270,7 @@ impl std::error::Error for PlatformError {}
 /// channel, so (like [`mpisim::FlowDeadlock`] and
 /// [`crate::checkpoint::UnrecoverableStateSignal`]) the violation unwinds
 /// as a typed payload that [`crate::catch_flow_deadlock`] downcasts into
-/// [`PlatformError::InternalInvariant`]. Raised via [`invariant_violated`].
+/// [`PlatformError::InternalInvariant`]. Raised via `invariant_violated`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvariantSignal {
     /// The rank that observed the violation.
@@ -344,24 +302,13 @@ mod tests {
             e.to_string(),
             "partition covers 60 nodes but the graph has 64"
         );
-        assert!(PlatformError::BadStragglerThreshold(0.5)
-            .to_string()
-            .contains("0.5"));
         assert!(PlatformError::UnrecoverableState { rank: 3 }
             .to_string()
             .contains("rank 3"));
-        assert!(PlatformError::ZeroAuditInterval
-            .to_string()
-            .contains("audit interval"));
-        assert!(PlatformError::ZeroReplicationFactor
-            .to_string()
-            .contains("replication factor"));
-        assert!(PlatformError::ZeroPageBudget
-            .to_string()
-            .contains("page budget"));
-        assert!(PlatformError::ZeroInnerIterations
-            .to_string()
-            .contains("inner_k"));
+        assert_eq!(
+            PlatformError::ZeroKnob("audit_every").to_string(),
+            "audit_every must be at least 1"
+        );
         let ii = PlatformError::InternalInvariant {
             rank: 2,
             detail: "no data for owned node 7 at gather".into(),

@@ -181,7 +181,7 @@ impl<D> Packing<D> {
 
 /// Run one compute + communicate round: the node updates of Figure 8
 /// ([`ExchangeMode::PostComm`]) or 8a ([`ExchangeMode::Overlap`]) around the
-/// one shadow exchange ([`send_shadows`], then [`recv_shadows`]) — the modes
+/// one shadow exchange (`send_shadows`, then `recv_shadows`) — the modes
 /// differ only in whether the internal nodes are computed before the sends
 /// or between the sends and the receives.
 ///
@@ -804,7 +804,7 @@ mod tests {
     use super::*;
     use crate::driver::catch_flow_deadlock;
     use crate::error::PlatformError;
-    use crate::paging::{EvictionPolicy, PageConfig};
+    use crate::paging::PageConfig;
     use crate::program::AvgProgram;
     use ic2_graph::generators::{hex_grid, random_connected};
     use ic2_graph::{Graph, NodeId, Partition};
@@ -979,7 +979,7 @@ mod tests {
         let shadows = all_shadows;
         // A page that lost every copy stays unreadable.
         let lose_page = |store: &mut NodeStore<i64>, _: &Graph| {
-            let cfg = PageConfig::new(4, EvictionPolicy::Fifo);
+            let cfg = PageConfig { budget: 4 };
             store.enable_paging(&cfg, &FaultPlan::new(1), &CostModel::default());
             store.table.page_out(lost);
         };
@@ -1031,7 +1031,7 @@ mod tests {
             // A page that lost every copy stays unreadable.
             let lost = 1;
             let mut store = build();
-            let cfg = PageConfig::new(4, EvictionPolicy::Fifo);
+            let cfg = PageConfig { budget: 4 };
             store.enable_paging(&cfg, &FaultPlan::new(1), &costs);
             store.table.page_out(lost);
             step_once(rank, &mut store);

@@ -107,55 +107,6 @@ impl ShiftingWindowLoad {
     }
 }
 
-/// Detects a straggling processor from the per-iteration compute times and
-/// decides when to trigger an emergency balancing round off-schedule.
-///
-/// Fed the allreduced `(max, mean)` of the ranks' compute times, so every
-/// rank observes the identical sequence and the strike counter — and
-/// therefore the firing decision — is replicated without extra
-/// communication. A single slow iteration (a cache hiccup, one hot node)
-/// is not a straggler; only `patience` consecutive over-threshold
-/// iterations fire, and firing resets the counter so corrections get a
-/// chance to land before the next alarm.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StragglerDetector {
-    /// Fire when `max > threshold * mean` (e.g. 2.0 = one rank is taking
-    /// twice the average).
-    pub threshold: f64,
-    /// Consecutive over-threshold iterations required before firing.
-    pub patience: u32,
-    strikes: u32,
-}
-
-impl StragglerDetector {
-    /// A detector with no strikes recorded yet.
-    pub fn new(threshold: f64, patience: u32) -> Self {
-        assert!(threshold >= 1.0, "threshold below 1.0 would always fire");
-        assert!(patience >= 1, "patience 0 could never fire");
-        StragglerDetector {
-            threshold,
-            patience,
-            strikes: 0,
-        }
-    }
-
-    /// Record one iteration's `(max, mean)` compute times; `true` means an
-    /// emergency balancing round should run now.
-    pub fn observe(&mut self, max: f64, mean: f64) -> bool {
-        if mean > 0.0 && max > self.threshold * mean {
-            self.strikes += 1;
-        } else {
-            self.strikes = 0;
-        }
-        if self.strikes >= self.patience {
-            self.strikes = 0;
-            true
-        } else {
-            false
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,31 +149,5 @@ mod tests {
         let g = GrainSchedule::Uniform(1e-3);
         assert_eq!(g.cost(0, 64, 1), 1e-3);
         assert_eq!(g.cost(63, 64, 99), 1e-3);
-    }
-
-    #[test]
-    fn straggler_detector_needs_consecutive_strikes() {
-        let mut d = StragglerDetector::new(2.0, 3);
-        assert!(!d.observe(3.0, 1.0));
-        assert!(!d.observe(3.0, 1.0));
-        // A healthy iteration resets the streak.
-        assert!(!d.observe(1.1, 1.0));
-        assert!(!d.observe(3.0, 1.0));
-        assert!(!d.observe(3.0, 1.0));
-        assert!(d.observe(3.0, 1.0));
-        // Firing resets too: the next alarm needs a fresh streak.
-        assert!(!d.observe(3.0, 1.0));
-        assert!(!d.observe(3.0, 1.0));
-        assert!(d.observe(3.0, 1.0));
-    }
-
-    #[test]
-    fn straggler_detector_ignores_balanced_and_idle_loads() {
-        let mut d = StragglerDetector::new(2.0, 1);
-        assert!(!d.observe(1.0, 1.0));
-        assert!(!d.observe(1.9, 1.0));
-        // Zero mean (nothing computed) never fires.
-        assert!(!d.observe(5.0, 0.0));
-        assert!(d.observe(2.1, 1.0));
     }
 }

@@ -66,7 +66,7 @@ pub use driver::{
 };
 pub use error::{PlatformError, StoreViolation};
 pub use hashtab::{NodeTable, Slot, Unsorted};
-pub use imbalance::{GrainSchedule, ShiftingWindowLoad, StragglerDetector};
+pub use imbalance::{GrainSchedule, ShiftingWindowLoad};
 pub use migrate::{BalanceOutcome, MigrantPolicy};
 pub use mpisim::trace::{chrome_trace_json, timeline_json, RankTrace, TraceEvent};
 pub use paging::{BufferPool, EvictionPolicy, PageConfig, PageCounters};

@@ -19,8 +19,8 @@
 //!   majority side keeps iterating with the suspected set *frozen*: sends
 //!   to and receives from suspected peers are skipped (each skipped receive
 //!   is charged the detection timeout), their shadow values go stale, and
-//!   the side work that would cross the cut — balancing, checkpoints,
-//!   straggler reactions — is suspended. The minority *parks*: it stops
+//!   the side work that would cross the cut — balancing, audits,
+//!   checkpoints — is suspended. The minority *parks*: it stops
 //!   mutating its state entirely and merely mirrors the majority's
 //!   collective footprint (barriers + control exchanges) so the world-wide
 //!   collectives keep resolving.

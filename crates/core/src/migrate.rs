@@ -174,7 +174,7 @@ where
         };
 
         let mut outcome = BalanceOutcome::default();
-        for _sub in 0..cfg.migration_batch.max(1) {
+        for _sub in 0..cfg.migration_batch {
             // 1. Refresh the communication-volume edges (they change as tasks
             //    move) and plan: at the designated processor, which broadcasts
             //    the plan, or on every rank from replicated inputs.

@@ -1,6 +1,7 @@
 //! Out-of-core paging: a fixed-budget buffer pool over the virtual disk.
 //!
-//! ROADMAP item 2: partitions that outgrow RAM. The paged [`NodeStore`]
+//! ROADMAP item 2: partitions that outgrow RAM. The paged
+//! [`crate::store::NodeStore`]
 //! keeps at most `budget` pages of its [`NodeTable`] readable; the rest
 //! live on the rank's private [`mpisim::VirtualDisk`] as checksummed
 //! *pages* (one page = the slot range of one contiguous id range, entries
@@ -20,8 +21,8 @@
 //!   interrupted write can never expose a half-written page. The verified
 //!   blob is then mirrored to the other slot (best effort), so steady
 //!   state holds two independently-decaying copies of every page.
-//! * **Bounded retry with exponential backoff.** Transient I/O errors and
-//!   disk-full rejections retry up to [`MAX_IO_RETRIES`] times; every
+//! * **Bounded retry with exponential backoff.** Transient I/O errors
+//!   retry up to `MAX_IO_RETRIES` times; every
 //!   retry charges `disk_retry_backoff × 2^attempt` virtual seconds. Each
 //!   commit round allocates a *fresh* monotonic version, because read rot
 //!   is sticky per stored version — retrying the same version could never
@@ -54,20 +55,15 @@ const PAGE_SEED: u64 = 0x8cb9_2ba7_2f3d_8dd7;
 /// Bounded-retry limit for one logical disk operation (per slot).
 const MAX_IO_RETRIES: u32 = 5;
 
-/// Pluggable page-replacement policy for the buffer pool.
+/// The buffer pool's page-replacement policy. SIEVE is the only one, as
+/// it is what every workload runs; the type stays, with its one variant,
+/// because [`crate::RunConfig::with_paging`] takes it and the benchmark's
+/// frozen API names both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictionPolicy {
-    /// Evict the page resident longest, ignoring accesses.
-    Fifo,
-    /// Evict the least-recently-used page.
-    Lru,
-    /// Second-chance clock: a hand sweeps the frames, clearing reference
-    /// bits; the first unreferenced page is evicted.
-    Clock,
     /// SIEVE (NSDI '24): FIFO order with a retention hand moving from the
     /// tail toward the head; visited pages are retained once and the hand
-    /// does not move survivors, making it both simpler and lazier than
-    /// Clock.
+    /// does not move survivors.
     Sieve,
 }
 
@@ -78,15 +74,6 @@ pub struct PageConfig {
     /// (checkpoint snapshots, migration, restore, final gather) may exceed
     /// the budget transiently and spill back down afterwards.
     pub budget: usize,
-    /// Replacement policy.
-    pub policy: EvictionPolicy,
-}
-
-impl PageConfig {
-    /// A paging configuration with the given budget and policy.
-    pub fn new(budget: usize, policy: EvictionPolicy) -> Self {
-        PageConfig { budget, policy }
-    }
 }
 
 /// Platform-side (detection/recovery) paging counters; the injection-side
@@ -97,8 +84,8 @@ pub struct PageCounters {
     pub page_faults: u64,
     /// Pages evicted to enforce the budget.
     pub pages_evicted: u64,
-    /// Disk operations retried after a transient error, a disk-full
-    /// rejection, or a failed read-back verification.
+    /// Disk operations retried after a transient error or a failed
+    /// read-back verification.
     pub disk_retries: u64,
     /// Acknowledged writes whose read-back verification failed — torn
     /// writes the shadow-paging commit caught before the flip.
@@ -119,20 +106,20 @@ impl PageCounters {
     }
 }
 
-/// A fixed-budget frame pool tracking which pages are resident and, per
-/// the configured [`EvictionPolicy`], which to evict next. Pages are dense
-/// small integers, so membership is an array test.
+/// A fixed-budget frame pool tracking which pages are resident and, by
+/// SIEVE, which to evict next. Pages are dense small integers, so
+/// membership is an array test.
 /// Entirely deterministic: same admit/touch/evict sequence, same victims.
 #[derive(Debug, Clone)]
 pub struct BufferPool {
-    policy: EvictionPolicy,
     budget: usize,
-    /// Frames in policy order. FIFO/LRU: front = next victim. Clock: ring
-    /// in admission order. SIEVE: front = head (newest), back = tail.
+    /// Resident frames, head (newest) first, tail last.
     order: Vec<usize>,
     resident: Vec<bool>,
-    /// Clock reference bits / SIEVE visited bits, indexed by page.
-    marked: Vec<bool>,
+    /// Visited bits, indexed by page.
+    visited: Vec<bool>,
+    /// Index into `order` of the next frame to inspect (`usize::MAX`
+    /// before the first eviction: start at the tail).
     hand: usize,
 }
 
@@ -141,14 +128,13 @@ impl BufferPool {
     ///
     /// # Panics
     /// Panics if `budget` is zero.
-    pub fn new(policy: EvictionPolicy, budget: usize) -> Self {
+    pub fn new(budget: usize) -> Self {
         assert!(budget > 0, "buffer pool needs a budget of at least 1 page");
         BufferPool {
-            policy,
             budget,
             order: Vec::new(),
             resident: Vec::new(),
-            marked: Vec::new(),
+            visited: Vec::new(),
             hand: usize::MAX,
         }
     }
@@ -181,7 +167,7 @@ impl BufferPool {
     fn grow_to(&mut self, page: usize) {
         if page >= self.resident.len() {
             self.resident.resize(page + 1, false);
-            self.marked.resize(page + 1, false);
+            self.visited.resize(page + 1, false);
         }
     }
 
@@ -193,34 +179,19 @@ impl BufferPool {
         self.grow_to(page);
         assert!(!self.resident[page], "page {page} admitted twice");
         self.resident[page] = true;
-        self.marked[page] = false;
-        match self.policy {
-            EvictionPolicy::Sieve => {
-                // SIEVE inserts at the head; the tail-ward hand index
-                // shifts by one to keep pointing at the same frame.
-                self.order.insert(0, page);
-                if self.hand != usize::MAX {
-                    self.hand += 1;
-                }
-            }
-            _ => self.order.push(page),
+        self.visited[page] = false;
+        // Insert at the head; the tail-ward hand index shifts by one to
+        // keep pointing at the same frame.
+        self.order.insert(0, page);
+        if self.hand != usize::MAX {
+            self.hand += 1;
         }
     }
 
     /// Record an access to a resident page.
     pub fn touch(&mut self, page: usize) {
         debug_assert!(self.contains(page), "touch of non-resident page {page}");
-        match self.policy {
-            EvictionPolicy::Fifo => {}
-            EvictionPolicy::Lru => {
-                // Move to the back of the recency list.
-                if let Some(pos) = self.order.iter().position(|&p| p == page) {
-                    self.order.remove(pos);
-                    self.order.push(page);
-                }
-            }
-            EvictionPolicy::Clock | EvictionPolicy::Sieve => self.marked[page] = true,
-        }
+        self.visited[page] = true;
     }
 
     /// Choose and remove the next victim, never one in `pinned`. `None`
@@ -235,59 +206,31 @@ impl BufferPool {
         if self.order.iter().all(&pinned) {
             return None;
         }
-        match self.policy {
-            EvictionPolicy::Fifo | EvictionPolicy::Lru => {
-                let pos = self.order.iter().position(|p| !pinned(p))?;
-                let page = self.order.remove(pos);
+        if self.hand >= self.order.len() {
+            self.hand = self.order.len() - 1;
+        }
+        // Walk tail to head, wrapping: an unvisited, unpinned page is the
+        // victim; a visited one loses its bit and is passed over.
+        loop {
+            let page = self.order[self.hand];
+            if !pinned(&page) && !self.visited[page] {
+                self.order.remove(self.hand);
                 self.resident[page] = false;
-                Some(page)
+                self.hand = if self.hand == 0 {
+                    self.order.len().saturating_sub(1)
+                } else {
+                    self.hand - 1
+                };
+                return Some(page);
             }
-            EvictionPolicy::Clock => {
-                if self.hand >= self.order.len() {
-                    self.hand = 0;
-                }
-                loop {
-                    let page = self.order[self.hand];
-                    if !pinned(&page) && !self.marked[page] {
-                        self.order.remove(self.hand);
-                        self.resident[page] = false;
-                        if self.hand >= self.order.len() {
-                            self.hand = 0;
-                        }
-                        return Some(page);
-                    }
-                    if !pinned(&page) {
-                        self.marked[page] = false;
-                    }
-                    self.hand = (self.hand + 1) % self.order.len();
-                }
+            if !pinned(&page) {
+                self.visited[page] = false;
             }
-            EvictionPolicy::Sieve => {
-                if self.hand >= self.order.len() {
-                    self.hand = self.order.len() - 1;
-                }
-                loop {
-                    let page = self.order[self.hand];
-                    if !pinned(&page) && !self.marked[page] {
-                        self.order.remove(self.hand);
-                        self.resident[page] = false;
-                        self.hand = if self.hand == 0 {
-                            self.order.len().saturating_sub(1)
-                        } else {
-                            self.hand - 1
-                        };
-                        return Some(page);
-                    }
-                    if !pinned(&page) {
-                        self.marked[page] = false;
-                    }
-                    self.hand = if self.hand == 0 {
-                        self.order.len() - 1
-                    } else {
-                        self.hand - 1
-                    };
-                }
-            }
+            self.hand = if self.hand == 0 {
+                self.order.len() - 1
+            } else {
+                self.hand - 1
+            };
         }
     }
 
@@ -349,7 +292,7 @@ impl Pager {
         timing: DiskTiming,
         backoff: f64,
     ) -> Self {
-        let mut pool = BufferPool::new(cfg.policy, cfg.budget);
+        let mut pool = BufferPool::new(cfg.budget);
         for b in 0..npages {
             pool.admit(b);
         }
@@ -502,8 +445,7 @@ impl Pager {
     /// latch. The caller spills back down to budget afterwards.
     pub(crate) fn reset_after_restore(&mut self) {
         self.disk.purge();
-        let (policy, budget) = (self.pool.policy, self.pool.budget);
-        let mut pool = BufferPool::new(policy, budget);
+        let mut pool = BufferPool::new(self.pool.budget);
         for b in 0..self.npages {
             pool.admit(b);
         }
@@ -732,7 +674,7 @@ mod tests {
         let ids: [NodeId; 7] = [2, 3, 5, 8, 13, 21, 34];
         table.merge(ids.map(|id| (id, i64::from(id) * 10))).unwrap();
         assert!(table.stage_at(2, 5, -7));
-        let cfg = PageConfig::new(2, EvictionPolicy::Fifo);
+        let cfg = PageConfig { budget: 2 };
         let pager = Pager::new(3, 4, &cfg, FaultPlan::new(1), DiskTiming::default(), 0.0);
         let image = |table: &NodeTable<i64>, b| {
             let mut blob = Vec::new();
@@ -765,47 +707,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_evicts_in_admission_order() {
-        let mut pool = BufferPool::new(EvictionPolicy::Fifo, 3);
-        for p in [1, 2, 3] {
-            pool.admit(p);
-        }
-        pool.touch(1); // FIFO ignores accesses
-        let none = BTreeSet::new();
-        assert_eq!(pool.evict(&none), Some(1));
-        assert_eq!(pool.evict(&none), Some(2));
-        assert!(!pool.contains(1));
-        assert!(pool.contains(3));
-    }
-
-    #[test]
-    fn lru_protects_recently_used() {
-        let mut pool = BufferPool::new(EvictionPolicy::Lru, 3);
-        for p in [1, 2, 3] {
-            pool.admit(p);
-        }
-        pool.touch(1);
-        let none = BTreeSet::new();
-        assert_eq!(pool.evict(&none), Some(2), "1 was touched, 2 is oldest");
-    }
-
-    #[test]
-    fn clock_second_chance_spares_referenced_pages() {
-        let mut pool = BufferPool::new(EvictionPolicy::Clock, 3);
-        for p in [1, 2, 3] {
-            pool.admit(p);
-        }
-        pool.touch(1);
-        let none = BTreeSet::new();
-        // Hand passes 1 (referenced: cleared, spared) and lands on 2.
-        assert_eq!(pool.evict(&none), Some(2));
-        // 1's bit is now clear; the hand continues from 3.
-        assert_eq!(pool.evict(&none), Some(3));
-    }
-
-    #[test]
     fn sieve_retains_visited_pages() {
-        let mut pool = BufferPool::new(EvictionPolicy::Sieve, 3);
+        let mut pool = BufferPool::new(3);
         for p in [1, 2, 3] {
             pool.admit(p);
         }
@@ -818,72 +721,21 @@ mod tests {
 
     #[test]
     fn pinned_pages_are_never_victims() {
-        for policy in [
-            EvictionPolicy::Fifo,
-            EvictionPolicy::Lru,
-            EvictionPolicy::Clock,
-            EvictionPolicy::Sieve,
-        ] {
-            let mut pool = BufferPool::new(policy, 2);
-            pool.admit(7);
-            pool.admit(9);
-            let pinned: BTreeSet<usize> = [7, 9].into();
-            assert_eq!(pool.evict(&pinned), None, "{policy:?} evicted a pin");
-            let pinned: BTreeSet<usize> = [7].into();
-            assert_eq!(pool.evict(&pinned), Some(9), "{policy:?}");
-        }
+        let mut pool = BufferPool::new(2);
+        pool.admit(7);
+        pool.admit(9);
+        let pinned: BTreeSet<usize> = [7, 9].into();
+        assert_eq!(pool.evict(&pinned), None, "evicted a pin");
+        let pinned: BTreeSet<usize> = [7].into();
+        assert_eq!(pool.evict(&pinned), Some(9));
     }
 
     #[test]
     fn eviction_sequences_are_deterministic() {
         let accesses: Vec<usize> = (0..400).map(|i| (i * 7 + i / 13) % 23).collect();
-        for policy in [
-            EvictionPolicy::Fifo,
-            EvictionPolicy::Lru,
-            EvictionPolicy::Clock,
-            EvictionPolicy::Sieve,
-        ] {
-            let mut a = BufferPool::new(policy, 8);
-            let mut b = BufferPool::new(policy, 8);
-            let ra = drive(&mut a, &accesses);
-            let rb = drive(&mut b, &accesses);
-            assert_eq!(ra, rb, "{policy:?} hit counts diverged");
-            assert_eq!(
-                a.resident_pages(),
-                b.resident_pages(),
-                "{policy:?} resident sets diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn clock_and_sieve_beat_fifo_on_scan_with_hot_pages() {
-        // A looping scan over 16 cold pages interleaved with two hot pages
-        // (90% of the value): reference bits keep the hot pages resident,
-        // FIFO flushes them with the scan.
-        let mut accesses = Vec::new();
-        for round in 0..60 {
-            for cold in 0..16usize {
-                accesses.push(100); // hot
-                accesses.push(20 + cold);
-                accesses.push(101); // hot
-            }
-            let _ = round;
-        }
-        let run = |policy| {
-            let mut pool = BufferPool::new(policy, 4);
-            drive(&mut pool, &accesses).0
-        };
-        let fifo = run(EvictionPolicy::Fifo);
-        let clock = run(EvictionPolicy::Clock);
-        let sieve = run(EvictionPolicy::Sieve);
-        assert!(
-            clock > fifo,
-            "clock ({clock} hits) must beat fifo ({fifo} hits)"
-        );
-        assert!(
-            sieve > fifo,
-            "sieve ({sieve} hits) must beat fifo ({fifo} hits)"
-        );
+        let mut a = BufferPool::new(8);
+        let mut b = BufferPool::new(8);
+        assert_eq!(drive(&mut a, &accesses), drive(&mut b, &accesses));
+        assert_eq!(a.resident_pages(), b.resident_pages());
     }
 }

@@ -771,7 +771,6 @@ mod tests {
 
     #[test]
     fn slots_survive_a_disk_round_trip_of_every_page() {
-        use crate::paging::EvictionPolicy;
         for pages in [1, 10, 512] {
             let (graph, mut stores) = build_stores_with(4, pages);
             for s in &mut stores {
@@ -786,7 +785,7 @@ mod tests {
                 assert!(before.iter().all(|(own, _)| own.is_some()));
                 // Budget 1: every other page is written out, then read
                 // back by the bulk prelude. The plan is not rebuilt.
-                let cfg = PageConfig::new(1, EvictionPolicy::Fifo);
+                let cfg = PageConfig { budget: 1 };
                 s.enable_paging(&cfg, &FaultPlan::new(1), &CostModel::default());
                 assert!(pages == 1 || s.table.iter().count() < before.len());
                 s.bulk_begin();

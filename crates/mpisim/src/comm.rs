@@ -117,8 +117,6 @@ pub struct Rank {
     /// partition-cut check to one predicted-false branch when no
     /// partitions are scheduled.
     partitioned: bool,
-    /// Cached straggler multiplier for [`advance`](Self::advance).
-    compute_factor: f64,
     /// Cached [`crate::FaultPlan::crash_time`] for this rank: the virtual
     /// time past which its next substrate operation kills it.
     crash_time: Option<f64>,
@@ -134,7 +132,6 @@ impl Rank {
     pub(crate) fn new(id: usize, n: usize, shared: Arc<Shared>) -> Self {
         let msg_faults = shared.cfg.faults.message_faults();
         let partitioned = shared.cfg.faults.has_partitions();
-        let compute_factor = shared.cfg.faults.compute_factor(id);
         let crash_time = shared.cfg.faults.crash_time(id);
         let trace = shared.cfg.trace.as_ref().map(|_| RefCell::new(Vec::new()));
         Rank {
@@ -148,7 +145,6 @@ impl Rank {
             send_seq: RefCell::new(HashMap::new()),
             msg_faults,
             partitioned,
-            compute_factor,
             crash_time,
             trace,
         }
@@ -231,12 +227,10 @@ impl Rank {
     }
 
     /// Charge `seconds` of compute to this rank's virtual clock (where the
-    /// thesis injects grain sizes with a dummy `for` loop). A straggler
-    /// fault multiplies the charge.
+    /// thesis injects grain sizes with a dummy `for` loop).
     pub fn advance(&self, seconds: f64) {
         debug_assert!(seconds >= 0.0, "cannot advance time backwards");
-        self.clock
-            .set(self.clock.get() + seconds * self.compute_factor);
+        self.clock.set(self.clock.get() + seconds);
         self.maybe_crash();
     }
 
@@ -752,14 +746,6 @@ impl Rank {
         }
     }
 
-    /// Nonblocking probe: is a message matching `(src, tag)` available?
-    pub fn probe(&self, src: Option<usize>, tag: Tag) -> bool {
-        self.probe_pattern(Pattern {
-            src,
-            tag: tag as i64,
-        })
-    }
-
     // ---- collectives ----------------------------------------------------
     //
     // Every rank must call each collective in the same order (the standard
@@ -936,55 +922,6 @@ impl Rank {
         }
     }
 
-    /// Reduce with `op` at every rank (`MPI_Allreduce`): gather at rank 0,
-    /// fold, broadcast the result.
-    pub fn allreduce<T, F>(&self, value: T, op: F) -> T
-    where
-        T: Wire + Clone,
-        F: Fn(T, T) -> T,
-    {
-        let gathered = self.gather(0, &value);
-        let mut result = match gathered {
-            Some(all) => {
-                let mut it = all.into_iter();
-                let first = it.next().expect("world has at least one rank");
-                it.fold(first, &op)
-            }
-            None => value,
-        };
-        self.bcast(0, &mut result);
-        result
-    }
-
-    /// Gather one value from every rank *at* every rank
-    /// (`MPI_Allgather`): gather at rank 0, then broadcast the vector.
-    pub fn allgather<T: Wire + Clone>(&self, value: &T) -> Vec<T> {
-        let mut all = self.gather(0, value).unwrap_or_default();
-        self.bcast(0, &mut all);
-        all
-    }
-
-    /// Inclusive prefix reduction (`MPI_Scan`): rank `i` receives
-    /// `op(v_0, …, v_i)`.
-    pub fn scan<T, F>(&self, value: T, op: F) -> T
-    where
-        T: Wire + Clone,
-        F: Fn(T, T) -> T,
-    {
-        let all = self.allgather(&value);
-        let mut it = all.into_iter().take(self.id + 1);
-        let first = it.next().expect("own contribution present");
-        it.fold(first, &op)
-    }
-
-    /// Combined send + receive (`MPI_Sendrecv`): ship `value` to `dest`
-    /// and collect a message from `src` with the same tag, without the
-    /// deadlock risk of mis-ordered blocking calls.
-    pub fn sendrecv<T: Wire>(&self, dest: usize, src: usize, tag: Tag, value: &T) -> T {
-        self.send(dest, tag, value);
-        self.recv(src, tag)
-    }
-
     // ---- internals -------------------------------------------------------
 
     fn next_coll_tag(&self) -> i64 {
@@ -1132,16 +1069,10 @@ impl Rank {
             decision.corrupted = false;
             decision.truncated = false;
         }
-        if decision.lost() {
+        if decision.dropped {
             if !force {
-                if decision.dropped {
-                    self.stats.borrow_mut().faults.dropped += 1;
-                    self.trace_instant("drop", "fault", &fault_args);
-                }
-                if decision.link_dropped {
-                    self.stats.borrow_mut().faults.link_dropped += 1;
-                    self.trace_instant("link_drop", "fault", &fault_args);
-                }
+                self.stats.borrow_mut().faults.dropped += 1;
+                self.trace_instant("drop", "fault", &fault_args);
                 if reserved {
                     self.shared.mailboxes[dest].release_credit();
                 }
@@ -1277,11 +1208,6 @@ impl Rank {
     pub(crate) fn complete_recv_with_source<T: Wire>(&self, pattern: Pattern) -> (usize, T) {
         let env = self.complete_recv_env(pattern);
         (env.src, self.decode(&env))
-    }
-
-    pub(crate) fn probe_pattern(&self, pattern: Pattern) -> bool {
-        let ordered = self.msg_faults && pattern.tag >= 0;
-        self.shared.mailboxes[self.id].probe(pattern, ordered, false)
     }
 
     /// The [`BlockedOp`] of an operation starting now.

@@ -9,7 +9,7 @@
 //! out-of-core chaos run is exactly as reproducible as a clean one.
 //!
 //! The device is deliberately dumb: it stores `(page, slot) → (version,
-//! bytes)` and injects the four [`DiskFault`] kinds. Everything clever —
+//! bytes)` and injects the three [`DiskFault`] kinds. Everything clever —
 //! checksums, shadow-slot commits, retry backoff, escalation to checkpoint
 //! recovery — belongs to the platform layer above, which is exactly the
 //! contract a real block device offers a database.
@@ -18,8 +18,6 @@
 //!
 //! - [`DiskFault::TransientError`]: the operation fails, the slot is
 //!   untouched. Per-attempt decision — a retry may succeed.
-//! - [`DiskFault::Full`]: a write is rejected for space, the slot keeps
-//!   its previous content. Per-attempt.
 //! - [`DiskFault::TornWrite`]: a write is *acknowledged* but one bit of
 //!   the stored blob flips. Only a read-back check can see it.
 //! - [`DiskFault::ReadRot`]: the stored blob decays at rest. Every read
@@ -59,15 +57,12 @@ impl Default for DiskTiming {
 pub enum DiskError {
     /// A transient controller error; retrying may succeed.
     Transient,
-    /// The device reported no space for a write; retrying may succeed.
-    Full,
 }
 
 impl std::fmt::Display for DiskError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DiskError::Transient => write!(f, "transient disk I/O error"),
-            DiskError::Full => write!(f, "disk full"),
         }
     }
 }
@@ -89,8 +84,6 @@ pub struct DiskCounters {
     pub bytes_written: u64,
     /// Operations failed with [`DiskError::Transient`].
     pub transient_errors: u64,
-    /// Writes rejected with [`DiskError::Full`].
-    pub full_rejections: u64,
     /// Acknowledged writes whose stored blob was damaged in flight.
     pub torn_writes: u64,
     /// Stored versions that decayed at rest (counted once per version,
@@ -140,8 +133,8 @@ impl VirtualDisk {
     }
 
     /// Store `bytes` as version `version` of `(page, slot)`, replacing any
-    /// previous content of that slot. Transient and disk-full failures
-    /// leave the slot untouched; an acknowledged write may still land torn
+    /// previous content of that slot. A transient failure leaves the slot
+    /// untouched; an acknowledged write may still land torn
     /// (one stored bit flipped) — only a read-back check can tell.
     pub fn write(
         &mut self,
@@ -156,10 +149,6 @@ impl VirtualDisk {
         if plan.disk_fault_hits(self.rank, DiskFault::TransientError, page, slot, version, n) {
             self.counters.transient_errors += 1;
             return Err(DiskError::Transient);
-        }
-        if plan.disk_fault_hits(self.rank, DiskFault::Full, page, slot, version, n) {
-            self.counters.full_rejections += 1;
-            return Err(DiskError::Full);
         }
         // An overwrite reuses the slot's allocation, grown to fit at most.
         let s = self.slots.entry((page, slot)).or_default();
@@ -328,21 +317,6 @@ mod tests {
         }
         assert!(failed > 0, "p=0.5 must fail some attempts");
         assert!(d.counters().transient_errors >= failed);
-    }
-
-    #[test]
-    fn full_rejection_leaves_the_slot_untouched() {
-        let plan = FaultPlan::new(3).with_disk_fault(1, DiskFault::Full, 1.0);
-        let mut d = VirtualDisk::new(1, plan, DiskTiming::default());
-        assert_eq!(d.write(5, 0, 1, &[7, 7]), Err(DiskError::Full));
-        assert_eq!(d.read(5, 0).unwrap(), None, "rejected write stored nothing");
-        assert_eq!(d.counters().full_rejections, 1);
-        assert_eq!(d.counters().writes, 0);
-        // Faults are rank-local: another rank's disk on the same plan works.
-        let plan2 = FaultPlan::new(3).with_disk_fault(1, DiskFault::Full, 1.0);
-        let mut other = VirtualDisk::new(0, plan2, DiskTiming::default());
-        other.write(5, 0, 1, &[7, 7]).unwrap();
-        assert_eq!(other.read(5, 0).unwrap(), Some((1, vec![7, 7])));
     }
 
     #[test]

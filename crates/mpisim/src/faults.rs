@@ -1,12 +1,12 @@
 //! Deterministic fault injection ("chaos mode") for the simulated network.
 //!
 //! A [`FaultPlan`] describes which messages misbehave and which ranks are
-//! slow or doomed. Every per-message decision is a pure hash of the
+//! doomed. Every per-message decision is a pure hash of the
 //! message's identity — `(seed, src, dest, tag, sequence number, attempt)`
 //! — via [`mix64`], **never** a shared mutable RNG. That makes the plan
 //! independent of thread interleaving: the same seed and plan produce the
 //! same faults on every run, no matter how the OS schedules the rank
-//! threads. All fault costs (delays, retry timeouts, straggler slowdowns)
+//! threads. All fault costs (delays, retry timeouts, detection timeouts)
 //! are charged through the virtual clock, so a chaos run is exactly as
 //! reproducible as a clean one.
 //!
@@ -35,8 +35,6 @@ pub enum FaultPlanError {
         /// The rejected value.
         value: f64,
     },
-    /// A straggler factor that is zero, negative, or NaN.
-    NonPositiveFactor(f64),
     /// A partition interval with `until <= from` (or NaN bounds) can never
     /// cut anything.
     EmptyInterval {
@@ -49,13 +47,11 @@ pub enum FaultPlanError {
     DegeneratePartition,
     /// A rank listed in more than one group of the same partition.
     OverlappingGroups(usize),
-    /// A link drop with `src == dst` (a rank cannot blackhole itself).
-    SelfLink(usize),
     /// The plan names a rank outside the world. Such an entry would never
     /// fire, yet a crash, rot or disk fault still moves the run onto the
     /// failure-detecting control plane and so changes its time.
     NoSuchRank {
-        /// Which entry names it ("crash", "straggler", …).
+        /// Which entry names it ("crash", "disk fault", …).
         what: &'static str,
         /// The named rank.
         rank: usize,
@@ -73,9 +69,6 @@ impl std::fmt::Display for FaultPlanError {
             FaultPlanError::NegativeTime { what, value } => {
                 write!(f, "{what} must be non-negative (got {value})")
             }
-            FaultPlanError::NonPositiveFactor(v) => {
-                write!(f, "compute factor must be positive (got {v})")
-            }
             FaultPlanError::EmptyInterval { from, until } => {
                 write!(f, "partition interval [{from}, {until}) is empty")
             }
@@ -84,9 +77,6 @@ impl std::fmt::Display for FaultPlanError {
             }
             FaultPlanError::OverlappingGroups(r) => {
                 write!(f, "rank {r} appears in more than one partition group")
-            }
-            FaultPlanError::SelfLink(r) => {
-                write!(f, "link drop {r} -> {r} is a self-loop")
             }
             FaultPlanError::NoSuchRank { what, rank, nprocs } => {
                 write!(f, "{what} names rank {rank}, world size {nprocs}")
@@ -209,9 +199,9 @@ impl MemRegion {
 }
 
 /// Which class of storage misbehaviour a disk-fault decision injects.
-/// The four kinds map to the four things a real block device does to an
+/// The three kinds map to the three things a real block device does to an
 /// out-of-core store: power loss mid-write (torn write), media decay
-/// (read rot), flaky controllers (transient errors), and a full device.
+/// (read rot), and flaky controllers (transient errors).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DiskFault {
     /// A write is acknowledged but lands damaged: one bit of the stored
@@ -224,9 +214,6 @@ pub enum DiskFault {
     /// An I/O operation fails outright but the slot is untouched.
     /// Retrying (with backoff charged to the virtual clock) can succeed.
     TransientError,
-    /// A write is rejected because the device reports no space. Like
-    /// transient errors, per-attempt: a retry may find room.
-    Full,
 }
 
 impl DiskFault {
@@ -235,7 +222,6 @@ impl DiskFault {
             DiskFault::TornWrite => 1,
             DiskFault::ReadRot => 2,
             DiskFault::TransientError => 3,
-            DiskFault::Full => 4,
         }
     }
 }
@@ -257,10 +243,6 @@ pub struct FaultDecision {
     pub corrupted: bool,
     /// The payload is shortened in flight. Also caught by the checksum.
     pub truncated: bool,
-    /// The message is silently lost to a per-link blackhole
-    /// ([`FaultPlan::with_link_drop`]). Counted separately from `dropped`
-    /// so per-link loss is visible in [`crate::FaultStats`].
-    pub link_dropped: bool,
 }
 
 impl FaultDecision {
@@ -268,14 +250,10 @@ impl FaultDecision {
     pub fn mangled(&self) -> bool {
         self.corrupted || self.truncated
     }
-
-    /// Is this attempt lost in flight (globally or on its link)?
-    pub fn lost(&self) -> bool {
-        self.dropped || self.link_dropped
-    }
 }
 
-/// A seeded, deterministic schedule of network and process faults.
+/// A seeded, deterministic schedule of network, process, memory and disk
+/// faults.
 ///
 /// The default plan is a no-op. Build one with the `with_*` methods; a
 /// world checks it with [`FaultPlan::validate`] before it spawns a rank:
@@ -285,7 +263,7 @@ impl FaultDecision {
 /// let plan = FaultPlan::new(42)
 ///     .with_drop(0.05)
 ///     .with_delay(0.10, 2e-3)
-///     .with_straggler(1, 3.0);
+///     .with_crash(1, 0.5);
 /// assert_eq!(plan.validate(4), Ok(()));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -306,8 +284,6 @@ pub struct FaultPlan {
     pub corrupt_prob: f64,
     /// Probability a data message has its payload shortened in flight.
     pub truncate_prob: f64,
-    /// `(rank, factor)`: rank's compute time is multiplied by `factor`.
-    pub stragglers: Vec<(usize, f64)>,
     /// `(rank, virtual_time)`: rank *crashes* once its clock passes the
     /// given virtual time — the one way a rank is lost. The rank dies
     /// instantly at its next substrate operation: its mailbox is sealed,
@@ -327,10 +303,6 @@ pub struct FaultPlan {
     pub detect_timeout: f64,
     /// Group-structured network partitions over virtual-time windows.
     pub partitions: Vec<PartitionSpec>,
-    /// `(src, dst, p)`: each data message on the directed link `src → dst`
-    /// is independently lost with probability `p` (pure per-message hash,
-    /// same purity laws as the global probabilities).
-    pub link_drops: Vec<(usize, usize, f64)>,
     /// `(rank, p)`: each at-rest state entry on `rank` (owned node data,
     /// retained shadow caches, checkpoint replicas) independently has one
     /// bit flipped with probability `p` per injection sweep. Decisions are
@@ -363,13 +335,11 @@ impl Default for FaultPlan {
             reorder_prob: 0.0,
             corrupt_prob: 0.0,
             truncate_prob: 0.0,
-            stragglers: Vec::new(),
             crashes: Vec::new(),
             retry_timeout: 1e-3,
             max_retries: 8,
             detect_timeout: 5e-3,
             partitions: Vec::new(),
-            link_drops: Vec::new(),
             memory_corrupt: Vec::new(),
             memory_corrupt_regions: Vec::new(),
             disk_faults: Vec::new(),
@@ -428,14 +398,6 @@ impl FaultPlan {
         self
     }
 
-    /// Multiply `rank`'s compute time by `factor` (a straggler; `factor`
-    /// below 1.0 makes it a speed demon, which is also legal).
-    pub fn with_straggler(mut self, rank: usize, factor: f64) -> Self {
-        self.stragglers.retain(|&(r, _)| r != rank);
-        self.stragglers.push((rank, factor));
-        self
-    }
-
     /// Crash `rank` (uncooperatively) once its virtual clock reaches `at`:
     /// the rank dies at its next substrate operation without draining or
     /// handing anything off. Survivors must detect the death and recover.
@@ -471,14 +433,6 @@ impl FaultPlan {
         self
     }
 
-    /// Independently lose each data message on the directed link
-    /// `src → dst` with probability `p`.
-    pub fn with_link_drop(mut self, src: usize, dst: usize, p: f64) -> Self {
-        self.link_drops.retain(|&(s, d, _)| (s, d) != (src, dst));
-        self.link_drops.push((src, dst, p));
-        self
-    }
-
     /// Silently flip bits in `rank`'s at-rest state with per-entry
     /// probability `p` on each injection sweep. Unlike wire corruption,
     /// nothing in the transport detects this — only a state audit
@@ -504,9 +458,9 @@ impl FaultPlan {
 
     /// Subject each disk operation on `rank`'s virtual disk to fault
     /// `kind` with probability `p`. Torn writes and read rot damage
-    /// stored bytes (caught by the page checksum); transient errors and
-    /// disk-full rejections fail the operation cleanly (healed by retry
-    /// with backoff charged to the virtual clock).
+    /// stored bytes (caught by the page checksum); transient errors fail
+    /// the operation cleanly (healed by retry with backoff charged to the
+    /// virtual clock).
     pub fn with_disk_fault(mut self, rank: usize, kind: DiskFault, p: f64) -> Self {
         self.disk_faults.retain(|&(r, k, _)| (r, k) != (rank, kind));
         self.disk_faults.push((rank, kind, p));
@@ -514,9 +468,9 @@ impl FaultPlan {
     }
 
     /// Check the whole plan against a world of `nprocs` ranks: every
-    /// probability in `[0, 1]`, every time non-negative, every straggler
-    /// factor positive, every partition a proper split over a non-empty
-    /// window, no self-link, and every rank it names inside the world. The
+    /// probability in `[0, 1]`, every time non-negative, every partition a
+    /// proper split over a non-empty window, and every rank it names inside
+    /// the world. The
     /// builders only record; this is the one place a plan is refused,
     /// public fields included.
     pub fn validate(&self, nprocs: usize) -> Result<(), FaultPlanError> {
@@ -537,12 +491,6 @@ impl FaultPlan {
         check_time("delay", self.delay_seconds)?;
         check_time("timeout", self.retry_timeout)?;
         check_time("timeout", self.detect_timeout)?;
-        for &(r, factor) in &self.stragglers {
-            if factor <= 0.0 || factor.is_nan() {
-                return Err(FaultPlanError::NonPositiveFactor(factor));
-            }
-            rank("straggler", r)?;
-        }
         for &(r, at) in &self.crashes {
             check_time("crash time", at)?;
             rank("crash", r)?;
@@ -565,14 +513,6 @@ impl FaultPlan {
                 }
                 rank("partition member", r)?;
             }
-        }
-        for &(src, dst, p) in &self.link_drops {
-            check_prob("link drop", p)?;
-            if src == dst {
-                return Err(FaultPlanError::SelfLink(src));
-            }
-            rank("link drop", src)?;
-            rank("link drop", dst)?;
         }
         let scoped = self.memory_corrupt_regions.iter().map(|&(r, _, p)| (r, p));
         for (r, p) in self.memory_corrupt.iter().copied().chain(scoped) {
@@ -740,7 +680,6 @@ impl FaultPlan {
             || self.reorder_prob > 0.0
             || self.corrupt_prob > 0.0
             || self.truncate_prob > 0.0
-            || self.link_drops.iter().any(|&(_, _, p)| p > 0.0)
     }
 
     /// Does this plan do anything at all?
@@ -748,7 +687,6 @@ impl FaultPlan {
         !self.message_faults()
             && !self.has_memory_corruption()
             && !self.has_disk_faults()
-            && self.stragglers.is_empty()
             && self.crashes.is_empty()
             && self.partitions.is_empty()
     }
@@ -778,14 +716,6 @@ impl FaultPlan {
     /// [`suspects`].
     pub fn suspects(&self, at: f64, live: &[bool]) -> Vec<bool> {
         suspects(&self.partitions, at, live)
-    }
-
-    /// Compute-time multiplier for `rank` (1.0 unless it straggles).
-    pub fn compute_factor(&self, rank: usize) -> f64 {
-        self.stragglers
-            .iter()
-            .find(|&&(r, _)| r == rank)
-            .map_or(1.0, |&(_, f)| f)
     }
 
     /// Virtual time at which `rank` crashes uncooperatively, if scheduled.
@@ -821,11 +751,6 @@ impl FaultPlan {
         h = mix64(h ^ tag as u64);
         h = mix64(h ^ seq);
         h = mix64(h ^ attempt as u64);
-        let link_prob = self
-            .link_drops
-            .iter()
-            .find(|&&(s, d, _)| (s, d) == (src, dest))
-            .map_or(0.0, |&(_, _, p)| p);
         FaultDecision {
             dropped: unit(mix64(h ^ 1)) < self.drop_prob,
             delayed: unit(mix64(h ^ 2)) < self.delay_prob,
@@ -833,7 +758,6 @@ impl FaultPlan {
             reordered: unit(mix64(h ^ 4)) < self.reorder_prob,
             corrupted: unit(mix64(h ^ 5)) < self.corrupt_prob,
             truncated: unit(mix64(h ^ 6)) < self.truncate_prob,
-            link_dropped: unit(mix64(h ^ 9)) < link_prob,
         }
     }
 
@@ -891,7 +815,6 @@ mod tests {
         assert!(plan.is_noop());
         assert!(!plan.message_faults());
         assert_eq!(plan.decide(0, 1, 5, 0, 0), FaultDecision::default());
-        assert_eq!(plan.compute_factor(3), 1.0);
         assert_eq!(plan.crash_time(3), None);
     }
 
@@ -944,21 +867,21 @@ mod tests {
     }
 
     #[test]
-    fn straggler_lookup() {
-        let plan = FaultPlan::new(0).with_straggler(2, 3.0);
-        assert_eq!(plan.compute_factor(2), 3.0);
-        assert_eq!(plan.compute_factor(0), 1.0);
-        assert!(!plan.is_noop());
-        assert!(!plan.message_faults());
-    }
-
-    #[test]
     fn builders_replace_existing_entries() {
+        // A per-rank entry is keyed by its rank (and kind or region): a
+        // second call replaces the first instead of stacking beside it.
         let plan = FaultPlan::new(0)
-            .with_straggler(2, 3.0)
-            .with_straggler(2, 5.0);
-        assert_eq!(plan.compute_factor(2), 5.0);
-        assert_eq!(plan.stragglers.len(), 1);
+            .with_crash(2, 0.3)
+            .with_crash(2, 0.5)
+            .with_memory_corrupt(2, 0.1)
+            .with_memory_corrupt(2, 0.2)
+            .with_disk_fault(2, DiskFault::ReadRot, 0.1)
+            .with_disk_fault(2, DiskFault::ReadRot, 0.4);
+        assert_eq!(plan.crash_time(2), Some(0.5));
+        assert_eq!(plan.memory_corrupt_prob(2), 0.2);
+        assert_eq!(plan.disk_fault_prob(2, DiskFault::ReadRot), 0.4);
+        let entries = (plan.crashes.len(), plan.memory_corrupt.len());
+        assert_eq!((entries, plan.disk_faults.len()), ((1, 1), 1));
     }
 
     #[test]
@@ -1047,14 +970,13 @@ mod tests {
     #[test]
     fn probability_validation_is_exhaustive_over_sampled_inputs() {
         type ProbBuilder = fn(FaultPlan, f64) -> FaultPlan;
-        let builders: [(&str, ProbBuilder); 10] = [
+        let builders: [(&str, ProbBuilder); 9] = [
             ("drop", |pl, p| pl.with_drop(p)),
             ("delay", |pl, p| pl.with_delay(p, 1e-3)),
             ("dup", |pl, p| pl.with_dup(p)),
             ("reorder", |pl, p| pl.with_reorder(p)),
             ("corrupt", |pl, p| pl.with_corrupt(p)),
             ("truncate", |pl, p| pl.with_truncate(p)),
-            ("link drop", |pl, p| pl.with_link_drop(0, 1, p)),
             ("memory corrupt", |pl, p| pl.with_memory_corrupt(0, p)),
             ("memory corrupt", |pl, p| {
                 pl.with_memory_corrupt_in(0, MemRegion::Replica, p)
@@ -1158,10 +1080,6 @@ mod tests {
             cut(vec![vec![0, 1], vec![1, 2]], 0.1, 0.5),
             Err(FaultPlanError::OverlappingGroups(1))
         );
-        assert_eq!(
-            FaultPlan::new(0).with_link_drop(3, 3, 0.5).validate(4),
-            Err(FaultPlanError::SelfLink(3))
-        );
     }
 
     #[test]
@@ -1188,7 +1106,6 @@ mod tests {
         let plan = || FaultPlan::new(0);
         for (built, refusal) in [
             (plan().with_crash(4, 0.1), missing("crash", 4)),
-            (plan().with_straggler(9, 2.0), missing("straggler", 9)),
             (
                 plan().with_memory_corrupt(4, 0.1),
                 missing("memory corrupt", 4),
@@ -1198,10 +1115,9 @@ mod tests {
                 missing("memory corrupt", 5),
             ),
             (
-                plan().with_disk_fault(4, DiskFault::Full, 0.1),
+                plan().with_disk_fault(4, DiskFault::TornWrite, 0.1),
                 missing("disk fault", 4),
             ),
-            (plan().with_link_drop(0, 4, 0.1), missing("link drop", 4)),
             (
                 plan().with_partition(vec![vec![0], vec![7]], 0.0, 1.0),
                 missing("partition member", 7),
@@ -1265,29 +1181,6 @@ mod tests {
             plan5.suspects(0.5, &[true; 5]),
             vec![false, false, true, true, false]
         );
-    }
-
-    #[test]
-    fn link_drop_decisions_are_link_local_and_calibrated() {
-        let plan = FaultPlan::new(77).with_link_drop(2, 5, 0.3);
-        assert!(plan.message_faults());
-        let n = 10_000;
-        let hit = (0..n)
-            .filter(|&s| plan.decide(2, 5, 9, s, 0).link_dropped)
-            .count();
-        let rate = hit as f64 / n as f64;
-        assert!(
-            (0.27..0.33).contains(&rate),
-            "observed link-drop rate {rate}"
-        );
-        // Other links — including the reverse direction — are untouched.
-        for s in 0..200 {
-            assert!(!plan.decide(5, 2, 9, s, 0).link_dropped);
-            assert!(!plan.decide(2, 4, 9, s, 0).link_dropped);
-            assert!(!plan.decide(2, 5, -9, s, 0).link_dropped);
-        }
-        // A zero-probability link drop activates nothing.
-        assert!(!FaultPlan::new(1).with_link_drop(0, 1, 0.0).message_faults());
     }
 
     #[test]
@@ -1453,11 +1346,11 @@ mod tests {
     #[test]
     fn disk_fault_builder_replaces_and_validates() {
         let plan = FaultPlan::new(0)
-            .with_disk_fault(2, DiskFault::Full, 0.3)
-            .with_disk_fault(2, DiskFault::Full, 0.6)
+            .with_disk_fault(2, DiskFault::TransientError, 0.3)
+            .with_disk_fault(2, DiskFault::TransientError, 0.6)
             .with_disk_fault(2, DiskFault::TornWrite, 0.1);
         assert_eq!(plan.disk_faults.len(), 2, "same (rank, kind) replaces");
-        assert_eq!(plan.disk_fault_prob(2, DiskFault::Full), 0.6);
+        assert_eq!(plan.disk_fault_prob(2, DiskFault::TransientError), 0.6);
         assert_eq!(plan.disk_fault_prob(2, DiskFault::TornWrite), 0.1);
         // A zero-probability entry activates nothing.
         let zero = FaultPlan::new(0).with_disk_fault(0, DiskFault::ReadRot, 0.0);
@@ -1465,7 +1358,7 @@ mod tests {
         assert!(zero.is_noop());
         assert!(matches!(
             FaultPlan::new(0)
-                .with_disk_fault(0, DiskFault::Full, -0.5)
+                .with_disk_fault(0, DiskFault::TransientError, -0.5)
                 .validate(1),
             Err(FaultPlanError::ProbabilityOutOfRange { .. })
         ));

@@ -369,20 +369,6 @@ impl Mailbox {
         })
     }
 
-    /// Nonblocking probe: would a blocking receive with this pattern and
-    /// policy complete now? Applies [`Mailbox::take`]'s admission rule —
-    /// an ordered receive would first discard a damaged or stale frame, so
-    /// neither counts — without removing or counting anything.
-    pub fn probe(&self, pat: Pattern, ordered: bool, accept_cut: bool) -> bool {
-        let inner = self.gate.lock();
-        let seed = self.verify_seed.filter(|_| ordered);
-        inner.queue.iter().any(|e| {
-            pat.admits(e, accept_cut)
-                && seed.is_none_or(|seed| intact(seed, e))
-                && !(ordered && stale(&inner.consumed, e))
-        })
-    }
-
     /// Number of queued messages (for diagnostics).
     pub fn len(&self) -> usize {
         self.gate.lock().queue.len()
@@ -603,19 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_does_not_consume() {
-        let mb = Mailbox::new();
-        mb.deliver(env(0, 1, 7), false);
-        let pat = Pattern {
-            src: Some(0),
-            tag: 1,
-        };
-        assert!(mb.probe(pat, false, false));
-        assert!(mb.probe(pat, false, false));
-        assert_eq!(mb.len(), 1);
-    }
-
-    #[test]
     fn ordered_recv_restores_send_order() {
         let mb = Mailbox::new();
         // Delivered out of order (a reorder fault put seq 2 in front).
@@ -828,7 +801,6 @@ mod tests {
         let pat = Pattern { src: None, tag: 1 };
         for ordered in [false, true] {
             assert!(mb.take(pat, ordered, true).is_none());
-            assert!(!mb.probe(pat, ordered, true));
         }
         assert_eq!(mb.gate.tally.yields.load(Relaxed), 0);
         assert_eq!(mb.gate.tally.parks.load(Relaxed), 0);

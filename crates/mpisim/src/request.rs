@@ -47,10 +47,4 @@ impl<T: Wire> RecvRequest<T> {
     pub fn wait_with_source(self, rank: &Rank) -> (usize, T) {
         rank.complete_recv_with_source(self.pattern)
     }
-
-    /// Nonblocking completion test (`MPI_Test`): would `wait` return
-    /// without blocking?
-    pub fn test(&self, rank: &Rank) -> bool {
-        rank.probe_pattern(self.pattern)
-    }
 }

@@ -69,10 +69,6 @@ pub struct FaultStats {
     /// Data messages cut by an active network partition (sender-side; each
     /// one was delivered to the receiver as a metadata-only tombstone).
     pub partition_cuts: u64,
-    /// Data messages lost to a per-link blackhole
-    /// ([`crate::FaultPlan::with_link_drop`]), counted separately from the
-    /// global `dropped`.
-    pub link_dropped: u64,
     /// Receives abandoned because the peer was unreachable across a
     /// partition (receiver-side; each one charged `detect_timeout`).
     pub partition_timeouts: u64,
@@ -89,8 +85,6 @@ pub struct FaultStats {
     /// Stored page versions decayed at rest (read-rot injections, counted
     /// once per rotten version).
     pub disk_read_rots: u64,
-    /// Disk writes rejected for space (disk-full injections).
-    pub disk_full_rejections: u64,
 }
 
 impl FaultStats {
@@ -110,13 +104,11 @@ impl FaultStats {
         self.retransmits += other.retransmits;
         self.nacks += other.nacks;
         self.partition_cuts += other.partition_cuts;
-        self.link_dropped += other.link_dropped;
         self.partition_timeouts += other.partition_timeouts;
         self.memory_corruptions += other.memory_corruptions;
         self.disk_transient_errors += other.disk_transient_errors;
         self.disk_torn_writes += other.disk_torn_writes;
         self.disk_read_rots += other.disk_read_rots;
-        self.disk_full_rejections += other.disk_full_rejections;
     }
 
     /// Did any fault actually fire?

@@ -66,9 +66,8 @@ impl Config {
     }
 
     /// Bound every mailbox to `capacity` data-plane envelopes, enabling
-    /// credit-based backpressure.
+    /// credit-based backpressure. A world refuses a capacity of zero.
     pub fn with_mailbox_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity >= 1, "mailbox capacity must be at least 1");
         self.mailbox_capacity = Some(capacity);
         self
     }
@@ -596,9 +595,9 @@ impl World {
     /// the first panic is propagated to the caller.
     ///
     /// # Panics
-    /// Panics if `n == 0`, if [`FaultPlan::validate`] refuses the fault
-    /// plan for `n` ranks, if a rank panics, or on watchdog-detected
-    /// deadlock.
+    /// Panics if `n == 0`, if the mailbox capacity is zero, if
+    /// [`FaultPlan::validate`] refuses the fault plan for `n` ranks, if a
+    /// rank panics, or on watchdog-detected deadlock.
     pub fn run<F, R>(&self, n: usize, f: F) -> Vec<R>
     where
         F: Fn(&Rank) -> R + Send + Sync,
@@ -629,6 +628,10 @@ impl World {
         R: Send,
     {
         assert!(n > 0, "world must have at least one rank");
+        assert!(
+            self.cfg.mailbox_capacity != Some(0),
+            "mailbox capacity must be at least 1"
+        );
         if let Err(e) = self.cfg.faults.validate(n) {
             panic!("invalid fault plan: {e}");
         }

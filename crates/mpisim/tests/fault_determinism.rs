@@ -93,51 +93,6 @@ fn decide_is_pure_over_a_thousand_sampled_identities() {
 }
 
 #[test]
-fn link_drop_decisions_are_pure_and_call_order_independent() {
-    let mut sampler = Sampler(0x6c696e6b); // "link"
-    let ids: Vec<_> = (0..1000).map(|_| sampler.identity()).collect();
-    let mk = |seed| {
-        FaultPlan::new(seed)
-            .with_link_drop(3, 9, 0.5)
-            .with_link_drop(9, 3, 0.25)
-    };
-    let p = mk(17);
-
-    // Purity: repeated evaluation gives identical answers.
-    let first = decide_all(&p, &ids);
-    assert_eq!(first, decide_all(&p, &ids));
-
-    // Call-order independence, with unrelated noise interleaved.
-    for noise in 0..500 {
-        p.decide(3, 9, (noise % 13) as i64, noise as u64, 0);
-    }
-    assert_eq!(
-        first,
-        decide_all(&p, &ids),
-        "link-drop decisions must not depend on call order"
-    );
-
-    // Same seed from a fresh plan agrees everywhere; decisions are
-    // link-local (only the two configured directed links ever fire).
-    assert_eq!(first, decide_all(&mk(17), &ids));
-    for (d, &(s, dst, ..)) in first.iter().zip(&ids) {
-        if d.link_dropped {
-            assert!(
-                (s, dst) == (3, 9) || (s, dst) == (9, 3),
-                "link drop fired off-link: {s} → {dst}"
-            );
-        }
-    }
-
-    // And the configured links do fire at roughly their probability.
-    let hits = (0..4000)
-        .filter(|&q| p.decide(3, 9, 5, q, 0).link_dropped)
-        .count() as f64
-        / 4000.0;
-    assert!((0.45..0.55).contains(&hits), "observed rate {hits}");
-}
-
-#[test]
 fn partition_cuts_are_a_pure_function_of_identity_and_time() {
     let groups = vec![vec![0, 1, 2], vec![3, 4]];
     let p = FaultPlan::new(5).with_partition(groups.clone(), 1.0, 2.0);

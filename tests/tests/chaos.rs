@@ -1,6 +1,6 @@
 //! Chaos-mode tests: deterministic fault injection in the substrate and
 //! the platform's self-healing responses — retries, skipped migrations,
-//! emergency rebalancing, and crash rollback recovery.
+//! and crash rollback recovery.
 
 use ic2_battlefield::{BattlefieldProgram, Scenario};
 use ic2mpi::prelude::*;
@@ -33,7 +33,7 @@ fn chaos_seed(default: u64) -> u64 {
 fn fault_injection_is_fully_deterministic() {
     // Same seed, same plan ⇒ byte-identical final states, identical fault
     // counters, and bit-identical virtual-time totals — across drops,
-    // delays, duplicates, reorders, a straggler, and active migration.
+    // delays, duplicates, reorders, and active migration.
     let graph = ic2_graph::generators::hex_grid_n(64);
     let program = AvgProgram::shifting();
     let plan = || {
@@ -42,7 +42,6 @@ fn fault_injection_is_fully_deterministic() {
             .with_delay(0.05, 2e-4)
             .with_dup(0.05)
             .with_reorder(0.05)
-            .with_straggler(3, 2.0)
     };
     let cfg = RunConfig::new(8, 25)
         .with_balancing(10)
@@ -79,7 +78,7 @@ fn fault_injection_is_fully_deterministic() {
 
 #[test]
 fn chaos_battlefield_converges_to_the_fault_free_answer() {
-    // 5% drops, 5% delays, and one 3× straggler on the thesis battlefield:
+    // 5% drops and 5% delays on the thesis battlefield:
     // the run must complete without deadlock and compute exactly what the
     // fault-free run computes, with the recovery visible in the counters.
     let bf = BattlefieldProgram::new(&Scenario::thesis());
@@ -95,8 +94,7 @@ fn chaos_battlefield_converges_to_the_fault_free_answer() {
 
     let plan = FaultPlan::new(chaos_seed(7))
         .with_drop(0.05)
-        .with_delay(0.05, 2e-4)
-        .with_straggler(2, 3.0);
+        .with_delay(0.05, 2e-4);
     let chaotic = run(
         &terrain,
         &bf,
@@ -108,7 +106,7 @@ fn chaos_battlefield_converges_to_the_fault_free_answer() {
     assert!(chaotic.faults.dropped > 0, "{:?}", chaotic.faults);
     assert!(chaotic.faults.delayed > 0, "{:?}", chaotic.faults);
     assert!(chaotic.faults.retries > 0, "{:?}", chaotic.faults);
-    // Retransmissions and the straggler cost real (virtual) time.
+    // Retransmissions and delays cost real (virtual) time.
     assert!(chaotic.total_time > clean.total_time);
 }
 
@@ -143,35 +141,6 @@ fn lost_migration_payloads_degrade_to_skipped_rounds() {
         report.migrations,
         report.skipped_migrations
     );
-}
-
-#[test]
-fn straggler_detector_fires_emergency_rebalancing() {
-    let graph = ic2_graph::generators::hex_grid_n(64);
-    let program = AvgProgram::fine();
-    let oracle = seq::run_sequential(&graph, &program, 20);
-    let plan = FaultPlan::new(chaos_seed(3)).with_straggler(1, 4.0);
-    let cfg = RunConfig::new(8, 20)
-        .with_world(world(plan))
-        .with_straggler_detection(2.0, 2)
-        .with_validation();
-    let report = run(
-        &graph,
-        &program,
-        &Metis::default(),
-        CentralizedHeuristic::default,
-        &cfg,
-    );
-    assert_eq!(report.final_data, oracle);
-    assert!(
-        report.emergency_balances > 0,
-        "a persistent 4× straggler must trip the detector"
-    );
-    assert!(report.migrations > 0, "the emergency rounds must move load");
-    // The straggler (rank 1) must have shed work relative to its static
-    // share.
-    let owned = |owner: &[u32]| owner.iter().filter(|&&p| p == 1).count();
-    assert!(owned(&report.final_owner) < owned(report.initial_partition.as_slice()));
 }
 
 #[test]
@@ -523,7 +492,7 @@ fn corruption_during_rollback_recovery_stays_exact() {
 }
 
 #[test]
-fn corruption_composes_with_drops_and_stragglers() {
+fn corruption_composes_with_every_message_fault() {
     // Every message-plane fault class at once. Drops and mangles interact
     // (a frame can be dropped on one attempt and corrupted on the next);
     // the reliable layer must still converge to the oracle.
@@ -536,8 +505,7 @@ fn corruption_composes_with_drops_and_stragglers() {
         .with_dup(0.04)
         .with_reorder(0.04)
         .with_corrupt(0.04)
-        .with_truncate(0.02)
-        .with_straggler(3, 2.0);
+        .with_truncate(0.02);
     let cfg = RunConfig::new(8, 20)
         .with_balancing(10)
         .with_world(world(plan))

@@ -93,7 +93,7 @@ fn every_layer_on_both_planes_matches_the_golden_file() {
     let paged = || {
         base()
             .with_hash_buckets(16)
-            .with_paging(4, EvictionPolicy::Clock)
+            .with_paging(4, EvictionPolicy::Sieve)
     };
 
     let table = [
@@ -120,13 +120,6 @@ fn every_layer_on_both_planes_matches_the_golden_file() {
                 .with_world(world(plan(4))),
         ),
         line(
-            "straggler",
-            &fine,
-            base()
-                .with_straggler_detection(1.5, 2)
-                .with_world(world(plan(6).with_straggler(1, 4.0))),
-        ),
-        line(
             "capacity2",
             &fine,
             base().with_world(world(plan(7).with_drop(0.05)).with_mailbox_capacity(2)),
@@ -151,7 +144,6 @@ fn every_layer_on_both_planes_matches_the_golden_file() {
             base()
                 .with_balancing(4)
                 .with_migration_batch(4)
-                .with_straggler_detection(1.5, 2)
                 .with_world(world(
                     plan(10).with_crash(1, at(0.3)).with_crash(5, at(0.65)),
                 )),

@@ -460,8 +460,5 @@ fn zero_inner_k_is_rejected_with_a_typed_error() {
         &RunConfig::new(4, 4).with_hybrid(0),
     )
     .unwrap_err();
-    assert!(
-        matches!(err, PlatformError::ZeroInnerIterations),
-        "got {err:?}"
-    );
+    assert!(err == PlatformError::ZeroKnob("inner_k"), "got {err:?}");
 }

@@ -1,6 +1,6 @@
-//! Buffer-pool property tests: the eviction policies in isolation
-//! (determinism, scan resistance, budget discipline) plus the paged
-//! platform's baseline exactness contract for every policy.
+//! Buffer-pool property tests: SIEVE eviction in isolation (determinism,
+//! scan resistance, budget discipline) plus the paged platform's baseline
+//! exactness contract.
 //!
 //! The pool is a pure deterministic structure — no RNG, no clock — so
 //! "same seed" here means "same access stream": identical admit/touch
@@ -14,13 +14,6 @@ use ic2mpi::NodeStore;
 use mpisim::NetModel;
 use std::collections::BTreeSet;
 use std::time::Duration;
-
-const POLICIES: [EvictionPolicy; 4] = [
-    EvictionPolicy::Fifo,
-    EvictionPolicy::Lru,
-    EvictionPolicy::Clock,
-    EvictionPolicy::Sieve,
-];
 
 fn clean_world() -> mpisim::Config {
     mpisim::Config::virtual_time(NetModel::origin2000()).with_watchdog(Duration::from_secs(30))
@@ -42,8 +35,8 @@ fn stream(seed: u64, len: usize, pages: usize) -> Vec<usize> {
 
 /// Drive one pool through an access stream: touch hits, admit misses,
 /// evict back down to budget. Returns (hits, victim sequence).
-fn simulate(policy: EvictionPolicy, budget: usize, accesses: &[usize]) -> (u64, Vec<usize>) {
-    let mut pool = BufferPool::new(policy, budget);
+fn simulate(budget: usize, accesses: &[usize]) -> (u64, Vec<usize>) {
+    let mut pool = BufferPool::new(budget);
     let pinned = BTreeSet::new();
     let mut hits = 0u64;
     let mut victims = Vec::new();
@@ -57,10 +50,7 @@ fn simulate(policy: EvictionPolicy, budget: usize, accesses: &[usize]) -> (u64, 
                 victims.push(pool.evict(&pinned).expect("nothing is pinned"));
             }
         }
-        assert!(
-            pool.len() <= budget,
-            "{policy:?}: budget violated after access"
-        );
+        assert!(pool.len() <= budget, "budget violated after access");
     }
     (hits, victims)
 }
@@ -70,28 +60,24 @@ fn same_stream_same_victims_for_every_policy() {
     // Replaying an identical access stream must reproduce the victim
     // sequence and the final resident set exactly — the property the
     // platform's bit-identical `total_time` contract stands on.
-    for policy in POLICIES {
-        for seed in [3u64, 11, 29] {
-            let accesses = stream(seed, 4000, 48);
-            let (hits_a, victims_a) = simulate(policy, 7, &accesses);
-            let (hits_b, victims_b) = simulate(policy, 7, &accesses);
-            assert_eq!(hits_a, hits_b, "{policy:?} seed {seed}: hits diverged");
-            assert_eq!(
-                victims_a, victims_b,
-                "{policy:?} seed {seed}: victim order diverged"
-            );
-            assert!(!victims_a.is_empty(), "{policy:?} seed {seed}: must evict");
-        }
+    for seed in [3u64, 11, 29] {
+        let accesses = stream(seed, 4000, 48);
+        let (hits_a, victims_a) = simulate(7, &accesses);
+        let (hits_b, victims_b) = simulate(7, &accesses);
+        assert_eq!(hits_a, hits_b, "seed {seed}: hits diverged");
+        assert_eq!(victims_a, victims_b, "seed {seed}: victim order diverged");
+        assert!(!victims_a.is_empty(), "seed {seed}: must evict");
     }
 }
 
 #[test]
 fn scan_resistant_policies_beat_fifo_on_hot_set_plus_looping_scan() {
     // Four hot pages touched every other access, interleaved with a
-    // 24-page looping cold scan, budget 8. Clock and SIEVE retain the
-    // re-referenced hot set (reference/visited bits spare it at the
-    // hand), while FIFO ages hot pages out as cold admissions push the
-    // queue — the textbook scan-resistance separation.
+    // 24-page looping cold scan, budget 8. SIEVE's visited bits spare the
+    // re-referenced hot set at the hand, so every hot access after its
+    // page's first touch hits, where FIFO would age the hot pages out as
+    // cold admissions push the queue. The cold scan never fits and never
+    // hits.
     let hot = 4usize;
     let cold = 24usize;
     let mut accesses = Vec::new();
@@ -99,22 +85,8 @@ fn scan_resistant_policies_beat_fifo_on_hot_set_plus_looping_scan() {
         accesses.push(i % hot);
         accesses.push(hot + i % cold);
     }
-    let (fifo_hits, _) = simulate(EvictionPolicy::Fifo, 8, &accesses);
-    let (clock_hits, _) = simulate(EvictionPolicy::Clock, 8, &accesses);
-    let (sieve_hits, _) = simulate(EvictionPolicy::Sieve, 8, &accesses);
-    let (lru_hits, _) = simulate(EvictionPolicy::Lru, 8, &accesses);
-    assert!(
-        clock_hits > fifo_hits,
-        "Clock ({clock_hits}) must beat FIFO ({fifo_hits}) on a hot set"
-    );
-    assert!(
-        sieve_hits > fifo_hits,
-        "SIEVE ({sieve_hits}) must beat FIFO ({fifo_hits}) on a hot set"
-    );
-    assert!(
-        lru_hits >= fifo_hits,
-        "LRU ({lru_hits}) must not lose to FIFO ({fifo_hits}) on a hot set"
-    );
+    let (hits, _) = simulate(8, &accesses);
+    assert_eq!(hits, 6000 - hot as u64, "SIEVE must keep the hot set");
 }
 
 #[test]
@@ -122,46 +94,39 @@ fn pool_never_exceeds_budget_and_never_evicts_pinned_pages() {
     // Random churn with a pinned working set: the victim is never a
     // pinned page, residency never exceeds the budget after enforcement,
     // and `resident_pages` agrees with `contains`.
-    for policy in POLICIES {
-        let budget = 5usize;
-        let mut pool = BufferPool::new(policy, budget);
-        let pinned: BTreeSet<usize> = [0, 1].into_iter().collect();
-        for page in [0usize, 1] {
+    let budget = 5usize;
+    let mut pool = BufferPool::new(budget);
+    let pinned: BTreeSet<usize> = [0, 1].into_iter().collect();
+    for page in [0usize, 1] {
+        pool.admit(page);
+    }
+    for &page in &stream(17, 3000, 32) {
+        if pool.contains(page) {
+            pool.touch(page);
+        } else {
             pool.admit(page);
-        }
-        for &page in &stream(17, 3000, 32) {
-            if pool.contains(page) {
-                pool.touch(page);
-            } else {
-                pool.admit(page);
-                while pool.over_budget() {
-                    let victim = pool.evict(&pinned).expect("unpinned pages exist");
-                    assert!(
-                        !pinned.contains(&victim),
-                        "{policy:?}: evicted pinned page {victim}"
-                    );
-                }
+            while pool.over_budget() {
+                let victim = pool.evict(&pinned).expect("unpinned pages exist");
+                assert!(!pinned.contains(&victim), "evicted pinned page {victim}");
             }
-            assert!(pool.len() <= budget, "{policy:?}: over budget");
-            let resident = pool.resident_pages();
-            assert_eq!(resident.len(), pool.len(), "{policy:?}");
-            assert!(resident.iter().all(|&p| pool.contains(p)), "{policy:?}");
-            assert!(pool.contains(0) && pool.contains(1), "{policy:?}: pinned");
         }
+        assert!(pool.len() <= budget, "over budget");
+        let resident = pool.resident_pages();
+        assert_eq!(resident.len(), pool.len());
+        assert!(resident.iter().all(|&p| pool.contains(p)));
+        assert!(pool.contains(0) && pool.contains(1), "pinned");
     }
 }
 
 #[test]
 fn evict_returns_none_when_every_resident_page_is_pinned() {
-    for policy in POLICIES {
-        let mut pool = BufferPool::new(policy, 1);
-        pool.admit(0);
-        pool.admit(1);
-        let pinned: BTreeSet<usize> = [0, 1].into_iter().collect();
-        assert!(pool.over_budget());
-        assert_eq!(pool.evict(&pinned), None, "{policy:?}");
-        assert!(pool.contains(0) && pool.contains(1), "{policy:?}");
-    }
+    let mut pool = BufferPool::new(1);
+    pool.admit(0);
+    pool.admit(1);
+    let pinned: BTreeSet<usize> = [0, 1].into_iter().collect();
+    assert!(pool.over_budget());
+    assert_eq!(pool.evict(&pinned), None);
+    assert!(pool.contains(0) && pool.contains(1));
 }
 
 #[test]
@@ -169,37 +134,34 @@ fn paged_run_is_oracle_exact_and_deterministic_for_every_policy() {
     // The end-to-end contract with no disk faults: a budget of 4 resident
     // pages against 64 hash buckets per rank forces constant fault-in and
     // eviction traffic, and the answer must still be byte-identical to
-    // the sequential oracle with bit-identical same-seed `total_time`,
-    // under every replacement policy.
+    // the sequential oracle with bit-identical same-seed `total_time`.
     let graph = ic2_graph::generators::hex_grid_n(64);
     let program = AvgProgram::fine();
     let nprocs = 8;
     let iterations = 12u32;
     let oracle = seq::run_sequential(&graph, &program, iterations);
-    for policy in POLICIES {
-        let cfg = || {
-            RunConfig::new(nprocs, iterations)
-                .with_checkpointing(4)
-                .with_paging(4, policy)
-                .with_world(clean_world())
-                .with_validation()
-        };
-        let a = run(&graph, &program, &Metis::default(), || NoBalancer, &cfg());
-        assert_eq!(a.final_data, oracle, "{policy:?}: paged run must be exact");
-        assert!(a.page_faults > 0, "{policy:?}: paging must engage: {a:?}");
-        assert!(a.pages_evicted > 0, "{policy:?}: budget must bind: {a:?}");
-        assert_eq!(a.disk_retries, 0, "{policy:?}: clean disk");
-        assert_eq!(a.torn_writes_detected, 0, "{policy:?}: clean disk");
-        let b = run(&graph, &program, &Metis::default(), || NoBalancer, &cfg());
-        assert_eq!(a.final_data, b.final_data, "{policy:?}");
-        assert_eq!(a.page_faults, b.page_faults, "{policy:?}");
-        assert_eq!(a.pages_evicted, b.pages_evicted, "{policy:?}");
-        assert_eq!(
-            a.total_time.to_bits(),
-            b.total_time.to_bits(),
-            "{policy:?}: total time must be bit-identical"
-        );
-    }
+    let cfg = || {
+        RunConfig::new(nprocs, iterations)
+            .with_checkpointing(4)
+            .with_paging(4, EvictionPolicy::Sieve)
+            .with_world(clean_world())
+            .with_validation()
+    };
+    let a = run(&graph, &program, &Metis::default(), || NoBalancer, &cfg());
+    assert_eq!(a.final_data, oracle, "paged run must be exact");
+    assert!(a.page_faults > 0, "paging must engage: {a:?}");
+    assert!(a.pages_evicted > 0, "budget must bind: {a:?}");
+    assert_eq!(a.disk_retries, 0, "clean disk");
+    assert_eq!(a.torn_writes_detected, 0, "clean disk");
+    let b = run(&graph, &program, &Metis::default(), || NoBalancer, &cfg());
+    assert_eq!(a.final_data, b.final_data);
+    assert_eq!(a.page_faults, b.page_faults);
+    assert_eq!(a.pages_evicted, b.pages_evicted);
+    assert_eq!(
+        a.total_time.to_bits(),
+        b.total_time.to_bits(),
+        "total time must be bit-identical"
+    );
 }
 
 #[test]
@@ -252,7 +214,7 @@ fn a_page_is_an_id_range_so_neighbourhoods_share_pages() {
 fn zero_page_budget_is_rejected_with_a_typed_error() {
     let graph = ic2_graph::generators::hex_grid_n(16);
     let cfg = RunConfig::new(4, 4)
-        .with_paging(0, EvictionPolicy::Clock)
+        .with_paging(0, EvictionPolicy::Sieve)
         .with_world(clean_world());
     let err = try_run(
         &graph,
@@ -262,5 +224,5 @@ fn zero_page_budget_is_rejected_with_a_typed_error() {
         &cfg,
     )
     .expect_err("a zero page budget can hold no working set");
-    assert!(matches!(err, PlatformError::ZeroPageBudget), "{err:?}");
+    assert_eq!(err, PlatformError::ZeroKnob("paging.budget"));
 }

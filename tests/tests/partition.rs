@@ -339,32 +339,6 @@ fn partition_composes_with_delta_exchange_and_balancing() {
 }
 
 #[test]
-fn link_drops_repair_like_ordinary_drops() {
-    // Asymmetric per-link loss (one noisy directed link at 60%) rides the
-    // ordinary retry machinery — no membership protocol needed — and must
-    // stay oracle-exact with the loss visible in the per-link counter.
-    let graph = ic2_graph::generators::hex_grid_n(64);
-    let program = AvgProgram::fine();
-    let iterations = 15u32;
-    let oracle = seq::run_sequential(&graph, &program, iterations);
-    let plan = || {
-        FaultPlan::new(chaos_seed(61))
-            .with_link_drop(1, 2, 0.6)
-            .with_link_drop(5, 4, 0.3)
-    };
-    let cfg = RunConfig::new(8, iterations)
-        .with_world(world(plan()))
-        .with_validation();
-    let a = run(&graph, &program, &Metis::default(), || NoBalancer, &cfg);
-    assert_eq!(a.final_data, oracle);
-    assert!(a.faults.link_dropped > 0, "{:?}", a.faults);
-    assert!(a.faults.retries > 0, "lost frames must be retried");
-    let b = run(&graph, &program, &Metis::default(), || NoBalancer, &cfg);
-    assert_eq!(a.faults, b.faults);
-    assert_eq!(a.total_time.to_bits(), b.total_time.to_bits());
-}
-
-#[test]
 fn partition_blip_rolls_back_without_rejoin() {
     // A window too short to span a detection boundary: frames are lost
     // mid-iteration but by the time the verdict resolves the window has
