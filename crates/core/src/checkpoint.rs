@@ -71,7 +71,7 @@
 
 use crate::audit;
 use crate::engine::Engine;
-use crate::error::invariant_violated;
+use crate::error::{abort, invariant_violated, PlatformError};
 use crate::exchange;
 use crate::hashtab::NodeTable;
 use crate::migrate;
@@ -123,18 +123,6 @@ pub(crate) fn gather_chunks<D: Wire>(
         }
     }
     Ok(())
-}
-
-/// Typed panic payload for the one failure replication cannot cover:
-/// every copy of rank `rank`'s checkpointed state is lost or corrupt.
-/// Every survivor derives the identical verdict from the replica census
-/// and raises it together; [`crate::driver::catch_flow_deadlock`]
-/// downcasts it into
-/// [`crate::error::PlatformError::UnrecoverableState`].
-#[derive(Debug, Clone, Copy)]
-pub struct UnrecoverableStateSignal {
-    /// The rank whose state has no intact replica left.
-    pub rank: u32,
 }
 
 /// Does `verdict` report any crash beyond those in `known`? The one
@@ -211,8 +199,8 @@ fn patch_ward<D: Clone>(
 /// repair ladder concedes. Each strike is a full rollback + replay whose
 /// disk made fresh fault decisions; a rank still damaged after this many
 /// attempts has effectively lost every copy of some page, and every
-/// survivor raises the identical [`UnrecoverableStateSignal`] rather than
-/// ship a wrong answer.
+/// survivor fails with the identical [`PlatformError::UnrecoverableState`]
+/// rather than ship a wrong answer.
 pub(crate) const MAX_DISK_FAILURES: u32 = 3;
 
 /// Does any live rank's verdict word carry `flag`?
@@ -226,14 +214,15 @@ fn any_flag(verdict: &CtlVerdict) -> bool {
     verdict.slots.iter().flatten().any(|s| s.flag)
 }
 
-/// Some page is gone for good: raise the typed signal, on every survivor
-/// identically, naming the lowest rank whose verdict word carries
-/// [`DAMAGE_FLAG`].
-pub(crate) fn raise_unrecoverable(verdict: &CtlVerdict) -> ! {
+/// Some page is gone for good: fail with
+/// [`PlatformError::UnrecoverableState`], on every survivor identically,
+/// naming the lowest rank whose verdict word carries [`DAMAGE_FLAG`].
+pub(crate) fn raise_unrecoverable(me: u32, verdict: &CtlVerdict) -> ! {
     let damaged = |slot: &Option<CtlSlot>| slot.is_some_and(|s| s.word & DAMAGE_FLAG != 0);
-    let victim = verdict.slots.iter().position(damaged);
-    let rank = victim.expect("damage verdict names a damaged rank") as u32;
-    std::panic::panic_any(UnrecoverableStateSignal { rank })
+    let Some(rank) = verdict.slots.iter().position(damaged) else {
+        invariant_violated(me, "damage verdict names no damaged rank".into())
+    };
+    abort(PlatformError::UnrecoverableState { rank: rank as u32 })
 }
 
 /// The replicated recovery counters a checkpoint rewinds together with the
@@ -308,11 +297,13 @@ impl<D> Checkpoint<D> {
         Some(self.ring[(pos + 1) % self.ring.len()])
     }
 
-    /// The replica this rank holds of owner `c`'s snapshot; being elected
+    /// The replica rank `me` holds of owner `c`'s snapshot; being elected
     /// by the census implies holding it.
-    pub(crate) fn ward_of(&self, c: u32) -> &Vec<(u32, D)> {
-        let ward = self.wards.iter().find(|w| w.rank == c);
-        &ward.expect("census bit implies a held ward").entries
+    pub(crate) fn ward_of(&self, me: u32, c: u32) -> &Vec<(u32, D)> {
+        match self.wards.iter().find(|w| w.rank == c) {
+            Some(ward) => &ward.entries,
+            None => invariant_violated(me, format!("elected for rank {c}'s ward but holds none")),
+        }
     }
 
     /// The ring members holding `c`'s replicas under replication factor
@@ -411,8 +402,9 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
             if ring.len() < 2 {
                 return Ok(());
             }
-            let pos = ring.iter().position(|&r| r == me);
-            let pos = pos.expect("a live rank is in its own ring");
+            let Some(pos) = ring.iter().position(|&r| r == me) else {
+                invariant_violated(me, "a live rank is missing from its own ring".into())
+            };
             // Mirror to the successors at distances 1..=r; distances are
             // capped by the ring, so each buddy is a distinct rank and each
             // (sender, receiver) pair carries exactly one mirror.
@@ -541,11 +533,11 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
     /// degraded on the committed checkpoint it still has, and the heal's own
     /// rollback does this work once the links are back.
     ///
-    /// # Panics
-    /// Raises [`UnrecoverableStateSignal`] (on every survivor, identically)
-    /// when some rank's state has no intact replica left: the rank and all
-    /// `r` of its copies were lost or corrupted in the same inter-checkpoint
-    /// window — the one failure mode replication cannot cover.
+    /// Fails with [`PlatformError::UnrecoverableState`] (on every survivor,
+    /// identically) when some rank's state has no intact replica left: the
+    /// rank and all `r` of its copies were lost or corrupted in the same
+    /// inter-checkpoint window — the one failure mode replication cannot
+    /// cover.
     pub(crate) fn roll_back(&mut self) -> Result<(), CtlVerdict> {
         let (rank, graph, program, cfg) = (self.rank, self.graph, self.program, self.cfg);
         let me = rank.rank() as u32;
@@ -612,13 +604,15 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
             // → … → buddy r. No candidate means every copy is gone.
             let elect = |x: u32| -> u32 {
                 elect_holder(ckpt, cfg.replication, crashed, &verdict, x)
-                    .unwrap_or_else(|| std::panic::panic_any(UnrecoverableStateSignal { rank: x }))
+                    .unwrap_or_else(|| abort(PlatformError::UnrecoverableState { rank: x }))
             };
 
             // 2. Replicated adoption plan: a pure function of the checkpointed
             //    owner map and the agreed dead set, so every survivor derives
             //    it identically with no communication.
-            let plan = migrate::plan_adoption(graph, &ckpt.owner, crashed);
+            let plan = migrate::plan_adoption(graph, &ckpt.owner, crashed).unwrap_or_else(|| {
+                invariant_violated(me, "no rank survives to adopt the orphans".into())
+            });
             let mut owner = Arc::clone(&ckpt.owner);
             for &(v, t) in &plan {
                 Arc::make_mut(&mut owner)[v as usize] = t;
@@ -656,7 +650,7 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
                         rank.advance(cfg.costs.checkpoint_per_entry * copy.len() as f64);
                         entries = copy;
                     } else if me == holder {
-                        let w = ckpt.ward_of(x);
+                        let w = ckpt.ward_of(me, x);
                         rank.advance(cfg.costs.checkpoint_per_entry * w.len() as f64);
                         rank.send_reliable(x as usize, TAG_ADOPT, w, RetryPolicy::Escalate);
                     }
@@ -682,8 +676,15 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
                     adopters.dedup();
                     if me == holder {
                         for &a in &adopters {
-                            let package =
-                                package_for(graph, &plan, &ckpt.owner, c, a, ckpt.ward_of(c));
+                            let package = package_for(
+                                graph,
+                                &plan,
+                                &ckpt.owner,
+                                me,
+                                c,
+                                a,
+                                ckpt.ward_of(me, c),
+                            );
                             rank.advance(cfg.costs.checkpoint_per_entry * package.len() as f64);
                             if a == me {
                                 entries.extend(package);
@@ -795,7 +796,7 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
                             &[("strikes", ArgValue::U64(disk_strikes as u64))],
                         );
                         if disk_strikes >= MAX_DISK_FAILURES {
-                            raise_unrecoverable(&v);
+                            raise_unrecoverable(me, &v);
                         }
                     }
                 }
@@ -832,12 +833,13 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
 
 /// The subset of a buddy copy one adopter needs: the nodes of crashed rank
 /// `c` assigned to adopter `a` by `plan`, plus their neighbours (they
-/// become the adopter's shadows). `ward` is `c`'s full table snapshot, so
-/// every wanted entry is guaranteed present.
+/// become the adopter's shadows). `ward` is `c`'s full table snapshot, as
+/// held by rank `me`, so every wanted entry is guaranteed present.
 fn package_for<D: Clone>(
     graph: &Graph,
     plan: &[(u32, u32)],
     owner: &[u32],
+    me: u32,
     c: u32,
     a: u32,
     ward: &[(u32, D)],
@@ -859,7 +861,9 @@ fn package_for<D: Clone>(
         .map(|id| {
             let idx = ward
                 .binary_search_by_key(&id, |&(i, _)| i)
-                .unwrap_or_else(|_| panic!("buddy copy of rank {c} lacks node {id}"));
+                .unwrap_or_else(|_| {
+                    invariant_violated(me, format!("buddy copy of rank {c} lacks node {id}"))
+                });
             (id, ward[idx].1.clone())
         })
         .collect()

@@ -613,38 +613,6 @@ fn assemble<D>(
     })
 }
 
-/// Run `f`, converting the platform's typed panic payloads — a
-/// flow-control deadlock (cyclic credit wait among bounded mailboxes), a
-/// send addressed outside the world, an unrecoverable restore, or an
-/// internal-invariant violation — into the matching [`PlatformError`].
-/// Any other panic resumes unwinding untouched.
-pub fn catch_flow_deadlock<R>(f: impl FnOnce() -> R) -> Result<R, PlatformError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(r) => Ok(r),
-        Err(payload) => match payload.downcast::<mpisim::FlowDeadlock>() {
-            Ok(fd) => Err(PlatformError::FlowControlDeadlock { cycle: fd.cycle }),
-            Err(other) => match other.downcast::<mpisim::InvalidRank>() {
-                Ok(ir) => Err(PlatformError::InvalidDestination {
-                    src: ir.src,
-                    dest: ir.dest,
-                    world_size: ir.world,
-                }),
-                Err(other) => match other.downcast::<crate::checkpoint::UnrecoverableStateSignal>()
-                {
-                    Ok(us) => Err(PlatformError::UnrecoverableState { rank: us.rank }),
-                    Err(other) => match other.downcast::<crate::error::InvariantSignal>() {
-                        Ok(sig) => Err(PlatformError::InternalInvariant {
-                            rank: sig.rank,
-                            detail: sig.detail,
-                        }),
-                        Err(other) => std::panic::resume_unwind(other),
-                    },
-                },
-            },
-        },
-    }
-}
-
 /// Partition the graph, run the iterative computation on `cfg.nprocs`
 /// simulated ranks, and gather the results.
 ///
@@ -652,8 +620,8 @@ pub fn catch_flow_deadlock<R>(f: impl FnOnce() -> R) -> Result<R, PlatformError>
 /// rank 0's is consulted — the thesis's designated-processor design).
 ///
 /// # Panics
-/// Panics on invalid configuration, on a rank panic, or (with
-/// `cfg.validate`) on a store-invariant violation.
+/// Panics with `"ic2mpi: "` followed by the error's message wherever
+/// [`try_run`] returns a [`PlatformError`].
 pub fn run<P, S, B, F>(
     graph: &Graph,
     program: &P,
@@ -671,11 +639,12 @@ where
         .unwrap_or_else(|e| panic!("ic2mpi: {e}"))
 }
 
-/// [`run`], but configuration problems — and the typed failures a run can
-/// end in: unrecoverable state, a flow-control deadlock, an internal or
-/// (with `cfg.validate`) store invariant found violated — come back as a
-/// [`PlatformError`] instead of a panic. Any other rank panic still
-/// propagates.
+/// [`run`], but every failure comes back as a [`PlatformError`] instead of
+/// a panic: a configuration problem, or a run that failed on some rank —
+/// unrecoverable state, a flow-control deadlock, an internal or (with
+/// `cfg.validate`) store invariant found violated, a message to a rank
+/// outside the world, or any other rank panic
+/// ([`PlatformError::RankPanicked`], the lowest-ranked one).
 pub fn try_run<P, S, B, F>(
     graph: &Graph,
     program: &P,
@@ -706,10 +675,8 @@ where
         world_cfg = world_cfg.with_trace(Arc::clone(c));
     }
     let world = World::new(world_cfg);
-    let results = catch_flow_deadlock(|| {
-        world.run_fallible(cfg.nprocs, |rank| {
-            engine::run_rank(rank, graph, program, &partition, make_balancer(), cfg)
-        })
+    let results = world.run_fallible(cfg.nprocs, |rank| {
+        engine::run_rank(rank, graph, program, &partition, make_balancer(), cfg)
     })?;
     let mut report = assemble(results, partition, graph.num_nodes())?;
     report.trace = collector.map(|c| c.take());

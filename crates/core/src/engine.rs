@@ -474,7 +474,7 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
     fn disk_strike(&mut self, verdict: &CtlVerdict) -> u32 {
         self.disk_failures += 1;
         if self.disk_failures >= MAX_DISK_FAILURES {
-            raise_unrecoverable(verdict);
+            raise_unrecoverable(self.store.rank, verdict);
         }
         self.tally.integrity.repairs += 1;
         self.disk_failures

@@ -1,7 +1,7 @@
 //! Typed configuration errors for the platform driver.
 
 use ic2_graph::NodeId;
-use mpisim::FaultPlanError;
+use mpisim::{Failure, FaultPlanError, WorldError};
 use std::fmt;
 
 /// A structural invariant of [`crate::store::NodeStore`] found violated by
@@ -120,9 +120,9 @@ impl fmt::Display for StoreViolation {
     }
 }
 
-/// A caller mistake [`crate::driver::try_run`] reports instead of
-/// panicking: an impossible world shape, a partition that does not cover
-/// the graph, or nonsensical recovery knobs.
+/// Why [`crate::driver::try_run`] returned no answer: a caller mistake (an
+/// impossible world shape, a partition that does not cover the graph,
+/// nonsensical recovery knobs), or a run that failed on some rank.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlatformError {
     /// A count or interval knob set to zero, which no layer can honour:
@@ -195,10 +195,8 @@ pub enum PlatformError {
         /// The ranks forming the cyclic wait, in chase order.
         cycle: Vec<usize>,
     },
-    /// A rank addressed a message to a destination outside the world.
-    /// Raised by the substrate as a typed payload (see
-    /// [`mpisim::InvalidRank`]) instead of a bare out-of-bounds index
-    /// panic, and surfaced here by [`crate::catch_flow_deadlock`].
+    /// A rank addressed a message to a destination outside the world
+    /// ([`mpisim::Failure::InvalidDestination`]).
     InvalidDestination {
         /// The rank that attempted the send.
         src: usize,
@@ -206,6 +204,15 @@ pub enum PlatformError {
         dest: usize,
         /// The world size; valid destinations are `0..world_size`.
         world_size: usize,
+    },
+    /// A rank's code panicked: the node program, a balancer, or the
+    /// substrate's watchdog reporting a deadlock. The lowest-ranked such
+    /// failure is the one reported.
+    RankPanicked {
+        /// The rank that panicked.
+        rank: usize,
+        /// The panic's message.
+        message: String,
     },
 }
 
@@ -258,34 +265,52 @@ impl fmt::Display for PlatformError {
                 f,
                 "rank {src} addressed invalid destination rank {dest} (world size {world_size})"
             ),
+            PlatformError::RankPanicked { rank, message } => {
+                write!(f, "rank {rank} panicked: {message}")
+            }
         }
     }
 }
 
 impl std::error::Error for PlatformError {}
 
-/// Typed panic payload for a mid-run internal-invariant violation.
-///
-/// Rank bodies run inside the substrate's world threads and have no error
-/// channel, so (like [`mpisim::FlowDeadlock`] and
-/// [`crate::checkpoint::UnrecoverableStateSignal`]) the violation unwinds
-/// as a typed payload that [`crate::catch_flow_deadlock`] downcasts into
-/// [`PlatformError::InternalInvariant`]. Raised via `invariant_violated`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvariantSignal {
-    /// The rank that observed the violation.
-    pub rank: u32,
-    /// What was found inconsistent.
-    pub detail: String,
+impl From<WorldError> for PlatformError {
+    /// The one conversion of a failed world: a `PlatformError` a rank
+    /// raised with `abort` comes back as itself.
+    fn from(WorldError { rank, failure }: WorldError) -> Self {
+        let panicked = |failure: Failure| PlatformError::RankPanicked {
+            rank,
+            message: failure.to_string(),
+        };
+        match failure {
+            Failure::FlowCycle(cycle) => PlatformError::FlowControlDeadlock { cycle },
+            Failure::InvalidDestination { dest, world } => PlatformError::InvalidDestination {
+                src: rank,
+                dest,
+                world_size: world,
+            },
+            Failure::Panicked(payload) => match payload.downcast() {
+                Ok(raised) => *raised,
+                Err(payload) => panicked(Failure::Panicked(payload)),
+            },
+            crashed => panicked(crashed),
+        }
+    }
 }
 
-/// Raise an [`InvariantSignal`] as a typed panic payload.
+/// Fail the calling rank with `error`, which [`crate::driver::try_run`]
+/// returns: a rank has no error channel of its own mid-run.
+pub(crate) fn abort(error: PlatformError) -> ! {
+    std::panic::panic_any(error)
+}
+
+/// Fail the calling rank with [`PlatformError::InternalInvariant`].
 ///
 /// The platform's "never a wrong answer, never a panic" contract: corrupt
 /// internal state must surface as a typed [`PlatformError`], not as a bare
 /// `expect`/`panic!` message.
 pub(crate) fn invariant_violated(rank: u32, detail: String) -> ! {
-    std::panic::panic_any(InvariantSignal { rank, detail })
+    abort(PlatformError::InternalInvariant { rank, detail })
 }
 
 #[cfg(test)]
@@ -323,5 +348,36 @@ mod tests {
             v.to_string(),
             "store invariant violated: no data for neighbour 9 of owned 4"
         );
+        let panicked = PlatformError::RankPanicked {
+            rank: 1,
+            message: "node 37 refuses".into(),
+        };
+        assert_eq!(panicked.to_string(), "rank 1 panicked: node 37 refuses");
+    }
+
+    #[test]
+    fn a_failed_world_converts_at_one_match() {
+        let from = |rank, failure| PlatformError::from(WorldError { rank, failure });
+        assert_eq!(
+            from(2, Failure::FlowCycle(vec![1, 2])),
+            PlatformError::FlowControlDeadlock { cycle: vec![1, 2] }
+        );
+        assert_eq!(
+            from(0, Failure::InvalidDestination { dest: 4, world: 4 }),
+            PlatformError::InvalidDestination {
+                src: 0,
+                dest: 4,
+                world_size: 4
+            }
+        );
+        let raised = PlatformError::UnrecoverableState { rank: 3 };
+        assert_eq!(from(1, Failure::Panicked(Box::new(raised.clone()))), raised);
+        let text = |payload| match from(5, Failure::Panicked(payload)) {
+            PlatformError::RankPanicked { rank: 5, message } => message,
+            other => panic!("expected RankPanicked, got {other}"),
+        };
+        assert_eq!(text(Box::new("a str")), "a str");
+        assert_eq!(text(Box::new(String::from("a String"))), "a String");
+        assert_eq!(text(Box::new(7u8)), "panicked with a non-string payload");
     }
 }

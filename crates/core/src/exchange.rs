@@ -802,7 +802,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::catch_flow_deadlock;
     use crate::error::PlatformError;
     use crate::paging::PageConfig;
     use crate::program::AvgProgram;
@@ -908,16 +907,16 @@ mod tests {
     ) -> Result<NodeStore<i64>, PlatformError> {
         let graph = hex_grid(4, 4);
         let partition = Partition::new(graph.nodes().map(|v| u32::from(v >= 8)).collect(), 2);
-        catch_flow_deadlock(|| {
-            let mut stores = world().run(1, |rank| {
+        let mut stores = world()
+            .run_fallible(1, |rank| {
                 let mut store = NodeStore::build(&graph, &partition, 0, &AvgProgram::fine(), 4);
                 tamper(&mut store, &graph);
                 let msg = msg(&store);
                 unpack_from(rank, &mut store, 0, &msg);
                 store
-            });
-            stores.remove(0)
-        })
+            })
+            .map_err(PlatformError::from)?;
+        Ok(stores.remove(0).expect("no crash is planned"))
     }
 
     #[test]

@@ -129,7 +129,7 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
                     continue;
                 };
                 if me == holder {
-                    let image = self.ckpt.ward_of(r);
+                    let image = self.ckpt.ward_of(me, r);
                     rank.advance(cfg.costs.checkpoint_per_entry * image.len() as f64);
                     rank.send_reliable(r as usize, TAG_REJOIN, image, RetryPolicy::Escalate);
                 } else if me == r {

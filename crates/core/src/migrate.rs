@@ -344,8 +344,9 @@ where
 /// rank) — the adoption rule that minimizes new edge-cut — with the
 /// least-loaded survivor as the fallback for isolated orphans. A pure
 /// function of replicated inputs, so every rank derives the identical plan
-/// with no communication; rollback recovery relies on that.
-pub fn plan_adoption(graph: &Graph, owner: &[u32], lost: &[bool]) -> Vec<(NodeId, u32)> {
+/// with no communication; rollback recovery relies on that. `None` if some
+/// node is orphaned and no rank survives to adopt it.
+pub fn plan_adoption(graph: &Graph, owner: &[u32], lost: &[bool]) -> Option<Vec<(NodeId, u32)>> {
     let nprocs = lost.len();
     // Running owned-node counts, updated as nodes are assigned so the
     // least-loaded fallback spreads orphans instead of piling them up.
@@ -373,13 +374,12 @@ pub fn plan_adoption(graph: &Graph, owner: &[u32], lost: &[bool]) -> Vec<(NodeId
             (0..nprocs as u32)
                 .filter(|&p| survivor(p))
                 .min_by_key(|&p| (load[p as usize], p))
-        });
-        let target = target.expect("at least one rank must survive to adopt the orphans");
+        })?;
         load[owner[v as usize] as usize] -= 1;
         load[target as usize] += 1;
         plan.push((v, target));
     }
-    plan
+    Some(plan)
 }
 
 /// Symmetric communication-volume matrix derived *locally* from the

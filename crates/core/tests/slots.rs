@@ -10,8 +10,7 @@ use ic2_rng::SplitMix64;
 use ic2mpi::exchange::{self, Round};
 use ic2mpi::prelude::*;
 use ic2mpi::{
-    catch_flow_deadlock, migrate, ComputeCtx, LocalNode, NodeStore, PhaseTimers, PlatformError,
-    StoreViolation,
+    migrate, ComputeCtx, LocalNode, NodeStore, PhaseTimers, PlatformError, StoreViolation,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -287,8 +286,8 @@ fn step_after(tamper: impl Fn(&mut NodeStore<i64>, &Graph) + Sync) -> Result<(),
     let graph = generators::hex_grid(4, 4);
     let partition = Partition::new(vec![0; graph.num_nodes()], 1);
     let program = AvgProgram::fine();
-    catch_flow_deadlock(|| {
-        world().run(1, |rank| {
+    world()
+        .run_fallible(1, |rank| {
             let mut store = NodeStore::build(&graph, &partition, 0, &program, 4);
             tamper(&mut store, &graph);
             let mut round = Round {
@@ -306,8 +305,9 @@ fn step_after(tamper: impl Fn(&mut NodeStore<i64>, &Graph) + Sync) -> Result<(),
                 comp_time: &mut 0.0,
             };
             exchange::step(&mut round, &mut store, ExchangeMode::PostComm, false, None);
-        });
-    })
+        })
+        .map(drop)
+        .map_err(PlatformError::from)
 }
 
 #[test]
@@ -355,8 +355,8 @@ fn an_absent_id_in_migration_surgery_is_a_typed_error() {
     // the round ends in a typed error, not a panic.
     let graph = generators::hex_grid(6, 6);
     let partition = Partition::new(graph.nodes().map(|v| u32::from(v >= 27)).collect(), 2);
-    let outcome = catch_flow_deadlock(|| {
-        world().run(2, |rank| {
+    let outcome = world()
+        .run_fallible(2, |rank| {
             let me = rank.rank() as u32;
             let mut store = NodeStore::build(&graph, &partition, me, &AvgProgram::fine(), 10);
             if me == 0 {
@@ -373,7 +373,7 @@ fn an_absent_id_in_migration_surgery_is_a_typed_error() {
                 &mut PhaseTimers::default(),
             )
         })
-    });
+        .map_err(PlatformError::from);
     match outcome {
         Err(PlatformError::InternalInvariant { rank: 0, detail }) => {
             assert!(detail.contains("lacks data"), "{detail}")

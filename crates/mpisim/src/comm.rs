@@ -3,12 +3,10 @@
 use crate::mailbox::{Envelope, Pattern};
 use crate::payload::{encode_payload, Payload};
 use crate::request::{RecvRequest, SendRequest};
-use crate::stats::{CommStats, InvalidRank};
+use crate::stats::CommStats;
 use crate::trace::{ArgValue, Args, TraceEvent};
 use crate::wire::{frame_checksum, Wire};
-use crate::world::{
-    BlockedOp, Config, CtlSlot, CtlVerdict, FlowDeadlock, RankCrashed, Resolved, Shared,
-};
+use crate::world::{unwind, BlockedOp, Config, CtlSlot, CtlVerdict, Resolved, Shared, Unwind};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -200,7 +198,7 @@ impl Rank {
             if self.wtime() >= t {
                 self.trace_instant("crash", "fault", &[]);
                 self.shared.declare_dead(self.id);
-                std::panic::panic_any(RankCrashed(self.id));
+                unwind(Unwind::Crashed);
             }
         }
     }
@@ -495,8 +493,9 @@ impl Rank {
     /// from the destination (they hold capacity slots the owner may never
     /// get to free — it could itself be blocked sending) and runs the
     /// flow-control deadlock detector: a cyclic credit wait observed
-    /// unchanged [`FLOW_DEADLOCK_CONFIRM`] times panics with a
-    /// [`FlowDeadlock`] payload rather than hanging until the watchdog.
+    /// unchanged [`FLOW_DEADLOCK_CONFIRM`] times fails the rank with
+    /// [`crate::world::Failure::FlowCycle`] rather than hanging until the
+    /// watchdog.
     fn acquire_credit(&self, dest: usize, tag: i64) -> bool {
         if tag < 0 || !self.shared.mailboxes[dest].is_bounded() {
             return false;
@@ -529,7 +528,7 @@ impl Rank {
                 let lo = (0..members.len()).min_by_key(|&i| members[i]).unwrap_or(0);
                 members.rotate_left(lo);
                 self.shared.clear_credit_wait(self.id);
-                std::panic::panic_any(FlowDeadlock { cycle: members });
+                unwind(Unwind::FlowCycle(members));
             }
             last = cycle;
             self.shared.mailboxes[dest].wait_change(park);
@@ -1004,10 +1003,7 @@ impl Rank {
     ) -> Delivery {
         self.maybe_crash();
         if dest >= self.n {
-            // Typed payload, not a bare index panic: the platform layer
-            // downcasts this into its own configuration-error type.
-            std::panic::panic_any(InvalidRank {
-                src: self.id,
+            unwind(Unwind::InvalidDestination {
                 dest,
                 world: self.n,
             });
@@ -1026,9 +1022,7 @@ impl Rank {
         let clock = self.clock.get() + net.send_overhead;
         self.clock.set(clock);
         let mut arrival = net.arrival(clock, len);
-        if let Err(e) = self.stats.borrow_mut().on_send(dest, len) {
-            std::panic::panic_any(InvalidRank { src: self.id, ..e });
-        }
+        self.stats.borrow_mut().on_send(dest, len);
         let plan = &self.shared.cfg.faults;
         let fault_args: [(&'static str, ArgValue); 3] = [
             ("dest", ArgValue::U64(dest as u64)),
@@ -1238,7 +1232,9 @@ impl Rank {
         self.shared.set_blocked(self.id, Some(op));
         let deadline = watchdog.then(|| Instant::now() + self.shared.cfg.watchdog);
         let r = loop {
-            self.check_poison();
+            if self.shared.poisoned.load(Ordering::Relaxed) {
+                unwind(Unwind::Poisoned);
+            }
             let left = deadline.map_or(SLICE, |d| d.saturating_duration_since(Instant::now()));
             if left.is_zero() {
                 self.deadlock_panic(&format!(
@@ -1252,12 +1248,6 @@ impl Rank {
         };
         self.shared.set_blocked(self.id, None);
         r
-    }
-
-    fn check_poison(&self) {
-        if self.shared.poisoned.load(Ordering::Relaxed) {
-            panic!("rank {}: aborting because another rank panicked", self.id);
-        }
     }
 
     /// Cumulative count of envelopes ever delivered into this rank's

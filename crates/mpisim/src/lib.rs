@@ -60,7 +60,7 @@ pub use payload::{
     encode_payload, payload_metrics, reset_payload_metrics, Payload, PayloadMetrics,
 };
 pub use request::{RecvRequest, SendRequest};
-pub use stats::{CommStats, FaultStats, InvalidRank};
+pub use stats::{CommStats, FaultStats};
 pub use trace::{ArgValue, TraceCollector, TraceEvent};
 pub use wire::{frame_checksum, Wire, WireError};
-pub use world::{Config, CtlSlot, CtlVerdict, FlowDeadlock, World};
+pub use world::{Config, CtlSlot, CtlVerdict, Failure, World, WorldError};

@@ -1,33 +1,5 @@
 //! Per-rank communication counters.
 
-/// A message was addressed to a rank outside the world.
-///
-/// Raised as a typed panic payload by the sending [`crate::Rank`] (the
-/// substrate's send APIs have no error channel, matching MPI semantics) so
-/// the platform layer can downcast it into its own typed error instead of
-/// surfacing a bare out-of-bounds index panic mid-run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InvalidRank {
-    /// The rank that attempted the send (`usize::MAX` when unknown).
-    pub src: usize,
-    /// The out-of-range destination.
-    pub dest: usize,
-    /// The world size; valid destinations are `0..world`.
-    pub world: usize,
-}
-
-impl std::fmt::Display for InvalidRank {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "rank {} addressed invalid destination rank {} (world size {})",
-            self.src, self.dest, self.world
-        )
-    }
-}
-
-impl std::error::Error for InvalidRank {}
-
 /// Fault-injection bookkeeping, accumulated alongside [`CommStats`].
 ///
 /// Sender-side counters record *injected* events (a duplicated message
@@ -162,17 +134,10 @@ impl CommStats {
         }
     }
 
-    pub(crate) fn on_send(&mut self, dest: usize, bytes: usize) -> Result<(), InvalidRank> {
-        let world = self.bytes_to.len();
-        let slot = self.bytes_to.get_mut(dest).ok_or(InvalidRank {
-            src: usize::MAX,
-            dest,
-            world,
-        })?;
-        *slot += bytes as u64;
+    pub(crate) fn on_send(&mut self, dest: usize, bytes: usize) {
+        self.bytes_to[dest] += bytes as u64;
         self.msgs_sent += 1;
         self.bytes_sent += bytes as u64;
-        Ok(())
     }
 
     pub(crate) fn on_recv(&mut self, bytes: usize) {
@@ -188,9 +153,9 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut s = CommStats::new(3);
-        s.on_send(1, 10).unwrap();
-        s.on_send(1, 5).unwrap();
-        s.on_send(2, 7).unwrap();
+        s.on_send(1, 10);
+        s.on_send(1, 5);
+        s.on_send(2, 7);
         s.on_recv(4);
         assert_eq!(s.msgs_sent, 3);
         assert_eq!(s.bytes_sent, 22);
@@ -217,20 +182,5 @@ mod tests {
         assert_eq!(a.retries, 2);
         assert_eq!(a.stale_discarded, 1);
         assert!(a.any());
-    }
-
-    #[test]
-    fn send_to_boundary_rank_is_a_typed_error() {
-        let mut s = CommStats::new(3);
-        // The last valid rank works; the first invalid one (== world size)
-        // is a typed error, not an out-of-bounds index panic.
-        s.on_send(2, 8).unwrap();
-        let err = s.on_send(3, 8).unwrap_err();
-        assert_eq!(err.dest, 3);
-        assert_eq!(err.world, 3);
-        assert!(err.to_string().contains("invalid destination rank 3"));
-        // The failed send must not leak into the aggregate counters.
-        assert_eq!(s.msgs_sent, 1);
-        assert_eq!(s.bytes_sent, 8);
     }
 }

@@ -16,15 +16,16 @@ pub struct Config {
     /// The LogP-style model that drives every rank's virtual clock.
     pub net: NetModel,
     /// How long a blocked receive or barrier may wait (real time) before
-    /// the world is declared deadlocked and panics with diagnostics.
+    /// the waiting rank fails with a deadlock report
+    /// ([`Failure::Panicked`]).
     pub watchdog: Duration,
     /// Deterministic fault-injection schedule (no-op by default).
     pub faults: FaultPlan,
     /// Per-rank mailbox capacity in data-plane envelopes. `None` (the
     /// default) is unbounded; `Some(c)` enables credit-based flow control:
     /// senders block until the destination has a free slot, and a planted
-    /// cyclic wait is detected and escalated (see [`FlowDeadlock`]) instead
-    /// of hanging.
+    /// cyclic wait is detected and fails the run (see
+    /// [`Failure::FlowCycle`]) instead of hanging.
     pub mailbox_capacity: Option<usize>,
     /// Structured event collector (see [`crate::trace`]). `None` (the
     /// default) disables tracing entirely: ranks carry no buffer and every
@@ -174,32 +175,74 @@ impl CtlVerdict {
     }
 }
 
-/// Panic payload thrown by a rank that hits its scheduled crash point.
-/// [`World::run_fallible`] catches it without poisoning the world; the
-/// plain [`World::run`] treats it like any other rank panic.
-pub(crate) struct RankCrashed(pub(crate) usize);
-
-/// Panic payload thrown when the flow-control deadlock detector confirms a
-/// cyclic credit wait among bounded mailboxes. Callers that run a world
-/// under `catch_unwind` can downcast the payload to this type to turn the
-/// hang-that-wasn't into a typed error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlowDeadlock {
-    /// The ranks forming the cyclic wait, rotated so the smallest rank is
-    /// first; each waits for a mailbox credit from the next (the last waits
-    /// on the first).
-    pub cycle: Vec<usize>,
+/// Why a rank thread unwinds: the one panic payload `mpisim` raises, through
+/// [`unwind`]. A crash runs the full death protocol first; `Poisoned` is a
+/// rank giving up because another failed first. [`World::run_fallible`]
+/// turns each into that rank's outcome.
+pub(crate) enum Unwind {
+    Crashed,
+    FlowCycle(Vec<usize>),
+    InvalidDestination { dest: usize, world: usize },
+    Poisoned,
 }
 
-impl std::fmt::Display for FlowDeadlock {
+/// Unwind the calling rank thread with `why`.
+pub(crate) fn unwind(why: Unwind) -> ! {
+    std::panic::panic_any(why)
+}
+
+/// How one rank failed a world run.
+#[derive(Debug)]
+pub enum Failure {
+    /// It reached its scheduled crash point under [`World::run`], which
+    /// tolerates no crash.
+    Crashed,
+    /// It confirmed a cyclic credit wait among bounded mailboxes: the
+    /// ranks of the cycle, smallest first, each waiting for a credit from
+    /// the next (the last from the first).
+    FlowCycle(Vec<usize>),
+    /// It addressed a message to rank `dest`, outside a world of `world`.
+    InvalidDestination { dest: usize, world: usize },
+    /// Its own code panicked with this payload; the watchdog's deadlock
+    /// report is a `String` payload too.
+    Panicked(Box<dyn std::any::Any + Send>),
+}
+
+impl std::fmt::Display for Failure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "flow-control deadlock: cyclic credit wait ")?;
-        for r in &self.cycle {
-            write!(f, "rank {r} -> ")?;
+        match self {
+            Failure::Crashed => write!(f, "crashed at its scheduled crash point"),
+            Failure::FlowCycle(cycle) => write!(f, "found the cyclic credit wait {cycle:?}"),
+            Failure::InvalidDestination { dest, world } => {
+                write!(f, "addressed rank {dest} in a world of {world}")
+            }
+            Failure::Panicked(payload) => {
+                let text = payload.downcast_ref::<String>().map(String::as_str);
+                let text = text.or_else(|| payload.downcast_ref::<&str>().copied());
+                f.write_str(text.unwrap_or("panicked with a non-string payload"))
+            }
         }
-        write!(f, "rank {}", self.cycle.first().copied().unwrap_or(0))
     }
 }
+
+/// A failed world run: the lowest-ranked failure, so the same inputs always
+/// name the same rank. A rank that only gave up because another had failed
+/// is never the one reported.
+#[derive(Debug)]
+pub struct WorldError {
+    /// The failing rank.
+    pub rank: usize,
+    /// How it failed.
+    pub failure: Failure,
+}
+
+impl std::fmt::Display for WorldError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "rank {}: {}", self.rank, self.failure)
+    }
+}
+
+impl std::error::Error for WorldError {}
 
 /// Generation barrier that also computes the maximum virtual clock of the
 /// arriving ranks, aggregates per-rank control slots, and doubles as the
@@ -359,10 +402,6 @@ pub(crate) struct Shared {
     pub(crate) barrier: ClockBarrier,
     pub(crate) cfg: Config,
     pub(crate) poisoned: AtomicBool,
-    /// Payload of the rank panic that poisoned the world, so the *original*
-    /// failure (not the secondary "world poisoned" aborts) reaches the
-    /// caller.
-    first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     /// Per-rank blocked-state registry: what each rank is currently
     /// blocked on, if anything. Feeds the watchdog's deadlock report.
     blocked: Vec<Mutex<Option<BlockedOp>>>,
@@ -591,30 +630,35 @@ impl World {
     /// Run `f` as an SPMD program on `n` ranks and collect each rank's
     /// return value in rank order.
     ///
-    /// If any rank panics, the world is poisoned: blocked ranks abort, and
-    /// the first panic is propagated to the caller.
-    ///
     /// # Panics
     /// Panics if `n == 0`, if the mailbox capacity is zero, if
-    /// [`FaultPlan::validate`] refuses the fault plan for `n` ranks, if a
-    /// rank panics, or on watchdog-detected deadlock.
+    /// [`FaultPlan::validate`] refuses the fault plan for `n` ranks, and
+    /// with the [`WorldError`]'s message if a rank fails: it panics, crashes,
+    /// trips the watchdog or the flow-control detector, or addresses a rank
+    /// outside the world.
     pub fn run<F, R>(&self, n: usize, f: F) -> Vec<R>
     where
         F: Fn(&Rank) -> R + Send + Sync,
         R: Send,
     {
-        self.run_inner(n, f, false)
-            .into_iter()
-            .map(|r| r.expect("no panic recorded, so every rank must have a result"))
-            .collect()
+        match self.run_inner(n, f, false) {
+            // No crash is tolerated here, so a run that did not fail has a
+            // value in every slot.
+            Ok(results) => results.into_iter().flatten().collect(),
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// Run `f` as an SPMD program on `n` ranks, tolerating scheduled
     /// crashes: a rank that dies at its [`FaultPlan::with_crash`] point
-    /// yields `None` in its slot instead of poisoning the world, and the
-    /// survivors keep running. Any *other* rank panic still poisons the
-    /// world and propagates.
-    pub fn run_fallible<F, R>(&self, n: usize, f: F) -> Vec<Option<R>>
+    /// yields `None` in its slot, and the survivors keep running.
+    ///
+    /// Any other rank failure poisons the world: blocked ranks give up, and
+    /// the run returns the lowest-ranked failure as a [`WorldError`].
+    ///
+    /// # Panics
+    /// On the same configuration errors as [`World::run`].
+    pub fn run_fallible<F, R>(&self, n: usize, f: F) -> Result<Vec<Option<R>>, WorldError>
     where
         F: Fn(&Rank) -> R + Send + Sync,
         R: Send,
@@ -622,7 +666,12 @@ impl World {
         self.run_inner(n, f, true)
     }
 
-    fn run_inner<F, R>(&self, n: usize, f: F, tolerate_crashes: bool) -> Vec<Option<R>>
+    fn run_inner<F, R>(
+        &self,
+        n: usize,
+        f: F,
+        tolerate_crashes: bool,
+    ) -> Result<Vec<Option<R>>, WorldError>
     where
         F: Fn(&Rank) -> R + Send + Sync,
         R: Send,
@@ -635,9 +684,7 @@ impl World {
         if let Err(e) = self.cfg.faults.validate(n) {
             panic!("invalid fault plan: {e}");
         }
-        if tolerate_crashes && self.cfg.faults.has_crashes() {
-            install_crash_quiet_hook();
-        }
+        install_quiet_unwind_hook();
         let verify_seed = self
             .cfg
             .faults
@@ -650,64 +697,61 @@ impl World {
             barrier: ClockBarrier::new(self.cfg.faults.partitions.clone()),
             cfg: self.cfg.clone(),
             poisoned: AtomicBool::new(false),
-            first_panic: Mutex::new(None),
             blocked: (0..n).map(|_| Mutex::new(None)).collect(),
             dead_flags: (0..n).map(|_| AtomicBool::new(false)).collect(),
             parked: (0..n).map(|_| AtomicBool::new(false)).collect(),
             credit_waits: Mutex::new(CreditWaits::default()),
         });
-        let results: Vec<Option<R>> = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..n)
                 .map(|id| {
                     let shared = Arc::clone(&shared);
                     let f = &f;
                     scope.spawn(move || {
                         let rank = Rank::new(id, n, Arc::clone(&shared));
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&rank))) {
-                            Ok(v) => Some(v),
-                            Err(payload) => {
-                                if tolerate_crashes {
-                                    if let Some(c) = payload.downcast_ref::<RankCrashed>() {
-                                        // The rank already ran the full death
-                                        // protocol before unwinding; survivors
-                                        // continue without it.
-                                        debug_assert_eq!(c.0, id);
-                                        return None;
-                                    }
-                                }
-                                let mut slot = lock_unpoisoned(&shared.first_panic);
-                                if slot.is_none() {
-                                    *slot = Some(payload);
-                                }
-                                shared.poisoned.store(true, Ordering::Relaxed);
-                                None
+                        let run = std::panic::AssertUnwindSafe(|| f(&rank));
+                        let payload = match std::panic::catch_unwind(run) {
+                            Ok(v) => return Ok(Some(v)),
+                            Err(payload) => payload,
+                        };
+                        let failure = match payload.downcast::<Unwind>().map(|u| *u) {
+                            // The rank already ran the full death protocol
+                            // before unwinding; survivors continue without it.
+                            Ok(Unwind::Crashed) if tolerate_crashes => return Ok(None),
+                            // Some other rank failed first.
+                            Ok(Unwind::Poisoned) => return Ok(None),
+                            Ok(Unwind::Crashed) => Failure::Crashed,
+                            Ok(Unwind::FlowCycle(cycle)) => Failure::FlowCycle(cycle),
+                            Ok(Unwind::InvalidDestination { dest, world }) => {
+                                Failure::InvalidDestination { dest, world }
                             }
-                        }
+                            Err(payload) => Failure::Panicked(payload),
+                        };
+                        shared.poisoned.store(true, Ordering::Relaxed);
+                        Err(WorldError { rank: id, failure })
                     })
                 })
                 .collect();
+            // In rank order: the first failure collected is the lowest-ranked.
             handles
                 .into_iter()
                 .map(|h| h.join().expect("rank thread itself must not die"))
                 .collect()
-        });
-        if let Some(payload) = lock_unpoisoned(&shared.first_panic).take() {
-            std::panic::resume_unwind(payload);
-        }
-        results
+        })
     }
 }
 
-/// Silence the default "thread panicked" report for the controlled
-/// [`RankCrashed`] unwind — it is the crash substrate's flow control, not a
-/// failure. Installed once, process-wide; every other panic is delegated to
-/// the previously installed hook.
-fn install_crash_quiet_hook() {
+/// Keep every [`Unwind`] off stderr: a crash and a poison abort are the
+/// substrate's flow control, and every other unwind comes back from the
+/// world as a [`WorldError`], so a failed run prints its real panic once.
+/// Installed once, process-wide; every other panic is delegated to the
+/// previously installed hook.
+fn install_quiet_unwind_hook() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<RankCrashed>().is_none() {
+            if !info.payload().is::<Unwind>() {
                 prev(info);
             }
         }));
@@ -754,16 +798,18 @@ mod tests {
         let cfg = Config::default()
             .with_watchdog(Duration::from_secs(5))
             .with_faults(FaultPlan::new(0).with_crash(1, 0.5));
-        let out = World::new(cfg).run_fallible(4, |rank| {
-            // Everyone computes past the crash point, then exchanges.
-            rank.advance(1.0);
-            let v = rank.ctl_exchange(CtlSlot {
-                word: rank.rank() as u64,
-                load: rank.rank() as f64,
-                flag: true,
-            });
-            (rank.rank(), v)
-        });
+        let out = World::new(cfg)
+            .run_fallible(4, |rank| {
+                // Everyone computes past the crash point, then exchanges.
+                rank.advance(1.0);
+                let v = rank.ctl_exchange(CtlSlot {
+                    word: rank.rank() as u64,
+                    load: rank.rank() as f64,
+                    flag: true,
+                });
+                (rank.rank(), v)
+            })
+            .unwrap();
         assert!(out[1].is_none(), "rank 1 must have crashed");
         let survivors: Vec<_> = out.into_iter().flatten().collect();
         assert_eq!(survivors.len(), 3);
@@ -785,18 +831,20 @@ mod tests {
         let cfg = Config::default()
             .with_watchdog(Duration::from_secs(5))
             .with_faults(FaultPlan::new(0).with_crash(1, 0.5));
-        let out = World::new(cfg).run_fallible(2, |rank| {
-            if rank.rank() == 1 {
-                // Sent before the crash point: must arrive.
-                rank.send(0, 7, &11u32);
-                rank.advance(1.0); // dies here
-                rank.send(0, 8, &22u32); // never happens
-                unreachable!();
-            }
-            let early: Result<u32, _> = rank.try_recv(1, 7);
-            let late: Result<u32, _> = rank.try_recv(1, 8);
-            (early, late)
-        });
+        let out = World::new(cfg)
+            .run_fallible(2, |rank| {
+                if rank.rank() == 1 {
+                    // Sent before the crash point: must arrive.
+                    rank.send(0, 7, &11u32);
+                    rank.advance(1.0); // dies here
+                    rank.send(0, 8, &22u32); // never happens
+                    unreachable!();
+                }
+                let early: Result<u32, _> = rank.try_recv(1, 7);
+                let late: Result<u32, _> = rank.try_recv(1, 8);
+                (early, late)
+            })
+            .unwrap();
         let (early, late) = out[0].expect("rank 0 survives");
         assert_eq!(early, Ok(11));
         assert_eq!(late, Err(crate::Died(1)));
@@ -809,14 +857,16 @@ mod tests {
             let cfg = Config::default()
                 .with_watchdog(Duration::from_secs(5))
                 .with_faults(FaultPlan::new(9).with_crash(2, 0.25));
-            World::new(cfg).run_fallible(4, |rank| {
-                rank.advance(0.1);
-                let a = rank.ctl_exchange(CtlSlot::default());
-                rank.advance(0.5);
-                let b = rank.ctl_exchange(CtlSlot::default());
-                let t: Result<u32, _> = rank.try_recv(2, 3);
-                (a, b, t, rank.wtime().to_bits())
-            })
+            World::new(cfg)
+                .run_fallible(4, |rank| {
+                    rank.advance(0.1);
+                    let a = rank.ctl_exchange(CtlSlot::default());
+                    rank.advance(0.5);
+                    let b = rank.ctl_exchange(CtlSlot::default());
+                    let t: Result<u32, _> = rank.try_recv(2, 3);
+                    (a, b, t, rank.wtime().to_bits())
+                })
+                .unwrap()
         };
         assert_eq!(run_once()[0], run_once()[0]);
     }
@@ -852,21 +902,22 @@ mod tests {
 
     #[test]
     fn send_to_out_of_range_rank_raises_typed_payload() {
-        let err = std::panic::catch_unwind(|| {
-            World::new(Config::default().with_watchdog(Duration::from_secs(2))).run(2, |rank| {
+        let err = World::new(Config::default().with_watchdog(Duration::from_secs(2)))
+            .run_fallible(2, |rank| {
                 if rank.rank() == 0 {
                     rank.send(2, 1, &1u64);
                 }
                 rank.barrier();
             })
-        })
-        .expect_err("invalid destination must fail the world");
-        let invalid = err
-            .downcast_ref::<crate::stats::InvalidRank>()
-            .expect("payload must be the typed InvalidRank, not a bare index panic");
-        assert_eq!(invalid.src, 0);
-        assert_eq!(invalid.dest, 2);
-        assert_eq!(invalid.world, 2);
+            .expect_err("invalid destination must fail the world");
+        assert_eq!(err.rank, 0);
+        assert!(
+            matches!(
+                err.failure,
+                Failure::InvalidDestination { dest: 2, world: 2 }
+            ),
+            "must be the typed failure, not a bare index panic: {err}"
+        );
     }
 
     #[test]
@@ -1031,16 +1082,18 @@ mod tests {
         let cfg = Config::default()
             .with_watchdog(Duration::from_secs(10))
             .with_faults(FaultPlan::new(0).with_crash(1, 0.5));
-        let out = World::new(cfg).run_fallible(4, |rank| {
-            if rank.rank() == 1 {
-                // Long enough for the others to spend their yields and park.
-                std::thread::sleep(Duration::from_millis(20));
-                rank.advance(1.0);
-                unreachable!("rank 1 dies in advance()");
-            }
-            let early = (rank.rank() == 0).then(|| rank.try_recv::<u32>(1, 7));
-            (early, rank.ctl_exchange(CtlSlot::default()).dead_ranks())
-        });
+        let out = World::new(cfg)
+            .run_fallible(4, |rank| {
+                if rank.rank() == 1 {
+                    // Long enough for the others to spend their yields and park.
+                    std::thread::sleep(Duration::from_millis(20));
+                    rank.advance(1.0);
+                    unreachable!("rank 1 dies in advance()");
+                }
+                let early = (rank.rank() == 0).then(|| rank.try_recv::<u32>(1, 7));
+                (early, rank.ctl_exchange(CtlSlot::default()).dead_ranks())
+            })
+            .unwrap();
         assert!(out[1].is_none());
         assert_eq!(out[0], Some((Some(Err(crate::Died(1))), vec![1])));
         assert_eq!(out[2], Some((None, vec![1])));
@@ -1050,8 +1103,8 @@ mod tests {
     #[test]
     fn poison_releases_parked_ranks_within_a_slice_not_a_watchdog() {
         let started = std::time::Instant::now();
-        let err = std::panic::catch_unwind(|| {
-            World::new(Config::default()).run(3, |rank| match rank.rank() {
+        let err = World::new(Config::default())
+            .run_fallible(3, |rank| match rank.rank() {
                 0 => drop(rank.recv::<u32>(1, 0)),
                 1 => {
                     std::thread::sleep(Duration::from_millis(20));
@@ -1059,12 +1112,45 @@ mod tests {
                 }
                 _ => rank.barrier(),
             })
-        })
-        .expect_err("the panic propagates");
-        assert_eq!(err.downcast_ref::<&str>(), Some(&"deliberate"));
+            .expect_err("the panic propagates");
+        assert_eq!(err.rank, 1);
+        assert!(
+            matches!(&err.failure, Failure::Panicked(p) if p.downcast_ref::<&str>() == Some(&"deliberate"))
+        );
         assert!(
             started.elapsed() < Config::default().watchdog / 2,
             "parked ranks poll the poison flag every 50 ms"
         );
+    }
+
+    #[test]
+    fn the_lowest_failing_rank_is_reported_and_poison_aborts_stay_quiet() {
+        for _ in 0..20 {
+            let quiet_aborts = std::sync::atomic::AtomicUsize::new(0);
+            let err = World::new(Config::default())
+                .run_fallible(6, |rank| match rank.rank() {
+                    2 => panic!("rank two gives up"),
+                    4 => panic!("rank four gives up"),
+                    // The others wait for a message nobody sends, so only
+                    // the poison releases them.
+                    r => {
+                        let wait = || rank.recv::<u32>((r + 1) % 6, 0);
+                        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(wait))
+                            .expect_err("nobody sends");
+                        // The quiet hook keeps every `Unwind` off stderr.
+                        if matches!(payload.downcast_ref::<Unwind>(), Some(Unwind::Poisoned)) {
+                            quiet_aborts.fetch_add(1, Ordering::Relaxed);
+                        }
+                        std::panic::resume_unwind(payload)
+                    }
+                })
+                .expect_err("two ranks panicked");
+            assert_eq!(err.to_string(), "rank 2: rank two gives up");
+            assert_eq!(
+                quiet_aborts.into_inner(),
+                4,
+                "ranks 0, 1, 3 and 5 abort quietly"
+            );
+        }
     }
 }

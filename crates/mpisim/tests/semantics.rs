@@ -266,34 +266,36 @@ fn crash_aware_collect_gives_up_on_a_dead_peer_only_after_its_last_frame() {
     let plan = mpisim::FaultPlan::new(0).with_crash(1, 0.5);
     let detect = plan.detect_timeout;
     let world = World::new(cfg(NetModel::zero()).with_faults(plan));
-    let out = world.run_fallible(3, |rank| {
-        match rank.rank() {
-            0 => {}
-            1 => {
-                rank.send(0, 7, &11u32);
-                rank.advance(1.0); // dies here, having sent nothing on tag 8
-                unreachable!();
-            }
-            _ => {
-                // Well after the death, in host time as in virtual time.
-                while !rank.peer_dead(1) {
-                    std::thread::yield_now();
+    let out = world
+        .run_fallible(3, |rank| {
+            match rank.rank() {
+                0 => {}
+                1 => {
+                    rank.send(0, 7, &11u32);
+                    rank.advance(1.0); // dies here, having sent nothing on tag 8
+                    unreachable!();
                 }
-                rank.send(0, 7, &21u32);
-                rank.send(0, 8, &22u32);
-                return Vec::new();
+                _ => {
+                    // Well after the death, in host time as in virtual time.
+                    while !rank.peer_dead(1) {
+                        std::thread::yield_now();
+                    }
+                    rank.send(0, 7, &21u32);
+                    rank.send(0, 8, &22u32);
+                    return Vec::new();
+                }
             }
-        }
-        let mut got = Vec::new();
-        for tag in [7, 8] {
-            rank.collect(tag, 1..3, true);
-            let held = (rank.held(1), rank.held(2));
-            let t0 = rank.wtime();
-            let from_dead = rank.settle::<u32>(1);
-            got.push((held, from_dead, rank.wtime() - t0, rank.settle::<u32>(2)));
-        }
-        got
-    });
+            let mut got = Vec::new();
+            for tag in [7, 8] {
+                rank.collect(tag, 1..3, true);
+                let held = (rank.held(1), rank.held(2));
+                let t0 = rank.wtime();
+                let from_dead = rank.settle::<u32>(1);
+                got.push((held, from_dead, rank.wtime() - t0, rank.settle::<u32>(2)));
+            }
+            got
+        })
+        .expect("a crash is not a failure here");
     let died = Err(mpisim::Died(1));
     assert_eq!(
         out[0].as_ref().expect("rank 0 survives"),

@@ -188,3 +188,74 @@ fn processor_network_plugs_into_pagrid() {
     );
     assert_eq!(report.final_data, oracle);
 }
+
+/// `AvgProgram::fine()`, except that node `at` panics in iteration 3.
+struct PanicsAt {
+    at: ic2_graph::NodeId,
+    avg: AvgProgram,
+}
+
+impl NodeProgram for PanicsAt {
+    type Data = <AvgProgram as NodeProgram>::Data;
+
+    fn init(&self, node: ic2_graph::NodeId, graph: &Graph) -> Self::Data {
+        self.avg.init(node, graph)
+    }
+
+    fn compute(
+        &self,
+        node: ic2_graph::NodeId,
+        own: &Self::Data,
+        neighbors: &[NeighborData<'_, Self::Data>],
+        ctx: &ComputeCtx,
+    ) -> Self::Data {
+        if node == self.at && ctx.iter == 3 {
+            panic!("node {node} refuses iteration 3");
+        }
+        self.avg.compute(node, own, neighbors, ctx)
+    }
+
+    fn cost(&self, node: ic2_graph::NodeId, own: &Self::Data, ctx: &ComputeCtx) -> f64 {
+        self.avg.cost(node, own, ctx)
+    }
+}
+
+#[test]
+fn a_panicking_node_program_is_a_typed_error_on_both_planes() {
+    let graph = ic2_graph::generators::hex_grid_n(64);
+    let partition = Metis::default().partition(&graph, 4);
+    // A node of rank 1, which the crash of rank 2 leaves where it is.
+    let at = graph.nodes().find(|&v| partition.part_of(v) == 1).unwrap();
+    let program = PanicsAt {
+        at,
+        avg: AvgProgram::fine(),
+    };
+    let collective = RunConfig::new(4, 5);
+    let verdict = collective.clone().with_world(
+        collective
+            .world
+            .clone()
+            .with_faults(mpisim::FaultPlan::new(1).with_crash(2, 1.0)),
+    );
+    for cfg in [collective, verdict] {
+        let attempt = || try_run(&graph, &program, &Metis::default(), || NoBalancer, &cfg);
+        let err = attempt().map(|_| ()).expect_err("node program panicked");
+        match &err {
+            PlatformError::RankPanicked { rank: 1, message } => {
+                assert!(message.contains(&format!("node {at} refuses iteration 3")))
+            }
+            other => panic!("expected RankPanicked on rank 1, got {other}"),
+        }
+        for _ in 0..10 {
+            assert_eq!(attempt().map(|_| ()), Err(err.clone()));
+        }
+        let panicked = std::panic::catch_unwind(|| {
+            run(&graph, &program, &Metis::default(), || NoBalancer, &cfg)
+        })
+        .expect_err("run panics where try_run fails");
+        assert_eq!(
+            panicked.downcast_ref::<String>(),
+            Some(&format!("ic2mpi: {err}"))
+        );
+    }
+}

@@ -292,11 +292,11 @@ fn planted_cyclic_wait_escalates_to_a_typed_error() {
     // amount of waiting can resolve. The detector must name the cycle in a
     // typed error instead of hanging until the watchdog kills the run.
     let n = 4;
-    let result = catch_flow_deadlock(|| {
-        let cfg = mpisim::Config::virtual_time(NetModel::origin2000())
-            .with_watchdog(Duration::from_secs(30))
-            .with_mailbox_capacity(2);
-        mpisim::World::new(cfg).run(n, |rank| {
+    let cfg = mpisim::Config::virtual_time(NetModel::origin2000())
+        .with_watchdog(Duration::from_secs(30))
+        .with_mailbox_capacity(2);
+    let result = mpisim::World::new(cfg)
+        .run_fallible(n, |rank| {
             let right = (rank.rank() + 1) % rank.size();
             for i in 0..8u64 {
                 rank.send_reliable(right, 3, &i, RetryPolicy::Escalate);
@@ -308,7 +308,7 @@ fn planted_cyclic_wait_escalates_to_a_typed_error() {
             }
             sum
         })
-    });
+        .map_err(PlatformError::from);
     match result {
         Err(PlatformError::FlowControlDeadlock { cycle }) => {
             assert_eq!(cycle.len(), n, "all four ranks wait in the cycle");
@@ -334,11 +334,11 @@ fn planted_cyclic_wait_escalates_to_a_typed_error() {
 fn the_same_flood_completes_when_capacity_suffices() {
     // Control experiment for the planted deadlock: with eight slots the
     // flood fits and the ring drains normally.
-    let result = catch_flow_deadlock(|| {
-        let cfg = mpisim::Config::virtual_time(NetModel::origin2000())
-            .with_watchdog(Duration::from_secs(30))
-            .with_mailbox_capacity(8);
-        mpisim::World::new(cfg).run(4, |rank| {
+    let cfg = mpisim::Config::virtual_time(NetModel::origin2000())
+        .with_watchdog(Duration::from_secs(30))
+        .with_mailbox_capacity(8);
+    let result = mpisim::World::new(cfg)
+        .run_fallible(4, |rank| {
             let right = (rank.rank() + 1) % rank.size();
             for i in 0..8u64 {
                 rank.send_reliable(right, 3, &i, RetryPolicy::Escalate);
@@ -350,6 +350,6 @@ fn the_same_flood_completes_when_capacity_suffices() {
             }
             sum
         })
-    });
-    assert_eq!(result.expect("no deadlock"), vec![28u64; 4]);
+        .map_err(PlatformError::from);
+    assert_eq!(result.expect("no deadlock"), vec![Some(28u64); 4]);
 }
