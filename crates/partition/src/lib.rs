@@ -10,8 +10,9 @@
 //!
 //! * [`metis::Metis`] — multilevel recursive-bisection partitioner in the
 //!   style of Metis \[KK98\]: heavy-edge-matching coarsening, greedy
-//!   graph-growing initial bisection, Fiduccia–Mattheyses boundary
-//!   refinement, plus a final k-way refinement pass.
+//!   graph-growing initial bisection, Fiduccia–Mattheyses refinement
+//!   (every vertex moves once a pass, rolled back to the best prefix), plus
+//!   a final k-way boundary refinement pass.
 //! * [`pagrid::PaGrid`] — grid-aware mapper in the style of PaGrid
 //!   \[WA04, HAB06\]: starts from a Metis partition and refines against an
 //!   estimated-execution-time objective over a weighted

@@ -1,0 +1,136 @@
+//! Pinned partitions: the FNV-1a hash of `Metis::default()`'s assignment on
+//! fixed graphs, so a rewrite of the partitioner's kernels that claims to
+//! keep its output can be checked to the bit.
+//!
+//! The hashes were computed by the partitioner before its contraction and
+//! refinement kernels were rewritten. A mismatch prints every case's hash,
+//! in the form of the table below.
+//!
+//! The 512 × 512 hex grid (262 144 nodes) is `#[ignore]`d: run it with
+//! `cargo test --release -p ic2-partition --test pinned -- --include-ignored`.
+
+use ic2_graph::{generators, Graph};
+use ic2_partition::metis::Metis;
+use ic2_partition::StaticPartitioner;
+
+/// FNV-1a over the `u32` entries of an assignment.
+fn fnv1a(parts: &[u32]) -> u64 {
+    let mut x: u64 = 0xcbf2_9ce4_8422_2325;
+    for &v in parts {
+        x ^= u64::from(v);
+        x = x.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    x
+}
+
+fn hash(graph: &Graph, k: usize) -> u64 {
+    fnv1a(Metis::default().partition(graph, k).as_slice())
+}
+
+/// The pinned graph families, by name.
+fn graphs() -> Vec<(String, Graph)> {
+    let mut out = Vec::new();
+    for n in [32, 64, 96] {
+        out.push((format!("hex_grid_n({n})"), generators::hex_grid_n(n)));
+    }
+    out.push(("hex_grid(128, 128)".into(), generators::hex_grid(128, 128)));
+    out.push(("torus(40, 40)".into(), generators::torus(40, 40)));
+    for (n, seed) in [(32, 0), (32, 1), (64, 0), (64, 1)] {
+        out.push((
+            format!("thesis_random_graph({n}, {seed})"),
+            generators::thesis_random_graph(n, seed),
+        ));
+    }
+    for (n, avg, seed) in [
+        (40, 3.5, 1),
+        (97, 3.0, 2),
+        (2000, 3.5, 3),
+        (3000, 4.0, 4),
+        (4500, 3.0, 5),
+    ] {
+        out.push((
+            format!("random_connected({n}, {avg}, 10, {seed})"),
+            generators::random_connected(n, avg, 10, seed),
+        ));
+    }
+    out
+}
+
+const PINNED: &[(&str, usize, u64)] = &[
+    ("hex_grid_n(32)", 2, 0x9401781e53810435),
+    ("hex_grid_n(32)", 8, 0xb18e54e68d5f5665),
+    ("hex_grid_n(32)", 16, 0x49f977b9a05a9f51),
+    ("hex_grid_n(64)", 2, 0x9d1932390764925f),
+    ("hex_grid_n(64)", 8, 0xa8c29b4522427a4d),
+    ("hex_grid_n(64)", 16, 0x7757603e92b7a535),
+    ("hex_grid_n(96)", 2, 0x79f2eb4628564983),
+    ("hex_grid_n(96)", 8, 0x4cd37ddce6367927),
+    ("hex_grid_n(96)", 16, 0xe50fd6a64e855851),
+    ("hex_grid(128, 128)", 2, 0xd6736e967f284b57),
+    ("hex_grid(128, 128)", 8, 0x6bbffe3c1b86d2be),
+    ("hex_grid(128, 128)", 16, 0x96be054b179298ac),
+    ("torus(40, 40)", 2, 0x42a4edd24555d79a),
+    ("torus(40, 40)", 8, 0xfe3a121c0412ec1f),
+    ("torus(40, 40)", 16, 0xb5c6c964d487532c),
+    ("thesis_random_graph(32, 0)", 2, 0x4109d913da14785d),
+    ("thesis_random_graph(32, 0)", 8, 0x27067f684a211bbf),
+    ("thesis_random_graph(32, 0)", 16, 0x17c429e1ce3cf1f0),
+    ("thesis_random_graph(32, 1)", 2, 0x49a7c1bcd1d80e22),
+    ("thesis_random_graph(32, 1)", 8, 0x22237c9ce0916cc0),
+    ("thesis_random_graph(32, 1)", 16, 0x9fd87251a3e76ab7),
+    ("thesis_random_graph(64, 0)", 2, 0xe5848a1b05c62520),
+    ("thesis_random_graph(64, 0)", 8, 0x32c926ceec4b719a),
+    ("thesis_random_graph(64, 0)", 16, 0x47a3f790591c39a3),
+    ("thesis_random_graph(64, 1)", 2, 0x6dcf5e82af2d08d5),
+    ("thesis_random_graph(64, 1)", 8, 0x5e0bf029d2d73f6a),
+    ("thesis_random_graph(64, 1)", 16, 0x1518dc03539d84ea),
+    ("random_connected(40, 3.5, 10, 1)", 2, 0xb3d63122416ee024),
+    ("random_connected(40, 3.5, 10, 1)", 8, 0x33d093c98d3e0a41),
+    ("random_connected(40, 3.5, 10, 1)", 16, 0x7febdba6347b0a51),
+    ("random_connected(97, 3, 10, 2)", 2, 0x9ffdb98aa82c898a),
+    ("random_connected(97, 3, 10, 2)", 8, 0xd7e9d7df2cc90dcf),
+    ("random_connected(97, 3, 10, 2)", 16, 0x4303e57fe63de6a2),
+    ("random_connected(2000, 3.5, 10, 3)", 2, 0xd05887a37b159791),
+    ("random_connected(2000, 3.5, 10, 3)", 8, 0xba10017b0060e6db),
+    ("random_connected(2000, 3.5, 10, 3)", 16, 0x8db2ad5917cda2d7),
+    ("random_connected(3000, 4, 10, 4)", 2, 0xd743d9e277a58cd4),
+    ("random_connected(3000, 4, 10, 4)", 8, 0x8925fcc5c2a99967),
+    ("random_connected(3000, 4, 10, 4)", 16, 0xccba0f3f2e07d9b4),
+    ("random_connected(4500, 3, 10, 5)", 2, 0xa1a5f1ed71abdf70),
+    ("random_connected(4500, 3, 10, 5)", 8, 0x631954af863af5dd),
+    ("random_connected(4500, 3, 10, 5)", 16, 0xcbf1e19d10f5b713),
+];
+
+#[test]
+fn metis_partitions_are_pinned() {
+    let mut table = String::new();
+    let mut mismatches = 0;
+    let mut checked = 0;
+    for (name, g) in graphs() {
+        for k in [2, 8, 16] {
+            let h = hash(&g, k);
+            table += &format!("    (\"{name}\", {k}, {h:#018x}),\n");
+            let want = PINNED.iter().find(|&&(n, pk, _)| n == name && pk == k);
+            match want {
+                Some(&(_, _, w)) => {
+                    checked += 1;
+                    if w != h {
+                        mismatches += 1;
+                    }
+                }
+                None => mismatches += 1,
+            }
+        }
+    }
+    assert!(
+        mismatches == 0 && checked == PINNED.len(),
+        "{mismatches} partition hashes differ from the pinned ones; computed:\n{table}"
+    );
+}
+
+#[test]
+#[ignore = "262 144 nodes: run in release"]
+fn metis_hex_512_by_512_is_pinned() {
+    let g = generators::hex_grid(512, 512);
+    assert_eq!(hash(&g, 16), 0x1860_a858_76bc_c0a0);
+}
