@@ -10,38 +10,63 @@ use ic2_rng::SplitMix64;
 ///
 /// Coordinates are attached (odd rows shifted half a cell right, rows
 /// √3/2 apart) so band partitioners can slice the domain geometrically.
+///
+/// The sorted CSR is written directly, with unit edge weights implicit:
+/// cell `(r, c)` is node `r * cols + c`, and its run lists NW/NE, W, E,
+/// SW/SE, where the diagonals of an even row are columns `c - 1` and `c`
+/// and those of an odd row columns `c` and `c + 1`.
+///
+/// # Panics
+/// Panics if a dimension is zero or the grid has more cells than a
+/// [`NodeId`] can number.
 pub fn hex_grid(rows: usize, cols: usize) -> Graph {
     assert!(rows > 0 && cols > 0, "hex grid needs positive dimensions");
-    let id = |r: usize, c: usize| (r * cols + c) as NodeId;
-    let mut b = GraphBuilder::new(rows * cols);
-    let mut coords = Vec::with_capacity(rows * cols);
+    let n = grid_cells("hex grid", rows, cols);
+    // Every row has cols - 1 horizontal edges, and every pair of adjacent
+    // rows 2 * cols - 1 diagonal ones; each edge is listed from both ends.
+    let entries = 2 * (rows * (cols - 1) + (rows - 1) * (2 * cols - 1));
+    let mut xadj = Vec::with_capacity(n + 1);
+    let mut adj: Vec<NodeId> = Vec::with_capacity(entries);
+    let mut coords = Vec::with_capacity(n);
+    xadj.push(0);
     for r in 0..rows {
+        let odd = r % 2;
         for c in 0..cols {
-            coords.push((c as f64 + 0.5 * (r % 2) as f64, r as f64 * 0.866));
-            // East edge.
+            // The diagonal columns in the rows above and below.
+            let diagonals = (c + odd).saturating_sub(1)..(c + odd + 1).min(cols);
+            if r > 0 {
+                let base = (r - 1) * cols;
+                adj.extend(diagonals.clone().map(|d| (base + d) as NodeId));
+            }
+            let id = r * cols + c;
+            if c > 0 {
+                adj.push((id - 1) as NodeId);
+            }
             if c + 1 < cols {
-                b.edge(id(r, c), id(r, c + 1));
+                adj.push((id + 1) as NodeId);
             }
-            // Southern diagonals (northern ones are added by the row above).
             if r + 1 < rows {
-                if r % 2 == 0 {
-                    // even row: SE = (r+1, c), SW = (r+1, c-1)
-                    b.edge(id(r, c), id(r + 1, c));
-                    if c > 0 {
-                        b.edge(id(r, c), id(r + 1, c - 1));
-                    }
-                } else {
-                    // odd row: SE = (r+1, c+1), SW = (r+1, c)
-                    if c + 1 < cols {
-                        b.edge(id(r, c), id(r + 1, c + 1));
-                    }
-                    b.edge(id(r, c), id(r + 1, c));
-                }
+                let base = (r + 1) * cols;
+                adj.extend(diagonals.map(|d| (base + d) as NodeId));
             }
+            xadj.push(adj.len());
+            coords.push((c as f64 + 0.5 * odd as f64, r as f64 * 0.866));
         }
     }
-    b.coords(coords);
-    b.build()
+    debug_assert_eq!(adj.len(), entries);
+    Graph::from_csr(xadj, adj, Vec::new(), vec![1; n]).with_coords(coords)
+}
+
+/// `rows * cols`, refused before anything is allocated when the ids of
+/// that many cells would not fit a [`NodeId`].
+fn grid_cells(kind: &str, rows: usize, cols: usize) -> usize {
+    match rows.checked_mul(cols) {
+        Some(n) if n <= NodeId::MAX as usize => n,
+        _ => panic!(
+            "{kind} of {rows} x {cols} cells exceeds the {} nodes a NodeId can number",
+            NodeId::MAX
+        ),
+    }
 }
 
 /// The hex-grid sizes the thesis reports: 32, 64 and 96 nodes
@@ -152,8 +177,9 @@ pub fn thesis_random_graph(n: usize, seed: u64) -> Graph {
 /// ablations.
 pub fn torus(rows: usize, cols: usize) -> Graph {
     assert!(rows >= 3 && cols >= 3, "torus needs dimensions >= 3");
+    let n = grid_cells("torus", rows, cols);
     let id = |r: usize, c: usize| (r * cols + c) as NodeId;
-    let mut b = GraphBuilder::new(rows * cols);
+    let mut b = GraphBuilder::new(n);
     for r in 0..rows {
         for c in 0..cols {
             b.edge(id(r, c), id(r, (c + 1) % cols));
@@ -240,5 +266,96 @@ mod tests {
         let g = hex_grid(1, 1);
         assert_eq!(g.num_nodes(), 1);
         assert_eq!(g.num_edges(), 0);
+    }
+
+    /// The edge-list construction `hex_grid` replaced, kept as the
+    /// reference its direct CSR must equal.
+    fn hex_grid_reference(rows: usize, cols: usize) -> Graph {
+        let id = |r: usize, c: usize| (r * cols + c) as NodeId;
+        let mut b = GraphBuilder::new(rows * cols);
+        let mut coords = Vec::with_capacity(rows * cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                coords.push((c as f64 + 0.5 * (r % 2) as f64, r as f64 * 0.866));
+                // East edge.
+                if c + 1 < cols {
+                    b.edge(id(r, c), id(r, c + 1));
+                }
+                // Southern diagonals (northern ones are added by the row above).
+                if r + 1 < rows {
+                    if r % 2 == 0 {
+                        // even row: SE = (r+1, c), SW = (r+1, c-1)
+                        b.edge(id(r, c), id(r + 1, c));
+                        if c > 0 {
+                            b.edge(id(r, c), id(r + 1, c - 1));
+                        }
+                    } else {
+                        // odd row: SE = (r+1, c+1), SW = (r+1, c)
+                        if c + 1 < cols {
+                            b.edge(id(r, c), id(r + 1, c + 1));
+                        }
+                        b.edge(id(r, c), id(r + 1, c));
+                    }
+                }
+            }
+        }
+        b.coords(coords);
+        b.build()
+    }
+
+    fn assert_matches_reference(rows: usize, cols: usize) {
+        assert!(
+            hex_grid(rows, cols) == hex_grid_reference(rows, cols),
+            "hex_grid({rows}, {cols}) differs from the edge-list reference"
+        );
+    }
+
+    #[test]
+    fn hex_grid_equals_the_reference_on_every_small_grid() {
+        for rows in 1..=12 {
+            for cols in 1..=12 {
+                assert_matches_reference(rows, cols);
+            }
+        }
+    }
+
+    #[test]
+    fn hex_grid_equals_the_reference_on_the_workload_shapes() {
+        for (rows, cols) in [
+            (4, 8),
+            (8, 8),
+            (8, 12),
+            (32, 32),
+            (128, 128),
+            (200, 150),
+            (1, 1000),
+            (1000, 1),
+        ] {
+            assert_matches_reference(rows, cols);
+        }
+    }
+
+    #[test]
+    #[ignore = "the benchmark's paged grid; run in release"]
+    fn hex_grid_equals_the_reference_at_512_squared() {
+        assert_matches_reference(512, 512);
+    }
+
+    #[test]
+    #[ignore = "the benchmark's million-node grid; run in release"]
+    fn hex_grid_equals_the_reference_at_1000_squared() {
+        assert_matches_reference(1000, 1000);
+    }
+
+    #[test]
+    #[should_panic(expected = "hex grid of 65536 x 65537 cells exceeds")]
+    fn hex_grid_refuses_more_cells_than_node_ids() {
+        hex_grid(1 << 16, (1 << 16) + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "torus of 65536 x 65537 cells exceeds")]
+    fn torus_refuses_more_cells_than_node_ids() {
+        torus(1 << 16, (1 << 16) + 1);
     }
 }

@@ -9,6 +9,13 @@ pub type NodeId = u32;
 /// An undirected graph in compressed-sparse-row form with integer node and
 /// edge weights and optional planar coordinates.
 ///
+/// Unit edge weights are implicit, as Metis's missing `adjwgt` is \[KK98\]:
+/// when every edge weighs 1 — the thesis's `fmt=0` "uniform weighted
+/// program graph" — no per-edge weight is stored, and
+/// [`edge_weights`](Self::edge_weights) slices one shared run of
+/// `max_degree` ones. Every constructor decides this once and stores the
+/// same canonical form, so `==` still means "same graph".
+///
 /// Invariants (checked by [`GraphBuilder::build`], [`Graph::from_csr`] and
 /// [`Graph::validate`]):
 /// adjacency is symmetric with matching edge weights, there are no
@@ -18,7 +25,10 @@ pub struct Graph {
     xadj: Vec<usize>,
     adj: Vec<NodeId>,
     vwgt: Vec<i64>,
+    /// Edge weights aligned with `adj`; empty when every edge weighs 1.
     ewgt: Vec<i64>,
+    /// `max_degree` ones when `ewgt` is empty, else nothing.
+    ones: Vec<i64>,
     coords: Option<Vec<(f64, f64)>>,
 }
 
@@ -27,6 +37,9 @@ impl Graph {
     /// `adj[xadj[v]..xadj[v + 1]]`, weighted by the same range of `ewgt`,
     /// and its weight is `vwgt[v]`. No coordinates.
     ///
+    /// An empty `ewgt` means every edge weighs 1; so does an `ewgt` of all
+    /// ones, which is dropped rather than stored.
+    ///
     /// Makes the same release-mode checks as [`GraphBuilder::build`] —
     /// neighbours in range, no self-loops, positive edge weights, each run
     /// strictly ascending (so no parallel edges) — and leaves symmetry to
@@ -34,37 +47,84 @@ impl Graph {
     ///
     /// # Panics
     /// Panics on any of those violations or on mismatched array lengths.
-    pub fn from_csr(xadj: Vec<usize>, adj: Vec<NodeId>, ewgt: Vec<i64>, vwgt: Vec<i64>) -> Graph {
+    pub fn from_csr(
+        xadj: Vec<usize>,
+        adj: Vec<NodeId>,
+        mut ewgt: Vec<i64>,
+        vwgt: Vec<i64>,
+    ) -> Graph {
         let n = vwgt.len();
         assert!(
-            xadj.len() == n + 1 && xadj[n] == adj.len() && ewgt.len() == adj.len(),
+            xadj.len() == n + 1
+                && xadj[n] == adj.len()
+                && (ewgt.is_empty() || ewgt.len() == adj.len()),
             "CSR array lengths disagree"
         );
         for v in 0..n {
-            let range = xadj[v]..xadj[v + 1];
-            let run = &adj[range.clone()];
-            for (i, (&w, &ew)) in run.iter().zip(&ewgt[range]).enumerate() {
+            let run = &adj[xadj[v]..xadj[v + 1]];
+            for (i, &w) in run.iter().enumerate() {
                 assert!(
                     (w as usize) < n,
                     "edge ({v},{w}) out of range for {n} nodes"
                 );
                 assert_ne!(w as usize, v, "self loop at node {v}");
-                assert!(ew > 0, "edge ({v},{w}) has non-positive weight {ew}");
                 assert!(
                     i == 0 || run[i - 1] < w,
                     "node {v}: neighbours not strictly ascending"
                 );
             }
         }
-        let g = Graph {
+        if !ewgt.is_empty() {
+            for v in 0..n {
+                let range = xadj[v]..xadj[v + 1];
+                for (&w, &ew) in adj[range.clone()].iter().zip(&ewgt[range]) {
+                    assert!(ew > 0, "edge ({v},{w}) has non-positive weight {ew}");
+                }
+            }
+            if ewgt.iter().all(|&ew| ew == 1) {
+                ewgt = Vec::new();
+            }
+        }
+        let g = Graph::assemble(xadj, adj, vwgt, ewgt, None);
+        debug_assert_eq!(g.validate(), Ok(()));
+        g
+    }
+
+    /// The one place a `Graph` is put together: fills `ones` when `ewgt`
+    /// is empty, so every constructor stores the canonical form.
+    fn assemble(
+        xadj: Vec<usize>,
+        adj: Vec<NodeId>,
+        vwgt: Vec<i64>,
+        ewgt: Vec<i64>,
+        coords: Option<Vec<(f64, f64)>>,
+    ) -> Graph {
+        let ones = if ewgt.is_empty() {
+            let max_degree = xadj.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+            vec![1; max_degree]
+        } else {
+            Vec::new()
+        };
+        Graph {
             xadj,
             adj,
             vwgt,
             ewgt,
-            coords: None,
-        };
-        debug_assert_eq!(g.validate(), Ok(()));
-        g
+            ones,
+            coords,
+        }
+    }
+
+    /// Attach planar coordinates, one per node.
+    pub(crate) fn with_coords(mut self, coords: Vec<(f64, f64)>) -> Graph {
+        debug_assert_eq!(coords.len(), self.num_nodes());
+        self.coords = Some(coords);
+        self
+    }
+
+    /// Whether every edge weighs 1, so that no edge weight is stored.
+    pub fn has_unit_edge_weights(&self) -> bool {
+        self.ewgt.is_empty()
     }
 
     /// Number of nodes.
@@ -84,7 +144,12 @@ impl Graph {
 
     /// Edge weights aligned with [`neighbors`](Self::neighbors).
     pub fn edge_weights(&self, v: NodeId) -> &[i64] {
-        &self.ewgt[self.xadj[v as usize]..self.xadj[v as usize + 1]]
+        let range = self.xadj[v as usize]..self.xadj[v as usize + 1];
+        if self.ewgt.is_empty() {
+            &self.ones[..range.len()]
+        } else {
+            &self.ewgt[range]
+        }
     }
 
     /// Degree of `v`.
@@ -179,7 +244,11 @@ impl Graph {
         if self.vwgt.len() != n {
             return Err(format!("vwgt length {} != n {}", self.vwgt.len(), n));
         }
-        if self.ewgt.len() != self.adj.len() {
+        if self.ewgt.is_empty() {
+            if self.ones.len() != self.max_degree() || self.ones.iter().any(|&w| w != 1) {
+                return Err("unit-weight run is not max_degree ones".into());
+            }
+        } else if self.ewgt.len() != self.adj.len() {
             return Err("ewgt length != adjacency length".into());
         }
         if let Some(c) = &self.coords {
@@ -279,42 +348,51 @@ impl GraphBuilder {
         for i in 0..n {
             xadj[i + 1] = xadj[i] + deg[i];
         }
+        // Unit weights are decided here, before the weight array would be
+        // allocated: a unit graph never has one.
+        let unit = self.edges.iter().all(|&(_, _, w)| w == 1);
         let mut adj = vec![0 as NodeId; xadj[n]];
-        let mut ewgt = vec![0i64; xadj[n]];
+        let mut ewgt = if unit {
+            Vec::new()
+        } else {
+            vec![0i64; xadj[n]]
+        };
         let mut cursor = xadj.clone();
         for &(u, v, w) in &self.edges {
-            adj[cursor[u as usize]] = v;
-            ewgt[cursor[u as usize]] = w;
+            let (cu, cv) = (cursor[u as usize], cursor[v as usize]);
+            adj[cu] = v;
+            adj[cv] = u;
+            if !unit {
+                ewgt[cu] = w;
+                ewgt[cv] = w;
+            }
             cursor[u as usize] += 1;
-            adj[cursor[v as usize]] = u;
-            ewgt[cursor[v as usize]] = w;
             cursor[v as usize] += 1;
         }
         // Sort each adjacency run that is not already strictly ascending and
-        // detect duplicates. Each unsorted run gets a buffer of its own:
-        // reusing one across runs, or sorting the ids in place, measured
-        // 20-30 % slower on the benchmark's repeated `skew100k_comm` set-up.
+        // detect duplicates. A unit run sorts its ids in place; a weighted
+        // one sorts (id, weight) pairs in a buffer of its own.
         for v in 0..n {
             let range = xadj[v]..xadj[v + 1];
             if adj[range.clone()].windows(2).all(|w| w[0] < w[1]) {
                 continue;
             }
-            let mut pairs: Vec<(NodeId, i64)> = adj[range.clone()]
-                .iter()
-                .copied()
-                .zip(ewgt[range.clone()].iter().copied())
-                .collect();
-            pairs.sort_unstable_by_key(|&(w, _)| w);
-            for window in pairs.windows(2) {
-                assert_ne!(
-                    window[0].0, window[1].0,
-                    "duplicate edge ({v},{})",
-                    window[0].0
-                );
+            if unit {
+                adj[range.clone()].sort_unstable();
+            } else {
+                let mut pairs: Vec<(NodeId, i64)> = adj[range.clone()]
+                    .iter()
+                    .copied()
+                    .zip(ewgt[range.clone()].iter().copied())
+                    .collect();
+                pairs.sort_unstable_by_key(|&(w, _)| w);
+                for (i, (w, ew)) in pairs.into_iter().enumerate() {
+                    adj[xadj[v] + i] = w;
+                    ewgt[xadj[v] + i] = ew;
+                }
             }
-            for (i, (w, ew)) in pairs.into_iter().enumerate() {
-                adj[xadj[v] + i] = w;
-                ewgt[xadj[v] + i] = ew;
+            for window in adj[range].windows(2) {
+                assert_ne!(window[0], window[1], "duplicate edge ({v},{})", window[0]);
             }
         }
         let vwgt = match &self.vwgt {
@@ -327,13 +405,7 @@ impl GraphBuilder {
         if let Some(c) = &self.coords {
             assert_eq!(c.len(), n, "coordinate vector length mismatch");
         }
-        let g = Graph {
-            xadj,
-            adj,
-            vwgt,
-            ewgt,
-            coords: self.coords.clone(),
-        };
+        let g = Graph::assemble(xadj, adj, vwgt, ewgt, self.coords.clone());
         debug_assert_eq!(g.validate(), Ok(()));
         g
     }
@@ -474,5 +546,104 @@ mod tests {
     #[test]
     fn validate_passes_for_built_graphs() {
         assert_eq!(triangle().validate(), Ok(()));
+    }
+
+    /// A 2 × 3 grid with one diagonal, listed out of order.
+    const MESH: [(NodeId, NodeId); 8] = [
+        (0, 1),
+        (1, 2),
+        (3, 4),
+        (4, 5),
+        (0, 3),
+        (1, 4),
+        (2, 5),
+        (4, 0),
+    ];
+
+    /// [`MESH`] with edge `(u, v)` weighing `weight(u, v)`.
+    fn mesh(weight: impl Fn(NodeId, NodeId) -> i64) -> Graph {
+        let mut b = GraphBuilder::new(6);
+        for (u, v) in MESH {
+            b.weighted_edge(u, v, weight(u, v));
+        }
+        b.build()
+    }
+
+    #[test]
+    fn explicit_unit_weights_build_the_unit_form() {
+        let mut b = GraphBuilder::new(6);
+        for (u, v) in MESH {
+            b.edge(u, v);
+        }
+        let explicit = mesh(|_, _| 1);
+        assert_eq!(explicit, b.build());
+        assert!(explicit.has_unit_edge_weights());
+        assert_eq!(explicit.ones, vec![1; 4]);
+    }
+
+    #[test]
+    fn one_heavier_edge_keeps_the_stored_array() {
+        let g = triangle();
+        assert!(!g.has_unit_edge_weights());
+        assert_eq!(g.ewgt.len(), 2 * g.num_edges());
+        assert!(g.ones.is_empty());
+        let g = mesh(|u, v| if (u, v) == (4, 0) { 2 } else { 1 });
+        assert!(!g.has_unit_edge_weights());
+        assert_eq!(g.edge_weights(4), &[2, 1, 1, 1]);
+        assert_eq!(g.edge_weights(0), &[1, 1, 2]);
+    }
+
+    #[test]
+    fn stored_and_implicit_unit_weights_read_alike() {
+        let implicit = mesh(|_, _| 1);
+        let stored = Graph {
+            ewgt: vec![1; implicit.adj.len()],
+            ones: Vec::new(),
+            ..implicit.clone()
+        };
+        for v in implicit.nodes() {
+            assert_eq!(implicit.edge_weights(v), stored.edge_weights(v));
+            for w in implicit.nodes() {
+                assert_eq!(implicit.edge_weight(v, w), stored.edge_weight(v, w));
+            }
+        }
+        assert_eq!(
+            implicit.edges().collect::<Vec<_>>(),
+            stored.edges().collect::<Vec<_>>()
+        );
+        assert_eq!(implicit.validate(), Ok(()));
+        assert_eq!(stored.validate(), Ok(()));
+        for fmt in [0u8, 1, 10, 11] {
+            let text = crate::chaco::render(&implicit, fmt);
+            assert_eq!(text, crate::chaco::render(&stored, fmt), "fmt {fmt}");
+            assert_eq!(crate::chaco::parse(&text).unwrap(), implicit, "fmt {fmt}");
+        }
+    }
+
+    #[test]
+    fn from_csr_takes_an_empty_ewgt_as_unit_weights() {
+        let edgeless = Graph::from_csr(vec![0, 0, 0], Vec::new(), Vec::new(), vec![1; 2]);
+        assert_eq!(edgeless, GraphBuilder::new(2).build());
+        let xadj = vec![0, 2, 4, 6];
+        let adj = vec![1, 2, 0, 2, 0, 1];
+        let empty = Graph::from_csr(xadj.clone(), adj.clone(), Vec::new(), vec![1; 3]);
+        let ones = Graph::from_csr(xadj, adj, vec![1; 6], vec![1; 3]);
+        assert_eq!(empty, ones);
+        let mut b = GraphBuilder::new(3);
+        b.edge(0, 1).edge(1, 2).edge(0, 2);
+        assert_eq!(empty, b.build());
+        assert_eq!(empty.edge_weights(2), &[1, 1]);
+    }
+
+    #[test]
+    fn a_unit_graph_holds_no_edge_weight_storage() {
+        let g = crate::generators::hex_grid(32, 32);
+        assert!(g.has_unit_edge_weights());
+        assert_eq!(g.ewgt.capacity(), 0);
+        assert_eq!(g.ones.len(), g.max_degree());
+        let built = mesh(|_, _| 1);
+        assert_eq!(built.ewgt.capacity(), 0);
+        let from_ones = Graph::from_csr(vec![0, 1, 2], vec![1, 0], vec![1; 2], vec![1; 2]);
+        assert_eq!(from_ones.ewgt.capacity(), 0);
     }
 }

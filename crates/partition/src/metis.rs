@@ -302,13 +302,15 @@ fn clear_connectivity(graph: &Graph, part: &Partition, v: NodeId, conn: &mut [i6
 
 /// The subgraph induced by `nodes` (ascending), its node `i` being
 /// `nodes[i]`. Local ids keep the parent's order, so each run of the
-/// parent's sorted adjacency, filtered, is already a sorted CSR run.
+/// parent's sorted adjacency, filtered, is already a sorted CSR run. A
+/// unit-weight parent gets a unit-weight subgraph, with no weight array.
 fn induce(graph: &Graph, nodes: &[NodeId]) -> Graph {
     debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]));
     let mut local = vec![u32::MAX; graph.num_nodes()];
     for (i, &v) in nodes.iter().enumerate() {
         local[v as usize] = i as u32;
     }
+    let weighted = !graph.has_unit_edge_weights();
     let mut xadj = Vec::with_capacity(nodes.len() + 1);
     xadj.push(0);
     let mut adj = Vec::new();
@@ -318,7 +320,9 @@ fn induce(graph: &Graph, nodes: &[NodeId]) -> Graph {
             let lw = local[w as usize];
             if lw != u32::MAX {
                 adj.push(lw);
-                ewgt.push(ew);
+                if weighted {
+                    ewgt.push(ew);
+                }
             }
         }
         xadj.push(adj.len());
