@@ -38,9 +38,9 @@ pub struct CostModel {
     /// Checkpointing cost per snapshot entry staged, mirrored, or restored
     /// (crash-recovery bookkeeping).
     pub checkpoint_per_entry: f64,
-    /// State-audit cost per entry hashed: incremental digest maintenance on
-    /// a node write and the per-entry recompute at an audit boundary
-    /// (integrity bookkeeping).
+    /// State-audit cost per entry: digest upkeep per node a promote sweeps
+    /// and per shadow an unpack writes, plus the recompute at an audit
+    /// boundary (integrity bookkeeping).
     pub audit_per_entry: f64,
     /// Fixed virtual seconds per disk operation issued by the out-of-core
     /// pager (seek + request overhead).

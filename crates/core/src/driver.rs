@@ -127,7 +127,7 @@ pub struct RunConfig {
     /// default 1 is the classic single-buddy protocol.
     pub replication: u32,
     /// Out-of-core paging: bound each rank's resident data-node table to a
-    /// fixed budget of hash-bucket pages behind a buffer pool
+    /// fixed budget of pages (slot ranges) behind a buffer pool
     /// ([`crate::paging::BufferPool`]) and spill the rest to a per-rank
     /// virtual disk with crash-consistent shadow-paged commits and
     /// checksum-verified reads. Paged runs execute on the

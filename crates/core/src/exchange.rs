@@ -104,16 +104,19 @@ impl<P: NodeProgram> Round<'_, P> {
     }
 
     /// End-of-round promote sweep (the thesis's `data = most_recent_data`)
-    /// over the table's staged bits, set by exactly the nodes at plan
-    /// positions `range` computed since the last sweep: one `per_node_update`
-    /// charge each, the audit digest kept in step with every promoted value
-    /// (one `audit_per_entry` charge each when audits are on). Paged mode
-    /// sweeps page by page, so each page holding staged values is resident
-    /// exactly once. Then drains the pager's I/O seconds.
-    fn promote(&mut self, store: &mut NodeStore<P::Data>, range: Range<usize>) {
+    /// over the staged bits: the nodes at plan positions `range` that
+    /// changed since the last sweep. Each node swept is charged one
+    /// `per_node_update` (and one `audit_per_entry` with audits on); only a
+    /// promoted value is rehashed for the audit digest. Paged mode sweeps
+    /// page by page, so each page holding a change is resident exactly
+    /// once. Then drains the pager's I/O seconds. Returns how many promoted.
+    fn promote(&mut self, store: &mut NodeStore<P::Data>, range: Range<usize>) -> usize {
         let (rank, costs) = (self.rank, self.costs);
         let t0 = rank.wtime();
         rank.advance(costs.per_node_update * range.len() as f64);
+        if store.audit.is_some() {
+            rank.advance(costs.audit_per_entry * range.len() as f64);
+        }
         let NodeStore {
             table,
             pager,
@@ -129,12 +132,10 @@ impl<P: NodeProgram> Round<'_, P> {
             Some(pager) => pager.promote(table, note),
             None => table.promote(0..table.len(), note),
         };
-        if audit.is_some() {
-            rank.advance(costs.audit_per_entry * promoted as f64);
-        }
         self.timers
             .add(Phase::ComputationOverhead, rank.wtime() - t0);
         drain_storage(rank, store, self.timers);
+        promoted
     }
 
     fn trace_delta(&self, stats: &DeltaStats) {
@@ -220,15 +221,15 @@ pub fn step<P: NodeProgram>(
     // while the internal nodes compute.
     let overlap = mode == ExchangeMode::Overlap;
     if !overlap {
-        compute_list(round, store, internal.clone(), None, None);
+        compute_list(round, store, internal.clone(), None);
     }
-    compute_list(round, store, peripheral, Some(&mut pack), None);
+    compute_list(round, store, peripheral, Some(&mut pack));
     if !overlap {
         round.end_compute(comp_t0);
     }
     let mut saw_cut = send_shadows(rank, store, &pack.buffers, round.timers, tolerant);
     if overlap {
-        compute_list(round, store, internal, None, None);
+        compute_list(round, store, internal, None);
         round.end_compute(comp_t0);
     }
     saw_cut |= recv_shadows(rank, store, round.timers, round.costs, tolerant).1;
@@ -276,7 +277,7 @@ pub fn step<P: NodeProgram>(
 /// same list; only the synchronisation cost is elided.
 pub(crate) fn inner_step<P: NodeProgram>(round: &mut Round<'_, P>, store: &mut NodeStore<P::Data>) {
     let comp_t0 = round.rank.wtime();
-    compute_list(round, store, store.internal_range(), None, None);
+    compute_list(round, store, store.internal_range(), None);
     round.end_compute(comp_t0);
     round.promote(store, store.internal_range());
 }
@@ -288,10 +289,10 @@ pub(crate) fn inner_step<P: NodeProgram>(round: &mut Round<'_, P>, store: &mut N
 /// plain BSP would have computed it. Nothing is packed or sent here — the
 /// global round's own exchange ships the final boundary values.
 ///
-/// Returns whether any replayed pass changed a boundary value. If so, the
-/// retained remote shadows skipped `missed` refreshes and are stale, so
-/// the caller must force a full repack (`needs_resync`) before delta
-/// packing may trust dirtiness again.
+/// Returns whether any replayed pass promoted (so changed) a boundary
+/// value. If so, the retained remote shadows skipped `missed` refreshes and
+/// are stale, so the caller must force a full repack (`needs_resync`)
+/// before delta packing may trust dirtiness again.
 ///
 /// The hybrid engine splits one BSP iteration's promote sweep across an
 /// inner round (interior nodes) and this pass (peripheral nodes); each
@@ -311,9 +312,9 @@ pub(crate) fn catch_up_boundary<P: NodeProgram>(
             round.ctx.phase = phase;
             let comp_t0 = round.rank.wtime();
             let boundary = store.peripheral_range();
-            compute_list(round, store, boundary.clone(), None, Some(&mut changed));
+            compute_list(round, store, boundary.clone(), None);
             round.end_compute(comp_t0);
-            round.promote(store, boundary);
+            changed |= round.promote(store, boundary) > 0;
         }
     }
     round.ctx = global;
@@ -340,12 +341,14 @@ fn recycle<'a, D>(mut v: Vec<NeighborData<'_, D>>) -> Vec<NeighborData<'a, D>> {
 /// per node: a plan that outlived a structural change is the typed
 /// [`crate::PlatformError::InternalInvariant`], never a wrong answer.
 ///
-/// Dirty tracking happens at the pack site: a node is dirty iff the value
-/// it just computed differs from its current value — exactly the value
-/// every receiver's retained shadow holds, by induction from the last full
-/// sync. With delta packing active, clean nodes are not packed (and their
-/// `per_shadow_pack` cost is not charged); receivers keep the retained
-/// shadow, which equals what a full exchange would have delivered.
+/// Change is decided once, right after the node function: only a value
+/// that differs (`PartialEq`) from the current one is staged, so the
+/// staged bits are the round's change set that promote, the audit refresh,
+/// hybrid catch-up and the pager read. The current value is what every
+/// receiver's retained shadow holds, by induction from the last full sync,
+/// so with delta packing active an unchanged node is not packed (nor
+/// charged `per_shadow_pack`); receivers keep the retained shadow, which
+/// equals what a full exchange would have delivered.
 ///
 /// In paged mode each node's page and its neighbours' pages are faulted
 /// in first; a node whose entry (or any neighbour entry) is missing after
@@ -353,17 +356,11 @@ fn recycle<'a, D>(mut v: Vec<NeighborData<'_, D>>) -> Vec<NeighborData<'a, D>> {
 /// pager's damage latch already guarantees this iteration is discarded by
 /// rollback. Non-paged mode has no excuse for missing data: that is corrupt
 /// platform state, surfaced as a typed invariant violation too.
-///
-/// `track_changes` (used by the hybrid engine's boundary catch-up) flips to
-/// `true` if any staged value differs from the node's current one — the
-/// signal that retained remote shadows have gone stale across an elided
-/// stretch and the next exchange must full-pack.
 fn compute_list<P: NodeProgram>(
     round: &mut Round<'_, P>,
     store: &mut NodeStore<P::Data>,
     range: Range<usize>,
     mut pack: Option<&mut Packing<P::Data>>,
-    mut track_changes: Option<&mut bool>,
 ) {
     let (rank, program, graph) = (round.rank, round.program, round.graph);
     let (ctx, costs) = (&round.ctx, round.costs);
@@ -432,19 +429,14 @@ fn compute_list<P: NodeProgram>(
         timers.add(Phase::Compute, t2 - t1);
         node_load[node.id as usize] += t2 - t1;
         spare = recycle(neighbors);
-        if let Some(flag) = track_changes.as_deref_mut() {
-            if next != *own {
-                *flag = true;
-            }
-        }
+        let changed = next != *own;
 
-        // Stage the update; pack it for every processor holding this node
-        // as a shadow.
+        // Stage a changed update; pack it for every processor holding this
+        // node as a shadow.
         rank.advance(costs.per_node_update);
         if let Some(pack) = pack.as_deref_mut() {
             let t3 = rank.wtime();
             timers.add(Phase::ComputationOverhead, t3 - t2);
-            let changed = !pack.delta || next != *own;
             if pack.delta && changed {
                 pack.stats.changed_nodes += 1;
             }
@@ -460,6 +452,9 @@ fn compute_list<P: NodeProgram>(
             timers.add(Phase::CommunicationOverhead, rank.wtime() - t3);
         } else {
             timers.add(Phase::ComputationOverhead, rank.wtime() - t2);
+        }
+        if !changed {
+            continue;
         }
         if !table.stage_at(node.slot, node.id, next) {
             invariant_violated(
@@ -727,7 +722,8 @@ fn unpack<D: mpisim::Wire + Clone>(
 /// A dedicated shadow-repair exchange: every rank repacks *all* of its
 /// peripheral nodes' current values and ships them to their shadow holders
 /// through the one shadow exchange, and receivers overwrite their retained
-/// shadows — through [`NodeStore::audit_note`], restoring the digest.
+/// shadows — through `unpack`, which records each write in the audit
+/// digest, restoring it.
 ///
 /// This is the targeted repair an audit boundary triggers when only
 /// *shadow* copies are damaged and the audit interval is 1 (no compute has
@@ -999,28 +995,159 @@ mod tests {
         ));
     }
 
+    /// Run `f` on a round of `program` at iteration 3, phase 0.
+    fn with_round<P: NodeProgram, R>(
+        rank: &Rank,
+        program: &P,
+        graph: &Graph,
+        f: impl FnOnce(&mut Round<'_, P>) -> R,
+    ) -> R {
+        f(&mut Round {
+            rank,
+            program,
+            graph,
+            ctx: ComputeCtx {
+                iter: 3,
+                phase: 0,
+                rank: rank.rank() as u32,
+                num_nodes: graph.num_nodes(),
+            },
+            costs: &CostModel::default(),
+            timers: &mut PhaseTimers::default(),
+            comp_time: &mut 0.0,
+        })
+    }
+
+    /// Adds one to the nodes it marks and holds every other node.
+    struct Bump(Vec<bool>);
+
+    impl NodeProgram for Bump {
+        type Data = i64;
+        fn init(&self, node: NodeId, _graph: &Graph) -> i64 {
+            i64::from(node)
+        }
+        fn compute(
+            &self,
+            node: NodeId,
+            own: &i64,
+            _: &[NeighborData<'_, i64>],
+            _: &ComputeCtx,
+        ) -> i64 {
+            own + i64::from(self.0[node as usize])
+        }
+    }
+
+    /// The owned nodes of `store` whose slot holds a staged value.
+    fn staged(store: &NodeStore<i64>) -> Vec<NodeId> {
+        let slot = |k| store.plan.node(k).slot as usize;
+        let mut ids: Vec<NodeId> = (0..store.owned_count())
+            .filter(|&k| store.table.any_staged(slot(k)..slot(k) + 1))
+            .map(|k| store.plan.node(k).id)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    #[test]
+    fn only_a_changed_update_is_staged_and_only_its_page_is_dirtied() {
+        let graph = hex_grid(4, 4);
+        let partition = Partition::new(vec![0; graph.num_nodes()], 1);
+        let bumped = |v: NodeId| v.is_multiple_of(3);
+        let program = Bump(graph.nodes().map(bumped).collect());
+        let changed: Vec<NodeId> = graph.nodes().filter(|&v| bumped(v)).collect();
+        world().run(1, |rank| {
+            for budget in [None, Some(2)] {
+                let mut store = NodeStore::build(&graph, &partition, 0, &program, 8);
+                if let Some(budget) = budget {
+                    let (cfg, costs) = (PageConfig { budget }, CostModel::default());
+                    store.enable_paging(&cfg, &FaultPlan::new(1), &costs);
+                    store.pager.as_mut().unwrap().clear_ckpt_dirty();
+                }
+                let all = 0..store.owned_count();
+                let promoted = with_round(rank, &program, &graph, |round| {
+                    compute_list(round, &mut store, all.clone(), None);
+                    assert_eq!(staged(&store), changed, "budget {budget:?}");
+                    round.promote(&mut store, all)
+                });
+                assert_eq!((promoted, staged(&store)), (changed.len(), vec![]));
+                match store.pager.as_ref() {
+                    None => {
+                        for v in graph.nodes() {
+                            let expected = i64::from(v) + i64::from(bumped(v));
+                            assert_eq!(store.table.get(v), Some(&expected), "node {v}");
+                        }
+                    }
+                    Some(pager) => {
+                        let mut pages: Vec<usize> =
+                            changed.iter().map(|&v| store.table.page_of_id(v)).collect();
+                        pages.dedup();
+                        assert_eq!(pager.ckpt_dirty_pages(), pages);
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn an_unchanged_round_stages_promotes_and_dirties_nothing() {
+        let graph = hex_grid(4, 4);
+        let partition = Partition::new(vec![0; graph.num_nodes()], 1);
+        let program = Bump(vec![false; graph.num_nodes()]);
+        world().run(1, |rank| {
+            let mut store = NodeStore::build(&graph, &partition, 0, &program, 8);
+            let (cfg, costs) = (PageConfig { budget: 2 }, CostModel::default());
+            store.enable_paging(&cfg, &FaultPlan::new(1), &costs);
+            store.pager.as_mut().unwrap().clear_ckpt_dirty();
+            let all = 0..store.owned_count();
+            with_round(rank, &program, &graph, |round| {
+                compute_list(round, &mut store, all.clone(), None);
+                assert_eq!(staged(&store), vec![]);
+                assert_eq!(round.promote(&mut store, all), 0);
+                step(round, &mut store, ExchangeMode::PostComm, false, None);
+            });
+            assert_eq!(store.pager.as_ref().unwrap().ckpt_dirty_pages(), vec![]);
+        });
+    }
+
+    #[test]
+    fn catch_up_reports_a_change_iff_a_boundary_value_moved() {
+        // Rank 0 of a two-rank split of a 4×4 hex grid: rows 0–1 are its own.
+        let graph = hex_grid(4, 4);
+        let partition = Partition::new(graph.nodes().map(|v| u32::from(v >= 8)).collect(), 2);
+        let store = || NodeStore::build(&graph, &partition, 0, &Bump(vec![]), 4);
+        let (interior, boundary) = {
+            let store = store();
+            let ids = store.owned_ids();
+            let cut = store.internal_range().end;
+            (ids[..cut].to_vec(), ids[cut..].to_vec())
+        };
+        assert!(!interior.is_empty() && !boundary.is_empty());
+        let marking = |ids: &[NodeId]| Bump(graph.nodes().map(|v| ids.contains(&v)).collect());
+        let cases = [
+            ("nothing", marking(&[]), false),
+            ("the interior", marking(&interior), false),
+            ("one boundary node", marking(&boundary[..1]), true),
+        ];
+        world().run(1, |rank| {
+            for (name, program, moved) in &cases {
+                let mut store = store();
+                let changed = with_round(rank, program, &graph, |round| {
+                    catch_up_boundary(round, &mut store, 2)
+                });
+                assert_eq!(changed, *moved, "{name} changed");
+            }
+        });
+    }
+
     #[test]
     fn paged_compute_skips_exactly_the_nodes_a_lost_page_starves() {
         let graph = hex_grid(4, 4);
         let partition = Partition::new(vec![0; graph.num_nodes()], 1);
         let program = AvgProgram::fine();
-        let costs = CostModel::default();
         let step_once = |rank: &Rank, store: &mut NodeStore<i64>| {
-            let mut round = Round {
-                rank,
-                program: &program,
-                graph: &graph,
-                ctx: ComputeCtx {
-                    iter: 1,
-                    phase: 0,
-                    rank: 0,
-                    num_nodes: graph.num_nodes(),
-                },
-                costs: &costs,
-                timers: &mut PhaseTimers::default(),
-                comp_time: &mut 0.0,
-            };
-            step(&mut round, store, ExchangeMode::PostComm, false, None);
+            with_round(rank, &program, &graph, |round| {
+                step(round, store, ExchangeMode::PostComm, false, None);
+            });
         };
         world().run(1, |rank| {
             let build = || NodeStore::build(&graph, &partition, 0, &program, 4);
@@ -1031,7 +1158,7 @@ mod tests {
             let lost = 1;
             let mut store = build();
             let cfg = PageConfig { budget: 4 };
-            store.enable_paging(&cfg, &FaultPlan::new(1), &costs);
+            store.enable_paging(&cfg, &FaultPlan::new(1), &CostModel::default());
             store.table.page_out(lost);
             step_once(rank, &mut store);
 

@@ -6,9 +6,10 @@
 //! the rank stores (owned nodes and shadows interleaved) sits in `ids`,
 //! strictly ascending; its current and next values (the thesis's `data` /
 //! `most_recent_data`) sit at the same index of `cur` and `next`, with a
-//! staged bit per index. That index is the entry's [`Slot`]: the round plan
-//! resolves every slot once per `rebuild_lists`, and compute, unpack,
-//! promote, gather and audit only index.
+//! staged bit per index: compute stages only a changed value, so the bits
+//! are the round's change set. That index is the entry's [`Slot`]: the
+//! round plan resolves every slot once per `rebuild_lists`, and compute,
+//! unpack, promote, gather and audit only index.
 //!
 //! A page of the out-of-core layer is a slot range: the first fill cuts the
 //! id space into ranges holding equal shares of the ids, later arrivals
@@ -163,8 +164,9 @@ impl<D> NodeTable<D> {
         Some((*self.ids.get(s)?, self.cur.get(s)?))
     }
 
-    /// Stage `id`'s next-iteration value by slot. Returns whether the slot
-    /// really holds `id`; nothing is staged otherwise.
+    /// Stage `id`'s next-iteration value by slot (only a changed one: a
+    /// staged bit means "changed"). Returns whether the slot really holds
+    /// `id`; nothing is staged otherwise.
     #[inline]
     pub fn stage_at(&mut self, slot: Slot, id: NodeId, data: D) -> bool {
         let s = slot as usize;

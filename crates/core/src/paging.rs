@@ -343,8 +343,8 @@ impl Pager {
         self.disk.take_seconds() + std::mem::take(&mut self.pending)
     }
 
-    /// Record a current-value mutation of `page` (shadow unpack, migration
-    /// surgery): both write-back and the next checkpoint must see it.
+    /// Record a mutation of `page` (a changed value staged, a shadow unpack,
+    /// migration surgery): both write-back and the next checkpoint see it.
     pub(crate) fn note_write(&mut self, page: usize) {
         self.disk_dirty[page] = true;
         self.ckpt_dirty[page] = true;
@@ -385,9 +385,9 @@ impl Pager {
         self.pins = needed;
     }
 
-    /// Promote staged values page by page, faulting in each page the
-    /// table holds staged values for, calling `f(id, &new_current)` per
-    /// promotion.
+    /// Promote staged (so changed) values page by page, calling
+    /// `f(id, &new_current)` per promotion: only a page holding a change is
+    /// faulted in and dirtied.
     pub(crate) fn promote<D: Wire>(
         &mut self,
         table: &mut NodeTable<D>,

@@ -162,9 +162,9 @@ pub struct NodeStore<D> {
     /// restore) and cleared once a full pack has gone out.
     pub needs_resync: bool,
     /// Incremental state-audit digests (`RunConfig::with_state_audit`),
-    /// `None` unless audits are enabled. Maintained through
-    /// [`Self::audit_note`] at every legitimate write; deliberately *not*
-    /// updated by injected memory corruption, which is how an audit
+    /// `None` unless audits are enabled. Kept current at every legitimate
+    /// write (promote, unpack, [`Self::audit_note`], restore); deliberately
+    /// *not* updated by injected memory corruption, which is how an audit
     /// boundary detects it.
     pub(crate) audit: Option<AuditState>,
     /// Out-of-core paging engine (`RunConfig::with_paging`), `None` when
@@ -471,9 +471,9 @@ impl<D> NodeStore<D> {
     }
 
     /// Record a legitimate write for the audit digest (no-op when audits
-    /// are off). Every code path that changes a stored current value —
-    /// promote, shadow unpack, migration insert, restore — must pass
-    /// through here; injected corruption deliberately does not.
+    /// are off): a migration insert's. Promote and shadow unpack, which
+    /// borrow the table and the digest apart, record inline; injected
+    /// corruption deliberately does not.
     pub(crate) fn audit_note(&mut self, id: NodeId, data: &D)
     where
         D: Wire,

@@ -14,17 +14,12 @@
 //! Randomness is a seeded `mix64` chain — every run of these tests
 //! exercises the same deterministic op sequences.
 
+use ic2_integration::clean_world;
 use ic2_rng::mix64;
 use ic2mpi::audit::{corrupt_value, count_bad_entries, entry_hash, entry_sums, AuditState};
 use ic2mpi::prelude::*;
 use ic2mpi::seq;
-use mpisim::NetModel;
 use std::collections::BTreeMap;
-use std::time::Duration;
-
-fn clean_world() -> mpisim::Config {
-    mpisim::Config::virtual_time(NetModel::origin2000()).with_watchdog(Duration::from_secs(30))
-}
 
 /// Tiny deterministic PRNG over a mix64 chain.
 struct Chain(u64);

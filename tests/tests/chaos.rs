@@ -3,31 +3,10 @@
 //! and crash rollback recovery.
 
 use ic2_battlefield::{BattlefieldProgram, Scenario};
+use ic2_integration::{chaos_seed, clean_world, world};
 use ic2mpi::prelude::*;
 use ic2mpi::seq;
-use mpisim::{FaultPlan, NetModel};
-use std::time::Duration;
-
-fn world(plan: FaultPlan) -> mpisim::Config {
-    mpisim::Config::virtual_time(NetModel::origin2000())
-        .with_watchdog(Duration::from_secs(30))
-        .with_faults(plan)
-}
-
-fn clean_world() -> mpisim::Config {
-    mpisim::Config::virtual_time(NetModel::origin2000()).with_watchdog(Duration::from_secs(30))
-}
-
-/// Fault-plan seed, overridable via `CHAOS_SEED` so CI can sweep the whole
-/// suite under several fixed seeds. Every assertion in this file is
-/// seed-agnostic (determinism is always checked pairwise under the *same*
-/// seed), so any override must pass.
-fn chaos_seed(default: u64) -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
+use mpisim::FaultPlan;
 
 #[test]
 fn fault_injection_is_fully_deterministic() {

@@ -19,30 +19,11 @@
 //!    included.
 
 use ic2_graph::NodeId;
+use ic2_integration::{chaos_seed, clean_world, world};
 use ic2mpi::prelude::*;
 use ic2mpi::seq;
 use ic2mpi::{chrome_trace_json, timeline_json, TraceEvent};
-use mpisim::{FaultPlan, NetModel};
-use std::time::Duration;
-
-fn world(plan: FaultPlan) -> mpisim::Config {
-    mpisim::Config::virtual_time(NetModel::origin2000())
-        .with_watchdog(Duration::from_secs(30))
-        .with_faults(plan)
-}
-
-fn clean_world() -> mpisim::Config {
-    mpisim::Config::virtual_time(NetModel::origin2000()).with_watchdog(Duration::from_secs(30))
-}
-
-/// Fault-plan seed, overridable via `CHAOS_SEED` (same contract as
-/// `chaos.rs`: every assertion is seed-agnostic).
-fn chaos_seed(default: u64) -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
+use mpisim::FaultPlan;
 
 fn wire_bytes<D>(report: &RunReport<D>) -> u64 {
     report.comm.iter().map(|c| c.bytes_sent).sum()

@@ -9,28 +9,11 @@
 //! copy is destroyed fails with the typed `UnrecoverableState` — never a
 //! wrong answer.
 
+use ic2_integration::{chaos_seed, clean_world, world};
 use ic2mpi::prelude::*;
 use ic2mpi::seq;
 use mpisim::{DiskFault, FaultPlan, NetModel};
 use std::time::Duration;
-
-fn world(plan: FaultPlan) -> mpisim::Config {
-    mpisim::Config::virtual_time(NetModel::origin2000())
-        .with_watchdog(Duration::from_secs(30))
-        .with_faults(plan)
-}
-
-fn clean_world() -> mpisim::Config {
-    mpisim::Config::virtual_time(NetModel::origin2000()).with_watchdog(Duration::from_secs(30))
-}
-
-/// Fault-plan seed, overridable via `CHAOS_SEED` (see chaos.rs).
-fn chaos_seed(default: u64) -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
 
 /// The same disk fault on every rank.
 fn disk_fault_everyone(mut plan: FaultPlan, nprocs: usize, kind: DiskFault, p: f64) -> FaultPlan {

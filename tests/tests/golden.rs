@@ -13,19 +13,13 @@
 //! and EXPERIMENTS.md lists every such line. Seeds are fixed: `CHAOS_SEED`
 //! is never read here.
 
+use ic2_integration::world;
 use ic2mpi::prelude::*;
 use ic2mpi::{chrome_trace_json, EvictionPolicy, ExchangeMode};
-use mpisim::{DiskFault, FaultPlan, MemRegion, NetModel, Wire};
-use std::time::Duration;
+use mpisim::{DiskFault, FaultPlan, MemRegion, Wire};
 
 const NPROCS: usize = 8;
 const ITERATIONS: u32 = 12;
-
-fn world(plan: FaultPlan) -> mpisim::Config {
-    mpisim::Config::virtual_time(NetModel::origin2000())
-        .with_watchdog(Duration::from_secs(30))
-        .with_faults(plan)
-}
 
 fn base() -> RunConfig {
     RunConfig::new(NPROCS, ITERATIONS).with_checkpointing(3)

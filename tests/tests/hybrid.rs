@@ -12,69 +12,19 @@
 //! iteration number and the run configuration — never of runtime state —
 //! which is what lets every fault-tolerance layer (rollback, park/rejoin,
 //! delta, paging, audits) compose with it unchanged.
+//!
+//! The workload is the delta experiment's `ChurnProgram`: a deterministic
+//! hash picks `churn_pct`% of nodes to increment their value every
+//! iteration while the rest hold. The node function reads only its own
+//! value, so per-node invocation counts fully determine the final state —
+//! the sharpest possible probe for elision bookkeeping errors (every missed
+//! or doubled inner/catch-up pass shifts a counter).
 
+use ic2_bench::workloads::ChurnProgram;
+use ic2_integration::{chaos_seed, clean_world, world};
 use ic2mpi::prelude::*;
 use ic2mpi::seq;
-use mpisim::{FaultPlan, MemRegion, NetModel};
-use std::time::Duration;
-
-fn world(plan: FaultPlan) -> mpisim::Config {
-    mpisim::Config::virtual_time(NetModel::origin2000())
-        .with_watchdog(Duration::from_secs(30))
-        .with_faults(plan)
-}
-
-fn clean_world() -> mpisim::Config {
-    mpisim::Config::virtual_time(NetModel::origin2000()).with_watchdog(Duration::from_secs(30))
-}
-
-/// Fault-plan seed, overridable via `CHAOS_SEED` (see chaos.rs).
-fn chaos_seed(default: u64) -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
-/// The delta-experiment churn workload (see `ic2-bench`), restated here:
-/// a deterministic hash picks `churn_pct`% of nodes to increment their
-/// value every iteration while the rest hold. The node function reads only
-/// its own value, so per-node invocation counts fully determine the final
-/// state — the sharpest possible probe for elision bookkeeping errors
-/// (every missed or doubled inner/catch-up pass shifts a counter).
-#[derive(Debug, Clone, Copy)]
-struct ChurnProgram {
-    churn_pct: u64,
-}
-
-impl ChurnProgram {
-    fn is_churner(&self, node: ic2_graph::NodeId) -> bool {
-        let mut z = node as u64 ^ 0x9e37_79b9_7f4a_7c15;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (z ^ (z >> 31)) % 100 < self.churn_pct
-    }
-}
-
-impl NodeProgram for ChurnProgram {
-    type Data = i64;
-    fn init(&self, node: ic2_graph::NodeId, _graph: &ic2_graph::Graph) -> i64 {
-        node as i64 + 1
-    }
-    fn compute(
-        &self,
-        node: ic2_graph::NodeId,
-        own: &i64,
-        _neighbors: &[NeighborData<'_, i64>],
-        _ctx: &ComputeCtx,
-    ) -> i64 {
-        if self.is_churner(node) {
-            *own + 1
-        } else {
-            *own
-        }
-    }
-}
+use mpisim::{FaultPlan, MemRegion};
 
 /// Mirror of the driver's pure elision cadence for configurations with no
 /// balancing: iteration `i` is a global round iff it closes an inner block

@@ -7,32 +7,15 @@
 //! regions) and the checkpoint entry checksums' job (replicas at rest).
 //! Every test here demands the full contract: byte-identical convergence
 //! to the sequential oracle, bit-identical same-seed `total_time`, and
-//! identical fault counters across re-runs.
+//! identical fault counters across re-runs. The probabilistic assertions
+//! stay comfortably seed-agnostic under any `CHAOS_SEED`: every `> 0`
+//! counter has double-digit expectation at the configured rates.
 
+use ic2_integration::{chaos_seed, clean_world, world};
 use ic2mpi::prelude::*;
 use ic2mpi::seq;
 use mpisim::{FaultPlan, MemRegion, NetModel};
 use std::time::Duration;
-
-fn world(plan: FaultPlan) -> mpisim::Config {
-    mpisim::Config::virtual_time(NetModel::origin2000())
-        .with_watchdog(Duration::from_secs(30))
-        .with_faults(plan)
-}
-
-fn clean_world() -> mpisim::Config {
-    mpisim::Config::virtual_time(NetModel::origin2000()).with_watchdog(Duration::from_secs(30))
-}
-
-/// Fault-plan seed, overridable via `CHAOS_SEED` (see chaos.rs). The
-/// probabilistic assertions below stay comfortably seed-agnostic: every
-/// `> 0` counter has double-digit expectation at the configured rates.
-fn chaos_seed(default: u64) -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Blanket at-rest corruption on every rank.
 fn corrupt_everyone(mut plan: FaultPlan, nprocs: usize, p: f64) -> FaultPlan {

@@ -6,18 +6,14 @@
 //! "same seed" here means "same access stream": identical admit/touch
 //! sequences must produce identical victim sequences and resident sets.
 
+use ic2_bench::workloads::ChurnProgram;
+use ic2_integration::clean_world;
 use ic2_partition::bands::RowBand;
 use ic2mpi::paging::BufferPool;
 use ic2mpi::prelude::*;
 use ic2mpi::seq;
 use ic2mpi::NodeStore;
-use mpisim::NetModel;
 use std::collections::BTreeSet;
-use std::time::Duration;
-
-fn clean_world() -> mpisim::Config {
-    mpisim::Config::virtual_time(NetModel::origin2000()).with_watchdog(Duration::from_secs(30))
-}
 
 /// Deterministic access-stream generator (splitmix64).
 fn stream(seed: u64, len: usize, pages: usize) -> Vec<usize> {
@@ -225,4 +221,56 @@ fn zero_page_budget_is_rejected_with_a_typed_error() {
     )
     .expect_err("a zero page budget can hold no working set");
     assert_eq!(err, PlatformError::ZeroKnob("paging.budget"));
+}
+
+#[test]
+fn paged_io_and_checkpoints_shrink_with_churn() {
+    // Only a changed value is staged, so only a page holding a change is
+    // dirtied by compute: eviction write-back and the page-diff checkpoint
+    // carry changed (or unpacked) pages alone. A rank stores fewer ids than
+    // it has pages, so a page holds one node and the savings track churn;
+    // at 100 % every page changes and nothing is saved.
+    let graph = ic2_graph::generators::hex_grid(64, 64);
+    let iterations = 20u32;
+    for delta in [false, true] {
+        let runs: Vec<RunReport<i64>> = [100u64, 10, 0]
+            .into_iter()
+            .map(|churn_pct| {
+                let program = ChurnProgram { churn_pct };
+                let mut cfg = RunConfig::new(8, iterations)
+                    .with_hash_buckets(1024)
+                    .with_paging(128, EvictionPolicy::Sieve)
+                    .with_checkpointing(2)
+                    .with_world(clean_world());
+                if delta {
+                    cfg = cfg.with_delta_exchange();
+                }
+                let r = run(&graph, &program, &Metis::default(), || NoBalancer, &cfg);
+                let oracle = seq::run_sequential(&graph, &program, iterations);
+                assert_eq!(r.final_data, oracle, "churn {churn_pct}%, delta {delta}");
+                r
+            })
+            .collect();
+        for pair in runs.windows(2) {
+            assert!(
+                pair[1].checkpoint_bytes <= pair[0].checkpoint_bytes
+                    && pair[1].page_faults <= pair[0].page_faults,
+                "delta {delta}: less churn must not cost more I/O"
+            );
+        }
+        let share =
+            |r: &RunReport<i64>| r.checkpoint_bytes as f64 / runs[0].checkpoint_bytes as f64;
+        assert!(
+            share(&runs[1]) <= 0.4,
+            "delta {delta}: 10 % churn at {:.2}×",
+            share(&runs[1])
+        );
+        if delta {
+            assert!(
+                share(&runs[2]) <= 0.2,
+                "0 % churn at {:.2}×",
+                share(&runs[2])
+            );
+        }
+    }
 }

@@ -7,29 +7,10 @@
 //! re-runs — including `total_time`, because every cut, detection timeout
 //! and replayed iteration is charged to the virtual clock.
 
+use ic2_integration::{chaos_seed, clean_world, world};
 use ic2mpi::prelude::*;
 use ic2mpi::seq;
-use mpisim::{FaultPlan, NetModel};
-use std::time::Duration;
-
-fn world(plan: FaultPlan) -> mpisim::Config {
-    mpisim::Config::virtual_time(NetModel::origin2000())
-        .with_watchdog(Duration::from_secs(30))
-        .with_faults(plan)
-}
-
-fn clean_world() -> mpisim::Config {
-    mpisim::Config::virtual_time(NetModel::origin2000()).with_watchdog(Duration::from_secs(30))
-}
-
-/// Fault-plan seed, overridable via `CHAOS_SEED` (see chaos.rs): every
-/// assertion here is seed-agnostic, so CI can sweep seeds.
-fn chaos_seed(default: u64) -> u64 {
-    std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
+use mpisim::FaultPlan;
 
 #[test]
 fn partition_sweep_heals_and_replays_exactly() {

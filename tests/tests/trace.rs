@@ -14,16 +14,10 @@
 //!    recorder never touches any clock, so results and `total_time` are
 //!    bit-identical with tracing on and off, including under chaos.
 
+use ic2_integration::world;
 use ic2mpi::prelude::*;
 use ic2mpi::{chrome_trace_json, timeline_json, RunReport, TraceEvent};
-use mpisim::{FaultPlan, NetModel};
-use std::time::Duration;
-
-fn world(plan: FaultPlan) -> mpisim::Config {
-    mpisim::Config::virtual_time(NetModel::origin2000())
-        .with_watchdog(Duration::from_secs(30))
-        .with_faults(plan)
-}
+use mpisim::FaultPlan;
 
 /// The chaos workload every test here records: drops, corruption,
 /// truncation, and an uncooperative crash of rank 3 under checkpointing —
