@@ -25,6 +25,7 @@
 use crate::store::NodeStore;
 use ic2_rng::mix64;
 use mpisim::{MemRegion, Rank, Wire};
+use std::cell::RefCell;
 
 /// Seed constant for the entry-hash chain (first 64 bits of the fractional
 /// part of π, as used by several hash families; distinct from every seed
@@ -32,11 +33,26 @@ use mpisim::{MemRegion, Rank, Wire};
 /// never correlate).
 const ENTRY_SEED: u64 = 0x243f_6a88_85a3_08d3;
 
+thread_local! {
+    /// The encoding [`entry_hash`] reads, one warmed-up buffer per rank
+    /// thread: an audit hashes every stored entry, so a hash must not
+    /// allocate.
+    static HASH_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Hash one node entry: a mix64 chain over the node id, the wire-encoding
 /// length, and each 8-byte little-endian word of the encoding (zero-padded
 /// tail), with the word offset mixed in so permuted bytes hash differently.
 pub fn entry_hash<D: Wire>(id: u32, data: &D) -> u64 {
-    let bytes = data.to_bytes();
+    HASH_BUF.with_borrow_mut(|buf| {
+        buf.clear();
+        data.encode(buf);
+        hash_encoding(id, buf)
+    })
+}
+
+/// [`entry_hash`] of the entry whose wire encoding is `bytes`.
+fn hash_encoding(id: u32, bytes: &[u8]) -> u64 {
     let mut h = mix64(ENTRY_SEED ^ u64::from(id));
     h = mix64(h ^ bytes.len() as u64);
     for (i, chunk) in bytes.chunks(8).enumerate() {
@@ -244,6 +260,39 @@ pub fn corrupt_value<D: Wire + Clone + PartialEq>(value: &D, start_bit: u64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `entry_hash` as it was before the reused buffer: an encoding
+    /// allocated per call.
+    fn entry_hash_allocating<D: Wire>(id: u32, data: &D) -> u64 {
+        let bytes = data.to_bytes();
+        let mut h = mix64(ENTRY_SEED ^ u64::from(id));
+        h = mix64(h ^ bytes.len() as u64);
+        for (i, chunk) in bytes.chunks(8).enumerate() {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            h = mix64(h ^ u64::from_le_bytes(word) ^ mix64(i as u64));
+        }
+        h
+    }
+
+    #[test]
+    fn entry_hash_equals_the_allocating_one() {
+        for id in [0, 1, 7, u32::MAX] {
+            for v in [0i64, 1, -1, 42, i64::MIN, i64::MAX] {
+                assert_eq!(entry_hash(id, &v), entry_hash_allocating(id, &v));
+            }
+            // Encodings of every length around the word size, each hashed
+            // after a longer one has left bytes in the buffer.
+            for len in [9usize, 0, 1, 7, 8, 15, 16, 17, 3] {
+                let v: Vec<u8> = (0..len as u8).map(|b| b.wrapping_mul(37)).collect();
+                assert_eq!(entry_hash(id, &v), entry_hash_allocating(id, &v));
+                let s = "ab".repeat(len);
+                assert_eq!(entry_hash(id, &s), entry_hash_allocating(id, &s));
+            }
+            let cells = (0u64..5).map(|x| (x, x as f64 * 0.5)).collect::<Vec<_>>();
+            assert_eq!(entry_hash(id, &cells), entry_hash_allocating(id, &cells));
+        }
+    }
 
     #[test]
     fn entry_hash_separates_ids_values_and_byte_order() {

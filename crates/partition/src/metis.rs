@@ -76,7 +76,17 @@ impl StaticPartitioner for Metis {
             // imbalance near the configured budget.
             let levels = (nparts as f64).log2().ceil().max(1.0);
             let eps = self.imbalance / levels;
-            self.split(graph, &nodes, 0, nparts, eps, &mut assignment, &mut rng);
+            let mut fm = FmQueues::default();
+            self.split(
+                graph,
+                &nodes,
+                0,
+                nparts,
+                eps,
+                &mut assignment,
+                &mut rng,
+                &mut fm,
+            );
         }
         let mut part = Partition::new(assignment, nparts);
         self.kway_refine(graph, &mut part);
@@ -97,6 +107,7 @@ impl Metis {
         eps: f64,
         assignment: &mut [u32],
         rng: &mut SplitMix64,
+        fm: &mut FmQueues,
     ) {
         if k == 1 || nodes.is_empty() {
             for &v in nodes {
@@ -111,7 +122,8 @@ impl Metis {
         let ml = k_left.min(nodes.len());
         let mr = (k - k_left).min(nodes.len() - ml);
         let sub = induce(graph, nodes);
-        let side = self.bisect(&sub, frac, eps, ml, mr, rng);
+        let mut side = self.bisect(&sub, frac, eps, ml, mr, rng, fm);
+        meet_floors(&sub, &mut side, ml, mr);
         // The halves induce their own subgraphs; free this one first.
         drop(sub);
         let mut left = Vec::new();
@@ -123,7 +135,7 @@ impl Metis {
                 right.push(v);
             }
         }
-        self.split(graph, &left, first_part, k_left, eps, assignment, rng);
+        self.split(graph, &left, first_part, k_left, eps, assignment, rng, fm);
         self.split(
             graph,
             &right,
@@ -132,13 +144,15 @@ impl Metis {
             eps,
             assignment,
             rng,
+            fm,
         );
     }
 
     /// Multilevel bisection: returns `true` for nodes on the "left" side,
-    /// whose weight targets `frac` of the total. The left side receives at
-    /// least `ml` nodes and the right at least `mr` (hosting floors from the
-    /// recursive split).
+    /// whose weight targets `frac` of the total, aiming for at least `ml`
+    /// nodes on the left and `mr` on the right (hosting floors from the
+    /// recursive split). FM keeps floors it starts on, but a projected coarse
+    /// bisection may miss them, so `split` settles them with [`meet_floors`].
     #[allow(clippy::too_many_arguments)]
     fn bisect(
         &self,
@@ -148,6 +162,7 @@ impl Metis {
         ml: usize,
         mr: usize,
         rng: &mut SplitMix64,
+        fm: &mut FmQueues,
     ) -> Vec<bool> {
         let n = graph.num_nodes();
         if n == 0 {
@@ -164,9 +179,9 @@ impl Metis {
                 let cn = coarse.num_nodes();
                 let cml = ml.min(cn / 2);
                 let cmr = mr.min(cn - cml);
-                let coarse_side = self.bisect(&coarse, frac, eps, cml, cmr, rng);
+                let coarse_side = self.bisect(&coarse, frac, eps, cml, cmr, rng, fm);
                 let mut side: Vec<bool> = map.iter().map(|&c| coarse_side[c as usize]).collect();
-                fm_refine(graph, &mut side, frac, eps, ml, mr);
+                fm_refine(graph, &mut side, frac, eps, ml, mr, fm);
                 return side;
             }
             // Matching failed to shrink the graph (e.g. star graphs);
@@ -175,7 +190,7 @@ impl Metis {
         let mut best: Option<(i64, f64, Vec<bool>)> = None;
         for _ in 0..self.init_tries.max(1) {
             let mut side = grow_bisection(graph, frac, ml, mr, rng);
-            fm_refine(graph, &mut side, frac, eps, ml, mr);
+            fm_refine(graph, &mut side, frac, eps, ml, mr, fm);
             let cut = cut_of(graph, &side);
             let dev = balance_deviation(graph, &side, frac);
             if best
@@ -283,6 +298,37 @@ impl Metis {
                 break;
             }
         }
+    }
+}
+
+/// Move to the side that lacks nodes for its floor (`ml` left, `mr` right)
+/// as many nodes of the other side as it lacks: those whose move cuts
+/// least, by `(gain, Reverse(v))` as FM orders them. A no-op whenever the
+/// floors hold, as they do for every pinned partition.
+fn meet_floors(graph: &Graph, side: &mut [bool], ml: usize, mr: usize) {
+    let n = side.len();
+    let left = side.iter().filter(|&&s| s).count();
+    let (from, short) = if left < ml {
+        (false, ml - left)
+    } else if n - left < mr {
+        (true, mr - (n - left))
+    } else {
+        return;
+    };
+    let mut donors: Vec<(i64, Reverse<NodeId>)> = graph
+        .nodes()
+        .filter(|&v| side[v as usize] == from)
+        .map(|v| {
+            let neighbours = graph.neighbors(v).iter().zip(graph.edge_weights(v));
+            let gain = neighbours
+                .map(|(&w, &ew)| if side[w as usize] == from { -ew } else { ew })
+                .sum();
+            (gain, Reverse(v))
+        })
+        .collect();
+    donors.sort_unstable_by(|a, b| b.cmp(a));
+    for &(_, Reverse(v)) in &donors[..short] {
+        side[v as usize] = !from;
     }
 }
 
@@ -494,7 +540,250 @@ fn balance_deviation(graph: &Graph, side: &[bool], frac: f64) -> f64 {
     (left as f64 - total * frac).abs()
 }
 
-/// An FM priority: higher gain first, then the lower vertex id. Both
+/// FM's queues and move log, allocated once per [`Metis::partition`] call
+/// and reused by every level and initial try; [`fm_refine`] picks a queue
+/// per call.
+#[derive(Default)]
+struct FmQueues {
+    buckets: GainBuckets,
+    packed: GainHeaps<u64>,
+    wide: GainHeaps<(i64, Reverse<NodeId>)>,
+    history: Vec<NodeId>,
+}
+
+/// FM's move queue: each side's unlocked vertices, keyed `(gain, Reverse(v))`.
+trait MoveQueue {
+    /// Refill with every vertex `v`, on side `side[v]`, at its gain.
+    fn fill(&mut self, side: &[bool], gains: impl Iterator<Item = i64>);
+    /// Take `v` (on side `s`) out of the queue and lock it.
+    fn lock(&mut self, s: usize, v: NodeId);
+    /// Change the gain of `v` (on side `s`) by `delta`, if it is unlocked.
+    fn add_gain(&mut self, s: usize, v: NodeId, delta: i64);
+    /// The maximum key among the vertices `v` of the sides `s` that `open`
+    /// admits with `fits(s, v)`, as `(gain, s, v)`. `fits` is asked in key
+    /// order, so the first vertex it admits is the one picked.
+    fn pick(
+        &mut self,
+        open: [bool; 2],
+        fits: impl Fn(usize, NodeId) -> bool,
+    ) -> Option<(i64, usize, NodeId)>;
+}
+
+/// [`GainBuckets::bucket`] of a vertex that has moved this pass.
+const LOCKED_BUCKET: u8 = u8::MAX;
+
+/// FM's move queue as gain buckets, as Fiduccia and Mattheyses and Metis
+/// keep it: for each side and each gain in `[-max_gain, max_gain]`, the set
+/// of unlocked vertices at that gain, as an id-ordered bitset with 64-ary
+/// summary levels above it (a summary bit is set while its word below is
+/// non-zero). A side's maximum key is the lowest id in its highest non-empty
+/// bucket; the index of that bucket is raised on insert and lowered lazily
+/// on pick. A move is O(1) per neighbour instead of a heap sift.
+#[derive(Default)]
+struct GainBuckets {
+    max_gain: i64,
+    /// Buckets per side, `2 * max_gain + 1`.
+    width: usize,
+    /// `(offset, words)` of each level within a bucket: the ids first, the
+    /// one-word summary last.
+    levels: Vec<(usize, usize)>,
+    /// Words per bucket.
+    stride: usize,
+    /// Bucket `b` of side `s` is `words[(s * width + b) * stride..][..stride]`.
+    words: Vec<u64>,
+    /// Each vertex's bucket, `gain + max_gain`, or [`LOCKED_BUCKET`].
+    bucket: Vec<u8>,
+    /// A bound on each side's highest non-empty bucket.
+    top: [usize; 2],
+}
+
+impl GainBuckets {
+    /// The levels of a bitset over `n` ids and its words in total.
+    fn layout(n: usize) -> (Vec<(usize, usize)>, usize) {
+        let mut levels = Vec::new();
+        let (mut offset, mut len) = (0, n.div_ceil(64).max(1));
+        loop {
+            levels.push((offset, len));
+            offset += len;
+            if len == 1 {
+                return (levels, offset);
+            }
+            len = len.div_ceil(64);
+        }
+    }
+
+    /// Whether buckets for gains in `[-max_gain, max_gain]` over `n`
+    /// vertices take no more bytes than the packed heaps they stand in for:
+    /// a `u64` key and a `u32` position a vertex.
+    fn fit(n: usize, max_gain: i64) -> bool {
+        // Bucket indices must stay below `LOCKED_BUCKET`.
+        if max_gain > 127 {
+            return false;
+        }
+        let width = 2 * max_gain as usize + 1;
+        2 * width * Self::layout(n).1 * 8 + n <= n * 12
+    }
+
+    /// Size for `n` vertices whose gains stay within `[-max_gain, max_gain]`.
+    fn reset(&mut self, n: usize, max_gain: i64) {
+        self.max_gain = max_gain;
+        self.width = 2 * max_gain as usize + 1;
+        (self.levels, self.stride) = Self::layout(n);
+    }
+
+    fn base(&self, s: usize, b: usize) -> usize {
+        (s * self.width + b) * self.stride
+    }
+
+    fn insert(&mut self, s: usize, b: usize, v: NodeId) {
+        self.bucket[v as usize] = b as u8;
+        self.top[s] = self.top[s].max(b);
+        let base = self.base(s, b);
+        let mut i = v as usize;
+        for &(offset, _) in &self.levels {
+            let word = &mut self.words[base + offset + i / 64];
+            let was = *word;
+            *word |= 1 << (i % 64);
+            if was != 0 {
+                break;
+            }
+            i /= 64;
+        }
+    }
+
+    fn remove(&mut self, s: usize, b: usize, v: NodeId) {
+        let base = self.base(s, b);
+        let mut i = v as usize;
+        for &(offset, _) in &self.levels {
+            let word = &mut self.words[base + offset + i / 64];
+            *word &= !(1 << (i % 64));
+            if *word != 0 {
+                break;
+            }
+            i /= 64;
+        }
+    }
+
+    /// The one-word summary of bucket `b` of side `s`: zero iff it is empty.
+    fn summary(&self, s: usize, b: usize) -> u64 {
+        self.words[self.base(s, b) + self.stride - 1]
+    }
+
+    /// Side `s`'s highest non-empty bucket, lowering the bound to it.
+    fn top(&mut self, s: usize) -> Option<usize> {
+        loop {
+            let b = self.top[s];
+            if self.summary(s, b) != 0 {
+                return Some(b);
+            }
+            if b == 0 {
+                return None;
+            }
+            self.top[s] = b - 1;
+        }
+    }
+
+    /// The lowest id under bit `i` of `level` in the bucket at `base`.
+    fn descend(&self, base: usize, mut level: usize, mut i: usize) -> usize {
+        while level > 0 {
+            level -= 1;
+            let (offset, _) = self.levels[level];
+            i = i * 64 + self.words[base + offset + i].trailing_zeros() as usize;
+        }
+        i
+    }
+
+    /// The lowest id in bucket `b` of side `s`, if any.
+    fn first(&self, s: usize, b: usize) -> Option<NodeId> {
+        let summary = self.summary(s, b);
+        let top = self.levels.len() - 1;
+        (summary != 0).then(|| {
+            self.descend(self.base(s, b), top, summary.trailing_zeros() as usize) as NodeId
+        })
+    }
+
+    /// The lowest id above `v` in bucket `b` of side `s`, if any.
+    fn after(&self, s: usize, b: usize, v: NodeId) -> Option<NodeId> {
+        let base = self.base(s, b);
+        // Climb until a word holds a set bit at or after position `i`.
+        let mut i = v as usize + 1;
+        for (level, &(offset, len)) in self.levels.iter().enumerate() {
+            if i / 64 >= len {
+                return None;
+            }
+            let word = self.words[base + offset + i / 64] & u64::MAX << (i % 64);
+            if word != 0 {
+                let i = i / 64 * 64 + word.trailing_zeros() as usize;
+                return Some(self.descend(base, level, i) as NodeId);
+            }
+            i = i / 64 + 1;
+        }
+        None
+    }
+}
+
+impl MoveQueue for GainBuckets {
+    fn fill(&mut self, side: &[bool], gains: impl Iterator<Item = i64>) {
+        self.words.clear();
+        self.words.resize(2 * self.width * self.stride, 0);
+        self.top = [0, 0];
+        self.bucket.clear();
+        self.bucket.resize(side.len(), LOCKED_BUCKET);
+        for (v, g) in gains.enumerate() {
+            let b = (g + self.max_gain) as usize;
+            self.insert(side[v] as usize, b, v as NodeId);
+        }
+    }
+
+    fn lock(&mut self, s: usize, v: NodeId) {
+        let b = self.bucket[v as usize];
+        self.bucket[v as usize] = LOCKED_BUCKET;
+        self.remove(s, b as usize, v);
+    }
+
+    fn add_gain(&mut self, s: usize, v: NodeId, delta: i64) {
+        let b = self.bucket[v as usize];
+        if b == LOCKED_BUCKET {
+            return;
+        }
+        // A gain never leaves `[-wdeg(v), wdeg(v)]`.
+        let to = (i64::from(b) + delta) as usize;
+        debug_assert!(to < self.width);
+        self.remove(s, b as usize, v);
+        self.insert(s, to, v);
+    }
+
+    /// Buckets from the top down; within one, both sides' ids in ascending
+    /// order, merged.
+    fn pick(
+        &mut self,
+        open: [bool; 2],
+        fits: impl Fn(usize, NodeId) -> bool,
+    ) -> Option<(i64, usize, NodeId)> {
+        let tops = [0, 1].map(|s| if open[s] { self.top(s) } else { None });
+        let high = tops.into_iter().flatten().max()?;
+        for b in (0..=high).rev() {
+            let mut next =
+                [0, 1].map(|s| tops[s].filter(|&t| t >= b).and_then(|_| self.first(s, b)));
+            loop {
+                let s = match next {
+                    [Some(l), Some(r)] => usize::from(r < l),
+                    [Some(_), None] => 0,
+                    [None, Some(_)] => 1,
+                    [None, None] => break,
+                };
+                let v = next[s]?;
+                if fits(s, v) {
+                    return Some((b as i64 - self.max_gain, s, v));
+                }
+                next[s] = self.after(s, b, v);
+            }
+        }
+        None
+    }
+}
+
+/// A heap priority: higher gain first, then the lower vertex id. Both
 /// encodings order the same. The packed `u64` holds the gain's 32 bits
 /// (sign flipped, so unsigned order is signed order) above the complemented
 /// id; it halves the heaps' bytes and serves whenever every weighted degree,
@@ -532,28 +821,24 @@ impl Key for (i64, Reverse<NodeId>) {
 /// Children per heap node.
 const ARITY: usize = 4;
 
-/// `GainQueues::pos` of a vertex that has moved this pass.
+/// `GainHeaps::pos` of a vertex that has moved this pass.
 const LOCKED: u32 = u32::MAX;
 
-/// FM's move queues: for each side, an addressable `ARITY`-ary max-heap
-/// holding one entry per unlocked vertex, its key stored inline so a
-/// compare reads no gain table.
-struct GainQueues<K> {
+/// FM's move queue for gains too wide for [`GainBuckets`]: for each side,
+/// an addressable `ARITY`-ary max-heap holding one entry per unlocked
+/// vertex, its key stored inline so a compare reads no gain table.
+#[derive(Default)]
+struct GainHeaps<K> {
     /// `heaps[1]` holds the left side (`side[v] == true`), `heaps[0]` the
     /// right.
     heaps: [Vec<K>; 2],
     /// `v`'s index in its side's heap, or [`LOCKED`].
     pos: Vec<u32>,
+    /// [`MoveQueue::pick`]'s best-first frontier: `(key, side, index)`.
+    frontier: BinaryHeap<(K, usize, usize)>,
 }
 
-impl<K: Key> GainQueues<K> {
-    fn new(n: usize) -> Self {
-        GainQueues {
-            heaps: [Vec::new(), Vec::new()],
-            pos: vec![LOCKED; n],
-        }
-    }
-
+impl<K: Key> GainHeaps<K> {
     fn place(&mut self, s: usize, i: usize, key: K) {
         self.heaps[s][i] = key;
         self.pos[key.vertex() as usize] = i as u32;
@@ -597,15 +882,17 @@ impl<K: Key> GainQueues<K> {
         }
         self.place(s, i, key);
     }
+}
 
-    /// Refill both heaps with every vertex at its gain.
+impl<K: Key> MoveQueue for GainHeaps<K> {
     fn fill(&mut self, side: &[bool], gains: impl Iterator<Item = i64>) {
         for heap in &mut self.heaps {
             heap.clear();
         }
+        self.pos.clear();
         for (v, g) in gains.enumerate() {
             let heap = &mut self.heaps[side[v] as usize];
-            self.pos[v] = heap.len() as u32;
+            self.pos.push(heap.len() as u32);
             heap.push(K::new(g, v as NodeId));
         }
         for s in 0..2 {
@@ -615,7 +902,6 @@ impl<K: Key> GainQueues<K> {
         }
     }
 
-    /// Take `v` (on side `s`) out of its heap and lock it.
     fn lock(&mut self, s: usize, v: NodeId) {
         let i = self.pos[v as usize] as usize;
         self.pos[v as usize] = LOCKED;
@@ -627,7 +913,6 @@ impl<K: Key> GainQueues<K> {
         }
     }
 
-    /// Change the gain of `v` (on side `s`) by `delta`, if it is unlocked.
     fn add_gain(&mut self, s: usize, v: NodeId, delta: i64) {
         let i = self.pos[v as usize];
         if i == LOCKED {
@@ -642,6 +927,31 @@ impl<K: Key> GainQueues<K> {
             self.sift_down(s, i);
         }
     }
+
+    /// Best-first down both heap trees, without disturbing them: entries
+    /// come out in key order.
+    fn pick(
+        &mut self,
+        open: [bool; 2],
+        fits: impl Fn(usize, NodeId) -> bool,
+    ) -> Option<(i64, usize, NodeId)> {
+        self.frontier.clear();
+        for (s, heap) in self.heaps.iter().enumerate() {
+            if let Some(&root) = heap.first().filter(|_| open[s]) {
+                self.frontier.push((root, s, 0));
+            }
+        }
+        while let Some((key, s, i)) = self.frontier.pop() {
+            let v = key.vertex();
+            if fits(s, v) {
+                return Some((key.gain(), s, v));
+            }
+            let first = ARITY * i + 1;
+            let children = self.heaps[s].iter().enumerate().skip(first).take(ARITY);
+            self.frontier.extend(children.map(|(c, &key)| (key, s, c)));
+        }
+        None
+    }
 }
 
 /// Fiduccia–Mattheyses 2-way refinement. Each pass moves every vertex at
@@ -651,34 +961,66 @@ impl<K: Key> GainQueues<K> {
 /// weight within the balance window — or strictly improve the weight
 /// deviation (so a skewed starting point can be repaired).
 ///
-/// Each side's unlocked vertices sit in a [`GainQueues`] heap keyed
-/// `(gain, Reverse(v))`, one entry each; a move locks the mover and sifts
-/// each unlocked neighbour to its new gain. The next mover is the maximum
-/// key among feasible entries of both heaps, found best-first down the two
-/// heap trees without disturbing them, so it is the vertex a full scan
-/// would pick. Feasibility depends on a vertex only through its side and
-/// weight: where all weights are equal, one test per side decides it and a
-/// blocked side is skipped whole.
-fn fm_refine(graph: &Graph, side: &mut [bool], frac: f64, eps: f64, ml: usize, mr: usize) {
+/// The next mover is the maximum `(gain, Reverse(v))` among movable
+/// vertices: the vertex a full scan would pick. Each side's unlocked
+/// vertices wait in a [`MoveQueue`], chosen here from the maximum weighted
+/// degree, which bounds every gain: [`GainBuckets`] wherever they take no
+/// more memory than the heaps, else [`GainHeaps`] with packed keys, or with
+/// pair keys for gains beyond `i32`. Feasibility depends on a vertex only
+/// through its side and weight: where all weights are equal, one test per
+/// side decides it and a blocked side is skipped whole; otherwise the queue
+/// offers both sides' vertices in key order until one passes.
+fn fm_refine(
+    graph: &Graph,
+    side: &mut [bool],
+    frac: f64,
+    eps: f64,
+    ml: usize,
+    mr: usize,
+    queues: &mut FmQueues,
+) {
     let n = graph.num_nodes();
     if n < 2 {
         return;
     }
-    // |gain(v)| never exceeds v's weighted degree.
-    let max_wdeg = graph
-        .nodes()
-        .map(|v| graph.edge_weights(v).iter().sum::<i64>())
-        .max()
-        .unwrap_or(0);
-    if max_wdeg <= i64::from(i32::MAX) {
-        fm_passes::<u64>(graph, side, frac, eps, ml, mr);
+    let max_wdeg = max_weighted_degree(graph);
+    let FmQueues {
+        buckets,
+        packed,
+        wide,
+        history,
+    } = queues;
+    if GainBuckets::fit(n, max_wdeg) {
+        buckets.reset(n, max_wdeg);
+        fm_passes(graph, side, frac, eps, ml, mr, buckets, history);
+    } else if max_wdeg <= i64::from(i32::MAX) {
+        fm_passes(graph, side, frac, eps, ml, mr, packed, history);
     } else {
-        fm_passes::<(i64, Reverse<NodeId>)>(graph, side, frac, eps, ml, mr);
+        fm_passes(graph, side, frac, eps, ml, mr, wide, history);
     }
 }
 
-/// [`fm_refine`]'s passes, over heaps keyed by `K`.
-fn fm_passes<K: Key>(graph: &Graph, side: &mut [bool], frac: f64, eps: f64, ml: usize, mr: usize) {
+/// The largest sum of one vertex's edge weights, which bounds every gain.
+fn max_weighted_degree(graph: &Graph) -> i64 {
+    graph
+        .nodes()
+        .map(|v| graph.edge_weights(v).iter().sum::<i64>())
+        .max()
+        .unwrap_or(0)
+}
+
+/// [`fm_refine`]'s passes, over `queue`.
+#[allow(clippy::too_many_arguments)]
+fn fm_passes(
+    graph: &Graph,
+    side: &mut [bool],
+    frac: f64,
+    eps: f64,
+    ml: usize,
+    mr: usize,
+    queue: &mut impl MoveQueue,
+    history: &mut Vec<NodeId>,
+) {
     let n = graph.num_nodes();
     let vwgt = graph.vertex_weights();
     let total = graph.total_vertex_weight();
@@ -698,9 +1040,6 @@ fn fm_passes<K: Key>(graph: &Graph, side: &mut [bool], frac: f64, eps: f64, ml: 
         .sum();
     let mut left_count = side.iter().filter(|&&s| s).count();
 
-    let mut queues = GainQueues::<K>::new(n);
-    let mut history: Vec<NodeId> = Vec::new();
-    let mut frontier: BinaryHeap<(K, usize, usize)> = BinaryHeap::new();
     for _pass in 0..8 {
         // gain(v) = cut reduction if v switches sides; the cut is half the
         // sum of every vertex's external weight.
@@ -717,7 +1056,7 @@ fn fm_passes<K: Key>(graph: &Graph, side: &mut [bool], frac: f64, eps: f64, ml: 
             }
             g
         });
-        queues.fill(side, gains);
+        queue.fill(side, gains);
         history.clear();
         let mut cur_cut = external / 2;
         let mut best_cut = cur_cut;
@@ -739,36 +1078,18 @@ fn fm_passes<K: Key>(graph: &Graph, side: &mut [bool], frac: f64, eps: f64, ml: 
                 let new_dev = (new_left as f64 - target).abs();
                 new_dev <= move_slack || new_dev < cur_dev
             };
-            // ...and the node-count floors. Only asked of a non-empty side,
-            // so the left count is at least 1 when `s == 1`.
+            // ...and the node-count floors.
             let count_ok = |s: usize| {
-                let new_count = if s == 1 { cur_count - 1 } else { cur_count + 1 };
-                new_count >= ml && new_count <= n - mr
+                let new_count = cur_count as isize + if s == 1 { -1 } else { 1 };
+                new_count >= ml as isize && new_count <= (n - mr) as isize
             };
-            frontier.clear();
-            for (s, heap) in queues.heaps.iter().enumerate() {
-                if let Some(&root) = heap.first() {
-                    if count_ok(s) && (!uniform || weight_ok(s, vwgt[0])) {
-                        frontier.push((root, s, 0));
-                    }
-                }
-            }
-            // Best-first over both heap trees: entries come out in key
-            // order, so the first feasible one is the feasible maximum.
-            let mut pick = None;
-            while let Some((key, s, i)) = frontier.pop() {
-                let v = key.vertex();
-                if uniform || weight_ok(s, vwgt[v as usize]) {
-                    pick = Some((key.gain(), s, v));
-                    break;
-                }
-                let first = ARITY * i + 1;
-                let children = queues.heaps[s].iter().enumerate().skip(first).take(ARITY);
-                frontier.extend(children.map(|(c, &key)| (key, s, c)));
-            }
-            let Some((g, s, v)) = pick else { break };
+            let open = [0, 1].map(|s| count_ok(s) && (!uniform || weight_ok(s, vwgt[0])));
+            let fits = |s: usize, v: NodeId| uniform || weight_ok(s, vwgt[v as usize]);
+            let Some((g, s, v)) = queue.pick(open, fits) else {
+                break;
+            };
             // Apply the move.
-            queues.lock(s, v);
+            queue.lock(s, v);
             let vw = vwgt[v as usize];
             if s == 1 {
                 cur_weight -= vw;
@@ -784,7 +1105,7 @@ fn fm_passes<K: Key>(graph: &Graph, side: &mut [bool], frac: f64, eps: f64, ml: 
             for (&w, &ew) in graph.neighbors(v).iter().zip(graph.edge_weights(v)) {
                 // After v switched: same-side neighbours gain, others lose.
                 let ws = side[w as usize];
-                queues.add_gain(ws as usize, w, if ws == to { -2 * ew } else { 2 * ew });
+                queue.add_gain(ws as usize, w, if ws == to { -2 * ew } else { 2 * ew });
             }
             let dev = (cur_weight as f64 - target).abs();
             // Prefer any in-window cut improvement; when both states are
@@ -1057,18 +1378,21 @@ mod tests {
         }
     }
 
-    /// A `random_connected` graph with edge weights in `scale × 1..=9` and
-    /// vertex weights in 1..=5 (all 1 unless `weighted`): the shape of a
-    /// coarse level, which the pinned hashes reach only through contraction.
-    fn weighted_random(n: usize, seed: u64, weighted: bool, scale: i64) -> Graph {
+    /// A `random_connected` graph with edge weights in `scale × 1..=max_ew`
+    /// and vertex weights in `1..=max_vw`: the shape of a coarse level, which
+    /// the pinned hashes reach only through contraction.
+    fn weighted_random(n: usize, seed: u64, max_ew: usize, max_vw: usize, scale: i64) -> Graph {
         let base = random_connected(n, 3.5, 10, seed);
         let mut rng = SplitMix64::new(seed ^ 0x5EED);
         let mut b = GraphBuilder::new(n);
         for (u, v, _) in base.edges() {
-            b.weighted_edge(u, v, scale * rng.gen_range(1..10) as i64);
+            b.weighted_edge(u, v, scale * rng.gen_range_incl(1..=max_ew) as i64);
         }
-        let vmax = if weighted { 6 } else { 2 };
-        b.vertex_weights((0..n).map(|_| rng.gen_range(1..vmax) as i64).collect());
+        b.vertex_weights(
+            (0..n)
+                .map(|_| rng.gen_range_incl(1..=max_vw) as i64)
+                .collect(),
+        );
         b.build()
     }
 
@@ -1077,7 +1401,7 @@ mod tests {
         let mut rng = SplitMix64::new(0xC0A);
         for round in 0..24 {
             let n = rng.gen_range(2..600);
-            let mut g = weighted_random(n, rng.next_u64(), true, 1);
+            let mut g = weighted_random(n, rng.next_u64(), 9, 5, 1);
             // Follow a few levels down, so coarse graphs are inputs too.
             for _level in 0..3 {
                 let seed = rng.next_u64();
@@ -1090,39 +1414,117 @@ mod tests {
         }
     }
 
-    #[test]
-    fn heap_refinement_equals_the_lazy_heap_one() {
-        let mut rng = SplitMix64::new(0xF3);
-        for round in 0..240 {
-            let n = rng.gen_range(2..400);
+    /// Refine `rounds` drawn graphs and starts with [`fm_refine`], one
+    /// [`FmQueues`] reused throughout as [`Metis::partition`] reuses it, and
+    /// with the lazy heap; both must end on the same sides. Returns how many
+    /// rounds ran on gain buckets and how many on heaps.
+    fn refine_like_the_lazy_heap(seed: u64, rounds: usize, max_n: usize) -> [usize; 2] {
+        let mut rng = SplitMix64::new(seed);
+        let mut queues = FmQueues::default();
+        let mut paths = [0; 2];
+        for round in 0..rounds {
+            let n = rng.gen_range(2..max_n);
             let seed = rng.next_u64();
-            let g = match round % 4 {
-                0 => weighted_random(n, seed, true, 1),
+            let g = match round % 7 {
+                0 => weighted_random(n, seed, 9, 5, 1),
                 // A contracted level: weights that sum members.
-                1 => coarsen(&weighted_random(n, seed, true, 1), &mut rng).0,
+                1 => coarsen(&weighted_random(n, seed, 9, 5, 1), &mut rng).0,
                 // Equal vertex weights: feasibility is one test per side.
-                2 => weighted_random(n, seed, false, 1),
+                2 => weighted_random(n, seed, 9, 1, 1),
                 // Gains beyond `i32`: the wide key.
-                _ => weighted_random(n, seed, true, 1 << 32),
+                3 => weighted_random(n, seed, 9, 5, 1 << 32),
+                // Narrow gains under unequal vertex weights: buckets walked
+                // in key order.
+                4 => weighted_random(n, seed, 1, 3, 1),
+                // Narrow gains, equal vertex weights.
+                5 => weighted_random(n, seed, 2, 1, 1),
+                // The first contraction of a unit graph.
+                _ => coarsen(&weighted_random(n, seed, 1, 1, 1), &mut rng).0,
             };
             let n = g.num_nodes();
+            paths[usize::from(!GainBuckets::fit(n, max_weighted_degree(&g)))] += 1;
             let frac = [0.5, 1.0 / 3.0, 0.25, 3.0 / 8.0, 0.625][rng.gen_range(0..5)];
             let eps = [0.0, 0.01, 0.025, 0.05, 0.2][rng.gen_range(0..5)];
             let ml = rng.gen_range(0..n.min(9) + 1);
             let mr = rng.gen_range(0..(n - ml).min(9) + 1);
-            let start: Vec<bool> = if round / 4 % 2 == 0 {
+            let start: Vec<bool> = if round / 7 % 2 == 0 {
                 (0..n).map(|_| rng.gen_range(0..2) == 1).collect()
             } else {
                 grow_bisection(&g, frac, ml, mr, &mut rng)
             };
             let mut got = start.clone();
-            fm_refine(&g, &mut got, frac, eps, ml, mr);
+            fm_refine(&g, &mut got, frac, eps, ml, mr, &mut queues);
             let mut want = start;
             fm_refine_lazy_heap(&g, &mut want, frac, eps, ml, mr);
             assert_eq!(
                 got, want,
                 "round {round}: n={n} frac={frac} eps={eps} ml={ml} mr={mr}"
             );
+        }
+        paths
+    }
+
+    #[test]
+    fn heap_refinement_equals_the_lazy_heap_one() {
+        let [buckets, heaps] = refine_like_the_lazy_heap(0xF3, 280, 400);
+        assert!(
+            buckets >= 40 && heaps >= 80,
+            "{buckets} rounds on buckets, {heaps} on heaps"
+        );
+    }
+
+    #[test]
+    #[ignore = "thousands of graphs, up to three bitset levels: run in release"]
+    fn bucket_refinement_equals_the_lazy_heap_one_at_scale() {
+        let [buckets, heaps] = refine_like_the_lazy_heap(0xB0C, 4_200, 600);
+        assert!(
+            buckets >= 1_000 && heaps >= 1_000,
+            "{buckets} rounds on buckets, {heaps} on heaps"
+        );
+        let [buckets, heaps] = refine_like_the_lazy_heap(0xB1C, 35, 8_000);
+        assert!(
+            buckets >= 8 && heaps >= 8,
+            "{buckets} rounds on buckets, {heaps} on heaps"
+        );
+    }
+
+    #[test]
+    fn bucket_bitsets_iterate_like_sorted_sets() {
+        use std::collections::BTreeSet;
+        let mut rng = SplitMix64::new(0xB17);
+        // One, two, three and four levels.
+        for n in [1, 70, 5_000, 300_000] {
+            let mut q = GainBuckets::default();
+            q.reset(n, 1);
+            q.fill(&vec![false; n], std::iter::empty());
+            let mut want = [BTreeSet::new(), BTreeSet::new(), BTreeSet::new()];
+            for _ in 0..4_000 {
+                let v = if rng.gen_range(0..4) == 0 {
+                    n - 1 - rng.gen_range(0..n.min(3))
+                } else {
+                    rng.gen_range(0..n)
+                } as NodeId;
+                let b = rng.gen_range(0..3);
+                match q.bucket[v as usize] {
+                    LOCKED_BUCKET => {
+                        q.insert(0, b, v);
+                        want[b].insert(v);
+                    }
+                    old => {
+                        q.lock(0, v);
+                        want[usize::from(old)].remove(&v);
+                    }
+                }
+                let b = rng.gen_range(0..3);
+                assert_eq!(q.first(0, b), want[b].first().copied(), "n={n}");
+                let from = rng.gen_range(0..n) as NodeId;
+                assert_eq!(
+                    q.after(0, b, from),
+                    want[b].range(from + 1..).next().copied()
+                );
+                let high = want.iter().rposition(|set| !set.is_empty());
+                assert_eq!(q.top(0), high, "n={n}");
+            }
         }
     }
 
@@ -1244,6 +1646,43 @@ mod tests {
         assert_eq!(counts, vec![1, 1, 1, 1]);
     }
 
+    fn assert_no_part_empty(graph: &Graph, k: usize, name: &str) {
+        let counts = Metis::default().partition(graph, k).counts();
+        assert!(
+            counts.iter().all(|&c| c > 0),
+            "{name}, k = {k}: counts {counts:?}"
+        );
+    }
+
+    #[test]
+    fn near_k_equal_n_no_part_is_empty() {
+        // A projected coarse bisection left 2 of these parts empty, and one
+        // of the star's.
+        assert_no_part_empty(
+            &random_connected(50, 3.0, 10, 1),
+            50,
+            "random_connected(50)",
+        );
+        let mut b = GraphBuilder::new(201);
+        for leaf in 1..201 {
+            b.edge(0, leaf);
+        }
+        assert_no_part_empty(&b.build(), 200, "200-leaf star");
+    }
+
+    #[test]
+    #[ignore = "7 038 partitions: run in release"]
+    fn no_small_graph_leaves_a_part_empty() {
+        for n in 2..70 {
+            for seed in 0..3 {
+                let g = random_connected(n, 3.0, 10, seed);
+                for k in 2..=n {
+                    assert_no_part_empty(&g, k, &format!("random_connected({n}, 3.0, 10, {seed})"));
+                }
+            }
+        }
+    }
+
     #[test]
     fn odd_k_gets_proportional_targets() {
         let g = hex_grid(8, 9);
@@ -1288,7 +1727,7 @@ mod tests {
     fn large_meshes_refine_in_reasonable_time() {
         // 14 400 nodes. With a full-rescan move selection each FM pass is
         // O(n²) per level and this test does not finish in useful time in
-        // debug builds; the gain heaps make it routine.
+        // debug builds; the gain queues make it routine.
         let g = hex_grid(120, 120);
         let cut = check_quality(&g, 8, 1.11);
         let rr = metrics::edge_cut(&g, &crate::simple::RoundRobin.partition(&g, 8));
@@ -1309,7 +1748,7 @@ mod tests {
         let g = b.build();
         // Interleaved start: cut = everything.
         let mut side = vec![true, false, true, false, true, false, true, false];
-        fm_refine(&g, &mut side, 0.5, 0.05, 1, 1);
+        fm_refine(&g, &mut side, 0.5, 0.05, 1, 1, &mut FmQueues::default());
         assert_eq!(cut_of(&g, &side), 1, "sides {side:?}");
     }
 }

@@ -2,16 +2,21 @@
 //! fixed graphs, so a rewrite of the partitioner's kernels that claims to
 //! keep its output can be checked to the bit.
 //!
-//! The hashes were computed by the partitioner before its contraction and
-//! refinement kernels were rewritten. A mismatch prints every case's hash,
-//! in the form of the table below.
+//! The unweighted hashes were computed by the partitioner before its
+//! contraction and refinement kernels were rewritten. The `reweighted`
+//! families, whose non-unit edge and vertex weights reach FM's wide-gain
+//! queue at the finest level and its per-vertex balance test, were computed
+//! at commit `d26fae4`, before FM's gain buckets. A mismatch prints every
+//! case's hash, in the form of the table below. No pinned case leaves a part
+//! empty.
 //!
 //! The 512 × 512 hex grid (262 144 nodes) is `#[ignore]`d: run it with
 //! `cargo test --release -p ic2-partition --test pinned -- --include-ignored`.
 
-use ic2_graph::{generators, Graph};
+use ic2_graph::{generators, Graph, GraphBuilder};
 use ic2_partition::metis::Metis;
 use ic2_partition::StaticPartitioner;
+use ic2_rng::SplitMix64;
 
 /// FNV-1a over the `u32` entries of an assignment.
 fn fnv1a(parts: &[u32]) -> u64 {
@@ -25,6 +30,19 @@ fn fnv1a(parts: &[u32]) -> u64 {
 
 fn hash(graph: &Graph, k: usize) -> u64 {
     fnv1a(Metis::default().partition(graph, k).as_slice())
+}
+
+/// `base` with each edge's weight drawn from `1..=max_ew` and each vertex's
+/// from `1..=max_vw`, in edge order, from `seed`.
+fn reweighted(base: &Graph, max_ew: usize, max_vw: usize, seed: u64) -> Graph {
+    let mut rng = SplitMix64::new(seed);
+    let mut b = GraphBuilder::new(base.num_nodes());
+    for (u, v, _) in base.edges() {
+        b.weighted_edge(u, v, rng.gen_range_incl(1..=max_ew) as i64);
+    }
+    let vwgt = base.nodes().map(|_| rng.gen_range_incl(1..=max_vw) as i64);
+    b.vertex_weights(vwgt.collect());
+    b.build()
 }
 
 /// The pinned graph families, by name.
@@ -53,9 +71,37 @@ fn graphs() -> Vec<(String, Graph)> {
             generators::random_connected(n, avg, 10, seed),
         ));
     }
+    // Weighted inputs. Heavy edges put the finest level's gains out of the
+    // narrow range; unit edges under unequal vertex weights keep them in it
+    // while moves must pass a per-vertex balance test.
+    for (name, base, max_ew, max_vw, seed) in [
+        ("hex_grid(64, 64)", generators::hex_grid(64, 64), 9, 4, 7),
+        ("hex_grid(96, 96)", generators::hex_grid(96, 96), 1, 3, 8),
+        ("hex_grid(80, 80)", generators::hex_grid(80, 80), 2, 1, 9),
+        (
+            "random_connected(3000, 3.5, 10, 6)",
+            generators::random_connected(3000, 3.5, 10, 6),
+            2,
+            5,
+            10,
+        ),
+        (
+            "random_connected(2500, 3, 10, 7)",
+            generators::random_connected(2500, 3.0, 10, 7),
+            40,
+            2,
+            11,
+        ),
+    ] {
+        out.push((
+            format!("reweighted({name}, {max_ew}, {max_vw}, {seed})"),
+            reweighted(&base, max_ew, max_vw, seed),
+        ));
+    }
     out
 }
 
+#[rustfmt::skip]
 const PINNED: &[(&str, usize, u64)] = &[
     ("hex_grid_n(32)", 2, 0x9401781e53810435),
     ("hex_grid_n(32)", 8, 0xb18e54e68d5f5665),
@@ -99,6 +145,21 @@ const PINNED: &[(&str, usize, u64)] = &[
     ("random_connected(4500, 3, 10, 5)", 2, 0xa1a5f1ed71abdf70),
     ("random_connected(4500, 3, 10, 5)", 8, 0x631954af863af5dd),
     ("random_connected(4500, 3, 10, 5)", 16, 0xcbf1e19d10f5b713),
+    ("reweighted(hex_grid(64, 64), 9, 4, 7)", 2, 0x04283f4cf5fe8268),
+    ("reweighted(hex_grid(64, 64), 9, 4, 7)", 8, 0xe62e8f6a6dbf9941),
+    ("reweighted(hex_grid(64, 64), 9, 4, 7)", 16, 0x7e4a5c4d930b128b),
+    ("reweighted(hex_grid(96, 96), 1, 3, 8)", 2, 0xf99396536eddcfcf),
+    ("reweighted(hex_grid(96, 96), 1, 3, 8)", 8, 0x915e806d0994ca01),
+    ("reweighted(hex_grid(96, 96), 1, 3, 8)", 16, 0xd153aaa0adf6322b),
+    ("reweighted(hex_grid(80, 80), 2, 1, 9)", 2, 0xed59ada0104c95cb),
+    ("reweighted(hex_grid(80, 80), 2, 1, 9)", 8, 0x020e86c18ca9369c),
+    ("reweighted(hex_grid(80, 80), 2, 1, 9)", 16, 0xf08510e1a187d3ce),
+    ("reweighted(random_connected(3000, 3.5, 10, 6), 2, 5, 10)", 2, 0x8a4ec289c58ce301),
+    ("reweighted(random_connected(3000, 3.5, 10, 6), 2, 5, 10)", 8, 0xef7281a7c23dcf8e),
+    ("reweighted(random_connected(3000, 3.5, 10, 6), 2, 5, 10)", 16, 0xbeaba348c71ab79b),
+    ("reweighted(random_connected(2500, 3, 10, 7), 40, 2, 11)", 2, 0x146b388e54d99735),
+    ("reweighted(random_connected(2500, 3, 10, 7), 40, 2, 11)", 8, 0x118f8f3b98a589f0),
+    ("reweighted(random_connected(2500, 3, 10, 7), 40, 2, 11)", 16, 0xbd4fa1a23fc067b1),
 ];
 
 #[test]
@@ -108,7 +169,12 @@ fn metis_partitions_are_pinned() {
     let mut checked = 0;
     for (name, g) in graphs() {
         for k in [2, 8, 16] {
-            let h = hash(&g, k);
+            let part = Metis::default().partition(&g, k);
+            assert!(
+                part.counts().iter().all(|&c| c > 0),
+                "{name}, k = {k}: a part is empty"
+            );
+            let h = fnv1a(part.as_slice());
             table += &format!("    (\"{name}\", {k}, {h:#018x}),\n");
             let want = PINNED.iter().find(|&&(n, pk, _)| n == name && pk == k);
             match want {
