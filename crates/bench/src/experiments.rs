@@ -1160,76 +1160,6 @@ pub fn delta_exchange() -> Table {
     t
 }
 
-/// Hybrid barrier elision vs plain BSP across inner-block lengths and
-/// boundary churn: `inner_k` interior-only rounds between global
-/// exchanges elide that round's barriers, shadow exchange, and control
-/// exchange, with the skipped boundary passes replayed at the next global
-/// round. The answer is pinned byte-identical to BSP at every cell; the
-/// headline is the virtual-time reduction at low churn.
-pub fn hybrid_elision() -> Table {
-    let graph = w::hex(96);
-    let iters = 30u32;
-    let procs = 8usize;
-    let mut t = Table::new(
-        "hybrid_elision",
-        "Hybrid BSP/async execution vs plain BSP (96-node hex grid, 8 procs, 30 iters, \
-         churn = % of nodes changing every iteration, k = inner iterations per block)",
-        "every cell byte-identical to BSP; barriers elided grow with k; virtual time \
-         falls vs BSP at every k (>=5% at <=10% churn)",
-        vec![
-            "churn".into(),
-            "inner k".into(),
-            "time bsp (s)".into(),
-            "time hybrid (s)".into(),
-            "time cut".into(),
-            "inner iters".into(),
-            "barriers elided".into(),
-        ],
-    );
-    for churn_pct in [0u64, 10, 50] {
-        let program = w::ChurnProgram { churn_pct };
-        let cfg = w::static_cfg(procs, iters);
-        let bsp = w::run_reported(&graph, &program, &Metis::default(), || NoBalancer, &cfg);
-        assert_eq!(bsp.inner_iterations, 0, "BSP never elides");
-        for inner_k in [1u32, 3, 7] {
-            let hybrid = w::run_reported(
-                &graph,
-                &program,
-                &Metis::default(),
-                || NoBalancer,
-                &cfg.clone().with_hybrid(inner_k),
-            );
-            assert_eq!(
-                hybrid.final_data, bsp.final_data,
-                "hybrid must not change the answer (churn {churn_pct}%, k={inner_k})"
-            );
-            let cut = 1.0 - hybrid.total_time / bsp.total_time;
-            assert!(
-                cut > 0.0,
-                "eliding collectives must save virtual time (churn {churn_pct}%, k={inner_k})"
-            );
-            if churn_pct <= 10 {
-                assert!(
-                    cut >= 0.05,
-                    "low-churn elision must cut >=5% of virtual time, got {:.1}% \
-                     (churn {churn_pct}%, k={inner_k})",
-                    cut * 100.0
-                );
-            }
-            t.row(vec![
-                format!("{churn_pct}%"),
-                inner_k.to_string(),
-                secs(bsp.total_time),
-                secs(hybrid.total_time),
-                format!("{:.1}%", cut * 100.0),
-                hybrid.inner_iterations.to_string(),
-                hybrid.barriers_elided.to_string(),
-            ]);
-        }
-    }
-    t
-}
-
 /// Host-time cost of the transport hot path under the `Arc`-backed
 /// zero-copy payloads: wall-clock per scenario next to the payload
 /// allocation/sharing counters that prove retransmissions, broadcast
@@ -1477,7 +1407,6 @@ pub fn all_ids() -> Vec<&'static str> {
         "capacity_backpressure",
         "tracing_overhead",
         "delta_exchange",
-        "hybrid_elision",
         "zero_copy_host_time",
         "out_of_core",
     ]
@@ -1525,7 +1454,6 @@ pub fn run_experiment(id: &str) -> Option<Table> {
         "capacity_backpressure" => capacity_backpressure(),
         "tracing_overhead" => tracing_overhead(),
         "delta_exchange" => delta_exchange(),
-        "hybrid_elision" => hybrid_elision(),
         "zero_copy_host_time" => zero_copy_host_time(),
         "out_of_core" => out_of_core(),
         _ => return None,

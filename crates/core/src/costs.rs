@@ -17,9 +17,7 @@ pub struct CostModel {
     /// application node function (computation overhead).
     pub per_list_item: f64,
     /// Writing one node's updated data back into the data-node list
-    /// (computation overhead). Hybrid execution charges this per node
-    /// actually promoted — interior nodes on inner rounds, boundary nodes
-    /// during catch-up — so a full global round's charge equals BSP's.
+    /// (computation overhead).
     pub per_node_update: f64,
     /// Packing one shadow entry into a communication buffer
     /// (communication overhead).

@@ -13,41 +13,9 @@ use ic2_balance::DynamicBalancer;
 use ic2_graph::{Graph, Partition};
 use ic2_partition::StaticPartitioner;
 use mpisim::trace::{RankTrace, TraceCollector};
-use mpisim::{CommStats, FaultStats, MemRegion, World};
+use mpisim::{CommStats, Failure, FaultStats, MemRegion, World};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-
-/// How iterations are synchronised across ranks.
-///
-/// The split the policy leans on already exists in every
-/// [`crate::store::NodeStore`]: *interior* nodes (`internal`) have no remote
-/// neighbours, *boundary* nodes (`peripheral`) do, and `rebuild_lists`
-/// recomputes the split after every migration and restore.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionPolicy {
-    /// Bulk-synchronous (the thesis's loop): every iteration updates every
-    /// owned node, exchanges shadows, and closes with a global
-    /// barrier/control exchange.
-    #[default]
-    Bsp,
-    /// GraphHP-style hybrid barrier elision: between global exchanges, up
-    /// to `inner_k` consecutive iterations update *interior* nodes only —
-    /// no shadow exchange, no barrier, no control exchange. Each global
-    /// round first replays the boundary passes the elided rounds skipped
-    /// (oldest first), so every node is computed exactly as many times as
-    /// under [`ExecutionPolicy::Bsp`], then runs a full BSP round.
-    /// Checkpoints, audits, membership verdicts and balancing all land on
-    /// global rounds only; the schedule is a pure
-    /// function of the iteration number, so crash replay re-elides the
-    /// identical rounds. Exact for convergent programs (identical
-    /// fixed points; byte-identical answers for programs whose update
-    /// depends only on the node's own value); `inner_k == 0` is rejected —
-    /// that is just BSP spelled confusingly.
-    Hybrid {
-        /// Maximum consecutive barrier-elided rounds between global
-        /// exchanges (must be ≥ 1).
-        inner_k: u32,
-    },
-}
 
 /// Everything configurable about a platform run.
 #[derive(Debug, Clone)]
@@ -137,11 +105,6 @@ pub struct RunConfig {
     /// the typed [`PlatformError::UnrecoverableState`] — never a wrong
     /// answer. `None` (the default) keeps the whole table in memory.
     pub paging: Option<PageConfig>,
-    /// Iteration synchronisation policy (see [`ExecutionPolicy`]). The
-    /// default [`ExecutionPolicy::Bsp`] is the thesis's loop; hybrid
-    /// barrier elision trades boundary freshness inside an `inner_k`-round
-    /// window for elided synchronisation cost.
-    pub execution: ExecutionPolicy,
 }
 
 impl RunConfig {
@@ -167,7 +130,6 @@ impl RunConfig {
             audit_every: None,
             replication: 1,
             paging: None,
-            execution: ExecutionPolicy::Bsp,
         }
     }
 
@@ -270,50 +232,6 @@ impl RunConfig {
         self.hash_buckets = buckets;
         self
     }
-
-    /// Run under hybrid barrier elision with up to `inner_k` inner rounds
-    /// between global exchanges (see [`ExecutionPolicy::Hybrid`]).
-    pub fn with_hybrid(mut self, inner_k: u32) -> Self {
-        self.execution = ExecutionPolicy::Hybrid { inner_k };
-        self
-    }
-}
-
-/// Is `iter` a *global* round (full exchange + synchronisation) under
-/// `cfg`'s execution policy? Pure in `iter`, so every rank — and every
-/// crash replay — derives the identical schedule with no shared state.
-///
-/// Global rounds are forced by: plain BSP; the end of the run; the elision
-/// window filling up (`iter` a multiple of `inner_k + 1`); the balancing
-/// cadence; and, on the checkpoint-tolerant control planes
-/// (`checkpoints`), the checkpoint and audit cadences — snapshots,
-/// verdicts, and repairs only ever happen at globally-synchronised
-/// boundaries.
-pub(crate) fn is_global_round(iter: u32, cfg: &RunConfig, checkpoints: bool) -> bool {
-    let inner_k = match cfg.execution {
-        ExecutionPolicy::Bsp => return true,
-        ExecutionPolicy::Hybrid { inner_k } => inner_k,
-    };
-    if iter >= cfg.iterations {
-        return true;
-    }
-    if iter.is_multiple_of(inner_k + 1) {
-        return true;
-    }
-    if balance_due(iter, cfg) {
-        return true;
-    }
-    if checkpoints {
-        if iter.is_multiple_of(cfg.checkpoint_every) {
-            return true;
-        }
-        if let Some(ka) = cfg.audit_every {
-            if iter.is_multiple_of(ka) {
-                return true;
-            }
-        }
-    }
-    false
 }
 
 /// Does the periodic balancing trigger fire at `iter`
@@ -321,22 +239,6 @@ pub(crate) fn is_global_round(iter: u32, cfg: &RunConfig, checkpoints: bool) -> 
 pub(crate) fn balance_due(iter: u32, cfg: &RunConfig) -> bool {
     iter >= cfg.balance_offset.max(1)
         && migrate::is_balance_iteration(iter - cfg.balance_offset, cfg.balance_every)
-}
-
-/// How many consecutive barrier-elided rounds immediately precede global
-/// iteration `iter` — the boundary passes a global round must replay
-/// before its own exchange. Pure in `iter` like [`is_global_round`];
-/// after a rollback the walk stops at the checkpoint iteration (always a
-/// global round), so replay never re-replays rounds the restored state
-/// already contains.
-pub(crate) fn elided_before(iter: u32, cfg: &RunConfig, checkpoints: bool) -> u32 {
-    let mut n = 0;
-    let mut j = iter;
-    while j > 1 && !is_global_round(j - 1, cfg, checkpoints) {
-        n += 1;
-        j -= 1;
-    }
-    n
 }
 
 /// Result of a platform run.
@@ -393,19 +295,8 @@ pub struct RunReport<D> {
     /// clean (always 0 with delta off).
     pub delta_entries_skipped: u64,
     /// Iterations in which *no* rank's boundary changed (global changed
-    /// count zero in every phase). Only tracked under delta exchange, and
-    /// under hybrid execution only global rounds are judged.
+    /// count zero in every phase). Only tracked under delta exchange.
     pub quiescent_iterations: u32,
-    /// Barrier-elided (inner) rounds executed under
-    /// [`ExecutionPolicy::Hybrid`] — interior-only iterations that paid no
-    /// exchange, barrier, or control cost. Counts every execution,
-    /// including rounds re-run during rollback replay; always 0 under
-    /// [`ExecutionPolicy::Bsp`].
-    pub inner_iterations: u32,
-    /// Global synchronisations elided by inner rounds: one per elided
-    /// round per compute phase (a multi-phase program skips one barrier
-    /// per phase). Always 0 under [`ExecutionPolicy::Bsp`].
-    pub barriers_elided: u64,
     /// Iterations (and post-loop holding rounds) the run spent in
     /// partition-degraded mode — a non-empty agreed suspected set. All
     /// discarded and replayed at heal; 0 without partition tolerance.
@@ -586,11 +477,6 @@ fn assemble<D>(
         // The quiescence verdicts are agreed (every live rank saw the same
         // global counts), so the designated rank's tally is canonical.
         quiescent_iterations: designated.tally.quiescent_iterations,
-        // The elision schedule is a pure function of the iteration number,
-        // identical on every rank that ran the loop; the designated rank's
-        // tally is canonical.
-        inner_iterations: designated.tally.inner_iterations,
-        barriers_elided: designated.tally.barriers_elided,
         // Membership verdicts are likewise agreed: the degraded/heal tallies
         // are replicated, only the transfer bytes are per-rank and sum.
         degraded_iterations: designated.tally.degraded_iterations,
@@ -640,7 +526,9 @@ where
 }
 
 /// [`run`], but every failure comes back as a [`PlatformError`] instead of
-/// a panic: a configuration problem, or a run that failed on some rank —
+/// a panic: a configuration problem, a partitioner that panicked
+/// ([`PlatformError::PartitionerPanicked`]), or a run that failed on some
+/// rank —
 /// unrecoverable state, a flow-control deadlock, an internal or (with
 /// `cfg.validate`) store invariant found violated, a message to a rank
 /// outside the world, or any other rank panic
@@ -659,7 +547,13 @@ where
     F: Fn() -> B + Sync,
 {
     validate(cfg)?;
-    let partition = partitioner.partition(graph, cfg.nprocs);
+    let partition = catch_unwind(AssertUnwindSafe(|| {
+        partitioner.partition(graph, cfg.nprocs)
+    }))
+    .map_err(|payload| PlatformError::PartitionerPanicked {
+        partitioner: partitioner.name(),
+        message: Failure::Panicked(payload).to_string(),
+    })?;
     if partition.len() != graph.num_nodes() {
         return Err(PlatformError::PartitionLengthMismatch {
             nodes: graph.num_nodes(),
@@ -685,10 +579,6 @@ where
 
 /// Every configuration `try_run` refuses, in one place.
 fn validate(cfg: &RunConfig) -> Result<(), PlatformError> {
-    let inner_k = match cfg.execution {
-        ExecutionPolicy::Bsp => None,
-        ExecutionPolicy::Hybrid { inner_k } => Some(inner_k),
-    };
     let counts = [
         ("nprocs", Some(cfg.nprocs)),
         ("hash_buckets", Some(cfg.hash_buckets)),
@@ -698,7 +588,6 @@ fn validate(cfg: &RunConfig) -> Result<(), PlatformError> {
         ("migration_batch", Some(cfg.migration_batch as usize)),
         ("replication", Some(cfg.replication as usize)),
         ("paging.budget", cfg.paging.map(|p| p.budget)),
-        ("inner_k", inner_k.map(|k| k as usize)),
         ("world.mailbox_capacity", cfg.world.mailbox_capacity),
     ];
     if let Some(&(knob, _)) = counts.iter().find(|(_, n)| *n == Some(0)) {
@@ -788,7 +677,6 @@ mod tests {
             .with_state_audit(4)
             .with_replication(3)
             .with_paging(16, EvictionPolicy::Sieve)
-            .with_hybrid(3)
             .with_validation();
         assert_eq!(cfg.nprocs, 8);
         assert_eq!(cfg.iterations, 25);
@@ -800,7 +688,6 @@ mod tests {
         assert_eq!(cfg.audit_every, Some(4));
         assert_eq!(cfg.replication, 3);
         assert_eq!(cfg.paging, Some(PageConfig { budget: 16 }));
-        assert_eq!(cfg.execution, ExecutionPolicy::Hybrid { inner_k: 3 });
         assert!(cfg.validate);
     }
 
@@ -816,7 +703,6 @@ mod tests {
         assert_eq!(cfg.audit_every, None);
         assert_eq!(cfg.replication, 1);
         assert_eq!(cfg.paging, None);
-        assert_eq!(cfg.execution, ExecutionPolicy::Bsp);
     }
 
     #[test]
@@ -858,9 +744,51 @@ mod tests {
                 RunConfig::new(2, 5).with_paging(0, EvictionPolicy::Sieve),
                 "paging.budget",
             ),
-            (RunConfig::new(2, 5).with_hybrid(0), "inner_k"),
         ] {
             assert_eq!(check(cfg), PlatformError::ZeroKnob(knob));
+        }
+    }
+
+    #[test]
+    fn a_partitioner_that_panics_is_a_typed_error() {
+        use ic2_graph::GraphBuilder;
+        use ic2_partition::bands::{ColumnBand, RectangularBand, RowBand};
+        use ic2_partition::graycode::GrayCodeBf;
+        // No coordinates, with and without edges.
+        let bare = GraphBuilder::new(10).build();
+        let path = (0..9).fold(GraphBuilder::new(10), |mut b, v| {
+            b.edge(v, v + 1);
+            b
+        });
+        let partitioners: [&dyn StaticPartitioner; 4] =
+            [&RowBand, &ColumnBand, &RectangularBand, &GrayCodeBf];
+        let program = crate::program::AvgProgram::fine();
+        let attempt = |graph: &Graph, partitioner: &dyn StaticPartitioner, nprocs| {
+            let cfg = RunConfig::new(nprocs, 2);
+            try_run(
+                graph,
+                &program,
+                partitioner,
+                || ic2_balance::NoBalancer,
+                &cfg,
+            )
+            .map(|r| r.final_data)
+        };
+        for graph in [bare, path.build()] {
+            for partitioner in partitioners {
+                for nprocs in [1, 3, 4] {
+                    match attempt(&graph, partitioner, nprocs) {
+                        Err(PlatformError::PartitionerPanicked {
+                            partitioner: name,
+                            message,
+                        }) => {
+                            assert_eq!(name, partitioner.name());
+                            assert!(message.contains("coordinates"), "{message}");
+                        }
+                        other => panic!("{}: {other:?}", partitioner.name()),
+                    }
+                }
+            }
         }
     }
 
@@ -895,11 +823,13 @@ mod tests {
         let faulty = |plan| RunConfig::new(2, 5).with_world(Config::default().with_faults(plan));
         // Live-region rot is exact only under an audit every iteration...
         let rot = |region| FaultPlan::new(1).with_memory_corrupt_in(1, region, 0.01);
-        for audit_every in [None, Some(2)] {
-            let mut cfg = faulty(rot(MemRegion::Shadow));
-            cfg.audit_every = audit_every;
-            let refusal = PlatformError::LiveRotNeedsAuditEveryIteration { audit_every };
-            assert_eq!(validate(&cfg), Err(refusal));
+        for region in [MemRegion::Owned, MemRegion::Shadow] {
+            for audit_every in [None, Some(2)] {
+                let mut cfg = faulty(rot(region));
+                cfg.audit_every = audit_every;
+                let refusal = PlatformError::LiveRotNeedsAuditEveryIteration { audit_every };
+                assert_eq!(validate(&cfg), Err(refusal));
+            }
         }
         assert_eq!(
             validate(&faulty(rot(MemRegion::Owned)).with_state_audit(1)),
@@ -945,47 +875,6 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_cadence_is_pure_and_bsp_never_elides() {
-        let bsp = RunConfig::new(4, 20);
-        for iter in 1..=20 {
-            assert!(is_global_round(iter, &bsp, false));
-            assert_eq!(elided_before(iter, &bsp, false), 0);
-        }
-
-        // inner_k = 3, no other triggers: globals at multiples of 4 and at
-        // the final iteration; each global replays the rounds since the
-        // previous one.
-        let hybrid = RunConfig::new(4, 10).with_hybrid(3);
-        let globals: Vec<u32> = (1..=10)
-            .filter(|&i| is_global_round(i, &hybrid, false))
-            .collect();
-        assert_eq!(globals, vec![4, 8, 10]);
-        assert_eq!(elided_before(4, &hybrid, false), 3);
-        assert_eq!(elided_before(8, &hybrid, false), 3);
-        assert_eq!(elided_before(10, &hybrid, false), 1);
-
-        // The balancing cadence forces globals mid-window.
-        let balanced = RunConfig::new(4, 20).with_hybrid(5).with_balancing(3);
-        for iter in (3..20).step_by(3) {
-            assert!(is_global_round(iter, &balanced, false));
-        }
-
-        // On the checkpoint-tolerant plane the checkpoint and audit
-        // cadences force globals too — snapshots and verdicts only land at
-        // synchronised boundaries.
-        let chk = RunConfig::new(4, 20)
-            .with_hybrid(5)
-            .with_checkpointing(4)
-            .with_state_audit(3);
-        for iter in 1..20 {
-            let forced = iter % 6 == 0 || iter % 4 == 0 || iter % 3 == 0;
-            assert_eq!(is_global_round(iter, &chk, true), forced, "iter {iter}");
-        }
-        // ...but only on that plane: the plain path ignores them.
-        assert!(!is_global_round(3, &chk, false));
-    }
-
-    #[test]
     fn report_speedup_and_mean_timers() {
         let mut t0 = PhaseTimers::new();
         t0.add(Phase::Compute, 2.0);
@@ -1011,8 +900,6 @@ mod tests {
             delta_entries_sent: 0,
             delta_entries_skipped: 0,
             quiescent_iterations: 0,
-            inner_iterations: 0,
-            barriers_elided: 0,
             degraded_iterations: 0,
             rejoins: 0,
             rejoin_bytes: 0,

@@ -2,9 +2,8 @@
 //! Figure 6) — initialise, iterate {compute, communicate, balance}, gather —
 //! with every later feature as a *layer* of the one round loop.
 //!
-//! A round is *begin → elidable? inner round : catch-up → compute +
-//! exchange → boundary verdict → balance → rot sweep + audit → checkpoint →
-//! next*. Each layer is a method that
+//! A round is *begin → compute + exchange → boundary verdict → balance →
+//! rot sweep + audit → checkpoint → next*. Each layer is a method that
 //! issues no collective, no `rank.advance` and no trace event when its
 //! configuration is off, so a run pays only for what it enabled and every
 //! configuration's virtual time, counts and trace bytes are those of the
@@ -22,7 +21,7 @@ use crate::checkpoint::{
     any_word_flags, gather_chunks, has_new_crash, raise_unrecoverable, Checkpoint, Counters,
     DAMAGE_FLAG, MAX_DISK_FAILURES, TAG_GATHER,
 };
-use crate::driver::{balance_due, elided_before, is_global_round, IntegrityCounters, RunConfig};
+use crate::driver::{balance_due, IntegrityCounters, RunConfig};
 use crate::error::invariant_violated;
 use crate::exchange::{self, drain_storage, DeltaStats, Round};
 use crate::membership::CUT_FLAG;
@@ -99,8 +98,6 @@ pub(crate) struct Tally {
     pub(crate) iterations_replayed: u32,
     pub(crate) delta: DeltaStats,
     pub(crate) quiescent_iterations: u32,
-    pub(crate) inner_iterations: u32,
-    pub(crate) barriers_elided: u64,
     pub(crate) degraded_iterations: u32,
     pub(crate) rejoins: u32,
     pub(crate) rejoin_bytes: u64,
@@ -285,10 +282,8 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
     fn round(&mut self) -> ControlFlow<()> {
         let (rank, cfg, iter) = (self.rank, self.cfg, self.iter);
         // Degraded iterations are keep-the-lights-on work that the heal
-        // rollback discards wholesale. While degraded every round is a
-        // global round — suspicion can only be refreshed at a control
-        // exchange, and the parked minority must keep mirroring the
-        // majority's collective footprint.
+        // rollback discards wholesale. The parked minority keeps mirroring
+        // the majority's collective footprint.
         let degraded = self.frozen.iter().any(|&f| f);
         if self.plane.membership() {
             rank.set_parked(degraded && self.frozen[rank.rank()]);
@@ -299,26 +294,15 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
         } else {
             IterTracer::begin(rank, &self.timers)
         };
-        // The schedule is pure in `iter` (and `frozen` is replicated), so
-        // every rank — and every replay — elides the identical rounds.
-        let elided = !degraded && !is_global_round(iter, cfg, self.plane.verdict());
-        let work = self.compute_and_exchange(elided, degraded);
-        if elided {
-            // Balancing, audits and checkpoints wait for the next global
-            // round. The at-rest corruption sweep still runs every
-            // round.
-            self.tally.inner_iterations += 1;
+        let work = self.compute_and_exchange(degraded);
+        self.close_iteration(&work, degraded)?;
+        if balance_due(iter, cfg) {
+            self.balance()?;
+        }
+        if self.plane.verdict() {
             self.rot_sweep();
-        } else {
-            self.close_iteration(&work, degraded)?;
-            if balance_due(iter, cfg) {
-                self.balance()?;
-            }
-            if self.plane.verdict() {
-                self.rot_sweep();
-                self.audit()?;
-                self.checkpoint()?;
-            }
+            self.audit()?;
+            self.checkpoint()?;
         }
         if let Some(tracer) = tracer {
             tracer.finish(rank, iter, &self.timers);
@@ -327,12 +311,9 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
         Continue(())
     }
 
-    /// The compute + communicate stage of one round: an inner round
-    /// (interior nodes only, fully local: no exchange, no barrier, no
-    /// control cost), or the catch-up of the boundary passes the elided
-    /// rounds skipped followed by one full exchange per phase. A parked
-    /// rank only mirrors the collective footprint.
-    fn compute_and_exchange(&mut self, elided: bool, degraded: bool) -> Work {
+    /// The compute + communicate stage of one round: one full exchange per
+    /// phase. A parked rank only mirrors the collective footprint.
+    fn compute_and_exchange(&mut self, degraded: bool) -> Work {
         let (rank, cfg, program) = (self.rank, self.cfg, self.program);
         let me = rank.rank();
         let mut work = Work {
@@ -352,7 +333,6 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
             }
             return work;
         }
-        let verdict_plane = self.plane.verdict();
         let store = &mut self.store;
         let mut round = Round {
             rank,
@@ -368,39 +348,20 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
             timers: &mut self.timers,
             comp_time: &mut work.comp,
         };
-        if elided {
-            for phase in 0..program.phases() {
-                round.ctx.phase = phase;
-                exchange::inner_step(&mut round, store);
-                self.tally.barriers_elided += 1;
-            }
-        } else {
-            // Replay the elided boundary passes so every node's compute
-            // count matches plain BSP; if any boundary value moved,
-            // retained remote shadows are stale and the exchange must
-            // full-pack. Healthy stretches only: nothing was elided since
-            // the onset verdict, which fell on a global round.
-            if !degraded {
-                let missed = elided_before(self.iter, cfg, verdict_plane);
-                if missed > 0 && exchange::catch_up_boundary(&mut round, store, missed) {
-                    store.needs_resync = true;
-                }
-            }
-            let tolerant = verdict_plane.then_some(&self.frozen[..]);
-            for phase in 0..program.phases() {
-                round.ctx.phase = phase;
-                let res = exchange::step(
-                    &mut round,
-                    store,
-                    cfg.exchange,
-                    cfg.delta_exchange,
-                    tolerant,
-                );
-                self.tally.delta.absorb(res.delta);
-                work.changed += res.delta.changed_nodes;
-                work.saw_cut |= res.saw_cut;
-                work.quiescent &= res.global_changed == Some(0);
-            }
+        let tolerant = self.plane.verdict().then_some(&self.frozen[..]);
+        for phase in 0..program.phases() {
+            round.ctx.phase = phase;
+            let res = exchange::step(
+                &mut round,
+                store,
+                cfg.exchange,
+                cfg.delta_exchange,
+                tolerant,
+            );
+            self.tally.delta.absorb(res.delta);
+            work.changed += res.delta.changed_nodes;
+            work.saw_cut |= res.saw_cut;
+            work.quiescent &= res.global_changed == Some(0);
         }
         self.counters.comp_since_balance += work.comp;
         work

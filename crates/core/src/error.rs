@@ -127,11 +127,18 @@ impl fmt::Display for StoreViolation {
 pub enum PlatformError {
     /// A count or interval knob set to zero, which no layer can honour:
     /// no processors, no table pages, a checkpoint, audit or balancing
-    /// interval of zero iterations, no checkpoint replica, a hybrid window
-    /// of zero inner rounds (plain BSP spelled confusingly), a paging
-    /// budget or migration batch of zero, or a mailbox that holds nothing.
+    /// interval of zero iterations, no checkpoint replica, a paging budget
+    /// or migration batch of zero, or a mailbox that holds nothing.
     /// Names the [`crate::RunConfig`] field (or `world.mailbox_capacity`).
     ZeroKnob(&'static str),
+    /// The static partitioner panicked, e.g. a band or gray-code
+    /// partitioner handed a graph without coordinates.
+    PartitionerPanicked {
+        /// The partitioner's [`ic2_partition::StaticPartitioner::name`].
+        partitioner: &'static str,
+        /// The panic's message.
+        message: String,
+    },
     /// The partitioner returned an assignment for the wrong number of
     /// nodes.
     PartitionLengthMismatch {
@@ -141,9 +148,9 @@ pub enum PlatformError {
         partition: usize,
     },
     /// The fault plan rots *live* state (owned or shadow entries) but the
-    /// state audit does not run every iteration. Between two audits a
-    /// promote or an un-audited hybrid inner round reads the flipped value
-    /// and writes a self-consistent wrong one that no later audit can see,
+    /// state audit does not run every iteration. Between two audits the
+    /// next iteration's compute reads the flipped value and writes a
+    /// self-consistent wrong one that no later audit can see,
     /// so the configuration is refused rather than allowed to return a
     /// laundered answer. At-rest replica rot is covered by the checkpoint
     /// checksums at any audit interval.
@@ -220,6 +227,10 @@ impl fmt::Display for PlatformError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PlatformError::ZeroKnob(knob) => write!(f, "{knob} must be at least 1"),
+            PlatformError::PartitionerPanicked {
+                partitioner,
+                message,
+            } => write!(f, "partitioner {partitioner} panicked: {message}"),
             PlatformError::PartitionLengthMismatch { nodes, partition } => write!(
                 f,
                 "partition covers {partition} nodes but the graph has {nodes}"

@@ -74,8 +74,7 @@ pub enum ExchangeMode {
 /// What every part of one compute + communicate round works with: who is
 /// running what, at which iteration and phase, under which cost model, and
 /// where virtual time is attributed. The engine builds one per iteration
-/// and hands it to [`step`], `inner_step` and `catch_up_boundary`, setting
-/// `ctx.phase` between calls.
+/// and hands it to [`step`], setting `ctx.phase` between calls.
 pub struct Round<'a, P: NodeProgram> {
     /// The executing rank.
     pub rank: &'a Rank,
@@ -104,18 +103,18 @@ impl<P: NodeProgram> Round<'_, P> {
     }
 
     /// End-of-round promote sweep (the thesis's `data = most_recent_data`)
-    /// over the staged bits: the nodes at plan positions `range` that
-    /// changed since the last sweep. Each node swept is charged one
-    /// `per_node_update` (and one `audit_per_entry` with audits on); only a
-    /// promoted value is rehashed for the audit digest. Paged mode sweeps
-    /// page by page, so each page holding a change is resident exactly
-    /// once. Then drains the pager's I/O seconds. Returns how many promoted.
-    fn promote(&mut self, store: &mut NodeStore<P::Data>, range: Range<usize>) -> usize {
-        let (rank, costs) = (self.rank, self.costs);
+    /// over the staged bits: the owned nodes that changed since the last
+    /// sweep. Each owned node is charged one `per_node_update` (and one
+    /// `audit_per_entry` with audits on); only a promoted value is rehashed
+    /// for the audit digest. Paged mode sweeps page by page, so each page
+    /// holding a change is resident exactly once. Then drains the pager's
+    /// I/O seconds. Returns how many promoted.
+    fn promote(&mut self, store: &mut NodeStore<P::Data>) -> usize {
+        let (rank, costs, owned) = (self.rank, self.costs, store.owned_count() as f64);
         let t0 = rank.wtime();
-        rank.advance(costs.per_node_update * range.len() as f64);
+        rank.advance(costs.per_node_update * owned);
         if store.audit.is_some() {
-            rank.advance(costs.audit_per_entry * range.len() as f64);
+            rank.advance(costs.audit_per_entry * owned);
         }
         let NodeStore {
             table,
@@ -243,7 +242,7 @@ pub fn step<P: NodeProgram>(
     // barrier becomes a control exchange — identical virtual-time cost —
     // carrying this rank's changed-node count, so every rank learns the
     // agreed global total and can observe quiescence.
-    round.promote(store, 0..store.owned_count());
+    round.promote(store);
     let stats = pack.stats;
     if delta {
         round.trace_delta(&stats);
@@ -268,59 +267,6 @@ pub fn step<P: NodeProgram>(
     }
 }
 
-/// One *inner* (barrier-elided) hybrid round for a single phase: interior
-/// nodes only, fully local. Interior nodes have no remote readers by
-/// construction, so nothing is packed, nothing travels, and no barrier or
-/// control exchange closes the round — the whole point of
-/// [`crate::ExecutionPolicy::Hybrid`]. Compute, overhead, promote, and
-/// storage costs are charged exactly as a BSP round charges them for the
-/// same list; only the synchronisation cost is elided.
-pub(crate) fn inner_step<P: NodeProgram>(round: &mut Round<'_, P>, store: &mut NodeStore<P::Data>) {
-    let comp_t0 = round.rank.wtime();
-    compute_list(round, store, store.internal_range(), None);
-    round.end_compute(comp_t0);
-    round.promote(store, store.internal_range());
-}
-
-/// Replay the boundary (peripheral) compute passes for the `missed`
-/// barrier-elided rounds immediately preceding the global iteration
-/// `round.ctx.iter`, oldest first, so by the time the global round's full
-/// exchange runs every node has been computed exactly as many times as
-/// plain BSP would have computed it. Nothing is packed or sent here — the
-/// global round's own exchange ships the final boundary values.
-///
-/// Returns whether any replayed pass promoted (so changed) a boundary
-/// value. If so, the retained remote shadows skipped `missed` refreshes and
-/// are stale, so the caller must force a full repack (`needs_resync`)
-/// before delta packing may trust dirtiness again.
-///
-/// The hybrid engine splits one BSP iteration's promote sweep across an
-/// inner round (interior nodes) and this pass (peripheral nodes); each
-/// charges exactly its own list's length, so the two halves sum to the
-/// `owned_count` charge a plain BSP iteration pays — compute cost parity
-/// by construction, with only the barrier/control cost elided.
-pub(crate) fn catch_up_boundary<P: NodeProgram>(
-    round: &mut Round<'_, P>,
-    store: &mut NodeStore<P::Data>,
-    missed: u32,
-) -> bool {
-    let global = round.ctx;
-    let mut changed = false;
-    for back in (1..=missed).rev() {
-        for phase in 0..round.program.phases() {
-            round.ctx.iter = global.iter - back;
-            round.ctx.phase = phase;
-            let comp_t0 = round.rank.wtime();
-            let boundary = store.peripheral_range();
-            compute_list(round, store, boundary.clone(), None);
-            round.end_compute(comp_t0);
-            changed |= round.promote(store, boundary) > 0;
-        }
-    }
-    round.ctx = global;
-    changed
-}
-
 /// `v`'s allocation, emptied, ready for a fresh borrow of the table: the
 /// in-place collect reuses the buffer (identical element layout), so one
 /// list pass allocates its neighbour scratch once, not once per node.
@@ -343,8 +289,8 @@ fn recycle<'a, D>(mut v: Vec<NeighborData<'_, D>>) -> Vec<NeighborData<'a, D>> {
 ///
 /// Change is decided once, right after the node function: only a value
 /// that differs (`PartialEq`) from the current one is staged, so the
-/// staged bits are the round's change set that promote, the audit refresh,
-/// hybrid catch-up and the pager read. The current value is what every
+/// staged bits are the round's change set that promote, the audit refresh
+/// and the pager read. The current value is what every
 /// receiver's retained shadow holds, by induction from the last full sync,
 /// so with delta packing active an unchanged node is not packed (nor
 /// charged `per_shadow_pack`); receivers keep the retained shadow, which
@@ -1065,9 +1011,9 @@ mod tests {
                 }
                 let all = 0..store.owned_count();
                 let promoted = with_round(rank, &program, &graph, |round| {
-                    compute_list(round, &mut store, all.clone(), None);
+                    compute_list(round, &mut store, all, None);
                     assert_eq!(staged(&store), changed, "budget {budget:?}");
-                    round.promote(&mut store, all)
+                    round.promote(&mut store)
                 });
                 assert_eq!((promoted, staged(&store)), (changed.len(), vec![]));
                 match store.pager.as_ref() {
@@ -1100,42 +1046,12 @@ mod tests {
             store.pager.as_mut().unwrap().clear_ckpt_dirty();
             let all = 0..store.owned_count();
             with_round(rank, &program, &graph, |round| {
-                compute_list(round, &mut store, all.clone(), None);
+                compute_list(round, &mut store, all, None);
                 assert_eq!(staged(&store), vec![]);
-                assert_eq!(round.promote(&mut store, all), 0);
+                assert_eq!(round.promote(&mut store), 0);
                 step(round, &mut store, ExchangeMode::PostComm, false, None);
             });
             assert_eq!(store.pager.as_ref().unwrap().ckpt_dirty_pages(), vec![]);
-        });
-    }
-
-    #[test]
-    fn catch_up_reports_a_change_iff_a_boundary_value_moved() {
-        // Rank 0 of a two-rank split of a 4×4 hex grid: rows 0–1 are its own.
-        let graph = hex_grid(4, 4);
-        let partition = Partition::new(graph.nodes().map(|v| u32::from(v >= 8)).collect(), 2);
-        let store = || NodeStore::build(&graph, &partition, 0, &Bump(vec![]), 4);
-        let (interior, boundary) = {
-            let store = store();
-            let ids = store.owned_ids();
-            let cut = store.internal_range().end;
-            (ids[..cut].to_vec(), ids[cut..].to_vec())
-        };
-        assert!(!interior.is_empty() && !boundary.is_empty());
-        let marking = |ids: &[NodeId]| Bump(graph.nodes().map(|v| ids.contains(&v)).collect());
-        let cases = [
-            ("nothing", marking(&[]), false),
-            ("the interior", marking(&interior), false),
-            ("one boundary node", marking(&boundary[..1]), true),
-        ];
-        world().run(1, |rank| {
-            for (name, program, moved) in &cases {
-                let mut store = store();
-                let changed = with_round(rank, program, &graph, |round| {
-                    catch_up_boundary(round, &mut store, 2)
-                });
-                assert_eq!(changed, *moved, "{name} changed");
-            }
         });
     }
 

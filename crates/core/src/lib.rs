@@ -61,7 +61,7 @@ pub mod store;
 pub mod timers;
 
 pub use costs::CostModel;
-pub use driver::{run, try_run, ExchangeMode, ExecutionPolicy, RunConfig, RunReport};
+pub use driver::{run, try_run, ExchangeMode, RunConfig, RunReport};
 pub use error::{PlatformError, StoreViolation};
 pub use hashtab::{NodeTable, Slot, Unsorted};
 pub use imbalance::{GrainSchedule, ShiftingWindowLoad};
@@ -76,8 +76,8 @@ pub use timers::{Phase, PhaseTimers};
 pub mod prelude {
     pub use crate::{
         run, try_run, AvgProgram, ComputeCtx, CostModel, EvictionPolicy, ExchangeMode,
-        ExecutionPolicy, GrainSchedule, MigrantPolicy, NeighborData, NodeProgram, PageConfig,
-        PlatformError, RunConfig, RunReport, ShiftingWindowLoad,
+        GrainSchedule, MigrantPolicy, NeighborData, NodeProgram, PageConfig, PlatformError,
+        RunConfig, RunReport, ShiftingWindowLoad,
     };
     pub use ic2_balance::{CentralizedHeuristic, Diffusion, DynamicBalancer, NoBalancer};
     pub use ic2_graph::{Graph, Partition};

@@ -260,19 +260,15 @@ impl<D> NodeStore<D> {
         range.map(|k| self.plan.node(k))
     }
 
-    /// Owned nodes with every neighbour local, ascending. Under
-    /// [`crate::ExecutionPolicy::Hybrid`] this is the *interior* set the
-    /// barrier-elided inner rounds advance on their own: no internal
-    /// node's neighbourhood crosses a rank boundary, so their updates need
-    /// no exchange until the next global round.
+    /// Owned nodes with every neighbour local, ascending: the *interior*
+    /// set, which the overlapped exchange (Figure 8a) computes while the
+    /// shadow messages are in flight.
     pub fn internal(&self) -> impl ExactSizeIterator<Item = LocalNode<'_>> {
         self.nodes(self.internal_range())
     }
 
     /// Owned nodes with at least one remote neighbour, ascending — the
-    /// *boundary* set. Hybrid execution defers their compute passes to the
-    /// next global round's catch-up, which replays the elided iterations
-    /// for exactly these nodes before the full exchange.
+    /// *boundary* set, whose updates are packed into the shadow messages.
     pub fn peripheral(&self) -> impl ExactSizeIterator<Item = LocalNode<'_>> {
         self.nodes(self.peripheral_range())
     }

@@ -8,10 +8,7 @@ pub enum Phase {
     /// Setting up node lists, data lists, hash tables, buffer plans.
     Initialization,
     /// Building the node+neighbour lists and updating data lists around
-    /// the actual node computation. Barrier-elided inner rounds under
-    /// [`crate::ExecutionPolicy::Hybrid`] charge only here, `Compute`, and
-    /// (when paging) `Storage` — never the communication or control
-    /// phases, which is where the elision savings show up.
+    /// the actual node computation.
     ComputationOverhead,
     /// The application node function itself.
     Compute,

@@ -118,14 +118,6 @@ fn every_layer_on_both_planes_matches_the_golden_file() {
             &fine,
             base().with_world(world(plan(7).with_drop(0.05)).with_mailbox_capacity(2)),
         ),
-        line(
-            "hybrid",
-            &shifting,
-            base()
-                .with_hybrid(3)
-                .with_delta_exchange()
-                .with_world(world(plan(8))),
-        ),
         // The verdict plane: checkpoints, rollback, audits, paging.
         line(
             "crash",
@@ -173,13 +165,6 @@ fn every_layer_on_both_planes_matches_the_golden_file() {
             paged().with_world(world(disk_faults(plan(14), 0.05))),
         ),
         line(
-            "hybrid_crash",
-            &fine,
-            base()
-                .with_hybrid(3)
-                .with_world(world(plan(15).with_crash(4, at(0.5)))),
-        ),
-        line(
             "crash_delta_capacity2",
             &shifting,
             base().with_delta_exchange().with_world(
@@ -225,14 +210,6 @@ fn every_layer_on_both_planes_matches_the_golden_file() {
             base()
                 .with_partition_tolerance()
                 .with_world(world(cut(21, vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]]))),
-        ),
-        line(
-            "partition_hybrid",
-            &fine,
-            base()
-                .with_partition_tolerance()
-                .with_hybrid(2)
-                .with_world(world(cut(22, minority()))),
         ),
     ];
 
