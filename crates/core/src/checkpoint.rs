@@ -125,6 +125,24 @@ pub(crate) fn gather_chunks<D: Wire>(
     Ok(())
 }
 
+/// Send one checkpoint mirror to `buddy`, holding the [`TAG_MIRROR`]
+/// frames of `preds` that arrive while its mailbox refuses a credit.
+fn mirror<T: Wire>(
+    rank: &Rank,
+    buddy: usize,
+    image: &T,
+    preds: impl Iterator<Item = usize> + Clone,
+) -> bool {
+    rank.send_reliable_collecting(buddy, TAG_MIRROR, image, RetryPolicy::Escalate, preds, true)
+}
+
+/// Pay for and decode the mirror held from `pred`. On failure forget the
+/// rest, as [`gather_chunks`] does: a held mirror of an abandoned checkpoint
+/// would otherwise pass for that source's frame of the next exchange.
+fn settled<T: Wire>(rank: &Rank, pred: usize) -> Result<T, Died> {
+    rank.settle(pred).inspect_err(|_| rank.release_held())
+}
+
 /// Does `verdict` report any crash beyond those in `known`? The one
 /// question every step of the crash-mode protocol asks before committing.
 pub fn has_new_crash(verdict: &CtlVerdict, known: &[bool]) -> bool {
@@ -407,36 +425,39 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
             };
             // Mirror to the successors at distances 1..=r; distances are
             // capped by the ring, so each buddy is a distinct rank and each
-            // (sender, receiver) pair carries exactly one mirror.
+            // (sender, receiver) pair carries exactly one mirror. The fan-in
+            // is r as well: while a buddy's bounded mailbox refuses a
+            // credit, this rank holds the mirrors its predecessors already
+            // sent it, then pays for them in distance order — the shadow
+            // exchange's pattern, deadlock-free at any capacity.
             let eff_r = (replication as usize).min(ring.len() - 1);
+            let at = |d: usize| ring[(pos + d) % ring.len()] as usize;
+            let preds = (1..=eff_r).map(|d| at(ring.len() - d));
             for d in 1..=eff_r {
-                let buddy = ring[(pos + d) % ring.len()] as usize;
                 match &diff {
-                    Some(image) => {
-                        rank.send_reliable(buddy, TAG_MIRROR, image, RetryPolicy::Escalate)
-                    }
-                    None => rank.send_reliable(buddy, TAG_MIRROR, &mine, RetryPolicy::Escalate),
+                    Some(image) => mirror(rank, at(d), image, preds.clone()),
+                    None => mirror(rank, at(d), &mine, preds.clone()),
                 };
             }
-            for d in 1..=eff_r {
-                let pred = ring[(pos + ring.len() - d) % ring.len()];
+            rank.collect(TAG_MIRROR, preds.clone(), true);
+            for pred in preds {
                 // What landed, and how many entries physically shipped (the
                 // charge basis — a page diff is cheaper than a full image
                 // exactly because the clean base is not re-sent).
                 let (mut entries, shipped) = if paged {
-                    let image: PageDiffImage<P::Data> = rank.try_recv(pred as usize, TAG_MIRROR)?;
+                    let image: PageDiffImage<P::Data> = settled(rank, pred)?;
                     let shipped = image.1.iter().map(|page| page.2.len()).sum::<usize>();
                     // Patch the prior ward. Both sides derive `full` from
                     // replicated state, so an incremental that finds no base
                     // — like ranges no table could have cut — is corrupt
                     // platform state, never a silently mis-patched ward.
-                    let base = prev.and_then(|p| p.wards.iter().find(|w| w.rank == pred));
+                    let base = prev.and_then(|p| p.wards.iter().find(|w| w.rank as usize == pred));
                     let entries = patch_ward(base, image).unwrap_or_else(|detail| {
                         invariant_violated(me, format!("mirror from rank {pred}: {detail}"))
                     });
                     (entries, shipped)
                 } else {
-                    let entries: Vec<(u32, P::Data)> = rank.try_recv(pred as usize, TAG_MIRROR)?;
+                    let entries: Vec<(u32, P::Data)> = settled(rank, pred)?;
                     let shipped = entries.len();
                     (entries, shipped)
                 };
@@ -455,7 +476,7 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
                 // independently.
                 audit::corrupt_entries_at_rest(rank, &mut entries, iter as u64);
                 wards.push(Ward {
-                    rank: pred,
+                    rank: pred as u32,
                     entries,
                     sums,
                 });
@@ -871,7 +892,7 @@ fn package_for<D: Clone>(
 
 /// The nearest live holder of `x`'s state whose census bit in `verdict`
 /// confirms an intact ward.
-pub(crate) fn elect_holder<D>(
+fn elect_holder<D>(
     ckpt: &Checkpoint<D>,
     replication: u32,
     crashed: &[bool],

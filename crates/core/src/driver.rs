@@ -69,15 +69,6 @@ pub struct RunConfig {
     /// per-rank changed-node counts, so [`RunReport::quiescent_iterations`]
     /// can report global boundary quiescence.
     pub delta_exchange: bool,
-    /// Partition tolerance: run the membership protocol
-    /// ([`crate::membership`]) so deterministic network partitions
-    /// (`FaultPlan::with_partition`) degrade and heal instead of wedging
-    /// the run. The quorum-holding side keeps iterating with the suspected
-    /// ranks frozen, the minority parks, and on heal the parked ranks
-    /// rejoin via buddy state transfer and the degraded stretch is
-    /// replayed — results stay byte-identical to the sequential oracle.
-    /// Implies the crash-tolerant control plane (crash plans compose).
-    pub partition_tolerance: bool,
     /// State-audit interval: every `k` iterations each rank recomputes its
     /// per-partition state digest (owned nodes and retained shadow copies)
     /// against the incrementally-maintained one and the verdicts ride the
@@ -126,7 +117,6 @@ impl RunConfig {
             checkpoint_every: 5,
             tracing: false,
             delta_exchange: false,
-            partition_tolerance: false,
             audit_every: None,
             replication: 1,
             paging: None,
@@ -198,9 +188,11 @@ impl RunConfig {
         self
     }
 
-    /// Enable partition tolerance (see [`RunConfig::partition_tolerance`]).
-    pub fn with_partition_tolerance(mut self) -> Self {
-        self.partition_tolerance = true;
+    /// Does nothing: a fault plan with a partition
+    /// (`FaultPlan::with_partition`) is what runs the membership protocol
+    /// ([`crate::membership`]), as crashes are what run checkpointing. The
+    /// builder stays because the benchmark's frozen API calls it.
+    pub fn with_partition_tolerance(self) -> Self {
         self
     }
 
@@ -299,14 +291,11 @@ pub struct RunReport<D> {
     pub quiescent_iterations: u32,
     /// Iterations (and post-loop holding rounds) the run spent in
     /// partition-degraded mode — a non-empty agreed suspected set. All
-    /// discarded and replayed at heal; 0 without partition tolerance.
+    /// discarded and replayed at heal; 0 unless the fault plan partitions.
     pub degraded_iterations: u32,
     /// Heal events: times a degraded stretch ended and the suspected ranks
-    /// rejoined (with the stretch rolled back and replayed).
+    /// rejoined through the ordinary rollback, which replays the stretch.
     pub rejoins: u32,
-    /// Bytes of checkpoint images re-fetched from buddy ranks by rejoining
-    /// ranks, summed over ranks.
-    pub rejoin_bytes: u64,
     /// Most ranks simultaneously suspected by any membership verdict.
     pub suspected_peak: u32,
     /// At-rest state entries silently bit-flipped by the fault plan
@@ -321,8 +310,8 @@ pub struct RunReport<D> {
     /// audit mismatch (the cheap repair; agreed, so the designated rank's
     /// tally is canonical).
     pub shadow_resyncs: u32,
-    /// Checkpoint replicas found corrupt when consulted (at restore census
-    /// or rejoin), summed over ranks.
+    /// Checkpoint replicas found corrupt when consulted (at the roll-back
+    /// census), summed over ranks.
     pub bad_replicas: u64,
     /// Repair actions the integrity machinery performed: shadow resyncs,
     /// integrity-triggered rollbacks, and replica re-adoptions (agreed
@@ -419,7 +408,6 @@ fn assemble<D>(
     let mut negative_clamps = 0u64;
     let mut delta_entries_sent = 0u64;
     let mut delta_entries_skipped = 0u64;
-    let mut rejoin_bytes = 0u64;
     let mut audit_mismatches = 0u64;
     let mut bad_replicas = 0u64;
     let mut pages = PageCounters::default();
@@ -437,7 +425,6 @@ fn assemble<D>(
         negative_clamps += r.timers.negative_clamps();
         delta_entries_sent += r.tally.delta.entries_sent;
         delta_entries_skipped += r.tally.delta.entries_skipped;
-        rejoin_bytes += r.tally.rejoin_bytes;
         audit_mismatches += r.tally.integrity.audit_mismatches;
         bad_replicas += r.tally.integrity.bad_replicas;
     }
@@ -478,10 +465,9 @@ fn assemble<D>(
         // global counts), so the designated rank's tally is canonical.
         quiescent_iterations: designated.tally.quiescent_iterations,
         // Membership verdicts are likewise agreed: the degraded/heal tallies
-        // are replicated, only the transfer bytes are per-rank and sum.
+        // are replicated.
         degraded_iterations: designated.tally.degraded_iterations,
         rejoins: designated.tally.rejoins,
-        rejoin_bytes,
         suspected_peak: designated.tally.suspected_peak,
         memory_corruptions: faults.memory_corruptions,
         audit_mismatches,
@@ -607,11 +593,7 @@ fn validate(cfg: &RunConfig) -> Result<(), PlatformError> {
             audit_every: cfg.audit_every,
         });
     }
-    let verdict_plane = Plane::of(cfg).verdict();
-    if cfg.exchange == ExchangeMode::Overlap && verdict_plane {
-        return Err(PlatformError::OverlapNeedsCollectivePlane);
-    }
-    if cfg.nprocs > CENSUS_RANKS && verdict_plane {
+    if cfg.nprocs > CENSUS_RANKS && Plane::of(cfg).verdict() {
         return Err(PlatformError::TooManyRanksForVerdictPlane(cfg.nprocs));
     }
     Ok(())
@@ -838,18 +820,16 @@ mod tests {
         // ...while replica rot is the checkpoint checksums' business.
         assert_eq!(validate(&faulty(rot(MemRegion::Replica))), Ok(()));
 
-        // Overlap exists on the thesis's plane only.
+        // Overlap runs on both planes.
         let overlap = || RunConfig::new(2, 5).with_exchange(ExchangeMode::Overlap);
-        assert_eq!(validate(&overlap().with_balancing(2)), Ok(()));
-        for needs_verdicts in [
-            overlap().with_partition_tolerance(),
+        for on_either in [
+            overlap().with_balancing(2),
             overlap().with_state_audit(1),
             overlap().with_paging(4, EvictionPolicy::Sieve),
             overlap()
                 .with_world(Config::default().with_faults(FaultPlan::new(1).with_crash(1, 0.1))),
         ] {
-            let refused = validate(&needs_verdicts);
-            assert_eq!(refused, Err(PlatformError::OverlapNeedsCollectivePlane));
+            assert_eq!(validate(&on_either), Ok(()));
         }
 
         // A plan entry naming a rank the world lacks never fires, yet a
@@ -902,7 +882,6 @@ mod tests {
             quiescent_iterations: 0,
             degraded_iterations: 0,
             rejoins: 0,
-            rejoin_bytes: 0,
             suspected_peak: 0,
             memory_corruptions: 0,
             audit_mismatches: 0,

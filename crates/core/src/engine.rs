@@ -47,7 +47,7 @@ pub(crate) enum Plane {
     /// whose agreed verdict the checkpoint, audit and paging layers need;
     /// with `membership`, its suspicions drive the partition protocol too.
     Verdict {
-        /// [`RunConfig::partition_tolerance`].
+        /// The fault plan partitions the network.
         membership: bool,
     },
 }
@@ -59,10 +59,11 @@ impl Plane {
     /// on the same plane: its repairs reuse the checkpoint/rollback
     /// plumbing — and so does out-of-core paging, whose page-loss repair
     /// ladder ends in rollback + replay from a verified checkpoint.
-    /// Partition tolerance layers the membership protocol over it.
+    /// A plan that partitions the network layers the membership protocol
+    /// over it, as a plan that crashes a rank switches checkpointing on.
     pub(crate) fn of(cfg: &RunConfig) -> Plane {
         let faults = &cfg.world.faults;
-        let membership = cfg.partition_tolerance;
+        let membership = faults.has_partitions();
         if membership
             || faults.has_crashes()
             || cfg.audit_every.is_some()
@@ -100,7 +101,6 @@ pub(crate) struct Tally {
     pub(crate) quiescent_iterations: u32,
     pub(crate) degraded_iterations: u32,
     pub(crate) rejoins: u32,
-    pub(crate) rejoin_bytes: u64,
     pub(crate) suspected_peak: u32,
     pub(crate) integrity: IntegrityCounters,
 }

@@ -158,16 +158,10 @@ pub enum PlatformError {
         /// The configured [`crate::RunConfig::audit_every`].
         audit_every: Option<u32>,
     },
-    /// [`crate::ExchangeMode::Overlap`] together with a layer that needs the
-    /// crash-aware exchange (crash plans, audits, memory or disk faults,
-    /// paging, partition tolerance): recovery on that plane is specified
-    /// for the basic schedule only, and silently running it instead would
-    /// misreport what was measured.
-    OverlapNeedsCollectivePlane,
     /// [`mpisim::FaultPlan::validate`] refused the world's fault plan.
     BadFaultPlan(FaultPlanError),
     /// A run on the failure-detecting control plane (crash plans, audits,
-    /// memory or disk faults, paging, partition tolerance) with more than
+    /// memory or disk faults, paging, partitions) with more than
     /// 64 ranks: the replica census packs one bit per rank into a `u64`
     /// control word, so rank 64 would alias rank 0.
     TooManyRanksForVerdictPlane(usize),
@@ -240,12 +234,6 @@ impl fmt::Display for PlatformError {
                 "memory rot in live regions needs a state audit every iteration \
                  (with_state_audit(1)), not {audit_every:?}: a sparser audit lets a \
                  flipped value reach the answer"
-            ),
-            PlatformError::OverlapNeedsCollectivePlane => write!(
-                f,
-                "overlapped exchange is not available with crash plans, audits, memory or \
-                 disk faults, paging or partition tolerance: recovery on that plane is \
-                 specified for the basic schedule only"
             ),
             PlatformError::BadFaultPlan(e) => write!(f, "invalid fault plan: {e}"),
             PlatformError::TooManyRanksForVerdictPlane(n) => write!(

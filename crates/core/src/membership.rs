@@ -5,7 +5,8 @@
 //! that premise: ranks on the far side of a cut are unreachable but alive,
 //! and will return when the partition heals. This module layers a
 //! membership protocol over the checkpoint machinery so a partitioned run
-//! still terminates with oracle-exact results:
+//! still terminates with oracle-exact results. A fault plan with a
+//! partition is what switches the layer on:
 //!
 //! * **Two-level verdicts.** The control plane is never cut, so every
 //!   [`mpisim::Rank::ctl_exchange`] still resolves world-wide. Its verdict
@@ -26,13 +27,16 @@
 //!   collectives keep resolving.
 //!
 //! * **Heal and rejoin.** The first verdict with an empty suspected set
-//!   after a degraded stretch triggers the rejoin: mailboxes are purged,
-//!   each parked rank re-fetches its committed checkpoint image from its
-//!   ring-successor buddy (the same buddy copy crash recovery adopts from),
-//!   and then *everyone* rolls back to the committed checkpoint and replays
-//!   the degraded stretch for real. Replay is charged to the virtual
-//!   clock, so partitions cost time instead of silently vanishing, and the
-//!   final answer stays byte-identical to the sequential oracle.
+//!   after a degraded stretch is the heal: the previously-suspected ranks
+//!   unpark and *everyone* takes the ordinary rollback to the committed
+//!   checkpoint, replaying the degraded stretch for real. No checkpoint
+//!   commits while degraded, so a parked rank's own copy is the committed
+//!   image, and the rollback's replica census checks it against its
+//!   staging-time checksums exactly as it checks every other copy — a copy
+//!   that rotted while parked is rescued from the elected holder. Replay is
+//!   charged to the virtual clock, so partitions cost time instead of
+//!   silently vanishing, and the final answer stays byte-identical to the
+//!   sequential oracle.
 //!
 //! * **Crashes during a partition are deferred.** Rolling back across an
 //!   active cut would stall on unreachable buddies, so a crash verdict
@@ -42,16 +46,10 @@
 //!   iteration is discarded by a plain rollback, flagged through a bit
 //!   piggybacked on the control word.
 
-use crate::audit;
-use crate::checkpoint::elect_holder;
 use crate::engine::Engine;
 use crate::program::NodeProgram;
-use crate::timers::Phase;
 use ic2_balance::DynamicBalancer;
-use mpisim::{ArgValue, CtlSlot, CtlVerdict, RetryPolicy, Wire};
-
-/// Message tag for checkpoint images re-fetched from buddies at rejoin.
-pub const TAG_REJOIN: u32 = 7;
+use mpisim::{ArgValue, CtlSlot, CtlVerdict};
 
 /// Bit piggybacked on the control-exchange metadata word when a rank
 /// observed a partition cut during the iteration. The low bits still carry
@@ -59,8 +57,7 @@ pub const TAG_REJOIN: u32 = 7;
 pub(crate) const CUT_FLAG: u64 = 1 << 63;
 
 /// The membership layer of the iteration engine. Every method is a no-op
-/// answering "nobody is suspected" unless the run was configured with
-/// partition tolerance.
+/// answering "nobody is suspected" unless the fault plan partitions.
 impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
     /// Membership's reading of an agreed verdict. Tracks the suspicion peak;
     /// if the verdict suspects anyone, marks its deaths (rolling back across
@@ -82,91 +79,28 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
         n > 0
     }
 
-    /// The heal sequence, entered on the first verdict with an empty
-    /// suspected set after a degraded stretch of which `completed`
-    /// iterations ran: rejoin the previously-suspected ranks (buddy state
-    /// transfer over the now-healed links), then discard the whole degraded
-    /// stretch with a standard rollback and replay it for real.
+    /// The heal, entered on the first verdict with an empty suspected set
+    /// after a degraded stretch of which `completed` iterations ran: unpark
+    /// the previously-suspected ranks, then discard the whole degraded
+    /// stretch with the ordinary rollback — whose census checks every copy
+    /// of the committed checkpoint, the parked ranks' own included — and
+    /// replay it for real.
     pub(crate) fn heal_rejoin(&mut self, completed: u32, verdict: &CtlVerdict) {
         self.mark_crashed(verdict);
-        let (rank, cfg) = (self.rank, self.cfg);
-        let me = rank.rank() as u32;
-        let t0 = rank.wtime();
-        let rejoining: Vec<u32> = (0..cfg.nprocs as u32)
-            .filter(|&r| self.frozen[r as usize] && !self.crashed[r as usize])
-            .collect();
-        // Flush partition-era leftovers and synchronise before any rejoin
-        // traffic flows; the verdict also refreshes the agreed crash set
-        // (deferred crashes are already marked locally) and carries the
-        // replica census in the otherwise-unused slot word, so the fetch
-        // below escalates past replicas that rotted during the degraded
-        // stretch.
-        rank.purge_mailbox();
-        let census = self.ward_census();
-        let audited = self.store.audit.is_some();
-        if audited {
-            let verified: usize = self.ckpt.wards.iter().map(|w| w.entries.len()).sum();
-            rank.advance(cfg.costs.audit_per_entry * verified as f64);
-        }
-        let v = rank.ctl_exchange(CtlSlot {
-            word: census,
-            ..CtlSlot::default()
-        });
-        self.mark_crashed(&v);
-        if !self.ckpt.genesis {
-            // Each rejoining rank re-fetches its committed image from the
-            // nearest holder whose census bit confirms an intact replica —
-            // the parked copy is treated as untrusted, exactly as a real
-            // deployment would. The schedule is a pure function of
-            // replicated state, so both sides derive it identically.
-            for &r in &rejoining {
-                // No live holder with an intact copy: fall back to the
-                // rank's own in-memory copy of the committed image (it
-                // parked, it did not crash; if that copy rotted too, the
-                // heal rollback's own census rescues or escalates it).
-                let Some(holder) = elect_holder(&self.ckpt, cfg.replication, &self.crashed, &v, r)
-                else {
-                    continue;
-                };
-                if me == holder {
-                    let image = self.ckpt.ward_of(me, r);
-                    rank.advance(cfg.costs.checkpoint_per_entry * image.len() as f64);
-                    rank.send_reliable(r as usize, TAG_REJOIN, image, RetryPolicy::Escalate);
-                } else if me == r {
-                    // A failed fetch means the holder died this instant;
-                    // keep the local copy and let the rollback's own verdict
-                    // pick the crash up.
-                    if let Ok(entries) =
-                        rank.try_recv::<Vec<(u32, P::Data)>>(holder as usize, TAG_REJOIN)
-                    {
-                        self.tally.rejoin_bytes += entries.to_bytes().len() as u64;
-                        rank.advance(cfg.costs.checkpoint_per_entry * entries.len() as f64);
-                        // Fresh staging-time checksums: the refetched image
-                        // replaces `mine`, so its integrity baseline must
-                        // follow (it is consulted by the rollback census
-                        // moments from now).
-                        self.ckpt.mine_sums = audit::entry_sums(&entries);
-                        if audited {
-                            rank.advance(cfg.costs.audit_per_entry * entries.len() as f64);
-                        }
-                        self.ckpt.mine = entries;
-                    }
-                }
-            }
-        }
-        self.timers.add(Phase::Recovery, rank.wtime() - t0);
-        rank.trace_span("Recovery", "phase", t0, &[]);
+        let rejoining = (0..self.cfg.nprocs)
+            .filter(|&r| self.frozen[r] && !self.crashed[r])
+            .count();
         self.tally.rejoins += 1;
-        rank.trace_instant(
+        self.rank.trace_instant(
             "rejoin",
             "membership",
             &[
-                ("ranks", ArgValue::U64(rejoining.len() as u64)),
+                ("ranks", ArgValue::U64(rejoining as u64)),
                 ("to_iter", ArgValue::U64(self.ckpt.iter as u64)),
             ],
         );
         self.frozen.fill(false);
-        rank.set_parked(false);
+        self.rank.set_parked(false);
         self.recover(completed);
     }
 

@@ -693,8 +693,11 @@ impl<D> NodeStore<D> {
             }
         }
         // Data present (in RAM, or on a non-resident page in paged mode)
-        // for owned nodes and all their neighbours.
-        for v in graph.nodes() {
+        // for owned nodes and all their neighbours — unless a page lost
+        // every copy: its entries are missing, and the damage latch that
+        // loss set rolls this epoch back.
+        let damaged = self.disk_damaged();
+        for v in graph.nodes().filter(|_| !damaged) {
             if self.owner[v as usize] == self.rank {
                 if !self.has_entry(v) {
                     return Err(StoreViolation::MissingData { node: v });

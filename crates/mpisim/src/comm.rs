@@ -2,14 +2,12 @@
 
 use crate::mailbox::{Envelope, Pattern};
 use crate::payload::{encode_payload, Payload};
-use crate::request::{RecvRequest, SendRequest};
 use crate::stats::CommStats;
 use crate::trace::{ArgValue, Args, TraceEvent};
 use crate::wire::{frame_checksum, Wire};
 use crate::world::{unwind, BlockedOp, Config, CtlSlot, CtlVerdict, Resolved, Shared, Unwind};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -18,9 +16,6 @@ use std::time::{Duration, Instant};
 /// collectives use the negative range so they can never collide with
 /// user traffic.
 pub type Tag = u32;
-
-/// Wildcard source for [`Rank::recv_any`] (`MPI_ANY_SOURCE`).
-pub const ANY_SOURCE: Option<usize> = None;
 
 /// Verdict of a crash-aware receive: the awaited peer has crashed and its
 /// message will never arrive. Returned by [`Rank::try_recv`]; the contained
@@ -275,13 +270,6 @@ impl Rank {
     /// the message may be dropped, delayed, duplicated or reordered.
     pub fn send<T: Wire>(&self, dest: usize, tag: Tag, value: &T) {
         self.send_tagged(dest, tag as i64, value);
-    }
-
-    /// Nonblocking send (`MPI_Isend`). Semantically identical to
-    /// [`send`](Self::send) here, returning a request for MPI-shaped code.
-    pub fn isend<T: Wire>(&self, dest: usize, tag: Tag, value: &T) -> SendRequest {
-        self.send_tagged(dest, tag as i64, value);
-        SendRequest { _private: () }
     }
 
     /// Reliable send: retransmit on (simulated) ack timeout or NACK, up to
@@ -567,14 +555,6 @@ impl Rank {
         })
     }
 
-    /// Blocking receive from any source; returns `(source, value)`.
-    pub fn recv_any<T: Wire>(&self, tag: Tag) -> (usize, T) {
-        self.complete_recv_with_source(Pattern {
-            src: None,
-            tag: tag as i64,
-        })
-    }
-
     /// Crash-aware blocking receive: wait for a message from `src`, but if
     /// `src` has crashed and its message will never come, give up after the
     /// fault plan's `detect_timeout` (charged to the virtual clock) and
@@ -731,18 +711,6 @@ impl Rank {
     /// watchdog's deadlock report describes this rank if the run wedges.
     pub fn set_parked(&self, parked: bool) {
         self.shared.set_parked(self.id, parked);
-    }
-
-    /// Post a nonblocking receive (`MPI_Irecv`); complete it with
-    /// [`RecvRequest::wait`].
-    pub fn irecv<T: Wire>(&self, src: usize, tag: Tag) -> RecvRequest<T> {
-        RecvRequest {
-            pattern: Pattern {
-                src: Some(src),
-                tag: tag as i64,
-            },
-            _marker: PhantomData,
-        }
     }
 
     // ---- collectives ----------------------------------------------------
@@ -1154,7 +1122,8 @@ impl Rank {
     }
 
     pub(crate) fn complete_recv<T: Wire>(&self, pattern: Pattern) -> T {
-        self.complete_recv_with_source(pattern).1
+        let env = self.complete_recv_env(pattern);
+        self.decode(&env)
     }
 
     /// The blocking receive engine: wait for a matching envelope, charge
@@ -1197,11 +1166,6 @@ impl Rank {
                 std::any::type_name::<T>()
             )
         })
-    }
-
-    pub(crate) fn complete_recv_with_source<T: Wire>(&self, pattern: Pattern) -> (usize, T) {
-        let env = self.complete_recv_env(pattern);
-        (env.src, self.decode(&env))
     }
 
     /// The [`BlockedOp`] of an operation starting now.
@@ -1248,16 +1212,6 @@ impl Rank {
         };
         self.shared.set_blocked(self.id, None);
         r
-    }
-
-    /// Cumulative count of envelopes ever delivered into this rank's
-    /// mailbox. Monotonic and — sampled at an iteration boundary, after
-    /// the closing barrier — deterministic: every send of the iteration
-    /// happens-before its sender's barrier entry. (The *instantaneous*
-    /// queue depth is host-schedule-dependent; this counter is the
-    /// reproducible mailbox-traffic signal the metrics timeline uses.)
-    pub fn mailbox_delivered(&self) -> u64 {
-        self.shared.mailboxes[self.id].delivered()
     }
 }
 

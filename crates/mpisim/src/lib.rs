@@ -1,13 +1,15 @@
 //! # mpisim — an in-process MPI-like message-passing substrate
 //!
 //! The iC2mpi thesis runs on real MPI over an SGI Origin-2000. This crate
-//! provides the same programming model — SPMD ranks, point-to-point
-//! send/receive with tag matching, nonblocking operations with requests,
-//! barriers and collectives, `MPI_Wtime`-style timing — as an in-process
-//! library. Every rank is an OS thread with its own mailbox; the program you
-//! write against [`Rank`] is structured exactly like the thesis's MPI code
-//! (`MPI_Isend`, `MPI_Recv`, `MPI_Irecv` + `MPI_Wait`, `MPI_Barrier`,
-//! `MPI_Bcast`).
+//! provides the same programming model — SPMD ranks, buffered
+//! point-to-point send/receive with tag matching, barriers and collectives,
+//! `MPI_Wtime`-style timing — as an in-process library. Every rank is an OS
+//! thread with its own mailbox; the program you write against [`Rank`] is
+//! structured like the thesis's MPI code (`MPI_Isend`, `MPI_Recv`,
+//! `MPI_Barrier`, `MPI_Bcast`). The thesis's posted receives (`MPI_Irecv` +
+//! `MPI_Wait`) are [`Rank::collect`], which holds frames as they arrive,
+//! then [`Rank::settle`], which pays for each one in the caller's order —
+//! so compute charged between the two overlaps the messages in flight.
 //!
 //! ## Virtual time
 //!
@@ -45,13 +47,12 @@ mod gate;
 pub mod mailbox;
 pub mod net;
 pub mod payload;
-pub mod request;
 pub mod stats;
 pub mod trace;
 pub mod wire;
 pub mod world;
 
-pub use comm::{Died, Rank, RetryPolicy, Tag, ANY_SOURCE};
+pub use comm::{Died, Rank, RetryPolicy, Tag};
 pub use disk::{DiskCounters, DiskError, DiskTiming, VirtualDisk};
 pub use faults::{DiskFault, FaultDecision, FaultPlan, FaultPlanError, MemRegion, PartitionSpec};
 pub use mailbox::Envelope;
@@ -59,7 +60,6 @@ pub use net::NetModel;
 pub use payload::{
     encode_payload, payload_metrics, reset_payload_metrics, Payload, PayloadMetrics,
 };
-pub use request::{RecvRequest, SendRequest};
 pub use stats::{CommStats, FaultStats};
 pub use trace::{ArgValue, TraceCollector, TraceEvent};
 pub use wire::{frame_checksum, Wire, WireError};

@@ -42,7 +42,7 @@ pub struct Envelope {
 /// What a receive is willing to match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pattern {
-    /// `None` matches any source (`MPI_ANY_SOURCE`).
+    /// `None` matches any source.
     pub src: Option<usize>,
     /// Tag to match exactly.
     pub tag: i64,
@@ -69,11 +69,6 @@ struct Inner {
     corruptions_detected: u64,
     /// Largest queue depth ever observed.
     peak_depth: u64,
-    /// Cumulative count of envelopes ever accepted into the queue
-    /// (duplicates included, sealed-mailbox discards excluded). Monotonic;
-    /// sampled at iteration boundaries it is deterministic, unlike the
-    /// instantaneous queue depth.
-    delivered: u64,
     /// Credits handed to senders that have not yet turned into deliveries.
     /// Only nonzero on bounded mailboxes.
     reserved: usize,
@@ -251,8 +246,14 @@ impl Mailbox {
     /// the rollback point must not be mistaken for replayed traffic). The
     /// consumed-sequence map is kept — send sequence numbers are monotonic,
     /// so replayed messages always look fresh to ordered receives.
+    ///
+    /// Damaged frames and stale duplicates are counted first, as an ordered
+    /// receive would count them: whether an earlier cleanup already met one
+    /// depends on which sources' frames arrived first, so clearing them
+    /// uncounted would make the totals depend on host scheduling.
     pub fn purge(&self) {
         let mut inner = self.gate.lock();
+        self.cleanup(&mut inner);
         inner.queue.clear();
         // Purging frees credits: wake any sender blocked on one.
         inner.wake();
@@ -394,11 +395,6 @@ impl Mailbox {
         self.gate.lock().peak_depth
     }
 
-    /// Cumulative count of envelopes ever accepted into the queue.
-    pub fn delivered(&self) -> u64 {
-        self.gate.lock().delivered
-    }
-
     /// Snapshot of queued (src, tag) pairs, for deadlock diagnostics.
     pub fn pending(&self) -> Vec<(usize, i64)> {
         let inner = self.gate.lock();
@@ -430,7 +426,6 @@ impl Inner {
         } else {
             self.queue.push(env);
         }
-        self.delivered += 1;
         self.peak_depth = self.peak_depth.max(self.queue.len() as u64);
     }
 
@@ -667,6 +662,29 @@ mod tests {
         // A replayed (fresh, higher-seq) message still gets through.
         mb.deliver(env_seq(0, 1, 2, 0xc), false);
         assert_eq!(mb.recv(pat, WD, true).unwrap().bytes, vec![0xc]);
+    }
+
+    #[test]
+    fn purge_counts_the_garbage_it_clears() {
+        // Whether a receive's cleanup met these frames before the rollback
+        // depends on arrival order; the purge must count them either way.
+        let seed = 77;
+        let mb = Mailbox::configured(Some(seed), None);
+        let pat = Pattern {
+            src: Some(0),
+            tag: 1,
+        };
+        mb.deliver(env_ok(seed, 0, 1, 0, 0xa), false);
+        assert_eq!(mb.recv(pat, WD, true).unwrap().bytes, vec![0xa]);
+        mb.deliver(env_ok(seed, 0, 1, 0, 0xa), false); // stale duplicate
+        let mut bad = env_ok(seed, 2, 1, 0, 0xb);
+        bad.bytes = Payload::from(vec![0xb ^ 0x10]);
+        mb.deliver(bad, false); // damaged in flight
+        mb.deliver(env_ok(seed, 2, 1, 0, 0xb), false); // fresh, just dropped
+        mb.purge();
+        assert!(mb.is_empty());
+        assert_eq!(mb.stale_discarded(), 1);
+        assert_eq!(mb.corruptions_detected(), 1);
     }
 
     #[test]

@@ -126,9 +126,9 @@ fn barrier_synchronises_clocks_to_max() {
 }
 
 #[test]
-fn irecv_overlap_rewards_compute_between_post_and_wait() {
-    // Receiver computes 5s between posting and waiting; message arrives at
-    // t=1. Overlapped wait should cost only the recv overhead, not 1+5.
+fn compute_between_collect_and_settle_overlaps_the_message() {
+    // Receiver holds the frame, computes 5s, then pays for it; the message
+    // arrives at t=1. Settling should cost only the recv overhead, not 1+5.
     let net = NetModel {
         latency: 1.0,
         per_byte: 0.0,
@@ -141,9 +141,9 @@ fn irecv_overlap_rewards_compute_between_post_and_wait() {
             rank.send(1, 1, &9u8);
             0.0
         } else {
-            let req = rank.irecv::<u8>(0, 1);
+            rank.collect(1, std::iter::once(0), false);
             rank.advance(5.0);
-            let _ = req.wait(rank);
+            let _: u8 = rank.settle(0).expect("the frame is held");
             rank.wtime()
         }
     });

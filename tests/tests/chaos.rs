@@ -129,62 +129,99 @@ fn crashed_rank_rolls_back_and_recovers_exactly() {
     // handed off. Survivors must detect it, roll back to the last
     // coordinated checkpoint, adopt the dead rank's partition out of the
     // buddy copy, replay the lost iterations, and still produce the exact
-    // fault-free answer.
+    // fault-free answer — under either exchange schedule.
     let bf = BattlefieldProgram::new(&Scenario::thesis());
     let terrain = bf.terrain();
     let iterations = 8;
-    let clean = run(
-        &terrain,
-        &bf,
-        &Metis::default(),
-        || NoBalancer,
-        &RunConfig::new(8, iterations).with_world(clean_world()),
-    );
+    for mode in [ExchangeMode::PostComm, ExchangeMode::Overlap] {
+        let clean = run(
+            &terrain,
+            &bf,
+            &Metis::default(),
+            || NoBalancer,
+            &RunConfig::new(8, iterations)
+                .with_exchange(mode)
+                .with_world(clean_world()),
+        );
 
-    let plan = || FaultPlan::new(chaos_seed(9)).with_crash(3, clean.total_time * 0.55);
-    let cfg = |p| {
-        RunConfig::new(8, iterations)
-            .with_checkpointing(2)
-            .with_world(world(p))
-            .with_validation()
+        let plan = || FaultPlan::new(chaos_seed(9)).with_crash(3, clean.total_time * 0.55);
+        let cfg = |p| {
+            RunConfig::new(8, iterations)
+                .with_exchange(mode)
+                .with_checkpointing(2)
+                .with_world(world(p))
+                .with_validation()
+        };
+        let a = run(
+            &terrain,
+            &bf,
+            &Metis::default(),
+            || NoBalancer,
+            &cfg(plan()),
+        );
+        assert_eq!(
+            a.final_data, clean.final_data,
+            "{mode:?}: recovery must be exact"
+        );
+        assert!(a.rollbacks >= 1, "{mode:?}: a crash must force a rollback");
+        assert!(a.iterations_replayed > 0, "lost iterations must be re-run");
+        assert!(a.checkpoint_bytes > 0, "snapshots were mirrored");
+        assert!(a.faults.crash_timeouts > 0, "{:?}", a.faults);
+        assert!(a.ranks_died.contains(&3));
+        assert!(!a.final_owner.contains(&3), "a crashed rank owns nothing");
+        assert!(
+            a.total_time > clean.total_time,
+            "re-run cost must be charged to the virtual clock"
+        );
+
+        // Bit-identical determinism, including the virtual-time total.
+        let b = run(
+            &terrain,
+            &bf,
+            &Metis::default(),
+            || NoBalancer,
+            &cfg(plan()),
+        );
+        assert_eq!(a.final_data, b.final_data);
+        assert_eq!(a.rollbacks, b.rollbacks);
+        assert_eq!(a.iterations_replayed, b.iterations_replayed);
+        assert_eq!(a.checkpoint_bytes, b.checkpoint_bytes);
+        assert_eq!(a.faults, b.faults);
+        assert_eq!(a.total_time.to_bits(), b.total_time.to_bits());
+        assert_eq!(
+            a.negative_clamps, 0,
+            "rollback recovery must not produce negative phase windows"
+        );
+    }
+}
+
+#[test]
+fn crash_under_duplicates_counts_faults_identically_on_every_rerun() {
+    // Rollback purges every survivor's mailbox. A stale duplicate or a
+    // damaged frame cleared there must be counted whether or not an earlier
+    // receive's cleanup happened to meet it first: the fault counters are a
+    // function of the seed, not of which sources' frames arrived first.
+    let graph = ic2_graph::generators::hex_grid_n(64);
+    let program = AvgProgram::fine();
+    let plan = || {
+        FaultPlan::new(chaos_seed(42))
+            .with_drop(0.05)
+            .with_delay(0.05, 2e-4)
+            .with_dup(0.05)
+            .with_reorder(0.05)
+            .with_corrupt(0.05)
+            .with_truncate(0.02)
+            .with_crash(3, 0.05)
     };
-    let a = run(
-        &terrain,
-        &bf,
-        &Metis::default(),
-        || NoBalancer,
-        &cfg(plan()),
-    );
-    assert_eq!(a.final_data, clean.final_data, "recovery must be exact");
-    assert!(a.rollbacks >= 1, "a crash must force a rollback");
-    assert!(a.iterations_replayed > 0, "lost iterations must be re-run");
-    assert!(a.checkpoint_bytes > 0, "snapshots were mirrored");
-    assert!(a.faults.crash_timeouts > 0, "{:?}", a.faults);
-    assert!(a.ranks_died.contains(&3));
-    assert!(!a.final_owner.contains(&3), "a crashed rank owns nothing");
-    assert!(
-        a.total_time > clean.total_time,
-        "re-run cost must be charged to the virtual clock"
-    );
-
-    // Bit-identical determinism, including the virtual-time total.
-    let b = run(
-        &terrain,
-        &bf,
-        &Metis::default(),
-        || NoBalancer,
-        &cfg(plan()),
-    );
-    assert_eq!(a.final_data, b.final_data);
-    assert_eq!(a.rollbacks, b.rollbacks);
-    assert_eq!(a.iterations_replayed, b.iterations_replayed);
-    assert_eq!(a.checkpoint_bytes, b.checkpoint_bytes);
-    assert_eq!(a.faults, b.faults);
-    assert_eq!(a.total_time.to_bits(), b.total_time.to_bits());
-    assert_eq!(
-        a.negative_clamps, 0,
-        "rollback recovery must not produce negative phase windows"
-    );
+    let cfg = || RunConfig::new(8, 20).with_world(world(plan()));
+    let first = run(&graph, &program, &Metis::default(), || NoBalancer, &cfg());
+    assert!(first.rollbacks >= 1, "the crash must roll back");
+    assert!(first.faults.duplicated > 0, "{:?}", first.faults);
+    for _ in 0..8 {
+        let again = run(&graph, &program, &Metis::default(), || NoBalancer, &cfg());
+        assert_eq!(again.faults, first.faults);
+        assert_eq!(again.total_time.to_bits(), first.total_time.to_bits());
+    }
 }
 
 #[test]

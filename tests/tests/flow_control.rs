@@ -253,7 +253,7 @@ fn escalating_corruption_never_shrinks_retransmits_at_capacity_two() {
 
 #[test]
 fn crash_recovery_completes_under_bounded_mailboxes() {
-    // Rollback recovery's traffic (mirrors ring fan-in-1, adoption
+    // Rollback recovery's traffic (mirrors with ring fan-in r, adoption
     // packages, the gather) must make progress under capacity 4: receivers
     // drain as senders stall, so credits always eventually free up.
     let graph = ic2_graph::generators::hex_grid_n(16);
@@ -282,6 +282,48 @@ fn crash_recovery_completes_under_bounded_mailboxes() {
     assert_eq!(report.final_data, oracle, "bounded recovery must be exact");
     assert!(report.rollbacks >= 1);
     assert!(!report.final_owner.contains(&1));
+}
+
+#[test]
+fn checkpoint_mirrors_fan_in_past_the_mailbox_capacity() {
+    // Each rank receives `r` mirrors a checkpoint, one from each ring
+    // predecessor at distance 1..=r. With r above the capacity, a rank
+    // whose buddy's mailbox is full must hold the mirrors addressed to it
+    // while it waits for the credit, or the whole ring waits on itself.
+    // The crash at 1e18 s never fires: it only puts the run on the verdict
+    // plane, with a checkpoint every iteration.
+    let graph = ic2_graph::generators::hex_grid_n(96);
+    let program = AvgProgram::fine();
+    let iterations = 6u32;
+    let oracle = seq::run_sequential(&graph, &program, iterations);
+    let run_at = |replication, capacity: Option<usize>| {
+        let mut world = vt_world()
+            .with_watchdog(Duration::from_secs(5))
+            .with_faults(FaultPlan::new(3).with_crash(5, 1e18));
+        if let Some(c) = capacity {
+            world = world.with_mailbox_capacity(c);
+        }
+        let cfg = RunConfig::new(8, iterations)
+            .with_checkpointing(1)
+            .with_replication(replication)
+            .with_world(world);
+        try_run(&graph, &program, &Metis::default(), || NoBalancer, &cfg)
+            .unwrap_or_else(|e| panic!("r = {replication}, capacity {capacity:?}: {e}"))
+    };
+    for (replication, capacity) in [(1, 1), (2, 1), (3, 2), (4, 2), (4, 4)] {
+        let unbounded = run_at(replication, None);
+        let bounded = run_at(replication, Some(capacity));
+        assert_eq!(
+            bounded.final_data, oracle,
+            "r = {replication}, capacity {capacity}"
+        );
+        assert_eq!(
+            bounded.total_time.to_bits(),
+            unbounded.total_time.to_bits(),
+            "r = {replication}, capacity {capacity}: the clock must not see the bound"
+        );
+        assert_eq!(bounded.checkpoint_bytes, unbounded.checkpoint_bytes);
+    }
 }
 
 #[test]

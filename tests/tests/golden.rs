@@ -175,22 +175,17 @@ fn every_layer_on_both_planes_matches_the_golden_file() {
         line(
             "partition",
             &fine,
-            base()
-                .with_partition_tolerance()
-                .with_world(world(cut(17, minority()))),
+            base().with_world(world(cut(17, minority()))),
         ),
         line(
             "partition_crash",
             &fine,
-            base()
-                .with_partition_tolerance()
-                .with_world(world(cut(18, minority()).with_crash(2, at(0.2)))),
+            base().with_world(world(cut(18, minority()).with_crash(2, at(0.2)))),
         ),
         line(
             "partition_delta_balancing",
             &shifting,
             base()
-                .with_partition_tolerance()
                 .with_delta_exchange()
                 .with_balancing(4)
                 .with_world(world(cut(19, minority()))),
@@ -199,7 +194,6 @@ fn every_layer_on_both_planes_matches_the_golden_file() {
             "partition_rot",
             &fine,
             base()
-                .with_partition_tolerance()
                 .with_state_audit(1)
                 .with_replication(3)
                 .with_world(world(rot(cut(20, minority())))),
@@ -207,9 +201,7 @@ fn every_layer_on_both_planes_matches_the_golden_file() {
         line(
             "no_quorum",
             &fine,
-            base()
-                .with_partition_tolerance()
-                .with_world(world(cut(21, vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]]))),
+            base().with_world(world(cut(21, vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]]))),
         ),
     ];
 

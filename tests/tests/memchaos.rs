@@ -144,7 +144,7 @@ fn memory_corruption_composes_with_crash_recovery() {
 }
 
 #[test]
-fn memory_corruption_composes_with_partition_tolerance() {
+fn memory_corruption_composes_with_a_partition() {
     // A quorum-gated partition while memory rots: sweeps and audits are
     // suspended during the degraded stretch (the heal rollback discards it
     // wholesale anyway), resume after rejoin, and the replayed result must
@@ -180,7 +180,6 @@ fn memory_corruption_composes_with_partition_tolerance() {
             .with_checkpointing(3)
             .with_state_audit(1)
             .with_replication(3)
-            .with_partition_tolerance()
             .with_world(world(pl))
             .with_validation()
     };

@@ -48,7 +48,6 @@ fn partition_sweep_heals_and_replays_exactly() {
             let cfg = |p| {
                 RunConfig::new(nprocs, iterations)
                     .with_checkpointing(2)
-                    .with_partition_tolerance()
                     .with_world(world(p))
                     .with_validation()
             };
@@ -92,8 +91,8 @@ fn partition_sweep_heals_and_replays_exactly() {
 fn quarter_run_partition_rejoins_the_minority() {
     // The acceptance scenario: a 2-group partition spanning well over a
     // quarter of the iteration space. The majority continues degraded, the
-    // minority parks, the heal rejoins it with buddy state transfer, and
-    // the replayed result is byte-identical to the oracle.
+    // minority parks, the heal rolls everyone back to the committed
+    // checkpoint, and the replayed result is byte-identical to the oracle.
     let graph = ic2_graph::generators::hex_grid_n(64);
     let program = AvgProgram::fine();
     let nprocs = 8;
@@ -113,7 +112,6 @@ fn quarter_run_partition_rejoins_the_minority() {
         .with_detect_timeout(5e-4);
     let cfg = RunConfig::new(nprocs, iterations)
         .with_checkpointing(3)
-        .with_partition_tolerance()
         .with_world(world(plan))
         .with_validation();
     let report = run(&graph, &program, &Metis::default(), || NoBalancer, &cfg);
@@ -121,10 +119,6 @@ fn quarter_run_partition_rejoins_the_minority() {
     assert!(report.rejoins >= 1, "the minority must rejoin");
     assert!(report.degraded_iterations > 0);
     assert_eq!(report.suspected_peak, 2, "both minority ranks suspected");
-    assert!(
-        report.rejoin_bytes > 0,
-        "rejoining ranks re-fetch their checkpoint image from buddies"
-    );
     assert!(
         report.iterations_replayed > 0,
         "the degraded stretch is discarded and replayed"
@@ -169,7 +163,6 @@ fn no_quorum_parks_everyone_until_heal() {
     let cfg = |p| {
         RunConfig::new(nprocs, iterations)
             .with_checkpointing(2)
-            .with_partition_tolerance()
             .with_world(world(p))
             .with_validation()
     };
@@ -228,7 +221,6 @@ fn partition_composes_with_crash() {
     let cfg = |p| {
         RunConfig::new(nprocs, iterations)
             .with_checkpointing(3)
-            .with_partition_tolerance()
             .with_world(world(p))
             .with_validation()
     };
@@ -292,7 +284,6 @@ fn partition_composes_with_delta_exchange_and_balancing() {
             .with_balancing(10)
             .with_checkpointing(4)
             .with_delta_exchange()
-            .with_partition_tolerance()
             .with_world(world(p))
             .with_validation()
     };
@@ -353,7 +344,6 @@ fn partition_blip_rolls_back_without_rejoin() {
     let cfg = |p| {
         RunConfig::new(nprocs, iterations)
             .with_checkpointing(2)
-            .with_partition_tolerance()
             .with_world(world(p))
             .with_validation()
     };
@@ -409,11 +399,11 @@ fn exact_and_repeatable(
     a
 }
 
-/// Partition-tolerant, checkpoint every 3, validated.
+/// Checkpoint every 3, validated: with a partition in `plan`, the
+/// membership plane.
 fn tolerant(plan: FaultPlan) -> RunConfig {
     RunConfig::new(8, 14)
         .with_checkpointing(3)
-        .with_partition_tolerance()
         .with_world(world(plan))
         .with_validation()
 }
@@ -466,7 +456,9 @@ fn partition_opening_inside_a_checkpoint_aborts_it_on_every_rank() {
     // different iterations.
     let cfg = |plan| tolerant(plan).with_replication(3);
     let seed = || FaultPlan::new(chaos_seed(101));
-    let healthy = hex64(&cfg(seed()).with_tracing());
+    // The same plan with the cut a billion seconds out: the membership
+    // plane, healthy throughout.
+    let healthy = hex64(&cfg(minority_cut(seed(), 1e9, 2e9)).with_tracing());
     let staging_begins = first_span(&healthy, "Checkpoint");
     let window = healthy.total_time * 0.3;
     let plan = || minority_cut(seed(), staging_begins, staging_begins + window);
