@@ -9,14 +9,16 @@
 //! repro --trace trace.json    # record the canonical chaos run (Perfetto)
 //! repro --timeline tl.json    # per-iteration metrics timeline of that run
 //! repro --check-trace t.json  # validate a recorded trace against the schema
+//! repro --check snap.jsonl     # rerun a `--json` snapshot, list every moved cell
 //! ```
 
+use ic2_bench::report::{moved_cells, Table};
 use ic2_bench::{experiments, trace_tools};
 
 fn usage() {
     eprintln!(
         "usage: repro [--markdown|--json] [--trace <path>] [--timeline <path>] \
-         [--check-trace <path>] <id...|all>"
+         [--check-trace <path>] [--check <snapshot>] <id...|all>"
     );
     eprintln!("available experiments:");
     for id in experiments::all_ids() {
@@ -31,6 +33,7 @@ fn main() {
     let mut trace_path: Option<String> = None;
     let mut timeline_path: Option<String> = None;
     let mut check_path: Option<String> = None;
+    let mut snapshot_path: Option<String> = None;
     let mut ids: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -49,6 +52,7 @@ fn main() {
             "--trace" => path_flag(&mut trace_path, "--trace"),
             "--timeline" => path_flag(&mut timeline_path, "--timeline"),
             "--check-trace" => path_flag(&mut check_path, "--check-trace"),
+            "--check" => path_flag(&mut snapshot_path, "--check"),
             other if other.starts_with("--") => {
                 eprintln!("unknown flag: {other}");
                 usage();
@@ -56,6 +60,10 @@ fn main() {
             }
             _ => ids.push(arg),
         }
+    }
+
+    if let Some(path) = snapshot_path {
+        std::process::exit(check_snapshot(&path));
     }
 
     let trace_work = check_path.is_some() || trace_path.is_some() || timeline_path.is_some();
@@ -125,4 +133,37 @@ fn main() {
             }
         }
     }
+}
+
+/// Rerun every artifact of the `--json` snapshot at `path` and compare it
+/// cell by cell, host-marked columns excepted. Prints each moved cell as
+/// `id/row/column: old → new` and a count per artifact; returns the exit
+/// code: 0 when nothing moved, 1 when a cell did, 2 when the snapshot is
+/// unreadable.
+fn check_snapshot(path: &str) -> i32 {
+    let content = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        std::process::exit(2);
+    });
+    let (mut moved, mut cells) = (0, 0);
+    for (n, line) in content.lines().enumerate() {
+        let old = Table::parse_json(line).unwrap_or_else(|e| {
+            eprintln!("{path}:{}: {e}", n + 1);
+            std::process::exit(2);
+        });
+        let Some(new) = experiments::run_experiment(&old.id) else {
+            eprintln!("{path}:{}: unknown experiment id: {}", n + 1, old.id);
+            std::process::exit(2);
+        };
+        let lines = moved_cells(&old, &new);
+        for l in &lines {
+            println!("{l}");
+        }
+        let total: usize = old.rows.iter().map(Vec::len).sum();
+        println!("{}: {} of {total} cells moved", old.id, lines.len());
+        moved += lines.len();
+        cells += total;
+    }
+    println!("{path}: {moved} of {cells} cells moved");
+    i32::from(moved > 0)
 }

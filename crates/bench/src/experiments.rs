@@ -827,6 +827,7 @@ pub fn capacity_backpressure() -> Table {
             "peak mailbox depth".into(),
         ],
     );
+    t.host_column("peak mailbox depth");
     let mut reference: Option<ic2mpi::RunReport<i64>> = None;
     for cap in [None, Some(16usize), Some(8), Some(4), Some(2)] {
         let mut world = chaos_world(plan());
@@ -1046,6 +1047,7 @@ pub fn tracing_overhead() -> Table {
             "negative clamps".into(),
         ],
     );
+    t.host_column("host ms");
     let mut run = |tracing: bool| {
         let mut cfg = w::static_cfg(8, 20).with_world(chaos_world(plan()));
         if tracing {
@@ -1177,6 +1179,7 @@ pub fn zero_copy_host_time() -> Table {
             "clones per alloc".into(),
         ],
     );
+    t.host_column("host ms");
     let mut scenario = |name: &str, f: &dyn Fn()| {
         reset_payload_metrics();
         let wall = std::time::Instant::now();

@@ -14,6 +14,9 @@ pub struct Table {
     pub header: Vec<String>,
     /// Data rows.
     pub rows: Vec<Vec<String>>,
+    /// Indices of the columns that read the host clock, or anything else
+    /// that varies run to run: [`moved_cells`] skips them.
+    pub host: Vec<usize>,
 }
 
 impl Table {
@@ -25,7 +28,15 @@ impl Table {
             expectation: expectation.to_string(),
             header,
             rows: Vec::new(),
+            host: Vec::new(),
         }
+    }
+
+    /// Mark the column headed `name` as host-dependent: its cells vary run
+    /// to run, so a snapshot check does not compare them.
+    pub fn host_column(&mut self, name: &str) {
+        let i = self.header.iter().position(|h| h == name);
+        self.host.push(i.expect("a host column names a header"));
     }
 
     /// Append one row.
@@ -63,9 +74,9 @@ impl Table {
     }
 
     /// Render as a JSON object (`{"id", "title", "expectation", "header",
-    /// "rows"}`) for machine consumption — the workspace builds offline,
-    /// so this is a small hand-rolled encoder rather than a serde
-    /// dependency.
+    /// "rows"}`, then `"host"` when a column is marked) for machine
+    /// consumption — the workspace builds offline, so this is a small
+    /// hand-rolled encoder rather than a serde dependency.
     pub fn render_json(&self) -> String {
         fn esc(s: &str) -> String {
             let mut out = String::with_capacity(s.len() + 2);
@@ -87,13 +98,19 @@ impl Table {
             format!("[{}]", quoted.join(","))
         }
         let rows: Vec<String> = self.rows.iter().map(|r| arr(r)).collect();
+        let host: Vec<String> = self.host.iter().map(usize::to_string).collect();
         format!(
-            "{{\"id\":\"{}\",\"title\":\"{}\",\"expectation\":\"{}\",\"header\":{},\"rows\":[{}]}}",
+            "{{\"id\":\"{}\",\"title\":\"{}\",\"expectation\":\"{}\",\"header\":{},\"rows\":[{}]{}}}",
             esc(&self.id),
             esc(&self.title),
             esc(&self.expectation),
             arr(&self.header),
-            rows.join(",")
+            rows.join(","),
+            if host.is_empty() {
+                String::new()
+            } else {
+                format!(",\"host\":[{}]", host.join(","))
+            }
         )
     }
 
@@ -117,6 +134,143 @@ impl Table {
         }
         out.push('\n');
         out
+    }
+
+    /// Parse one line of [`Table::render_json`]'s output.
+    pub fn parse_json(line: &str) -> Result<Table, String> {
+        let mut p = Parser {
+            s: line.as_bytes(),
+            i: 0,
+        };
+        let mut t = Table::new("", "", "", Vec::new());
+        p.eat(b'{')?;
+        loop {
+            let key = p.string()?;
+            p.eat(b':')?;
+            match key.as_str() {
+                "id" => t.id = p.string()?,
+                "title" => t.title = p.string()?,
+                "expectation" => t.expectation = p.string()?,
+                "header" => t.header = p.list(Parser::string)?,
+                "rows" => t.rows = p.list(|p| p.list(Parser::string))?,
+                "host" => t.host = p.list(Parser::index)?,
+                other => return Err(format!("unknown key {other:?}")),
+            }
+            if p.peek() != Some(b',') {
+                break;
+            }
+            p.i += 1;
+        }
+        p.eat(b'}')?;
+        match p.peek() {
+            None => Ok(t),
+            Some(_) => Err(format!("trailing bytes at {}", p.i)),
+        }
+    }
+}
+
+/// The cells of `new` that differ from `old`, as `id/row/column: old → new`,
+/// `row` being the row's first cell. Host-marked columns of either table are
+/// skipped; a changed header or row count is reported as one line.
+pub fn moved_cells(old: &Table, new: &Table) -> Vec<String> {
+    let id = &old.id;
+    if old.header != new.header {
+        return vec![format!("{id}/header: {:?} → {:?}", old.header, new.header)];
+    }
+    let mut moved = Vec::new();
+    for (old_row, new_row) in old.rows.iter().zip(&new.rows) {
+        for (c, (a, b)) in old_row.iter().zip(new_row).enumerate() {
+            if a != b && !old.host.contains(&c) && !new.host.contains(&c) {
+                let (row, column) = (&old_row[0], &old.header[c]);
+                moved.push(format!("{id}/{row}/{column}: {a} → {b}"));
+            }
+        }
+    }
+    if old.rows.len() != new.rows.len() {
+        let (a, b) = (old.rows.len(), new.rows.len());
+        moved.push(format!("{id}/rows: {a} → {b}"));
+    }
+    moved
+}
+
+/// A reader for the JSON that [`Table::render_json`] writes: objects,
+/// arrays, strings and unsigned integers, no whitespace.
+struct Parser<'a> {
+    s: &'a [u8],
+    i: usize,
+}
+
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.s.get(self.i).copied()
+    }
+
+    fn eat(&mut self, c: u8) -> Result<(), String> {
+        if self.peek() != Some(c) {
+            return Err(format!("expected '{}' at {}", c as char, self.i));
+        }
+        self.i += 1;
+        Ok(())
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.eat(b'"')?;
+        let mut out = Vec::new();
+        loop {
+            let c = self.peek().ok_or("unterminated string")?;
+            self.i += 1;
+            match c {
+                b'"' => return String::from_utf8(out).map_err(|e| e.to_string()),
+                b'\\' => {
+                    let e = self.peek().ok_or("unterminated escape")?;
+                    self.i += 1;
+                    let c = match e {
+                        b'n' => '\n',
+                        b't' => '\t',
+                        b'r' => '\r',
+                        b'u' => {
+                            let hex = self.s.get(self.i..self.i + 4).ok_or("short \\u")?;
+                            self.i += 4;
+                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                            char::from_u32(code).ok_or("bad \\u")?
+                        }
+                        other => other as char,
+                    };
+                    out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                }
+                c => out.push(c),
+            }
+        }
+    }
+
+    fn index(&mut self) -> Result<usize, String> {
+        let start = self.i;
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            self.i += 1;
+        }
+        let digits = std::str::from_utf8(&self.s[start..self.i]).map_err(|e| e.to_string())?;
+        digits
+            .parse()
+            .map_err(|_| format!("expected a number at {start}"))
+    }
+
+    fn list<T>(&mut self, item: fn(&mut Self) -> Result<T, String>) -> Result<Vec<T>, String> {
+        self.eat(b'[')?;
+        let mut out = Vec::new();
+        if self.peek() == Some(b']') {
+            self.i += 1;
+            return Ok(out);
+        }
+        loop {
+            out.push(item(self)?);
+            match self.peek() {
+                Some(b',') => self.i += 1,
+                _ => break,
+            }
+        }
+        self.eat(b']')?;
+        Ok(out)
     }
 }
 
@@ -170,6 +324,30 @@ mod tests {
              \"expectation\":\"line\\nbreak\",\"header\":[\"a\",\"b\"],\
              \"rows\":[[\"1\",\"x\\\\y\"]]}"
         );
+    }
+
+    #[test]
+    fn json_parses_back_and_host_columns_are_skipped() {
+        let mut old = Table::new(
+            "t2",
+            "a \"quoted\"\ttitle \u{1}",
+            "line\nbreak — dash",
+            vec!["row".into(), "host ms".into(), "cut".into()],
+        );
+        old.host_column("host ms");
+        old.row(vec!["p=2".into(), "1.5".into(), "x\\y".into()]);
+        old.row(vec!["p=4".into(), "2.5".into(), "7".into()]);
+        let parsed = Table::parse_json(&old.render_json()).expect("parses");
+        assert_eq!(parsed.render_json(), old.render_json());
+        assert_eq!(parsed.host, vec![1]);
+        assert!(moved_cells(&old, &parsed).is_empty());
+        let mut new = parsed.clone();
+        new.rows[0][1] = "9.9".into();
+        new.rows[1][2] = "8".into();
+        assert_eq!(moved_cells(&old, &new), vec!["t2/p=4/cut: 7 → 8"]);
+        new.rows.pop();
+        assert_eq!(moved_cells(&old, &new), vec!["t2/rows: 2 → 1"]);
+        assert!(Table::parse_json("{\"id\":\"t\"} x").is_err());
     }
 
     #[test]

@@ -166,6 +166,11 @@ type DiffPage<D> = (u32, u32, Vec<(u32, D)>);
 /// still ships so they are dropped.
 type PageDiffImage<D> = (bool, Vec<DiffPage<D>>);
 
+/// What a rollback attempt restores on this rank before the agreement
+/// round: the entries it owns under the post-adoption owner map, or `None`
+/// for iteration-0 state, which is rebuilt locally.
+type Staged<D> = Option<Vec<(u32, D)>>;
+
 /// The image of `pages` (ascending) of `table`, cut out of its ascending
 /// snapshot `mine`.
 fn page_diff<D: Clone>(
@@ -560,7 +565,7 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
     /// inter-checkpoint window — the one failure mode replication cannot
     /// cover.
     pub(crate) fn roll_back(&mut self) -> Result<(), CtlVerdict> {
-        let (rank, graph, program, cfg) = (self.rank, self.graph, self.program, self.cfg);
+        let (rank, graph, cfg) = (self.rank, self.graph, self.cfg);
         let me = rank.rank() as u32;
         let nprocs = cfg.nprocs;
         // Strike counter for page damage discovered while re-mirroring: the
@@ -639,24 +644,13 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
                 Arc::make_mut(&mut owner)[v as usize] = t;
             }
 
-            // 3. Restore node data under the post-adoption ownership.
-            let store = &mut self.store;
-            let restore = (|| -> Result<(), Died> {
+            // 3. Gather the node data this rank owns under the post-adoption
+            //    ownership (`None`: iteration-0 state, rebuilt locally). The
+            //    store is not touched until step 4 agrees every restore
+            //    completed.
+            let staged = (|| -> Result<Staged<P::Data>, Died> {
                 if ckpt.genesis {
-                    // Iteration-0 state is reconstructible locally. The pager
-                    // — and its virtual disk, whose operation counter salts
-                    // every fault decision — survives the rebuild: replay must
-                    // make *fresh* disk-fault decisions, or a rot-prone run
-                    // would re-damage itself identically forever.
-                    let part = Partition::from_shared(Arc::clone(&owner), nprocs);
-                    let pager = store.pager.take();
-                    *store = NodeStore::build(graph, &part, me, program, cfg.hash_buckets);
-                    store.pager = pager;
-                    if let Some(p) = store.pager.as_mut() {
-                        p.reset_after_restore();
-                    }
-                    rank.advance(cfg.costs.init_per_node * store.stored_count() as f64);
-                    return Ok(());
+                    return Ok(None);
                 }
                 // Rescue first: a rank whose own copy rotted replaces its
                 // entries base wholesale with an intact replica shipped from
@@ -727,58 +721,34 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
                         entries.extend(package);
                     }
                 }
-                // Installing the owner map rebuilds the replicated directory;
-                // restore() keeps only what this rank needs under it.
-                store.restore(graph, Arc::clone(&owner), entries);
-                // The rebuilt table is wholly in RAM: re-point the pager at it
-                // (fresh pool, purged disk, damage latch cleared) so paging
-                // resumes from a verified state.
-                if let Some(p) = store.pager.as_mut() {
-                    p.reset_after_restore();
-                }
-                Ok(())
+                Ok(Some(entries))
             })();
-            if restore.is_ok() {
-                // 4. Rewind the replicated bookkeeping. Crashes are permanent,
-                //    so the death log only grows.
-                self.counters = ckpt.counters.clone();
-                for r in (0..nprocs as u32).filter(|&r| crashed[r as usize]) {
-                    if !self.ranks_died.contains(&r) {
-                        self.ranks_died.push(r);
-                    }
-                }
-                self.balancer.restore_state(&ckpt.balancer_state);
-                // The restore replaced the table wholesale: re-seed the
-                // maintained digests from the restored values (charged like
-                // any digest pass).
-                if cfg.audit_every.is_some() {
-                    store.enable_audit();
-                    rank.advance(cfg.costs.audit_per_entry * store.stored_count() as f64);
-                }
-                // Digest re-seed done (it needs the whole table resident):
-                // spill the restored pages back down to budget and charge the
-                // I/O before the agreement round below.
-                store.bulk_end_clean();
-                exchange::drain_storage(rank, store, &mut self.timers);
-                self.validate("post-recovery");
-            }
 
-            // 5. Agree the restore completed without further deaths. Every
+            // 4. Agree the restore completed without further deaths. Every
             //    rank arrives here even when its own restore aborted (a buddy
             //    holder died mid-shipment, or sits across a cut): skipping the
             //    exchange would leave the survivors' collective counts
             //    misaligned and deadlock the next protocol step. The flag
             //    carries the failure, so everyone goes back around together.
             let verdict = rank.ctl_exchange(CtlSlot {
-                flag: restore.is_err(),
+                flag: staged.is_err(),
                 ..CtlSlot::default()
             });
+            let suspected = self.plane.membership() && verdict.any_suspected();
+            let agreed =
+                !suspected && !any_flag(&verdict) && !has_new_crash(&verdict, &self.crashed);
+            // 5. Install only an agreed restore: a rank that installed while a
+            //    peer's restore failed across a cut would go degraded on a
+            //    different owner map than that peer.
+            if let (true, Ok(entries)) = (agreed, staged) {
+                self.install(owner, entries);
+            }
             self.timers.add(Phase::Recovery, rank.wtime() - t0);
             rank.trace_span("Recovery", "phase", t0, &[]);
-            if self.plane.membership() && verdict.any_suspected() {
+            if suspected {
                 return Err(verdict);
             }
-            if any_flag(&verdict) || has_new_crash(&verdict, &self.crashed) {
+            if !agreed {
                 continue 'attempt;
             }
             // Each completed self-rescue is a repair the platform performed
@@ -823,6 +793,58 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
                 }
             }
         }
+    }
+
+    /// Install an agreed restore: the store under the post-adoption `owner`
+    /// map holding `entries` (`None`: iteration-0 state), then the
+    /// checkpoint's replicated bookkeeping.
+    fn install(&mut self, owner: Arc<Vec<u32>>, entries: Staged<P::Data>) {
+        let (rank, graph, cfg) = (self.rank, self.graph, self.cfg);
+        let store = &mut self.store;
+        match entries {
+            None => {
+                // Iteration-0 state is reconstructible locally. The pager —
+                // and its virtual disk, whose operation counter salts every
+                // fault decision — survives the rebuild: replay must make
+                // *fresh* disk-fault decisions, or a rot-prone run would
+                // re-damage itself identically forever.
+                let part = Partition::from_shared(Arc::clone(&owner), cfg.nprocs);
+                let pager = store.pager.take();
+                let me = rank.rank() as u32;
+                *store = NodeStore::build(graph, &part, me, self.program, cfg.hash_buckets);
+                store.pager = pager;
+                rank.advance(cfg.costs.init_per_node * store.stored_count() as f64);
+            }
+            // Installing the owner map rebuilds the replicated directory;
+            // restore() keeps only what this rank needs under it.
+            Some(entries) => store.restore(graph, owner, entries),
+        }
+        // The rebuilt table is wholly in RAM: re-point the pager at it (fresh
+        // pool, purged disk, damage latch cleared) so paging resumes from a
+        // verified state.
+        if let Some(p) = store.pager.as_mut() {
+            p.reset_after_restore();
+        }
+        // Rewind the replicated bookkeeping. Crashes are permanent, so the
+        // death log only grows.
+        self.counters = self.ckpt.counters.clone();
+        for r in (0..cfg.nprocs as u32).filter(|&r| self.crashed[r as usize]) {
+            if !self.ranks_died.contains(&r) {
+                self.ranks_died.push(r);
+            }
+        }
+        self.balancer.restore_state(&self.ckpt.balancer_state);
+        // The restore replaced the table wholesale: re-seed the maintained
+        // digests from the restored values (charged like any digest pass).
+        if cfg.audit_every.is_some() {
+            store.enable_audit();
+            rank.advance(cfg.costs.audit_per_entry * store.stored_count() as f64);
+        }
+        // Digest re-seed done (it needs the whole table resident): spill the
+        // restored pages back down to budget and charge the I/O.
+        store.bulk_end_clean();
+        exchange::drain_storage(rank, store, &mut self.timers);
+        self.validate("post-recovery");
     }
 
     /// Verify every ward against its staging-time checksums and return the

@@ -52,8 +52,12 @@ use std::collections::BTreeSet;
 /// Checksum domain for page blobs (distinct from every wire/audit seed).
 const PAGE_SEED: u64 = 0x8cb9_2ba7_2f3d_8dd7;
 
-/// Bounded-retry limit for one logical disk operation (per slot).
-const MAX_IO_RETRIES: u32 = 5;
+/// Bounded-retry limit for one logical disk operation (per slot). At a
+/// 30 % transient error rate, 6 rounds let about one page write in 1 400
+/// fail every round, often enough that three recovery rounds in a row could
+/// each lose one and end a run that saw only transient errors as
+/// `UnrecoverableState`; 12 make it one in about 1.9 M.
+const MAX_IO_RETRIES: u32 = 11;
 
 /// The buffer pool's page-replacement policy. SIEVE is the only one, as
 /// it is what every workload runs; the type stays, with its one variant,

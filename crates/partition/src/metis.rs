@@ -3,12 +3,13 @@
 //! Structure follows the classic multilevel recipe the thesis relies on:
 //!
 //! 1. **Coarsening** — heavy-edge matching contracts the graph until it is
-//!    small;
+//!    small, or until a level keeps more than 85 % of its nodes (Metis's
+//!    `COARSEN_FRACTION`; a star merges one leaf a level);
 //! 2. **Initial partitioning** — greedy graph-growing bisection from
 //!    several seeds, best cut kept;
 //! 3. **Uncoarsening** — the bisection is projected back level by level
-//!    and refined at each level by Fiduccia–Mattheyses passes in which
-//!    every vertex may move once, rolled back to the best prefix;
+//!    and refined at each level by boundary Fiduccia–Mattheyses passes,
+//!    rolled back to the best prefix;
 //! 4. k-way partitions come from recursive bisection with proportional
 //!    weight targets, finished by a greedy k-way boundary refinement pass.
 //!
@@ -17,17 +18,27 @@
 //! # Exactness
 //!
 //! The partition is a function of the graph, `k` and the four fields of
-//! [`Metis`], and the kernels below are tuned without changing it by a
-//! bit: contraction writes the same CSR a sorted edge list would build,
-//! and each FM step moves the vertex a full scan for the best feasible
-//! `(gain, Reverse(v))` would pick. `tests/pinned.rs` holds the hashes
-//! that prove it.
+//! [`Metis`]; `tests/pinned.rs` holds its hashes. Each kernel is checked
+//! against a plain reference under `#[cfg(test)]`: contraction against a
+//! `HashMap` of coarse edges, FM against a scan that moves the best
+//! feasible `(gain, Reverse(v))` among the queued vertices.
 //!
-//! That contract bounds the speed-up. About 96 % of the moves an FM pass
-//! makes on a hex grid are rolled back, yet each decides which vertex moves
-//! next, so every one must still be made. Refining only boundary vertices,
-//! or stopping a pass early, would be faster and would change partitions:
-//! such a change is declared, with new hashes, not slipped in.
+//! FM starts from the boundary, as Metis does: a pass queues the vertices
+//! with an edge to the other side, a vertex joins when a neighbour's move
+//! gives it one, and a pass stops after `max(15, n/100)` moves that bring
+//! no new best prefix. Unlike Metis's `FM_2WayCutRefine`, which dequeues a
+//! vertex whose last edge to the other side goes away, a vertex stays
+//! queued for the rest of the pass once it joins, so an interior vertex can
+//! still be picked as a negative-gain move. That is not output-preserving. The full-graph FM it
+//! replaced moved every vertex once a pass and rolled most of the moves
+//! back, yet each of those moves decided which vertex moved next; boundary
+//! FM never makes the interior moves nor the tail past its early exit, so
+//! it ends on other sides. Coarse vertices are numbered in fine-id order,
+//! as Metis numbers its coarse map, so every level keeps the fine graph's
+//! locality. The hashes were regenerated once for both changes, and
+//! `tests/pinned.rs` also holds each case's cut and heaviest part from
+//! before them as a floor: a later speed-up cannot trade the cut for time
+//! unnoticed.
 
 use crate::StaticPartitioner;
 use ic2_graph::{Graph, NodeId, Partition};
@@ -121,11 +132,20 @@ impl Metis {
         // (when enough nodes exist), or downstream parts end up empty.
         let ml = k_left.min(nodes.len());
         let mr = (k - k_left).min(nodes.len() - ml);
-        let sub = induce(graph, nodes);
-        let mut side = self.bisect(&sub, frac, eps, ml, mr, rng, fm);
-        meet_floors(&sub, &mut side, ml, mr);
-        // The halves induce their own subgraphs; free this one first.
-        drop(sub);
+        // The whole graph is its own induced subgraph, not copied; any other
+        // is freed at the end of the block, before the halves induce theirs.
+        let side = {
+            let induced;
+            let sub = if nodes.len() == graph.num_nodes() {
+                graph
+            } else {
+                induced = induce(graph, nodes);
+                &induced
+            };
+            let mut side = self.bisect(sub, frac, eps, ml, mr, rng, fm);
+            meet_floors(sub, &mut side, ml, mr);
+            side
+        };
         let mut left = Vec::new();
         let mut right = Vec::new();
         for (&v, &s) in nodes.iter().zip(&side) {
@@ -175,8 +195,8 @@ impl Metis {
             // Coarsen one level and recurse. Node-count floors only bind on
             // tiny graphs, so the coarse level just needs feasible values.
             let (coarse, map) = coarsen(graph, rng);
-            if coarse.num_nodes() < n {
-                let cn = coarse.num_nodes();
+            let cn = coarse.num_nodes();
+            if cn * 20 <= n * 17 {
                 let cml = ml.min(cn / 2);
                 let cmr = mr.min(cn - cml);
                 let coarse_side = self.bisect(&coarse, frac, eps, cml, cmr, rng, fm);
@@ -184,8 +204,9 @@ impl Metis {
                 fm_refine(graph, &mut side, frac, eps, ml, mr, fm);
                 return side;
             }
-            // Matching failed to shrink the graph (e.g. star graphs);
-            // fall through to direct initial partitioning.
+            // Matching kept more than 85 % of the nodes (a star merges one
+            // leaf a level, and would recurse about n levels deep); fall
+            // through to direct initial partitioning.
         }
         let mut best: Option<(i64, f64, Vec<bool>)> = None;
         for _ in 0..self.init_tries.max(1) {
@@ -380,6 +401,9 @@ fn induce(graph: &Graph, nodes: &[NodeId]) -> Graph {
 /// One level of heavy-edge matching coarsening. Returns the coarse graph
 /// and the fine-to-coarse vertex map.
 ///
+/// Matching visits the vertices in shuffled order; coarse vertices are then
+/// numbered in the order of their lowest fine id, as Metis numbers its
+/// coarse map, so a coarse level keeps the fine graph's locality.
 /// Contraction writes CSR directly, as Metis does: coarse vertex `c`'s run
 /// merges the neighbour runs of its one or two members through `slot`, a
 /// per-coarse-vertex marker holding a neighbour's position in the run, and
@@ -389,10 +413,6 @@ fn coarsen(graph: &Graph, rng: &mut SplitMix64) -> (Graph, Vec<u32>) {
     let mut order: Vec<NodeId> = graph.nodes().collect();
     rng.shuffle(&mut order);
     let mut matched = vec![u32::MAX; n];
-    let mut coarse_id = vec![u32::MAX; n];
-    // The vertex whose visit created each coarse vertex; its mate, if any,
-    // is `matched[founder]`.
-    let mut founders: Vec<NodeId> = Vec::new();
     for &v in &order {
         if matched[v as usize] != u32::MAX {
             continue;
@@ -406,26 +426,32 @@ fn coarsen(graph: &Graph, rng: &mut SplitMix64) -> (Graph, Vec<u32>) {
                 best = Some((ew, w));
             }
         }
-        let c = founders.len() as u32;
         let mate = best.map_or(v, |(_, w)| w);
         matched[v as usize] = mate;
         matched[mate as usize] = v;
-        coarse_id[v as usize] = c;
-        coarse_id[mate as usize] = c;
-        founders.push(v);
     }
-    let cn = founders.len();
+    // A coarse vertex's founder is its lower fine id.
+    let founder = |v: NodeId| matched[v as usize] >= v;
+    let mut coarse_id = vec![u32::MAX; n];
+    let mut cn = 0;
+    for v in graph.nodes().filter(|&v| founder(v)) {
+        coarse_id[v as usize] = cn;
+        coarse_id[matched[v as usize] as usize] = cn;
+        cn += 1;
+    }
+    let cn = cn as usize;
     let mut xadj = Vec::with_capacity(cn + 1);
     xadj.push(0);
-    // At most the fine adjacency survives contraction; the excess is
-    // returned below.
-    let fine_len = 2 * graph.num_edges();
-    let mut adj = Vec::with_capacity(fine_len);
-    let mut ewgt = Vec::with_capacity(fine_len);
+    // At most the fine adjacency survives contraction, less the two entries
+    // of each matched edge; the excess is returned below.
+    let bound = 2 * graph.num_edges() - 2 * (n - cn);
+    let mut adj = Vec::with_capacity(bound);
+    let mut ewgt = Vec::with_capacity(bound);
     let mut vwgt = Vec::with_capacity(cn);
     let mut slot = vec![u32::MAX; cn];
     let mut run: Vec<(u32, i64)> = Vec::new();
-    for (c, &v) in founders.iter().enumerate() {
+    for v in graph.nodes().filter(|&v| founder(v)) {
+        let c = coarse_id[v as usize];
         let mate = matched[v as usize];
         let members = [v, mate];
         let members = if mate == v {
@@ -438,7 +464,7 @@ fn coarsen(graph: &Graph, rng: &mut SplitMix64) -> (Graph, Vec<u32>) {
             weight += graph.vertex_weight(u);
             for (&w, &ew) in graph.neighbors(u).iter().zip(graph.edge_weights(u)) {
                 let cw = coarse_id[w as usize];
-                if cw as usize == c {
+                if cw == c {
                     continue;
                 }
                 match slot[cw as usize] {
@@ -540,247 +566,16 @@ fn balance_deviation(graph: &Graph, side: &[bool], frac: f64) -> f64 {
     (left as f64 - total * frac).abs()
 }
 
-/// FM's queues and move log, allocated once per [`Metis::partition`] call
-/// and reused by every level and initial try; [`fm_refine`] picks a queue
-/// per call.
+/// FM's state, allocated once per [`Metis::partition`] call and reused by
+/// every level and initial try; [`fm_refine`] picks a heap key per call.
 #[derive(Default)]
 struct FmQueues {
-    buckets: GainBuckets,
     packed: GainHeaps<u64>,
     wide: GainHeaps<(i64, Reverse<NodeId>)>,
+    /// Every vertex's gain, queued or not, kept through each neighbour's
+    /// move so that a vertex joins the queue at its true gain.
+    gains: Vec<i64>,
     history: Vec<NodeId>,
-}
-
-/// FM's move queue: each side's unlocked vertices, keyed `(gain, Reverse(v))`.
-trait MoveQueue {
-    /// Refill with every vertex `v`, on side `side[v]`, at its gain.
-    fn fill(&mut self, side: &[bool], gains: impl Iterator<Item = i64>);
-    /// Take `v` (on side `s`) out of the queue and lock it.
-    fn lock(&mut self, s: usize, v: NodeId);
-    /// Change the gain of `v` (on side `s`) by `delta`, if it is unlocked.
-    fn add_gain(&mut self, s: usize, v: NodeId, delta: i64);
-    /// The maximum key among the vertices `v` of the sides `s` that `open`
-    /// admits with `fits(s, v)`, as `(gain, s, v)`. `fits` is asked in key
-    /// order, so the first vertex it admits is the one picked.
-    fn pick(
-        &mut self,
-        open: [bool; 2],
-        fits: impl Fn(usize, NodeId) -> bool,
-    ) -> Option<(i64, usize, NodeId)>;
-}
-
-/// [`GainBuckets::bucket`] of a vertex that has moved this pass.
-const LOCKED_BUCKET: u8 = u8::MAX;
-
-/// FM's move queue as gain buckets, as Fiduccia and Mattheyses and Metis
-/// keep it: for each side and each gain in `[-max_gain, max_gain]`, the set
-/// of unlocked vertices at that gain, as an id-ordered bitset with 64-ary
-/// summary levels above it (a summary bit is set while its word below is
-/// non-zero). A side's maximum key is the lowest id in its highest non-empty
-/// bucket; the index of that bucket is raised on insert and lowered lazily
-/// on pick. A move is O(1) per neighbour instead of a heap sift.
-#[derive(Default)]
-struct GainBuckets {
-    max_gain: i64,
-    /// Buckets per side, `2 * max_gain + 1`.
-    width: usize,
-    /// `(offset, words)` of each level within a bucket: the ids first, the
-    /// one-word summary last.
-    levels: Vec<(usize, usize)>,
-    /// Words per bucket.
-    stride: usize,
-    /// Bucket `b` of side `s` is `words[(s * width + b) * stride..][..stride]`.
-    words: Vec<u64>,
-    /// Each vertex's bucket, `gain + max_gain`, or [`LOCKED_BUCKET`].
-    bucket: Vec<u8>,
-    /// A bound on each side's highest non-empty bucket.
-    top: [usize; 2],
-}
-
-impl GainBuckets {
-    /// The levels of a bitset over `n` ids and its words in total.
-    fn layout(n: usize) -> (Vec<(usize, usize)>, usize) {
-        let mut levels = Vec::new();
-        let (mut offset, mut len) = (0, n.div_ceil(64).max(1));
-        loop {
-            levels.push((offset, len));
-            offset += len;
-            if len == 1 {
-                return (levels, offset);
-            }
-            len = len.div_ceil(64);
-        }
-    }
-
-    /// Whether buckets for gains in `[-max_gain, max_gain]` over `n`
-    /// vertices take no more bytes than the packed heaps they stand in for:
-    /// a `u64` key and a `u32` position a vertex.
-    fn fit(n: usize, max_gain: i64) -> bool {
-        // Bucket indices must stay below `LOCKED_BUCKET`.
-        if max_gain > 127 {
-            return false;
-        }
-        let width = 2 * max_gain as usize + 1;
-        2 * width * Self::layout(n).1 * 8 + n <= n * 12
-    }
-
-    /// Size for `n` vertices whose gains stay within `[-max_gain, max_gain]`.
-    fn reset(&mut self, n: usize, max_gain: i64) {
-        self.max_gain = max_gain;
-        self.width = 2 * max_gain as usize + 1;
-        (self.levels, self.stride) = Self::layout(n);
-    }
-
-    fn base(&self, s: usize, b: usize) -> usize {
-        (s * self.width + b) * self.stride
-    }
-
-    fn insert(&mut self, s: usize, b: usize, v: NodeId) {
-        self.bucket[v as usize] = b as u8;
-        self.top[s] = self.top[s].max(b);
-        let base = self.base(s, b);
-        let mut i = v as usize;
-        for &(offset, _) in &self.levels {
-            let word = &mut self.words[base + offset + i / 64];
-            let was = *word;
-            *word |= 1 << (i % 64);
-            if was != 0 {
-                break;
-            }
-            i /= 64;
-        }
-    }
-
-    fn remove(&mut self, s: usize, b: usize, v: NodeId) {
-        let base = self.base(s, b);
-        let mut i = v as usize;
-        for &(offset, _) in &self.levels {
-            let word = &mut self.words[base + offset + i / 64];
-            *word &= !(1 << (i % 64));
-            if *word != 0 {
-                break;
-            }
-            i /= 64;
-        }
-    }
-
-    /// The one-word summary of bucket `b` of side `s`: zero iff it is empty.
-    fn summary(&self, s: usize, b: usize) -> u64 {
-        self.words[self.base(s, b) + self.stride - 1]
-    }
-
-    /// Side `s`'s highest non-empty bucket, lowering the bound to it.
-    fn top(&mut self, s: usize) -> Option<usize> {
-        loop {
-            let b = self.top[s];
-            if self.summary(s, b) != 0 {
-                return Some(b);
-            }
-            if b == 0 {
-                return None;
-            }
-            self.top[s] = b - 1;
-        }
-    }
-
-    /// The lowest id under bit `i` of `level` in the bucket at `base`.
-    fn descend(&self, base: usize, mut level: usize, mut i: usize) -> usize {
-        while level > 0 {
-            level -= 1;
-            let (offset, _) = self.levels[level];
-            i = i * 64 + self.words[base + offset + i].trailing_zeros() as usize;
-        }
-        i
-    }
-
-    /// The lowest id in bucket `b` of side `s`, if any.
-    fn first(&self, s: usize, b: usize) -> Option<NodeId> {
-        let summary = self.summary(s, b);
-        let top = self.levels.len() - 1;
-        (summary != 0).then(|| {
-            self.descend(self.base(s, b), top, summary.trailing_zeros() as usize) as NodeId
-        })
-    }
-
-    /// The lowest id above `v` in bucket `b` of side `s`, if any.
-    fn after(&self, s: usize, b: usize, v: NodeId) -> Option<NodeId> {
-        let base = self.base(s, b);
-        // Climb until a word holds a set bit at or after position `i`.
-        let mut i = v as usize + 1;
-        for (level, &(offset, len)) in self.levels.iter().enumerate() {
-            if i / 64 >= len {
-                return None;
-            }
-            let word = self.words[base + offset + i / 64] & u64::MAX << (i % 64);
-            if word != 0 {
-                let i = i / 64 * 64 + word.trailing_zeros() as usize;
-                return Some(self.descend(base, level, i) as NodeId);
-            }
-            i = i / 64 + 1;
-        }
-        None
-    }
-}
-
-impl MoveQueue for GainBuckets {
-    fn fill(&mut self, side: &[bool], gains: impl Iterator<Item = i64>) {
-        self.words.clear();
-        self.words.resize(2 * self.width * self.stride, 0);
-        self.top = [0, 0];
-        self.bucket.clear();
-        self.bucket.resize(side.len(), LOCKED_BUCKET);
-        for (v, g) in gains.enumerate() {
-            let b = (g + self.max_gain) as usize;
-            self.insert(side[v] as usize, b, v as NodeId);
-        }
-    }
-
-    fn lock(&mut self, s: usize, v: NodeId) {
-        let b = self.bucket[v as usize];
-        self.bucket[v as usize] = LOCKED_BUCKET;
-        self.remove(s, b as usize, v);
-    }
-
-    fn add_gain(&mut self, s: usize, v: NodeId, delta: i64) {
-        let b = self.bucket[v as usize];
-        if b == LOCKED_BUCKET {
-            return;
-        }
-        // A gain never leaves `[-wdeg(v), wdeg(v)]`.
-        let to = (i64::from(b) + delta) as usize;
-        debug_assert!(to < self.width);
-        self.remove(s, b as usize, v);
-        self.insert(s, to, v);
-    }
-
-    /// Buckets from the top down; within one, both sides' ids in ascending
-    /// order, merged.
-    fn pick(
-        &mut self,
-        open: [bool; 2],
-        fits: impl Fn(usize, NodeId) -> bool,
-    ) -> Option<(i64, usize, NodeId)> {
-        let tops = [0, 1].map(|s| if open[s] { self.top(s) } else { None });
-        let high = tops.into_iter().flatten().max()?;
-        for b in (0..=high).rev() {
-            let mut next =
-                [0, 1].map(|s| tops[s].filter(|&t| t >= b).and_then(|_| self.first(s, b)));
-            loop {
-                let s = match next {
-                    [Some(l), Some(r)] => usize::from(r < l),
-                    [Some(_), None] => 0,
-                    [None, Some(_)] => 1,
-                    [None, None] => break,
-                };
-                let v = next[s]?;
-                if fits(s, v) {
-                    return Some((b as i64 - self.max_gain, s, v));
-                }
-                next[s] = self.after(s, b, v);
-            }
-        }
-        None
-    }
 }
 
 /// A heap priority: higher gain first, then the lower vertex id. Both
@@ -824,21 +619,34 @@ const ARITY: usize = 4;
 /// `GainHeaps::pos` of a vertex that has moved this pass.
 const LOCKED: u32 = u32::MAX;
 
-/// FM's move queue for gains too wide for [`GainBuckets`]: for each side,
-/// an addressable `ARITY`-ary max-heap holding one entry per unlocked
-/// vertex, its key stored inline so a compare reads no gain table.
+/// `GainHeaps::pos` of an unmoved vertex not queued: it has had no edge to
+/// the other side this pass.
+const ABSENT: u32 = u32::MAX - 1;
+
+/// FM's move queue: for each side, an addressable `ARITY`-ary max-heap
+/// holding one entry per queued vertex, its key stored inline so a compare
+/// reads no gain table.
 #[derive(Default)]
 struct GainHeaps<K> {
     /// `heaps[1]` holds the left side (`side[v] == true`), `heaps[0]` the
     /// right.
     heaps: [Vec<K>; 2],
-    /// `v`'s index in its side's heap, or [`LOCKED`].
+    /// `v`'s index in its side's heap, or [`LOCKED`] or [`ABSENT`].
     pos: Vec<u32>,
-    /// [`MoveQueue::pick`]'s best-first frontier: `(key, side, index)`.
+    /// [`GainHeaps::pick`]'s best-first frontier: `(key, side, index)`.
     frontier: BinaryHeap<(K, usize, usize)>,
 }
 
 impl<K: Key> GainHeaps<K> {
+    /// Empty both heaps and mark all `n` vertices absent.
+    fn clear(&mut self, n: usize) {
+        for heap in &mut self.heaps {
+            heap.clear();
+        }
+        self.pos.clear();
+        self.pos.resize(n, ABSENT);
+    }
+
     fn place(&mut self, s: usize, i: usize, key: K) {
         self.heaps[s][i] = key;
         self.pos[key.vertex() as usize] = i as u32;
@@ -882,26 +690,15 @@ impl<K: Key> GainHeaps<K> {
         }
         self.place(s, i, key);
     }
-}
 
-impl<K: Key> MoveQueue for GainHeaps<K> {
-    fn fill(&mut self, side: &[bool], gains: impl Iterator<Item = i64>) {
-        for heap in &mut self.heaps {
-            heap.clear();
-        }
-        self.pos.clear();
-        for (v, g) in gains.enumerate() {
-            let heap = &mut self.heaps[side[v] as usize];
-            self.pos.push(heap.len() as u32);
-            heap.push(K::new(g, v as NodeId));
-        }
-        for s in 0..2 {
-            for i in (0..self.heaps[s].len().div_ceil(ARITY)).rev() {
-                self.sift_down(s, i);
-            }
-        }
+    /// Queue `v`, on side `s`, at `gain`.
+    fn insert(&mut self, s: usize, v: NodeId, gain: i64) {
+        let i = self.heaps[s].len();
+        self.heaps[s].push(K::new(gain, v));
+        self.sift_up(s, i);
     }
 
+    /// Take `v` (on side `s`) out of the queue and lock it.
     fn lock(&mut self, s: usize, v: NodeId) {
         let i = self.pos[v as usize] as usize;
         self.pos[v as usize] = LOCKED;
@@ -913,23 +710,33 @@ impl<K: Key> MoveQueue for GainHeaps<K> {
         }
     }
 
-    fn add_gain(&mut self, s: usize, v: NodeId, delta: i64) {
-        let i = self.pos[v as usize];
-        if i == LOCKED {
-            return;
-        }
-        let i = i as usize;
-        let key = self.heaps[s][i];
-        self.heaps[s][i] = K::new(key.gain() + delta, v);
-        if delta > 0 {
-            self.sift_up(s, i);
-        } else {
-            self.sift_down(s, i);
+    /// `v`'s gain (on side `s`) is now `gain`: re-key it if queued, and
+    /// queue it if it is unlocked and now on the `boundary`.
+    fn update(&mut self, s: usize, v: NodeId, gain: i64, boundary: bool) {
+        match self.pos[v as usize] {
+            LOCKED => {}
+            ABSENT => {
+                if boundary {
+                    self.insert(s, v, gain);
+                }
+            }
+            i => {
+                let i = i as usize;
+                let up = gain > self.heaps[s][i].gain();
+                self.heaps[s][i] = K::new(gain, v);
+                if up {
+                    self.sift_up(s, i);
+                } else {
+                    self.sift_down(s, i);
+                }
+            }
         }
     }
 
-    /// Best-first down both heap trees, without disturbing them: entries
-    /// come out in key order.
+    /// The maximum key among the queued vertices `v` of the sides `s` that
+    /// `open` admits with `fits(s, v)`, as `(gain, s, v)`: best-first down
+    /// both heap trees, without disturbing them, so `fits` is asked in key
+    /// order and the first vertex it admits is the one picked.
     fn pick(
         &mut self,
         open: [bool; 2],
@@ -954,22 +761,25 @@ impl<K: Key> MoveQueue for GainHeaps<K> {
     }
 }
 
-/// Fiduccia–Mattheyses 2-way refinement. Each pass moves every vertex at
-/// most once, always the best-gain movable one, then rolls back to the best
-/// prefix of its moves; passes repeat (at most 8) while a prefix improves.
-/// Moves must keep the left side's node count in `[ml, n - mr]` and its
-/// weight within the balance window — or strictly improve the weight
-/// deviation (so a skewed starting point can be repaired).
+/// Boundary Fiduccia–Mattheyses 2-way refinement. A pass queues the
+/// vertices with an edge to the other side; a vertex joins when a
+/// neighbour's move gives it one and stays queued for the rest of the pass
+/// even if a later move leaves it interior (Metis dequeues it then). It
+/// moves each queued vertex at most
+/// once, always the best-gain movable one, stops after
+/// `max(15, n/100)` moves without a new best prefix, and rolls back to the
+/// best prefix; passes repeat (at most 8) while a prefix improves. Moves
+/// must keep the left side's node count in `[ml, n - mr]` and its weight
+/// within the balance window — or strictly improve the weight deviation (so
+/// a skewed starting point can be repaired).
 ///
-/// The next mover is the maximum `(gain, Reverse(v))` among movable
-/// vertices: the vertex a full scan would pick. Each side's unlocked
-/// vertices wait in a [`MoveQueue`], chosen here from the maximum weighted
-/// degree, which bounds every gain: [`GainBuckets`] wherever they take no
-/// more memory than the heaps, else [`GainHeaps`] with packed keys, or with
-/// pair keys for gains beyond `i32`. Feasibility depends on a vertex only
-/// through its side and weight: where all weights are equal, one test per
-/// side decides it and a blocked side is skipped whole; otherwise the queue
-/// offers both sides' vertices in key order until one passes.
+/// The next mover is the maximum `(gain, Reverse(v))` among movable queued
+/// vertices. Each side's queue is a [`GainHeaps`] with packed keys, or with
+/// pair keys where the maximum weighted degree, which bounds every gain,
+/// passes `i32`. Feasibility depends on a vertex only through its side and
+/// weight: where all weights are equal, one test per side decides it and a
+/// blocked side is skipped whole; otherwise the heaps offer both sides'
+/// vertices in key order until one passes.
 fn fm_refine(
     graph: &Graph,
     side: &mut [bool],
@@ -979,24 +789,19 @@ fn fm_refine(
     mr: usize,
     queues: &mut FmQueues,
 ) {
-    let n = graph.num_nodes();
-    if n < 2 {
+    if graph.num_nodes() < 2 {
         return;
     }
-    let max_wdeg = max_weighted_degree(graph);
     let FmQueues {
-        buckets,
         packed,
         wide,
+        gains,
         history,
     } = queues;
-    if GainBuckets::fit(n, max_wdeg) {
-        buckets.reset(n, max_wdeg);
-        fm_passes(graph, side, frac, eps, ml, mr, buckets, history);
-    } else if max_wdeg <= i64::from(i32::MAX) {
-        fm_passes(graph, side, frac, eps, ml, mr, packed, history);
+    if max_weighted_degree(graph) <= i64::from(i32::MAX) {
+        fm_passes(graph, side, frac, eps, ml, mr, packed, gains, history);
     } else {
-        fm_passes(graph, side, frac, eps, ml, mr, wide, history);
+        fm_passes(graph, side, frac, eps, ml, mr, wide, gains, history);
     }
 }
 
@@ -1009,16 +814,23 @@ fn max_weighted_degree(graph: &Graph) -> i64 {
         .unwrap_or(0)
 }
 
-/// [`fm_refine`]'s passes, over `queue`.
+/// Moves without a new best prefix after which an FM pass on `n` vertices
+/// stops.
+fn fm_patience(n: usize) -> usize {
+    (n / 100).max(15)
+}
+
+/// [`fm_refine`]'s passes, over `heaps`.
 #[allow(clippy::too_many_arguments)]
-fn fm_passes(
+fn fm_passes<K: Key>(
     graph: &Graph,
     side: &mut [bool],
     frac: f64,
     eps: f64,
     ml: usize,
     mr: usize,
-    queue: &mut impl MoveQueue,
+    heaps: &mut GainHeaps<K>,
+    gains: &mut Vec<i64>,
     history: &mut Vec<NodeId>,
 ) {
     let n = graph.num_nodes();
@@ -1032,6 +844,7 @@ fn fm_passes(
     let max_vw = vwgt.iter().copied().max().unwrap_or(1);
     let move_slack = slack.max(max_vw as f64);
     let uniform = vwgt.iter().all(|&w| w == vwgt[0]);
+    let patience = fm_patience(n);
 
     let mut left_weight: i64 = graph
         .nodes()
@@ -1042,21 +855,27 @@ fn fm_passes(
 
     for _pass in 0..8 {
         // gain(v) = cut reduction if v switches sides; the cut is half the
-        // sum of every vertex's external weight.
+        // sum of every vertex's external weight, and `v` is on the boundary
+        // when its own is positive.
+        heaps.clear(n);
+        gains.clear();
         let mut external = 0i64;
-        let gains = graph.nodes().map(|v| {
-            let mut g = 0i64;
+        for v in graph.nodes() {
+            let (mut g, mut ext) = (0i64, 0i64);
             for (&w, &ew) in graph.neighbors(v).iter().zip(graph.edge_weights(v)) {
                 if side[v as usize] != side[w as usize] {
-                    g += ew;
-                    external += ew;
+                    ext += ew;
                 } else {
                     g -= ew;
                 }
             }
-            g
-        });
-        queue.fill(side, gains);
+            g += ext;
+            external += ext;
+            gains.push(g);
+            if ext > 0 {
+                heaps.insert(side[v as usize] as usize, v, g);
+            }
+        }
         history.clear();
         let mut cur_cut = external / 2;
         let mut best_cut = cur_cut;
@@ -1065,7 +884,7 @@ fn fm_passes(
         let mut cur_weight = left_weight;
         let mut cur_count = left_count;
 
-        loop {
+        while history.len() - best_len < patience {
             let cur_dev = (cur_weight as f64 - target).abs();
             // Whether moving a vertex of weight `vw` off side `s` keeps the
             // balance window (or improves an out-of-window deviation)...
@@ -1085,11 +904,11 @@ fn fm_passes(
             };
             let open = [0, 1].map(|s| count_ok(s) && (!uniform || weight_ok(s, vwgt[0])));
             let fits = |s: usize, v: NodeId| uniform || weight_ok(s, vwgt[v as usize]);
-            let Some((g, s, v)) = queue.pick(open, fits) else {
+            let Some((g, s, v)) = heaps.pick(open, fits) else {
                 break;
             };
             // Apply the move.
-            queue.lock(s, v);
+            heaps.lock(s, v);
             let vw = vwgt[v as usize];
             if s == 1 {
                 cur_weight -= vw;
@@ -1103,9 +922,12 @@ fn fm_passes(
             cur_cut -= g;
             history.push(v);
             for (&w, &ew) in graph.neighbors(v).iter().zip(graph.edge_weights(v)) {
-                // After v switched: same-side neighbours gain, others lose.
+                // After v switched: same-side neighbours gain, others lose
+                // and now have an edge to the other side.
                 let ws = side[w as usize];
-                queue.add_gain(ws as usize, w, if ws == to { -2 * ew } else { 2 * ew });
+                let gain = &mut gains[w as usize];
+                *gain += if ws == to { -2 * ew } else { 2 * ew };
+                heaps.update(ws as usize, w, *gain, ws != to);
             }
             let dev = (cur_weight as f64 - target).abs();
             // Prefer any in-window cut improvement; when both states are
@@ -1150,19 +972,17 @@ mod tests {
     use ic2_graph::generators::{hex_grid, random_connected, thesis_random_graph, torus};
     use ic2_graph::{metrics, GraphBuilder};
 
-    // Reference implementations: the contraction and refinement kernels as
-    // they were before the CSR contraction and the addressable gain queues.
-    // The rewrites must reproduce them exactly.
+    // Reference implementations: the contraction and refinement kernels in
+    // their plainest form. The tuned kernels must reproduce them exactly.
 
-    /// The contraction `coarsen` replaced: a `HashMap` of coarse edges, sorted
-    /// and built through `GraphBuilder`.
+    /// The contraction `coarsen` must equal: a `HashMap` of coarse edges,
+    /// sorted and built through `GraphBuilder`, over a matching made in
+    /// shuffled order and numbered in fine-id order.
     fn coarsen_hashmap(graph: &Graph, rng: &mut SplitMix64) -> (Graph, Vec<u32>) {
         let n = graph.num_nodes();
         let mut order: Vec<NodeId> = graph.nodes().collect();
         rng.shuffle(&mut order);
         let mut matched = vec![u32::MAX; n];
-        let mut coarse_id = vec![u32::MAX; n];
-        let mut next = 0u32;
         for &v in &order {
             if matched[v as usize] != u32::MAX {
                 continue;
@@ -1182,15 +1002,18 @@ mod tests {
                 Some((_, w)) => {
                     matched[v as usize] = w;
                     matched[w as usize] = v;
-                    coarse_id[v as usize] = next;
-                    coarse_id[w as usize] = next;
                 }
-                None => {
-                    matched[v as usize] = v;
-                    coarse_id[v as usize] = next;
-                }
+                None => matched[v as usize] = v,
             }
-            next += 1;
+        }
+        let mut coarse_id = vec![u32::MAX; n];
+        let mut next = 0u32;
+        for v in 0..n {
+            if coarse_id[v] == u32::MAX {
+                coarse_id[v] = next;
+                coarse_id[matched[v] as usize] = next;
+                next += 1;
+            }
         }
         // Accumulate coarse vertex weights and combined edges.
         let cn = next as usize;
@@ -1218,28 +1041,18 @@ mod tests {
         (b.build(), coarse_id)
     }
 
-    /// The refinement `fm_refine` replaced: one lazily invalidated max-heap,
-    /// stale entries skipped at pop and infeasible ones stashed and re-pushed.
-    fn fm_refine_lazy_heap(
-        graph: &Graph,
-        side: &mut [bool],
-        frac: f64,
-        eps: f64,
-        ml: usize,
-        mr: usize,
-    ) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
+    /// The refinement `fm_refine` must equal: boundary FM by scan. Each step
+    /// scans every vertex for the best feasible `(gain, Reverse(v))` among
+    /// the unlocked ones that have had an edge to the other side this pass,
+    /// and a pass stops after `max(15, n/100)` moves without a new best.
+    fn fm_refine_scan(graph: &Graph, side: &mut [bool], frac: f64, eps: f64, ml: usize, mr: usize) {
         let n = graph.num_nodes();
         if n < 2 {
             return;
         }
         let total = graph.total_vertex_weight();
         let target = total as f64 * frac;
-        // Bookmarked (final) states must sit in this tight window...
         let slack = (total as f64 * eps).max(0.5);
-        // ...but individual moves may excurse one max-weight vertex beyond it,
-        // which classic FM needs to escape local minima (rollback repairs it).
         let max_vw = graph.vertex_weights().iter().copied().max().unwrap_or(1);
         let move_slack = slack.max(max_vw as f64);
 
@@ -1251,12 +1064,13 @@ mod tests {
         let mut left_count = side.iter().filter(|&&s| s).count();
 
         for _pass in 0..8 {
-            // gain(v) = cut reduction if v switches sides.
             let mut gain = vec![0i64; n];
+            let mut queued = vec![false; n];
             for v in graph.nodes() {
                 for (&w, &ew) in graph.neighbors(v).iter().zip(graph.edge_weights(v)) {
                     if side[v as usize] != side[w as usize] {
                         gain[v as usize] += ew;
+                        queued[v as usize] = true;
                     } else {
                         gain[v as usize] -= ew;
                     }
@@ -1270,30 +1084,12 @@ mod tests {
             let mut best_len = 0usize;
             let mut cur_weight = left_weight;
             let mut cur_count = left_count;
-            // Lazy gain heap: one entry per (gain, vertex) version. An entry is
-            // *fresh* iff the vertex is unlocked and the stored gain matches the
-            // current gain table; anything else is a superseded version and is
-            // skipped at pop (the update that changed the gain pushed a fresh
-            // entry). Every unlocked vertex always has a fresh entry somewhere
-            // in the heap, so the first fresh pop is the true argmax.
-            let mut heap: BinaryHeap<(i64, Reverse<NodeId>)> = graph
-                .nodes()
-                .map(|v| (gain[v as usize], Reverse(v)))
-                .collect();
-            let mut stash: Vec<(i64, Reverse<NodeId>)> = Vec::new();
 
-            for _step in 0..n {
+            while history.len() - best_len < (n / 100).max(15) {
                 let cur_dev = (cur_weight as f64 - target).abs();
-                // Best movable vertex respecting the balance window (or
-                // improving an out-of-window deviation). Feasibility depends on
-                // the running weight/count, so it is tested at pop time;
-                // infeasible-but-fresh entries are stashed and re-pushed after
-                // the move, since a later step may admit them. The first fresh
-                // feasible pop maximises (gain, Reverse(v)) over exactly the
-                // vertices the old full scan considered.
-                let mut pick: Option<(i64, NodeId)> = None;
-                while let Some((g, Reverse(v))) = heap.pop() {
-                    if locked[v as usize] || g != gain[v as usize] {
+                let mut pick: Option<(i64, Reverse<NodeId>)> = None;
+                for v in graph.nodes() {
+                    if !queued[v as usize] || locked[v as usize] {
                         continue;
                     }
                     let vw = graph.vertex_weight(v);
@@ -1303,17 +1099,15 @@ mod tests {
                         (cur_weight + vw, cur_count + 1)
                     };
                     let new_dev = (new_left as f64 - target).abs();
-                    if new_count >= ml
+                    let feasible = new_count >= ml
                         && new_count <= n - mr
-                        && (new_dev <= move_slack || new_dev < cur_dev)
-                    {
-                        pick = Some((g, v));
-                        break;
+                        && (new_dev <= move_slack || new_dev < cur_dev);
+                    let key = (gain[v as usize], Reverse(v));
+                    if feasible && pick.is_none_or(|p| key > p) {
+                        pick = Some(key);
                     }
-                    stash.push((g, Reverse(v)));
                 }
-                let Some((g, v)) = pick else { break };
-                // Apply the move.
+                let Some((g, Reverse(v))) = pick else { break };
                 let vw = graph.vertex_weight(v);
                 if side[v as usize] {
                     cur_weight -= vw;
@@ -1327,26 +1121,15 @@ mod tests {
                 cur_cut -= g;
                 history.push(v);
                 for (&w, &ew) in graph.neighbors(v).iter().zip(graph.edge_weights(v)) {
-                    // After v switched: same-side neighbours gain, others lose.
                     if side[w as usize] == side[v as usize] {
                         gain[w as usize] -= 2 * ew;
                     } else {
                         gain[w as usize] += 2 * ew;
-                    }
-                    if !locked[w as usize] {
-                        heap.push((gain[w as usize], Reverse(w)));
+                        queued[w as usize] = true;
                     }
                 }
-                // Stashed entries whose gain a neighbour update just changed
-                // re-enter as stale versions and are skipped later; the rest
-                // stay fresh and compete again next step.
-                heap.extend(stash.drain(..));
                 let dev = (cur_weight as f64 - target).abs();
-                // Prefer any in-window cut improvement; when both states are
-                // outside the window, prefer the better deviation.
-                let in_window = dev <= slack;
-                let best_in_window = best_dev <= slack;
-                let better = match (in_window, best_in_window) {
+                let better = match (dev <= slack, best_dev <= slack) {
                     (true, true) => cur_cut < best_cut,
                     (true, false) => true,
                     (false, false) => dev < best_dev,
@@ -1358,7 +1141,6 @@ mod tests {
                     best_len = history.len();
                 }
             }
-            // Roll back past the best prefix.
             for &v in history[best_len..].iter().rev() {
                 let vw = graph.vertex_weight(v);
                 if side[v as usize] {
@@ -1416,12 +1198,12 @@ mod tests {
 
     /// Refine `rounds` drawn graphs and starts with [`fm_refine`], one
     /// [`FmQueues`] reused throughout as [`Metis::partition`] reuses it, and
-    /// with the lazy heap; both must end on the same sides. Returns how many
-    /// rounds ran on gain buckets and how many on heaps.
-    fn refine_like_the_lazy_heap(seed: u64, rounds: usize, max_n: usize) -> [usize; 2] {
+    /// with the scan; both must end on the same sides. Returns how many
+    /// rounds ran on packed keys and how many on pair keys.
+    fn refine_like_the_scan(seed: u64, rounds: usize, max_n: usize) -> [usize; 2] {
         let mut rng = SplitMix64::new(seed);
         let mut queues = FmQueues::default();
-        let mut paths = [0; 2];
+        let mut keys = [0; 2];
         for round in 0..rounds {
             let n = rng.gen_range(2..max_n);
             let seed = rng.next_u64();
@@ -1431,10 +1213,10 @@ mod tests {
                 1 => coarsen(&weighted_random(n, seed, 9, 5, 1), &mut rng).0,
                 // Equal vertex weights: feasibility is one test per side.
                 2 => weighted_random(n, seed, 9, 1, 1),
-                // Gains beyond `i32`: the wide key.
+                // Gains beyond `i32`: the pair key.
                 3 => weighted_random(n, seed, 9, 5, 1 << 32),
-                // Narrow gains under unequal vertex weights: buckets walked
-                // in key order.
+                // Narrow gains under unequal vertex weights: the heaps
+                // walked in key order.
                 4 => weighted_random(n, seed, 1, 3, 1),
                 // Narrow gains, equal vertex weights.
                 5 => weighted_random(n, seed, 2, 1, 1),
@@ -1442,7 +1224,7 @@ mod tests {
                 _ => coarsen(&weighted_random(n, seed, 1, 1, 1), &mut rng).0,
             };
             let n = g.num_nodes();
-            paths[usize::from(!GainBuckets::fit(n, max_weighted_degree(&g)))] += 1;
+            keys[usize::from(max_weighted_degree(&g) > i64::from(i32::MAX))] += 1;
             let frac = [0.5, 1.0 / 3.0, 0.25, 3.0 / 8.0, 0.625][rng.gen_range(0..5)];
             let eps = [0.0, 0.01, 0.025, 0.05, 0.2][rng.gen_range(0..5)];
             let ml = rng.gen_range(0..n.min(9) + 1);
@@ -1455,77 +1237,57 @@ mod tests {
             let mut got = start.clone();
             fm_refine(&g, &mut got, frac, eps, ml, mr, &mut queues);
             let mut want = start;
-            fm_refine_lazy_heap(&g, &mut want, frac, eps, ml, mr);
+            fm_refine_scan(&g, &mut want, frac, eps, ml, mr);
             assert_eq!(
                 got, want,
                 "round {round}: n={n} frac={frac} eps={eps} ml={ml} mr={mr}"
             );
         }
-        paths
+        keys
     }
 
     #[test]
-    fn heap_refinement_equals_the_lazy_heap_one() {
-        let [buckets, heaps] = refine_like_the_lazy_heap(0xF3, 280, 400);
+    fn heap_refinement_equals_the_scan_one() {
+        let [packed, pairs] = refine_like_the_scan(0xF3, 280, 400);
         assert!(
-            buckets >= 40 && heaps >= 80,
-            "{buckets} rounds on buckets, {heaps} on heaps"
+            packed >= 200 && pairs >= 30,
+            "{packed} rounds on packed keys, {pairs} on pairs"
         );
     }
 
     #[test]
-    #[ignore = "thousands of graphs, up to three bitset levels: run in release"]
-    fn bucket_refinement_equals_the_lazy_heap_one_at_scale() {
-        let [buckets, heaps] = refine_like_the_lazy_heap(0xB0C, 4_200, 600);
+    #[ignore = "thousands of graphs, some of 8 000 nodes: run in release"]
+    fn heap_refinement_equals_the_scan_one_at_scale() {
+        let [packed, pairs] = refine_like_the_scan(0xB0C, 4_200, 600);
         assert!(
-            buckets >= 1_000 && heaps >= 1_000,
-            "{buckets} rounds on buckets, {heaps} on heaps"
+            packed >= 3_000 && pairs >= 500,
+            "{packed} rounds on packed keys, {pairs} on pairs"
         );
-        let [buckets, heaps] = refine_like_the_lazy_heap(0xB1C, 35, 8_000);
+        let [packed, pairs] = refine_like_the_scan(0xB1C, 35, 8_000);
         assert!(
-            buckets >= 8 && heaps >= 8,
-            "{buckets} rounds on buckets, {heaps} on heaps"
+            packed >= 25 && pairs >= 4,
+            "{packed} rounds on packed keys, {pairs} on pairs"
         );
     }
 
     #[test]
-    fn bucket_bitsets_iterate_like_sorted_sets() {
-        use std::collections::BTreeSet;
-        let mut rng = SplitMix64::new(0xB17);
-        // One, two, three and four levels.
-        for n in [1, 70, 5_000, 300_000] {
-            let mut q = GainBuckets::default();
-            q.reset(n, 1);
-            q.fill(&vec![false; n], std::iter::empty());
-            let mut want = [BTreeSet::new(), BTreeSet::new(), BTreeSet::new()];
-            for _ in 0..4_000 {
-                let v = if rng.gen_range(0..4) == 0 {
-                    n - 1 - rng.gen_range(0..n.min(3))
-                } else {
-                    rng.gen_range(0..n)
-                } as NodeId;
-                let b = rng.gen_range(0..3);
-                match q.bucket[v as usize] {
-                    LOCKED_BUCKET => {
-                        q.insert(0, b, v);
-                        want[b].insert(v);
-                    }
-                    old => {
-                        q.lock(0, v);
-                        want[usize::from(old)].remove(&v);
-                    }
-                }
-                let b = rng.gen_range(0..3);
-                assert_eq!(q.first(0, b), want[b].first().copied(), "n={n}");
-                let from = rng.gen_range(0..n) as NodeId;
-                assert_eq!(
-                    q.after(0, b, from),
-                    want[b].range(from + 1..).next().copied()
-                );
-                let high = want.iter().rposition(|set| !set.is_empty());
-                assert_eq!(q.top(0), high, "n={n}");
-            }
+    fn a_pass_stops_after_its_patience() {
+        // A path split in the middle: the cut is already 1, so no move makes
+        // a new best, and the pass stops after `fm_patience` moves.
+        let n = 4_000;
+        let mut b = GraphBuilder::new(n);
+        for i in 0..n as u32 - 1 {
+            b.edge(i, i + 1);
         }
+        let g = b.build();
+        let mut side: Vec<bool> = (0..n).map(|v| v < n / 2).collect();
+        let start = side.clone();
+        let mut queues = FmQueues::default();
+        fm_refine(&g, &mut side, 0.5, 0.05, 1, 1, &mut queues);
+        assert_eq!(side, start);
+        assert_eq!(queues.history.len(), fm_patience(n));
+        assert_eq!(fm_patience(n), 40);
+        assert_eq!(fm_patience(1_000), 15);
     }
 
     #[test]
@@ -1654,6 +1416,28 @@ mod tests {
         );
     }
 
+    /// A star of `leaves` leaves around node 0.
+    fn star(leaves: u32) -> Graph {
+        let mut b = GraphBuilder::new(leaves as usize + 1);
+        for leaf in 1..=leaves {
+            b.edge(0, leaf);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn a_3000_leaf_star_partitions_into_four_parts() {
+        // Heavy-edge matching merges one leaf a level: without the 85 %
+        // stop, `bisect` recursed about n levels deep.
+        assert_no_part_empty(&star(3_000), 4, "3 000-leaf star");
+    }
+
+    #[test]
+    #[ignore = "a second or more in release: run in release"]
+    fn a_10000_leaf_star_partitions_without_overflowing_the_stack() {
+        assert_no_part_empty(&star(10_000), 4, "10 000-leaf star");
+    }
+
     #[test]
     fn near_k_equal_n_no_part_is_empty() {
         // A projected coarse bisection left 2 of these parts empty, and one
@@ -1663,11 +1447,7 @@ mod tests {
             50,
             "random_connected(50)",
         );
-        let mut b = GraphBuilder::new(201);
-        for leaf in 1..201 {
-            b.edge(0, leaf);
-        }
-        assert_no_part_empty(&b.build(), 200, "200-leaf star");
+        assert_no_part_empty(&star(200), 200, "200-leaf star");
     }
 
     #[test]

@@ -294,3 +294,12 @@ fn generated_runs_are_exact_or_typed_and_repeat_to_the_bit() {
 fn the_contract_holds_over_a_long_sweep() {
     sweep(SWEEP_DRAWS);
 }
+
+/// Stream 3, draw 980: 6 ranks, rank 1 crashes, then a cut isolates rank 2,
+/// which holds the only replica rank 5 must adopt from. Rank 5's restore
+/// fails across the cut while every other rank's completes, and the
+/// agreement round suspects rank 2: no rank may install its restore then.
+#[test]
+fn a_restore_failed_across_a_cut_installs_on_no_rank() {
+    check(3, 980).unwrap();
+}

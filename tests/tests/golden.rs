@@ -157,7 +157,7 @@ fn every_layer_on_both_planes_matches_the_golden_file() {
             &fine,
             paged()
                 .with_delta_exchange()
-                .with_world(world(disk_faults(plan(14), 0.02))),
+                .with_world(world(disk_faults(plan(15), 0.02))),
         ),
         line(
             "paging_lost_page",
