@@ -132,8 +132,9 @@ impl AuditOutcome {
 /// injection-pass counter that never rolls back, so replay after a
 /// rollback is not doomed to re-corrupt identically and converges.
 ///
-/// Writes go straight to the table, bypassing [`NodeStore::audit_note`]:
-/// that bypass *is* the fault being modelled (a DRAM bit flip the write
+/// Writes go straight to the table, past the digest record every
+/// legitimate write makes ([`crate::store::GuardedTable`]): that bypass
+/// *is* the fault being modelled (a DRAM bit flip the write
 /// path never saw), and it is what the next audit boundary catches. The
 /// sweep itself charges nothing to the virtual clock — silent corruption
 /// is free; only detection and repair cost time.
@@ -158,7 +159,7 @@ where
             // A paged-out entry is not in RAM: the at-rest sweep only
             // touches resident state — pages on disk answer to the disk
             // fault plan (rot, torn writes) instead.
-            let Some(cur) = store.table.get(id).cloned() else {
+            let Some(cur) = store.data.table.get(id).cloned() else {
                 continue;
             };
             let len_bits = (cur.to_bytes().len() as u64) * 8;
@@ -167,7 +168,7 @@ where
             }
             let start = faults.memory_corrupt_bit(me, epoch, region, u64::from(id), len_bits);
             let damaged = corrupt_value(&cur, start);
-            if damaged.is_some_and(|d| store.table.set_current(id, d)) {
+            if damaged.is_some_and(|d| store.data.table.set_current(id, d)) {
                 rank.count_memory_corruption(label, u64::from(id));
             }
         }

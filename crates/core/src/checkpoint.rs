@@ -72,11 +72,8 @@
 use crate::audit;
 use crate::engine::Engine;
 use crate::error::{abort, invariant_violated, PlatformError};
-use crate::exchange;
-use crate::hashtab::NodeTable;
 use crate::migrate;
 use crate::program::NodeProgram;
-use crate::store::NodeStore;
 use crate::timers::Phase;
 use ic2_balance::DynamicBalancer;
 use ic2_graph::{Graph, Partition};
@@ -125,24 +122,6 @@ pub(crate) fn gather_chunks<D: Wire>(
     Ok(())
 }
 
-/// Send one checkpoint mirror to `buddy`, holding the [`TAG_MIRROR`]
-/// frames of `preds` that arrive while its mailbox refuses a credit.
-fn mirror<T: Wire>(
-    rank: &Rank,
-    buddy: usize,
-    image: &T,
-    preds: impl Iterator<Item = usize> + Clone,
-) -> bool {
-    rank.send_reliable_collecting(buddy, TAG_MIRROR, image, RetryPolicy::Escalate, preds, true)
-}
-
-/// Pay for and decode the mirror held from `pred`. On failure forget the
-/// rest, as [`gather_chunks`] does: a held mirror of an abandoned checkpoint
-/// would otherwise pass for that source's frame of the next exchange.
-fn settled<T: Wire>(rank: &Rank, pred: usize) -> Result<T, Died> {
-    rank.settle(pred).inspect_err(|_| rank.release_held())
-}
-
 /// Does `verdict` report any crash beyond those in `known`? The one
 /// question every step of the crash-mode protocol asks before committing.
 pub fn has_new_crash(verdict: &CtlVerdict, known: &[bool]) -> bool {
@@ -156,67 +135,10 @@ pub fn has_new_crash(verdict: &CtlVerdict, known: &[bool]) -> bool {
 /// both sit far above any realistic changed-node count sharing the word.
 pub(crate) const DAMAGE_FLAG: u64 = 1 << 62;
 
-/// One page of a paged mirror payload: the inclusive id range it covers on
-/// the *sender* and every surviving entry in it, ascending.
-type DiffPage<D> = (u32, u32, Vec<(u32, D)>);
-
-/// Wire shape of a paged mirror payload: `(full_image, pages)`. Ranks cut
-/// their tables differently, so the ranges are what tells the receiver which
-/// of its prior entries a page replaces; a dirty page with zero entries
-/// still ships so they are dropped.
-type PageDiffImage<D> = (bool, Vec<DiffPage<D>>);
-
 /// What a rollback attempt restores on this rank before the agreement
 /// round: the entries it owns under the post-adoption owner map, or `None`
 /// for iteration-0 state, which is rebuilt locally.
 type Staged<D> = Option<Vec<(u32, D)>>;
-
-/// The image of `pages` (ascending) of `table`, cut out of its ascending
-/// snapshot `mine`.
-fn page_diff<D: Clone>(
-    table: &NodeTable<D>,
-    pages: impl IntoIterator<Item = usize>,
-    mine: &[(u32, D)],
-) -> Vec<DiffPage<D>> {
-    let ranges = pages.into_iter().filter_map(|b| table.page_range(b));
-    let cut = |(lo, hi)| {
-        let from = mine.partition_point(|e| e.0 < lo);
-        let upto = mine.partition_point(|e| e.0 <= hi);
-        (lo, hi, mine[from..upto].to_vec())
-    };
-    ranges.map(cut).collect()
-}
-
-/// The ward a page diff leaves: `base`'s entries outside every shipped
-/// range (none of them under a full image) merged with the shipped ones,
-/// ascending. `Err` names what is wrong with a diff that cannot be applied:
-/// no base to patch, ranges that descend or overlap, entries outside their
-/// page's range.
-fn patch_ward<D: Clone>(
-    base: Option<&Ward<D>>,
-    (full, pages): PageDiffImage<D>,
-) -> Result<Vec<(u32, D)>, String> {
-    let mut kept: &[(u32, D)] = match base {
-        _ if full => &[],
-        Some(ward) => &ward.entries,
-        None => return Err("incremental page diff without a base ward".into()),
-    };
-    let mut entries = Vec::new();
-    let mut floor = 0u64;
-    for (lo, hi, page) in pages {
-        let outside = |e: &(u32, D)| e.0 < lo || e.0 > hi;
-        if u64::from(lo) < floor || hi < lo || page.iter().any(outside) {
-            return Err(format!("page diff range {lo}..={hi} out of order"));
-        }
-        floor = u64::from(hi) + 1;
-        let (below, rest) = kept.split_at(kept.partition_point(|e| e.0 < lo));
-        entries.extend_from_slice(below);
-        kept = &rest[rest.partition_point(|e| e.0 <= hi)..];
-        entries.extend(page);
-    }
-    entries.extend_from_slice(kept);
-    Ok(entries)
-}
 
 /// Consecutive damage-poisoned agreement rounds tolerated before the
 /// repair ladder concedes. Each strike is a full rollback + replay whose
@@ -310,16 +232,6 @@ impl<D> Checkpoint<D> {
         }
     }
 
-    /// Which ring member holds `c`'s nearest replica (its ring successor);
-    /// `None` if `c` was not in the ring or the ring has no other member.
-    pub fn holder_of(&self, c: u32) -> Option<u32> {
-        if self.ring.len() < 2 {
-            return None;
-        }
-        let pos = self.ring.iter().position(|&r| r == c)?;
-        Some(self.ring[(pos + 1) % self.ring.len()])
-    }
-
     /// The replica rank `me` holds of owner `c`'s snapshot; being elected
     /// by the census implies holding it.
     pub(crate) fn ward_of(&self, me: u32, c: u32) -> &Vec<(u32, D)> {
@@ -380,45 +292,28 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
         };
         let t0 = rank.wtime();
         let me = rank.rank() as u32;
-        let paged = store.pager.is_some();
         // A paged store snapshots through the pager: fault every page in,
         // copy, spill back down to budget (read-only — nothing is re-dirtied)
         // and charge the accumulated virtual I/O before any agreement.
         store.bulk_begin();
         let mut mine = store.snapshot_table();
-        store.bulk_end_clean();
-        let storage_io = exchange::drain_storage(rank, store, timers);
+        store.bulk_end(false);
+        let storage_io = store.drain_storage(rank, timers);
         rank.advance(costs.checkpoint_per_entry * mine.len() as f64);
         // Per-entry checksums are always *computed* (they are what makes a
         // replica verifiable at all), but their arithmetic is charged only
         // when audits are configured: integrity hardening must not perturb
         // the pre-integrity platform's bit-exact schedules.
         let mine_sums = audit::entry_sums(&mine);
-        if store.audit.is_some() {
-            rank.advance(costs.audit_per_entry * mine.len() as f64);
-        }
+        store.charge_audit(rank, costs, mine.len());
         let ring: Vec<u32> = (0..store.nprocs as u32)
             .filter(|&r| !crashed[r as usize])
             .collect();
-        // Mirror payload. Non-paged stores ship the full snapshot — the exact
-        // pre-paging wire format, byte for byte. Paged stores ship an
-        // incremental page-diff image instead: `(full, [(lo, hi, entries…)])`
-        // covering only the pages written since the previous committed
-        // checkpoint; the receiver patches its prior ward. A full image is
-        // forced whenever there is no usable base — first checkpoint, genesis
-        // predecessor, or a ring change that re-mapped the buddies.
+        // A page diff needs a base: none after a first checkpoint or a
+        // genesis predecessor, nor after a ring change re-mapped the buddies.
         let full_image = prev.is_none_or(|p| p.genesis || p.ring != ring);
-        let diff: Option<PageDiffImage<P::Data>> = store.pager.as_ref().map(|pager| {
-            let pages = match full_image {
-                true => (0..store.table.page_count()).collect(),
-                false => pager.ckpt_dirty_pages(),
-            };
-            (full_image, page_diff(&store.table, pages, &mine))
-        });
-        let bytes = match &diff {
-            Some(payload) => payload.to_bytes().len() as u64,
-            None => mine.to_bytes().len() as u64,
-        };
+        let image = store.mirror_image(&mine, full_image);
+        let bytes = image.wire_len();
         self.tally.checkpoint_bytes += bytes;
         let mut wards: Vec<Ward<P::Data>> = Vec::new();
         let staged = (|| -> Result<(), Died> {
@@ -439,42 +334,20 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
             let at = |d: usize| ring[(pos + d) % ring.len()] as usize;
             let preds = (1..=eff_r).map(|d| at(ring.len() - d));
             for d in 1..=eff_r {
-                match &diff {
-                    Some(image) => mirror(rank, at(d), image, preds.clone()),
-                    None => mirror(rank, at(d), &mine, preds.clone()),
-                };
+                image.send(rank, at(d), preds.clone());
             }
             rank.collect(TAG_MIRROR, preds.clone(), true);
             for pred in preds {
-                // What landed, and how many entries physically shipped (the
-                // charge basis — a page diff is cheaper than a full image
-                // exactly because the clean base is not re-sent).
-                let (mut entries, shipped) = if paged {
-                    let image: PageDiffImage<P::Data> = settled(rank, pred)?;
-                    let shipped = image.1.iter().map(|page| page.2.len()).sum::<usize>();
-                    // Patch the prior ward. Both sides derive `full` from
-                    // replicated state, so an incremental that finds no base
-                    // — like ranges no table could have cut — is corrupt
-                    // platform state, never a silently mis-patched ward.
-                    let base = prev.and_then(|p| p.wards.iter().find(|w| w.rank as usize == pred));
-                    let entries = patch_ward(base, image).unwrap_or_else(|detail| {
-                        invariant_violated(me, format!("mirror from rank {pred}: {detail}"))
-                    });
-                    (entries, shipped)
-                } else {
-                    let entries: Vec<(u32, P::Data)> = settled(rank, pred)?;
-                    let shipped = entries.len();
-                    (entries, shipped)
-                };
+                let base = prev.and_then(|p| p.wards.iter().find(|w| w.rank as usize == pred));
+                let base = base.map(|w| w.entries.as_slice());
+                let (mut entries, shipped) = image.receive(rank, pred, base)?;
                 rank.advance(costs.checkpoint_per_entry * shipped as f64);
                 // Staging-time checksums: the wire is already
                 // frame-checksummed, so computing the sums here is
                 // equivalent to shipping the sender's — without growing the
                 // mirror payload.
                 let sums = audit::entry_sums(&entries);
-                if store.audit.is_some() {
-                    rank.advance(costs.audit_per_entry * entries.len() as f64);
-                }
+                store.charge_audit(rank, costs, entries.len());
                 // From here until a restore consults it, the copy sits at
                 // rest: apply the fault plan's silent bit flips now, keyed
                 // by holder so sibling replicas of the same owner fail
@@ -514,10 +387,7 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
         {
             return Err(verdict);
         }
-        // The diff this image carried is now the committed baseline.
-        if let Some(p) = store.pager.as_mut() {
-            p.clear_ckpt_dirty();
-        }
+        store.mirror_committed();
         rank.trace_instant(
             "checkpoint",
             "recovery",
@@ -601,11 +471,9 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
                     ],
                 );
             }
-            if self.store.audit.is_some() {
-                let verified =
-                    ckpt.wards.iter().map(|w| w.entries.len()).sum::<usize>() + ckpt.mine.len();
-                rank.advance(cfg.costs.audit_per_entry * verified as f64);
-            }
+            let wards = ckpt.wards.iter().map(|w| w.entries.len());
+            self.store
+                .charge_audit(rank, &cfg.costs, ckpt.mine.len() + wards.sum::<usize>());
             let verdict = rank.ctl_exchange(CtlSlot {
                 word,
                 load: 0.0,
@@ -802,28 +670,14 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
         let (rank, graph, cfg) = (self.rank, self.graph, self.cfg);
         let store = &mut self.store;
         match entries {
+            // Iteration-0 state is reconstructible locally.
             None => {
-                // Iteration-0 state is reconstructible locally. The pager —
-                // and its virtual disk, whose operation counter salts every
-                // fault decision — survives the rebuild: replay must make
-                // *fresh* disk-fault decisions, or a rot-prone run would
-                // re-damage itself identically forever.
                 let part = Partition::from_shared(Arc::clone(&owner), cfg.nprocs);
-                let pager = store.pager.take();
-                let me = rank.rank() as u32;
-                *store = NodeStore::build(graph, &part, me, self.program, cfg.hash_buckets);
-                store.pager = pager;
-                rank.advance(cfg.costs.init_per_node * store.stored_count() as f64);
+                store.rebuild(graph, &part, rank, self.program, cfg);
             }
             // Installing the owner map rebuilds the replicated directory;
             // restore() keeps only what this rank needs under it.
             Some(entries) => store.restore(graph, owner, entries),
-        }
-        // The rebuilt table is wholly in RAM: re-point the pager at it (fresh
-        // pool, purged disk, damage latch cleared) so paging resumes from a
-        // verified state.
-        if let Some(p) = store.pager.as_mut() {
-            p.reset_after_restore();
         }
         // Rewind the replicated bookkeeping. Crashes are permanent, so the
         // death log only grows.
@@ -834,16 +688,8 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
             }
         }
         self.balancer.restore_state(&self.ckpt.balancer_state);
-        // The restore replaced the table wholesale: re-seed the maintained
-        // digests from the restored values (charged like any digest pass).
-        if cfg.audit_every.is_some() {
-            store.enable_audit();
-            rank.advance(cfg.costs.audit_per_entry * store.stored_count() as f64);
-        }
-        // Digest re-seed done (it needs the whole table resident): spill the
-        // restored pages back down to budget and charge the I/O.
-        store.bulk_end_clean();
-        exchange::drain_storage(rank, store, &mut self.timers);
+        store.reseed(rank, &cfg.costs);
+        store.drain_storage(rank, &mut self.timers);
         self.validate("post-recovery");
     }
 
@@ -942,16 +788,19 @@ mod tests {
             ring: vec![0, 2, 3],
             ..Checkpoint::genesis(vec![0, 2, 3].into(), 4, Vec::new())
         };
-        assert_eq!(ckpt.holder_of(0), Some(2));
-        assert_eq!(ckpt.holder_of(2), Some(3));
-        assert_eq!(ckpt.holder_of(3), Some(0), "the ring wraps");
-        assert_eq!(ckpt.holder_of(1), None, "rank 1 is not in the ring");
+        assert_eq!(ckpt.holders_of(0, 1), vec![2]);
+        assert_eq!(ckpt.holders_of(2, 1), vec![3]);
+        assert_eq!(ckpt.holders_of(3, 1), vec![0], "the ring wraps");
+        assert!(
+            ckpt.holders_of(1, 1).is_empty(),
+            "rank 1 is not in the ring"
+        );
     }
 
     #[test]
     fn singleton_ring_has_no_holder() {
         let ckpt: Checkpoint<i64> = Checkpoint::genesis(vec![0, 0].into(), 1, Vec::new());
-        assert_eq!(ckpt.holder_of(0), None);
+        assert!(ckpt.holders_of(0, 1).is_empty());
         assert!(ckpt.holders_of(0, 3).is_empty());
     }
 
@@ -973,79 +822,6 @@ mod tests {
             ckpt.holders_of(1, 2).is_empty(),
             "rank 1 is not in the ring"
         );
-    }
-
-    #[test]
-    fn a_page_diff_patches_a_ward_cut_by_another_table() {
-        use crate::costs::CostModel;
-        use crate::paging::PageConfig;
-        use crate::program::AvgProgram;
-        use ic2_partition::{metis::Metis, StaticPartitioner};
-
-        let graph = ic2_graph::generators::hex_grid(8, 8);
-        let part = Metis::default().partition(&graph, 2);
-        let build = |r| NodeStore::build(&graph, &part, r, &AvgProgram::fine(), 8);
-        let (mut sender, receiver) = (build(0), build(1));
-        // Each rank cut its own ids: the receiver's page map says nothing
-        // about the sender's pages.
-        assert_ne!(sender.table.page_range(1), receiver.table.page_range(1));
-        let cfg = PageConfig { budget: 8 };
-        sender.enable_paging(&cfg, &mpisim::FaultPlan::new(1), &CostModel::default());
-        let ward = |entries| Ward {
-            rank: 0,
-            entries,
-            sums: Vec::new(),
-        };
-        let image = |store: &NodeStore<i64>, full: bool| {
-            let pages = store.pager.as_ref().unwrap().ckpt_dirty_pages();
-            (
-                full,
-                page_diff(&store.table, pages, &store.snapshot_table()),
-            )
-        };
-
-        // A full image needs no base.
-        sender.pager.as_mut().unwrap().mark_all_dirty();
-        let held = patch_ward(None, image(&sender, true)).unwrap();
-        assert_eq!(held, sender.snapshot_table());
-        sender.pager.as_mut().unwrap().clear_ckpt_dirty();
-
-        // An incremental of two dirty pages patches exactly their ranges.
-        for id in [held[0].0, held[held.len() - 1].0] {
-            assert!(sender.table.set_current(id, -1));
-            let page = sender.table.page_of_id(id);
-            sender.pager.as_mut().unwrap().note_write(page);
-        }
-        let incremental = image(&sender, false);
-        assert_eq!(incremental.1.len(), 2);
-        assert!(patch_ward(None, incremental.clone()).is_err(), "no base");
-        let held = patch_ward(Some(&ward(held)), incremental).unwrap();
-        assert_eq!(held, sender.snapshot_table());
-
-        // A restore under another ownership re-cuts the sender's ranges and
-        // marks every page dirty: the ranges tile, so the diff replaces the
-        // whole ward although none of them is a range the ward was built of.
-        let cuts = |s: &NodeStore<i64>| (0..8).map(|b| s.table.page_range(b)).collect::<Vec<_>>();
-        let before = cuts(&sender);
-        let swapped = part.as_slice().iter().map(|p| 1 - p).collect();
-        let everything = graph.nodes().map(|v| (v, i64::from(v))).collect();
-        sender.restore(&graph, Arc::new(swapped), everything);
-        sender.pager.as_mut().unwrap().reset_after_restore();
-        assert_ne!(cuts(&sender), before);
-        let held = patch_ward(Some(&ward(held)), image(&sender, false)).unwrap();
-        assert_eq!(held, sender.snapshot_table());
-
-        // Ranges that descend or overlap, and entries outside their page's
-        // range, are refused rather than patched in.
-        let page = |lo, hi, ids: &[u32]| (lo, hi, ids.iter().map(|&id| (id, 0i64)).collect());
-        for pages in [
-            vec![page(8, 9, &[]), page(0, 3, &[])],
-            vec![page(0, 8, &[]), page(8, 9, &[])],
-            vec![page(4, 3, &[])],
-            vec![page(0, 3, &[4])],
-        ] {
-            assert!(patch_ward(Some(&ward(held.clone())), (false, pages)).is_err());
-        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::checkpoint::{
 };
 use crate::driver::{balance_due, IntegrityCounters, RunConfig};
 use crate::error::invariant_violated;
-use crate::exchange::{self, drain_storage, DeltaStats, Round};
+use crate::exchange::{self, DeltaStats, Round};
 use crate::membership::CUT_FLAG;
 use crate::migrate;
 use crate::paging::PageCounters;
@@ -198,7 +198,7 @@ pub(crate) fn run_rank<P: NodeProgram, B: DynamicBalancer>(
     // counters before the final snapshot (else the totals depend on host
     // scheduling).
     rank.reconcile_faults();
-    let pager = engine.store.pager.as_ref();
+    let (pages, disk) = engine.store.storage_counters();
     RankOutcome {
         total,
         timers: engine.timers,
@@ -207,8 +207,8 @@ pub(crate) fn run_rank<P: NodeProgram, B: DynamicBalancer>(
         tally: engine.tally,
         ranks_died: engine.ranks_died,
         gathered,
-        pages: pager.map(|p| p.counters()).unwrap_or_default(),
-        disk: pager.map(|p| p.disk_counters()).unwrap_or_default(),
+        pages,
+        disk,
         owner: engine.store.owner,
     }
 }
@@ -226,23 +226,11 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
         let plane = Plane::of(cfg);
         let mut timers = PhaseTimers::new();
         let t0 = rank.wtime();
-        let me = rank.rank() as u32;
-        let mut store = NodeStore::build(graph, partition, me, program, cfg.hash_buckets);
-        rank.advance(cfg.costs.init_per_node * store.stored_count() as f64);
-        if cfg.audit_every.is_some() {
-            store.enable_audit();
-            rank.advance(cfg.costs.audit_per_entry * store.stored_count() as f64);
-        }
+        let mut store = NodeStore::open(graph, partition, rank, program, cfg);
         timers.add(Phase::Initialization, rank.wtime() - t0);
         rank.trace_span("Initialization", "phase", t0, &[]);
-        // Out-of-core mode: install the pager *after* the audit digests
-        // seeded (they need the whole table) and spill down to the buffer
-        // budget — the spilled pages get their first verified disk commit
-        // here.
-        if let Some(pc) = &cfg.paging {
-            store.enable_paging(pc, &cfg.world.faults, &cfg.costs);
-            drain_storage(rank, &mut store, &mut timers);
-        }
+        // The first disk commits of the spilled pages, past the phase.
+        store.drain_storage(rank, &mut timers);
         // Iteration 0 is the first committed checkpoint. The thesis's plane
         // never rolls back, so it keeps no copy of the owner map.
         let ckpt = match plane {
@@ -301,7 +289,7 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
         }
         if self.plane.verdict() {
             self.rot_sweep();
-            self.audit()?;
+            self.state_audit()?;
             self.checkpoint()?;
         }
         if let Some(tracer) = tracer {
@@ -469,8 +457,8 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
     /// After whole-table surgery: conservatively re-dirty and spill back to
     /// budget, start a fresh load-sampling window, check the invariants.
     fn settle(&mut self, what: &str) {
-        self.store.bulk_end();
-        drain_storage(self.rank, &mut self.store, &mut self.timers);
+        self.store.bulk_end(true);
+        self.store.drain_storage(self.rank, &mut self.timers);
         self.counters.comp_since_balance = 0.0;
         self.store.reset_loads();
         self.validate(what);
@@ -490,7 +478,7 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
     /// One collective agrees the boundary's verdict: bit 0 of the word =
     /// owner-region damage somewhere on this rank, bit 1 = shadow-region
     /// damage.
-    fn audit(&mut self) -> ControlFlow<()> {
+    fn state_audit(&mut self) -> ControlFlow<()> {
         let (rank, cfg, iter) = (self.rank, self.cfg, self.iter);
         let Some(ka) = cfg.audit_every else {
             return Continue(());
@@ -499,17 +487,9 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
         if !(iter.is_multiple_of(ka) || iter.is_multiple_of(k) || iter == cfg.iterations) {
             return Continue(());
         }
-        // The audit digests the whole partition: page it in, and spill back
-        // (read-only) before the verdict round. A page lost here leaves its
-        // entries missing, which the verify counts as mismatches — at-rest
-        // disk rot that defeated every copy surfaces as owner-region damage
-        // and rolls back like memory rot.
-        self.store.bulk_begin();
         let t0 = rank.wtime();
-        let outcome = self.store.audit_verify();
-        rank.advance(cfg.costs.audit_per_entry * outcome.checked as f64);
-        self.store.bulk_end_clean();
-        let storage_io = drain_storage(rank, &mut self.store, &mut self.timers);
+        let outcome = self.store.audit_verify(rank, &cfg.costs);
+        let storage_io = self.store.drain_storage(rank, &mut self.timers);
         let verdict = rank.ctl_exchange(CtlSlot {
             word: u64::from(outcome.owned_mismatches > 0)
                 | (u64::from(outcome.shadow_mismatches > 0) << 1),
@@ -630,7 +610,7 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
         // entry is present.
         let completed = self.iter - 1;
         self.store.bulk_begin();
-        drain_storage(rank, &mut self.store, &mut self.timers);
+        self.store.drain_storage(rank, &mut self.timers);
         let verdict = rank.ctl_exchange(CtlSlot {
             word: u64::from(self.store.disk_damaged()) * DAMAGE_FLAG,
             ..CtlSlot::default()

@@ -104,36 +104,18 @@ impl<P: NodeProgram> Round<'_, P> {
 
     /// End-of-round promote sweep (the thesis's `data = most_recent_data`)
     /// over the staged bits: the owned nodes that changed since the last
-    /// sweep. Each owned node is charged one `per_node_update` (and one
-    /// `audit_per_entry` with audits on); only a promoted value is rehashed
-    /// for the audit digest. Paged mode sweeps page by page, so each page
-    /// holding a change is resident exactly once. Then drains the pager's
-    /// I/O seconds. Returns how many promoted.
+    /// sweep. Each owned node is charged one `per_node_update` and, with
+    /// audits on, one audit entry. Then drains the storage I/O seconds.
+    /// Returns how many promoted.
     fn promote(&mut self, store: &mut NodeStore<P::Data>) -> usize {
-        let (rank, costs, owned) = (self.rank, self.costs, store.owned_count() as f64);
+        let (rank, costs, owned) = (self.rank, self.costs, store.owned_count());
         let t0 = rank.wtime();
-        rank.advance(costs.per_node_update * owned);
-        if store.audit.is_some() {
-            rank.advance(costs.audit_per_entry * owned);
-        }
-        let NodeStore {
-            table,
-            pager,
-            audit,
-            ..
-        } = &mut *store;
-        let note = |id, d: &P::Data| {
-            if let Some(audit) = audit.as_mut() {
-                audit.record(id, crate::audit::entry_hash(id, d));
-            }
-        };
-        let promoted = match pager.as_mut() {
-            Some(pager) => pager.promote(table, note),
-            None => table.promote(0..table.len(), note),
-        };
+        rank.advance(costs.per_node_update * owned as f64);
+        store.charge_audit(rank, costs, owned);
+        let promoted = store.data.promote();
         self.timers
             .add(Phase::ComputationOverhead, rank.wtime() - t0);
-        drain_storage(rank, store, self.timers);
+        store.drain_storage(rank, self.timers);
         promoted
     }
 
@@ -296,12 +278,9 @@ fn recycle<'a, D>(mut v: Vec<NeighborData<'_, D>>) -> Vec<NeighborData<'a, D>> {
 /// charged `per_shadow_pack`); receivers keep the retained shadow, which
 /// equals what a full exchange would have delivered.
 ///
-/// In paged mode each node's page and its neighbours' pages are faulted
-/// in first; a node whose entry (or any neighbour entry) is missing after
-/// that sits on a page that lost every copy — it is *skipped*, because the
-/// pager's damage latch already guarantees this iteration is discarded by
-/// rollback. Non-paged mode has no excuse for missing data: that is corrupt
-/// platform state, surfaced as a typed invariant violation too.
+/// Each node's and its neighbours' pages are fetched first; a node whose
+/// entry (or any neighbour's) is then missing is skipped or a typed
+/// invariant violation, as [`crate::store::GuardedTable::lost`] decides.
 fn compute_list<P: NodeProgram>(
     round: &mut Round<'_, P>,
     store: &mut NodeStore<P::Data>,
@@ -313,57 +292,45 @@ fn compute_list<P: NodeProgram>(
     let timers = &mut *round.timers;
     let NodeStore {
         plan,
-        table,
+        data,
         node_load,
-        pager,
         ..
     } = store;
-    if plan.epoch != table.epoch() {
+    if plan.epoch != data.table.epoch() {
         invariant_violated(
             ctx.rank,
             format!(
                 "round plan of table epoch {} used at epoch {}: structural change without rebuild_lists",
                 plan.epoch,
-                table.epoch()
+                data.table.epoch()
             ),
         );
     }
-    let paged = pager.is_some();
     let mut spare = Vec::new();
     for k in range {
         let node = plan.node(k);
-        if let Some(pager) = pager.as_mut() {
-            let slots = std::iter::once(node.slot).chain(node.neighbors.iter().copied());
-            pager.ensure(table, slots);
-        }
+        data.fetch(std::iter::once(node.slot).chain(node.neighbors.iter().copied()));
         // Computation overhead: form the list of the node and its
         // neighbours to hand to the node function.
         let t0 = rank.wtime();
         rank.advance(costs.per_list_item * (node.neighbors.len() + 1) as f64);
-        let own = match table.at(node.slot) {
-            Some((id, d)) if id == node.id => d,
-            None if paged => continue,
-            _ => invariant_violated(
-                ctx.rank,
-                format!("no data for owned node {} at compute", node.id),
-            ),
+        let what = || format!("no data for owned node {} at compute", node.id);
+        let Some(own) = data.read(ctx.rank, node.slot, node.id, what) else {
+            continue;
         };
         let mut neighbors = recycle(std::mem::take(&mut spare));
         // Neighbour ids from the graph: the table is read for values alone.
         let adjacent = graph.neighbors(node.id).iter().zip(node.neighbors);
         neighbors.extend(adjacent.map_while(|(&id, &slot)| {
-            let data = table.at(slot)?.1;
-            Some(NeighborData { id, data })
+            let value = data.table.at(slot)?.1;
+            Some(NeighborData { id, data: value })
         }));
         if neighbors.len() < node.neighbors.len() {
-            if paged {
-                spare = recycle(neighbors);
-                continue;
-            }
-            invariant_violated(
-                ctx.rank,
-                format!("no data for a neighbour of owned node {}", node.id),
-            );
+            data.lost(ctx.rank, || {
+                format!("no data for a neighbour of owned node {}", node.id)
+            });
+            spare = recycle(neighbors);
+            continue;
         }
         let t1 = rank.wtime();
         timers.add(Phase::ComputationOverhead, t1 - t0);
@@ -402,33 +369,8 @@ fn compute_list<P: NodeProgram>(
         if !changed {
             continue;
         }
-        if !table.stage_at(node.slot, node.id, next) {
-            invariant_violated(
-                ctx.rank,
-                format!("slot of owned node {} moved during its update", node.id),
-            );
-        }
-        if let Some(pager) = pager.as_mut() {
-            pager.note_write(table.page_of(node.slot));
-        }
+        data.stage(ctx.rank, node.slot, node.id, next);
     }
-}
-
-/// Charge the pager's accumulated virtual I/O + backoff seconds to the
-/// clock under [`Phase::Storage`]. Called at deterministic points (end of
-/// each iteration's compute/communicate, after bulk phases) so paged runs
-/// stay bit-identically reproducible; a no-op in non-paged mode.
-pub(crate) fn drain_storage<D>(
-    rank: &Rank,
-    store: &mut NodeStore<D>,
-    timers: &mut PhaseTimers,
-) -> f64 {
-    let s = store.take_storage_seconds();
-    if s > 0.0 {
-        rank.advance(s);
-        timers.add(Phase::Storage, s);
-    }
-    s
 }
 
 fn is_frozen(frozen: &[bool], p: usize) -> bool {
@@ -600,9 +542,8 @@ fn recv_shadows<D: mpisim::Wire + Clone>(
 /// checks the id, and an id the receiver stores no shadow for — like a slot
 /// that holds another node — is a typed invariant violation.
 ///
-/// Paged mode faults each shadow's page in first and skips entries whose
-/// page lost every copy (the damage latch already dooms the iteration to
-/// rollback).
+/// Each shadow's page is fetched first, and an entry on a lost page is
+/// skipped ([`crate::store::GuardedTable::lost`]).
 fn unpack<D: mpisim::Wire + Clone>(
     rank: &Rank,
     store: &mut NodeStore<D>,
@@ -613,20 +554,12 @@ fn unpack<D: mpisim::Wire + Clone>(
 ) {
     let t0 = rank.wtime();
     rank.advance(costs.per_shadow_unpack * msg.len() as f64);
-    if store.audit.is_some() {
-        rank.advance(costs.audit_per_entry * msg.len() as f64);
-    }
+    store.charge_audit(rank, costs, msg.len());
     let (me, from) = (store.rank, store.recv_procs()[source]);
-    let NodeStore {
-        plan,
-        table,
-        pager,
-        audit,
-        ..
-    } = store;
+    let NodeStore { plan, data, .. } = store;
     let (ids, slots) = plan.recv_list(source);
     let mut cursor = 0;
-    for (id, data) in msg {
+    for (id, value) in msg {
         while ids.get(cursor).is_some_and(|&listed| listed < id) {
             cursor += 1;
         }
@@ -638,29 +571,9 @@ fn unpack<D: mpisim::Wire + Clone>(
                 )
             });
         }
-        let (slot, page) = (slots[cursor], table.page_of(slots[cursor]));
-        if let Some(pager) = pager.as_mut() {
-            pager.ensure(table, [slot]);
-        }
-        match table.set_current_at(slot, id, data) {
-            Some(d) => {
-                if let Some(audit) = audit.as_mut() {
-                    audit.record(id, crate::audit::entry_hash(id, d));
-                }
-                if let Some(pager) = pager.as_mut() {
-                    pager.note_write(page);
-                }
-            }
-            None => {
-                // A vacant slot in paged mode is a lost page: skip the entry.
-                if pager.is_none() || table.at(slot).is_some() {
-                    invariant_violated(
-                        me,
-                        format!("slot of shadow {id} does not hold it: structural change without rebuild_lists"),
-                    );
-                }
-            }
-        }
+        let slot = slots[cursor];
+        data.fetch([slot]);
+        data.overwrite(me, slot, id, value);
     }
     timers.add(Phase::CommunicationOverhead, rank.wtime() - t0);
 }
@@ -694,25 +607,18 @@ where
     D: mpisim::Wire + Clone,
 {
     let t0 = rank.wtime();
-    let paged = store.pager.is_some();
     let mut buffers: ShadowBuffers<D> = vec![Vec::new(); store.nprocs];
     for k in store.peripheral_range() {
         let node = store.plan.node(k);
-        if let Some(pager) = store.pager.as_mut() {
-            pager.ensure(&mut store.table, [node.slot]);
-        }
-        let cur = match store.table.at(node.slot) {
-            Some((id, d)) if id == node.id => d,
-            // Damaged page: nothing to repack; the damage latch forces a
-            // rollback that supersedes this repair anyway.
-            None if paged => continue,
-            _ => invariant_violated(
-                store.rank,
-                format!(
-                    "no data for owned peripheral node {} at shadow resync",
-                    node.id
-                ),
-            ),
+        store.data.fetch([node.slot]);
+        let what = || {
+            format!(
+                "no data for owned peripheral node {} at shadow resync",
+                node.id
+            )
+        };
+        let Some(cur) = store.data.read(store.rank, node.slot, node.id, what) else {
+            continue;
         };
         rank.advance(costs.per_shadow_pack * node.shadow_for.len() as f64);
         for &p in node.shadow_for {
@@ -731,7 +637,7 @@ where
     // Close the repair round like a regular step closes, at a barrier's
     // cost, so what follows a repair that met a death or a cut is one
     // agreed decision.
-    drain_storage(rank, store, timers);
+    store.drain_storage(rank, timers);
     let t0 = rank.wtime();
     let verdict = rank.ctl_exchange(CtlSlot {
         word: u64::from(saw_death) | u64::from(saw_cut) << 1,
@@ -774,7 +680,7 @@ mod tests {
     fn assert_unpack_matches_by_id(rank: &Rank, store: &mut NodeStore<i64>, seed: u64, when: &str) {
         let mut rng = SplitMix64::new(seed);
         for kind in ["full", "thinned", "empty", "shuffled"] {
-            let mut by_id = store.table.clone();
+            let mut by_id = store.data.table.clone();
             for source in 0..store.recv_procs().len() {
                 let mut msg = full_buffer(store, source, &mut rng);
                 match kind {
@@ -789,7 +695,7 @@ mod tests {
                 unpack_from(rank, store, source, &msg);
             }
             assert!(
-                store.table == by_id,
+                store.data.table == by_id,
                 "{when}, {kind} buffers, rank {}",
                 store.rank
             );
@@ -890,15 +796,16 @@ mod tests {
         // by one, so the slot the plan resolved for 8 now holds 7...
         let front = |store: &mut NodeStore<i64>, graph: &Graph| {
             let rest = store
+                .data
                 .table
                 .iter()
                 .filter(|e| e.0 != 0)
                 .map(|(id, &d)| (id, d));
             let rest: Vec<_> = rest.collect();
-            store.table.clear();
-            store.table.merge(rest).unwrap();
+            store.data.table.clear();
+            store.data.table.merge(rest).unwrap();
             store.rebuild_lists(graph);
-            store.table.merge(vec![(0, 0)]).unwrap();
+            store.data.table.merge(vec![(0, 0)]).unwrap();
         };
         let only_8 = |_: &NodeStore<i64>| vec![(8, 7)];
         let detail = detail(unpack_after(front, only_8));
@@ -909,7 +816,7 @@ mod tests {
             store.rebuild_lists(graph);
         };
         let store = unpack_after(rebuilt, only_8).expect("the plan is current");
-        assert_eq!(store.table.get(8), Some(&7));
+        assert_eq!(store.data.table.get(8), Some(&7));
     }
 
     #[test]
@@ -922,18 +829,18 @@ mod tests {
         let lose_page = |store: &mut NodeStore<i64>, _: &Graph| {
             let cfg = PageConfig { budget: 4 };
             store.enable_paging(&cfg, &FaultPlan::new(1), &CostModel::default());
-            store.table.page_out(lost);
+            store.data.table.page_out(lost);
         };
         let store = unpack_after(lose_page, shadows).expect("lost pages are skipped");
-        assert_eq!(store.table.page_range(lost), Some((9, NodeId::MAX)));
+        assert_eq!(store.data.table.page_range(lost), Some((9, NodeId::MAX)));
         assert!(store.shadow_ids().iter().any(|&w| !on_lost_page(w)));
         for &w in store.shadow_ids() {
             let expected = (!on_lost_page(w)).then_some(&7);
-            assert_eq!(store.table.get(w), expected, "shadow {w}");
+            assert_eq!(store.data.table.get(w), expected, "shadow {w}");
         }
         // Without a pager nothing excuses the vacant slot.
         let vacate = |store: &mut NodeStore<i64>, _: &Graph| {
-            store.table.page_out(lost);
+            store.data.table.page_out(lost);
         };
         assert!(matches!(
             unpack_after(vacate, shadows),
@@ -987,7 +894,7 @@ mod tests {
     fn staged(store: &NodeStore<i64>) -> Vec<NodeId> {
         let slot = |k| store.plan.node(k).slot as usize;
         let mut ids: Vec<NodeId> = (0..store.owned_count())
-            .filter(|&k| store.table.any_staged(slot(k)..slot(k) + 1))
+            .filter(|&k| store.data.table.any_staged(slot(k)..slot(k) + 1))
             .map(|k| store.plan.node(k).id)
             .collect();
         ids.sort_unstable();
@@ -1007,7 +914,7 @@ mod tests {
                 if let Some(budget) = budget {
                     let (cfg, costs) = (PageConfig { budget }, CostModel::default());
                     store.enable_paging(&cfg, &FaultPlan::new(1), &costs);
-                    store.pager.as_mut().unwrap().clear_ckpt_dirty();
+                    store.data.pager().clear_ckpt_dirty();
                 }
                 let all = 0..store.owned_count();
                 let promoted = with_round(rank, &program, &graph, |round| {
@@ -1016,18 +923,20 @@ mod tests {
                     round.promote(&mut store)
                 });
                 assert_eq!((promoted, staged(&store)), (changed.len(), vec![]));
-                match store.pager.as_ref() {
+                match budget {
                     None => {
                         for v in graph.nodes() {
                             let expected = i64::from(v) + i64::from(bumped(v));
-                            assert_eq!(store.table.get(v), Some(&expected), "node {v}");
+                            assert_eq!(store.data.table.get(v), Some(&expected), "node {v}");
                         }
                     }
-                    Some(pager) => {
-                        let mut pages: Vec<usize> =
-                            changed.iter().map(|&v| store.table.page_of_id(v)).collect();
+                    Some(_) => {
+                        let mut pages: Vec<usize> = changed
+                            .iter()
+                            .map(|&v| store.data.table.page_of_id(v))
+                            .collect();
                         pages.dedup();
-                        assert_eq!(pager.ckpt_dirty_pages(), pages);
+                        assert_eq!(store.data.pager().ckpt_dirty_pages(), pages);
                     }
                 }
             }
@@ -1043,7 +952,7 @@ mod tests {
             let mut store = NodeStore::build(&graph, &partition, 0, &program, 8);
             let (cfg, costs) = (PageConfig { budget: 2 }, CostModel::default());
             store.enable_paging(&cfg, &FaultPlan::new(1), &costs);
-            store.pager.as_mut().unwrap().clear_ckpt_dirty();
+            store.data.pager().clear_ckpt_dirty();
             let all = 0..store.owned_count();
             with_round(rank, &program, &graph, |round| {
                 compute_list(round, &mut store, all, None);
@@ -1051,7 +960,7 @@ mod tests {
                 assert_eq!(round.promote(&mut store), 0);
                 step(round, &mut store, ExchangeMode::PostComm, false, None);
             });
-            assert_eq!(store.pager.as_ref().unwrap().ckpt_dirty_pages(), vec![]);
+            assert_eq!(store.data.pager().ckpt_dirty_pages(), vec![]);
         });
     }
 
@@ -1075,18 +984,18 @@ mod tests {
             let mut store = build();
             let cfg = PageConfig { budget: 4 };
             store.enable_paging(&cfg, &FaultPlan::new(1), &CostModel::default());
-            store.table.page_out(lost);
+            store.data.table.page_out(lost);
             step_once(rank, &mut store);
 
-            let on_lost_page = |v: u32| store.table.page_of_id(v) == lost;
+            let on_lost_page = |v: u32| store.data.table.page_of_id(v) == lost;
             for v in graph.nodes() {
                 let starved = graph.neighbors(v).iter().any(|&w| on_lost_page(w));
                 let expected = match (on_lost_page(v), starved) {
                     (true, _) => None,
                     (false, true) => Some(program.init(v, &graph)),
-                    (false, false) => healthy.table.get(v).copied(),
+                    (false, false) => healthy.data.table.get(v).copied(),
                 };
-                assert_eq!(store.table.get(v).copied(), expected, "node {v}");
+                assert_eq!(store.data.table.get(v).copied(), expected, "node {v}");
             }
         });
     }

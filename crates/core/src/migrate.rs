@@ -22,13 +22,13 @@
 //! (Figure 10's P0).
 
 use crate::checkpoint::has_new_crash;
-use crate::costs::CostModel;
 use crate::driver::RunConfig;
 use crate::error::invariant_violated;
 use crate::store::NodeStore;
 use crate::timers::{Phase, PhaseTimers};
 use ic2_balance::{DynamicBalancer, LoadReport};
-use ic2_graph::{Graph, NodeId};
+use ic2_graph::metrics::comm_matrix;
+use ic2_graph::{Graph, NodeId, Partition};
 use mpisim::{ArgValue, CtlSlot, CtlVerdict, Rank, RetryPolicy};
 use std::sync::Arc;
 
@@ -88,7 +88,9 @@ fn agreed(rank: &Rank, known: &[bool], slot: CtlSlot) -> Option<CtlVerdict> {
 /// exchange and every planning input is replicated:
 ///
 /// * execution times travel in the entry exchange's load slots;
-/// * communication edges come from [`comm_edges`] (no gather);
+/// * communication edges come from the replicated owner map through
+///   [`ic2_graph::metrics::comm_matrix`], which counts what the gathered
+///   `send_counts` count (no gather);
 /// * the plan is computed *locally on every rank* from those replicated
 ///   inputs (the balancer itself is replicated state);
 /// * the busy processor announces its chosen migrant through a control
@@ -183,20 +185,16 @@ where
                     let my_counts: Vec<u64> = store.send_counts.iter().map(|&c| c as u64).collect();
                     let mut plan = Vec::new();
                     if let Some(counts) = rank.gather(0, &my_counts) {
-                        let mut edges = vec![vec![0u64; nprocs]; nprocs];
-                        for i in 0..nprocs {
-                            for j in 0..nprocs {
-                                if i != j {
-                                    edges[i][j] = counts[i][j] + counts[j][i];
-                                }
-                            }
-                        }
-                        plan = plan_pairs(&times, edges);
+                        plan = plan_pairs(&times, symmetrize(nprocs, |i, j| counts[i][j]));
                     }
                     rank.bcast(0, &mut plan);
                     plan
                 }
-                Some(_) => plan_pairs(&times, comm_edges(graph, &store.owner, nprocs)),
+                Some(_) => {
+                    let owner = Partition::from_shared(Arc::clone(&store.owner), nprocs);
+                    let counts = comm_matrix(graph, &owner);
+                    plan_pairs(&times, symmetrize(nprocs, |i, j| counts[i][j] as u64))
+                }
             };
             // 2. An empty plan ends the round.
             if plan.is_empty() {
@@ -242,7 +240,7 @@ where
                     // migrating node's own data — it was a shadow there.)
                     let neighbours = graph.neighbors(migrating).iter();
                     let payload: Vec<(u32, D)> = neighbours
-                        .map(|&w| match store.table.get(w) {
+                        .map(|&w| match store.data.table.get(w) {
                             Some(data) => (w, data.clone()),
                             None => invariant_violated(
                                 me,
@@ -292,9 +290,10 @@ where
                         None => rank.recv(busy as usize, TAG_MIGRATE),
                         Some(_) => rank.try_recv(busy as usize, TAG_MIGRATE).ok()?,
                     };
-                    receive(rank, store, payload, costs);
+                    rank.advance(costs.migrate_per_entry * payload.len() as f64);
+                    store.insert(rank, costs, payload);
                     debug_assert!(
-                        store.table.contains(migrating),
+                        store.data.table.contains(migrating),
                         "idle rank must already hold the migrating node's data as a shadow"
                     );
                 }
@@ -382,52 +381,14 @@ pub fn plan_adoption(graph: &Graph, owner: &[u32], lost: &[bool]) -> Option<Vec<
     Some(plan)
 }
 
-/// Symmetric communication-volume matrix derived *locally* from the
-/// replicated owner map: `edges[i][j]` counts the shadow entries exchanged
-/// between processors `i` and `j` each iteration (both directions).
-/// Equals the matrix the thesis's [`balance_round`] protocol gathers from
-/// per-rank `send_counts`, but needs no communication — the crash-tolerant
-/// protocol uses it so the planning inputs stay replicated even while ranks
-/// are dying.
-pub fn comm_edges(graph: &Graph, owner: &[u32], nprocs: usize) -> Vec<Vec<u64>> {
-    let mut counts = vec![vec![0u64; nprocs]; nprocs];
-    for v in graph.nodes() {
-        let i = owner[v as usize] as usize;
-        let mut seen: Vec<u32> = Vec::new();
-        for &w in graph.neighbors(v) {
-            let p = owner[w as usize];
-            if p as usize != i && !seen.contains(&p) {
-                seen.push(p);
-                counts[i][p as usize] += 1;
-            }
-        }
-    }
-    let mut edges = vec![vec![0u64; nprocs]; nprocs];
-    for (i, row) in edges.iter_mut().enumerate() {
-        for (j, e) in row.iter_mut().enumerate() {
-            if i != j {
-                *e = counts[i][j] + counts[j][i];
-            }
-        }
-    }
-    edges
-}
-
-/// Take in migrated node data — new shadows and owned nodes
-/// arrive, held ones are refreshed — as one sorted merge, audit-noted.
-fn receive<D>(rank: &Rank, store: &mut NodeStore<D>, mut payload: Vec<(u32, D)>, costs: &CostModel)
-where
-    D: Clone + mpisim::Wire,
-{
-    rank.advance(costs.migrate_per_entry * payload.len() as f64);
-    if store.audit.is_some() {
-        rank.advance(costs.audit_per_entry * payload.len() as f64);
-    }
-    for (id, data) in &payload {
-        store.audit_note(*id, data);
-    }
-    payload.sort_by_key(|&(id, _)| id);
-    store.merge(payload);
+/// The communication-volume edges a balancer plans on among `n`
+/// processors: the `count(i, j)` shadow entries `i` sends `j` each
+/// iteration, summed over both directions, zero on the diagonal.
+fn symmetrize(n: usize, count: impl Fn(usize, usize) -> u64) -> Vec<Vec<u64>> {
+    let pair = |i, j| if i == j { 0 } else { count(i, j) + count(j, i) };
+    (0..n)
+        .map(|i| (0..n).map(|j| pair(i, j)).collect())
+        .collect()
 }
 
 /// The thesis's `GetMigratingNode`: among the busy processor's peripheral

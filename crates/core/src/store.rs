@@ -1,14 +1,17 @@
 //! Per-rank node state: the initialization phase (thesis §4.1) and the
 //! bookkeeping every later phase reads.
 
-use crate::audit::{entry_hash, AuditState};
+use crate::audit::{entry_hash, AuditOutcome, AuditState};
+use crate::checkpoint::TAG_MIRROR;
 use crate::costs::CostModel;
+use crate::driver::RunConfig;
 use crate::error::{invariant_violated, PlatformError, StoreViolation};
 use crate::hashtab::{NodeTable, Slot};
-use crate::paging::{PageConfig, Pager};
+use crate::paging::{PageConfig, PageCounters, Pager};
 use crate::program::NodeProgram;
+use crate::timers::{Phase, PhaseTimers};
 use ic2_graph::{Graph, NodeId, Partition};
-use mpisim::{DiskTiming, FaultPlan, Wire};
+use mpisim::{Died, DiskCounters, DiskTiming, FaultPlan, Rank, RetryPolicy, Wire};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -126,8 +129,8 @@ impl Needed {
 }
 
 /// Everything one rank keeps in local memory: the data-node table (owned +
-/// shadow data), the round plan over it, the
-/// replicated owner map (the thesis's `output_arr`), and the
+/// shadow data) behind its pager and audit digests, the round plan over
+/// it, the replicated owner map (the thesis's `output_arr`), and the
 /// communication-buffer plan.
 #[derive(Debug, Clone)]
 pub struct NodeStore<D> {
@@ -136,10 +139,11 @@ pub struct NodeStore<D> {
     /// World size.
     pub nprocs: usize,
     /// Internal and peripheral node lists with resolved slots; see
-    /// [`Self::internal`] and [`Self::peripheral`].
+    /// [`Self::internal`] and [`Self::peripheral`]. A field apart from the
+    /// table, so a round can walk the plan while it writes the table.
     pub(crate) plan: RoundPlan,
     /// Data for owned nodes *and* shadow nodes.
-    pub table: NodeTable<D>,
+    pub data: GuardedTable<D>,
     /// Global node → owning processor, replicated on every rank and kept
     /// in sync through migration broadcasts. The ranks of a run share the
     /// partition's array until one of them writes (`Arc::make_mut`).
@@ -161,17 +165,120 @@ pub struct NodeStore<D> {
     /// the normal iteration flow (initial build, migration, checkpoint
     /// restore) and cleared once a full pack has gone out.
     pub needs_resync: bool,
+}
+
+/// The data-node table behind the out-of-core pager and the audit digests:
+/// the one place either is consulted. Other modules read, write and charge
+/// through the operations here, which fault pages in, record digests and
+/// note dirty pages; `lost` alone decides what a missing entry means.
+#[derive(Debug, Clone)]
+pub struct GuardedTable<D> {
+    /// The entries themselves.
+    pub table: NodeTable<D>,
     /// Incremental state-audit digests (`RunConfig::with_state_audit`),
     /// `None` unless audits are enabled. Kept current at every legitimate
-    /// write (promote, unpack, [`Self::audit_note`], restore); deliberately
-    /// *not* updated by injected memory corruption, which is how an audit
-    /// boundary detects it.
-    pub(crate) audit: Option<AuditState>,
+    /// write; deliberately *not* updated by injected memory corruption,
+    /// which is how an audit boundary detects it.
+    audit: Option<AuditState>,
     /// Out-of-core paging engine (`RunConfig::with_paging`), `None` when
-    /// the whole table is readable. When present, at most its budget of
-    /// pages is resident; the rest are checksummed images on the rank's
-    /// virtual disk.
-    pub(crate) pager: Option<Pager>,
+    /// the whole table is readable; otherwise at most its budget of pages
+    /// is resident, the rest checksummed images on the rank's virtual disk.
+    pager: Option<Pager>,
+}
+
+impl<D: Wire> GuardedTable<D> {
+    /// Fault in the pages of `slots`: a node's and its neighbours' before
+    /// its update, a shadow's before its overwrite. A no-op unless paged.
+    #[inline]
+    pub(crate) fn fetch(&mut self, slots: impl IntoIterator<Item = Slot>) {
+        if let Some(pager) = self.pager.as_mut() {
+            pager.ensure(&mut self.table, slots);
+        }
+    }
+
+    /// The missing-entry rule. An entry the plan names that the table cannot
+    /// read after [`Self::fetch`] (a hole, or a slot resolved to
+    /// [`crate::hashtab::VACANT`] while its page was lost) is, when paged,
+    /// on a page that lost every copy: this returns and the caller skips it,
+    /// as the pager's damage latch dooms the iteration to rollback anyway.
+    /// Unpaged, it is corrupt state: the typed invariant violation `what`.
+    pub(crate) fn lost(&self, rank: u32, what: impl FnOnce() -> String) {
+        if self.pager.is_none() {
+            invariant_violated(rank, what());
+        }
+    }
+
+    /// The value at `slot`, which the round plan resolved for `id`; `None`
+    /// when [`Self::lost`] excuses its absence. A slot holding another id is
+    /// the typed invariant violation `what` describes.
+    #[inline]
+    pub(crate) fn read(
+        &self,
+        rank: u32,
+        slot: Slot,
+        id: NodeId,
+        what: impl FnOnce() -> String,
+    ) -> Option<&D> {
+        match self.table.at(slot) {
+            Some((found, d)) if found == id => Some(d),
+            Some(_) => invariant_violated(rank, what()),
+            None => {
+                self.lost(rank, what);
+                None
+            }
+        }
+    }
+
+    /// Stage owned node `id`'s changed value at `slot` and note its page
+    /// dirty.
+    #[inline]
+    pub(crate) fn stage(&mut self, rank: u32, slot: Slot, id: NodeId, value: D) {
+        if !self.table.stage_at(slot, id, value) {
+            let what = format!("slot of owned node {id} moved during its update");
+            invariant_violated(rank, what);
+        }
+        if let Some(pager) = self.pager.as_mut() {
+            pager.note_write(self.table.page_of(slot));
+        }
+    }
+
+    /// Overwrite shadow `id` at `slot` with the value its owner sent,
+    /// recording its digest and noting its page dirty. An entry on a lost
+    /// page is skipped ([`Self::lost`]).
+    pub(crate) fn overwrite(&mut self, rank: u32, slot: Slot, id: NodeId, value: D) {
+        let what = || {
+            format!("slot of shadow {id} does not hold it: structural change without rebuild_lists")
+        };
+        let page = self.table.page_of(slot);
+        let Some(d) = self.table.set_current_at(slot, id, value) else {
+            if self.table.at(slot).is_some() {
+                invariant_violated(rank, what());
+            }
+            return self.lost(rank, what);
+        };
+        if let Some(audit) = self.audit.as_mut() {
+            audit.record(id, entry_hash(id, d));
+        }
+        if let Some(pager) = self.pager.as_mut() {
+            pager.note_write(page);
+        }
+    }
+
+    /// Promote every staged value (`data = most_recent_data`), recording its
+    /// digest; returns how many. A paged store sweeps page by page, so each
+    /// page holding a change is resident exactly once.
+    pub(crate) fn promote(&mut self) -> usize {
+        let (table, audit) = (&mut self.table, &mut self.audit);
+        let note = |id, d: &D| {
+            if let Some(audit) = audit.as_mut() {
+                audit.record(id, entry_hash(id, d));
+            }
+        };
+        match self.pager.as_mut() {
+            Some(pager) => pager.promote(table, note),
+            None => table.promote(0..table.len(), note),
+        }
+    }
 }
 
 impl<D: Clone> NodeStore<D> {
@@ -200,13 +307,15 @@ impl<D: Clone> NodeStore<D> {
             rank,
             nprocs,
             plan: RoundPlan::default(),
-            table: NodeTable::new(pages),
+            data: GuardedTable {
+                table: NodeTable::new(pages),
+                audit: None,
+                pager: None,
+            },
             owner: partition.shared(),
             send_counts: vec![0; nprocs],
             node_load: vec![0.0; graph.num_nodes()],
             needs_resync: true,
-            audit: None,
-            pager: None,
         };
         // Owned node data and shadow data for the remote neighbours of
         // owned nodes (InsertShadowsIntoHashTable), in one ascending fill.
@@ -221,7 +330,7 @@ impl<D: Clone> NodeStore<D> {
     /// Merge an ascending `(id, data)` run into the table (build, restore,
     /// migration receipt): every caller sorts its run.
     pub(crate) fn merge(&mut self, run: impl IntoIterator<Item = (NodeId, D)>) {
-        if let Err(e) = self.table.merge(run) {
+        if let Err(e) = self.data.table.merge(run) {
             invariant_violated(self.rank, format!("table merge refused: {e:?}"));
         }
     }
@@ -284,7 +393,7 @@ impl<D> NodeStore<D> {
     where
         D: Clone,
     {
-        let data = |(&id, &slot)| match self.table.at(slot) {
+        let data = |(&id, &slot)| match self.data.table.at(slot) {
             Some((found, d)) if found == id => (id, d.clone()),
             _ => invariant_violated(self.rank, format!("no data for owned node {id} at gather")),
         };
@@ -293,7 +402,7 @@ impl<D> NodeStore<D> {
 
     /// Locally stored entries (owned + shadows).
     pub fn stored_count(&self) -> usize {
-        self.table.len()
+        self.data.table.len()
     }
 
     /// Rebuild the round plan after the owner map changed (the thesis
@@ -329,7 +438,7 @@ impl<D> NodeStore<D> {
         ids.shrink_to_fit();
 
         // One pass over the table resolves every slot the plan needs.
-        let slot = self.table.resolver();
+        let slot = self.data.table.resolver();
         let degrees: usize = ids.iter().map(|&v| graph.degree(v)).sum();
         let mut nbr_start = Vec::with_capacity(ids.len() + 1);
         let mut nbrs = Vec::with_capacity(degrees);
@@ -386,7 +495,7 @@ impl<D> NodeStore<D> {
         }
         let sends = |p: &u32| self.send_counts[*p as usize] > 0;
         self.plan = RoundPlan {
-            epoch: self.table.epoch(),
+            epoch: self.data.table.epoch(),
             own: ids.iter().map(|&v| slot(v)).collect(),
             ids,
             internal,
@@ -414,7 +523,11 @@ impl<D> NodeStore<D> {
     where
         D: Clone,
     {
-        self.table.iter().map(|(id, d)| (id, d.clone())).collect()
+        self.data
+            .table
+            .iter()
+            .map(|(id, d)| (id, d.clone()))
+            .collect()
     }
 
     /// Reset this rank's entire state from a checkpoint: install the
@@ -437,7 +550,7 @@ impl<D> NodeStore<D> {
         // A snapshot extended with adoption packages may name an id twice:
         // the stable sort keeps the later copy later, and the merge lets it win.
         entries.sort_by_key(|&(id, _)| id);
-        self.table.clear();
+        self.data.table.clear();
         self.merge(entries);
         self.reset_loads();
         self.plan_rounds(graph, &owned);
@@ -451,155 +564,29 @@ impl<D> NodeStore<D> {
         &self.plan.shadows
     }
 
-    /// Turn on incremental audit digests, (re)seeding the maintained hash
-    /// of every stored entry from its current value. Called at build time
-    /// when audits are configured, and again after a checkpoint restore
-    /// replaces the table wholesale.
-    pub(crate) fn enable_audit(&mut self)
-    where
-        D: Wire,
-    {
-        let mut audit = AuditState::new(self.owner.len());
-        for (id, d) in self.table.iter() {
-            audit.record(id, entry_hash(id, d));
-        }
-        self.audit = Some(audit);
-    }
-
-    /// Record a legitimate write for the audit digest (no-op when audits
-    /// are off): a migration insert's. Promote and shadow unpack, which
-    /// borrow the table and the digest apart, record inline; injected
-    /// corruption deliberately does not.
-    pub(crate) fn audit_note(&mut self, id: NodeId, data: &D)
-    where
-        D: Wire,
-    {
-        if let Some(a) = self.audit.as_mut() {
-            a.record(id, entry_hash(id, data));
-        }
-    }
-
-    /// Recompute every needed entry's hash and compare against the
-    /// maintained digest state: the audit-boundary integrity check. Called
-    /// with audits enabled only.
-    pub(crate) fn audit_verify(&self) -> crate::audit::AuditOutcome
-    where
-        D: Wire,
-    {
-        let Some(audit) = self.audit.as_ref() else {
-            invariant_violated(self.rank, "audit boundary without audit state".into())
-        };
-        let paged = self.pager.is_some();
-        // Paged mode runs audits with every page faulted in; a vacant slot
-        // means its page lost every copy — reported as a mismatch so the
-        // repair ladder escalates.
-        let hash_at = |id: NodeId, slot: Slot| match self.table.at(slot) {
-            Some((found, d)) if found == id => Some(entry_hash(id, d)),
-            None if paged => None,
-            _ => invariant_violated(self.rank, format!("no data for node {id} at audit")),
-        };
-        let mut out = crate::audit::AuditOutcome::default();
-        for (&id, &slot) in self.plan.ids.iter().zip(&self.plan.own) {
-            out.checked += 1;
-            let h = hash_at(id, slot);
-            out.owned_root ^= h.unwrap_or(0);
-            if h != Some(audit.hash_of(id)) {
-                out.owned_mismatches += 1;
-            }
-        }
-        for (&id, &slot) in self.plan.recv_ids.iter().zip(&self.plan.recv_slots) {
-            out.checked += 1;
-            if hash_at(id, slot) != Some(audit.hash_of(id)) {
-                out.shadow_mismatches += 1;
-            }
-        }
-        out
-    }
-
-    /// Switch the table to out-of-core paged mode: install a pager over
-    /// the table's pages, then spill down to the configured budget (the
-    /// spilled pages get their first verified disk commit here).
-    pub(crate) fn enable_paging(&mut self, cfg: &PageConfig, plan: &FaultPlan, costs: &CostModel)
-    where
-        D: Clone + Wire,
-    {
-        let timing = DiskTiming {
-            seek_seconds: costs.disk_seek,
-            byte_seconds: costs.disk_byte,
-        };
-        let mut pager = Pager::new(
-            self.rank as usize,
-            self.table.page_count(),
-            cfg,
-            plan.clone(),
-            timing,
-            costs.disk_retry_backoff,
-        );
-        pager.spill_to_budget(&mut self.table);
-        self.pager = Some(pager);
-    }
-
     /// Whether the pager has latched damage (some page lost every verified
     /// copy) since the last restore. Always false in non-paged mode.
     pub(crate) fn disk_damaged(&self) -> bool {
-        self.pager.as_ref().is_some_and(|p| p.damaged())
+        self.data.pager.as_ref().is_some_and(|p| p.damaged())
     }
 
-    /// Drain the pager's accumulated virtual I/O seconds (zero when not
-    /// paged); the caller charges them to the clock under
-    /// [`crate::timers::Phase::Storage`].
-    pub(crate) fn take_storage_seconds(&mut self) -> f64 {
-        self.pager.as_mut().map_or(0.0, Pager::take_seconds)
-    }
-
-    /// Begin a whole-table phase (snapshot, migration, audit, gather):
-    /// fault every page in. The pool runs over budget until
-    /// [`Self::bulk_end`] — the documented transient for bulk phases.
-    pub(crate) fn bulk_begin(&mut self)
-    where
-        D: Clone + Wire,
-    {
-        let NodeStore { pager, table, .. } = self;
-        if let Some(p) = pager.as_mut() {
-            p.page_in_all(table);
+    /// Charge the pager's accumulated I/O and backoff seconds to the clock
+    /// under [`Phase::Storage`], and return them. Called at deterministic
+    /// points so paged runs stay bit-identically reproducible.
+    pub(crate) fn drain_storage(&mut self, rank: &Rank, timers: &mut PhaseTimers) -> f64 {
+        let s = self.data.pager.as_mut().map_or(0.0, Pager::take_seconds);
+        if s > 0.0 {
+            rank.advance(s);
+            timers.add(Phase::Storage, s);
         }
-    }
-
-    /// End a whole-table phase: conservatively mark every page dirty (bulk
-    /// phases mutate pages behind the pager's back) and spill back down
-    /// to budget.
-    pub(crate) fn bulk_end(&mut self)
-    where
-        D: Clone + Wire,
-    {
-        let NodeStore { pager, table, .. } = self;
-        if let Some(p) = pager.as_mut() {
-            p.mark_all_dirty();
-            p.spill_to_budget(table);
-        }
-    }
-
-    /// End a *read-only* whole-table phase (snapshot, audit, gather):
-    /// spill back down to budget without marking anything dirty — only
-    /// pages that never reached disk get written.
-    pub(crate) fn bulk_end_clean(&mut self)
-    where
-        D: Clone + Wire,
-    {
-        let NodeStore { pager, table, .. } = self;
-        if let Some(p) = pager.as_mut() {
-            p.spill_to_budget(table);
-        }
+        s
     }
 
     /// Data-presence test that understands paging: an entry counts as
     /// stored if it is in RAM or could be on a non-resident page.
     fn has_entry(&self, id: NodeId) -> bool {
-        self.table.contains(id)
-            || self
-                .pager
-                .as_ref()
-                .is_some_and(|p| !p.is_resident(self.table.page_of_id(id)))
+        let paged_out = |p: &Pager| !p.is_resident(self.data.table.page_of_id(id));
+        self.data.table.contains(id) || self.data.pager.as_ref().is_some_and(paged_out)
     }
 
     /// Zero the per-node load samples (a balancing round consumed them, or
@@ -639,7 +626,7 @@ impl<D> NodeStore<D> {
         // plan slots naming the entries `slot_of` finds (wherever those are
         // resident) under the epoch the plan was stamped with.
         let remote = |w: NodeId| self.owner[w as usize] != self.rank;
-        let stale = |id: NodeId, slot: Slot| self.table.slot_of(id).is_some_and(|s| s != slot);
+        let stale = |id: NodeId, slot: Slot| self.data.table.slot_of(id).is_some_and(|s| s != slot);
         let mut owned_seen = std::collections::HashSet::new();
         for (list_name, range, internal) in [
             ("internal", self.internal_range(), true),
@@ -656,7 +643,7 @@ impl<D> NodeStore<D> {
                     return Err(StoreViolation::ListedTwice { node: node.id });
                 }
                 let adjacent = graph.neighbors(node.id);
-                if self.plan.epoch != self.table.epoch()
+                if self.plan.epoch != self.data.table.epoch()
                     || node.neighbors.len() != adjacent.len()
                     || stale(node.id, node.slot)
                     || adjacent
@@ -747,6 +734,332 @@ impl<D> NodeStore<D> {
     }
 }
 
+impl<D: Clone + Wire> NodeStore<D> {
+    /// Seed the incremental audit digests, charged per entry: the
+    /// maintained hash of every stored entry, from its current value.
+    fn seed_audit(&mut self, rank: &Rank, costs: &CostModel) {
+        let mut audit = AuditState::new(self.owner.len());
+        for (id, d) in self.data.table.iter() {
+            audit.record(id, entry_hash(id, d));
+        }
+        self.data.audit = Some(audit);
+        self.charge_audit(rank, costs, self.stored_count());
+    }
+
+    /// Charge `entries` digest updates or checks, and nothing with audits
+    /// off: even `advance(0.0)` runs the crash check, and could move one.
+    pub(crate) fn charge_audit(&self, rank: &Rank, costs: &CostModel, entries: usize) {
+        if self.data.audit.is_some() {
+            rank.advance(costs.audit_per_entry * entries as f64);
+        }
+    }
+
+    /// Take in migrated node data (new shadows and owned nodes, refreshed
+    /// held ones) as one sorted merge, each entry's digest recorded.
+    pub(crate) fn insert(&mut self, rank: &Rank, costs: &CostModel, mut payload: Vec<(NodeId, D)>) {
+        self.charge_audit(rank, costs, payload.len());
+        if let Some(audit) = self.data.audit.as_mut() {
+            for (id, d) in &payload {
+                audit.record(*id, entry_hash(*id, d));
+            }
+        }
+        payload.sort_by_key(|&(id, _)| id);
+        self.merge(payload);
+    }
+
+    /// The audit boundary's integrity check, every page faulted in: each
+    /// needed entry's hash against the maintained digest. A lost page's
+    /// entries count as mismatches, so the repair ladder escalates.
+    pub(crate) fn audit_verify(&mut self, rank: &Rank, costs: &CostModel) -> AuditOutcome {
+        self.bulk_begin();
+        let Some(audit) = self.data.audit.as_ref() else {
+            invariant_violated(self.rank, "audit boundary without audit state".into())
+        };
+        let hash_at = |id: NodeId, slot: Slot| {
+            let what = || format!("no data for node {id} at audit");
+            Some(entry_hash(id, self.data.read(self.rank, slot, id, what)?))
+        };
+        let mut out = AuditOutcome::default();
+        for (&id, &slot) in self.plan.ids.iter().zip(&self.plan.own) {
+            out.checked += 1;
+            let h = hash_at(id, slot);
+            out.owned_root ^= h.unwrap_or(0);
+            if h != Some(audit.hash_of(id)) {
+                out.owned_mismatches += 1;
+            }
+        }
+        for (&id, &slot) in self.plan.recv_ids.iter().zip(&self.plan.recv_slots) {
+            out.checked += 1;
+            if hash_at(id, slot) != Some(audit.hash_of(id)) {
+                out.shadow_mismatches += 1;
+            }
+        }
+        self.charge_audit(rank, costs, out.checked);
+        self.bulk_end(false);
+        out
+    }
+
+    /// The initialization phase under `cfg`, charged: [`Self::build`], the
+    /// audit digests seeded when audits are configured, then the pager
+    /// installed when paging is (the caller drains its first disk commits).
+    pub(crate) fn open<P>(
+        graph: &Graph,
+        partition: &Partition,
+        rank: &Rank,
+        program: &P,
+        cfg: &RunConfig,
+    ) -> Self
+    where
+        P: NodeProgram<Data = D>,
+    {
+        let me = rank.rank() as u32;
+        let mut store = NodeStore::build(graph, partition, me, program, cfg.hash_buckets);
+        rank.advance(cfg.costs.init_per_node * store.stored_count() as f64);
+        if cfg.audit_every.is_some() {
+            store.seed_audit(rank, &cfg.costs);
+        }
+        if let Some(pc) = &cfg.paging {
+            store.enable_paging(pc, &cfg.world.faults, &cfg.costs);
+        }
+        store
+    }
+
+    /// Iteration-0 state again, charged like the initialization phase,
+    /// keeping the pager and the audit switch: the operation counter of the
+    /// pager's disk salts every fault decision, and replay must make fresh
+    /// ones. [`Self::reseed`] then points both at the new table.
+    pub(crate) fn rebuild<P>(
+        &mut self,
+        graph: &Graph,
+        partition: &Partition,
+        rank: &Rank,
+        program: &P,
+        cfg: &RunConfig,
+    ) where
+        P: NodeProgram<Data = D>,
+    {
+        let guards = (self.data.audit.take(), self.data.pager.take());
+        *self = NodeStore::build(graph, partition, self.rank, program, cfg.hash_buckets);
+        (self.data.audit, self.data.pager) = guards;
+        rank.advance(cfg.costs.init_per_node * self.stored_count() as f64);
+    }
+
+    /// Resume paging and audits over a table, wholly in RAM, that a restore
+    /// or a genesis rebuild replaced: the pager restarts from it (fresh
+    /// pool, purged disk, damage latch cleared), the digests are re-seeded,
+    /// and the table spills back down to budget.
+    pub(crate) fn reseed(&mut self, rank: &Rank, costs: &CostModel) {
+        if let Some(pager) = self.data.pager.as_mut() {
+            pager.reset_after_restore();
+        }
+        if self.data.audit.is_some() {
+            self.seed_audit(rank, costs);
+        }
+        self.bulk_end(false);
+    }
+
+    /// Switch the table to out-of-core paged mode: install a pager over
+    /// the table's pages, then spill down to the configured budget (the
+    /// spilled pages get their first verified disk commit here).
+    pub(crate) fn enable_paging(&mut self, cfg: &PageConfig, plan: &FaultPlan, costs: &CostModel) {
+        let timing = DiskTiming {
+            seek_seconds: costs.disk_seek,
+            byte_seconds: costs.disk_byte,
+        };
+        let mut pager = Pager::new(
+            self.rank as usize,
+            self.data.table.page_count(),
+            cfg,
+            plan.clone(),
+            timing,
+            costs.disk_retry_backoff,
+        );
+        pager.spill_to_budget(&mut self.data.table);
+        self.data.pager = Some(pager);
+    }
+
+    /// The pager's counters and its disk's (zero when not paged).
+    pub(crate) fn storage_counters(&self) -> (PageCounters, DiskCounters) {
+        let counters = |p: &Pager| (p.counters(), p.disk_counters());
+        self.data.pager.as_ref().map(counters).unwrap_or_default()
+    }
+
+    /// Begin a whole-table phase (snapshot, migration, audit, gather):
+    /// fault every page in. The pool runs over budget until
+    /// [`Self::bulk_end`] — the documented transient for bulk phases.
+    pub(crate) fn bulk_begin(&mut self) {
+        if let Some(p) = self.data.pager.as_mut() {
+            p.page_in_all(&mut self.data.table);
+        }
+    }
+
+    /// End a whole-table phase: spill back down to budget. A phase that
+    /// `wrote` (migration) did so behind the pager's back, so every page is
+    /// marked dirty first; a read-only one writes only pages never on disk.
+    pub(crate) fn bulk_end(&mut self, wrote: bool) {
+        if let Some(p) = self.data.pager.as_mut() {
+            if wrote {
+                p.mark_all_dirty();
+            }
+            p.spill_to_budget(&mut self.data.table);
+        }
+    }
+
+    /// The image a checkpoint mirrors to its buddies, cut out of `mine`,
+    /// this rank's ascending snapshot: the snapshot itself when unpaged, the
+    /// pages written since the last committed checkpoint when paged, or
+    /// every page when `full` (the receiver has no usable base).
+    pub(crate) fn mirror_image<'a>(
+        &self,
+        mine: &'a Vec<(u32, D)>,
+        full: bool,
+    ) -> MirrorImage<'a, D> {
+        let (table, Some(pager)) = (&self.data.table, self.data.pager.as_ref()) else {
+            return MirrorImage::Snapshot(mine);
+        };
+        let pages = match full {
+            true => (0..table.page_count()).collect(),
+            false => pager.ckpt_dirty_pages(),
+        };
+        let ranges = pages.into_iter().filter_map(|b| table.page_range(b));
+        let cut = |(lo, hi)| {
+            let from = mine.partition_point(|e| e.0 < lo);
+            let upto = mine.partition_point(|e| e.0 <= hi);
+            (lo, hi, mine[from..upto].to_vec())
+        };
+        MirrorImage::Pages((full, ranges.map(cut).collect()))
+    }
+
+    /// A checkpoint carrying the last [`Self::mirror_image`] committed: the
+    /// pages it shipped are the baseline of the next one.
+    pub(crate) fn mirror_committed(&mut self) {
+        if let Some(pager) = self.data.pager.as_mut() {
+            pager.clear_ckpt_dirty();
+        }
+    }
+}
+
+/// One page of a paged mirror payload: the inclusive id range it covers on
+/// the *sender* and every surviving entry in it, ascending.
+type DiffPage<D> = (u32, u32, Vec<(u32, D)>);
+
+/// Wire shape of a paged mirror payload: `(full_image, pages)`. Ranks cut
+/// their tables differently, so the ranges are what tells the receiver which
+/// of its prior entries a page replaces; a dirty page with zero entries
+/// still ships so they are dropped.
+type PageDiffImage<D> = (bool, Vec<DiffPage<D>>);
+
+/// What a checkpoint mirrors to its ring buddies, in the wire format of the
+/// store that built it ([`NodeStore::mirror_image`]). The stores of a run
+/// all page or none does, so a rank receives in the format it sends.
+pub(crate) enum MirrorImage<'a, D> {
+    /// An unpaged store's snapshot: the pre-paging wire format, byte for byte.
+    Snapshot(&'a Vec<(NodeId, D)>),
+    /// A paged store's page diff, patched onto the ward the receiver holds.
+    Pages(PageDiffImage<D>),
+}
+
+impl<D: Wire + Clone> MirrorImage<'_, D> {
+    /// Bytes this image puts on the wire.
+    pub(crate) fn wire_len(&self) -> u64 {
+        let bytes = match self {
+            MirrorImage::Snapshot(entries) => entries.to_bytes(),
+            MirrorImage::Pages(image) => image.to_bytes(),
+        };
+        bytes.len() as u64
+    }
+
+    /// Send this image to `buddy`, holding the [`TAG_MIRROR`] frames of
+    /// `preds` that arrive while its mailbox refuses a credit.
+    pub(crate) fn send(
+        &self,
+        rank: &Rank,
+        buddy: usize,
+        preds: impl Iterator<Item = usize> + Clone,
+    ) {
+        let policy = RetryPolicy::Escalate;
+        match self {
+            MirrorImage::Snapshot(entries) => {
+                rank.send_reliable_collecting(buddy, TAG_MIRROR, *entries, policy, preds, true)
+            }
+            MirrorImage::Pages(image) => {
+                rank.send_reliable_collecting(buddy, TAG_MIRROR, image, policy, preds, true)
+            }
+        };
+    }
+
+    /// Pay for and decode the mirror held from `pred`, in this image's
+    /// format, as the ward it leaves on `base` (what the previous committed
+    /// checkpoint held of `pred`), and the count of entries that shipped,
+    /// the charge basis. On failure forget the rest, as
+    /// [`crate::checkpoint::gather_chunks`] does: a held mirror of an
+    /// abandoned checkpoint would otherwise pass for the next exchange's.
+    pub(crate) fn receive(
+        &self,
+        rank: &Rank,
+        pred: usize,
+        base: Option<&[(NodeId, D)]>,
+    ) -> Result<(Vec<(NodeId, D)>, usize), Died> {
+        if let MirrorImage::Snapshot(_) = self {
+            let entries: Vec<(NodeId, D)> =
+                rank.settle(pred).inspect_err(|_| rank.release_held())?;
+            let shipped = entries.len();
+            return Ok((entries, shipped));
+        }
+        let image: PageDiffImage<D> = rank.settle(pred).inspect_err(|_| rank.release_held())?;
+        let shipped = image.1.iter().map(|page| page.2.len()).sum();
+        // Both sides derive `full` from replicated state, so an incremental
+        // that finds no base — like ranges no table could have cut — is
+        // corrupt platform state, never a silently mis-patched ward.
+        let entries = patch_ward(base, image).unwrap_or_else(|detail| {
+            invariant_violated(
+                rank.rank() as u32,
+                format!("mirror from rank {pred}: {detail}"),
+            )
+        });
+        Ok((entries, shipped))
+    }
+}
+
+/// The ward a page diff leaves: `base`'s entries outside every shipped
+/// range (none of them under a full image) merged with the shipped ones,
+/// ascending. `Err` names what is wrong with a diff that cannot be applied:
+/// no base to patch, ranges that descend or overlap, entries outside their
+/// page's range.
+fn patch_ward<D: Clone>(
+    base: Option<&[(NodeId, D)]>,
+    (full, pages): PageDiffImage<D>,
+) -> Result<Vec<(NodeId, D)>, String> {
+    let mut kept: &[(u32, D)] = match base {
+        _ if full => &[],
+        Some(entries) => entries,
+        None => return Err("incremental page diff without a base ward".into()),
+    };
+    let mut entries = Vec::new();
+    let mut floor = 0u64;
+    for (lo, hi, page) in pages {
+        let outside = |e: &(u32, D)| e.0 < lo || e.0 > hi;
+        if u64::from(lo) < floor || hi < lo || page.iter().any(outside) {
+            return Err(format!("page diff range {lo}..={hi} out of order"));
+        }
+        floor = u64::from(hi) + 1;
+        let (below, rest) = kept.split_at(kept.partition_point(|e| e.0 < lo));
+        entries.extend_from_slice(below);
+        kept = &rest[rest.partition_point(|e| e.0 <= hi)..];
+        entries.extend(page);
+    }
+    entries.extend_from_slice(kept);
+    Ok(entries)
+}
+
+#[cfg(test)]
+impl<D> GuardedTable<D> {
+    /// The pager, for tests that inspect or move its page sets.
+    pub(crate) fn pager(&mut self) -> &mut Pager {
+        self.pager.as_mut().expect("a paged store")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -774,7 +1087,7 @@ mod tests {
             let (graph, mut stores) = build_stores_with(4, pages);
             for s in &mut stores {
                 let view = |s: &NodeStore<i64>| -> Vec<_> {
-                    let at = |slot| s.table.at(slot).map(|(id, d)| (id, *d));
+                    let at = |slot| s.data.table.at(slot).map(|(id, d)| (id, *d));
                     let nodes = s.internal().chain(s.peripheral());
                     nodes
                         .map(|n| (at(n.slot), n.neighbors.iter().map(|&w| at(w)).collect()))
@@ -786,11 +1099,119 @@ mod tests {
                 // back by the bulk prelude. The plan is not rebuilt.
                 let cfg = PageConfig { budget: 1 };
                 s.enable_paging(&cfg, &FaultPlan::new(1), &CostModel::default());
-                assert!(pages == 1 || s.table.iter().count() < before.len());
+                assert!(pages == 1 || s.data.table.iter().count() < before.len());
                 s.bulk_begin();
                 assert_eq!(view(s), before, "{pages} pages, rank {}", s.rank);
                 s.validate(&graph).unwrap();
             }
+        }
+    }
+
+    #[test]
+    fn a_page_diff_patches_a_ward_cut_by_another_table() {
+        let graph = hex_grid(8, 8);
+        let part = Metis::default().partition(&graph, 2);
+        let build = |r| NodeStore::build(&graph, &part, r, &AvgProgram::fine(), 8);
+        let (mut sender, receiver) = (build(0), build(1));
+        // Each rank cut its own ids: the receiver's page map says nothing
+        // about the sender's pages.
+        let range = |s: &NodeStore<i64>, b| s.data.table.page_range(b);
+        assert_ne!(range(&sender, 1), range(&receiver, 1));
+        let cfg = PageConfig { budget: 8 };
+        sender.enable_paging(&cfg, &FaultPlan::new(1), &CostModel::default());
+        let image = |store: &NodeStore<i64>, full: bool| match store
+            .mirror_image(&store.snapshot_table(), full)
+        {
+            MirrorImage::Pages(image) => image,
+            MirrorImage::Snapshot(_) => unreachable!("a paged store ships page diffs"),
+        };
+
+        // A full image needs no base.
+        let held = patch_ward(None, image(&sender, true)).unwrap();
+        assert_eq!(held, sender.snapshot_table());
+        sender.mirror_committed();
+
+        // An incremental of two dirty pages patches exactly their ranges.
+        for id in [held[0].0, held[held.len() - 1].0] {
+            let slot = sender.data.table.slot_of(id).unwrap();
+            sender.data.overwrite(0, slot, id, -1);
+        }
+        let incremental = image(&sender, false);
+        assert_eq!(incremental.1.len(), 2);
+        assert!(patch_ward(None, incremental.clone()).is_err(), "no base");
+        let held = patch_ward(Some(&held), incremental).unwrap();
+        assert_eq!(held, sender.snapshot_table());
+
+        // A restore under another ownership re-cuts the sender's ranges and
+        // marks every page dirty: the ranges tile, so the diff replaces the
+        // whole ward although none of them is a range the ward was built of.
+        let cuts = |s: &NodeStore<i64>| (0..8).map(|b| range(s, b)).collect::<Vec<_>>();
+        let before = cuts(&sender);
+        let swapped = part.as_slice().iter().map(|p| 1 - p).collect();
+        let everything = graph.nodes().map(|v| (v, i64::from(v))).collect();
+        sender.restore(&graph, Arc::new(swapped), everything);
+        sender.data.pager().reset_after_restore();
+        assert_ne!(cuts(&sender), before);
+        let held = patch_ward(Some(&held), image(&sender, false)).unwrap();
+        assert_eq!(held, sender.snapshot_table());
+
+        // Ranges that descend or overlap, and entries outside their page's
+        // range, are refused rather than patched in.
+        let page = |lo, hi, ids: &[u32]| (lo, hi, ids.iter().map(|&id| (id, 0i64)).collect());
+        for pages in [
+            vec![page(8, 9, &[]), page(0, 3, &[])],
+            vec![page(0, 8, &[]), page(8, 9, &[])],
+            vec![page(4, 3, &[])],
+            vec![page(0, 3, &[4])],
+        ] {
+            assert!(patch_ward(Some(&held), (false, pages)).is_err());
+        }
+    }
+
+    #[test]
+    fn a_missing_entry_is_lost_when_paged_and_an_invariant_violation_otherwise() {
+        use crate::hashtab::VACANT;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let graph = hex_grid(4, 4);
+        let part = Partition::new(vec![0; graph.num_nodes()], 1);
+        let program = AvgProgram::fine();
+        let missing = || PlatformError::InternalInvariant {
+            rank: 0,
+            detail: "missing".into(),
+        };
+        // What owned node `id` reads as through the slot the plan gives it.
+        let read = |s: &NodeStore<i64>, id: NodeId| {
+            let slot = s.plan.own[s.plan.ids.iter().position(|&v| v == id).unwrap()];
+            let value = || s.data.read(0, slot, id, || "missing".into()).copied();
+            let outcome = catch_unwind(AssertUnwindSafe(value));
+            (
+                slot,
+                outcome.map_err(|p| *p.downcast::<PlatformError>().unwrap()),
+            )
+        };
+        for paged in [false, true] {
+            let mut store = NodeStore::build(&graph, &part, 0, &program, 4);
+            if paged {
+                let (cfg, costs) = (PageConfig { budget: 4 }, CostModel::default());
+                store.enable_paging(&cfg, &FaultPlan::new(1), &costs);
+            }
+            let (kept, gone) = (0, graph.num_nodes() as NodeId - 1);
+            let lost = store.data.table.page_of_id(gone);
+            let absent = if paged { Ok(None) } else { Err(missing()) };
+            assert_ne!(store.data.table.page_of_id(kept), lost);
+            let present = Ok(Some(program.init(kept, &graph)));
+            assert_eq!(read(&store, kept).1, present, "paged {paged}");
+            // A page that lost every copy: a hole in the table...
+            store.data.table.page_out(lost);
+            assert_eq!(read(&store, gone).1, absent, "paged {paged}");
+            // ...and, once the plan is rebuilt around it, a vacant slot.
+            store.rebuild_lists(&graph);
+            assert_eq!(
+                read(&store, gone),
+                (VACANT, absent.clone()),
+                "paged {paged}"
+            );
+            assert_eq!(read(&store, kept).1, present, "paged {paged}");
         }
     }
 
@@ -843,7 +1264,7 @@ mod tests {
         let (graph, stores) = build_stores(4);
         for s in &stores {
             for node in s.peripheral() {
-                let resolved = node.neighbors.iter().map(|&slot| s.table.at(slot));
+                let resolved = node.neighbors.iter().map(|&slot| s.data.table.at(slot));
                 let ids: Vec<NodeId> = resolved.map(|e| e.expect("data present").0).collect();
                 assert_eq!(ids, graph.neighbors(node.id), "rank {}", s.rank);
             }

@@ -65,12 +65,15 @@ fn assert_slots_match_ids(store: &NodeStore<i64>, graph: &Graph, when: &str) {
     listed.sort_unstable();
     assert_eq!(listed, owned, "{when}: rank {}", store.rank);
     for node in store.internal().chain(store.peripheral()) {
-        let found = store.table.slot_of(node.id);
+        let found = store.data.table.slot_of(node.id);
         assert_eq!(Some(node.slot), found, "{when}: node {}", node.id);
-        let held = store.table.at(node.slot).map(|(id, _)| id);
+        let held = store.data.table.at(node.slot).map(|(id, _)| id);
         assert_eq!(held, Some(node.id), "{when}: node {} has data", node.id);
         let adjacent = graph.neighbors(node.id);
-        let found: Vec<_> = adjacent.iter().map(|&w| store.table.slot_of(w)).collect();
+        let found: Vec<_> = adjacent
+            .iter()
+            .map(|&w| store.data.table.slot_of(w))
+            .collect();
         let planned: Vec<_> = node.neighbors.iter().map(|&s| Some(s)).collect();
         assert_eq!(planned, found, "{when}: neighbours of {}", node.id);
     }
@@ -88,7 +91,7 @@ fn assert_table_is(
     bulk_filled: bool,
     when: &str,
 ) {
-    let table = &store.table;
+    let table = &store.data.table;
     let expected: BTreeMap<NodeId, i64> = entries.into_iter().collect();
     let stored = table.iter().map(|(id, d)| (id, *d));
     assert!(
@@ -155,9 +158,12 @@ fn slots_name_the_entries_ids_find_after_build_and_restore() {
                 let owner: Vec<u32> = partition.as_slice().iter().map(|p| (p + 1) % k).collect();
                 let snapshot: Vec<(NodeId, i64)> =
                     graph.nodes().map(|v| (v, -(v as i64))).collect();
-                let before = store.table.epoch();
+                let before = store.data.table.epoch();
                 store.restore(&graph, Arc::new(owner.clone()), snapshot.clone());
-                assert!(store.table.epoch() > before, "restore replaces the table");
+                assert!(
+                    store.data.table.epoch() > before,
+                    "restore replaces the table"
+                );
                 assert_slots_match_ids(&store, &graph, "after restore");
                 let kept = needed_of(&snapshot, &store, &graph);
                 assert_table_is(&store, kept, true, "after restore");
@@ -179,13 +185,13 @@ fn slots_name_the_entries_ids_find_after_build_and_restore() {
 
                 // Merges of new ids (migration, adoption) land in the
                 // covering range: no cut moves, the order holds.
-                let absent = |v: &NodeId| store.table.get(*v).is_none();
+                let absent = |v: &NodeId| store.data.table.get(*v).is_none();
                 let mut new: Vec<NodeId> = (0..graph.num_nodes() as NodeId + 3)
                     .filter(absent)
                     .collect();
                 rng.shuffle(&mut new);
                 for v in new {
-                    store.table.merge(vec![(v, 9)]).unwrap();
+                    store.data.table.merge(vec![(v, 9)]).unwrap();
                     kept.push((v, 9));
                 }
                 store.rebuild_lists(&graph);
@@ -227,11 +233,11 @@ fn a_build_reads_the_membership_index_and_shares_the_owner_map() {
             for store in &mut stores {
                 assert_slots_match_ids(store, &graph, "after build");
                 // The owner-scan entry derives what the index entry did.
-                let epoch = store.table.epoch();
+                let epoch = store.data.table.epoch();
                 let built = plan_view(store);
                 store.rebuild_lists(&graph);
                 assert!(plan_view(store) == built, "rank {}", store.rank);
-                assert_eq!(store.table.epoch(), epoch);
+                assert_eq!(store.data.table.epoch(), epoch);
                 assert_slots_match_ids(store, &graph, "after rebuild_lists");
             }
         }
@@ -250,7 +256,10 @@ fn slots_name_the_entries_ids_find_after_migration() {
             assert!(Arc::ptr_eq(&store.owner, &partition.shared()));
             // Make the values distinguishable from the initial ones.
             for (i, &id) in store.owned_ids().to_vec().iter().enumerate() {
-                assert!(store.table.set_current(id, 1000 * i64::from(me) + i as i64));
+                assert!(store
+                    .data
+                    .table
+                    .set_current(id, 1000 * i64::from(me) + i as i64));
             }
             let comp_time = if me == 0 { 3.0 } else { 1.0 };
             let out = migrate::balance_round(
@@ -316,7 +325,7 @@ fn a_plan_that_outlived_an_insert_is_a_typed_error() {
     // Id 100 sorts last, so no slot actually moved: the epoch alone must
     // condemn the plan.
     let stale = step_after(|store, _| {
-        store.table.merge(vec![(100, 0)]).unwrap();
+        store.data.table.merge(vec![(100, 0)]).unwrap();
     });
     match stale {
         Err(PlatformError::InternalInvariant { rank: 0, detail }) => {
@@ -326,7 +335,7 @@ fn a_plan_that_outlived_an_insert_is_a_typed_error() {
     }
     // Rebuilding makes the same table usable again.
     let rebuilt = step_after(|store, graph| {
-        store.table.merge(vec![(100, 0)]).unwrap();
+        store.data.table.merge(vec![(100, 0)]).unwrap();
         store.rebuild_lists(graph);
     });
     assert_eq!(rebuilt, Ok(()));
@@ -337,7 +346,7 @@ fn missing_data_without_a_pager_is_a_typed_error() {
     // The plan is current (rebuilt after the clear) but its slots are all
     // vacant: `at` answers `None`, and only paged mode may skip that.
     let hollow = step_after(|store, graph| {
-        store.table.clear();
+        store.data.table.clear();
         store.rebuild_lists(graph);
     });
     match hollow {
@@ -360,7 +369,7 @@ fn an_absent_id_in_migration_surgery_is_a_typed_error() {
             let me = rank.rank() as u32;
             let mut store = NodeStore::build(&graph, &partition, me, &AvgProgram::fine(), 10);
             if me == 0 {
-                (0..store.table.page_count()).for_each(|b| store.table.page_out(b));
+                (0..store.data.table.page_count()).for_each(|b| store.data.table.page_out(b));
             }
             migrate::balance_round(
                 rank,
@@ -396,7 +405,7 @@ fn validate_checks_the_plan_against_graph_and_table() {
     // Plan ↔ table: a merge the plan never saw. No slot moves (16 sorts
     // last); the stale epoch stamp alone is the violation.
     let mut store = build();
-    store.table.merge(vec![(16, 0)]).unwrap();
+    store.data.table.merge(vec![(16, 0)]).unwrap();
     assert!(matches!(
         violation(&store),
         StoreViolation::StaleNeighborList { .. }

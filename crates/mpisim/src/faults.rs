@@ -303,18 +303,12 @@ pub struct FaultPlan {
     pub detect_timeout: f64,
     /// Group-structured network partitions over virtual-time windows.
     pub partitions: Vec<PartitionSpec>,
-    /// `(rank, p)`: each at-rest state entry on `rank` (owned node data,
-    /// retained shadow caches, checkpoint replicas) independently has one
-    /// bit flipped with probability `p` per injection sweep. Decisions are
-    /// a pure hash of `(rank, epoch, region, index)`, never a shared RNG —
-    /// the platform's audit machinery, not the transport checksums, must
-    /// catch these.
-    pub memory_corrupt: Vec<(usize, f64)>,
-    /// `(rank, region, p)`: region-scoped overrides of the blanket
-    /// per-rank probability. Lets a plan rot, say, only the checkpoint
-    /// replicas a rank holds (`MemRegion::Replica`) while leaving its live
-    /// owned data pristine — the construction the multi-replica restore
-    /// tests use to make "exactly these copies are bad" deterministic.
+    /// `(rank, region, p)`: each at-rest state entry of `region` on `rank`
+    /// (owned node data, retained shadow caches, checkpoint replicas)
+    /// independently has one bit flipped with probability `p` per injection
+    /// sweep. Decisions are a pure hash of `(rank, epoch, region, index)`,
+    /// never a shared RNG — the platform's audit machinery, not the
+    /// transport checksums, must catch these.
     pub memory_corrupt_regions: Vec<(usize, MemRegion, f64)>,
     /// `(rank, kind, p)`: each disk operation on `rank`'s virtual disk is
     /// independently subject to fault `kind` with probability `p`.
@@ -340,7 +334,6 @@ impl Default for FaultPlan {
             max_retries: 8,
             detect_timeout: 5e-3,
             partitions: Vec::new(),
-            memory_corrupt: Vec::new(),
             memory_corrupt_regions: Vec::new(),
             disk_faults: Vec::new(),
         }
@@ -434,21 +427,24 @@ impl FaultPlan {
     }
 
     /// Silently flip bits in `rank`'s at-rest state with per-entry
-    /// probability `p` on each injection sweep. Unlike wire corruption,
-    /// nothing in the transport detects this — only a state audit
+    /// probability `p` on each injection sweep: every region of it, as
+    /// [`FaultPlan::with_memory_corrupt_in`] sets one (so this replaces any
+    /// earlier region setting on `rank`). Unlike wire corruption, nothing
+    /// in the transport detects this — only a state audit
     /// (`RunConfig::with_state_audit`) or a checkpoint checksum can.
-    pub fn with_memory_corrupt(mut self, rank: usize, p: f64) -> Self {
-        self.memory_corrupt.retain(|&(r, _)| r != rank);
-        self.memory_corrupt.push((rank, p));
-        self
+    pub fn with_memory_corrupt(self, rank: usize, p: f64) -> Self {
+        let regions = [MemRegion::Owned, MemRegion::Shadow, MemRegion::Replica];
+        regions.into_iter().fold(self, |plan, region| {
+            plan.with_memory_corrupt_in(rank, region, p)
+        })
     }
 
     /// Region-scoped at-rest corruption: flip bits only in `region` on
-    /// `rank`, overriding the blanket [`FaultPlan::with_memory_corrupt`]
-    /// probability for that region. `with_memory_corrupt_in(h, Replica, 1.0)`
-    /// deterministically rots every checkpoint copy rank `h` holds while
-    /// its live state stays pristine — the lever the escalating-restore
-    /// tests use to knock out exactly `r - 1` (or all `r`) replicas.
+    /// `rank`, replacing that region's earlier setting.
+    /// `with_memory_corrupt_in(h, Replica, 1.0)` deterministically rots
+    /// every checkpoint copy rank `h` holds while its live state stays
+    /// pristine — the lever the escalating-restore tests use to knock out
+    /// exactly `r - 1` (or all `r`) replicas.
     pub fn with_memory_corrupt_in(mut self, rank: usize, region: MemRegion, p: f64) -> Self {
         self.memory_corrupt_regions
             .retain(|&(r, reg, _)| r != rank || reg != region);
@@ -514,8 +510,7 @@ impl FaultPlan {
                 rank("partition member", r)?;
             }
         }
-        let scoped = self.memory_corrupt_regions.iter().map(|&(r, _, p)| (r, p));
-        for (r, p) in self.memory_corrupt.iter().copied().chain(scoped) {
+        for &(r, _, p) in &self.memory_corrupt_regions {
             check_prob("memory corrupt", p)?;
             rank("memory corrupt", r)?;
         }
@@ -593,41 +588,26 @@ impl FaultPlan {
 
     /// Whether any rank is scheduled for at-rest memory corruption.
     pub fn has_memory_corruption(&self) -> bool {
-        self.memory_corrupt.iter().any(|&(_, p)| p > 0.0)
-            || self.memory_corrupt_regions.iter().any(|&(_, _, p)| p > 0.0)
+        self.memory_corrupt_regions.iter().any(|&(_, _, p)| p > 0.0)
     }
 
     /// The largest per-entry corruption probability scheduled anywhere on
     /// `rank` (0.0 unless scheduled) — the cheap "does this rank need
     /// injection sweeps at all?" gate.
     pub fn memory_corrupt_prob(&self, rank: usize) -> f64 {
-        let blanket = self
-            .memory_corrupt
-            .iter()
-            .find(|&&(r, _)| r == rank)
-            .map_or(0.0, |&(_, p)| p);
         self.memory_corrupt_regions
             .iter()
             .filter(|&&(r, _, _)| r == rank)
-            .fold(blanket, |acc, &(_, _, p)| acc.max(p))
+            .fold(0.0, |acc, &(_, _, p)| acc.max(p))
     }
 
-    /// Per-sweep per-entry corruption probability for `region` on `rank`:
-    /// the region-scoped override if one is set, else the blanket per-rank
-    /// probability.
+    /// Per-sweep per-entry corruption probability for `region` on `rank`
+    /// (0.0 unless scheduled).
     pub fn memory_corrupt_prob_in(&self, rank: usize, region: MemRegion) -> f64 {
         self.memory_corrupt_regions
             .iter()
             .find(|&&(r, reg, _)| r == rank && reg == region)
-            .map_or_else(
-                || {
-                    self.memory_corrupt
-                        .iter()
-                        .find(|&&(r, _)| r == rank)
-                        .map_or(0.0, |&(_, p)| p)
-                },
-                |&(_, _, p)| p,
-            )
+            .map_or(0.0, |&(_, _, p)| p)
     }
 
     /// Hash chain shared by the memory-corruption decision and its bit
@@ -880,8 +860,9 @@ mod tests {
         assert_eq!(plan.crash_time(2), Some(0.5));
         assert_eq!(plan.memory_corrupt_prob(2), 0.2);
         assert_eq!(plan.disk_fault_prob(2, DiskFault::ReadRot), 0.4);
-        let entries = (plan.crashes.len(), plan.memory_corrupt.len());
-        assert_eq!((entries, plan.disk_faults.len()), ((1, 1), 1));
+        // One memory entry per region.
+        let entries = (plan.crashes.len(), plan.memory_corrupt_regions.len());
+        assert_eq!((entries, plan.disk_faults.len()), ((1, 3), 1));
     }
 
     #[test]
@@ -1241,7 +1222,7 @@ mod tests {
         let plan = FaultPlan::new(0)
             .with_memory_corrupt(1, 0.3)
             .with_memory_corrupt(1, 0.6);
-        assert_eq!(plan.memory_corrupt.len(), 1);
+        assert_eq!(plan.memory_corrupt_regions.len(), 3, "one entry per region");
         assert_eq!(plan.memory_corrupt_prob(1), 0.6);
         // A zero-probability entry activates nothing.
         let zero = FaultPlan::new(0).with_memory_corrupt(0, 0.0);

@@ -179,7 +179,7 @@ fn a_page_is_an_id_range_so_neighbourhoods_share_pages() {
             for node in store.internal().chain(store.peripheral()) {
                 let closed = std::iter::once(node.slot).chain(node.neighbors.iter().copied());
                 pages += closed
-                    .map(|s| store.table.page_of(s))
+                    .map(|s| store.data.table.page_of(s))
                     .collect::<BTreeSet<_>>()
                     .len();
                 nodes += 1;
