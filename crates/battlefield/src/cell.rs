@@ -167,6 +167,14 @@ impl Wire for HexCell {
             destroyed,
         })
     }
+
+    fn encoded_len(&self) -> usize {
+        self.red.encoded_len()
+            + self.blue.encoded_len()
+            + self.fire.encoded_len()
+            + self.emigrants.encoded_len()
+            + self.destroyed.encoded_len()
+    }
 }
 
 #[cfg(test)]
@@ -188,13 +196,16 @@ mod tests {
     #[test]
     fn wire_roundtrip_preserves_everything() {
         let c = sample();
-        let back = HexCell::from_bytes(&c.to_bytes()).unwrap();
+        let bytes = c.to_bytes();
+        assert_eq!(c.encoded_len(), bytes.len());
+        let back = HexCell::from_bytes(&bytes).unwrap();
         assert_eq!(c, back);
     }
 
     #[test]
     fn empty_cell_roundtrips() {
         let c = HexCell::new();
+        assert_eq!(c.encoded_len(), c.to_bytes().len());
         assert_eq!(HexCell::from_bytes(&c.to_bytes()).unwrap(), c);
     }
 

@@ -46,6 +46,9 @@ impl Wire for Unit {
             attack: u32::decode(buf)?,
         })
     }
+    fn encoded_len(&self) -> usize {
+        12
+    }
 }
 
 #[cfg(test)]
@@ -55,6 +58,7 @@ mod tests {
     #[test]
     fn wire_roundtrip() {
         let u = Unit::new(7, 100, 12);
+        assert_eq!(u.encoded_len(), u.to_bytes().len());
         let back = Unit::from_bytes(&u.to_bytes()).unwrap();
         assert_eq!(u, back);
     }

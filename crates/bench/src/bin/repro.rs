@@ -3,22 +3,29 @@
 //! ```text
 //! repro all                   # every artifact, thesis order
 //! repro table3 fig20          # specific artifacts
-//! repro --markdown all        # markdown output (EXPERIMENTS.md building block)
 //! repro --json all            # one JSON object per artifact, one per line
+//! repro --check snap.jsonl    # rerun a `--json` snapshot, list every moved cell
+//! repro --markdown snap.jsonl # render a `--json` snapshot, runs nothing
 //! repro --list                # available ids
 //! repro --trace trace.json    # record the canonical chaos run (Perfetto)
 //! repro --timeline tl.json    # per-iteration metrics timeline of that run
 //! repro --check-trace t.json  # validate a recorded trace against the schema
-//! repro --check snap.jsonl     # rerun a `--json` snapshot, list every moved cell
 //! ```
+//!
+//! EXPERIMENTS.md holds `repro --markdown tests/golden/thesis.jsonl`
+//! verbatim between two marker comments, and a tier-1 test fails when they
+//! differ. After a declared change: `repro --json all >
+//! tests/golden/thesis.jsonl`, then paste `repro --markdown
+//! tests/golden/thesis.jsonl` between the markers.
 
-use ic2_bench::report::{moved_cells, Table};
+use ic2_bench::report::{moved_cells, snapshot_markdown, Table};
 use ic2_bench::{experiments, trace_tools};
 
 fn usage() {
     eprintln!(
-        "usage: repro [--markdown|--json] [--trace <path>] [--timeline <path>] \
-         [--check-trace <path>] [--check <snapshot>] <id...|all>"
+        "usage: repro [--json] [--trace <path>] [--timeline <path>] \
+         [--check-trace <path>] <id...|all>\n       \
+         repro --check <snapshot> | --markdown <snapshot> | --list"
     );
     eprintln!("available experiments:");
     for id in experiments::all_ids() {
@@ -27,13 +34,13 @@ fn usage() {
 }
 
 fn main() {
-    let mut markdown = false;
     let mut json = false;
     let mut list = false;
     let mut trace_path: Option<String> = None;
     let mut timeline_path: Option<String> = None;
     let mut check_path: Option<String> = None;
     let mut snapshot_path: Option<String> = None;
+    let mut markdown_path: Option<String> = None;
     let mut ids: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -46,7 +53,7 @@ fn main() {
             }
         };
         match arg.as_str() {
-            "--markdown" => markdown = true,
+            "--markdown" => path_flag(&mut markdown_path, "--markdown"),
             "--json" => json = true,
             "--list" => list = true,
             "--trace" => path_flag(&mut trace_path, "--trace"),
@@ -65,15 +72,21 @@ fn main() {
     if let Some(path) = snapshot_path {
         std::process::exit(check_snapshot(&path));
     }
+    if let Some(path) = markdown_path {
+        match snapshot_markdown(&read(&path)) {
+            Ok(md) => print!("{md}"),
+            Err(e) => {
+                eprintln!("{path}: {e}");
+                std::process::exit(2);
+            }
+        }
+        return;
+    }
 
     let trace_work = check_path.is_some() || trace_path.is_some() || timeline_path.is_some();
 
     if let Some(path) = check_path {
-        let content = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        match trace_tools::check_trace(&content) {
+        match trace_tools::check_trace(&read(&path)) {
             Ok(s) => eprintln!(
                 "{path}: ok — {} rank tracks, {} spans, {} instants",
                 s.ranks, s.spans, s.instants
@@ -121,8 +134,6 @@ fn main() {
             Some(table) => {
                 if json {
                     println!("{}", table.render_json());
-                } else if markdown {
-                    println!("{}", table.render_markdown());
                 } else {
                     println!("{}", table.render());
                 }
@@ -141,12 +152,8 @@ fn main() {
 /// code: 0 when nothing moved, 1 when a cell did, 2 when the snapshot is
 /// unreadable.
 fn check_snapshot(path: &str) -> i32 {
-    let content = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
     let (mut moved, mut cells) = (0, 0);
-    for (n, line) in content.lines().enumerate() {
+    for (n, line) in read(path).lines().enumerate() {
         let old = Table::parse_json(line).unwrap_or_else(|e| {
             eprintln!("{path}:{}: {e}", n + 1);
             std::process::exit(2);
@@ -166,4 +173,12 @@ fn check_snapshot(path: &str) -> i32 {
     }
     println!("{path}: {moved} of {cells} cells moved");
     i32::from(moved > 0)
+}
+
+/// The file at `path`, or exit 2.
+fn read(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        std::process::exit(2);
+    })
 }

@@ -114,13 +114,19 @@ impl Table {
         )
     }
 
-    /// Render as GitHub-flavoured markdown (used to assemble
-    /// EXPERIMENTS.md).
+    /// Render as GitHub-flavoured markdown. A host-marked column's header
+    /// carries a `†`, explained by one footnote under the table.
     pub fn render_markdown(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("### `{}` — {}\n\n", self.id, self.title));
         out.push_str(&format!("*Shape target:* {}\n\n", self.expectation));
-        out.push_str(&format!("| {} |\n", self.header.join(" | ")));
+        let header: Vec<String> = (self.header.iter().enumerate())
+            .map(|(i, h)| match self.host.contains(&i) {
+                true => format!("{h} {HOST_MARK}"),
+                false => h.clone(),
+            })
+            .collect();
+        out.push_str(&format!("| {} |\n", header.join(" | ")));
         out.push_str(&format!(
             "|{}|\n",
             self.header
@@ -133,6 +139,11 @@ impl Table {
             out.push_str(&format!("| {} |\n", row.join(" | ")));
         }
         out.push('\n');
+        if !self.host.is_empty() {
+            out.push_str(&format!(
+                "{HOST_MARK} Varies run to run: `repro --check` skips this column.\n\n"
+            ));
+        }
         out
     }
 
@@ -162,11 +173,33 @@ impl Table {
             p.i += 1;
         }
         p.eat(b'}')?;
-        match p.peek() {
-            None => Ok(t),
-            Some(_) => Err(format!("trailing bytes at {}", p.i)),
+        if p.peek().is_some() {
+            return Err(format!("trailing bytes at {}", p.i));
         }
+        let width = t.header.len();
+        if let Some(row) = t.rows.iter().find(|r| r.len() != width) {
+            return Err(format!("row width mismatch: {row:?} under {width} columns"));
+        }
+        if let Some(i) = t.host.iter().find(|&&i| i >= width) {
+            return Err(format!("host column {i} past the {width} columns"));
+        }
+        Ok(t)
     }
+}
+
+/// Marks a host column's header in [`Table::render_markdown`].
+const HOST_MARK: char = '†';
+
+/// Render every line of a `repro --json` snapshot with
+/// [`Table::render_markdown`], in order: what EXPERIMENTS.md holds between
+/// its markers.
+pub fn snapshot_markdown(snapshot: &str) -> Result<String, String> {
+    let mut out = String::new();
+    for (n, line) in snapshot.lines().enumerate() {
+        let table = Table::parse_json(line).map_err(|e| format!("line {}: {e}", n + 1))?;
+        out.push_str(&table.render_markdown());
+    }
+    Ok(out)
 }
 
 /// The cells of `new` that differ from `old`, as `id/row/column: old → new`,
@@ -340,6 +373,14 @@ mod tests {
         let parsed = Table::parse_json(&old.render_json()).expect("parses");
         assert_eq!(parsed.render_json(), old.render_json());
         assert_eq!(parsed.host, vec![1]);
+        let md = parsed.render_markdown();
+        assert_eq!(
+            md,
+            old.render_markdown(),
+            "the host mark survives the round trip"
+        );
+        assert!(md.contains("| row | host ms † | cut |\n"));
+        assert!(md.ends_with("|\n\n† Varies run to run: `repro --check` skips this column.\n\n"));
         assert!(moved_cells(&old, &parsed).is_empty());
         let mut new = parsed.clone();
         new.rows[0][1] = "9.9".into();
@@ -348,6 +389,23 @@ mod tests {
         new.rows.pop();
         assert_eq!(moved_cells(&old, &new), vec!["t2/rows: 2 → 1"]);
         assert!(Table::parse_json("{\"id\":\"t\"} x").is_err());
+    }
+
+    #[test]
+    fn a_row_or_host_index_wider_or_narrower_than_the_header_is_refused() {
+        let mut t = Table::new("t3", "demo", "none", vec!["a".into(), "b".into()]);
+        t.row(vec!["1".into(), "2".into()]);
+        let json = t.render_json();
+        assert!(Table::parse_json(&json).is_ok());
+        for (from, to) in [
+            ("[\"1\",\"2\"]", "[\"1\"]"),
+            ("[\"1\",\"2\"]", "[\"1\",\"2\",\"3\"]"),
+            ("]]}", "]],\"host\":[2]}"),
+        ] {
+            let bad = json.replace(from, to);
+            assert_ne!(bad, json);
+            assert!(Table::parse_json(&bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -162,7 +162,7 @@ where
             let Some(cur) = store.data.table.get(id).cloned() else {
                 continue;
             };
-            let len_bits = (cur.to_bytes().len() as u64) * 8;
+            let len_bits = (cur.encoded_len() as u64) * 8;
             if len_bits == 0 {
                 continue;
             }
@@ -194,7 +194,7 @@ where
         if !faults.memory_corrupts(me, ckpt_iter, MemRegion::Replica, u64::from(*id)) {
             continue;
         }
-        let len_bits = (d.to_bytes().len() as u64) * 8;
+        let len_bits = (d.encoded_len() as u64) * 8;
         if len_bits == 0 {
             continue;
         }

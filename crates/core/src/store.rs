@@ -960,13 +960,13 @@ pub(crate) enum MirrorImage<'a, D> {
 }
 
 impl<D: Wire + Clone> MirrorImage<'_, D> {
-    /// Bytes this image puts on the wire.
+    /// Bytes this image puts on the wire, counted without encoding it.
     pub(crate) fn wire_len(&self) -> u64 {
         let bytes = match self {
-            MirrorImage::Snapshot(entries) => entries.to_bytes(),
-            MirrorImage::Pages(image) => image.to_bytes(),
+            MirrorImage::Snapshot(entries) => entries.encoded_len(),
+            MirrorImage::Pages(image) => image.encoded_len(),
         };
-        bytes.len() as u64
+        bytes as u64
     }
 
     /// Send this image to `buddy`, holding the [`TAG_MIRROR`] frames of
@@ -1138,6 +1138,12 @@ mod tests {
         }
         let incremental = image(&sender, false);
         assert_eq!(incremental.1.len(), 2);
+        // The count a checkpoint tallies is the bytes it ships.
+        let shipped = incremental.to_bytes().len() as u64;
+        assert_eq!(MirrorImage::Pages(incremental.clone()).wire_len(), shipped);
+        let snapshot = sender.snapshot_table();
+        let shipped = snapshot.to_bytes().len() as u64;
+        assert_eq!(MirrorImage::Snapshot(&snapshot).wire_len(), shipped);
         assert!(patch_ward(None, incremental.clone()).is_err(), "no base");
         let held = patch_ward(Some(&held), incremental).unwrap();
         assert_eq!(held, sender.snapshot_table());

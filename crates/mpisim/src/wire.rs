@@ -9,6 +9,7 @@
 //! lengths).
 
 use ic2_rng::mix64;
+use std::cell::RefCell;
 use std::fmt;
 
 /// Seeded 64-bit checksum over one framed payload.
@@ -61,6 +62,22 @@ pub trait Wire: Sized {
     /// Decode one value from the front of `buf`, advancing it.
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError>;
 
+    /// Bytes [`Wire::encode`] appends. The implementations here compute
+    /// it, so a container's length costs no encode as long as its
+    /// elements' does not either; the default encodes into a reused
+    /// per-thread buffer.
+    fn encoded_len(&self) -> usize {
+        LEN_SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
+            Ok(mut buf) => {
+                buf.clear();
+                self.encode(&mut buf);
+                buf.len()
+            }
+            // An `encode` that counts a nested value finds the buffer taken.
+            Err(_) => self.to_bytes().len(),
+        })
+    }
+
     /// Encode into a fresh buffer.
     fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -78,6 +95,11 @@ pub trait Wire: Sized {
         }
         Ok(v)
     }
+}
+
+thread_local! {
+    /// The buffer [`Wire::encoded_len`]'s default encodes into.
+    static LEN_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 fn take<'a>(buf: &mut &'a [u8], n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
@@ -99,6 +121,9 @@ macro_rules! wire_num {
                 let bytes = take(buf, std::mem::size_of::<$t>(), concat!("truncated ", stringify!($t)))?;
                 Ok(<$t>::from_le_bytes(bytes.try_into().unwrap()))
             }
+            fn encoded_len(&self) -> usize {
+                std::mem::size_of::<$t>()
+            }
         }
     )*};
 }
@@ -111,6 +136,9 @@ impl Wire for usize {
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(u64::decode(buf)? as usize)
+    }
+    fn encoded_len(&self) -> usize {
+        8
     }
 }
 
@@ -128,12 +156,18 @@ impl Wire for bool {
             }),
         }
     }
+    fn encoded_len(&self) -> usize {
+        1
+    }
 }
 
 impl Wire for () {
     fn encode(&self, _out: &mut Vec<u8>) {}
     fn decode(_buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(())
+    }
+    fn encoded_len(&self) -> usize {
+        0
     }
 }
 
@@ -167,6 +201,9 @@ impl<T: Wire> Wire for Vec<T> {
         }
         Ok(v)
     }
+    fn encoded_len(&self) -> usize {
+        8 + self.iter().map(T::encoded_len).sum::<usize>()
+    }
 }
 
 impl<T: Wire> Wire for Option<T> {
@@ -189,6 +226,9 @@ impl<T: Wire> Wire for Option<T> {
             }),
         }
     }
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, T::encoded_len)
+    }
 }
 
 impl Wire for String {
@@ -203,6 +243,9 @@ impl Wire for String {
             what: "invalid utf-8 in String",
         })
     }
+    fn encoded_len(&self) -> usize {
+        8 + self.len()
+    }
 }
 
 macro_rules! wire_tuple {
@@ -213,6 +256,9 @@ macro_rules! wire_tuple {
             }
             fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
                 Ok(($($name::decode(buf)?,)+))
+            }
+            fn encoded_len(&self) -> usize {
+                0 $(+ self.$idx.encoded_len())+
             }
         }
     };
@@ -239,6 +285,9 @@ impl<T: Wire, const N: usize> Wire for [T; N] {
             what: "array length mismatch",
         })
     }
+    fn encoded_len(&self) -> usize {
+        self.iter().map(T::encoded_len).sum()
+    }
 }
 
 #[cfg(test)]
@@ -247,6 +296,7 @@ mod tests {
 
     fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = v.to_bytes();
+        assert_eq!(v.encoded_len(), bytes.len(), "encoded_len of {v:?}");
         let back = T::from_bytes(&bytes).expect("decode");
         assert_eq!(v, back);
     }
@@ -276,6 +326,41 @@ mod tests {
         roundtrip((1u32, 2.5f64, true));
         roundtrip([1u16, 2, 3, 4]);
         roundtrip(vec![(1u32, vec![2u8, 3]), (4, vec![])]);
+    }
+
+    /// Leaves `encoded_len` to the default.
+    #[derive(Debug, PartialEq)]
+    struct Plain(u16);
+
+    impl Wire for Plain {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.0.encode(out);
+        }
+        fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+            Ok(Plain(u16::decode(buf)?))
+        }
+    }
+
+    /// Counts a nested value with the default while the default counts it.
+    #[derive(Debug, PartialEq)]
+    struct Framed(Plain);
+
+    impl Wire for Framed {
+        fn encode(&self, out: &mut Vec<u8>) {
+            (self.0.encoded_len() as u8).encode(out);
+            self.0.encode(out);
+        }
+        fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+            u8::decode(buf)?;
+            Ok(Framed(Plain::decode(buf)?))
+        }
+    }
+
+    #[test]
+    fn default_encoded_len_counts_nested_and_contained_values() {
+        roundtrip(Plain(7));
+        roundtrip(Framed(Plain(7)));
+        roundtrip(vec![Some(Framed(Plain(1))), None, Some(Framed(Plain(2)))]);
     }
 
     #[test]

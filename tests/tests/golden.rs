@@ -10,7 +10,7 @@
 //!
 //! There is no bless switch. On a mismatch the test prints the table it
 //! computed; a line may only be replaced when a bugfix provably changes it,
-//! and EXPERIMENTS.md lists every such line. Seeds are fixed: `CHAOS_SEED`
+//! and CHANGES.md records every such line. Seeds are fixed: `CHAOS_SEED`
 //! is never read here.
 
 use ic2_integration::world;

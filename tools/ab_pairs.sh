@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# A/B a performance claim the way EXPERIMENTS.md does it: the parent commit
-# against the working tree, one benchmark workload, alternating pairs.
+# A/B a performance claim on the host clock: the parent commit against the
+# working tree, one benchmark workload, alternating pairs (EXPERIMENTS.md's
+# host-clock index lists one headline per change measured so).
 #
 #   tools/ab_pairs.sh <parent-ref> <workload> [pairs=10]
 #
@@ -19,7 +20,7 @@
 # build or a run fails.
 set -euo pipefail
 
-[ $# -ge 2 ] || { sed -n '2,16p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,17p' "$0" >&2; exit 2; }
 ref=$1 workload=$2 pairs=${3:-10}
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 sha=$(git -C "$root" rev-parse --verify "$ref^{commit}")
