@@ -5,12 +5,18 @@
 //! repro table3 fig20          # specific artifacts
 //! repro --json all            # one JSON object per artifact, one per line
 //! repro --check snap.jsonl    # rerun a `--json` snapshot, list every moved cell
+//!                             # and every broken claim
 //! repro --markdown snap.jsonl # render a `--json` snapshot, runs nothing
 //! repro --list                # available ids
 //! repro --trace trace.json    # record the canonical chaos run (Perfetto)
 //! repro --timeline tl.json    # per-iteration metrics timeline of that run
 //! repro --check-trace t.json  # validate a recorded trace against the schema
 //! ```
+//!
+//! Every table built is checked against its experiment's claims
+//! (`experiments::EXPERIMENTS`): a claim that does not hold, or a declared
+//! deviation that now does, is printed as `id: claim “…” …` and the exit
+//! code is 1.
 //!
 //! EXPERIMENTS.md holds `repro --markdown tests/golden/thesis.jsonl`
 //! verbatim between two marker comments, and a tier-1 test fails when they
@@ -19,7 +25,7 @@
 //! tests/golden/thesis.jsonl` between the markers.
 
 use ic2_bench::report::{moved_cells, snapshot_markdown, Table};
-use ic2_bench::{experiments, trace_tools};
+use ic2_bench::{claims, experiments, trace_tools};
 
 fn usage() {
     eprintln!(
@@ -129,30 +135,44 @@ fn main() {
         ids.iter().map(String::as_str).collect()
     };
 
+    let mut broken = 0;
     for id in selected {
-        match experiments::run_experiment(id) {
-            Some(table) => {
-                if json {
-                    println!("{}", table.render_json());
-                } else {
-                    println!("{}", table.render());
-                }
-            }
-            None => {
-                eprintln!("unknown experiment id: {id}");
-                std::process::exit(1);
-            }
+        let Some(table) = experiments::run_experiment(id) else {
+            eprintln!("unknown experiment id: {id}");
+            std::process::exit(1);
+        };
+        if json {
+            println!("{}", table.render_json());
+        } else {
+            println!("{}", table.render());
         }
+        broken += report_claims(&table);
+    }
+    if broken > 0 {
+        eprintln!("{broken} claims broken");
+        std::process::exit(1);
     }
 }
 
+/// Print every claim of `table`'s experiment that the table breaks, and
+/// return how many.
+fn report_claims(table: &Table) -> usize {
+    let e = experiments::experiment(&table.id).expect("a built table has an experiment");
+    let broken = claims::broken(e.id, e.claims, table);
+    for line in &broken {
+        eprintln!("{line}");
+    }
+    broken.len()
+}
+
 /// Rerun every artifact of the `--json` snapshot at `path` and compare it
-/// cell by cell, host-marked columns excepted. Prints each moved cell as
-/// `id/row/column: old → new` and a count per artifact; returns the exit
-/// code: 0 when nothing moved, 1 when a cell did, 2 when the snapshot is
-/// unreadable.
+/// cell by cell, host-marked columns excepted, then check the rerun
+/// against its claims. Prints each moved cell as `id/row/column: old →
+/// new`, a count per artifact and each broken claim; returns the exit code:
+/// 0 when nothing moved and every claim is as declared, 1 otherwise, 2 when
+/// the snapshot is unreadable.
 fn check_snapshot(path: &str) -> i32 {
-    let (mut moved, mut cells) = (0, 0);
+    let (mut moved, mut cells, mut broken) = (0, 0, 0);
     for (n, line) in read(path).lines().enumerate() {
         let old = Table::parse_json(line).unwrap_or_else(|e| {
             eprintln!("{path}:{}: {e}", n + 1);
@@ -170,9 +190,10 @@ fn check_snapshot(path: &str) -> i32 {
         println!("{}: {} of {total} cells moved", old.id, lines.len());
         moved += lines.len();
         cells += total;
+        broken += report_claims(&new);
     }
-    println!("{path}: {moved} of {cells} cells moved");
-    i32::from(moved > 0)
+    println!("{path}: {moved} of {cells} cells moved, {broken} claims broken");
+    i32::from(moved > 0 || broken > 0)
 }
 
 /// The file at `path`, or exit 2.

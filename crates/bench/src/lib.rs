@@ -5,6 +5,7 @@
 //! simulated substrate. The `repro` binary dispatches on experiment id.
 //! Host-clock timing lives in the separate `benchmark/` package.
 
+pub mod claims;
 pub mod experiments;
 pub mod report;
 pub mod trace_tools;

@@ -8,7 +8,8 @@ pub struct Table {
     pub id: String,
     /// Human title matching the thesis artifact.
     pub title: String,
-    /// What shape the thesis reports (for eyeball comparison).
+    /// The *Shape target* line: [`crate::claims::shape_target`] of the
+    /// experiment's claims.
     pub expectation: String,
     /// Column headers.
     pub header: Vec<String>,
@@ -20,12 +21,13 @@ pub struct Table {
 }
 
 impl Table {
-    /// Construct an empty table.
-    pub fn new(id: &str, title: &str, expectation: &str, header: Vec<String>) -> Self {
+    /// Construct an empty table; its shape target is set from the claims
+    /// of its experiment id.
+    pub fn new(id: &str, title: &str, header: Vec<String>) -> Self {
         Table {
             id: id.to_string(),
             title: title.to_string(),
-            expectation: expectation.to_string(),
+            expectation: String::new(),
             header,
             rows: Vec::new(),
             host: Vec::new(),
@@ -153,7 +155,7 @@ impl Table {
             s: line.as_bytes(),
             i: 0,
         };
-        let mut t = Table::new("", "", "", Vec::new());
+        let mut t = Table::new("", "", Vec::new());
         p.eat(b'{')?;
         loop {
             let key = p.string()?;
@@ -327,7 +329,7 @@ mod tests {
 
     #[test]
     fn render_aligns_columns() {
-        let mut t = Table::new("t", "demo", "none", vec!["a".into(), "long-header".into()]);
+        let mut t = Table::new("t", "demo", vec!["a".into(), "long-header".into()]);
         t.row(vec!["1".into(), "2".into()]);
         let text = t.render();
         assert!(text.contains("demo"));
@@ -337,18 +339,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn row_width_checked() {
-        let mut t = Table::new("t", "demo", "none", vec!["a".into()]);
+        let mut t = Table::new("t", "demo", vec!["a".into()]);
         t.row(vec!["1".into(), "2".into()]);
     }
 
     #[test]
     fn json_is_escaped_and_well_formed() {
-        let mut t = Table::new(
-            "t1",
-            "a \"quoted\"\ttitle",
-            "line\nbreak",
-            vec!["a".into(), "b".into()],
-        );
+        let mut t = Table::new("t1", "a \"quoted\"\ttitle", vec!["a".into(), "b".into()]);
+        t.expectation = "line\nbreak".into();
         t.row(vec!["1".into(), "x\\y".into()]);
         let json = t.render_json();
         assert_eq!(
@@ -364,9 +362,9 @@ mod tests {
         let mut old = Table::new(
             "t2",
             "a \"quoted\"\ttitle \u{1}",
-            "line\nbreak — dash",
             vec!["row".into(), "host ms".into(), "cut".into()],
         );
+        old.expectation = "line\nbreak — dash".into();
         old.host_column("host ms");
         old.row(vec!["p=2".into(), "1.5".into(), "x\\y".into()]);
         old.row(vec!["p=4".into(), "2.5".into(), "7".into()]);
@@ -393,7 +391,7 @@ mod tests {
 
     #[test]
     fn a_row_or_host_index_wider_or_narrower_than_the_header_is_refused() {
-        let mut t = Table::new("t3", "demo", "none", vec!["a".into(), "b".into()]);
+        let mut t = Table::new("t3", "demo", vec!["a".into(), "b".into()]);
         t.row(vec!["1".into(), "2".into()]);
         let json = t.render_json();
         assert!(Table::parse_json(&json).is_ok());
@@ -410,7 +408,7 @@ mod tests {
 
     #[test]
     fn markdown_has_separator() {
-        let mut t = Table::new("t", "demo", "none", vec!["a".into(), "b".into()]);
+        let mut t = Table::new("t", "demo", vec!["a".into(), "b".into()]);
         t.row(vec!["1".into(), "2".into()]);
         let md = t.render_markdown();
         assert!(md.contains("|---|---|"));

@@ -1,9 +1,9 @@
 //! The reproduction harness itself is part of the deliverable: ids must
-//! resolve, tables must be well-formed, key shape targets must hold, and
-//! EXPERIMENTS.md must show what the committed snapshot holds.
+//! resolve, tables must be well-formed, every claim must hold over the
+//! committed snapshot, and EXPERIMENTS.md must show what that snapshot holds.
 
-use ic2_bench::experiments;
 use ic2_bench::report::{snapshot_markdown, Table};
+use ic2_bench::{claims, experiments};
 use std::path::Path;
 
 /// The committed `repro --json all` output that `repro --check` reruns.
@@ -51,6 +51,43 @@ fn every_id_resolves_and_unknown_ids_do_not() {
         "{SNAPSHOT} lists every id once"
     );
     assert!(experiments::run_experiment("no-such-id").is_none());
+    // Every id states what its table must show, and every deviation names
+    // the EXPERIMENTS.md section that explains it.
+    let doc = repo_file("EXPERIMENTS.md");
+    let sections: Vec<&str> = doc.lines().filter_map(|l| l.strip_prefix("### ")).collect();
+    for e in experiments::EXPERIMENTS {
+        assert!(!e.claims.is_empty(), "{} declares no claim", e.id);
+        for d in e.claims.iter().filter_map(|c| c.deviation) {
+            assert!(
+                sections.contains(&d.section),
+                "{}: deviation names “{}”, which is no EXPERIMENTS.md section",
+                e.id,
+                d.section
+            );
+        }
+    }
+}
+
+#[test]
+fn every_claim_holds_over_the_snapshot() {
+    // What `repro` checks after every run, checked here over the committed
+    // cells without running anything. The snapshot's shape target is the
+    // claims' rendering, so the claims are the one copy of each shape.
+    let mut broken = Vec::new();
+    for t in snapshot_tables() {
+        let e = experiments::experiment(&t.id).expect("a snapshot id resolves");
+        broken.extend(claims::broken(e.id, e.claims, &t));
+        let target = claims::shape_target(e.claims);
+        if t.expectation != target {
+            broken.push(format!(
+                "{}: the snapshot's shape target is not its claims' rendering:\n  \
+                 snapshot: {}\n  claims:   {target}\n\
+                 regenerate {SNAPSHOT} with `repro --json all`",
+                t.id, t.expectation
+            ));
+        }
+    }
+    assert!(broken.is_empty(), "\n{}", broken.join("\n"));
 }
 
 #[test]

@@ -21,6 +21,32 @@
 //! 2. **Order invariance.** Region digests are XOR folds of per-entry
 //!    hashes, so they do not depend on the order nodes are visited — ranks
 //!    iterating slot order and an oracle iterating id order agree.
+//!
+//! The fault model and the repair ladder around them:
+//!
+//! * **Rot.** `FaultPlan::with_memory_corrupt_in(rank, MemRegion, p)` arms a
+//!   sweep over one region (`Owned`, `Shadow`, `Replica`);
+//!   `with_memory_corrupt(rank, p)` sets all three. Each decision is a pure
+//!   `mix64(seed, rank, epoch, region, index)` threshold. Live regions are
+//!   swept by `inject_memory_faults` at each healthy iteration boundary;
+//!   replicas rot *at rest* (`corrupt_entries_at_rest`, keyed on holder,
+//!   checkpoint iteration and id), evaluated when a restore consults the
+//!   copy. The sweep counter is monotonic and never rolled back, so replay
+//!   draws fresh rot and converges instead of re-corrupting identically.
+//! * **Repair.** Owned damage, or shadow damage at an interval above 1,
+//!   rolls back to the committed checkpoint and replays. Shadow-only damage
+//!   at interval 1 is cheaper: no compute has read the stale value yet, so
+//!   `exchange::resync_shadows` repacks the peripheral nodes and overwrites
+//!   the receivers' shadows. A replica is checked against its staging-time
+//!   sums when a restore consults it, at any interval.
+//! * **Live rot needs an audit every iteration.** With a longer interval,
+//!   rot struck at an unaudited boundary is read by the next compute and the
+//!   promote re-records its hash: the corruption is laundered into
+//!   self-consistent garbage no later audit can see, so `driver::validate`
+//!   refuses the combination as `PlatformError::LiveRotNeedsAuditEveryIteration`.
+//! * **Cost.** Digests are computed wherever staging needs them but charged
+//!   to the virtual clock only when audits are configured, so runs without
+//!   them keep their schedules to the bit.
 
 use crate::store::NodeStore;
 use ic2_rng::mix64;

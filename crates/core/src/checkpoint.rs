@@ -68,6 +68,20 @@
 //!   lost iterations. Replay is bit-deterministic, the virtual clock keeps
 //!   running forward (re-execution is *charged*, not hidden), and the
 //!   final answer is byte-identical to the sequential oracle.
+//!
+//! * **What a rollback does not rewind.** Timers, fault counters and the
+//!   virtual clock itself run on, and the crash set and the death log only
+//!   grow. Nothing is installed before the gathering is agreed, so every
+//!   rank still holds the same owner map even when one rank's gathering
+//!   failed while the others' completed; with membership on, a verdict
+//!   inside the rollback that *suspects* ranks ends it and hands the
+//!   verdict back, and the run goes degraded on the checkpoint it has.
+//!
+//! * **Documented limitation.** The gather (`TAG_GATHER`) and adoption
+//!   (`TAG_ADOPT`) fan-ins are only *eventually* drained; at mailbox
+//!   capacity 2 with many simultaneous crashes the combination is untested
+//!   and may stall senders longer than the watchdog tolerates — raise the
+//!   capacity or the watchdog for crash-storm configurations.
 
 use crate::audit;
 use crate::engine::Engine;

@@ -298,11 +298,6 @@ pub struct RunReport<D> {
     pub rejoins: u32,
     /// Most ranks simultaneously suspected by any membership verdict.
     pub suspected_peak: u32,
-    /// At-rest state entries silently bit-flipped by the fault plan
-    /// ([`mpisim::FaultPlan::with_memory_corrupt`]), summed over ranks —
-    /// the injection count; the detection/repair tallies below say what the
-    /// platform did about them.
-    pub memory_corruptions: u64,
     /// Audit digest mismatches detected (owned or shadow regions), summed
     /// over ranks. 0 in an uncorrupted run.
     pub audit_mismatches: u64,
@@ -469,7 +464,6 @@ fn assemble<D>(
         degraded_iterations: designated.tally.degraded_iterations,
         rejoins: designated.tally.rejoins,
         suspected_peak: designated.tally.suspected_peak,
-        memory_corruptions: faults.memory_corruptions,
         audit_mismatches,
         // Repair decisions ride the agreed control verdicts, so like the
         // membership tallies the designated rank's copy is canonical.
@@ -883,7 +877,6 @@ mod tests {
             degraded_iterations: 0,
             rejoins: 0,
             suspected_peak: 0,
-            memory_corruptions: 0,
             audit_mismatches: 0,
             shadow_resyncs: 0,
             bad_replicas: 0,

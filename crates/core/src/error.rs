@@ -1,4 +1,23 @@
-//! Typed configuration errors for the platform driver.
+//! Typed errors for the platform driver: the one error channel.
+//!
+//! `try_run` returns a report or a [`PlatformError`], never a panic; `run`
+//! panics with `"ic2mpi: "` and that error's message. Configuration errors
+//! are refused up front by `driver::validate`. A rank that fails mid-run
+//! has no error channel of its own, so it unwinds, and the world hands the
+//! failure back as a value: `World::run_fallible` returns
+//! `Err(WorldError { rank, failure })` for the lowest-ranked failure, never
+//! a rank that only aborted because another had failed first, so the same
+//! inputs always name the same rank. Each crate raises one payload type:
+//! `mpisim` a private `Unwind` (crashed, flow-control cycle, invalid
+//! destination, poisoned), this crate the `PlatformError` itself, through
+//! `abort`. `try_run` converts with one `From<WorldError>` match: a cycle
+//! is `FlowControlDeadlock`, a bad destination `InvalidDestination`, a
+//! raised `PlatformError` itself, and any other panic (the node program, a
+//! balancer, the watchdog's deadlock report) `RankPanicked { rank, message
+//! }`. The static partitioner runs before the world under its own unwind
+//! boundary, so a panic there is `PartitionerPanicked`. The process's panic
+//! hook keeps every `Unwind` off stderr, so a failed run prints its real
+//! panic once.
 
 use ic2_graph::NodeId;
 use mpisim::{Failure, FaultPlanError, WorldError};

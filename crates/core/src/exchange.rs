@@ -1,4 +1,14 @@
 //! The computation & communication phase (thesis §4.2, Figures 8 and 8a).
+//!
+//! DESIGN.md's "Iteration engine" gives the shadow exchange's protocol.
+//! Credit stalls are counted here, not where a sender blocks (which thread
+//! parks first is host noise): in each round at a bounded capacity, every
+//! awaited sender whose data frame is present beyond the first `capacity`
+//! must have waited for a slot, so `recv_shadows` counts one stall for it
+//! (`Rank::count_credit_stall`) as the frame that frees its slot is
+//! settled. The count is a pure function of the exchange schedule:
+//! identical across same-seed runs, never rising with capacity, zero when
+//! unbounded.
 
 use crate::checkpoint::any_word_flags;
 use crate::costs::CostModel;

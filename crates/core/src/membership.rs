@@ -45,6 +45,18 @@
 //!   still lose data frames (the sender observes the cut); the affected
 //!   iteration is discarded by a plain rollback, flagged through a bit
 //!   piggybacked on the control word.
+//!
+//! Onset is the same transition wherever the suspecting verdict arrives:
+//! iteration boundary, audit, checkpoint commit, inside a rollback, either
+//! gather verdict (`Engine::suspects`).
+//!
+//! Documented limitations: (a) partitions are plan-declared schedules on the
+//! virtual clock, not emergent congestion; (b) the detect timeout must be
+//! small relative to the partition window — each cut receive charges one,
+//! so a timeout comparable to the window pushes the clock past its end
+//! before the first boundary verdict and the partition collapses into a
+//! blip rollback (correct, but no degraded mode to observe); (c) minority
+//! ranks park rather than compute speculatively.
 
 use crate::engine::Engine;
 use crate::program::NodeProgram;

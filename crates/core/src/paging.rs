@@ -43,6 +43,17 @@
 //! time accumulates in a pending-seconds account the platform drains into
 //! the virtual clock at fixed points ([`crate::timers::Phase::Storage`]).
 //! Same seed, same schedule, bit-identical `total_time`.
+//!
+//! The dirty sets are incremental. Compute stages, and so dirties, only a
+//! changed value, and promote faults in and re-dirties only a page holding a
+//! change. A page is written back on eviction, and shipped in the next
+//! page-diff checkpoint image, only if a node on it changed, a shadow on it
+//! was unpacked, or migration or a restore wrote it. Dirtiness is per page,
+//! so the saving tracks churn only when a page holds about one node: at ten
+//! nodes a page, 10 % uniform churn still dirties most pages. Under the
+//! full exchange, unpack writes every received shadow, changed or not, so
+//! pages holding shadows stay dirty; delta exchange removes that too
+//! (`tests/tests/paging.rs::paged_io_and_checkpoints_shrink_with_churn`).
 
 use crate::hashtab::{NodeTable, Slot};
 use ic2_graph::NodeId;

@@ -13,6 +13,14 @@
 //! Event Format (one track per rank, timestamps in virtual-time
 //! microseconds) and [`timeline_json`] emits a compact per-iteration
 //! metrics timeline assembled from the `iteration` spans.
+//!
+//! Two same-seed runs render byte-identical sink files: every emission is
+//! driven by the virtual clock or program order, timestamps use the
+//! shortest-roundtrip `f64` formatter, and `credit_stall` instants are
+//! emitted at the receiver's canonical resolution point rather than when a
+//! sender happens to block — so the guarantee holds at every mailbox
+//! capacity. `peak_mailbox_depth`, the one host-scheduled observable, never
+//! reaches a sink.
 
 use std::fmt::Write as _;
 use std::sync::Mutex;

@@ -222,7 +222,7 @@ fn clean_audited_run_is_oracle_exact_and_charges_audit_time() {
     };
     let a = run(&graph, &program, &Metis::default(), || NoBalancer, &cfg());
     assert_eq!(a.final_data, oracle, "audits must not perturb results");
-    assert_eq!(a.memory_corruptions, 0);
+    assert_eq!(a.faults.memory_corruptions, 0);
     assert_eq!(a.audit_mismatches, 0, "a clean world has nothing to find");
     assert_eq!(a.shadow_resyncs, 0);
     assert_eq!(a.bad_replicas, 0);

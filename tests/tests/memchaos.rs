@@ -54,7 +54,10 @@ fn escalating_corruption_is_detected_and_repaired_exactly() {
             &cfg(plan()),
         );
         assert_eq!(a.final_data, oracle, "p={p}: repair must be exact");
-        assert!(a.memory_corruptions > 0, "p={p}: bits must actually flip");
+        assert!(
+            a.faults.memory_corruptions > 0,
+            "p={p}: bits must actually flip"
+        );
         assert!(
             a.audit_mismatches > 0,
             "p={p}: the audit must catch live-region damage: {a:?}"
@@ -68,7 +71,10 @@ fn escalating_corruption_is_detected_and_repaired_exactly() {
             &cfg(plan()),
         );
         assert_eq!(a.final_data, b.final_data, "p={p}");
-        assert_eq!(a.memory_corruptions, b.memory_corruptions, "p={p}");
+        assert_eq!(
+            a.faults.memory_corruptions, b.faults.memory_corruptions,
+            "p={p}"
+        );
         assert_eq!(a.audit_mismatches, b.audit_mismatches, "p={p}");
         assert_eq!(a.shadow_resyncs, b.shadow_resyncs, "p={p}");
         assert_eq!(a.bad_replicas, b.bad_replicas, "p={p}");
@@ -126,7 +132,7 @@ fn memory_corruption_composes_with_crash_recovery() {
     assert!(a.rollbacks >= 1, "the crash must roll back");
     assert!(a.ranks_died.contains(&3), "{:?}", a.ranks_died);
     assert!(!a.final_owner.contains(&3));
-    assert!(a.memory_corruptions > 0, "{a:?}");
+    assert!(a.faults.memory_corruptions > 0, "{a:?}");
     assert!(a.repairs > 0, "{a:?}");
     let b = run(
         &graph,
@@ -137,7 +143,7 @@ fn memory_corruption_composes_with_crash_recovery() {
     );
     assert_eq!(a.final_data, b.final_data);
     assert_eq!(a.rollbacks, b.rollbacks);
-    assert_eq!(a.memory_corruptions, b.memory_corruptions);
+    assert_eq!(a.faults.memory_corruptions, b.faults.memory_corruptions);
     assert_eq!(a.bad_replicas, b.bad_replicas);
     assert_eq!(a.faults, b.faults);
     assert_eq!(a.total_time.to_bits(), b.total_time.to_bits());
@@ -151,7 +157,7 @@ fn memory_corruption_composes_with_a_partition() {
     // match the oracle. Audit interval 1, like every exactness test under
     // live-region rot: a looser interval lets the next iteration's promote
     // launder corruption into self-consistent state no audit can see (see
-    // DESIGN.md, "State integrity").
+    // `crates/core/src/audit.rs`).
     let graph = ic2_graph::generators::hex_grid_n(64);
     let program = AvgProgram::fine();
     let nprocs = 8;
@@ -193,7 +199,7 @@ fn memory_corruption_composes_with_a_partition() {
     assert_eq!(a.final_data, oracle, "partition + rot must heal exactly");
     assert!(a.rejoins >= 1, "the minority must rejoin");
     assert!(a.degraded_iterations > 0);
-    assert!(a.memory_corruptions > 0, "{a:?}");
+    assert!(a.faults.memory_corruptions > 0, "{a:?}");
     let b = run(
         &graph,
         &program,
@@ -203,7 +209,7 @@ fn memory_corruption_composes_with_a_partition() {
     );
     assert_eq!(a.final_data, b.final_data);
     assert_eq!(a.rejoins, b.rejoins);
-    assert_eq!(a.memory_corruptions, b.memory_corruptions);
+    assert_eq!(a.faults.memory_corruptions, b.faults.memory_corruptions);
     assert_eq!(a.faults, b.faults);
     assert_eq!(a.total_time.to_bits(), b.total_time.to_bits());
 }
@@ -243,7 +249,7 @@ fn memory_corruption_composes_with_delta_and_capacity_2_backpressure() {
     );
     assert_eq!(a.final_data, oracle, "delta + backpressure + rot: exact");
     assert!(a.delta_entries_skipped > 0, "delta suppression must engage");
-    assert!(a.memory_corruptions > 0, "{a:?}");
+    assert!(a.faults.memory_corruptions > 0, "{a:?}");
     assert!(a.repairs > 0, "{a:?}");
     let b = run(
         &graph,
@@ -253,7 +259,7 @@ fn memory_corruption_composes_with_delta_and_capacity_2_backpressure() {
         &cfg(plan()),
     );
     assert_eq!(a.final_data, b.final_data);
-    assert_eq!(a.memory_corruptions, b.memory_corruptions);
+    assert_eq!(a.faults.memory_corruptions, b.faults.memory_corruptions);
     assert_eq!(a.shadow_resyncs, b.shadow_resyncs);
     assert_eq!(a.faults, b.faults);
     assert_eq!(a.total_time.to_bits(), b.total_time.to_bits());
@@ -316,7 +322,7 @@ fn escalating_restore_survives_r_minus_1_bad_replicas() {
         a.repairs >= 1,
         "rank 3 must be rescued with a verified copy: {a:?}"
     );
-    assert!(a.memory_corruptions > 0);
+    assert!(a.faults.memory_corruptions > 0);
     let b = run(
         &graph,
         &program,
