@@ -1,6 +1,7 @@
 //! Out-of-core paging: a fixed-budget buffer pool over the virtual disk.
 //!
-//! ROADMAP item 2: partitions that outgrow RAM. The paged
+//! ROADMAP, "Memory that is O(owned) per rank, and a page out that leaves
+//! RAM": partitions that outgrow RAM. The paged
 //! [`crate::store::NodeStore`]
 //! keeps at most `budget` pages of its [`NodeTable`] readable; the rest
 //! live on the rank's private [`mpisim::VirtualDisk`] as checksummed

@@ -8,11 +8,11 @@
 //! [`StaticPartitioner`], so they can be swapped without touching
 //! application code — exactly the experiment the thesis's Section 5.3 runs.
 //!
-//! * [`metis::Metis`] — multilevel recursive-bisection partitioner in the
-//!   style of Metis \[KK98\]: heavy-edge-matching coarsening, greedy
-//!   graph-growing initial bisection, Fiduccia–Mattheyses refinement
-//!   (every vertex moves once a pass, rolled back to the best prefix), plus
-//!   a final k-way boundary refinement pass.
+//! * [`metis::Metis`] — multilevel k-way partitioner in the style of Metis
+//!   4's `kmetis` \[KK98\]: one heavy-edge-matching coarsening hierarchy,
+//!   recursive multilevel bisection of the coarsest graph (greedy graph
+//!   growing, boundary Fiduccia–Mattheyses), and greedy k-way boundary
+//!   refinement at every level on the way back up.
 //! * [`pagrid::PaGrid`] — grid-aware mapper in the style of PaGrid
 //!   \[WA04, HAB06\]: starts from a Metis partition and refines against an
 //!   estimated-execution-time objective over a weighted
