@@ -1,12 +1,22 @@
 //! One function per thesis table/figure, regenerating its rows.
+//!
+//! The thesis's tables and figures have a column per processor count
+//! (`procs_table`). Every other table declares each column once, header
+//! beside cell (`Col`), over one record a row. A table of runs compared
+//! against a baseline is a `sweep`: it checks in one place that every
+//! variant computes the baseline's answer.
 
 use crate::claims::{
     cell, column, falls, level, near, never_falls, rises, row, rows, shape_target, Claim,
 };
 use crate::report::{secs, speedup, Table};
-use crate::workloads::{self as w, BF_STEPS, PROCS, RANDOM_SEEDS, TABLE_ITERS};
+use crate::workloads::{self as w, BF_STEPS, PROCS, TABLE_ITERS};
+use ic2_partition::bands::{ColumnBand, RectangularBand, RowBand};
+use ic2_partition::graycode::GrayCodeBf;
 use ic2mpi::prelude::*;
-use ic2mpi::Phase;
+use ic2mpi::{Phase, PhaseTimers};
+use mpisim::FaultPlan;
+use std::time::{Duration, Instant};
 
 /// The cell of row `series` under `p=<p>`.
 fn at(t: &Table, series: &str, p: usize) -> f64 {
@@ -35,10 +45,186 @@ fn efficiency_falls_by_16(t: &Table) -> bool {
     (t.rows.iter()).all(|r| at(t, &r[0], 16) / 16.0 < at(t, &r[0], 8) / 8.0)
 }
 
-fn procs_header(first: &str) -> Vec<String> {
-    let mut h = vec![first.to_string()];
-    h.extend(PROCS.iter().map(|p| format!("p={p}")));
-    h
+// ---- Tables by processor count -------------------------------------------
+
+/// A table with one column per processor count of `procs`, headed `p=<p>`
+/// after the label column `first`: a row a label, its values rendered by
+/// `fmt`.
+fn procs_table(
+    id: &str,
+    title: &str,
+    first: &str,
+    procs: &[usize],
+    fmt: fn(f64) -> String,
+    rows: impl IntoIterator<Item = (String, Vec<f64>)>,
+) -> Table {
+    let mut header = vec![first.to_string()];
+    header.extend(procs.iter().map(|p| format!("p={p}")));
+    let mut t = Table::new(id, title, header);
+    for (label, values) in rows {
+        let mut row = vec![label];
+        row.extend(values.into_iter().map(fmt));
+        t.row(row);
+    }
+    t
+}
+
+/// The virtual time of a static run under `partitioner` at every processor
+/// count of [`PROCS`]: the one run behind Tables 2–11 and Figs 11, 12, 16,
+/// 17 and 20.
+fn static_times<P: NodeProgram>(
+    graph: &Graph,
+    program: &P,
+    partitioner: &(dyn StaticPartitioner + Sync),
+    iters: u32,
+) -> Vec<f64> {
+    let cfg = |p| RunConfig::new(p, iters);
+    let run = |p| w::run_reported(graph, program, partitioner, || NoBalancer, &cfg(p));
+    PROCS.iter().map(|&p| run(p).total_time).collect()
+}
+
+/// `times` at every processor count of [`PROCS`] as speedups over the
+/// first, the 1-processor time.
+fn speedups(times: Vec<f64>) -> Vec<f64> {
+    times.iter().map(|t| times[0] / t).collect()
+}
+
+/// The element-wise mean of `rows`.
+fn mean(rows: impl IntoIterator<Item = Vec<f64>>) -> Vec<f64> {
+    let (mut sum, mut n) = (Vec::new(), 0.0);
+    for row in rows {
+        sum.resize(row.len(), 0.0);
+        sum.iter_mut().zip(row).for_each(|(s, x)| *s += x);
+        n += 1.0;
+    }
+    sum.into_iter().map(|s| s / n).collect()
+}
+
+/// Tables 2–6 and Figs 11 and 16: fine grain under Metis's static partition.
+fn fine_times(graph: &Graph, iters: u32) -> Vec<f64> {
+    static_times(graph, &AvgProgram::fine(), &Metis::default(), iters)
+}
+
+/// Tables 7–11 and Fig 20: the battlefield under one static partitioner.
+fn battlefield_times(partitioner: &(dyn StaticPartitioner + Sync), steps: u32) -> Vec<f64> {
+    let program = w::battlefield();
+    static_times(&program.terrain(), &program, partitioner, steps)
+}
+
+// ---- Tables by column --------------------------------------------------------
+
+/// A column: its header beside the cell it renders for a row's record.
+struct Col<R> {
+    head: &'static str,
+    cell: fn(&R) -> String,
+    /// The cell reads the host clock, or anything else that varies run to
+    /// run, so a snapshot check skips it.
+    host: bool,
+}
+
+/// A column of deterministic cells.
+fn col<R>(head: &'static str, cell: fn(&R) -> String) -> Col<R> {
+    Col {
+        head,
+        cell,
+        host: false,
+    }
+}
+
+/// A column whose cells vary run to run.
+fn host<R>(head: &'static str, cell: fn(&R) -> String) -> Col<R> {
+    Col {
+        head,
+        cell,
+        host: true,
+    }
+}
+
+/// The table of `records` under `cols`, a row a record.
+fn table<R>(id: &str, title: &str, cols: &[Col<R>], records: impl IntoIterator<Item = R>) -> Table {
+    let mut t = Table::new(id, title, cols.iter().map(|c| c.head.into()).collect());
+    for c in cols.iter().filter(|c| c.host) {
+        t.host_column(c.head);
+    }
+    for r in records {
+        t.row(cols.iter().map(|c| (c.cell)(&r)).collect());
+    }
+    t
+}
+
+/// A row of a [`sweep`]: its label and run, and the sweep's baseline run.
+struct Row<'a, D> {
+    label: &'a str,
+    r: &'a RunReport<D>,
+    base: &'a RunReport<D>,
+}
+
+/// The one answer check of every sweep: the run of row `label` must compute
+/// `base`'s answer.
+fn same_answer<D: PartialEq>(label: &str, r: &RunReport<D>, base: &RunReport<D>) {
+    assert!(
+        r.final_data == base.final_data,
+        "row {label:?} computes another answer than its baseline"
+    );
+}
+
+/// The run of row `label` must end at `base`'s virtual time to the bit.
+fn same_clock<D>(label: &str, r: &RunReport<D>, base: &RunReport<D>) {
+    assert!(
+        r.total_time.to_bits() == base.total_time.to_bits(),
+        "row {label:?} ends at virtual time {} against its baseline's {}",
+        r.total_time,
+        base.total_time
+    );
+}
+
+/// The table of a sweep: `runs[0]` is the baseline, which every later run
+/// must reproduce the answer of ([`same_answer`]), a row a run under `cols`.
+fn sweep<'a, D: PartialEq>(
+    id: &str,
+    title: &str,
+    cols: &[Col<Row<'a, D>>],
+    runs: &'a [(String, RunReport<D>)],
+) -> Table {
+    let base = &runs[0].1;
+    for (label, r) in &runs[1..] {
+        same_answer(label, r, base);
+    }
+    let rows = runs.iter().map(|(label, r)| Row { label, r, base });
+    table(id, title, cols, rows)
+}
+
+/// `t` with its first row as the clean run the others are measured against:
+/// its label and time, `—` under the overhead (the third column), and `0`
+/// under every counter after it.
+fn over_clean(mut t: Table) -> Table {
+    for (i, cell) in t.rows[0].iter_mut().enumerate().skip(2) {
+        *cell = if i == 2 { "—" } else { "0" }.into();
+    }
+    t
+}
+
+fn label<D>(x: &Row<D>) -> String {
+    x.label.into()
+}
+
+fn time<D>(x: &Row<D>) -> String {
+    secs(x.r.total_time)
+}
+
+/// The run's time over the baseline's, as a signed percentage.
+fn overhead<D>(x: &Row<D>) -> String {
+    let ratio = x.r.total_time / x.base.total_time;
+    format!("{:+.1}%", (ratio - 1.0) * 100.0)
+}
+
+/// Bytes the run's ranks sent.
+fn sent<D>(r: &RunReport<D>) -> u64 {
+    r.comm.iter().map(|c| c.bytes_sent).sum()
+}
+
+fn kib(bytes: u64) -> String {
+    format!("{:.1}", bytes as f64 / 1024.0)
 }
 
 // ---- Tables 2-4: hex-grid execution times --------------------------------
@@ -87,22 +273,11 @@ const TABLE4: &[Claim] = &[
 ];
 
 /// Execution time table for an `n`-node hexagonal grid (Tables 2–4).
-pub fn table_hex(id: &str, n: usize) -> Table {
+fn table_hex(id: &str, n: usize) -> Table {
     let graph = w::hex(n);
-    let program = AvgProgram::fine();
-    let mut t = Table::new(
-        id,
-        &format!("Execution time (s), {n}-node hexagonal grid, Metis, fine grain"),
-        procs_header("iters"),
-    );
-    for iters in TABLE_ITERS {
-        let mut row = vec![iters.to_string()];
-        for procs in PROCS {
-            row.push(secs(w::run_static(&graph, &program, procs, iters)));
-        }
-        t.row(row);
-    }
-    t
+    let rows = TABLE_ITERS.map(|iters| (iters.to_string(), fine_times(&graph, iters)));
+    let title = format!("Execution time (s), {n}-node hexagonal grid, Metis, fine grain");
+    procs_table(id, &title, "iters", &PROCS, secs, rows)
 }
 
 // ---- Tables 5-6: random-graph execution times ----------------------------
@@ -125,22 +300,15 @@ const TABLE_RANDOM: &[Claim] = &[
 
 /// Execution time table for `n`-node random graphs, averaged over five
 /// seeds (Tables 5–6).
-pub fn table_random(id: &str, n: usize) -> Table {
-    let program = AvgProgram::fine();
-    let mut t = Table::new(
-        id,
-        &format!("Execution time (s), {n}-node random graphs (mean of 5), Metis, fine grain"),
-        procs_header("iters"),
-    );
-    for iters in TABLE_ITERS {
-        let mut row = vec![iters.to_string()];
-        for procs in PROCS {
-            let mean = w::mean_over_seeds(n, |g| w::run_static(g, &program, procs, iters));
-            row.push(secs(mean));
-        }
-        t.row(row);
-    }
-    t
+fn table_random(id: &str, n: usize) -> Table {
+    let graphs = w::random_graphs(n);
+    let rows = TABLE_ITERS.map(|iters| {
+        let times = mean(graphs.iter().map(|g| fine_times(g, iters)));
+        (iters.to_string(), times)
+    });
+    let title =
+        format!("Execution time (s), {n}-node random graphs (mean of 5), Metis, fine grain");
+    procs_table(id, &title, "iters", &PROCS, secs, rows)
 }
 
 // ---- Tables 7-11: battlefield execution times -----------------------------
@@ -176,45 +344,13 @@ const BAND_TABLE: &[Claim] = &[STEP_TIMES_FALL, MORE_STEPS_COST_MORE];
 
 /// Execution time table for the battlefield under one static partitioner
 /// (Tables 7–11).
-pub fn table_battlefield(id: &str, partitioner: &(dyn StaticPartitioner + Sync)) -> Table {
-    let program = w::battlefield();
-    let graph = program.terrain();
-    let mut t = Table::new(
-        id,
-        &format!(
-            "Execution time (s), 32x32 battlefield, {} partition",
-            partitioner.name()
-        ),
-        procs_header("steps"),
+fn table_battlefield(id: &str, partitioner: &(dyn StaticPartitioner + Sync)) -> Table {
+    let rows = BF_STEPS.map(|steps| (steps.to_string(), battlefield_times(partitioner, steps)));
+    let title = format!(
+        "Execution time (s), 32x32 battlefield, {} partition",
+        partitioner.name()
     );
-    for steps in BF_STEPS {
-        let mut row = vec![steps.to_string()];
-        for procs in PROCS {
-            let report = w::run_reported(
-                &graph,
-                &program,
-                partitioner,
-                || NoBalancer,
-                &w::static_cfg(procs, steps),
-            );
-            row.push(secs(report.total_time));
-        }
-        t.row(row);
-    }
-    t
-}
-
-/// The five battlefield partitioners of Section 5.3, in table order.
-pub fn battlefield_partitioners() -> Vec<(&'static str, Box<dyn StaticPartitioner + Sync>)> {
-    use ic2_partition::bands::{ColumnBand, RectangularBand, RowBand};
-    use ic2_partition::graycode::GrayCodeBf;
-    vec![
-        ("table7", Box::new(Metis::default())),
-        ("table8", Box::new(GrayCodeBf)),
-        ("table9", Box::new(RowBand)),
-        ("table10", Box::new(ColumnBand)),
-        ("table11", Box::new(RectangularBand)),
-    ]
+    procs_table(id, &title, "steps", &PROCS, secs, rows)
 }
 
 // ---- Figure 11 / 16: speedup plots ----------------------------------------
@@ -234,24 +370,15 @@ const FIG11: &[Claim] = &[
     ),
 ];
 
-/// Speedup at 20 iterations for the hex grids (Figure 11).
-pub fn fig11() -> Table {
-    let program = AvgProgram::fine();
-    let mut t = Table::new(
-        "fig11",
-        "Speedup @20 iters, hexagonal grids, Metis, fine grain",
-        procs_header("graph"),
-    );
-    for n in [32usize, 64, 96] {
-        let graph = w::hex(n);
-        let t1 = w::run_static(&graph, &program, 1, 20);
-        let mut row = vec![format!("{n}-node hex")];
-        for procs in PROCS {
-            row.push(speedup(t1 / w::run_static(&graph, &program, procs, 20)));
-        }
-        t.row(row);
-    }
-    t
+/// Speedup at 20 iterations for the hex grids (Figure 11), from Tables
+/// 2–4's run.
+fn fig11(id: &str) -> Table {
+    let rows = [32usize, 64, 96].map(|n| {
+        let speedups = speedups(fine_times(&w::hex(n), 20));
+        (format!("{n}-node hex"), speedups)
+    });
+    let title = "Speedup @20 iters, hexagonal grids, Metis, fine grain";
+    procs_table(id, title, "graph", &PROCS, speedup, rows)
 }
 
 const FIG16: &[Claim] = &[
@@ -271,71 +398,39 @@ const FIG16: &[Claim] = &[
     ),
 ];
 
-/// Speedup at 20 iterations for the random graphs (Figure 16).
-pub fn fig16() -> Table {
-    let program = AvgProgram::fine();
-    let mut t = Table::new(
-        "fig16",
-        "Speedup @20 iters, random graphs (mean of 5), Metis, fine grain",
-        procs_header("graph"),
-    );
-    for n in [32usize, 64] {
-        let mut row = vec![format!("{n}-node random")];
-        for procs in PROCS {
-            let mut speedups = 0.0;
-            for &seed in &RANDOM_SEEDS {
-                let g = w::random(n, seed);
-                let t1 = w::run_static(&g, &program, 1, 20);
-                speedups += t1 / w::run_static(&g, &program, procs, 20);
-            }
-            row.push(speedup(speedups / RANDOM_SEEDS.len() as f64));
-        }
-        t.row(row);
-    }
-    t
+/// Speedup at 20 iterations for the random graphs (Figure 16), from Tables
+/// 5–6's run: the mean of each graph's speedup over its own 1-processor
+/// time.
+fn fig16(id: &str) -> Table {
+    let rows = [32usize, 64].map(|n| {
+        let graphs = w::random_graphs(n);
+        let speedups = graphs.iter().map(|g| speedups(fine_times(g, 20)));
+        (format!("{n}-node random"), mean(speedups))
+    });
+    let title = "Speedup @20 iters, random graphs (mean of 5), Metis, fine grain";
+    procs_table(id, title, "graph", &PROCS, speedup, rows)
 }
 
 // ---- Figures 12 / 17: Metis vs PaGrid -------------------------------------
 
-fn metis_vs_pagrid(id: &str, title: &str, graphs: Vec<Graph>) -> Table {
-    let mut t = Table::new(id, title, procs_header("series"));
-    let fine = AvgProgram::fine();
-    let coarse = AvgProgram::coarse();
-    let cases: [(&str, &AvgProgram, bool); 4] = [
-        ("fine / Metis", &fine, false),
-        ("coarse / Metis", &coarse, false),
-        ("fine / PaGrid", &fine, true),
-        ("coarse / PaGrid", &coarse, true),
+/// Metis vs PaGrid speedups on `graphs`, fine and coarse grain, the mean
+/// over the graphs (Figures 12 and 17).
+fn metis_vs_pagrid(id: &str, what: &str, graphs: &[Graph]) -> Table {
+    let (fine, coarse) = (AvgProgram::fine(), AvgProgram::coarse());
+    let series: [(&str, &AvgProgram, &(dyn StaticPartitioner + Sync)); 4] = [
+        ("fine / Metis", &fine, &Metis::default()),
+        ("coarse / Metis", &coarse, &Metis::default()),
+        ("fine / PaGrid", &fine, &PaGrid::default()),
+        ("coarse / PaGrid", &coarse, &PaGrid::default()),
     ];
-    for (label, program, use_pagrid) in cases {
-        let mut row = vec![label.to_string()];
-        for procs in PROCS {
-            let mut acc = 0.0;
-            for g in &graphs {
-                let (t1, tp) = if use_pagrid {
-                    let p = PaGrid::default();
-                    let t1 = w::run_reported(g, program, &p, || NoBalancer, &w::static_cfg(1, 20))
-                        .total_time;
-                    let tp =
-                        w::run_reported(g, program, &p, || NoBalancer, &w::static_cfg(procs, 20))
-                            .total_time;
-                    (t1, tp)
-                } else {
-                    let p = Metis::default();
-                    let t1 = w::run_reported(g, program, &p, || NoBalancer, &w::static_cfg(1, 20))
-                        .total_time;
-                    let tp =
-                        w::run_reported(g, program, &p, || NoBalancer, &w::static_cfg(procs, 20))
-                            .total_time;
-                    (t1, tp)
-                };
-                acc += t1 / tp;
-            }
-            row.push(speedup(acc / graphs.len() as f64));
-        }
-        t.row(row);
-    }
-    t
+    let rows = series.map(|(label, program, partitioner)| {
+        let speedups = graphs
+            .iter()
+            .map(|g| speedups(static_times(g, program, partitioner, 20)));
+        (label.to_string(), mean(speedups))
+    });
+    let title = format!("Metis vs PaGrid speedup, {what}");
+    procs_table(id, &title, "series", &PROCS, speedup, rows)
 }
 
 const COARSE_ABOVE_FINE: Claim = Claim::holds(
@@ -389,24 +484,6 @@ const FIG17: &[Claim] = &[
     ),
 ];
 
-/// Metis vs PaGrid on the 64-node hex grid (Figure 12).
-pub fn fig12() -> Table {
-    metis_vs_pagrid(
-        "fig12",
-        "Metis vs PaGrid speedup, 64-node hex grid, fine & coarse grain",
-        vec![w::hex(64)],
-    )
-}
-
-/// Metis vs PaGrid on 64-node random graphs (Figure 17).
-pub fn fig17() -> Table {
-    metis_vs_pagrid(
-        "fig17",
-        "Metis vs PaGrid speedup, 64-node random graphs (mean of 5), fine & coarse",
-        RANDOM_SEEDS.iter().map(|&s| w::random(64, s)).collect(),
-    )
-}
-
 // ---- Figures 13-15 / 18-19: static vs dynamic ------------------------------
 
 /// Whether dynamic balancing beats the static partition for `load` at `p`.
@@ -455,95 +532,27 @@ const FIG19: &[Claim] = &[
 /// (Figures 13–15 for hex grids, 18–19 for random graphs). Two imbalance
 /// flavours are reported: the thesis's Figure-23 shifting window, and the
 /// persistent hot region that isolates the migration machinery (see
-/// EXPERIMENTS.md for why the shifting window resists correction).
-pub fn fig_static_vs_dynamic(id: &str, title: &str, graph: &Graph) -> Table {
-    let mut t = Table::new(id, title, procs_header("series"));
-    for (label, program) in [
-        ("shifting / static", AvgProgram::shifting()),
-        ("shifting / dynamic", AvgProgram::shifting()),
-        ("persistent / static", AvgProgram::persistent()),
-        ("persistent / dynamic", AvgProgram::persistent()),
-    ] {
-        let dynamic = label.ends_with("dynamic");
-        let mut row = vec![label.to_string()];
-        let t1 = w::run_reported(
-            graph,
-            &program,
-            &Metis::default(),
-            || NoBalancer,
-            &w::static_cfg(1, 25),
-        )
-        .total_time;
-        for procs in PROCS {
-            let time = if dynamic {
-                w::run_reported(
-                    graph,
-                    &program,
-                    &Metis::default(),
-                    w::figure_balancer,
-                    &w::dynamic_cfg(procs, 25),
-                )
-                .total_time
-            } else {
-                w::run_reported(
-                    graph,
-                    &program,
-                    &Metis::default(),
-                    || NoBalancer,
-                    &w::static_cfg(procs, 25),
-                )
-                .total_time
-            };
-            row.push(speedup(t1 / time));
-        }
-        t.row(row);
-    }
-    t
-}
-
-/// Figure 13: 64-node hex grid.
-pub fn fig13() -> Table {
-    fig_static_vs_dynamic(
-        "fig13",
-        "Static vs dynamic partitioning, 64-node hex grid, 25 iters, LB every 10",
-        &w::hex(64),
-    )
-}
-
-/// Figure 14: 32-node hex grid.
-pub fn fig14() -> Table {
-    fig_static_vs_dynamic(
-        "fig14",
-        "Static vs dynamic partitioning, 32-node hex grid",
-        &w::hex(32),
-    )
-}
-
-/// Figure 15: 96-node hex grid.
-pub fn fig15() -> Table {
-    fig_static_vs_dynamic(
-        "fig15",
-        "Static vs dynamic partitioning, 96-node hex grid",
-        &w::hex(96),
-    )
-}
-
-/// Figure 18: 64-node random graph.
-pub fn fig18() -> Table {
-    fig_static_vs_dynamic(
-        "fig18",
-        "Static vs dynamic partitioning, 64-node random graph (seed 0)",
-        &w::random(64, 0),
-    )
-}
-
-/// Figure 19: 32-node random graph.
-pub fn fig19() -> Table {
-    fig_static_vs_dynamic(
-        "fig19",
-        "Static vs dynamic partitioning, 32-node random graph (seed 0)",
-        &w::random(32, 0),
-    )
+/// EXPERIMENTS.md for why the shifting window resists correction). Both
+/// rows of a load are speedups over its static 1-processor time.
+fn fig_static_vs_dynamic(id: &str, what: &str, graph: &Graph) -> Table {
+    let loads = [
+        ("shifting", AvgProgram::shifting()),
+        ("persistent", AvgProgram::persistent()),
+    ];
+    let rows = loads.into_iter().flat_map(|(load, program)| {
+        let fixed = static_times(graph, &program, &Metis::default(), 25);
+        let run = |p| w::run_balanced(graph, &program, &w::dynamic_cfg(p, 25));
+        let balanced = PROCS
+            .iter()
+            .map(|&p| fixed[0] / run(p).total_time)
+            .collect();
+        [
+            (format!("{load} / static"), speedups(fixed)),
+            (format!("{load} / dynamic"), balanced),
+        ]
+    });
+    let title = format!("Static vs dynamic partitioning, {what}");
+    procs_table(id, &title, "series", &PROCS, speedup, rows)
 }
 
 // ---- Figure 20: battlefield speedups ---------------------------------------
@@ -592,39 +601,19 @@ const FIG20: &[Claim] = &[
     ),
 ];
 
-/// Battlefield speedups at 25 steps for all five partitioners (Figure 20).
-pub fn fig20() -> Table {
-    let program = w::battlefield();
-    let graph = program.terrain();
-    let mut t = Table::new(
-        "fig20",
-        "Battlefield speedup @25 steps per static partitioner",
-        procs_header("partitioner"),
-    );
-    for (_, partitioner) in battlefield_partitioners() {
-        let t1 = w::run_reported(
-            &graph,
-            &program,
-            partitioner.as_ref(),
-            || NoBalancer,
-            &w::static_cfg(1, 25),
-        )
-        .total_time;
-        let mut row = vec![partitioner.name().to_string()];
-        for procs in PROCS {
-            let tp = w::run_reported(
-                &graph,
-                &program,
-                partitioner.as_ref(),
-                || NoBalancer,
-                &w::static_cfg(procs, 25),
-            )
-            .total_time;
-            row.push(speedup(t1 / tp));
-        }
-        t.row(row);
-    }
-    t
+/// Battlefield speedups at 25 steps for all five partitioners (Figure 20),
+/// from Tables 7–11's run.
+fn fig20(id: &str) -> Table {
+    let partitioners: [&(dyn StaticPartitioner + Sync); 5] = [
+        &Metis::default(),
+        &GrayCodeBf,
+        &RowBand,
+        &ColumnBand,
+        &RectangularBand,
+    ];
+    let rows = partitioners.map(|p| (p.name().to_string(), speedups(battlefield_times(p, 25))));
+    let title = "Battlefield speedup @25 steps per static partitioner";
+    procs_table(id, title, "partitioner", &PROCS, speedup, rows)
 }
 
 // ---- Figures 21-22: overhead breakdown -------------------------------------
@@ -651,50 +640,17 @@ const OVERHEADS: &[Claim] = &[
 /// Phase-overhead breakdown, 35 iterations with the balancer every 10
 /// (Figures 21 for hex, 22 for random), mean over ranks, per processor
 /// count.
-pub fn fig_overheads(id: &str, title: &str, graph: &Graph) -> Table {
-    let program = AvgProgram::fine();
-    let mut header = vec!["phase".to_string()];
-    header.extend([2usize, 4, 8, 16].iter().map(|p| format!("p={p}")));
-    let mut t = Table::new(id, title, header);
-    let mut columns = Vec::new();
-    for procs in [2usize, 4, 8, 16] {
-        let report = w::run_reported(
-            graph,
-            &program,
-            &Metis::default(),
-            w::figure_balancer,
-            &RunConfig::new(procs, 35)
-                .with_balancing(10)
-                .with_migration_batch(1),
-        );
-        columns.push(report.mean_timers());
-    }
-    for phase in Phase::ALL {
-        let mut row = vec![phase.label().to_string()];
-        for timers in &columns {
-            row.push(secs(timers.get(phase)));
-        }
-        t.row(row);
-    }
-    t
-}
-
-/// Figure 21: overheads on the fine 64-node hex grid.
-pub fn fig21() -> Table {
-    fig_overheads(
-        "fig21",
-        "Phase overheads, fine-grained 64-node hex grid, 35 iters, LB every 10",
-        &w::hex(64),
-    )
-}
-
-/// Figure 22: overheads on the fine 64-node random graph.
-pub fn fig22() -> Table {
-    fig_overheads(
-        "fig22",
-        "Phase overheads, fine-grained 64-node random graph, 35 iters, LB every 10",
-        &w::random(64, 0),
-    )
+fn fig_overheads(id: &str, what: &str, graph: &Graph) -> Table {
+    let procs = [2usize, 4, 8, 16];
+    let cfg = |p| RunConfig::new(p, 35).with_balancing(10);
+    let run = |p| w::run_balanced(graph, &AvgProgram::fine(), &cfg(p));
+    let timers: Vec<PhaseTimers> = procs.iter().map(|&p| run(p).mean_timers()).collect();
+    let rows = Phase::ALL.map(|phase| {
+        let values = timers.iter().map(|t| t.get(phase)).collect();
+        (phase.label().to_string(), values)
+    });
+    let title = format!("Phase overheads, fine-grained {what}, 35 iters, LB every 10");
+    procs_table(id, &title, "phase", &procs, secs, rows)
 }
 
 // ---- Figure 23: the imbalance schedule --------------------------------------
@@ -719,33 +675,26 @@ const FIG23: &[Claim] = &[
     ),
 ];
 
-/// Trace of the shifting-window load schedule (Figure 23).
-pub fn fig23() -> Table {
+/// Trace of the shifting-window load schedule (Figure 23): a row per
+/// window, by its first iteration.
+fn fig23(id: &str) -> Table {
+    type Window = (ic2mpi::ShiftingWindowLoad, u32);
+    let cols: [Col<Window>; 5] = [
+        col("iters", |&(s, i)| format!("{i}-{}", i + s.window_iters - 1)),
+        col("hot band", |&(s, i)| {
+            let (lo, hi) = s.hot_band(i);
+            format!("{:.0}%-{:.0}%", lo * 100.0, hi * 100.0)
+        }),
+        col("hot nodes", |&(s, i)| {
+            (0..64).filter(|&v| s.is_hot(v, 64, i)).count().to_string()
+        }),
+        col("hot grain", |(s, _)| format!("{:.1}ms", s.coarse * 1e3)),
+        col("cold grain", |(s, _)| format!("{:.2}ms", s.fine * 1e3)),
+    ];
     let s = ic2mpi::ShiftingWindowLoad::default();
-    let mut t = Table::new(
-        "fig23",
-        "Dynamic-imbalance schedule: hot band per iteration window (64 nodes)",
-        vec![
-            "iters".into(),
-            "hot band".into(),
-            "hot nodes".into(),
-            "hot grain".into(),
-            "cold grain".into(),
-        ],
-    );
-    for window in 0..4u32 {
-        let iter = window * s.window_iters + 1;
-        let (lo, hi) = s.hot_band(iter);
-        let hot = (0..64).filter(|&v| s.is_hot(v, 64, iter)).count();
-        t.row(vec![
-            format!("{}-{}", iter, iter + s.window_iters - 1),
-            format!("{:.0}%-{:.0}%", lo * 100.0, hi * 100.0),
-            hot.to_string(),
-            format!("{:.1}ms", s.coarse * 1e3),
-            format!("{:.2}ms", s.fine * 1e3),
-        ]);
-    }
-    t
+    let windows = (0..4u32).map(|window| (s, window * s.window_iters + 1));
+    let title = "Dynamic-imbalance schedule: hot band per iteration window (64 nodes)";
+    table(id, title, &cols, windows)
 }
 
 // ---- Virtual-time ablations --------------------------------------------
@@ -790,75 +739,60 @@ const ABLATIONS: &[Claim] = &[
 /// Virtual-time effect of the design choices DESIGN.md calls out:
 /// exchange overlap (Fig 8 vs 8a), balancer threshold, and migration
 /// batch size.
-pub fn ablations() -> Table {
+fn ablations(id: &str) -> Table {
     let graph = w::hex(64);
-    let mut t = Table::new(
-        "ablations",
-        "Virtual execution time (s) of platform design variants, 64-node hex grid, 8 procs",
-        vec!["variant".into(), "time (s)".into(), "migrations".into()],
-    );
+    let (fine, persistent) = (AvgProgram::fine(), AvgProgram::persistent());
+    let mut runs = Vec::new();
     // Exchange mode (static fine-grained workload, 20 iters).
-    let fine = AvgProgram::fine();
-    for (name, mode) in [
+    for (label, mode) in [
         ("exchange: postcomm (Fig 8)", ExchangeMode::PostComm),
         ("exchange: overlap (Fig 8a)", ExchangeMode::Overlap),
     ] {
-        let r = w::run_reported(
-            &graph,
-            &fine,
-            &Metis::default(),
-            || NoBalancer,
-            &w::static_cfg(8, 20).with_exchange(mode),
-        );
-        t.row(vec![name.into(), secs(r.total_time), "0".into()]);
+        let cfg = RunConfig::new(8, 20).with_exchange(mode);
+        runs.push((label, w::run_static(&graph, &fine, &cfg)));
     }
     // Balancer threshold and batch (persistent imbalance, 25 iters).
-    let persistent = AvgProgram::persistent();
-    for (name, threshold, batch) in [
+    for (label, threshold, batch) in [
         ("balance: threshold 10%, batch 12", 0.10, 12u32),
         ("balance: threshold 25%, batch 12", 0.25, 12),
         ("balance: threshold 50%, batch 12", 0.50, 12),
         ("balance: threshold 10%, batch 1 (thesis)", 0.10, 1),
         ("balance: threshold 10%, batch 4", 0.10, 4),
     ] {
-        let r = w::run_reported(
-            &graph,
-            &persistent,
-            &Metis::default(),
-            || Diffusion { threshold },
-            &w::static_cfg(8, 25)
-                .with_balancing(10)
-                .with_balance_offset(5)
-                .with_migration_batch(batch)
-                .with_migrant_policy(MigrantPolicy::LoadAware),
-        );
-        t.row(vec![
-            name.into(),
-            secs(r.total_time),
-            r.migrations.to_string(),
-        ]);
+        let cfg = w::dynamic_cfg(8, 25).with_migration_batch(batch);
+        let balancer = || Diffusion { threshold };
+        let r = w::run_reported(&graph, &persistent, &Metis::default(), balancer, &cfg);
+        runs.push((label, r));
     }
-    let r = w::run_reported(
-        &graph,
-        &persistent,
-        &Metis::default(),
-        || NoBalancer,
-        &w::static_cfg(8, 25),
-    );
-    t.row(vec![
-        "balance: none (static)".into(),
-        secs(r.total_time),
-        "0".into(),
-    ]);
-    t
+    let static_run = w::run_static(&graph, &persistent, &RunConfig::new(8, 25));
+    runs.push(("balance: none (static)", static_run));
+    let cols: [Col<(&str, RunReport<i64>)>; 3] = [
+        col("variant", |(label, _)| label.to_string()),
+        col("time (s)", |(_, r)| secs(r.total_time)),
+        col("migrations", |(_, r)| r.migrations.to_string()),
+    ];
+    let title = "Virtual execution time (s) of platform design variants, 64-node hex grid, 8 procs";
+    table(id, title, &cols, runs)
 }
 
 // ---- Chaos & recovery (this reproduction's robustness extensions) --------
 
-fn chaos_world(plan: mpisim::FaultPlan) -> mpisim::Config {
+/// A virtual-time Origin-2000 world whose watchdog reports a wedge.
+fn world() -> mpisim::Config {
     mpisim::Config::virtual_time(mpisim::NetModel::origin2000())
-        .with_watchdog(std::time::Duration::from_secs(60))
-        .with_faults(plan)
+        .with_watchdog(Duration::from_secs(60))
+}
+
+/// The fault experiments' configuration: 8 ranks, 20 iterations, `plan`
+/// injected.
+fn fault_cfg(plan: FaultPlan) -> RunConfig {
+    RunConfig::new(8, 20).with_world(world().with_faults(plan))
+}
+
+/// The fault experiments' workload under `cfg`: fine grain on the 64-node
+/// hex grid.
+fn hex64(cfg: RunConfig) -> RunReport<i64> {
+    w::run_static(&w::hex(64), &AvgProgram::fine(), &cfg)
 }
 
 /// The counter columns of a `chaos_faults` row that are not zero.
@@ -904,95 +838,50 @@ const CHAOS_FAULTS: &[Claim] = &[
 /// Per-mechanism fault breakdown under increasing chaos: every column is
 /// one `FaultStats` counter (no aggregate hiding which mechanism fired),
 /// exactly as `RunReport::faults` exposes them.
-pub fn chaos_faults() -> Table {
-    let graph = w::hex(64);
-    let program = AvgProgram::fine();
-    let mut t = Table::new(
-        "chaos_faults",
-        "Injected-fault breakdown, 64-node hex grid, 8 procs, 20 iters, seed 42",
-        vec![
-            "scenario".into(),
-            "time (s)".into(),
-            "dropped".into(),
-            "delayed".into(),
-            "duplicated".into(),
-            "reordered".into(),
-            "retries".into(),
-            "escalations".into(),
-            "stale".into(),
-            "crash timeouts".into(),
-            "corrupted".into(),
-            "truncated".into(),
-            "detected".into(),
-            "retransmits".into(),
-            "nacks".into(),
-        ],
-    );
-    let scenarios: Vec<(&str, mpisim::FaultPlan)> = vec![
-        ("clean", mpisim::FaultPlan::new(42)),
-        ("drops 5%", mpisim::FaultPlan::new(42).with_drop(0.05)),
+fn chaos_faults(id: &str) -> Table {
+    let mix = || {
+        FaultPlan::new(42)
+            .with_drop(0.05)
+            .with_delay(0.05, 2e-4)
+            .with_dup(0.05)
+            .with_reorder(0.05)
+            .with_corrupt(0.05)
+            .with_truncate(0.02)
+    };
+    let scenarios = [
+        ("clean", FaultPlan::new(42)),
+        ("drops 5%", FaultPlan::new(42).with_drop(0.05)),
         (
             "drops+delays 5%",
-            mpisim::FaultPlan::new(42)
-                .with_drop(0.05)
-                .with_delay(0.05, 2e-4),
+            FaultPlan::new(42).with_drop(0.05).with_delay(0.05, 2e-4),
         ),
         (
             "corrupt 5% + truncate 2%",
-            mpisim::FaultPlan::new(42)
-                .with_corrupt(0.05)
-                .with_truncate(0.02),
+            FaultPlan::new(42).with_corrupt(0.05).with_truncate(0.02),
         ),
-        (
-            "full mix 5%",
-            mpisim::FaultPlan::new(42)
-                .with_drop(0.05)
-                .with_delay(0.05, 2e-4)
-                .with_dup(0.05)
-                .with_reorder(0.05)
-                .with_corrupt(0.05)
-                .with_truncate(0.02),
-        ),
-        (
-            "mix + crash r3",
-            mpisim::FaultPlan::new(42)
-                .with_drop(0.05)
-                .with_delay(0.05, 2e-4)
-                .with_dup(0.05)
-                .with_reorder(0.05)
-                .with_corrupt(0.05)
-                .with_truncate(0.02)
-                .with_crash(3, 0.05),
-        ),
+        ("full mix 5%", mix()),
+        ("mix + crash r3", mix().with_crash(3, 0.05)),
     ];
-    for (name, plan) in scenarios {
-        let r = w::run_reported(
-            &graph,
-            &program,
-            &Metis::default(),
-            || NoBalancer,
-            &w::static_cfg(8, 20).with_world(chaos_world(plan)),
-        );
-        let f = &r.faults;
-        t.row(vec![
-            name.into(),
-            secs(r.total_time),
-            f.dropped.to_string(),
-            f.delayed.to_string(),
-            f.duplicated.to_string(),
-            f.reordered.to_string(),
-            f.retries.to_string(),
-            f.escalations.to_string(),
-            f.stale_discarded.to_string(),
-            f.crash_timeouts.to_string(),
-            f.corrupted.to_string(),
-            f.truncated.to_string(),
-            f.corruptions_detected.to_string(),
-            f.retransmits.to_string(),
-            f.nacks.to_string(),
-        ]);
-    }
-    t
+    let runs = scenarios.map(|(label, plan)| (label.to_string(), hex64(fault_cfg(plan))));
+    let cols: [Col<Row<i64>>; 15] = [
+        col("scenario", label),
+        col("time (s)", time),
+        col("dropped", |x| x.r.faults.dropped.to_string()),
+        col("delayed", |x| x.r.faults.delayed.to_string()),
+        col("duplicated", |x| x.r.faults.duplicated.to_string()),
+        col("reordered", |x| x.r.faults.reordered.to_string()),
+        col("retries", |x| x.r.faults.retries.to_string()),
+        col("escalations", |x| x.r.faults.escalations.to_string()),
+        col("stale", |x| x.r.faults.stale_discarded.to_string()),
+        col("crash timeouts", |x| x.r.faults.crash_timeouts.to_string()),
+        col("corrupted", |x| x.r.faults.corrupted.to_string()),
+        col("truncated", |x| x.r.faults.truncated.to_string()),
+        col("detected", |x| x.r.faults.corruptions_detected.to_string()),
+        col("retransmits", |x| x.r.faults.retransmits.to_string()),
+        col("nacks", |x| x.r.faults.nacks.to_string()),
+    ];
+    let title = "Injected-fault breakdown, 64-node hex grid, 8 procs, 20 iters, seed 42";
+    sweep(id, title, &cols, &runs)
 }
 
 const CORRUPTION_RATES: [&str; 5] = ["0.01", "0.02", "0.05", "0.10", "0.20"];
@@ -1026,70 +915,26 @@ const CORRUPTION_OVERHEAD: &[Claim] = &[
 /// Corruption-recovery overhead vs corruption probability: the virtual-time
 /// cost of checksummed framing's NACK + retransmit repair loop, with the
 /// answer pinned byte-identical to the clean run at every rate.
-pub fn corruption_overhead() -> Table {
-    let graph = w::hex(64);
-    let program = AvgProgram::fine();
-    let iters = 20u32;
-    let clean = w::run_reported(
-        &graph,
-        &program,
-        &Metis::default(),
-        || NoBalancer,
-        &w::static_cfg(8, iters).with_world(chaos_world(mpisim::FaultPlan::new(42))),
-    );
-    let mut t = Table::new(
-        "corruption_overhead",
-        "Corruption-recovery overhead vs corruption rate (64-node hex grid, 8 procs, \
-         20 iters, truncation at 40% of the bit-flip rate, seed 42)",
-        vec![
-            "corrupt p".into(),
-            "time (s)".into(),
-            "overhead vs clean".into(),
-            "corrupted".into(),
-            "truncated".into(),
-            "detected".into(),
-            "retransmits".into(),
-            "nacks".into(),
-        ],
-    );
-    t.row(vec![
-        "0 (clean)".into(),
-        secs(clean.total_time),
-        "—".into(),
-        "0".into(),
-        "0".into(),
-        "0".into(),
-        "0".into(),
-        "0".into(),
-    ]);
+fn corruption_overhead(id: &str) -> Table {
+    let clean = hex64(fault_cfg(FaultPlan::new(42)));
+    let mut runs = vec![("0 (clean)".to_string(), clean)];
     for p in [0.01f64, 0.02, 0.05, 0.10, 0.20] {
-        let plan = mpisim::FaultPlan::new(42)
-            .with_corrupt(p)
-            .with_truncate(p * 0.4);
-        let r = w::run_reported(
-            &graph,
-            &program,
-            &Metis::default(),
-            || NoBalancer,
-            &w::static_cfg(8, iters).with_world(chaos_world(plan)),
-        );
-        assert_eq!(
-            r.final_data, clean.final_data,
-            "corruption repair must reproduce the clean answer"
-        );
-        let f = &r.faults;
-        t.row(vec![
-            format!("{p:.2}"),
-            secs(r.total_time),
-            format!("{:+.1}%", (r.total_time / clean.total_time - 1.0) * 100.0),
-            f.corrupted.to_string(),
-            f.truncated.to_string(),
-            f.corruptions_detected.to_string(),
-            f.retransmits.to_string(),
-            f.nacks.to_string(),
-        ]);
+        let plan = FaultPlan::new(42).with_corrupt(p).with_truncate(p * 0.4);
+        runs.push((format!("{p:.2}"), hex64(fault_cfg(plan))));
     }
-    t
+    let cols: [Col<Row<i64>>; 8] = [
+        col("corrupt p", label),
+        col("time (s)", time),
+        col("overhead vs clean", overhead),
+        col("corrupted", |x| x.r.faults.corrupted.to_string()),
+        col("truncated", |x| x.r.faults.truncated.to_string()),
+        col("detected", |x| x.r.faults.corruptions_detected.to_string()),
+        col("retransmits", |x| x.r.faults.retransmits.to_string()),
+        col("nacks", |x| x.r.faults.nacks.to_string()),
+    ];
+    let title = "Corruption-recovery overhead vs corruption rate (64-node hex grid, 8 procs, \
+         20 iters, truncation at 40% of the bit-flip rate, seed 42)";
+    over_clean(sweep(id, title, &cols, &runs))
 }
 
 const AUDIT_OVERHEAD: &[Claim] = &[
@@ -1132,97 +977,42 @@ const AUDIT_OVERHEAD: &[Claim] = &[
 /// verification, and checksummed multi-replica checkpoint staging — then
 /// the same machinery earning its keep against silent memory corruption,
 /// with the answer pinned byte-identical to the clean run.
-pub fn audit_overhead() -> Table {
-    let graph = w::hex(64);
-    let program = AvgProgram::fine();
-    let iters = 20u32;
-    let cfg = |plan: mpisim::FaultPlan| {
-        w::static_cfg(8, iters)
-            .with_checkpointing(4)
-            .with_world(chaos_world(plan))
-    };
-    let base = w::run_reported(
-        &graph,
-        &program,
-        &Metis::default(),
-        || NoBalancer,
-        &cfg(mpisim::FaultPlan::new(42)),
-    );
-    let mut t = Table::new(
-        "audit_overhead",
-        "State-audit overhead vs audit interval k and replication r (64-node hex \
-         grid, 8 procs, 20 iters, checkpoint every 4, seed 42); the last rows rot \
-         live memory at p=0.005/0.01 per entry per sweep and repair it exactly",
-        vec![
-            "scenario".into(),
-            "time (s)".into(),
-            "overhead vs base".into(),
-            "staged KiB".into(),
-            "sent KiB".into(),
-            "corruptions".into(),
-            "mismatches".into(),
-            "resyncs".into(),
-            "repairs".into(),
-            "rollbacks".into(),
-        ],
-    );
-    let mut push = |name: &str, r: &ic2mpi::RunReport<i64>| {
-        assert_eq!(
-            r.final_data, base.final_data,
-            "audited run must reproduce the clean answer ({name})"
-        );
-        let sent: u64 = r.comm.iter().map(|c| c.bytes_sent).sum();
-        t.row(vec![
-            name.into(),
-            secs(r.total_time),
-            format!("{:+.1}%", (r.total_time / base.total_time - 1.0) * 100.0),
-            format!("{:.1}", r.checkpoint_bytes as f64 / 1024.0),
-            format!("{:.1}", sent as f64 / 1024.0),
-            r.faults.memory_corruptions.to_string(),
-            r.audit_mismatches.to_string(),
-            r.shadow_resyncs.to_string(),
-            r.repairs.to_string(),
-            r.rollbacks.to_string(),
-        ]);
-    };
-    push("no audit (base)", &base);
+fn audit_overhead(id: &str) -> Table {
+    let cfg = |plan| fault_cfg(plan).with_checkpointing(4);
+    let base = hex64(cfg(FaultPlan::new(42)));
+    let mut runs = vec![("no audit (base)".to_string(), base)];
     for k in [4u32, 2, 1] {
-        let r = w::run_reported(
-            &graph,
-            &program,
-            &Metis::default(),
-            || NoBalancer,
-            &cfg(mpisim::FaultPlan::new(42)).with_state_audit(k),
-        );
-        push(&format!("audit k={k}"), &r);
+        let run = hex64(cfg(FaultPlan::new(42)).with_state_audit(k));
+        runs.push((format!("audit k={k}"), run));
     }
     for rep in [2u32, 4] {
-        let r = w::run_reported(
-            &graph,
-            &program,
-            &Metis::default(),
-            || NoBalancer,
-            &cfg(mpisim::FaultPlan::new(42))
-                .with_state_audit(1)
-                .with_replication(rep),
-        );
-        push(&format!("audit k=1, r={rep}"), &r);
+        let audited = cfg(FaultPlan::new(42)).with_state_audit(1);
+        runs.push((
+            format!("audit k=1, r={rep}"),
+            hex64(audited.with_replication(rep)),
+        ));
     }
     for p in [0.005f64, 0.01] {
-        let mut plan = mpisim::FaultPlan::new(42);
-        for rank in 0..8 {
-            plan = plan.with_memory_corrupt(rank, p);
-        }
-        let r = w::run_reported(
-            &graph,
-            &program,
-            &Metis::default(),
-            || NoBalancer,
-            &cfg(plan).with_state_audit(1).with_replication(3),
-        );
-        push(&format!("rot p={p}, k=1, r=3"), &r);
+        let plan = (0..8).fold(FaultPlan::new(42), |plan, r| plan.with_memory_corrupt(r, p));
+        let run = hex64(cfg(plan).with_state_audit(1).with_replication(3));
+        runs.push((format!("rot p={p}, k=1, r=3"), run));
     }
-    t
+    let cols: [Col<Row<i64>>; 10] = [
+        col("scenario", label),
+        col("time (s)", time),
+        col("overhead vs base", overhead),
+        col("staged KiB", |x| kib(x.r.checkpoint_bytes)),
+        col("sent KiB", |x| kib(sent(x.r))),
+        col("corruptions", |x| x.r.faults.memory_corruptions.to_string()),
+        col("mismatches", |x| x.r.audit_mismatches.to_string()),
+        col("resyncs", |x| x.r.shadow_resyncs.to_string()),
+        col("repairs", |x| x.r.repairs.to_string()),
+        col("rollbacks", |x| x.r.rollbacks.to_string()),
+    ];
+    let title = "State-audit overhead vs audit interval k and replication r (64-node hex \
+         grid, 8 procs, 20 iters, checkpoint every 4, seed 42); the last rows rot \
+         live memory at p=0.005/0.01 per entry per sweep and repair it exactly";
+    sweep(id, title, &cols, &runs)
 }
 
 const CAPACITY_BACKPRESSURE: &[Claim] = &[
@@ -1249,62 +1039,28 @@ const CAPACITY_BACKPRESSURE: &[Claim] = &[
 /// `max(0, frames_present - capacity)` — so they are deterministic and
 /// monotone as capacity shrinks; only peak depth remains a wall-clock
 /// phenomenon.
-pub fn capacity_backpressure() -> Table {
-    let graph = w::hex(64);
-    let program = AvgProgram::fine();
-    let iters = 20u32;
-    let plan = || {
-        mpisim::FaultPlan::new(42)
-            .with_corrupt(0.05)
-            .with_truncate(0.02)
-    };
-    let mut t = Table::new(
-        "capacity_backpressure",
-        "Mailbox capacity vs retransmit traffic (64-node hex grid, 8 procs, 20 iters, \
-         corrupt 5% + truncate 2%, seed 42)",
-        vec![
-            "capacity".into(),
-            "time (s)".into(),
-            "retransmits".into(),
-            "credit stalls".into(),
-            "peak mailbox depth".into(),
-        ],
-    );
-    t.host_column("peak mailbox depth");
-    let mut reference: Option<ic2mpi::RunReport<i64>> = None;
-    for cap in [None, Some(16usize), Some(8), Some(4), Some(2)] {
-        let mut world = chaos_world(plan());
-        if let Some(c) = cap {
-            world = world.with_mailbox_capacity(c);
+fn capacity_backpressure(id: &str) -> Table {
+    let runs = [None, Some(16usize), Some(8), Some(4), Some(2)].map(|capacity| {
+        let mut cfg = fault_cfg(FaultPlan::new(42).with_corrupt(0.05).with_truncate(0.02));
+        if let Some(c) = capacity {
+            cfg.world = cfg.world.with_mailbox_capacity(c);
         }
-        let r = w::run_reported(
-            &graph,
-            &program,
-            &Metis::default(),
-            || NoBalancer,
-            &w::static_cfg(8, iters).with_world(world),
-        );
-        if let Some(reference) = &reference {
-            assert_eq!(
-                r.final_data, reference.final_data,
-                "backpressure must not change the answer"
-            );
-            assert_eq!(
-                r.total_time.to_bits(),
-                reference.total_time.to_bits(),
-                "backpressure must be invisible to the virtual clock"
-            );
-        }
-        t.row(vec![
-            cap.map_or("unbounded".into(), |c| c.to_string()),
-            secs(r.total_time),
-            r.faults.retransmits.to_string(),
-            r.credit_stalls.to_string(),
-            r.peak_mailbox_depth.to_string(),
-        ]);
-        reference.get_or_insert(r);
+        let label = capacity.map_or("unbounded".into(), |c| c.to_string());
+        (label, hex64(cfg))
+    });
+    for (label, r) in &runs[1..] {
+        same_clock(label, r, &runs[0].1);
     }
-    t
+    let cols: [Col<Row<i64>>; 5] = [
+        col("capacity", label),
+        col("time (s)", time),
+        col("retransmits", |x| x.r.faults.retransmits.to_string()),
+        col("credit stalls", |x| x.r.credit_stalls.to_string()),
+        host("peak mailbox depth", |x| x.r.peak_mailbox_depth.to_string()),
+    ];
+    let title = "Mailbox capacity vs retransmit traffic (64-node hex grid, 8 procs, 20 iters, \
+         corrupt 5% + truncate 2%, seed 42)";
+    sweep(id, title, &cols, &runs)
 }
 
 const RECOVERY_OVERHEAD: &[Claim] = &[
@@ -1332,63 +1088,29 @@ const RECOVERY_OVERHEAD: &[Claim] = &[
 /// on the battlefield, swept over checkpoint cadences. Small `k` pays
 /// steady checkpointing cost but replays little; large `k` checkpoints
 /// cheaply but replays a long tail.
-pub fn recovery_overhead() -> Table {
+fn recovery_overhead(id: &str) -> Table {
     let program = w::battlefield();
     let terrain = program.terrain();
-    let iters = 12u32;
-    let clean = w::run_reported(
-        &terrain,
-        &program,
-        &Metis::default(),
-        || NoBalancer,
-        &w::static_cfg(8, iters).with_world(chaos_world(mpisim::FaultPlan::new(0))),
-    );
-    let mut t = Table::new(
-        "recovery_overhead",
-        "Crash-recovery overhead vs checkpoint interval k (battlefield, 8 procs, \
-         12 steps, rank 3 crashes at 55% of the clean run)",
-        vec![
-            "k".into(),
-            "time (s)".into(),
-            "overhead vs clean".into(),
-            "checkpoint KiB".into(),
-            "rollbacks".into(),
-            "iters replayed".into(),
-        ],
-    );
-    t.row(vec![
-        "no crash".into(),
-        secs(clean.total_time),
-        "—".into(),
-        "0".into(),
-        "0".into(),
-        "0".into(),
-    ]);
+    let run = |cfg: RunConfig| w::run_static(&terrain, &program, &cfg);
+    let cfg = |plan| RunConfig::new(8, 12).with_world(world().with_faults(plan));
+    let clean = run(cfg(FaultPlan::new(0)));
+    let crash_at = clean.total_time * 0.55;
+    let mut runs = vec![("no crash".to_string(), clean)];
     for k in [1u32, 2, 4, 8, 12] {
-        let plan = mpisim::FaultPlan::new(0).with_crash(3, clean.total_time * 0.55);
-        let r = w::run_reported(
-            &terrain,
-            &program,
-            &Metis::default(),
-            || NoBalancer,
-            &w::static_cfg(8, iters)
-                .with_checkpointing(k)
-                .with_world(chaos_world(plan)),
-        );
-        assert_eq!(
-            r.final_data, clean.final_data,
-            "recovery must reproduce the clean answer"
-        );
-        t.row(vec![
-            k.to_string(),
-            secs(r.total_time),
-            format!("{:+.1}%", (r.total_time / clean.total_time - 1.0) * 100.0),
-            format!("{:.1}", r.checkpoint_bytes as f64 / 1024.0),
-            r.rollbacks.to_string(),
-            r.iterations_replayed.to_string(),
-        ]);
+        let plan = FaultPlan::new(0).with_crash(3, crash_at);
+        runs.push((k.to_string(), run(cfg(plan).with_checkpointing(k))));
     }
-    t
+    let cols: [Col<Row<_>>; 6] = [
+        col("k", label),
+        col("time (s)", time),
+        col("overhead vs clean", overhead),
+        col("checkpoint KiB", |x| kib(x.r.checkpoint_bytes)),
+        col("rollbacks", |x| x.r.rollbacks.to_string()),
+        col("iters replayed", |x| x.r.iterations_replayed.to_string()),
+    ];
+    let title = "Crash-recovery overhead vs checkpoint interval k (battlefield, 8 procs, \
+         12 steps, rank 3 crashes at 55% of the clean run)";
+    over_clean(sweep(id, title, &cols, &runs))
 }
 
 const SPANS: [&str; 4] = ["5%", "15%", "25%", "35%"];
@@ -1413,82 +1135,38 @@ const PARTITION_TOLERANCE: &[Claim] = &[
 /// membership plane's checkpoints like every other row. Short windows
 /// that never straddle an iteration boundary heal as plain blip rollbacks
 /// (rejoins = 0, rollbacks > 0) — reported honestly, not hidden.
-pub fn partition_tolerance() -> Table {
-    let graph = w::hex(64);
-    let program = AvgProgram::fine();
-    let iters = 20u32;
-    let cfg = |from: f64, until: f64| {
-        let plan = mpisim::FaultPlan::new(42)
+fn partition_tolerance(id: &str) -> Table {
+    let run = |from: f64, until: f64| {
+        let plan = FaultPlan::new(42)
             .with_partition(vec![vec![0, 1, 2, 3, 4, 5], vec![6, 7]], from, until)
             .with_detect_timeout(1e-4);
-        w::static_cfg(8, iters)
-            .with_checkpointing(2)
-            .with_world(chaos_world(plan))
+        hex64(fault_cfg(plan).with_checkpointing(2))
     };
-    let clean = w::run_reported(
-        &graph,
-        &program,
-        &Metis::default(),
-        || NoBalancer,
-        &cfg(1e9, 2e9),
-    );
-    let mut t = Table::new(
-        "partition_tolerance",
-        "Partition-tolerance overhead vs partition span (64-node hex grid, 8 procs, \
-         20 iters, ranks {6,7} cut off from {0..5} starting at 40% of the clean run, \
-         checkpoint every 2, detect timeout 1e-4, seed 42)",
-        vec![
-            "span".into(),
-            "time (s)".into(),
-            "overhead vs clean".into(),
-            "degraded iters".into(),
-            "suspected peak".into(),
-            "rejoins".into(),
-            "rollbacks".into(),
-            "iters replayed".into(),
-            "cuts".into(),
-            "cut timeouts".into(),
-        ],
-    );
-    t.row(vec![
-        "none (clean)".into(),
-        secs(clean.total_time),
-        "—".into(),
-        "0".into(),
-        "0".into(),
-        "0".into(),
-        "0".into(),
-        "0".into(),
-        "0".into(),
-        "0".into(),
-    ]);
+    let clean = run(1e9, 2e9);
+    let t = clean.total_time;
+    let mut runs = vec![("none (clean)".to_string(), clean)];
     for span in [0.05f64, 0.15, 0.25, 0.35] {
-        let (from, until) = (clean.total_time * 0.40, clean.total_time * (0.40 + span));
-        let r = w::run_reported(
-            &graph,
-            &program,
-            &Metis::default(),
-            || NoBalancer,
-            &cfg(from, until),
-        );
-        assert_eq!(
-            r.final_data, clean.final_data,
-            "partition recovery must reproduce the clean answer (span {span})"
-        );
-        t.row(vec![
-            format!("{:.0}%", span * 100.0),
-            secs(r.total_time),
-            format!("{:+.1}%", (r.total_time / clean.total_time - 1.0) * 100.0),
-            r.degraded_iterations.to_string(),
-            r.suspected_peak.to_string(),
-            r.rejoins.to_string(),
-            r.rollbacks.to_string(),
-            r.iterations_replayed.to_string(),
-            r.faults.partition_cuts.to_string(),
-            r.faults.partition_timeouts.to_string(),
-        ]);
+        let cut = run(t * 0.40, t * (0.40 + span));
+        runs.push((format!("{:.0}%", span * 100.0), cut));
     }
-    t
+    let cols: [Col<Row<i64>>; 10] = [
+        col("span", label),
+        col("time (s)", time),
+        col("overhead vs clean", overhead),
+        col("degraded iters", |x| x.r.degraded_iterations.to_string()),
+        col("suspected peak", |x| x.r.suspected_peak.to_string()),
+        col("rejoins", |x| x.r.rejoins.to_string()),
+        col("rollbacks", |x| x.r.rollbacks.to_string()),
+        col("iters replayed", |x| x.r.iterations_replayed.to_string()),
+        col("cuts", |x| x.r.faults.partition_cuts.to_string()),
+        col("cut timeouts", |x| {
+            x.r.faults.partition_timeouts.to_string()
+        }),
+    ];
+    let title = "Partition-tolerance overhead vs partition span (64-node hex grid, 8 procs, \
+         20 iters, ranks {6,7} cut off from {0..5} starting at 40% of the clean run, \
+         checkpoint every 2, detect timeout 1e-4, seed 42)";
+    over_clean(sweep(id, title, &cols, &runs))
 }
 
 const TRACING_OVERHEAD: &[Claim] = &[
@@ -1505,66 +1183,37 @@ const TRACING_OVERHEAD: &[Claim] = &[
 
 /// Tracing overhead: the same chaos workload with the recorder off and on.
 /// The recorder never touches the virtual clock, so the simulated results
-/// must be **bit-identical** either way (asserted here); the only cost is
+/// must be **bit-identical** either way (checked here); the only cost is
 /// host wall-clock, reported per run alongside the event volume. The
 /// `negative clamps` column surfaces `RunReport::negative_clamps` — zero
 /// means no phase window ever came out negative, even under chaos.
-pub fn tracing_overhead() -> Table {
-    let graph = w::hex(64);
-    let program = AvgProgram::fine();
-    let plan = || {
-        mpisim::FaultPlan::new(42)
+fn tracing_overhead(id: &str) -> Table {
+    let timed = |label: &'static str, tracing: fn(RunConfig) -> RunConfig| {
+        let plan = FaultPlan::new(42)
             .with_drop(0.05)
             .with_corrupt(0.05)
-            .with_truncate(0.02)
+            .with_truncate(0.02);
+        let wall = Instant::now();
+        let r = hex64(tracing(fault_cfg(plan)));
+        (label, wall.elapsed().as_secs_f64() * 1e3, r)
     };
-    let mut t = Table::new(
-        "tracing_overhead",
-        "Tracing overhead (64-node hex grid, 8 procs, 20 iters, drop 5% + corrupt 5% \
-         + truncate 2%, seed 42)",
-        vec![
-            "tracing".into(),
-            "time (s)".into(),
-            "events".into(),
-            "host ms".into(),
-            "negative clamps".into(),
-        ],
-    );
-    t.host_column("host ms");
-    let mut run = |tracing: bool| {
-        let mut cfg = w::static_cfg(8, 20).with_world(chaos_world(plan()));
-        if tracing {
-            cfg = cfg.with_tracing();
-        }
-        let wall = std::time::Instant::now();
-        let r = w::run_reported(&graph, &program, &Metis::default(), || NoBalancer, &cfg);
-        let host_ms = wall.elapsed().as_secs_f64() * 1e3;
-        let events: usize = r
-            .trace
-            .as_ref()
-            .map(|t| t.iter().map(|(_, ev)| ev.len()).sum())
-            .unwrap_or(0);
-        t.row(vec![
-            if tracing { "on" } else { "off" }.into(),
-            secs(r.total_time),
-            events.to_string(),
-            format!("{host_ms:.1}"),
-            r.negative_clamps.to_string(),
-        ]);
-        r
-    };
-    let off = run(false);
-    let on = run(true);
-    assert_eq!(
-        off.total_time.to_bits(),
-        on.total_time.to_bits(),
-        "tracing must be invisible to the virtual clock"
-    );
-    assert_eq!(
-        off.final_data, on.final_data,
-        "tracing must not change the answer"
-    );
-    t
+    fn events(r: &RunReport<i64>) -> usize {
+        let traces = r.trace.as_deref().unwrap_or(&[]);
+        traces.iter().map(|(_, ev)| ev.len()).sum()
+    }
+    let runs = [timed("off", |c| c), timed("on", RunConfig::with_tracing)];
+    same_answer("on", &runs[1].2, &runs[0].2);
+    same_clock("on", &runs[1].2, &runs[0].2);
+    let cols: [Col<(&str, f64, RunReport<i64>)>; 5] = [
+        col("tracing", |x| x.0.into()),
+        col("time (s)", |x| secs(x.2.total_time)),
+        col("events", |x| events(&x.2).to_string()),
+        host("host ms", |x| format!("{:.1}", x.1)),
+        col("negative clamps", |x| x.2.negative_clamps.to_string()),
+    ];
+    let title = "Tracing overhead (64-node hex grid, 8 procs, 20 iters, drop 5% + corrupt 5% \
+         + truncate 2%, seed 42)";
+    table(id, title, &cols, runs)
 }
 
 // ---- Communication optimization (delta exchange + zero-copy transport) ----
@@ -1600,58 +1249,34 @@ const DELTA_EXCHANGE: &[Claim] = &[
 /// quiescence detection, with the answer pinned identical between modes at
 /// every rate. The low-churn rows are the headline (the claims hold the
 /// 40 % floor).
-pub fn delta_exchange() -> Table {
+fn delta_exchange(id: &str) -> Table {
     let graph = w::hex(96);
-    let iters = 30u32;
-    let procs = 8usize;
-    let mut t = Table::new(
-        "delta_exchange",
-        "Delta vs full shadow exchange (96-node hex grid, 8 procs, 30 iters, \
-         churn = % of nodes changing every iteration)",
-        vec![
-            "churn".into(),
-            "bytes full".into(),
-            "bytes delta".into(),
-            "byte cut".into(),
-            "entries sent".into(),
-            "entries skipped".into(),
-            "time full (s)".into(),
-            "time delta (s)".into(),
-            "quiescent iters".into(),
-        ],
-    );
-    for churn_pct in [0u64, 10, 25, 50, 100] {
-        let program = w::ChurnProgram { churn_pct };
-        let cfg = w::static_cfg(procs, iters);
-        let full = w::run_reported(&graph, &program, &Metis::default(), || NoBalancer, &cfg);
-        let delta = w::run_reported(
-            &graph,
-            &program,
-            &Metis::default(),
-            || NoBalancer,
-            &cfg.clone().with_delta_exchange(),
-        );
-        assert_eq!(
-            delta.final_data, full.final_data,
-            "delta exchange must not change the answer (churn {churn_pct}%)"
-        );
-        let bytes =
-            |r: &ic2mpi::RunReport<i64>| -> u64 { r.comm.iter().map(|c| c.bytes_sent).sum() };
-        let (bf, bd) = (bytes(&full), bytes(&delta));
-        let cut = 1.0 - bd as f64 / bf as f64;
-        t.row(vec![
-            format!("{churn_pct}%"),
-            bf.to_string(),
-            bd.to_string(),
-            format!("{:.1}%", cut * 100.0),
-            delta.delta_entries_sent.to_string(),
-            delta.delta_entries_skipped.to_string(),
-            secs(full.total_time),
-            secs(delta.total_time),
-            delta.quiescent_iterations.to_string(),
-        ]);
+    let runs = [0u64, 10, 25, 50, 100].map(|churn_pct| {
+        let (program, cfg) = (w::ChurnProgram { churn_pct }, RunConfig::new(8, 30));
+        let full = w::run_static(&graph, &program, &cfg);
+        let delta = w::run_static(&graph, &program, &cfg.with_delta_exchange());
+        let label = format!("{churn_pct}%");
+        same_answer(&label, &delta, &full);
+        (label, full, delta)
+    });
+    type Pair = (String, RunReport<i64>, RunReport<i64>);
+    fn cut((_, full, delta): &Pair) -> f64 {
+        1.0 - sent(delta) as f64 / sent(full) as f64
     }
-    t
+    let cols: [Col<Pair>; 9] = [
+        col("churn", |x| x.0.clone()),
+        col("bytes full", |x| sent(&x.1).to_string()),
+        col("bytes delta", |x| sent(&x.2).to_string()),
+        col("byte cut", |x| format!("{:.1}%", cut(x) * 100.0)),
+        col("entries sent", |x| x.2.delta_entries_sent.to_string()),
+        col("entries skipped", |x| x.2.delta_entries_skipped.to_string()),
+        col("time full (s)", |x| secs(x.1.total_time)),
+        col("time delta (s)", |x| secs(x.2.total_time)),
+        col("quiescent iters", |x| x.2.quiescent_iterations.to_string()),
+    ];
+    let title = "Delta vs full shadow exchange (96-node hex grid, 8 procs, 30 iters, \
+         churn = % of nodes changing every iteration)";
+    table(id, title, &cols, runs)
 }
 
 const ZERO_COPY_HOST_TIME: &[Claim] = &[
@@ -1683,97 +1308,68 @@ const ZERO_COPY_HOST_TIME: &[Claim] = &[
 /// allocation/sharing counters that prove retransmissions, broadcast
 /// fan-out, and gather forwarding reuse one buffer instead of copying.
 /// Virtual time is unaffected by any of this — the win is host-side only.
-pub fn zero_copy_host_time() -> Table {
-    use mpisim::{payload_metrics, reset_payload_metrics, RetryPolicy};
+fn zero_copy_host_time(id: &str) -> Table {
+    use mpisim::{payload_metrics, reset_payload_metrics, PayloadMetrics, RetryPolicy, World};
 
-    let mut t = Table::new(
-        "zero_copy_host_time",
-        "Host time and payload accounting on the transport hot path (seed 42)",
-        vec![
-            "scenario".into(),
-            "host ms".into(),
-            "payload allocs".into(),
-            "alloc KiB".into(),
-            "shared clones".into(),
-            "clones per alloc".into(),
-        ],
-    );
-    t.host_column("host ms");
-    let mut scenario = |name: &str, f: &dyn Fn()| {
+    let measure = |label: &'static str, scenario: &dyn Fn()| {
         reset_payload_metrics();
-        let wall = std::time::Instant::now();
-        f();
-        let host_ms = wall.elapsed().as_secs_f64() * 1e3;
-        let m = payload_metrics();
-        t.row(vec![
-            name.into(),
-            format!("{host_ms:.1}"),
-            m.allocs.to_string(),
-            format!("{:.1}", m.alloc_bytes as f64 / 1024.0),
-            m.shared_clones.to_string(),
-            format!("{:.1}", m.shared_clones as f64 / m.allocs.max(1) as f64),
-        ]);
+        let wall = Instant::now();
+        scenario();
+        (label, wall.elapsed().as_secs_f64() * 1e3, payload_metrics())
     };
-
-    scenario(
-        "chaos run: drop 10% + corrupt 5%, 8 procs, 20 iters",
-        &|| {
-            let graph = w::hex(64);
-            let program = AvgProgram::fine();
-            let plan = mpisim::FaultPlan::new(42)
-                .with_drop(0.10)
-                .with_corrupt(0.05);
-            w::run_reported(
-                &graph,
-                &program,
-                &Metis::default(),
-                || NoBalancer,
-                &w::static_cfg(8, 20).with_world(chaos_world(plan)),
-            );
-        },
-    );
-    scenario(
-        "reliable sends: 1000 x 1 KiB under 50% drops, 2 ranks",
-        &|| {
-            let plan = mpisim::FaultPlan::new(42)
-                .with_drop(0.5)
-                .with_retry(1e-3, 16);
-            let cfg = mpisim::Config::virtual_time(mpisim::NetModel::origin2000())
-                .with_watchdog(std::time::Duration::from_secs(60))
-                .with_faults(plan);
-            mpisim::World::new(cfg).run(2, |rank| {
-                let payload: Vec<u64> = (0..128).collect();
-                for _ in 0..1000 {
-                    if rank.rank() == 0 {
-                        rank.send_reliable(1, 7, &payload, RetryPolicy::Escalate);
-                    } else {
-                        let _: Vec<u64> = rank.recv(0, 7);
+    let runs = [
+        measure(
+            "chaos run: drop 10% + corrupt 5%, 8 procs, 20 iters",
+            &|| {
+                hex64(fault_cfg(
+                    FaultPlan::new(42).with_drop(0.10).with_corrupt(0.05),
+                ));
+            },
+        ),
+        measure(
+            "reliable sends: 1000 x 1 KiB under 50% drops, 2 ranks",
+            &|| {
+                let plan = FaultPlan::new(42).with_drop(0.5).with_retry(1e-3, 16);
+                World::new(world().with_faults(plan)).run(2, |rank| {
+                    let payload: Vec<u64> = (0..128).collect();
+                    for _ in 0..1000 {
+                        if rank.rank() == 0 {
+                            rank.send_reliable(1, 7, &payload, RetryPolicy::Escalate);
+                        } else {
+                            let _: Vec<u64> = rank.recv(0, 7);
+                        }
                     }
-                }
+                });
+            },
+        ),
+        measure("bcast: 1 MiB to 16 ranks", &|| {
+            World::new(world()).run(16, |rank| {
+                let mut value: Vec<u64> = match rank.rank() {
+                    0 => (0..131_072).collect(),
+                    _ => Vec::new(),
+                };
+                rank.bcast(0, &mut value);
             });
-        },
-    );
-    scenario("bcast: 1 MiB to 16 ranks", &|| {
-        let cfg = mpisim::Config::virtual_time(mpisim::NetModel::origin2000())
-            .with_watchdog(std::time::Duration::from_secs(60));
-        mpisim::World::new(cfg).run(16, |rank| {
-            let mut value: Vec<u64> = if rank.rank() == 0 {
-                (0..131_072).collect()
-            } else {
-                Vec::new()
-            };
-            rank.bcast(0, &mut value);
-        });
-    });
-    scenario("gather: 64 KiB from each of 16 ranks", &|| {
-        let cfg = mpisim::Config::virtual_time(mpisim::NetModel::origin2000())
-            .with_watchdog(std::time::Duration::from_secs(60));
-        mpisim::World::new(cfg).run(16, |rank| {
-            let value: Vec<u64> = (0..8192).map(|j| rank.rank() as u64 + j).collect();
-            rank.gather(0, &value);
-        });
-    });
-    t
+        }),
+        measure("gather: 64 KiB from each of 16 ranks", &|| {
+            World::new(world()).run(16, |rank| {
+                let value: Vec<u64> = (0..8192).map(|j| rank.rank() as u64 + j).collect();
+                rank.gather(0, &value);
+            });
+        }),
+    ];
+    let cols: [Col<(&str, f64, PayloadMetrics)>; 6] = [
+        col("scenario", |x| x.0.into()),
+        host("host ms", |x| format!("{:.1}", x.1)),
+        col("payload allocs", |x| x.2.allocs.to_string()),
+        col("alloc KiB", |x| kib(x.2.alloc_bytes)),
+        col("shared clones", |x| x.2.shared_clones.to_string()),
+        col("clones per alloc", |x| {
+            format!("{:.1}", x.2.shared_clones as f64 / x.2.allocs.max(1) as f64)
+        }),
+    ];
+    let title = "Host time and payload accounting on the transport hot path (seed 42)";
+    table(id, title, &cols, runs)
 }
 
 const BUDGETS: [&str; 4] = ["budget 512", "budget 256", "budget 128", "budget 64"];
@@ -1810,85 +1406,18 @@ const OUT_OF_CORE: &[Claim] = &[
 /// from the full partition down to 1/8 of it, plus one row running the
 /// tightest practical budget under every disk-fault class at once. The
 /// answer is pinned byte-identical to the in-memory run in every row.
-pub fn out_of_core() -> Table {
+fn out_of_core(id: &str) -> Table {
     let graph = w::hex(1_000_000);
-    let program = AvgProgram::fine();
-    let procs = 16usize;
-    let iters = 3u32;
-    let world = || {
-        mpisim::Config::virtual_time(mpisim::NetModel::origin2000())
-            .with_watchdog(std::time::Duration::from_secs(300))
-    };
-    let cfg = || {
-        w::static_cfg(procs, iters)
-            .with_hash_buckets(512)
-            .with_checkpointing(2)
-    };
-    // Metis at full scale: FM refinement maintains an incremental gain
-    // heap, so the multilevel pipeline is n log n end to end and the real
-    // partitioner handles the 10^6-node fine graph directly (the old
-    // full-rescan refinement was quadratic per pass and forced a RowBand
-    // workaround here).
-    let partitioner = Metis::default();
-    let in_mem = w::run_reported(
-        &graph,
-        &program,
-        &partitioner,
-        || NoBalancer,
-        &cfg().with_world(world()),
-    );
-    let mut t = Table::new(
-        "out_of_core",
-        "Out-of-core paged NodeStore (1M-node hex grid, 16 procs, 3 iters, 512 \
-         hash buckets/rank, SIEVE eviction, checkpoints every 2 iterations)",
-        vec![
-            "config".into(),
-            "time (s)".into(),
-            "overhead".into(),
-            "page faults".into(),
-            "evicted".into(),
-            "retries".into(),
-            "torn caught".into(),
-            "recovered".into(),
-        ],
-    );
-    t.row(vec![
-        "in-memory".into(),
-        secs(in_mem.total_time),
-        "—".into(),
-        "0".into(),
-        "0".into(),
-        "0".into(),
-        "0".into(),
-        "0".into(),
-    ]);
-    let mut row = |label: String, r: &RunReport<i64>| {
-        assert_eq!(
-            r.final_data, in_mem.final_data,
-            "{label}: paged run must reproduce the in-memory answer"
-        );
-        t.row(vec![
-            label,
-            secs(r.total_time),
-            format!("{:+.1}%", (r.total_time / in_mem.total_time - 1.0) * 100.0),
-            r.page_faults.to_string(),
-            r.pages_evicted.to_string(),
-            r.disk_retries.to_string(),
-            r.torn_writes_detected.to_string(),
-            r.pages_recovered.to_string(),
-        ]);
-    };
+    let run = |cfg: RunConfig| w::run_static(&graph, &AvgProgram::fine(), &cfg);
+    let world = world().with_watchdog(Duration::from_secs(300));
+    let cfg = RunConfig::new(16, 3)
+        .with_hash_buckets(512)
+        .with_checkpointing(2)
+        .with_world(world.clone());
+    let mut runs = vec![("in-memory".to_string(), run(cfg.clone()))];
     for budget in [512usize, 256, 128, 64] {
-        let r = w::run_reported(
-            &graph,
-            &program,
-            &partitioner,
-            || NoBalancer,
-            &cfg()
-                .with_paging(budget, EvictionPolicy::Sieve)
-                .with_world(world()),
-        );
-        row(format!("budget {budget}"), &r);
+        let paged = cfg.clone().with_paging(budget, EvictionPolicy::Sieve);
+        runs.push((format!("budget {budget}"), run(paged)));
     }
     // Per-operation rates scaled to this scale's I/O volume (~95k page
     // faults over the run): rot at 1e-4 strikes about a hundred times and
@@ -1896,73 +1425,124 @@ pub fn out_of_core() -> Table {
     // destroying both copies of a page in one inter-rewrite window (no
     // rollback). At 2e-5 the shadow copy served 0–4 reads, so whether the
     // row showed a recovery was luck.
-    let mut plan = mpisim::FaultPlan::new(131);
-    for rank in 0..procs {
+    let mut plan = FaultPlan::new(131);
+    for rank in 0..16 {
         plan = plan
             .with_disk_fault(rank, mpisim::DiskFault::TransientError, 0.02)
             .with_disk_fault(rank, mpisim::DiskFault::TornWrite, 0.01)
             .with_disk_fault(rank, mpisim::DiskFault::ReadRot, 0.000_1);
     }
-    let r = w::run_reported(
-        &graph,
-        &program,
-        &partitioner,
-        || NoBalancer,
-        &cfg()
-            .with_paging(64, EvictionPolicy::Sieve)
-            .with_world(world().with_faults(plan)),
-    );
-    row("budget 64 + disk faults".into(), &r);
-    t
+    let faulty = (cfg.with_paging(64, EvictionPolicy::Sieve)).with_world(world.with_faults(plan));
+    runs.push(("budget 64 + disk faults".into(), run(faulty)));
+    let cols: [Col<Row<i64>>; 8] = [
+        col("config", label),
+        col("time (s)", time),
+        col("overhead", overhead),
+        col("page faults", |x| x.r.page_faults.to_string()),
+        col("evicted", |x| x.r.pages_evicted.to_string()),
+        col("retries", |x| x.r.disk_retries.to_string()),
+        col("torn caught", |x| x.r.torn_writes_detected.to_string()),
+        col("recovered", |x| x.r.pages_recovered.to_string()),
+    ];
+    let title = "Out-of-core paged NodeStore (1M-node hex grid, 16 procs, 3 iters, 512 \
+         hash buckets/rank, SIEVE eviction, checkpoints every 2 iterations)";
+    over_clean(sweep(id, title, &cols, &runs))
 }
 
-/// One artifact: its id, the function that builds its table, and the
-/// shapes that table must show.
+/// One artifact: its id, the function that builds its table under that id,
+/// and the shapes that table must show.
 pub struct Experiment {
     /// Experiment id (`table2`, `fig11`, …).
     pub id: &'static str,
-    build: fn() -> Table,
+    build: fn(&str) -> Table,
     /// The shapes its table shows, and the thesis shapes it does not.
     pub claims: &'static [Claim],
 }
 
 impl Experiment {
-    const fn new(id: &'static str, build: fn() -> Table, claims: &'static [Claim]) -> Self {
+    const fn new(id: &'static str, build: fn(&str) -> Table, claims: &'static [Claim]) -> Self {
         Experiment { id, build, claims }
     }
 }
 
-/// The battlefield table of one of [`battlefield_partitioners`].
-fn battlefield_table(id: &str) -> Table {
-    let parts = battlefield_partitioners();
-    let (_, p) = (parts.iter().find(|(pid, _)| *pid == id)).expect("a battlefield id");
-    table_battlefield(id, p.as_ref())
-}
-
 /// Every experiment, in thesis order.
 pub const EXPERIMENTS: &[Experiment] = &[
-    Experiment::new("table2", || table_hex("table2", 32), TABLE2),
-    Experiment::new("table3", || table_hex("table3", 64), TABLE3),
-    Experiment::new("table4", || table_hex("table4", 96), TABLE4),
-    Experiment::new("table5", || table_random("table5", 32), TABLE_RANDOM),
-    Experiment::new("table6", || table_random("table6", 64), TABLE_RANDOM),
-    Experiment::new("table7", || battlefield_table("table7"), TABLE7),
-    Experiment::new("table8", || battlefield_table("table8"), TABLE8),
-    Experiment::new("table9", || battlefield_table("table9"), BAND_TABLE),
-    Experiment::new("table10", || battlefield_table("table10"), BAND_TABLE),
-    Experiment::new("table11", || battlefield_table("table11"), BAND_TABLE),
+    Experiment::new("table2", |id| table_hex(id, 32), TABLE2),
+    Experiment::new("table3", |id| table_hex(id, 64), TABLE3),
+    Experiment::new("table4", |id| table_hex(id, 96), TABLE4),
+    Experiment::new("table5", |id| table_random(id, 32), TABLE_RANDOM),
+    Experiment::new("table6", |id| table_random(id, 64), TABLE_RANDOM),
+    Experiment::new(
+        "table7",
+        |id| table_battlefield(id, &Metis::default()),
+        TABLE7,
+    ),
+    Experiment::new("table8", |id| table_battlefield(id, &GrayCodeBf), TABLE8),
+    Experiment::new("table9", |id| table_battlefield(id, &RowBand), BAND_TABLE),
+    Experiment::new(
+        "table10",
+        |id| table_battlefield(id, &ColumnBand),
+        BAND_TABLE,
+    ),
+    Experiment::new(
+        "table11",
+        |id| table_battlefield(id, &RectangularBand),
+        BAND_TABLE,
+    ),
     Experiment::new("fig11", fig11, FIG11),
-    Experiment::new("fig12", fig12, FIG12),
-    Experiment::new("fig13", fig13, STATIC_VS_DYNAMIC),
-    Experiment::new("fig14", fig14, STATIC_VS_DYNAMIC),
-    Experiment::new("fig15", fig15, STATIC_VS_DYNAMIC),
+    Experiment::new(
+        "fig12",
+        |id| metis_vs_pagrid(id, "64-node hex grid, fine & coarse grain", &[w::hex(64)]),
+        FIG12,
+    ),
+    Experiment::new(
+        "fig13",
+        |id| fig_static_vs_dynamic(id, "64-node hex grid, 25 iters, LB every 10", &w::hex(64)),
+        STATIC_VS_DYNAMIC,
+    ),
+    Experiment::new(
+        "fig14",
+        |id| fig_static_vs_dynamic(id, "32-node hex grid", &w::hex(32)),
+        STATIC_VS_DYNAMIC,
+    ),
+    Experiment::new(
+        "fig15",
+        |id| fig_static_vs_dynamic(id, "96-node hex grid", &w::hex(96)),
+        STATIC_VS_DYNAMIC,
+    ),
     Experiment::new("fig16", fig16, FIG16),
-    Experiment::new("fig17", fig17, FIG17),
-    Experiment::new("fig18", fig18, STATIC_VS_DYNAMIC),
-    Experiment::new("fig19", fig19, FIG19),
+    Experiment::new(
+        "fig17",
+        |id| {
+            metis_vs_pagrid(
+                id,
+                "64-node random graphs (mean of 5), fine & coarse",
+                &w::random_graphs(64),
+            )
+        },
+        FIG17,
+    ),
+    Experiment::new(
+        "fig18",
+        |id| fig_static_vs_dynamic(id, "64-node random graph (seed 0)", &w::random(64, 0)),
+        STATIC_VS_DYNAMIC,
+    ),
+    Experiment::new(
+        "fig19",
+        |id| fig_static_vs_dynamic(id, "32-node random graph (seed 0)", &w::random(32, 0)),
+        FIG19,
+    ),
     Experiment::new("fig20", fig20, FIG20),
-    Experiment::new("fig21", fig21, OVERHEADS),
-    Experiment::new("fig22", fig22, OVERHEADS),
+    Experiment::new(
+        "fig21",
+        |id| fig_overheads(id, "64-node hex grid", &w::hex(64)),
+        OVERHEADS,
+    ),
+    Experiment::new(
+        "fig22",
+        |id| fig_overheads(id, "64-node random graph", &w::random(64, 0)),
+        OVERHEADS,
+    ),
     Experiment::new("fig23", fig23, FIG23),
     Experiment::new("ablations", ablations, ABLATIONS),
     Experiment::new("chaos_faults", chaos_faults, CHAOS_FAULTS),
@@ -2007,7 +1587,38 @@ pub fn experiment(id: &str) -> Option<&'static Experiment> {
 /// render.
 pub fn run_experiment(id: &str) -> Option<Table> {
     let e = experiment(id)?;
-    let mut table = (e.build)();
+    let mut table = (e.build)(e.id);
     table.expectation = shape_target(e.claims);
     Some(table)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Three iterations on the 32-node hex grid, `churn_pct` % of the nodes
+    /// changing every iteration.
+    fn churn(churn_pct: u64, procs: usize) -> RunReport<i64> {
+        let program = w::ChurnProgram { churn_pct };
+        w::run_static(&w::hex(32), &program, &RunConfig::new(procs, 3))
+    }
+
+    #[test]
+    #[should_panic(expected = "row \"churning\" computes another answer than its baseline")]
+    fn a_sweep_refuses_a_variant_that_computes_another_answer() {
+        let runs = [
+            ("still".to_string(), churn(0, 2)),
+            ("on 4 ranks".to_string(), churn(0, 4)),
+            ("churning".to_string(), churn(100, 2)),
+        ];
+        sweep("t", "demo", &[col("case", label)], &runs);
+    }
+
+    #[test]
+    #[should_panic(expected = "row \"on 4 ranks\" ends at virtual time")]
+    fn the_clock_check_refuses_another_virtual_time() {
+        let (base, other) = (churn(0, 2), churn(0, 4));
+        same_answer("on 4 ranks", &other, &base);
+        same_clock("on 4 ranks", &other, &base);
+    }
 }

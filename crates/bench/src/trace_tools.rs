@@ -28,11 +28,11 @@ pub fn traced_chaos_report() -> RunReport<i64> {
     let world = mpisim::Config::virtual_time(mpisim::NetModel::origin2000())
         .with_watchdog(std::time::Duration::from_secs(60))
         .with_faults(plan);
-    let cfg = w::static_cfg(8, 12)
+    let cfg = RunConfig::new(8, 12)
         .with_checkpointing(4)
         .with_world(world)
         .with_tracing();
-    w::run_reported(&graph, &program, &Metis::default(), || NoBalancer, &cfg)
+    w::run_static(&graph, &program, &cfg)
 }
 
 /// Render both sinks for [`traced_chaos_report`]:

@@ -28,6 +28,11 @@ pub fn random(n: usize, seed: u64) -> Graph {
     ic2_graph::generators::thesis_random_graph(n, seed)
 }
 
+/// The five `n`-node random graphs of [`RANDOM_SEEDS`].
+pub fn random_graphs(n: usize) -> Vec<Graph> {
+    RANDOM_SEEDS.iter().map(|&s| random(n, s)).collect()
+}
+
 /// The battlefield program on the thesis's 32×32 terrain.
 pub fn battlefield() -> BattlefieldProgram {
     BattlefieldProgram::new(&Scenario::thesis())
@@ -74,11 +79,6 @@ impl NodeProgram for ChurnProgram {
     }
 }
 
-/// Baseline static run configuration (virtual-time Origin-2000 model).
-pub fn static_cfg(procs: usize, iters: u32) -> RunConfig {
-    RunConfig::new(procs, iters)
-}
-
 /// The dynamic-balancing bundle used for the static-vs-dynamic figures:
 /// balancer invoked every 10 steps as in the thesis, with the §7
 /// extensions this reproduction needed to make migration effective
@@ -120,22 +120,23 @@ where
     })
 }
 
-/// Run a static AvgProgram workload and return total execution time.
-pub fn run_static(graph: &Graph, program: &AvgProgram, procs: usize, iters: u32) -> f64 {
-    run_reported(
-        graph,
-        program,
-        &Metis::default(),
-        || NoBalancer,
-        &static_cfg(procs, iters),
-    )
-    .total_time
+/// The default static run: Metis's partition, no balancer, `cfg`'s knobs.
+pub fn run_static<P: NodeProgram>(
+    graph: &Graph,
+    program: &P,
+    cfg: &RunConfig,
+) -> RunReport<P::Data> {
+    run_reported(graph, program, &Metis::default(), || NoBalancer, cfg)
 }
 
-/// Average a closure over the five random-graph seeds.
-pub fn mean_over_seeds(n: usize, mut f: impl FnMut(&Graph) -> f64) -> f64 {
-    let total: f64 = RANDOM_SEEDS.iter().map(|&s| f(&random(n, s))).sum();
-    total / RANDOM_SEEDS.len() as f64
+/// The figures' balanced run: Metis's partition, [`figure_balancer`],
+/// `cfg`'s knobs.
+pub fn run_balanced<P: NodeProgram>(
+    graph: &Graph,
+    program: &P,
+    cfg: &RunConfig,
+) -> RunReport<P::Data> {
+    run_reported(graph, program, &Metis::default(), figure_balancer, cfg)
 }
 
 #[cfg(test)]

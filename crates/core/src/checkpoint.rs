@@ -84,6 +84,7 @@
 //!   capacity or the watchdog for crash-storm configurations.
 
 use crate::audit;
+use crate::costs::COSTS;
 use crate::engine::Engine;
 use crate::error::{abort, invariant_violated, PlatformError};
 use crate::migrate;
@@ -298,7 +299,7 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
         &mut self,
         remirror: bool,
     ) -> Result<Checkpoint<P::Data>, CtlVerdict> {
-        let (rank, costs, replication) = (self.rank, &self.cfg.costs, self.cfg.replication);
+        let (rank, replication) = (self.rank, self.cfg.replication);
         let (store, timers, crashed) = (&mut self.store, &mut self.timers, &self.crashed);
         let (iter, prev) = match remirror {
             true => (self.ckpt.iter, None),
@@ -313,13 +314,13 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
         let mut mine = store.snapshot_table();
         store.bulk_end(false);
         let storage_io = store.drain_storage(rank, timers);
-        rank.advance(costs.checkpoint_per_entry * mine.len() as f64);
+        rank.advance(COSTS.checkpoint_per_entry * mine.len() as f64);
         // Per-entry checksums are always *computed* (they are what makes a
         // replica verifiable at all), but their arithmetic is charged only
         // when audits are configured: integrity hardening must not perturb
         // the pre-integrity platform's bit-exact schedules.
         let mine_sums = audit::entry_sums(&mine);
-        store.charge_audit(rank, costs, mine.len());
+        store.charge_audit(rank, mine.len());
         let ring: Vec<u32> = (0..store.nprocs as u32)
             .filter(|&r| !crashed[r as usize])
             .collect();
@@ -355,13 +356,13 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
                 let base = prev.and_then(|p| p.wards.iter().find(|w| w.rank as usize == pred));
                 let base = base.map(|w| w.entries.as_slice());
                 let (mut entries, shipped) = image.receive(rank, pred, base)?;
-                rank.advance(costs.checkpoint_per_entry * shipped as f64);
+                rank.advance(COSTS.checkpoint_per_entry * shipped as f64);
                 // Staging-time checksums: the wire is already
                 // frame-checksummed, so computing the sums here is
                 // equivalent to shipping the sender's — without growing the
                 // mirror payload.
                 let sums = audit::entry_sums(&entries);
-                store.charge_audit(rank, costs, entries.len());
+                store.charge_audit(rank, entries.len());
                 // From here until a restore consults it, the copy sits at
                 // rest: apply the fault plan's silent bit flips now, keyed
                 // by holder so sibling replicas of the same owner fail
@@ -487,7 +488,7 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
             }
             let wards = ckpt.wards.iter().map(|w| w.entries.len());
             self.store
-                .charge_audit(rank, &cfg.costs, ckpt.mine.len() + wards.sum::<usize>());
+                .charge_audit(rank, ckpt.mine.len() + wards.sum::<usize>());
             let verdict = rank.ctl_exchange(CtlSlot {
                 word,
                 load: 0.0,
@@ -538,17 +539,17 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
                 // entries base wholesale with an intact replica shipped from
                 // the elected holder, before any adoption traffic.
                 let mut entries = ckpt.mine.clone();
-                rank.advance(cfg.costs.checkpoint_per_entry * entries.len() as f64);
+                rank.advance(COSTS.checkpoint_per_entry * entries.len() as f64);
                 for &x in &rescue {
                     let holder = elect(x);
                     if x == me {
                         let copy: Vec<(u32, P::Data)> =
                             rank.try_recv(holder as usize, TAG_ADOPT)?;
-                        rank.advance(cfg.costs.checkpoint_per_entry * copy.len() as f64);
+                        rank.advance(COSTS.checkpoint_per_entry * copy.len() as f64);
                         entries = copy;
                     } else if me == holder {
                         let w = ckpt.ward_of(me, x);
-                        rank.advance(cfg.costs.checkpoint_per_entry * w.len() as f64);
+                        rank.advance(COSTS.checkpoint_per_entry * w.len() as f64);
                         rank.send_reliable(x as usize, TAG_ADOPT, w, RetryPolicy::Escalate);
                     }
                 }
@@ -582,7 +583,7 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
                                 a,
                                 ckpt.ward_of(me, c),
                             );
-                            rank.advance(cfg.costs.checkpoint_per_entry * package.len() as f64);
+                            rank.advance(COSTS.checkpoint_per_entry * package.len() as f64);
                             if a == me {
                                 entries.extend(package);
                             } else {
@@ -599,7 +600,7 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
                         // the attempt with the refreshed dead set.
                         let package: Vec<(u32, P::Data)> =
                             rank.try_recv(holder as usize, TAG_ADOPT)?;
-                        rank.advance(cfg.costs.checkpoint_per_entry * package.len() as f64);
+                        rank.advance(COSTS.checkpoint_per_entry * package.len() as f64);
                         entries.extend(package);
                     }
                 }
@@ -702,7 +703,7 @@ impl<P: NodeProgram, B: DynamicBalancer> Engine<'_, P, B> {
             }
         }
         self.balancer.restore_state(&self.ckpt.balancer_state);
-        store.reseed(rank, &cfg.costs);
+        store.reseed(rank);
         store.drain_storage(rank, &mut self.timers);
         self.validate("post-recovery");
     }

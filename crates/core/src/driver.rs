@@ -1,7 +1,6 @@
 //! The platform driver: system flow of control (thesis Figure 6).
 
 use crate::checkpoint::CENSUS_RANKS;
-use crate::costs::CostModel;
 use crate::engine::{self, Plane, RankOutcome};
 use crate::error::PlatformError;
 pub use crate::exchange::ExchangeMode;
@@ -37,8 +36,6 @@ pub struct RunConfig {
     pub exchange: ExchangeMode,
     /// Message-passing substrate configuration (timing model, watchdog).
     pub world: mpisim::Config,
-    /// Platform overhead cost model.
-    pub costs: CostModel,
     /// Maximum balancer planning sub-rounds per balancing invocation
     /// (1 = the thesis's one-task-per-pair protocol; larger values enable
     /// the §7 multi-task extension; must be ≥ 1).
@@ -109,7 +106,6 @@ impl RunConfig {
             balance_offset: 0,
             exchange: ExchangeMode::PostComm,
             world: mpisim::Config::default(),
-            costs: CostModel::default(),
             migration_batch: 1,
             migrant_policy: migrate::MigrantPolicy::MinCut,
             hash_buckets: 64,

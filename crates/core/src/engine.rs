@@ -332,7 +332,6 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
                 rank: me as u32,
                 num_nodes: self.graph.num_nodes(),
             },
-            costs: &cfg.costs,
             timers: &mut self.timers,
             comp_time: &mut work.comp,
         };
@@ -488,7 +487,7 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
             return Continue(());
         }
         let t0 = rank.wtime();
-        let outcome = self.store.audit_verify(rank, &cfg.costs);
+        let outcome = self.store.audit_verify(rank);
         let storage_io = self.store.drain_storage(rank, &mut self.timers);
         let verdict = rank.ctl_exchange(CtlSlot {
             word: u64::from(outcome.owned_mismatches > 0)
@@ -541,13 +540,8 @@ impl<'a, P: NodeProgram, B: DynamicBalancer> Engine<'a, P, B> {
             // (audits every iteration): nothing has read it yet, so a
             // targeted resync from the owners — who re-note every shadow
             // hash — repairs it at a fraction of a rollback's cost.
-            let (saw_death, saw_cut) = exchange::resync_shadows(
-                rank,
-                &mut self.store,
-                &cfg.costs,
-                &mut self.timers,
-                &self.frozen,
-            );
+            let (saw_death, saw_cut) =
+                exchange::resync_shadows(rank, &mut self.store, &mut self.timers, &self.frozen);
             self.tally.integrity.shadow_resyncs += 1;
             self.tally.integrity.repairs += 1;
             rank.trace_instant(

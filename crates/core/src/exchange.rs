@@ -11,7 +11,7 @@
 //! unbounded.
 
 use crate::checkpoint::any_word_flags;
-use crate::costs::CostModel;
+use crate::costs::COSTS;
 use crate::error::invariant_violated;
 use crate::program::{ComputeCtx, NeighborData, NodeProgram};
 use crate::store::NodeStore;
@@ -94,8 +94,6 @@ pub struct Round<'a, P: NodeProgram> {
     pub graph: &'a Graph,
     /// Iteration and phase handed to the node function.
     pub ctx: ComputeCtx,
-    /// Platform-overhead charges.
-    pub costs: &'a CostModel,
     /// Per-phase virtual-time attribution.
     pub timers: &'a mut PhaseTimers,
     /// Accumulates the execution time the thesis's load balancer samples
@@ -118,10 +116,10 @@ impl<P: NodeProgram> Round<'_, P> {
     /// audits on, one audit entry. Then drains the storage I/O seconds.
     /// Returns how many promoted.
     fn promote(&mut self, store: &mut NodeStore<P::Data>) -> usize {
-        let (rank, costs, owned) = (self.rank, self.costs, store.owned_count());
+        let (rank, owned) = (self.rank, store.owned_count());
         let t0 = rank.wtime();
-        rank.advance(costs.per_node_update * owned as f64);
-        store.charge_audit(rank, costs, owned);
+        rank.advance(COSTS.per_node_update * owned as f64);
+        store.charge_audit(rank, owned);
         let promoted = store.data.promote();
         self.timers
             .add(Phase::ComputationOverhead, rank.wtime() - t0);
@@ -223,7 +221,7 @@ pub fn step<P: NodeProgram>(
         compute_list(round, store, internal, None);
         round.end_compute(comp_t0);
     }
-    saw_cut |= recv_shadows(rank, store, round.timers, round.costs, tolerant).1;
+    saw_cut |= recv_shadows(rank, store, round.timers, tolerant).1;
     // This iteration shipped a full pack if delta packing was suspended;
     // either way receivers are now current, so the latch can drop.
     store.needs_resync = false;
@@ -298,7 +296,7 @@ fn compute_list<P: NodeProgram>(
     mut pack: Option<&mut Packing<P::Data>>,
 ) {
     let (rank, program, graph) = (round.rank, round.program, round.graph);
-    let (ctx, costs) = (&round.ctx, round.costs);
+    let ctx = &round.ctx;
     let timers = &mut *round.timers;
     let NodeStore {
         plan,
@@ -323,7 +321,7 @@ fn compute_list<P: NodeProgram>(
         // Computation overhead: form the list of the node and its
         // neighbours to hand to the node function.
         let t0 = rank.wtime();
-        rank.advance(costs.per_list_item * (node.neighbors.len() + 1) as f64);
+        rank.advance(COSTS.per_list_item * (node.neighbors.len() + 1) as f64);
         let what = || format!("no data for owned node {} at compute", node.id);
         let Some(own) = data.read(ctx.rank, node.slot, node.id, what) else {
             continue;
@@ -356,7 +354,7 @@ fn compute_list<P: NodeProgram>(
 
         // Stage a changed update; pack it for every processor holding this
         // node as a shadow.
-        rank.advance(costs.per_node_update);
+        rank.advance(COSTS.per_node_update);
         if let Some(pack) = pack.as_deref_mut() {
             let t3 = rank.wtime();
             timers.add(Phase::ComputationOverhead, t3 - t2);
@@ -364,7 +362,7 @@ fn compute_list<P: NodeProgram>(
                 pack.stats.changed_nodes += 1;
             }
             if changed || !pack.active {
-                rank.advance(costs.per_shadow_pack * node.shadow_for.len() as f64);
+                rank.advance(COSTS.per_shadow_pack * node.shadow_for.len() as f64);
                 for &p in node.shadow_for {
                     pack.buffers[p as usize].push((node.id, next.clone()));
                 }
@@ -483,7 +481,6 @@ fn recv_shadows<D: mpisim::Wire + Clone>(
     rank: &Rank,
     store: &mut NodeStore<D>,
     timers: &mut PhaseTimers,
-    costs: &CostModel,
     tolerant: Option<&[bool]>,
 ) -> (bool, bool) {
     let frozen = tolerant.unwrap_or(&[]);
@@ -526,7 +523,7 @@ fn recv_shadows<D: mpisim::Wire + Clone>(
                     rank.count_credit_stall(sender);
                 }
                 timers.add(Phase::Communicate, rank.wtime() - t0);
-                unpack(rank, store, source, msg, timers, costs);
+                unpack(rank, store, source, msg, timers);
             }
             // Stale shadow values stand in either way: nothing held, the
             // peer died before sending; a tombstone, it is alive but
@@ -560,11 +557,10 @@ fn unpack<D: mpisim::Wire + Clone>(
     source: usize,
     msg: Vec<(u32, D)>,
     timers: &mut PhaseTimers,
-    costs: &CostModel,
 ) {
     let t0 = rank.wtime();
-    rank.advance(costs.per_shadow_unpack * msg.len() as f64);
-    store.charge_audit(rank, costs, msg.len());
+    rank.advance(COSTS.per_shadow_unpack * msg.len() as f64);
+    store.charge_audit(rank, msg.len());
     let (me, from) = (store.rank, store.recv_procs()[source]);
     let NodeStore { plan, data, .. } = store;
     let (ids, slots) = plan.recv_list(source);
@@ -609,7 +605,6 @@ fn unpack<D: mpisim::Wire + Clone>(
 pub(crate) fn resync_shadows<D>(
     rank: &Rank,
     store: &mut NodeStore<D>,
-    costs: &CostModel,
     timers: &mut PhaseTimers,
     frozen: &[bool],
 ) -> (bool, bool)
@@ -630,7 +625,7 @@ where
         let Some(cur) = store.data.read(store.rank, node.slot, node.id, what) else {
             continue;
         };
-        rank.advance(costs.per_shadow_pack * node.shadow_for.len() as f64);
+        rank.advance(COSTS.per_shadow_pack * node.shadow_for.len() as f64);
         for &p in node.shadow_for {
             buffers[p as usize].push((node.id, cur.clone()));
         }
@@ -638,7 +633,7 @@ where
     timers.add(Phase::CommunicationOverhead, rank.wtime() - t0);
 
     let sent_cut = send_shadows(rank, store, &buffers, timers, Some(frozen));
-    let (saw_death, recv_cut) = recv_shadows(rank, store, timers, costs, Some(frozen));
+    let (saw_death, recv_cut) = recv_shadows(rank, store, timers, Some(frozen));
     let saw_cut = sent_cut | recv_cut;
     // A full pack just went out: every receiver's retained shadows are
     // current again, so delta packing may resume.
@@ -674,8 +669,8 @@ mod tests {
     }
 
     fn unpack_from(rank: &Rank, store: &mut NodeStore<i64>, source: usize, msg: &[(u32, i64)]) {
-        let (timers, costs) = (&mut PhaseTimers::default(), &CostModel::default());
-        unpack(rank, store, source, msg.to_vec(), timers, costs);
+        let timers = &mut PhaseTimers::default();
+        unpack(rank, store, source, msg.to_vec(), timers);
     }
 
     /// The buffer `recv_procs()[source]` would pack for `store`'s rank:
@@ -838,7 +833,7 @@ mod tests {
         // A page that lost every copy stays unreadable.
         let lose_page = |store: &mut NodeStore<i64>, _: &Graph| {
             let cfg = PageConfig { budget: 4 };
-            store.enable_paging(&cfg, &FaultPlan::new(1), &CostModel::default());
+            store.enable_paging(&cfg, &FaultPlan::new(1));
             store.data.table.page_out(lost);
         };
         let store = unpack_after(lose_page, shadows).expect("lost pages are skipped");
@@ -875,7 +870,6 @@ mod tests {
                 rank: rank.rank() as u32,
                 num_nodes: graph.num_nodes(),
             },
-            costs: &CostModel::default(),
             timers: &mut PhaseTimers::default(),
             comp_time: &mut 0.0,
         })
@@ -922,8 +916,8 @@ mod tests {
             for budget in [None, Some(2)] {
                 let mut store = NodeStore::build(&graph, &partition, 0, &program, 8);
                 if let Some(budget) = budget {
-                    let (cfg, costs) = (PageConfig { budget }, CostModel::default());
-                    store.enable_paging(&cfg, &FaultPlan::new(1), &costs);
+                    let cfg = PageConfig { budget };
+                    store.enable_paging(&cfg, &FaultPlan::new(1));
                     store.data.pager().clear_ckpt_dirty();
                 }
                 let all = 0..store.owned_count();
@@ -960,8 +954,8 @@ mod tests {
         let program = Bump(vec![false; graph.num_nodes()]);
         world().run(1, |rank| {
             let mut store = NodeStore::build(&graph, &partition, 0, &program, 8);
-            let (cfg, costs) = (PageConfig { budget: 2 }, CostModel::default());
-            store.enable_paging(&cfg, &FaultPlan::new(1), &costs);
+            let cfg = PageConfig { budget: 2 };
+            store.enable_paging(&cfg, &FaultPlan::new(1));
             store.data.pager().clear_ckpt_dirty();
             let all = 0..store.owned_count();
             with_round(rank, &program, &graph, |round| {
@@ -993,7 +987,7 @@ mod tests {
             let lost = 1;
             let mut store = build();
             let cfg = PageConfig { budget: 4 };
-            store.enable_paging(&cfg, &FaultPlan::new(1), &CostModel::default());
+            store.enable_paging(&cfg, &FaultPlan::new(1));
             store.data.table.page_out(lost);
             step_once(rank, &mut store);
 

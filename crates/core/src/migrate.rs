@@ -22,6 +22,7 @@
 //! (Figure 10's P0).
 
 use crate::checkpoint::has_new_crash;
+use crate::costs::COSTS;
 use crate::driver::RunConfig;
 use crate::error::invariant_violated;
 use crate::store::NodeStore;
@@ -124,8 +125,7 @@ where
     let result = (|| {
         let nprocs = store.nprocs;
         let me = rank.rank() as u32;
-        let costs = &cfg.costs;
-        rank.advance(costs.lb_per_proc * nprocs as f64);
+        rank.advance(COSTS.lb_per_proc * nprocs as f64);
         let dead = |r: u32| known_crashes.is_some_and(|known| known[r as usize]);
 
         // Measured execution times, replicated so every rank can update the
@@ -250,7 +250,7 @@ where
                             ),
                         })
                         .collect();
-                    rank.advance(costs.migrate_per_entry * payload.len() as f64);
+                    rank.advance(COSTS.migrate_per_entry * payload.len() as f64);
                     // A lost payload degrades to skipping this pair rather
                     // than committing an ownership change the idle processor
                     // can never honour.
@@ -290,8 +290,8 @@ where
                         None => rank.recv(busy as usize, TAG_MIGRATE),
                         Some(_) => rank.try_recv(busy as usize, TAG_MIGRATE).ok()?,
                     };
-                    rank.advance(costs.migrate_per_entry * payload.len() as f64);
-                    store.insert(rank, costs, payload);
+                    rank.advance(COSTS.migrate_per_entry * payload.len() as f64);
+                    store.insert(rank, payload);
                     debug_assert!(
                         store.data.table.contains(migrating),
                         "idle rank must already hold the migrating node's data as a shadow"

@@ -3,7 +3,7 @@
 
 use crate::audit::{entry_hash, AuditOutcome, AuditState};
 use crate::checkpoint::TAG_MIRROR;
-use crate::costs::CostModel;
+use crate::costs::COSTS;
 use crate::driver::RunConfig;
 use crate::error::{invariant_violated, PlatformError, StoreViolation};
 use crate::hashtab::{NodeTable, Slot};
@@ -737,27 +737,27 @@ impl<D> NodeStore<D> {
 impl<D: Clone + Wire> NodeStore<D> {
     /// Seed the incremental audit digests, charged per entry: the
     /// maintained hash of every stored entry, from its current value.
-    fn seed_audit(&mut self, rank: &Rank, costs: &CostModel) {
+    fn seed_audit(&mut self, rank: &Rank) {
         let mut audit = AuditState::new(self.owner.len());
         for (id, d) in self.data.table.iter() {
             audit.record(id, entry_hash(id, d));
         }
         self.data.audit = Some(audit);
-        self.charge_audit(rank, costs, self.stored_count());
+        self.charge_audit(rank, self.stored_count());
     }
 
     /// Charge `entries` digest updates or checks, and nothing with audits
     /// off: even `advance(0.0)` runs the crash check, and could move one.
-    pub(crate) fn charge_audit(&self, rank: &Rank, costs: &CostModel, entries: usize) {
+    pub(crate) fn charge_audit(&self, rank: &Rank, entries: usize) {
         if self.data.audit.is_some() {
-            rank.advance(costs.audit_per_entry * entries as f64);
+            rank.advance(COSTS.audit_per_entry * entries as f64);
         }
     }
 
     /// Take in migrated node data (new shadows and owned nodes, refreshed
     /// held ones) as one sorted merge, each entry's digest recorded.
-    pub(crate) fn insert(&mut self, rank: &Rank, costs: &CostModel, mut payload: Vec<(NodeId, D)>) {
-        self.charge_audit(rank, costs, payload.len());
+    pub(crate) fn insert(&mut self, rank: &Rank, mut payload: Vec<(NodeId, D)>) {
+        self.charge_audit(rank, payload.len());
         if let Some(audit) = self.data.audit.as_mut() {
             for (id, d) in &payload {
                 audit.record(*id, entry_hash(*id, d));
@@ -770,7 +770,7 @@ impl<D: Clone + Wire> NodeStore<D> {
     /// The audit boundary's integrity check, every page faulted in: each
     /// needed entry's hash against the maintained digest. A lost page's
     /// entries count as mismatches, so the repair ladder escalates.
-    pub(crate) fn audit_verify(&mut self, rank: &Rank, costs: &CostModel) -> AuditOutcome {
+    pub(crate) fn audit_verify(&mut self, rank: &Rank) -> AuditOutcome {
         self.bulk_begin();
         let Some(audit) = self.data.audit.as_ref() else {
             invariant_violated(self.rank, "audit boundary without audit state".into())
@@ -794,7 +794,7 @@ impl<D: Clone + Wire> NodeStore<D> {
                 out.shadow_mismatches += 1;
             }
         }
-        self.charge_audit(rank, costs, out.checked);
+        self.charge_audit(rank, out.checked);
         self.bulk_end(false);
         out
     }
@@ -814,12 +814,12 @@ impl<D: Clone + Wire> NodeStore<D> {
     {
         let me = rank.rank() as u32;
         let mut store = NodeStore::build(graph, partition, me, program, cfg.hash_buckets);
-        rank.advance(cfg.costs.init_per_node * store.stored_count() as f64);
+        rank.advance(COSTS.init_per_node * store.stored_count() as f64);
         if cfg.audit_every.is_some() {
-            store.seed_audit(rank, &cfg.costs);
+            store.seed_audit(rank);
         }
         if let Some(pc) = &cfg.paging {
-            store.enable_paging(pc, &cfg.world.faults, &cfg.costs);
+            store.enable_paging(pc, &cfg.world.faults);
         }
         store
     }
@@ -841,19 +841,19 @@ impl<D: Clone + Wire> NodeStore<D> {
         let guards = (self.data.audit.take(), self.data.pager.take());
         *self = NodeStore::build(graph, partition, self.rank, program, cfg.hash_buckets);
         (self.data.audit, self.data.pager) = guards;
-        rank.advance(cfg.costs.init_per_node * self.stored_count() as f64);
+        rank.advance(COSTS.init_per_node * self.stored_count() as f64);
     }
 
     /// Resume paging and audits over a table, wholly in RAM, that a restore
     /// or a genesis rebuild replaced: the pager restarts from it (fresh
     /// pool, purged disk, damage latch cleared), the digests are re-seeded,
     /// and the table spills back down to budget.
-    pub(crate) fn reseed(&mut self, rank: &Rank, costs: &CostModel) {
+    pub(crate) fn reseed(&mut self, rank: &Rank) {
         if let Some(pager) = self.data.pager.as_mut() {
             pager.reset_after_restore();
         }
         if self.data.audit.is_some() {
-            self.seed_audit(rank, costs);
+            self.seed_audit(rank);
         }
         self.bulk_end(false);
     }
@@ -861,10 +861,10 @@ impl<D: Clone + Wire> NodeStore<D> {
     /// Switch the table to out-of-core paged mode: install a pager over
     /// the table's pages, then spill down to the configured budget (the
     /// spilled pages get their first verified disk commit here).
-    pub(crate) fn enable_paging(&mut self, cfg: &PageConfig, plan: &FaultPlan, costs: &CostModel) {
+    pub(crate) fn enable_paging(&mut self, cfg: &PageConfig, plan: &FaultPlan) {
         let timing = DiskTiming {
-            seek_seconds: costs.disk_seek,
-            byte_seconds: costs.disk_byte,
+            seek_seconds: COSTS.disk_seek,
+            byte_seconds: COSTS.disk_byte,
         };
         let mut pager = Pager::new(
             self.rank as usize,
@@ -872,7 +872,7 @@ impl<D: Clone + Wire> NodeStore<D> {
             cfg,
             plan.clone(),
             timing,
-            costs.disk_retry_backoff,
+            COSTS.disk_retry_backoff,
         );
         pager.spill_to_budget(&mut self.data.table);
         self.data.pager = Some(pager);
@@ -1098,7 +1098,7 @@ mod tests {
                 // Budget 1: every other page is written out, then read
                 // back by the bulk prelude. The plan is not rebuilt.
                 let cfg = PageConfig { budget: 1 };
-                s.enable_paging(&cfg, &FaultPlan::new(1), &CostModel::default());
+                s.enable_paging(&cfg, &FaultPlan::new(1));
                 assert!(pages == 1 || s.data.table.iter().count() < before.len());
                 s.bulk_begin();
                 assert_eq!(view(s), before, "{pages} pages, rank {}", s.rank);
@@ -1118,7 +1118,7 @@ mod tests {
         let range = |s: &NodeStore<i64>, b| s.data.table.page_range(b);
         assert_ne!(range(&sender, 1), range(&receiver, 1));
         let cfg = PageConfig { budget: 8 };
-        sender.enable_paging(&cfg, &FaultPlan::new(1), &CostModel::default());
+        sender.enable_paging(&cfg, &FaultPlan::new(1));
         let image = |store: &NodeStore<i64>, full: bool| match store
             .mirror_image(&store.snapshot_table(), full)
         {
@@ -1198,8 +1198,8 @@ mod tests {
         for paged in [false, true] {
             let mut store = NodeStore::build(&graph, &part, 0, &program, 4);
             if paged {
-                let (cfg, costs) = (PageConfig { budget: 4 }, CostModel::default());
-                store.enable_paging(&cfg, &FaultPlan::new(1), &costs);
+                let cfg = PageConfig { budget: 4 };
+                store.enable_paging(&cfg, &FaultPlan::new(1));
             }
             let (kept, gone) = (0, graph.num_nodes() as NodeId - 1);
             let lost = store.data.table.page_of_id(gone);

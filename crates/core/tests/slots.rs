@@ -309,7 +309,6 @@ fn step_after(tamper: impl Fn(&mut NodeStore<i64>, &Graph) + Sync) -> Result<(),
                     rank: 0,
                     num_nodes: graph.num_nodes(),
                 },
-                costs: &CostModel::default(),
                 timers: &mut PhaseTimers::default(),
                 comp_time: &mut 0.0,
             };

@@ -289,22 +289,51 @@ fn crash_at_every_iteration_sweep_recovers_exactly() {
 #[test]
 fn crash_inside_the_checkpoint_staging_window_recovers_exactly() {
     // The window between the iteration-end ctl_exchange and the mirror
-    // send of the checkpoint it staged.
+    // send of the checkpoint it staged: the staging advance, the first
+    // charge of a `Checkpoint` span (4 µs a snapshot entry, 36 µs for rank
+    // 1's nine stored nodes), so a crash 1 µs into the span lands in it.
     let graph = ic2_graph::generators::hex_grid_n(16);
     let program = AvgProgram::fine();
     let iterations = 2u32;
     let oracle = seq::run_sequential(&graph, &program, iterations);
+    let cfg = |crash_at: f64| {
+        RunConfig::new(4, iterations)
+            .with_checkpointing(1)
+            .with_world(world(FaultPlan::new(1).with_crash(1, crash_at)))
+            .with_validation()
+    };
 
-    // Inflate the per-entry checkpoint cost so the staging advance at the
-    // end of iteration 1 spans several virtual seconds; a crash at t=0.5
-    // lands inside rank 1's staging advance, before its mirror send.
-    let mut cfg = RunConfig::new(4, iterations)
-        .with_checkpointing(1)
-        .with_world(world(FaultPlan::new(1).with_crash(1, 0.5)))
-        .with_validation();
-    cfg.costs.checkpoint_per_entry = 1.0;
+    // A crash that never comes keeps checkpointing on; the trace of that
+    // run times rank 1's first staging, at the end of iteration 1 (the
+    // genesis checkpoint stages nothing).
+    let traced = run(
+        &graph,
+        &program,
+        &Metis::default(),
+        || NoBalancer,
+        &cfg(1e9).with_tracing(),
+    );
+    let traces = traced.trace.expect("a traced run records a trace");
+    let staging = (traces.iter().find(|(rank, _)| *rank == 1))
+        .and_then(|(_, events)| {
+            events.iter().find_map(|ev| match ev {
+                ic2mpi::TraceEvent::Span {
+                    name: "Checkpoint",
+                    start,
+                    ..
+                } => Some(*start),
+                _ => None,
+            })
+        })
+        .expect("rank 1 stages a checkpoint");
 
-    let report = run(&graph, &program, &Metis::default(), || NoBalancer, &cfg);
+    let report = run(
+        &graph,
+        &program,
+        &Metis::default(),
+        || NoBalancer,
+        &cfg(staging + 1e-6),
+    );
     assert_eq!(report.final_data, oracle, "recovery must be exact");
     assert!(report.rollbacks >= 1);
 }

@@ -319,19 +319,20 @@ fn million_node_out_of_core_run_is_exact_under_disk_faults() {
     let iterations = 3u32;
     let oracle = seq::run_sequential(&graph, &program, iterations);
     // Rates are scaled to the read volume: every fault probability is
-    // per-operation, and a rank here performs ~60k page reads per
-    // iteration, so the 64-node suite's rot rate (0.01) would latch
-    // hundreds of rotten copies per round and legitimately exhaust the
-    // consecutive-damage strikes. 2e-5 still rots dozens of copies over
-    // the run (shadow rescue engages) without destroying both copies of
-    // a page every round.
+    // per-operation, and this run faults ~95k pages in all, so the 64-node
+    // suite's rot rate (0.01) would latch hundreds of rotten copies per
+    // round and legitimately exhaust the consecutive-damage strikes. 1e-4,
+    // the `out_of_core` experiment's rate, rots about a hundred copies over
+    // the run, enough that shadow rescue engages, without destroying both
+    // copies of a page every round. At 2e-5 fault seeds 131–134 saw 0–4
+    // rescues.
     let plan = || {
         let mut pl = FaultPlan::new(chaos_seed(131));
         for r in 0..nprocs {
             pl = pl
                 .with_disk_fault(r, DiskFault::TransientError, 0.02)
                 .with_disk_fault(r, DiskFault::TornWrite, 0.01)
-                .with_disk_fault(r, DiskFault::ReadRot, 0.000_02);
+                .with_disk_fault(r, DiskFault::ReadRot, 0.000_1);
         }
         pl
     };
@@ -361,6 +362,7 @@ fn million_node_out_of_core_run_is_exact_under_disk_faults() {
     );
     assert!(a.page_faults > 0 && a.pages_evicted > 0);
     assert!(a.disk_retries > 0);
+    assert!(a.pages_recovered > 0, "shadow rescue engages");
     let b = run(
         &graph,
         &program,
