@@ -396,37 +396,54 @@ impl<D> NodeTable<D> {
 
     /// Append page `b`'s image to `out`: the count, then `(id, current,
     /// staged next)` per readable entry, ascending — the wire encoding of a
-    /// `Vec<(NodeId, D, Option<D>)>`.
+    /// `Vec<(NodeId, D, Option<D>)>`, written field by field in one pass
+    /// with the count patched in at the end.
     pub fn encode_page(&self, b: usize, out: &mut Vec<u8>)
     where
         D: Wire,
     {
-        let slots = self.page_slots(b).filter(|&s| !self.holes.get(s));
-        (slots.clone().count() as u64).encode(out);
-        for s in slots {
-            self.ids[s].encode(out);
+        let at = out.len();
+        out.extend_from_slice(&[0; 8]);
+        let mut count = 0u64;
+        for s in self.page_slots(b) {
+            if self.holes.get(s) {
+                continue;
+            }
+            count += 1;
+            out.extend_from_slice(&self.ids[s].to_le_bytes());
             self.cur[s].encode(out);
-            out.push(u8::from(self.staged.get(s)));
-            if self.staged.get(s) {
+            let staged = self.staged.get(s);
+            out.push(u8::from(staged));
+            if staged {
                 self.next[s].encode(out);
             }
         }
+        out[at..at + 8].copy_from_slice(&count.to_le_bytes());
     }
 
     /// Read page `b`'s [`Self::encode_page`] image back into its slots.
     /// Returns `false`, leaving the page unreadable, for an image that does
     /// not decode or names an id the page does not hold.
-    pub fn decode_page(&mut self, b: usize, mut image: &[u8]) -> bool
+    pub fn decode_page(&mut self, b: usize, image: &[u8]) -> bool
     where
         D: Wire,
     {
         let slots = self.page_slots(b);
         let mut s = slots.start;
-        let mut decode = || -> Option<()> {
-            for _ in 0..u64::decode(&mut image).ok()? {
-                let id = NodeId::decode(&mut image).ok()?;
-                let cur = D::decode(&mut image).ok()?;
-                let next = Option::<D>::decode(&mut image).ok()?;
+        let mut decode = |image: &[u8]| -> Option<()> {
+            let (count, mut rest) = image.split_first_chunk::<8>()?;
+            for _ in 0..u64::from_le_bytes(*count) {
+                let (id, tail) = rest.split_first_chunk::<4>()?;
+                let id = NodeId::from_le_bytes(*id);
+                rest = tail;
+                let cur = D::decode(&mut rest).ok()?;
+                let (&staged, tail) = rest.split_first()?;
+                rest = tail;
+                let next = match staged {
+                    0 => None,
+                    1 => Some(D::decode(&mut rest).ok()?),
+                    _ => return None,
+                };
                 while s < slots.end && self.ids[s] < id {
                     s += 1;
                 }
@@ -441,9 +458,9 @@ impl<D> NodeTable<D> {
                 }
                 s += 1;
             }
-            image.is_empty().then_some(())
+            rest.is_empty().then_some(())
         };
-        decode().is_some() || {
+        decode(image).is_some() || {
             self.page_out(b);
             false
         }
@@ -532,6 +549,34 @@ mod tests {
         let epoch = t.epoch();
         t.clear();
         assert!(t.epoch() > epoch && t.is_empty() && t.page_count() == 4);
+    }
+
+    #[test]
+    fn a_page_image_is_the_wire_encoding_and_decodes_only_whole() {
+        let mut t = filled(2, &[1, 2, 5, 9, 11, 12]);
+        assert!(t.stage_at(t.slot_of(2).unwrap(), 2, -3));
+        assert!(t.stage_at(t.slot_of(11).unwrap(), 11, 7));
+        let mut image = vec![0xee];
+        t.encode_page(1, &mut image);
+        assert_eq!(image.remove(0), 0xee, "appended after what `out` held");
+        let entries: Vec<(NodeId, i64, Option<i64>)> =
+            vec![(9, 90, None), (11, 110, Some(7)), (12, 120, None)];
+        assert_eq!(image, entries.to_bytes());
+        let whole = t.clone();
+        // Every strict prefix, a trailing byte and a flag byte other than
+        // 0 or 1 leave the page unreadable.
+        let mut longer = image.clone();
+        longer.push(0);
+        let mut bad_flag = image.clone();
+        bad_flag[8 + 4 + 8] = 2;
+        let damaged = (0..image.len()).map(|keep| image[..keep].to_vec());
+        for bad in damaged.chain([longer, bad_flag]) {
+            t.page_out(1);
+            assert!(!t.decode_page(1, &bad), "{bad:?}");
+            assert_eq!((t.get(9), t.get(11), t.get(1)), (None, None, Some(&10)));
+        }
+        assert!(t.decode_page(1, &image));
+        assert_eq!(t, whole);
     }
 
     #[test]

@@ -14,8 +14,14 @@
 //!
 //! * **Checksummed page format.** A page blob is an 8-byte
 //!   [`mpisim::frame_checksum`] keyed by `(rank, page, version)` followed
-//!   by the wire encoding of the entries. The key is slot-independent, so
+//!   by the wire encoding of the entries ([`NodeTable::encode_page`], one
+//!   pass, the count patched in after it). The key is slot-independent, so
 //!   the shadow copy verifies with the same arithmetic as the primary.
+//!   Every read checks the sum, which sees for certain any damage within
+//!   one aligned 8-byte word of the entries (a read-rot bit flip) or
+//!   within the stored sum itself; every write is checked by comparing
+//!   its read-back bytes with the image, before the flip and after the
+//!   mirror.
 //! * **Shadow-paging commit.** A commit writes the new version to the
 //!   *inactive* slot, read-back-verifies it (the only way to catch a torn
 //!   write), and only then flips the active-slot pointer — a torn or
@@ -699,10 +705,10 @@ mod tests {
         };
         #[rustfmt::skip]
         let (page1, page3): (&[u8], &[u8]) = (
-            &[182, 155, 219, 81, 221, 10, 53, 92, 2, 0, 0, 0, 0, 0, 0, 0,
+            &[100, 30, 194, 137, 115, 160, 43, 254, 2, 0, 0, 0, 0, 0, 0, 0,
               5, 0, 0, 0, 50, 0, 0, 0, 0, 0, 0, 0, 1, 249, 255, 255, 255, 255, 255, 255, 255,
               8, 0, 0, 0, 80, 0, 0, 0, 0, 0, 0, 0, 0],
-            &[166, 94, 101, 123, 59, 131, 233, 186, 1, 0, 0, 0, 0, 0, 0, 0,
+            &[70, 141, 183, 233, 34, 107, 192, 196, 1, 0, 0, 0, 0, 0, 0, 0,
               34, 0, 0, 0, 84, 1, 0, 0, 0, 0, 0, 0, 0],
         );
         assert_eq!(

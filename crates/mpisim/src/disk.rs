@@ -9,7 +9,12 @@
 //! out-of-core chaos run is exactly as reproducible as a clean one.
 //!
 //! The device is deliberately dumb: it stores `(page, slot) → (version,
-//! bytes)` and injects the three [`DiskFault`] kinds. Everything clever —
+//! bytes)` and injects the three [`DiskFault`] kinds. Pages are dense small
+//! integers (a pager's `0..npages`), each with two slots, 0 and 1: the
+//! directory is a vector indexed by page holding the pair, grown to the
+//! highest page written, so an operation finds its slot by two indexings.
+//! An address past slot 1 is refused ([`DiskError::NoSuchSlot`]) before
+//! any charge, never folded onto another slot. Everything clever —
 //! checksums, shadow-slot commits, retry backoff, escalation to checkpoint
 //! recovery — belongs to the platform layer above, which is exactly the
 //! contract a real block device offers a database.
@@ -28,7 +33,6 @@
 //!   Only rewriting a fresh version restores the slot.
 
 use crate::faults::{DiskFault, FaultPlan};
-use std::collections::BTreeMap;
 
 /// Virtual-time cost model for one disk: a fixed per-operation seek plus a
 /// per-byte transfer charge, accumulated into [`VirtualDisk::take_seconds`]
@@ -57,12 +61,17 @@ impl Default for DiskTiming {
 pub enum DiskError {
     /// A transient controller error; retrying may succeed.
     Transient,
+    /// The address names a slot other than 0 or 1 (or a page past the
+    /// host's `usize`). Refused before any charge, operation number or
+    /// fault decision.
+    NoSuchSlot,
 }
 
 impl std::fmt::Display for DiskError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DiskError::Transient => write!(f, "transient disk I/O error"),
+            DiskError::NoSuchSlot => write!(f, "no such disk slot (pages have slots 0 and 1)"),
         }
     }
 }
@@ -107,7 +116,8 @@ pub struct VirtualDisk {
     rank: usize,
     plan: FaultPlan,
     timing: DiskTiming,
-    slots: BTreeMap<(u64, u64), Slot>,
+    /// Slots 0 and 1 of every page, indexed by page; `None` until written.
+    pages: Vec<[Option<Slot>; 2]>,
     /// Monotonic operation number, the per-attempt salt for fault
     /// decisions. The platform's operation sequence is deterministic per
     /// rank, so this plays the role message sequence numbers play on the
@@ -125,7 +135,7 @@ impl VirtualDisk {
             rank,
             plan,
             timing,
-            slots: BTreeMap::new(),
+            pages: Vec::new(),
             ops: 0,
             pending: 0.0,
             counters: DiskCounters::default(),
@@ -143,6 +153,7 @@ impl VirtualDisk {
         version: u64,
         bytes: &[u8],
     ) -> Result<(), DiskError> {
+        let (p, at) = locate(page, slot)?;
         let n = self.next_op();
         self.pending += self.timing.seek_seconds + bytes.len() as f64 * self.timing.byte_seconds;
         let plan = &self.plan;
@@ -150,8 +161,11 @@ impl VirtualDisk {
             self.counters.transient_errors += 1;
             return Err(DiskError::Transient);
         }
+        if p >= self.pages.len() {
+            self.pages.resize_with(p + 1, Default::default);
+        }
         // An overwrite reuses the slot's allocation, grown to fit at most.
-        let s = self.slots.entry((page, slot)).or_default();
+        let s = self.pages[p][at].get_or_insert_with(Slot::default);
         s.bytes.clear();
         s.bytes.reserve_exact(bytes.len());
         s.bytes.extend_from_slice(bytes);
@@ -192,10 +206,11 @@ impl VirtualDisk {
         page: u64,
         slot: u64,
     ) -> Result<Option<(u64, &[u8])>, DiskError> {
+        let (p, at) = locate(page, slot)?;
         let n = self.next_op();
         self.pending += self.timing.seek_seconds;
         let rank = self.rank;
-        let Some(s) = self.slots.get_mut(&(page, slot)) else {
+        let Some(s) = self.pages.get_mut(p).and_then(|pair| pair[at].as_mut()) else {
             return Ok(None);
         };
         self.pending += s.bytes.len() as f64 * self.timing.byte_seconds;
@@ -233,16 +248,18 @@ impl VirtualDisk {
     }
 
     /// The stored version of `(page, slot)` without performing (or
-    /// charging) an I/O — directory metadata, not a data read.
+    /// charging) an I/O — directory metadata, not a data read. `None` for
+    /// a slot never written, and for a slot other than 0 or 1.
     pub fn version_of(&self, page: u64, slot: u64) -> Option<u64> {
-        self.slots.get(&(page, slot)).map(|s| s.version)
+        let (p, at) = locate(page, slot).ok()?;
+        self.pages.get(p)?[at].as_ref().map(|s| s.version)
     }
 
     /// Drop every stored blob (a reformat after catastrophic recovery).
     /// Fault decisions keep advancing — the op counter survives — so a
     /// replay after a purge makes fresh decisions and can converge.
     pub fn purge(&mut self) {
-        self.slots.clear();
+        self.pages.clear();
     }
 
     /// Accumulated virtual I/O seconds since the last drain, resetting the
@@ -261,6 +278,15 @@ impl VirtualDisk {
         let n = self.ops;
         self.ops += 1;
         n
+    }
+}
+
+/// The directory position of `(page, slot)`: the page's index and the
+/// slot's index in its pair. Any other address is refused.
+fn locate(page: u64, slot: u64) -> Result<(usize, usize), DiskError> {
+    match (usize::try_from(page), slot) {
+        (Ok(p), 0 | 1) => Ok((p, slot as usize)),
+        _ => Err(DiskError::NoSuchSlot),
     }
 }
 
@@ -406,6 +432,88 @@ mod tests {
             };
             assert!(hit > 0, "{fault:?} never exercised");
         }
+    }
+
+    #[test]
+    fn sparse_pages_round_trip() {
+        let mut d = clean_disk();
+        for (page, slot, byte) in [(511, 1, 7u8), (0, 0, 1), (511, 0, 9), (0, 1, 3)] {
+            d.write(page, slot, u64::from(byte), &[byte; 5]).unwrap();
+        }
+        for (page, slot, byte) in [(0, 0, 1u8), (0, 1, 3), (511, 0, 9), (511, 1, 7)] {
+            assert_eq!(
+                d.read(page, slot).unwrap(),
+                Some((u64::from(byte), vec![byte; 5]))
+            );
+            assert_eq!(d.version_of(page, slot), Some(u64::from(byte)));
+        }
+        // The pages between were never written; neither was a page past 511.
+        for page in [1, 256, 510, 512, 1 << 40] {
+            assert_eq!(d.version_of(page, 0), None, "page {page}");
+            assert_eq!(d.read(page, 1).unwrap(), None, "page {page}");
+        }
+    }
+
+    #[test]
+    fn a_never_written_slot_reads_none_for_one_seek() {
+        let mut d = clean_disk();
+        d.write(4, 0, 1, &[1, 2]).unwrap();
+        d.take_seconds();
+        // The other slot of a written page, a page below it, one past it.
+        for (page, slot) in [(4, 1), (2, 0), (9, 1)] {
+            let ops = d.ops;
+            assert_eq!(d.read(page, slot).unwrap(), None);
+            assert_eq!(d.read_borrowed(page, slot).unwrap(), None);
+            assert_eq!(d.ops, ops + 2, "each miss is an operation");
+            assert_eq!(d.take_seconds(), 2.0 * 1e-4, "a miss charges one seek");
+        }
+        assert_eq!(d.counters().reads, 0, "a miss returns no data");
+    }
+
+    #[test]
+    fn purge_drops_every_slot_and_the_op_counter_goes_on() {
+        let mut d = clean_disk();
+        for page in [0, 3, 64] {
+            for slot in [0, 1] {
+                d.write(page, slot, 1, &[page as u8]).unwrap();
+            }
+        }
+        let ops = d.ops;
+        d.purge();
+        assert_eq!(d.ops, ops, "a purge is no operation");
+        for page in [0, 3, 64] {
+            for slot in [0, 1] {
+                assert_eq!(d.version_of(page, slot), None);
+                assert_eq!(d.read(page, slot).unwrap(), None);
+            }
+        }
+        assert_eq!(d.ops, ops + 6);
+        d.write(3, 1, 2, &[8]).unwrap();
+        assert_eq!(d.read(3, 1).unwrap(), Some((2, vec![8])));
+    }
+
+    #[test]
+    fn a_slot_other_than_0_or_1_is_refused_and_aliases_none() {
+        let mut d = clean_disk();
+        d.write(6, 0, 1, &[10]).unwrap();
+        d.write(6, 1, 2, &[11]).unwrap();
+        d.take_seconds();
+        let (ops, counters) = (d.ops, d.counters());
+        for slot in [2, 3, 1 << 32, (1 << 32) | 1, u64::MAX] {
+            assert_eq!(d.write(6, slot, 9, &[99]), Err(DiskError::NoSuchSlot));
+            assert_eq!(d.write(7, slot, 9, &[99]), Err(DiskError::NoSuchSlot));
+            assert_eq!(d.read(6, slot), Err(DiskError::NoSuchSlot));
+            assert_eq!(d.read_borrowed(6, slot), Err(DiskError::NoSuchSlot));
+            assert_eq!(d.version_of(6, slot), None);
+        }
+        // Refused before the device did anything.
+        assert_eq!(
+            (d.ops, d.counters(), d.take_seconds()),
+            (ops, counters, 0.0)
+        );
+        assert_eq!(d.read(6, 0).unwrap(), Some((1, vec![10])));
+        assert_eq!(d.read(6, 1).unwrap(), Some((2, vec![11])));
+        assert_eq!((d.version_of(7, 0), d.version_of(7, 1)), (None, None));
     }
 
     #[test]

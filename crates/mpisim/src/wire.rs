@@ -17,24 +17,51 @@ use std::fmt;
 /// Every data-plane envelope carries `frame_checksum(seed, src, tag, seq,
 /// payload)` computed by the sender over the *pristine* bytes; the receiver
 /// recomputes it on delivery and discards (NACKs) any frame that fails to
-/// verify. Built on [`mix64`] so the platform stays dependency-free: the
-/// payload is absorbed in 8-byte little-endian words (the tail zero-padded)
-/// with each word's offset mixed in, so bit flips, truncations, extensions
-/// and word swaps all change the sum. Binding `(src, tag, seq)` into the
-/// sum means a frame cannot be mistaken for a different message that
-/// happens to share its payload.
+/// verify. The pager seals each page image with it too. Built on [`mix64`]
+/// so the platform stays dependency-free:
+///
+/// * a preamble chain absorbs `seed`, `src`, `tag`, `seq` and the payload
+///   length, so a frame cannot pass for a different message that happens
+///   to share its payload;
+/// * four lanes, each started from the preamble and a lane constant, absorb
+///   the payload's 8-byte little-endian words in turn (word `i` into lane
+///   `i % 4`, the ragged tail zero-padded), one `mix64` a word. The lanes
+///   are independent chains, so a core runs them side by side;
+/// * the lanes fold into the preamble, one `mix64` each, in lane order.
+///
+/// What it guarantees: every error confined to one aligned 8-byte word of
+/// the payload (any single-bit flip among them) changes the sum, because
+/// each lane step and each fold step is a bijection of the value it
+/// absorbs. A change of length changes the preamble, so a truncation or an
+/// extension, and any other damage, goes unseen only when two unrelated
+/// 64-bit sums collide (about one in 2^64); that includes a swap of two
+/// distinct words, which the lane order and lane constants make a
+/// different absorption, not a guaranteed different sum.
 pub fn frame_checksum(seed: u64, src: usize, tag: i64, seq: u64, bytes: &[u8]) -> u64 {
+    const LANES: [u64; 4] = [
+        0xe703_7ed1_a0b4_28db,
+        0x8ebc_6af0_9c88_c6e3,
+        0x5899_65cc_7537_4cc3,
+        0x1d8e_4e27_c47d_124f,
+    ];
     let mut h = mix64(seed ^ 0xa076_1d64_78bd_642f);
     h = mix64(h ^ src as u64);
     h = mix64(h ^ tag as u64);
     h = mix64(h ^ seq);
     h = mix64(h ^ bytes.len() as u64);
-    for (i, chunk) in bytes.chunks(8).enumerate() {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        h = mix64(h ^ u64::from_le_bytes(word) ^ mix64(i as u64));
+    let mut lanes = LANES.map(|k| h ^ k);
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = mix64(*lane ^ u64::from_le_bytes(w.try_into().unwrap()));
+        }
     }
-    h
+    for (lane, chunk) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        let mut w = [0u8; 8];
+        w[..chunk.len()].copy_from_slice(chunk);
+        *lane = mix64(*lane ^ u64::from_le_bytes(w));
+    }
+    lanes.into_iter().fold(h, |h, lane| mix64(h ^ lane))
 }
 
 /// Error produced when decoding a malformed or truncated message.

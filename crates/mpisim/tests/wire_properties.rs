@@ -14,7 +14,7 @@
 //!   canonical), and the frame checksum must always distinguish the damaged
 //!   frame from the pristine one.
 
-use ic2_rng::mix64;
+use ic2_rng::{mix64, SplitMix64};
 use mpisim::{frame_checksum, Wire};
 
 /// Extra seeded random (position, delta) mutation trials per value, on top
@@ -244,5 +244,116 @@ fn decode_is_deterministic_over_damage() {
         let a = Vec::<(u32, f64)>::from_bytes(&mutated).map(|v| v.to_bytes());
         let b = Vec::<(u32, f64)>::from_bytes(&mutated).map(|v| v.to_bytes());
         assert_eq!(a, b, "pos {pos}");
+    }
+}
+
+/// The payload lengths the checksum properties run at.
+fn checksum_lengths() -> impl Iterator<Item = usize> {
+    (0..=100).chain([565, 577])
+}
+
+/// A seeded payload of `len` bytes and its checksum under a fixed identity.
+fn seeded_payload(len: usize) -> (Vec<u8>, u64) {
+    let mut rng = SplitMix64::new(0xc4ec_5a11 ^ len as u64);
+    let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+    let sum = frame_checksum(42, 1, 7, 3, &bytes);
+    (bytes, sum)
+}
+
+#[test]
+fn checksum_sees_every_error_within_one_aligned_word() {
+    for len in checksum_lengths() {
+        let (bytes, sum) = seeded_payload(len);
+        for bit in 0..len * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(
+                sum,
+                frame_checksum(42, 1, 7, 3, &flipped),
+                "len {len} bit {bit}"
+            );
+        }
+        // Multi-bit masks confined to one aligned word (or to the real bytes
+        // of the ragged tail word), a seeded sample of them per word.
+        let mut rng = SplitMix64::new(len as u64);
+        for (w, start) in (0..len).step_by(8).enumerate() {
+            let end = (start + 8).min(len);
+            for _ in 0..8 {
+                let mut damaged = bytes.clone();
+                for b in &mut damaged[start..end] {
+                    *b ^= rng.next_u64() as u8;
+                }
+                if damaged != bytes {
+                    assert_ne!(
+                        sum,
+                        frame_checksum(42, 1, 7, 3, &damaged),
+                        "len {len} word {w}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn checksum_sees_every_truncation_and_one_byte_extension() {
+    for len in checksum_lengths() {
+        let (bytes, sum) = seeded_payload(len);
+        for keep in 0..len {
+            assert_ne!(
+                sum,
+                frame_checksum(42, 1, 7, 3, &bytes[..keep]),
+                "len {len} keep {keep}"
+            );
+        }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        for extra in 0..=u8::MAX {
+            *longer.last_mut().unwrap() = extra;
+            assert_ne!(
+                sum,
+                frame_checksum(42, 1, 7, 3, &longer),
+                "len {len} + {extra}"
+            );
+        }
+    }
+}
+
+#[test]
+fn checksum_sees_every_swap_of_two_distinct_words() {
+    for len in checksum_lengths() {
+        let (bytes, sum) = seeded_payload(len);
+        let words = len / 8;
+        for i in 0..words {
+            for j in i + 1..words {
+                let (a, b) = (i * 8..i * 8 + 8, j * 8..j * 8 + 8);
+                if bytes[a.clone()] == bytes[b.clone()] {
+                    continue;
+                }
+                let mut swapped = bytes.clone();
+                swapped[a.clone()].copy_from_slice(&bytes[b.clone()]);
+                swapped[b].copy_from_slice(&bytes[a]);
+                assert_ne!(
+                    sum,
+                    frame_checksum(42, 1, 7, 3, &swapped),
+                    "len {len} words {i}, {j}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn checksum_binds_seed_src_tag_and_seq() {
+    for len in checksum_lengths() {
+        let (bytes, sum) = seeded_payload(len);
+        for other in [
+            frame_checksum(43, 1, 7, 3, &bytes),
+            frame_checksum(42, 2, 7, 3, &bytes),
+            frame_checksum(42, 1, 8, 3, &bytes),
+            frame_checksum(42, 1, 7, 4, &bytes),
+        ] {
+            assert_ne!(sum, other, "len {len}");
+        }
     }
 }

@@ -309,9 +309,11 @@ fn run_fails_typed_when_every_page_copy_is_rotten() {
 
 /// The ISSUE acceptance scenario at full scale: a 1M-node graph on 16
 /// ranks with a resident budget far below the partition size, under
-/// every disk fault class at once. Run with `--ignored --release`.
+/// every disk fault class at once. Run with `--ignored --release` (a few
+/// seconds; CI's chaos job does, at each of its seeds). `--nocapture`
+/// shows the pager's counts.
 #[test]
-#[ignore = "multi-minute acceptance run; exercised by the out_of_core bench in CI"]
+#[ignore = "too slow in debug; CI's chaos job runs it in release"]
 fn million_node_out_of_core_run_is_exact_under_disk_faults() {
     let graph = ic2_graph::generators::hex_grid_n(1_000_000);
     let program = AvgProgram::fine();
@@ -363,6 +365,14 @@ fn million_node_out_of_core_run_is_exact_under_disk_faults() {
     assert!(a.page_faults > 0 && a.pages_evicted > 0);
     assert!(a.disk_retries > 0);
     assert!(a.pages_recovered > 0, "shadow rescue engages");
+    println!(
+        "page faults {}, retries {}, torn writes caught {}, read rots {}, shadow rescues {}",
+        a.page_faults,
+        a.disk_retries,
+        a.torn_writes_detected,
+        a.faults.disk_read_rots,
+        a.pages_recovered
+    );
     let b = run(
         &graph,
         &program,
