@@ -1055,8 +1055,10 @@ fn capacity_backpressure(id: &str) -> Table {
         col("capacity", label),
         col("time (s)", time),
         col("retransmits", |x| x.r.faults.retransmits.to_string()),
-        col("credit stalls", |x| x.r.credit_stalls.to_string()),
-        host("peak mailbox depth", |x| x.r.peak_mailbox_depth.to_string()),
+        col("credit stalls", |x| x.r.credit_stalls().to_string()),
+        host("peak mailbox depth", |x| {
+            x.r.peak_mailbox_depth().to_string()
+        }),
     ];
     let title = "Mailbox capacity vs retransmit traffic (64-node hex grid, 8 procs, 20 iters, \
          corrupt 5% + truncate 2%, seed 42)";
@@ -1209,7 +1211,7 @@ fn tracing_overhead(id: &str) -> Table {
         col("time (s)", |x| secs(x.2.total_time)),
         col("events", |x| events(&x.2).to_string()),
         host("host ms", |x| format!("{:.1}", x.1)),
-        col("negative clamps", |x| x.2.negative_clamps.to_string()),
+        col("negative clamps", |x| x.2.negative_clamps().to_string()),
     ];
     let title = "Tracing overhead (64-node hex grid, 8 procs, 20 iters, drop 5% + corrupt 5% \
          + truncate 2%, seed 42)";

@@ -265,16 +265,6 @@ pub struct RunReport<D> {
     pub rollbacks: u32,
     /// Iterations whose work was discarded by rollbacks and re-executed.
     pub iterations_replayed: u32,
-    /// Sends that had to wait for a bounded-mailbox credit, summed over
-    /// ranks (0 when mailboxes are unbounded).
-    pub credit_stalls: u64,
-    /// Deepest any rank's mailbox ever got (envelopes queued at once).
-    pub peak_mailbox_depth: u64,
-    /// Phase-timer additions that clamped a genuinely negative duration
-    /// up to zero, summed over ranks. Always 0 in a healthy run: anything
-    /// else means a clock window somewhere was measured backwards and
-    /// silently vanished from the §5.4 breakdown.
-    pub negative_clamps: u64,
     /// Shadow entries actually packed and sent, summed over ranks and
     /// iterations. Without delta exchange this is the full shadow traffic;
     /// with it, the post-suppression traffic.
@@ -335,6 +325,31 @@ impl<D> RunReport<D> {
         reference_time / self.total_time
     }
 
+    /// Sends that had to wait for a bounded-mailbox credit, summed over
+    /// ranks (0 when mailboxes are unbounded).
+    pub fn credit_stalls(&self) -> u64 {
+        self.comm.iter().map(|c| c.credit_stalls).sum()
+    }
+
+    /// Deepest any rank's mailbox ever got (envelopes queued at once): a
+    /// maximum over ranks, since a sum would fabricate a depth no mailbox
+    /// ever reached.
+    pub fn peak_mailbox_depth(&self) -> u64 {
+        self.comm
+            .iter()
+            .map(|c| c.peak_mailbox_depth)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Phase-timer additions that clamped a genuinely negative duration
+    /// up to zero, summed over ranks. Always 0 in a healthy run: anything
+    /// else means a clock window somewhere was measured backwards and
+    /// silently vanished from the §5.4 breakdown.
+    pub fn negative_clamps(&self) -> u64 {
+        self.timers.iter().map(PhaseTimers::negative_clamps).sum()
+    }
+
     /// Merged phase breakdown, averaged over ranks (the thesis plots
     /// per-phase overheads for the parallel configuration as a whole).
     pub fn mean_timers(&self) -> PhaseTimers {
@@ -392,11 +407,6 @@ fn assemble<D>(
     debug_assert!(live.iter().all(|r| r.ranks_died == designated.ranks_died));
     let mut faults = FaultStats::default();
     let mut checkpoint_bytes = 0u64;
-    let mut credit_stalls = 0u64;
-    // Peaks max-merge across ranks (a sum would fabricate a depth no
-    // mailbox ever reached); everything else sums.
-    let mut peak_mailbox_depth = 0u64;
-    let mut negative_clamps = 0u64;
     let mut delta_entries_sent = 0u64;
     let mut delta_entries_skipped = 0u64;
     let mut audit_mismatches = 0u64;
@@ -411,9 +421,6 @@ fn assemble<D>(
         faults.disk_read_rots += r.disk.read_rots;
         pages.merge(&r.pages);
         checkpoint_bytes += r.tally.checkpoint_bytes;
-        credit_stalls += r.comm.credit_stalls;
-        peak_mailbox_depth = peak_mailbox_depth.max(r.comm.peak_mailbox_depth);
-        negative_clamps += r.timers.negative_clamps();
         delta_entries_sent += r.tally.delta.entries_sent;
         delta_entries_skipped += r.tally.delta.entries_skipped;
         audit_mismatches += r.tally.integrity.audit_mismatches;
@@ -447,9 +454,6 @@ fn assemble<D>(
         checkpoint_bytes,
         rollbacks: designated.tally.rollbacks,
         iterations_replayed: designated.tally.iterations_replayed,
-        credit_stalls,
-        peak_mailbox_depth,
-        negative_clamps,
         delta_entries_sent,
         delta_entries_skipped,
         // The quiescence verdicts are agreed (every live rank saw the same
@@ -864,9 +868,6 @@ mod tests {
             checkpoint_bytes: 0,
             rollbacks: 0,
             iterations_replayed: 0,
-            credit_stalls: 0,
-            peak_mailbox_depth: 0,
-            negative_clamps: 0,
             delta_entries_sent: 0,
             delta_entries_skipped: 0,
             quiescent_iterations: 0,

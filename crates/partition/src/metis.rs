@@ -10,31 +10,32 @@
 //!    (Metis's `COARSEN_FRACTION`; a star merges one leaf a level);
 //! 2. **Initial partitioning** — the coarsest graph is split k ways by
 //!    recursive multilevel bisection (each bisection coarsens its own
-//!    subgraph to [`Metis::coarsen_to`] nodes, grows a region from several
+//!    subgraph with step 1's loop down to 48 nodes, grows a region from six
 //!    seeds, and refines the projection with boundary Fiduccia–Mattheyses
 //!    passes at every level), finished by a greedy k-way pass;
 //! 3. **Uncoarsening** — the k-way partition is projected back level by
 //!    level, and each level gets a greedy k-way boundary refinement and
 //!    balancing pass that never fills a part past `⌈ideal · (1 + ε)⌉`;
-//! 4. `k ≤ 2` is step 2 on the whole graph: one multilevel bisection, with
-//!    2-way FM at every level.
+//! 4. `k ≤ 2` coarsens to no level in step 1, so its partition is step 2 on
+//!    the whole graph: one multilevel bisection, with 2-way FM at every
+//!    level.
 //!
-//! A graph at or below step 1's target has no level to project, so its
-//! partition is step 2 on the whole graph. Deterministic in
+//! A graph at or below step 1's target has no level to project either, so
+//! its partition is step 2 on the whole graph too. Deterministic in
 //! [`Metis::seed`].
 //!
 //! # Exactness
 //!
-//! The partition is a function of the graph, `k` and the four fields of
-//! [`Metis`]; `tests/pinned.rs` holds its hashes. Each kernel is checked
-//! against a plain reference under `#[cfg(test)]`: contraction against a
-//! `HashMap` of coarse edges, FM against a scan that moves the best
-//! feasible `(gain, Reverse(v))` among the queued vertices, graph growing
-//! against a scan of its whole frontier, and the partition of a graph at
-//! or below the k-way target, or at `k ≤ 2`, against the recursive-bisection
-//! path. The per-level k-way pass is checked against its two promises: from
-//! a partition with every part within the cap it never raises the cut, and
-//! it fills no part past the cap.
+//! The partition is a function of the graph, `k` and [`Metis::seed`];
+//! `tests/pinned.rs` holds its hashes. Each kernel is checked against a
+//! plain reference under `#[cfg(test)]`: contraction against a `HashMap` of
+//! coarse edges, FM against a scan that moves the best feasible
+//! `(gain, Reverse(v))` among the queued vertices, graph growing against a
+//! scan of its whole frontier, and the partition of a graph at or below the
+//! k-way target, or at `k ≤ 2`, against the recursive-bisection path. The
+//! per-level k-way pass is checked against its two promises: from a
+//! partition with every part within the cap it never raises the cut, and it
+//! fills no part past the cap.
 //!
 //! FM starts from the boundary, as Metis does: a pass queues the vertices
 //! with an edge to the other side, a vertex joins when a neighbour's move
@@ -61,26 +62,27 @@ use std::collections::BinaryHeap;
 pub struct Metis {
     /// Seed for matching order and growing seeds.
     pub seed: u64,
-    /// Allowed imbalance ε: part loads may reach `(1 + ε) ×` ideal.
-    pub imbalance: f64,
-    /// Each bisection of the coarsest graph (of the whole graph when
-    /// `k ≤ 2`) coarsens its subgraph until it has at most this many
-    /// nodes. The k-way hierarchy above it stops at Metis 4's own target.
-    pub coarsen_to: usize,
-    /// Seeds tried for the initial growing bisection.
-    pub init_tries: usize,
 }
 
 impl Default for Metis {
     fn default() -> Self {
-        Metis {
-            seed: 0x1C2,
-            imbalance: 0.05,
-            coarsen_to: 48,
-            init_tries: 6,
-        }
+        Metis { seed: 0x1C2 }
     }
 }
+
+impl Metis {
+    /// Allowed imbalance ε: the k-way passes fill no part past
+    /// `⌈ideal · (1 + ε)⌉`, and recursive bisection shares ε among its
+    /// levels.
+    pub const IMBALANCE: f64 = 0.05;
+}
+
+/// Each bisection coarsens its subgraph until it has at most this many
+/// nodes.
+const COARSEN_TO: usize = 48;
+
+/// Seeds tried for a bisection's initial growing.
+const INIT_TRIES: usize = 6;
 
 impl StaticPartitioner for Metis {
     fn name(&self) -> &'static str {
@@ -90,27 +92,23 @@ impl StaticPartitioner for Metis {
     fn partition(&self, graph: &Graph, nparts: usize) -> Partition {
         assert!(nparts > 0);
         let mut rng = SplitMix64::new(self.seed);
-        let mut fm = FmQueues::default();
-        if nparts <= 2 {
-            return self.recursive_bisection(graph, nparts, &mut rng, &mut fm);
-        }
-        let to = kway_coarsen_to(graph.num_nodes(), nparts);
-        let mut levels = coarsen_levels(graph, to, &mut rng);
-        let Some((coarsest, _)) = levels.last() else {
-            return self.recursive_bisection(graph, nparts, &mut rng, &mut fm);
+        let to = if nparts <= 2 {
+            usize::MAX
+        } else {
+            kway_coarsen_to(graph.num_nodes(), nparts)
         };
-        let mut part = self
-            .recursive_bisection(coarsest, nparts, &mut rng, &mut fm)
-            .as_slice()
-            .to_vec();
-        let cap = self.cap(graph, nparts);
+        let mut levels = coarsen_levels(graph, to, &mut rng);
+        let coarsest = levels.last().map_or(graph, |(g, _)| g);
+        let mut part = recursive_bisection(coarsest, nparts, &mut rng, &mut FmQueues::default());
+        let cap = cap(graph, nparts);
         // Each level is dropped once its partition is projected.
         while let Some((_, map)) = levels.pop() {
             let fine = levels.last().map_or(graph, |(g, _)| g);
-            part = map.iter().map(|&c| part[c as usize]).collect();
-            kway_level(fine, &mut part, nparts, cap);
+            let mut projected: Vec<u32> = map.iter().map(|&c| part.part_of(c)).collect();
+            kway_level(fine, &mut projected, nparts, cap);
+            part = Partition::new(projected, nparts);
         }
-        Partition::new(part, nparts)
+        part
     }
 }
 
@@ -140,248 +138,245 @@ fn coarsen_levels(graph: &Graph, to: usize, rng: &mut SplitMix64) -> Vec<(Graph,
     }
 }
 
-impl Metis {
-    /// The heaviest part load the k-way passes allow: `⌈ideal · (1 + ε)⌉`.
-    fn cap(&self, graph: &Graph, k: usize) -> i64 {
-        let ideal = graph.total_vertex_weight() as f64 / k as f64;
-        (ideal * (1.0 + self.imbalance)).ceil() as i64
-    }
+/// The heaviest part load the k-way passes allow: `⌈ideal · (1 + ε)⌉`.
+fn cap(graph: &Graph, k: usize) -> i64 {
+    let ideal = graph.total_vertex_weight() as f64 / k as f64;
+    (ideal * (1.0 + Metis::IMBALANCE)).ceil() as i64
+}
 
-    /// Recursive multilevel bisection of the whole `graph` into `nparts`,
-    /// finished by [`Metis::kway_refine`].
-    fn recursive_bisection(
-        &self,
-        graph: &Graph,
-        nparts: usize,
-        rng: &mut SplitMix64,
-        fm: &mut FmQueues,
-    ) -> Partition {
-        let n = graph.num_nodes();
-        let mut assignment = vec![0u32; n];
-        if nparts > 1 && n > 0 {
-            let nodes: Vec<NodeId> = graph.nodes().collect();
-            // Per-level balance windows compound over log2(k) bisection
-            // levels, so shrink each level's ε to keep the final k-way
-            // imbalance near the configured budget.
-            let levels = (nparts as f64).log2().ceil().max(1.0);
-            let eps = self.imbalance / levels;
-            self.split(graph, &nodes, 0, nparts, eps, &mut assignment, rng, fm);
-        }
-        let mut part = Partition::new(assignment, nparts);
-        self.kway_refine(graph, &mut part);
-        part
+/// Recursive multilevel bisection of the whole `graph` into `nparts`,
+/// finished by [`kway_refine`].
+fn recursive_bisection(
+    graph: &Graph,
+    nparts: usize,
+    rng: &mut SplitMix64,
+    fm: &mut FmQueues,
+) -> Partition {
+    let n = graph.num_nodes();
+    let mut assignment = vec![0u32; n];
+    if nparts > 1 && n > 0 {
+        let nodes: Vec<NodeId> = graph.nodes().collect();
+        // Per-level balance windows compound over log2(k) bisection
+        // levels, so shrink each level's ε to keep the final k-way
+        // imbalance near the configured budget.
+        let levels = (nparts as f64).log2().ceil().max(1.0);
+        let eps = Metis::IMBALANCE / levels;
+        split(graph, &nodes, 0, nparts, eps, &mut assignment, rng, fm);
     }
+    let mut part = Partition::new(assignment, nparts);
+    kway_refine(graph, &mut part);
+    part
+}
 
-    /// Recursively bisect the subgraph induced by `nodes` (ascending) into
-    /// parts `first_part..first_part + k`.
-    #[allow(clippy::too_many_arguments)]
-    fn split(
-        &self,
-        graph: &Graph,
-        nodes: &[NodeId],
-        first_part: u32,
-        k: usize,
-        eps: f64,
-        assignment: &mut [u32],
-        rng: &mut SplitMix64,
-        fm: &mut FmQueues,
-    ) {
-        if k == 1 || nodes.is_empty() {
-            for &v in nodes {
-                assignment[v as usize] = first_part;
-            }
-            return;
+/// Recursively bisect the subgraph induced by `nodes` (ascending) into
+/// parts `first_part..first_part + k`.
+#[allow(clippy::too_many_arguments)]
+fn split(
+    graph: &Graph,
+    nodes: &[NodeId],
+    first_part: u32,
+    k: usize,
+    eps: f64,
+    assignment: &mut [u32],
+    rng: &mut SplitMix64,
+    fm: &mut FmQueues,
+) {
+    if k == 1 || nodes.is_empty() {
+        for &v in nodes {
+            assignment[v as usize] = first_part;
         }
-        let k_left = k / 2;
-        let frac = k_left as f64 / k as f64;
-        // Each side must receive at least one node per part it will host
-        // (when enough nodes exist), or downstream parts end up empty.
-        let ml = k_left.min(nodes.len());
-        let mr = (k - k_left).min(nodes.len() - ml);
-        // The whole graph is its own induced subgraph, not copied; any other
-        // is freed at the end of the block, before the halves induce theirs.
-        let side = {
-            let induced;
-            let sub = if nodes.len() == graph.num_nodes() {
-                graph
-            } else {
-                induced = induce(graph, nodes);
-                &induced
-            };
-            let mut side = self.bisect(sub, frac, eps, ml, mr, rng, fm);
-            meet_floors(sub, &mut side, ml, mr);
-            side
+        return;
+    }
+    let k_left = k / 2;
+    let frac = k_left as f64 / k as f64;
+    // Each side must receive at least one node per part it will host
+    // (when enough nodes exist), or downstream parts end up empty.
+    let ml = k_left.min(nodes.len());
+    let mr = (k - k_left).min(nodes.len() - ml);
+    // The whole graph is its own induced subgraph, not copied; any other
+    // is freed at the end of the block, before the halves induce theirs.
+    let side = {
+        let induced;
+        let sub = if nodes.len() == graph.num_nodes() {
+            graph
+        } else {
+            induced = induce(graph, nodes);
+            &induced
         };
-        let mut left = Vec::new();
-        let mut right = Vec::new();
-        for (&v, &s) in nodes.iter().zip(&side) {
-            if s {
-                left.push(v);
-            } else {
-                right.push(v);
-            }
+        let mut side = bisect(sub, frac, eps, ml, mr, rng, fm);
+        meet_floors(sub, &mut side, ml, mr);
+        side
+    };
+    let mut left = Vec::new();
+    let mut right = Vec::new();
+    for (&v, &s) in nodes.iter().zip(&side) {
+        if s {
+            left.push(v);
+        } else {
+            right.push(v);
         }
-        self.split(graph, &left, first_part, k_left, eps, assignment, rng, fm);
-        self.split(
-            graph,
-            &right,
-            first_part + k_left as u32,
-            k - k_left,
-            eps,
-            assignment,
-            rng,
-            fm,
-        );
     }
+    split(graph, &left, first_part, k_left, eps, assignment, rng, fm);
+    split(
+        graph,
+        &right,
+        first_part + k_left as u32,
+        k - k_left,
+        eps,
+        assignment,
+        rng,
+        fm,
+    );
+}
 
-    /// Multilevel bisection: returns `true` for nodes on the "left" side,
-    /// whose weight targets `frac` of the total, aiming for at least `ml`
-    /// nodes on the left and `mr` on the right (hosting floors from the
-    /// recursive split). FM keeps floors it starts on, but a projected coarse
-    /// bisection may miss them, so `split` settles them with [`meet_floors`].
-    #[allow(clippy::too_many_arguments)]
-    fn bisect(
-        &self,
-        graph: &Graph,
-        frac: f64,
-        eps: f64,
-        ml: usize,
-        mr: usize,
-        rng: &mut SplitMix64,
-        fm: &mut FmQueues,
-    ) -> Vec<bool> {
-        let n = graph.num_nodes();
-        if n == 0 {
-            return Vec::new();
-        }
-        if n == 1 {
-            return vec![ml >= 1];
-        }
-        if n > self.coarsen_to {
-            // Coarsen one level and recurse. Node-count floors only bind on
-            // tiny graphs, so the coarse level just needs feasible values.
-            let (coarse, map) = coarsen(graph, rng);
-            let cn = coarse.num_nodes();
-            if cn * 20 <= n * 17 {
-                let cml = ml.min(cn / 2);
-                let cmr = mr.min(cn - cml);
-                let coarse_side = self.bisect(&coarse, frac, eps, cml, cmr, rng, fm);
-                let mut side: Vec<bool> = map.iter().map(|&c| coarse_side[c as usize]).collect();
-                fm_refine(graph, &mut side, frac, eps, ml, mr, fm);
-                return side;
-            }
-            // Matching kept more than 85 % of the nodes (a star merges one
-            // leaf a level, and would recurse about n levels deep); fall
-            // through to direct initial partitioning.
-        }
-        let mut best: Option<(i64, f64, Vec<bool>)> = None;
-        for _ in 0..self.init_tries.max(1) {
-            let mut side = grow_bisection(graph, frac, ml, mr, rng, fm);
-            fm_refine(graph, &mut side, frac, eps, ml, mr, fm);
-            let cut = cut_of(graph, &side);
-            let dev = balance_deviation(graph, &side, frac);
-            if best
-                .as_ref()
-                .is_none_or(|(bc, bd, _)| (cut, dev) < (*bc, *bd))
-            {
-                best = Some((cut, dev, side));
-            }
-        }
-        best.expect("at least one try").2
+/// Multilevel bisection: returns `true` for nodes on the "left" side,
+/// whose weight targets `frac` of the total, aiming for at least `ml`
+/// nodes on the left and `mr` on the right (hosting floors from the
+/// recursive split). FM keeps floors it starts on, but a projected coarse
+/// bisection may miss them, so `split` settles them with [`meet_floors`].
+///
+/// Its levels come from [`coarsen_levels`], down to [`COARSEN_TO`] nodes.
+/// The coarsest is bisected by the best of [`INIT_TRIES`] grown regions,
+/// each refined by FM, and each finer level refines the projection with FM.
+fn bisect(
+    graph: &Graph,
+    frac: f64,
+    eps: f64,
+    ml: usize,
+    mr: usize,
+    rng: &mut SplitMix64,
+    fm: &mut FmQueues,
+) -> Vec<bool> {
+    let n = graph.num_nodes();
+    if n <= 1 {
+        return vec![ml >= 1; n];
     }
-
-    /// Greedy k-way boundary refinement: move boundary nodes to adjacent
-    /// parts when it reduces the cut without breaking balance.
-    ///
-    /// A node's edge weight into each part (`conn`) is summed once per
-    /// visit, so each candidate's gain, `conn[home] - conn[p]`, is O(1).
-    fn kway_refine(&self, graph: &Graph, part: &mut Partition) {
-        let k = part.num_parts();
-        if k < 2 || graph.num_nodes() < 2 {
-            return;
+    let mut levels = coarsen_levels(graph, COARSEN_TO, rng);
+    // Each level's floors, finest first. Node-count floors only bind on
+    // tiny graphs, so a coarse level just needs feasible values.
+    let mut floors = vec![(ml, mr)];
+    for (coarse, _) in &levels {
+        let cn = coarse.num_nodes();
+        let (ml, mr) = floors[floors.len() - 1];
+        let cml = ml.min(cn / 2);
+        floors.push((cml, mr.min(cn - cml)));
+    }
+    let coarsest = levels.last().map_or(graph, |(g, _)| g);
+    let (ml, mr) = floors[levels.len()];
+    let mut best: Option<(i64, f64, Vec<bool>)> = None;
+    for _ in 0..INIT_TRIES {
+        let mut side = grow_bisection(coarsest, frac, ml, mr, rng, fm);
+        fm_refine(coarsest, &mut side, frac, eps, ml, mr, fm);
+        let cut = cut_of(coarsest, &side);
+        let dev = balance_deviation(coarsest, &side, frac);
+        if best
+            .as_ref()
+            .is_none_or(|(bc, bd, _)| (cut, dev) < (*bc, *bd))
+        {
+            best = Some((cut, dev, side));
         }
-        let cap = self.cap(graph, k);
-        let mut loads = part.loads(graph);
-        let mut counts = part.counts();
-        let mut conn = vec![0i64; k];
-        for _pass in 0..4 {
-            let mut moved = 0;
-            for v in graph.nodes() {
-                let home = part.part_of(v);
-                // A move must never empty its source part: with k = n every
-                // singleton looks tempting to merge, but the mapping must
-                // keep all processors occupied.
-                if counts[home as usize] <= 1 {
+    }
+    let mut side = best.expect("at least one try").2;
+    while let Some((_, map)) = levels.pop() {
+        let fine = levels.last().map_or(graph, |(g, _)| g);
+        let (ml, mr) = floors[levels.len()];
+        side = map.iter().map(|&c| side[c as usize]).collect();
+        fm_refine(fine, &mut side, frac, eps, ml, mr, fm);
+    }
+    side
+}
+
+/// Greedy k-way boundary refinement: move boundary nodes to adjacent
+/// parts when it reduces the cut without breaking balance.
+///
+/// A node's edge weight into each part (`conn`) is summed once per
+/// visit, so each candidate's gain, `conn[home] - conn[p]`, is O(1).
+fn kway_refine(graph: &Graph, part: &mut Partition) {
+    let k = part.num_parts();
+    if k < 2 || graph.num_nodes() < 2 {
+        return;
+    }
+    let cap = cap(graph, k);
+    let mut loads = part.loads(graph);
+    let mut counts = part.counts();
+    let mut conn = vec![0i64; k];
+    for _pass in 0..4 {
+        let mut moved = 0;
+        for v in graph.nodes() {
+            let home = part.part_of(v);
+            // A move must never empty its source part: with k = n every
+            // singleton looks tempting to merge, but the mapping must
+            // keep all processors occupied.
+            if counts[home as usize] <= 1 {
+                continue;
+            }
+            connectivity(graph, part.as_slice(), v, &mut conn);
+            // Candidate parts: those of v's neighbours.
+            let vw = graph.vertex_weight(v);
+            let mut best: Option<(i64, u32)> = None;
+            for &w in graph.neighbors(v) {
+                let p = part.part_of(w);
+                if p == home {
                     continue;
                 }
-                connectivity(graph, part.as_slice(), v, &mut conn);
-                // Candidate parts: those of v's neighbours.
-                let vw = graph.vertex_weight(v);
-                let mut best: Option<(i64, u32)> = None;
-                for &w in graph.neighbors(v) {
-                    let p = part.part_of(w);
-                    if p == home {
-                        continue;
-                    }
-                    let gain = conn[home as usize] - conn[p as usize];
-                    let fits = loads[p as usize] + vw <= cap
-                        || loads[p as usize] + vw < loads[home as usize];
-                    if gain < 0 && fits && best.is_none_or(|(bg, _)| gain < bg) {
-                        best = Some((gain, p));
-                    }
-                }
-                clear_connectivity(graph, part.as_slice(), v, &mut conn);
-                if let Some((_, p)) = best {
-                    loads[home as usize] -= vw;
-                    loads[p as usize] += vw;
-                    counts[home as usize] -= 1;
-                    counts[p as usize] += 1;
-                    part.assign(v, p);
-                    moved += 1;
+                let gain = conn[home as usize] - conn[p as usize];
+                let fits =
+                    loads[p as usize] + vw <= cap || loads[p as usize] + vw < loads[home as usize];
+                if gain < 0 && fits && best.is_none_or(|(bg, _)| gain < bg) {
+                    best = Some((gain, p));
                 }
             }
-            if moved == 0 {
-                break;
+            clear_connectivity(graph, part.as_slice(), v, &mut conn);
+            if let Some((_, p)) = best {
+                loads[home as usize] -= vw;
+                loads[p as usize] += vw;
+                counts[home as usize] -= 1;
+                counts[p as usize] += 1;
+                part.assign(v, p);
+                moved += 1;
             }
         }
-        // Balancing phase: drain overloaded parts into their least-loaded
-        // neighbouring part, choosing the boundary node whose move hurts
-        // the cut least. Bisection drift can otherwise accumulate past the
-        // configured budget.
-        for _pass in 0..6 {
-            let mut moved = false;
-            for v in graph.nodes() {
-                let home = part.part_of(v);
-                if loads[home as usize] <= cap || counts[home as usize] <= 1 {
+        if moved == 0 {
+            break;
+        }
+    }
+    // Balancing phase: drain overloaded parts into their least-loaded
+    // neighbouring part, choosing the boundary node whose move hurts
+    // the cut least. Bisection drift can otherwise accumulate past the
+    // configured budget.
+    for _pass in 0..6 {
+        let mut moved = false;
+        for v in graph.nodes() {
+            let home = part.part_of(v);
+            if loads[home as usize] <= cap || counts[home as usize] <= 1 {
+                continue;
+            }
+            connectivity(graph, part.as_slice(), v, &mut conn);
+            let vw = graph.vertex_weight(v);
+            let mut best: Option<(i64, i64, u32)> = None;
+            for &w in graph.neighbors(v) {
+                let p = part.part_of(w);
+                if p == home || loads[p as usize] + vw >= loads[home as usize] {
                     continue;
                 }
-                connectivity(graph, part.as_slice(), v, &mut conn);
-                let vw = graph.vertex_weight(v);
-                let mut best: Option<(i64, i64, u32)> = None;
-                for &w in graph.neighbors(v) {
-                    let p = part.part_of(w);
-                    if p == home || loads[p as usize] + vw >= loads[home as usize] {
-                        continue;
-                    }
-                    let gain = conn[home as usize] - conn[p as usize];
-                    let key = (gain, loads[p as usize]);
-                    if best.is_none_or(|(bg, bl, _)| key < (bg, bl)) {
-                        best = Some((gain, loads[p as usize], p));
-                    }
-                }
-                clear_connectivity(graph, part.as_slice(), v, &mut conn);
-                if let Some((_, _, p)) = best {
-                    loads[home as usize] -= vw;
-                    loads[p as usize] += vw;
-                    counts[home as usize] -= 1;
-                    counts[p as usize] += 1;
-                    part.assign(v, p);
-                    moved = true;
+                let gain = conn[home as usize] - conn[p as usize];
+                let key = (gain, loads[p as usize]);
+                if best.is_none_or(|(bg, bl, _)| key < (bg, bl)) {
+                    best = Some((gain, loads[p as usize], p));
                 }
             }
-            if !moved {
-                break;
+            clear_connectivity(graph, part.as_slice(), v, &mut conn);
+            if let Some((_, _, p)) = best {
+                loads[home as usize] -= vw;
+                loads[p as usize] += vw;
+                counts[home as usize] -= 1;
+                counts[p as usize] += 1;
+                part.assign(v, p);
+                moved = true;
             }
+        }
+        if !moved {
+            break;
         }
     }
 }
@@ -786,11 +781,12 @@ fn coarsen(graph: &Graph, rng: &mut SplitMix64) -> (Graph, Vec<u32>) {
 /// Greedy graph-growing bisection: BFS-grow a region from a random seed,
 /// always absorbing the frontier vertex with the best cut gain, until the
 /// region reaches `frac` of the total weight (respecting the `ml`/`mr`
-/// node-count floors). A frontier vertex's gain is its edge weight into the
-/// region less its edge weight out; the highest `(gain, Reverse(v))` joins
-/// first, and a disconnected remainder restarts from its lowest id. The
-/// frontier is `queues`' left heap, keyed as FM keys its moves, and the
-/// gains are FM's gain table.
+/// node-count floors): it grows while it is under that weight and leaves
+/// `mr` nodes out, or while it holds fewer than `ml`. A frontier vertex's
+/// gain is its edge weight into the region less its edge weight out; the
+/// highest `(gain, Reverse(v))` joins first, and a disconnected remainder
+/// restarts from its lowest id. The frontier is `queues`' left heap, keyed
+/// as FM keys its moves, and the gains are FM's gain table.
 fn grow_bisection(
     graph: &Graph,
     frac: f64,
@@ -801,43 +797,7 @@ fn grow_bisection(
 ) -> Vec<bool> {
     let n = graph.num_nodes();
     let target = (graph.total_vertex_weight() as f64 * frac).round() as i64;
-    let seed = rng.gen_range(0..n) as NodeId;
-    if max_weighted_degree(graph) <= i64::from(i32::MAX) {
-        grow(
-            graph,
-            target,
-            ml,
-            mr,
-            seed,
-            &mut queues.packed,
-            &mut queues.gains,
-        )
-    } else {
-        grow(
-            graph,
-            target,
-            ml,
-            mr,
-            seed,
-            &mut queues.wide,
-            &mut queues.gains,
-        )
-    }
-}
-
-/// [`grow_bisection`]'s growth from `seed`, over `heaps`: the region grows
-/// while it is under `target` weight and leaves `mr` nodes out, or while it
-/// holds fewer than `ml`.
-fn grow<K: Key>(
-    graph: &Graph,
-    target: i64,
-    ml: usize,
-    mr: usize,
-    seed: NodeId,
-    heaps: &mut GainHeaps<K>,
-    gains: &mut Vec<i64>,
-) -> Vec<bool> {
-    let n = graph.num_nodes();
+    let FmQueues { heaps, gains, .. } = queues;
     let mut side = vec![false; n];
     heaps.clear(n);
     gains.clear();
@@ -849,7 +809,7 @@ fn grow<K: Key>(
     // No node below `cursor` is outside the region.
     let mut cursor = 0;
     let (mut weight, mut count) = (0i64, 0usize);
-    let mut v = seed;
+    let mut v = rng.gen_range(0..n) as NodeId;
     while (weight < target && count < n - mr) || count < ml {
         side[v as usize] = true;
         weight += graph.vertex_weight(v);
@@ -861,9 +821,9 @@ fn grow<K: Key>(
             }
         }
         v = match heaps.heaps[1].first() {
-            Some(&key) => {
-                heaps.lock(1, key.vertex());
-                key.vertex()
+            Some(&(_, Reverse(best))) => {
+                heaps.lock(1, best);
+                best
             }
             None => {
                 while cursor < n && side[cursor] {
@@ -898,51 +858,18 @@ fn balance_deviation(graph: &Graph, side: &[bool], frac: f64) -> f64 {
 }
 
 /// FM's state, allocated once per [`Metis::partition`] call and reused by
-/// every level and initial try; [`fm_refine`] picks a heap key per call.
+/// every level and initial try.
 #[derive(Default)]
 struct FmQueues {
-    packed: GainHeaps<u64>,
-    wide: GainHeaps<(i64, Reverse<NodeId>)>,
+    heaps: GainHeaps,
     /// Every vertex's gain, queued or not, kept through each neighbour's
     /// move so that a vertex joins the queue at its true gain.
     gains: Vec<i64>,
     history: Vec<NodeId>,
 }
 
-/// A heap priority: higher gain first, then the lower vertex id. Both
-/// encodings order the same. The packed `u64` holds the gain's 32 bits
-/// (sign flipped, so unsigned order is signed order) above the complemented
-/// id; it halves the heaps' bytes and serves whenever every weighted degree,
-/// and so every gain, fits an `i32`. The pair serves any weights.
-trait Key: Copy + Ord {
-    fn new(gain: i64, v: NodeId) -> Self;
-    fn gain(self) -> i64;
-    fn vertex(self) -> NodeId;
-}
-
-impl Key for u64 {
-    fn new(gain: i64, v: NodeId) -> Self {
-        u64::from(gain as i32 as u32 ^ 1 << 31) << 32 | u64::from(!v)
-    }
-    fn gain(self) -> i64 {
-        i64::from(((self >> 32) as u32 ^ 1 << 31) as i32)
-    }
-    fn vertex(self) -> NodeId {
-        !(self as u32)
-    }
-}
-
-impl Key for (i64, Reverse<NodeId>) {
-    fn new(gain: i64, v: NodeId) -> Self {
-        (gain, Reverse(v))
-    }
-    fn gain(self) -> i64 {
-        self.0
-    }
-    fn vertex(self) -> NodeId {
-        self.1 .0
-    }
-}
+/// A heap priority: higher gain first, then the lower vertex id.
+type Key = (i64, Reverse<NodeId>);
 
 /// Children per heap node.
 const ARITY: usize = 4;
@@ -958,17 +885,17 @@ const ABSENT: u32 = u32::MAX - 1;
 /// holding one entry per queued vertex, its key stored inline so a compare
 /// reads no gain table.
 #[derive(Default)]
-struct GainHeaps<K> {
+struct GainHeaps {
     /// `heaps[1]` holds the left side (`side[v] == true`), `heaps[0]` the
     /// right.
-    heaps: [Vec<K>; 2],
+    heaps: [Vec<Key>; 2],
     /// `v`'s index in its side's heap, or [`LOCKED`] or [`ABSENT`].
     pos: Vec<u32>,
     /// [`GainHeaps::pick`]'s best-first frontier: `(key, side, index)`.
-    frontier: BinaryHeap<(K, usize, usize)>,
+    frontier: BinaryHeap<(Key, usize, usize)>,
 }
 
-impl<K: Key> GainHeaps<K> {
+impl GainHeaps {
     /// Empty both heaps and mark all `n` vertices absent.
     fn clear(&mut self, n: usize) {
         for heap in &mut self.heaps {
@@ -978,9 +905,10 @@ impl<K: Key> GainHeaps<K> {
         self.pos.resize(n, ABSENT);
     }
 
-    fn place(&mut self, s: usize, i: usize, key: K) {
+    fn place(&mut self, s: usize, i: usize, key: Key) {
         self.heaps[s][i] = key;
-        self.pos[key.vertex() as usize] = i as u32;
+        let (_, Reverse(v)) = key;
+        self.pos[v as usize] = i as u32;
     }
 
     fn sift_up(&mut self, s: usize, mut i: usize) {
@@ -1025,7 +953,7 @@ impl<K: Key> GainHeaps<K> {
     /// Queue `v`, on side `s`, at `gain`.
     fn insert(&mut self, s: usize, v: NodeId, gain: i64) {
         let i = self.heaps[s].len();
-        self.heaps[s].push(K::new(gain, v));
+        self.heaps[s].push((gain, Reverse(v)));
         self.sift_up(s, i);
     }
 
@@ -1037,7 +965,8 @@ impl<K: Key> GainHeaps<K> {
         if let Some(&last) = self.heaps[s].get(i) {
             self.place(s, i, last);
             self.sift_up(s, i);
-            self.sift_down(s, self.pos[last.vertex() as usize] as usize);
+            let (_, Reverse(moved)) = last;
+            self.sift_down(s, self.pos[moved as usize] as usize);
         }
     }
 
@@ -1053,8 +982,8 @@ impl<K: Key> GainHeaps<K> {
             }
             i => {
                 let i = i as usize;
-                let up = gain > self.heaps[s][i].gain();
-                self.heaps[s][i] = K::new(gain, v);
+                let up = gain > self.heaps[s][i].0;
+                self.heaps[s][i] = (gain, Reverse(v));
                 if up {
                     self.sift_up(s, i);
                 } else {
@@ -1079,10 +1008,9 @@ impl<K: Key> GainHeaps<K> {
                 self.frontier.push((root, s, 0));
             }
         }
-        while let Some((key, s, i)) = self.frontier.pop() {
-            let v = key.vertex();
+        while let Some(((gain, Reverse(v)), s, i)) = self.frontier.pop() {
             if fits(s, v) {
-                return Some((key.gain(), s, v));
+                return Some((gain, s, v));
             }
             let first = ARITY * i + 1;
             let children = self.heaps[s].iter().enumerate().skip(first).take(ARITY);
@@ -1092,25 +1020,29 @@ impl<K: Key> GainHeaps<K> {
     }
 }
 
+/// Moves without a new best prefix after which an FM pass on `n` vertices
+/// stops.
+fn fm_patience(n: usize) -> usize {
+    (n / 100).max(15)
+}
+
 /// Boundary Fiduccia–Mattheyses 2-way refinement. A pass queues the
 /// vertices with an edge to the other side; a vertex joins when a
 /// neighbour's move gives it one and stays queued for the rest of the pass
 /// even if a later move leaves it interior (Metis dequeues it then). It
-/// moves each queued vertex at most
-/// once, always the best-gain movable one, stops after
-/// `max(15, n/100)` moves without a new best prefix, and rolls back to the
-/// best prefix; passes repeat (at most 8) while a prefix improves. Moves
-/// must keep the left side's node count in `[ml, n - mr]` and its weight
-/// within the balance window — or strictly improve the weight deviation (so
-/// a skewed starting point can be repaired).
+/// moves each queued vertex at most once, always the best-gain movable one,
+/// stops after `max(15, n/100)` moves without a new best prefix, and rolls
+/// back to the best prefix; passes repeat (at most 8) while a prefix
+/// improves. Moves must keep the left side's node count in `[ml, n - mr]`
+/// and its weight within the balance window — or strictly improve the
+/// weight deviation (so a skewed starting point can be repaired).
 ///
 /// The next mover is the maximum `(gain, Reverse(v))` among movable queued
-/// vertices. Each side's queue is a [`GainHeaps`] with packed keys, or with
-/// pair keys where the maximum weighted degree, which bounds every gain,
-/// passes `i32`. Feasibility depends on a vertex only through its side and
-/// weight: where all weights are equal, one test per side decides it and a
-/// blocked side is skipped whole; otherwise the heaps offer both sides'
-/// vertices in key order until one passes.
+/// vertices, each side's queue a [`GainHeaps`] heap. Feasibility depends on
+/// a vertex only through its side and weight: where all weights are equal,
+/// one test per side decides it and a blocked side is skipped whole;
+/// otherwise the heaps offer both sides' vertices in key order until one
+/// passes.
 fn fm_refine(
     graph: &Graph,
     side: &mut [bool],
@@ -1120,51 +1052,15 @@ fn fm_refine(
     mr: usize,
     queues: &mut FmQueues,
 ) {
-    if graph.num_nodes() < 2 {
+    let n = graph.num_nodes();
+    if n < 2 {
         return;
     }
     let FmQueues {
-        packed,
-        wide,
+        heaps,
         gains,
         history,
     } = queues;
-    if max_weighted_degree(graph) <= i64::from(i32::MAX) {
-        fm_passes(graph, side, frac, eps, ml, mr, packed, gains, history);
-    } else {
-        fm_passes(graph, side, frac, eps, ml, mr, wide, gains, history);
-    }
-}
-
-/// The largest sum of one vertex's edge weights, which bounds every gain.
-fn max_weighted_degree(graph: &Graph) -> i64 {
-    graph
-        .nodes()
-        .map(|v| graph.edge_weights(v).iter().sum::<i64>())
-        .max()
-        .unwrap_or(0)
-}
-
-/// Moves without a new best prefix after which an FM pass on `n` vertices
-/// stops.
-fn fm_patience(n: usize) -> usize {
-    (n / 100).max(15)
-}
-
-/// [`fm_refine`]'s passes, over `heaps`.
-#[allow(clippy::too_many_arguments)]
-fn fm_passes<K: Key>(
-    graph: &Graph,
-    side: &mut [bool],
-    frac: f64,
-    eps: f64,
-    ml: usize,
-    mr: usize,
-    heaps: &mut GainHeaps<K>,
-    gains: &mut Vec<i64>,
-    history: &mut Vec<NodeId>,
-) {
-    let n = graph.num_nodes();
     let vwgt = graph.vertex_weights();
     let total = graph.total_vertex_weight();
     let target = total as f64 * frac;
@@ -1578,14 +1474,24 @@ mod tests {
         }
     }
 
+    /// The largest sum of one vertex's edge weights, which bounds every gain.
+    fn max_weighted_degree(graph: &Graph) -> i64 {
+        graph
+            .nodes()
+            .map(|v| graph.edge_weights(v).iter().sum::<i64>())
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Refine `rounds` drawn graphs and starts with [`fm_refine`], one
     /// [`FmQueues`] reused throughout as [`Metis::partition`] reuses it, and
     /// with the scan; both must end on the same sides. Returns how many
-    /// rounds ran on packed keys and how many on pair keys.
+    /// rounds ran with every gain within `i32` and how many with gains past
+    /// it.
     fn refine_like_the_scan(seed: u64, rounds: usize, max_n: usize) -> [usize; 2] {
         let mut rng = SplitMix64::new(seed);
         let mut queues = FmQueues::default();
-        let mut keys = [0; 2];
+        let mut widths = [0; 2];
         for round in 0..rounds {
             let n = rng.gen_range(2..max_n);
             let seed = rng.next_u64();
@@ -1595,7 +1501,7 @@ mod tests {
                 1 => coarsen(&weighted_random(n, seed, 9, 5, 1), &mut rng).0,
                 // Equal vertex weights: feasibility is one test per side.
                 2 => weighted_random(n, seed, 9, 1, 1),
-                // Gains beyond `i32`: the pair key.
+                // Gains beyond `i32`.
                 3 => weighted_random(n, seed, 9, 5, 1 << 32),
                 // Narrow gains under unequal vertex weights: the heaps
                 // walked in key order.
@@ -1606,7 +1512,7 @@ mod tests {
                 _ => coarsen(&weighted_random(n, seed, 1, 1, 1), &mut rng).0,
             };
             let n = g.num_nodes();
-            keys[usize::from(max_weighted_degree(&g) > i64::from(i32::MAX))] += 1;
+            widths[usize::from(max_weighted_degree(&g) > i64::from(i32::MAX))] += 1;
             let frac = [0.5, 1.0 / 3.0, 0.25, 3.0 / 8.0, 0.625][rng.gen_range(0..5)];
             let eps = [0.0, 0.01, 0.025, 0.05, 0.2][rng.gen_range(0..5)];
             let ml = rng.gen_range(0..n.min(9) + 1);
@@ -1625,15 +1531,15 @@ mod tests {
                 "round {round}: n={n} frac={frac} eps={eps} ml={ml} mr={mr}"
             );
         }
-        keys
+        widths
     }
 
     #[test]
     fn heap_refinement_equals_the_scan_one() {
-        let [packed, pairs] = refine_like_the_scan(0xF3, 280, 400);
+        let [narrow, wide] = refine_like_the_scan(0xF3, 280, 400);
         assert!(
-            packed >= 200 && pairs >= 30,
-            "{packed} rounds on packed keys, {pairs} on pairs"
+            narrow >= 200 && wide >= 30,
+            "{narrow} rounds with gains within `i32`, {wide} with gains past it"
         );
     }
 
@@ -1659,7 +1565,7 @@ mod tests {
                 0 => weighted_random(n, seed, 9, 5, 1),
                 1 => coarsen(&weighted_random(n, seed, 9, 5, 1), &mut rng).0,
                 2 => weighted_random(n, seed, 1, 1, 1),
-                // Gains beyond `i32`: the pair key.
+                // Gains beyond `i32`.
                 3 => weighted_random(n, seed, 9, 5, 1 << 32),
                 4 => thinned(&weighted_random(n, seed, 3, 2, 1)),
                 _ => thinned(&weighted_random(n, seed, 1, 1, 1 << 32)),
@@ -1698,7 +1604,7 @@ mod tests {
                 assert!(k <= 2 || n <= kway_coarsen_to(n, k), "n={n} k={k}");
                 let metis = Metis::default();
                 let mut rng = SplitMix64::new(metis.seed);
-                let path = metis.recursive_bisection(g, k, &mut rng, &mut FmQueues::default());
+                let path = recursive_bisection(g, k, &mut rng, &mut FmQueues::default());
                 assert!(metis.partition(g, k) == path, "n={n} k={k}");
             }
         }
@@ -1716,11 +1622,10 @@ mod tests {
         let mut rng = SplitMix64::new(metis.seed);
         let mut levels = coarsen_levels(graph, kway_coarsen_to(graph.num_nodes(), k), &mut rng);
         let (coarsest, _) = levels.last().expect("a graph past the target");
-        let mut part = metis
-            .recursive_bisection(coarsest, k, &mut rng, &mut FmQueues::default())
+        let mut part = recursive_bisection(coarsest, k, &mut rng, &mut FmQueues::default())
             .as_slice()
             .to_vec();
-        let cap = metis.cap(graph, k);
+        let cap = cap(graph, k);
         while let Some((_, map)) = levels.pop() {
             let fine = levels.last().map_or(graph, |(g, _)| g);
             part = map.iter().map(|&c| part[c as usize]).collect();
@@ -1787,7 +1692,7 @@ mod tests {
                 .iter_mut()
                 .enumerate()
                 .for_each(|(p, x)| *x = p as u32);
-            let cap = Metis::default().cap(&g, k);
+            let cap = cap(&g, k);
             check_kway_level(&g, &mut part, k, cap, &format!("round {round}"));
         }
     }
@@ -1795,15 +1700,15 @@ mod tests {
     #[test]
     #[ignore = "thousands of graphs, some of 8 000 nodes: run in release"]
     fn heap_refinement_equals_the_scan_one_at_scale() {
-        let [packed, pairs] = refine_like_the_scan(0xB0C, 4_200, 600);
+        let [narrow, wide] = refine_like_the_scan(0xB0C, 4_200, 600);
         assert!(
-            packed >= 3_000 && pairs >= 500,
-            "{packed} rounds on packed keys, {pairs} on pairs"
+            narrow >= 3_000 && wide >= 500,
+            "{narrow} rounds with gains within `i32`, {wide} with gains past it"
         );
-        let [packed, pairs] = refine_like_the_scan(0xB1C, 35, 8_000);
+        let [narrow, wide] = refine_like_the_scan(0xB1C, 35, 8_000);
         assert!(
-            packed >= 25 && pairs >= 4,
-            "{packed} rounds on packed keys, {pairs} on pairs"
+            narrow >= 25 && wide >= 4,
+            "{narrow} rounds with gains within `i32`, {wide} with gains past it"
         );
     }
 
@@ -1825,29 +1730,6 @@ mod tests {
         assert_eq!(queues.history.len(), fm_patience(n));
         assert_eq!(fm_patience(n), 40);
         assert_eq!(fm_patience(1_000), 15);
-    }
-
-    #[test]
-    fn packed_keys_order_like_pairs() {
-        let mut rng = SplitMix64::new(0x4E7);
-        let mut draw = || {
-            let gain = match rng.gen_range(0..4) {
-                0 => i64::from(i32::MAX) - rng.gen_range(0..3) as i64,
-                1 => -i64::from(i32::MAX) + rng.gen_range(0..3) as i64,
-                _ => rng.gen_range(0..41) as i64 - 20,
-            };
-            let v = match rng.gen_range(0..3) {
-                0 => u32::MAX - rng.gen_range(0..3) as u32,
-                _ => rng.gen_range(0..50) as u32,
-            };
-            (gain, v)
-        };
-        for _ in 0..10_000 {
-            let ((ga, va), (gb, vb)) = (draw(), draw());
-            let (pa, pb) = (<u64 as Key>::new(ga, va), <u64 as Key>::new(gb, vb));
-            assert_eq!((pa.gain(), pa.vertex()), (ga, va));
-            assert_eq!(pa.cmp(&pb), (ga, Reverse(va)).cmp(&(gb, Reverse(vb))));
-        }
     }
 
     fn check_quality(graph: &Graph, k: usize, max_imbalance: f64) -> i64 {
@@ -1919,11 +1801,7 @@ mod tests {
     fn seed_changes_can_change_result() {
         let g = thesis_random_graph(64, 0);
         let a = Metis::default().partition(&g, 8);
-        let b = Metis {
-            seed: 99,
-            ..Default::default()
-        }
-        .partition(&g, 8);
+        let b = Metis { seed: 99 }.partition(&g, 8);
         // Not guaranteed different, but cut quality must hold for both.
         assert!(metrics::imbalance(&g, &b) <= 1.3);
         let _ = a;

@@ -29,10 +29,6 @@ pub struct PaGrid {
     pub rref: f64,
     /// Target machine; `None` builds a hypercube of the requested size.
     pub machine: Option<ProcessorGraph>,
-    /// Allowed compute-load imbalance during refinement.
-    pub imbalance: f64,
-    /// Maximum refinement passes.
-    pub passes: usize,
 }
 
 impl Default for PaGrid {
@@ -41,11 +37,17 @@ impl Default for PaGrid {
             base: Metis::default(),
             rref: 0.45,
             machine: None,
-            imbalance: 0.10,
-            passes: 8,
         }
     }
 }
+
+/// Compute-load imbalance the refinement allows: a move may fill a part to
+/// `⌈ideal · (1 + IMBALANCE)⌉`, or past it into a part lighter than its
+/// source.
+const IMBALANCE: f64 = 0.10;
+
+/// Refinement passes at most; a pass that improves nothing ends them.
+const PASSES: usize = 8;
 
 impl PaGrid {
     /// PaGrid with an explicit machine description.
@@ -175,10 +177,10 @@ impl StaticPartitioner for PaGrid {
         let mut state = CostState::new(graph, &part, &machine, self.rref);
         let total = graph.total_vertex_weight();
         let ideal = total as f64 / nparts as f64;
-        let cap = (ideal * (1.0 + self.imbalance)).ceil() as i64;
+        let cap = (ideal * (1.0 + IMBALANCE)).ceil() as i64;
 
         let mut counts = part.counts();
-        for _pass in 0..self.passes {
+        for _pass in 0..PASSES {
             let mut improved = false;
             for v in graph.nodes() {
                 let home = part.part_of(v);

@@ -292,7 +292,7 @@ fn metis_quality_holds_its_floor() {
                 .find(|&&(n, qk, _, _)| n == name && qk == k)
                 .expect("every pinned case has a floor");
             let ideal = g.total_vertex_weight() as f64 / k as f64;
-            let cap = (ideal * (1.0 + metis.imbalance)).ceil() as i64;
+            let cap = (ideal * (1.0 + Metis::IMBALANCE)).ceil() as i64;
             if heaviest > floor.max(cap) {
                 heavy += 1;
             }

@@ -50,7 +50,8 @@ fn fault_injection_is_fully_deterministic() {
         "virtual time must be bit-identical under the same fault seed"
     );
     assert_eq!(
-        a.negative_clamps, 0,
+        a.negative_clamps(),
+        0,
         "no phase window may come out negative, even under chaos"
     );
 }
@@ -189,7 +190,8 @@ fn crashed_rank_rolls_back_and_recovers_exactly() {
         assert_eq!(a.faults, b.faults);
         assert_eq!(a.total_time.to_bits(), b.total_time.to_bits());
         assert_eq!(
-            a.negative_clamps, 0,
+            a.negative_clamps(),
+            0,
             "rollback recovery must not produce negative phase windows"
         );
     }
@@ -437,7 +439,7 @@ fn corruption_at_escalating_rates_stays_oracle_exact() {
             b.total_time.to_bits(),
             "p={p}: virtual time must be bit-identical under the same seed"
         );
-        assert_eq!(a.negative_clamps, 0, "p={p}: no negative phase windows");
+        assert_eq!(a.negative_clamps(), 0, "p={p}: no negative phase windows");
     }
 }
 

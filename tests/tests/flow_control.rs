@@ -41,7 +41,8 @@ fn bounded_capacities_match_the_unbounded_run_bit_for_bit() {
         &cfg(vt_world()),
     );
     assert_eq!(
-        baseline.credit_stalls, 0,
+        baseline.credit_stalls(),
+        0,
         "unbounded mailboxes can never stall a sender"
     );
     for cap in [8, 4, 3, 2] {
@@ -69,7 +70,7 @@ fn bounded_capacities_match_the_unbounded_run_bit_for_bit() {
         // against `cap`) is deterministic. Only assert that the gauge
         // observed traffic at all.
         assert!(
-            bounded.peak_mailbox_depth > 0,
+            bounded.peak_mailbox_depth() > 0,
             "capacity {cap}: messages flowed, the depth gauge must move"
         );
     }
@@ -103,21 +104,22 @@ fn credit_stall_counts_are_canonical() {
     let at2 = run_cap(Some(2));
     let again = run_cap(Some(2));
     assert_eq!(
-        at2.credit_stalls, again.credit_stalls,
+        at2.credit_stalls(),
+        again.credit_stalls(),
         "same seed, same capacity: the canonical count must not wobble"
     );
     let at3 = run_cap(Some(3));
     assert!(
-        at2.credit_stalls > 0,
+        at2.credit_stalls() > 0,
         "capacity 2 on a dense graph must overflow"
     );
     assert!(
-        at2.credit_stalls >= at3.credit_stalls,
+        at2.credit_stalls() >= at3.credit_stalls(),
         "fewer slots cannot mean fewer stalls: {} < {}",
-        at2.credit_stalls,
-        at3.credit_stalls
+        at2.credit_stalls(),
+        at3.credit_stalls()
     );
-    assert_eq!(run_cap(None).credit_stalls, 0);
+    assert_eq!(run_cap(None).credit_stalls(), 0);
 }
 
 #[test]
@@ -197,7 +199,7 @@ fn starved_mailboxes_with_corruption_repair_identically() {
     );
     assert_eq!(unbounded.final_data, oracle);
     assert!(unbounded.faults.retransmits > 0, "{:?}", unbounded.faults);
-    assert_eq!(unbounded.credit_stalls, 0);
+    assert_eq!(unbounded.credit_stalls(), 0);
     for cap in [4, 2] {
         let bounded = run(
             &graph,

@@ -85,7 +85,7 @@ fn escalating_corruption_is_detected_and_repaired_exactly() {
             b.total_time.to_bits(),
             "p={p}: total time must be bit-identical"
         );
-        assert_eq!(a.negative_clamps, 0, "p={p}");
+        assert_eq!(a.negative_clamps(), 0, "p={p}");
     }
 }
 

@@ -52,7 +52,7 @@ fn simulate(budget: usize, accesses: &[usize]) -> (u64, Vec<usize>) {
 }
 
 #[test]
-fn same_stream_same_victims_for_every_policy() {
+fn one_access_stream_gives_one_hit_count_and_victim_order() {
     // Replaying an identical access stream must reproduce the victim
     // sequence and the final resident set exactly — the property the
     // platform's bit-identical `total_time` contract stands on.
@@ -67,13 +67,12 @@ fn same_stream_same_victims_for_every_policy() {
 }
 
 #[test]
-fn scan_resistant_policies_beat_fifo_on_hot_set_plus_looping_scan() {
+fn sieve_keeps_a_hot_set_through_a_looping_cold_scan() {
     // Four hot pages touched every other access, interleaved with a
     // 24-page looping cold scan, budget 8. SIEVE's visited bits spare the
     // re-referenced hot set at the hand, so every hot access after its
-    // page's first touch hits, where FIFO would age the hot pages out as
-    // cold admissions push the queue. The cold scan never fits and never
-    // hits.
+    // page's first touch hits, though four cold pages are admitted between
+    // two touches of it. The cold scan never fits and never hits.
     let hot = 4usize;
     let cold = 24usize;
     let mut accesses = Vec::new();
@@ -126,7 +125,7 @@ fn evict_returns_none_when_every_resident_page_is_pinned() {
 }
 
 #[test]
-fn paged_run_is_oracle_exact_and_deterministic_for_every_policy() {
+fn a_paged_run_is_oracle_exact_and_deterministic() {
     // The end-to-end contract with no disk faults: a budget of 4 resident
     // pages against 64 hash buckets per rank forces constant fault-in and
     // eviction traffic, and the answer must still be byte-identical to

@@ -96,7 +96,7 @@ fn bounded_mailbox_traces_are_byte_identical() {
             "capacity {cap}: same seed must render a byte-identical trace.json"
         );
         assert_eq!(timeline_json(ta), timeline_json(tb), "capacity {cap}");
-        assert_eq!(a.credit_stalls, b.credit_stalls, "capacity {cap}");
+        assert_eq!(a.credit_stalls(), b.credit_stalls(), "capacity {cap}");
     }
 }
 
@@ -126,8 +126,8 @@ fn tracing_is_invisible_to_the_simulation() {
         off.total_time.to_bits(),
         "recording must never touch the virtual clock"
     );
-    assert_eq!(off.negative_clamps, 0);
-    assert_eq!(on.negative_clamps, 0);
+    assert_eq!(off.negative_clamps(), 0);
+    assert_eq!(on.negative_clamps(), 0);
 }
 
 #[test]
